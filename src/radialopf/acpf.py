@@ -1,10 +1,11 @@
 """Exact AC power flow in polar form.
 
 Serves as the ground-truth oracle for the approximate feeder models: it
-benchmarks voltages and losses, supplies the power-flow Jacobian blocks and
-voltage sensitivities used by the marginal-loss pricing chain, and implements
-the finite-difference price oracle (slack-cost derivative under load
-perturbation).
+benchmarks voltages and losses, supplies the adjoint voltage sensitivities
+used by the marginal-loss prices (one sparse LU of the reduced Jacobian and
+a transposed solve), keeps the dense Jacobian blocks and sensitivity
+matrices as their O(n^2) reference, and implements the finite-difference
+price oracle (slack-cost derivative under load perturbation).
 
 Array conventions: full-bus vectors follow ``net.buses`` order; "non-slack"
 vectors follow ``net.buses`` order with the slack row removed (see
@@ -183,7 +184,10 @@ def _jacobian_sparse(ybus, vc, pq):
 
 def jacobian_at(net: Network, v: np.ndarray, delta: np.ndarray) -> JacobianBlocks:
     """Assemble the Jacobian blocks at an arbitrary operating point
-    (not necessarily a converged one)."""
+    (not necessarily a converged one).
+
+    Dense O(n^2) reference for ``voltage_adjoint``; pricing does not use it.
+    """
     pos = bus_positions(net)
     slack_pos = pos[net.slack]
     pq = np.array([i for i in range(net.n_bus) if i != slack_pos])
@@ -204,6 +208,9 @@ def voltage_sensitivities(jb: JacobianBlocks) -> tuple[np.ndarray, np.ndarray]:
     entry [i, j] is the response of V_i to a unit active (reactive) injection
     at bus j. Feeders hanging off the slack independently give a
     block-diagonal Jacobian, so the inverse is taken per connected component.
+
+    Dense O(n^2)-memory, O(n^3)-time reference for ``voltage_adjoint``;
+    pricing does not use it.
     """
     m = len(jb.bus_ids)
     coupling = (
@@ -229,6 +236,47 @@ def voltage_sensitivities(jb: JacobianBlocks) -> tuple[np.ndarray, np.ndarray]:
         dv_dp[np.ix_(idx, idx)] = jinv[k:, :k]
         dv_dq[np.ix_(idx, idx)] = jinv[k:, k:]
     return dv_dp, dv_dq
+
+
+def voltage_adjoint(
+    net: Network,
+    v: np.ndarray,
+    delta: np.ndarray,
+    bus_ids,
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed voltage sensitivities applied to ``u``: (dV/dP^T u, dV/dQ^T u).
+
+    ``v``/``delta`` are full-bus vectors (``net.buses`` order) at any operating
+    point; ``bus_ids`` lists every non-slack bus once and fixes the order of
+    the reduced Jacobian, of the rows of ``u`` (shape ``(m,)`` or ``(m, k)``)
+    and of the results. The reduced Jacobian J is factored once by sparse LU
+    and J^T y = [0; u] is solved, so that y = [dV/dP^T u; dV/dQ^T u] (the
+    adjoint form of the lower blocks of J^-1). Feeders hanging off the slack
+    give a block-diagonal J, which the factorization handles as is.
+    """
+    pos = bus_positions(net)
+    pq = np.array([pos[b] for b in bus_ids], dtype=int)
+    m = len(pq)
+    u = np.asarray(u, dtype=float)
+    if u.shape[0] != m or m != net.n_bus - 1:
+        raise ValueError("bus_ids and u must cover every non-slack bus")
+    vc = np.asarray(v, dtype=float) * np.exp(1j * np.asarray(delta, dtype=float))
+    # a zero voltage makes vc/|vc| undefined; the factorization or the
+    # finiteness check below reports the singular Jacobian
+    with np.errstate(invalid="ignore", divide="ignore"):
+        j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc, pq)
+    jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
+    try:
+        lu = spla.splu(jac)
+    except RuntimeError as exc:
+        raise PowerFlowError(f"singular reduced Jacobian: {exc}") from exc
+    rhs = np.zeros((2 * m,) + u.shape[1:])
+    rhs[m:] = u
+    y = lu.solve(rhs, trans="T")
+    if not np.all(np.isfinite(y)):
+        raise PowerFlowError("singular reduced Jacobian: non-finite solution")
+    return y[:m], y[m:]
 
 
 def slack_costs(net: Network) -> tuple[float, float]:

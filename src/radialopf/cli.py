@@ -5,7 +5,10 @@ loads a case (MATPOWER subset or the native JSON format), applies the
 scenario overlay (declarative JSON file, individual flags override file
 values), runs the requested study and writes CSV/JSON reports.
 
-Exit codes: 0 success, 1 data error, 2 solver failure, 3 oracle failure.
+Exit codes: 0 success, 1 data error (including a scenario or network JSON
+with a missing key), 2 solver or pricing failure (including congestion,
+which the marginal-loss prices exclude), 3 oracle failure. Each failure
+prints one line to stderr.
 Case paths resolve against ``--case-dir``, the ``RADIALOPF_CASE_DIR``
 environment variable, or the packaged cases, in that order.
 """
@@ -28,6 +31,7 @@ from .acpf import OracleError, PowerFlowError
 from .mdistflow import MdfError
 from .mdopf import MdopfError
 from .netmodel import Network, NetworkError
+from .pricing import PricingError
 from .qcqpsolver import SolverError
 
 EXIT_OK = 0
@@ -68,32 +72,37 @@ def scenario_from_json(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkError(f"invalid scenario JSON: {exc}") from exc
-    dgs = tuple(
-        DgSpec(
-            bus=int(d["bus"]),
-            p_max=float(d["p_range"][1]), p_min=float(d["p_range"][0]),
-            q_max=float(d["q_range"][1]), q_min=float(d["q_range"][0]),
-            cost_p=float(d["cost_p"]), cost_q=float(d["cost_q"]),
+    if not isinstance(doc, dict):
+        raise NetworkError("scenario JSON: not an object")
+    try:
+        dgs = tuple(
+            DgSpec(
+                bus=int(d["bus"]),
+                p_max=float(d["p_range"][1]), p_min=float(d["p_range"][0]),
+                q_max=float(d["q_range"][1]), q_min=float(d["q_range"][0]),
+                cost_p=float(d["cost_p"]), cost_q=float(d["cost_q"]),
+            )
+            for d in doc.get("dgs", [])
         )
-        for d in doc.get("dgs", [])
-    )
-    dup = None
-    if doc.get("duplication"):
-        dd = doc["duplication"]
-        dup = (int(dd["copies"]), int(dd.get("seed", 0)),
-               tuple(dd.get("range", (0.7, 1.3))))
-    return Scenario(
-        case_path=doc["case"],
-        psp_voltage=doc.get("psp_voltage"),
-        psp_costs=tuple(doc["psp_costs"]) if doc.get("psp_costs") else None,
-        psp_load=tuple(doc["psp_load"]) if doc.get("psp_load") else None,
-        dgs=dgs,
-        load_scale=float(doc.get("load_scale", 1.0)),
-        impedance_scale=float(doc.get("impedance_scale", 1.0)),
-        v_limits=tuple(doc["v_limits"]) if doc.get("v_limits") else None,
-        duplication=dup,
-        thermal_limits=bool(doc.get("thermal_limits", True)),
-    )
+        dup = None
+        if doc.get("duplication"):
+            dd = doc["duplication"]
+            dup = (int(dd["copies"]), int(dd.get("seed", 0)),
+                   tuple(dd.get("range", (0.7, 1.3))))
+        return Scenario(
+            case_path=doc["case"],
+            psp_voltage=doc.get("psp_voltage"),
+            psp_costs=tuple(doc["psp_costs"]) if doc.get("psp_costs") else None,
+            psp_load=tuple(doc["psp_load"]) if doc.get("psp_load") else None,
+            dgs=dgs,
+            load_scale=float(doc.get("load_scale", 1.0)),
+            impedance_scale=float(doc.get("impedance_scale", 1.0)),
+            v_limits=tuple(doc["v_limits"]) if doc.get("v_limits") else None,
+            duplication=dup,
+            thermal_limits=bool(doc.get("thermal_limits", True)),
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise netmodel.schema_error("scenario JSON", exc) from exc
 
 
 def resolve_case(path_str: str, case_dir: Path | None) -> Path:
@@ -499,6 +508,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except PricingError as exc:
+        print(f"pricing error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (SolverError, MdopfError, MdfError, PowerFlowError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

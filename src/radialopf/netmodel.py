@@ -456,28 +456,38 @@ def from_json(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkError(f"invalid JSON network: {exc}") from exc
-    if doc.get("format") != "radialopf-network-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "radialopf-network-v1":
         raise NetworkError("not a radialopf network document")
-    buses = tuple(
-        Bus(
-            id=b["id"], p_load=b["p_load"], q_load=b["q_load"],
-            v_min=b["v_min"], v_max=b["v_max"],
-            gen=Generator(**b["gen"]) if b.get("gen") else None,
+    try:
+        buses = tuple(
+            Bus(
+                id=b["id"], p_load=b["p_load"], q_load=b["q_load"],
+                v_min=b["v_min"], v_max=b["v_max"],
+                gen=Generator(**b["gen"]) if b.get("gen") else None,
+            )
+            for b in doc["buses"]
         )
-        for b in doc["buses"]
-    )
-    branches = tuple(
-        Branch(
-            from_bus=br["from"], to_bus=br["to"], r=br["r"], x=br["x"],
-            i_max=br["i_max"],
+        branches = tuple(
+            Branch(
+                from_bus=br["from"], to_bus=br["to"], r=br["r"], x=br["x"],
+                i_max=br["i_max"],
+            )
+            for br in doc["branches"]
         )
-        for br in doc["branches"]
-    )
-    return Network(
-        buses=buses, branches=branches, slack=doc["slack"],
-        base_power=doc["base_power"], base_voltage=doc["base_voltage"],
-        v0=doc["v0"],
-    )
+        return Network(
+            buses=buses, branches=branches, slack=doc["slack"],
+            base_power=doc["base_power"], base_voltage=doc["base_voltage"],
+            v0=doc["v0"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise schema_error("network JSON", exc) from exc
+
+
+def schema_error(document: str, exc: Exception) -> NetworkError:
+    """Data error for a JSON document that does not fit its schema."""
+    if isinstance(exc, KeyError):
+        return NetworkError(f"{document}: missing key {exc.args[0]!r}")
+    return NetworkError(f"{document}: {exc}")
 
 
 # ---------------------------------------------------------------------------

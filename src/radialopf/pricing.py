@@ -4,7 +4,7 @@ Two consumer-facing price systems over one dispatch:
 
 * marginal-loss prices (``dlmp_*``): supply-point cost corrected by the
   analytic loss factors, with the voltage feedback of injections taken from
-  the AC Jacobian evaluated at the model solution;
+  one sparse factorization of the AC Jacobian at the model solution;
 * allocated-loss prices (``dlp_*``): supply-point cost plus each bus's share
   of the network loss, apportioned branch-by-branch along its path to the
   supply point in closed form.
@@ -91,6 +91,9 @@ def modified_injection_sensitivities(
     definition p_hat = P / V: a direct 1/V term on the diagonal plus the
     voltage-feedback chain term. ``dv_dp``/``dv_dq`` must be aligned to
     ``ti.order`` on both axes.
+
+    Dense O(n^2) reference for ``loss_factors``, which never forms these
+    matrices.
     """
     p, q, _, _, v = _state_injections(net, ti, state)
     inv_v = 1.0 / v
@@ -105,26 +108,29 @@ def loss_factors(
     net: Network,
     ti: PathIncidence,
     state: MdfState,
-    sens: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Derivatives of the total losses with respect to net bus injections.
 
     Uses the ratio-form modified vectors at the operating point so the
     analytic factors are the exact gradient of the quadratic loss totals
-    composed with the sensitivity model.
+    composed with the AC voltage sensitivities at the state. Each factor is
+    a direct 1/V term minus a voltage-feedback term dV/dP^T u (or dV/dQ^T u);
+    the two weight vectors u (one per loss total) go through a single
+    adjoint solve of the AC Jacobian, so no n x n matrix is formed.
     """
-    _, _, p_hat, q_hat, _ = _state_injections(net, ti, state)
+    p, q, p_hat, q_hat, v = _state_injections(net, ti, state)
     f = ti.t @ p_hat
     g = ti.t @ q_hat
     trf = ti.t.T @ (ti.r * f)
     trg = ti.t.T @ (ti.r * g)
     txf = ti.t.T @ (ti.x * f)
     txg = ti.t.T @ (ti.x * g)
-    dp_dp, dp_dq, dq_dp, dq_dq = sens
-    dpl_dp = 2.0 * (dp_dp.T @ trf + dq_dp.T @ trg)
-    dpl_dq = 2.0 * (dp_dq.T @ trf + dq_dq.T @ trg)
-    dql_dp = 2.0 * (dp_dp.T @ txf + dq_dp.T @ txg)
-    dql_dq = 2.0 * (dp_dq.T @ txf + dq_dq.T @ txg)
+    u = np.column_stack([p * trf + q * trg, p * txf + q * txg]) / (v**2)[:, None]
+    fb_p, fb_q = acpf.voltage_adjoint(net, state.v, state.delta, ti.order, u)
+    dpl_dp = 2.0 * (trf / v - fb_p[:, 0])
+    dpl_dq = 2.0 * (trg / v - fb_q[:, 0])
+    dql_dp = 2.0 * (txf / v - fb_p[:, 1])
+    dql_dq = 2.0 * (txg / v - fb_q[:, 1])
     return dpl_dp, dpl_dq, dql_dp, dql_dq
 
 
@@ -263,9 +269,9 @@ def compute_price_table(
 ) -> PriceTable:
     """Full pricing pass at a solved state.
 
-    Evaluates the AC Jacobian at the model voltages and angles, chains it
-    through the modified-injection sensitivities and loss factors into the
-    marginal-loss prices, and computes the allocation-based prices alongside.
+    Takes the loss factors from one sparse factorization of the AC Jacobian
+    at the model voltages and angles, turns them into the marginal-loss
+    prices, and computes the allocation-based prices alongside.
     ``slack_dispatch`` (pu P, Q at the supply point), when given, is checked
     against the interior-generation assumption.
     """
@@ -278,13 +284,7 @@ def compute_price_table(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    jb = acpf.jacobian_at(net, state.v, state.delta)
-    dv_dp, dv_dq = acpf.voltage_sensitivities(jb)
-    perm = ti_to_acpf_permutation(net, ti)
-    dv_dp = dv_dp[np.ix_(perm, perm)]
-    dv_dq = dv_dq[np.ix_(perm, perm)]
-    sens = modified_injection_sensitivities(net, ti, state, dv_dp, dv_dq)
-    factors = loss_factors(net, ti, state, sens)
+    factors = loss_factors(net, ti, state)
     dlmp_p, dlmp_q = dlmp(net, factors, thermal_duals=thermal_duals)
     pl_p, ql_p, pl_q, ql_q = allocate_losses(ti, state)
     dlp_p, dlp_q = dlp(net, ti, state)

@@ -11,9 +11,9 @@ with a Mehrotra predictor-corrector iteration. The KKT systems are solved by
 sparse LU factorization of the statically regularized quasi-definite matrix;
 everything is deterministic for fixed inputs.
 
-The problem and solution containers double as the wire format between the
-OPF builder and the solver; ``problem_to_json``/``problem_from_json`` give a
-documented standard form for external cross-checks.
+The problem container doubles as the wire format between the OPF builder
+and the solver; ``problem_to_json``/``problem_from_json`` give a documented
+standard form for external cross-checks.
 """
 from __future__ import annotations
 
@@ -409,24 +409,3 @@ def problem_from_json(text: str) -> QcqpProblem:
         quad_labels=tuple(doc["quad"]["labels"]),
         var_map={k: int(v) for k, v in doc["var_map"].items()},
     )
-
-
-def solution_to_json(sol: OpfSolution) -> str:
-    doc = {
-        "format": "radialopf-solution-v1",
-        "status": sol.status,
-        "objective_value": sol.objective_value,
-        "x": sol.x.tolist(),
-        "duals_eq": sol.duals_eq.tolist(),
-        "duals_in": sol.duals_in.tolist(),
-        "duals_quad": sol.duals_quad.tolist(),
-        "pg": sol.pg,
-        "qg": sol.qg,
-        "stats": {
-            "iterations": sol.stats.iterations,
-            "final_gap": sol.stats.final_gap,
-            "final_feas": sol.stats.final_feas,
-            "runtime_seconds": sol.stats.runtime_seconds,
-        },
-    }
-    return json.dumps(doc)

@@ -1,7 +1,7 @@
 """Shared test utilities: random radial networks and small oracles."""
 import numpy as np
 
-from radialopf import netmodel
+from radialopf import netmodel, pricing
 from radialopf.netmodel import Branch, Bus, Generator, Network
 
 
@@ -64,3 +64,22 @@ def mk_case(bus_rows, branch_rows, base=1.0, gen_rows=None, gencost_rows=None):
 
 def bus_row(i, btype=1, pd=0.0, qd=0.0, vmax=1.1, vmin=0.9):
     return [i, btype, pd, qd, 0, 0, 1, 1, 0, 12.66, 1, vmax, vmin]
+
+
+def dense_loss_factors(net, ti, state, sens):
+    """Dense reference for ``pricing.loss_factors``: the loss gradient chained
+    through the n x n modified-injection sensitivity matrices ``sens`` (from
+    ``pricing.modified_injection_sensitivities``)."""
+    _, _, p_hat, q_hat, _ = pricing._state_injections(net, ti, state)
+    f = ti.t @ p_hat
+    g = ti.t @ q_hat
+    trf = ti.t.T @ (ti.r * f)
+    trg = ti.t.T @ (ti.r * g)
+    txf = ti.t.T @ (ti.x * f)
+    txg = ti.t.T @ (ti.x * g)
+    dp_dp, dp_dq, dq_dp, dq_dq = sens
+    dpl_dp = 2.0 * (dp_dp.T @ trf + dq_dp.T @ trg)
+    dpl_dq = 2.0 * (dp_dq.T @ trf + dq_dq.T @ trg)
+    dql_dp = 2.0 * (dp_dp.T @ txf + dq_dp.T @ txg)
+    dql_dq = 2.0 * (dp_dq.T @ txf + dq_dq.T @ txg)
+    return dpl_dp, dpl_dq, dql_dp, dql_dq

@@ -165,8 +165,7 @@ def test_criterion_4_loss_factor_self_consistency(case_name, request):
     ti = build_path_incidence(net)
     state = mdf.solve_fixed_load(net, ti)
     dv = ti_aligned_sensitivities(net, ti, state)
-    sens = pricing.modified_injection_sensitivities(net, ti, state, *dv)
-    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state, sens)
+    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state)
     worst = 0.0
     for j in range(ti.n):
         fd_pl_p, fd_ql_p = model_loss_fd(net, ti, state, dv, "p", j)

@@ -162,6 +162,39 @@ def test_voltage_sensitivities_case33(case33_psp):
     assert np.max(np.abs(dv_dq - fd_q)) / np.abs(fd_q).max() < 1e-3
 
 
+def test_voltage_adjoint_matches_dense_transpose(case33_psp):
+    """The adjoint solve equals the dense sensitivities transposed, in any
+    bus order and for one or several right-hand sides."""
+    st = acpf.newton_pf(case33_psp)
+    dv_dp, dv_dq = acpf.voltage_sensitivities(
+        acpf.jacobian_at(case33_psp, st.v, st.delta)
+    )
+    ids = acpf.nonslack_ids(case33_psp)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(len(ids))
+    order = tuple(ids[i] for i in perm)
+    u = rng.standard_normal((len(ids), 2))
+    adj_p, adj_q = acpf.voltage_adjoint(case33_psp, st.v, st.delta, order, u)
+    ref_p = dv_dp[np.ix_(perm, perm)].T @ u
+    ref_q = dv_dq[np.ix_(perm, perm)].T @ u
+    assert np.max(np.abs(adj_p - ref_p)) < 1e-12 * np.abs(ref_p).max()
+    assert np.max(np.abs(adj_q - ref_q)) < 1e-12 * np.abs(ref_q).max()
+    one_p, one_q = acpf.voltage_adjoint(case33_psp, st.v, st.delta, order, u[:, 0])
+    assert one_p.shape == (len(ids),)
+    assert np.array_equal(one_p, adj_p[:, 0]) and np.array_equal(one_q, adj_q[:, 0])
+
+
+def test_voltage_adjoint_zero_voltage_is_singular(case33_psp):
+    pos = netmodel.bus_positions(case33_psp)
+    v = np.zeros(case33_psp.n_bus)
+    v[pos[case33_psp.slack]] = case33_psp.v0
+    ids = acpf.nonslack_ids(case33_psp)
+    with pytest.raises(PowerFlowError, match="singular reduced Jacobian"):
+        acpf.voltage_adjoint(
+            case33_psp, v, np.zeros(case33_psp.n_bus), ids, np.ones(len(ids))
+        )
+
+
 def test_decoupled_limit_ordering():
     # x >> r: voltage responds far more to reactive than to active power
     net = netmodel.parse_matpower_case(mk_case(

@@ -226,3 +226,40 @@ def test_oracle_failure_exit_code(tmp_path, monkeypatch):
                 "--psp-cost-p", "30", "--psp-cost-q", "3", "--oracle",
                 "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_congestion_is_pricing_error_exit_code(tmp_path, capsys):
+    """A binding branch rating ends in exit 2 with one stderr line."""
+    case = tmp_path / "rated.m"
+    case.write_text(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=3.0, qd=1.0)],
+        [[1, 2, 0.01, 0.02, 0, 2.0]], base=10.0,
+        gen_rows=[[1, 0, 0, 10, -10, 1, 10, 1, 10, 0]],
+        gencost_rows=[[2, 0, 0, 2, 30, 0]],
+    ))
+    code = run(["price", "--case", str(case), "--dg", "2:5:2:40:4",
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("pricing error: congestion detected")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_scenario_missing_dg_key_is_data_error(tmp_path, capsys):
+    scen = {"case": "case33.m",
+            "dgs": [{"bus": 18, "q_range": [0, 0.5], "cost_p": 31, "cost_q": 2}]}
+    scen_path = tmp_path / "scen.json"
+    scen_path.write_text(json.dumps(scen))
+    assert run(["opf", "--scenario", str(scen_path), "--out", str(tmp_path)]) == 1
+    assert "missing key 'p_range'" in capsys.readouterr().err
+
+
+def test_network_missing_bus_field_is_data_error(tmp_path, capsys):
+    doc = json.loads(netmodel.to_json(netmodel.parse_matpower_case(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=0.1)], [[1, 2, 0.01, 0.02, 0, 0]],
+    ))))
+    del doc["buses"][1]["v_min"]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--case", str(path)]) == 1
+    assert "missing key 'v_min'" in capsys.readouterr().err

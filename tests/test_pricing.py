@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from radialopf import acpf, mdistflow as mdf, mdopf, netmodel, pricing, qcqpsolv
 from radialopf.netmodel import Generator, build_path_incidence
 from radialopf.pricing import PricingError
 
-from helpers import random_tree_network
+from helpers import dense_loss_factors, random_tree_network
 
 
 def solved_state(net):
@@ -111,11 +112,7 @@ def test_sensitivities_match_ac_finite_difference_case33(case33_psp):
 def test_loss_factors_zero_injections(case33_psp):
     ti = build_path_incidence(case33_psp)
     state = mdf.solve_fixed_load(case33_psp, ti, np.zeros(ti.n), np.zeros(ti.n))
-    dv_dp, dv_dq = ti_aligned_sensitivities(case33_psp, ti, state)
-    sens = pricing.modified_injection_sensitivities(
-        case33_psp, ti, state, dv_dp, dv_dq
-    )
-    factors = pricing.loss_factors(case33_psp, ti, state, sens)
+    factors = pricing.loss_factors(case33_psp, ti, state)
     for f in factors:
         assert np.allclose(f, 0.0, atol=1e-14)
 
@@ -123,9 +120,7 @@ def test_loss_factors_zero_injections(case33_psp):
 def test_loss_factors_two_bus_vs_exact_ac(net2):
     ti = build_path_incidence(net2)
     state = mdf.solve_fixed_load(net2, ti)
-    dv_dp, dv_dq = ti_aligned_sensitivities(net2, ti, state)
-    sens = pricing.modified_injection_sensitivities(net2, ti, state, dv_dp, dv_dq)
-    dpl_dp, _, dql_dp, _ = pricing.loss_factors(net2, ti, state, sens)
+    dpl_dp, _, dql_dp, _ = pricing.loss_factors(net2, ti, state)
     h = 1e-5
     hi = acpf.newton_pf(net2, np.array([-1.0 + h]), np.array([0.0]))
     lo = acpf.newton_pf(net2, np.array([-1.0 - h]), np.array([0.0]))
@@ -172,8 +167,7 @@ def test_loss_factor_self_consistency(fixture, request):
     ti = build_path_incidence(net)
     state = mdf.solve_fixed_load(net, ti)
     dv = ti_aligned_sensitivities(net, ti, state)
-    sens = pricing.modified_injection_sensitivities(net, ti, state, *dv)
-    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state, sens)
+    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state)
     worst = 0.0
     for j in range(ti.n):
         fd_pl_p, fd_ql_p = model_loss_fd(net, ti, state, dv, "p", j)
@@ -184,6 +178,68 @@ def test_loss_factor_self_consistency(fixture, request):
         ):
             worst = max(worst, abs(analytic - fd) / max(1e-12, abs(fd)))
     assert worst < 1e-6
+
+
+def assert_matches_dense(net, ti, state):
+    dv = ti_aligned_sensitivities(net, ti, state)
+    sens = pricing.modified_injection_sensitivities(net, ti, state, *dv)
+    want = dense_loss_factors(net, ti, state, sens)
+    got = pricing.loss_factors(net, ti, state)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("fixture,copies", [
+    ("case33_psp", 1), ("case69", 1), ("case69", 3),
+])
+def test_loss_factors_match_dense_reference(fixture, copies, request):
+    net = netmodel.with_slack_costs(request.getfixturevalue(fixture), 30.0, 3.0)
+    if copies > 1:  # feeders off a common slack: block-diagonal Jacobian
+        net = netmodel.duplicate_system(net, copies, seed=5)
+    ti = build_path_incidence(net)
+    assert_matches_dense(net, ti, mdf.solve_fixed_load(net, ti))
+
+
+def test_loss_factors_match_dense_reference_random_trees():
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        net = random_tree_network(rng, int(rng.integers(2, 41)))
+        ti = build_path_incidence(net)
+        assert_matches_dense(net, ti, mdf.solve_fixed_load(net, ti))
+
+
+def test_loss_factors_match_dense_reference_reverse_flow(case33_psp):
+    net = reverse_flow_net(case33_psp)
+    ti, _, _, state = solved_state(net)
+    assert_matches_dense(net, ti, state)
+
+
+def test_price_table_skips_dense_chain(case33_psp, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense sensitivity chain called")
+
+    monkeypatch.setattr(acpf, "jacobian_at", refuse)
+    monkeypatch.setattr(acpf, "voltage_sensitivities", refuse)
+    monkeypatch.setattr(pricing, "modified_injection_sensitivities", refuse)
+    ti = build_path_incidence(case33_psp)
+    pricing.compute_price_table(case33_psp, ti, mdf.solve_fixed_load(case33_psp, ti))
+
+
+def test_price_table_memory_below_one_dense_matrix(case33_psp):
+    """Pricing 1281 buses allocates less than one n x n float64 array."""
+    net = netmodel.duplicate_system(case33_psp, 40, seed=1)
+    ti = build_path_incidence(net)
+    state = mdf.solve_fixed_load(net, ti)
+    dense_bytes = ti.n * ti.n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pricing.compute_price_table(net, ti, state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes, (peak, dense_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +459,21 @@ def test_full_scale_settlement_magnitude(case33_psp):
     assert abs(lam.ocl) < 1e-6 * lam.revenue
 
 
-def test_high_penetration_reverse_flow(case33_psp):
-    """Cheap distributed generation at capacity reverses feeder flows; prices
-    at exporting buses drop below the supply-point cost and still track the
-    oracle."""
+def reverse_flow_net(case33_psp):
+    """case33 with cheap DG at capacity at four buses: feeder flows reverse."""
     net = netmodel.with_load(case33_psp, 1, 0.05, 0.0)
     for b in (18, 22, 25, 33):
         net = netmodel.with_generator(
             net, b, Generator(0.0, 0.1, 0.0, 0.05, 25.0, 2.0)
         )
+    return net
+
+
+def test_high_penetration_reverse_flow(case33_psp):
+    """Cheap distributed generation at capacity reverses feeder flows; prices
+    at exporting buses drop below the supply-point cost and still track the
+    oracle."""
+    net = reverse_flow_net(case33_psp)
     ti, prob, sol, state = solved_state(net)
     assert all(sol.pg[b] == pytest.approx(0.1, abs=1e-4) for b in (18, 22, 25, 33))
     assert sol.pg[1] > 0.0  # supply point stays marginal
