@@ -320,7 +320,7 @@ def cmd_opf(args) -> int:
         ]))
     out_dir = Path(args.out)
     _write(out_dir, "opf_dispatch.csv", "\n".join(rows) + "\n")
-    cert = mdopf.certify_convexity(mdopf.build_objective(net, ti)[0])
+    cert = prob.certificate
     # runtime stays off the report files so reruns are byte-identical
     summary = {
         "status": sol.status,
@@ -359,9 +359,11 @@ def _oracle_sweep(net, ti, state, sol, jobs: int):
     q_ac = np.empty(ti.n)
     p_ac[perm] = pinj
     q_ac[perm] = qinj
+    net_json = netmodel.to_json(net)
+    p_ac, q_ac = p_ac.tolist(), q_ac.tolist()
+    v, delta = state.v.tolist(), state.delta.tolist()
     payloads = [
-        (netmodel.to_json(net), b, axis, p_ac.tolist(), q_ac.tolist(),
-         state.v.tolist(), state.delta.tolist())
+        (net_json, b, axis, p_ac, q_ac, v, delta)
         for b in ti.order for axis in ("p", "q")
     ]
     if jobs > 1:

@@ -1,11 +1,13 @@
 """Convex quadratic OPF builder for radial feeders.
 
 Variables are the ratio-form quantities of the modified power-flow model:
-per-bus W and V, modified injections, modified branch flows, and modified
-generator outputs. All constraints are linear except the per-branch thermal
-limits, which are diagonal quadratic rows. The objective is the generation
-cost with the voltage weights eliminated through the closed-form affine
-voltage map, which leaves a quadratic form over the generator variables.
+per-bus W = 2 - V, modified branch flows, and modified generator outputs.
+The modified injections (generation minus load, both scaled by W) are folded
+into the per-bus balance rows. All constraints are linear except the
+per-branch thermal limits, which are diagonal quadratic rows. The objective
+is the generation cost with the voltage weights eliminated through the
+closed-form affine voltage map, which leaves a quadratic form over the
+generator variables.
 
 The raw cost quadratic is certified for positive semidefiniteness; when the
 certificate fails (which happens for generic P/Q cost ratios, see
@@ -23,7 +25,7 @@ import scipy.sparse as sp
 
 from . import mdistflow
 from .netmodel import Network, PathIncidence, bus_positions
-from .qcqpsolver import OpfSolution, QcqpProblem
+from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, min_eigenvalue, support_eigh
 
 
 class MdopfError(RuntimeError):
@@ -53,65 +55,117 @@ def gen_buses(net: Network, ti: PathIncidence) -> list[int]:
     return out
 
 
-def _var_layout(net: Network, ti: PathIncidence) -> dict[str, int]:
-    names: list[str] = []
-    all_buses = [net.slack, *ti.order]
-    for prefix in ("W", "V", "Pinj", "Qinj"):
-        names.extend(f"{prefix}:{b}" for b in all_buses)
-    for i in range(ti.n):
-        pp = ti.parent_pos[i]
-        parent = net.slack if pp < 0 else ti.order[pp]
-        names.append(f"Pbr:{parent}-{ti.order[i]}")
-    for i in range(ti.n):
-        pp = ti.parent_pos[i]
-        parent = net.slack if pp < 0 else ti.order[pp]
-        names.append(f"Qbr:{parent}-{ti.order[i]}")
-    for b in gen_buses(net, ti):
-        names.append(f"Pg:{b}")
-    for b in gen_buses(net, ti):
-        names.append(f"Qg:{b}")
+@dataclass(frozen=True)
+class VarBlocks:
+    """Index blocks of the problem variables.
+
+    W runs over all buses, slack first, then ``ti.order`` (so bus position
+    ``k`` of ``ti.order`` is W index ``k + 1``); Pbr and Qbr follow the
+    branch rows of ``ti``; Pg and Qg follow ``gens``. ``gen_w`` is the W
+    index of each generator bus.
+    """
+
+    n: int
+    gens: tuple[int, ...]
+    gen_w: np.ndarray
+
+    @property
+    def pbr(self) -> int:
+        return self.n + 1
+
+    @property
+    def qbr(self) -> int:
+        return 2 * self.n + 1
+
+    @property
+    def pg(self) -> int:
+        return 3 * self.n + 1
+
+    @property
+    def qg(self) -> int:
+        return 3 * self.n + 1 + len(self.gens)
+
+    @property
+    def n_vars(self) -> int:
+        return 3 * self.n + 1 + 2 * len(self.gens)
+
+
+def var_blocks(net: Network, ti: PathIncidence) -> VarBlocks:
+    """Variable index blocks of the OPF of ``net``."""
+    gens = gen_buses(net, ti)
+    w_index = {b: k + 1 for k, b in enumerate(ti.order)}
+    w_index[net.slack] = 0
+    return VarBlocks(ti.n, tuple(gens), np.array([w_index[b] for b in gens], dtype=int))
+
+
+def _branch_names(net: Network, ti: PathIncidence) -> list[str]:
+    """``parent-child`` name of every branch row of ``ti``."""
+    return [
+        f"{net.slack if pp < 0 else ti.order[pp]}-{b}"
+        for pp, b in zip(ti.parent_pos, ti.order)
+    ]
+
+
+def _var_layout(
+    net: Network, ti: PathIncidence, blocks: VarBlocks | None = None
+) -> dict[str, int]:
+    """Variable names in index order, as the problem's ``var_map``."""
+    branches = _branch_names(net, ti)
+    gens = (blocks or var_blocks(net, ti)).gens
+    names = [f"W:{b}" for b in (net.slack, *ti.order)]
+    names += [f"Pbr:{br}" for br in branches]
+    names += [f"Qbr:{br}" for br in branches]
+    names += [f"Pg:{b}" for b in gens]
+    names += [f"Qg:{b}" for b in gens]
     return {name: i for i, name in enumerate(names)}
 
 
-def certify_convexity(h: sp.spmatrix | np.ndarray) -> ConvexityCertificate:
+def certify_convexity(
+    h: sp.spmatrix | np.ndarray, eig: list[EigBlock] | None = None
+) -> ConvexityCertificate:
     """Numerical PSD certificate for a symmetric quadratic-form matrix.
 
     Checks the eigenvalues of the restriction to the nonzero support with
     tolerance -1e-10 * ||H||; reports the minimum eigenvalue and the
-    trace-positivity signal alongside the verdict.
+    trace-positivity signal alongside the verdict. ``eig`` is the
+    ``qcqpsolver.support_eigh`` decomposition of ``h`` when the caller
+    already has it.
     """
     hc = sp.csr_matrix(h)
     trace = float(hc.diagonal().sum())
-    if hc.nnz == 0:
-        return ConvexityCertificate(True, 0.0, trace, trace > 0.0)
-    support = np.unique(np.concatenate(hc.nonzero()))
-    dense = hc[support][:, support].toarray()
-    if not np.allclose(dense, dense.T, rtol=0.0, atol=1e-12 * max(1.0, abs(dense).max())):
+    scale = max(1.0, float(abs(hc).max())) if hc.nnz else 1.0
+    if hc.nnz and abs(hc - hc.T).max() > 1e-12 * scale:
         raise MdopfError("convexity certificate requires a symmetric matrix")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[0])
-    tol = 1e-10 * max(1.0, float(abs(hc).max()))
-    return ConvexityCertificate(min_eig >= -tol, min_eig, trace, trace > 0.0)
+    min_eig = min_eigenvalue(support_eigh(hc) if eig is None else eig)
+    return ConvexityCertificate(min_eig >= -1e-10 * scale, min_eig, trace, trace > 0.0)
 
 
-def psd_projection(h: sp.spmatrix) -> sp.csr_matrix:
+def psd_projection(
+    h: sp.spmatrix, eig: list[EigBlock] | None = None
+) -> sp.csr_matrix:
     """Frobenius-nearest PSD matrix: eigenvalues clipped at zero on the
-    nonzero support."""
+    nonzero support. ``eig`` is the ``qcqpsolver.support_eigh(h,
+    vectors=True)`` decomposition when the caller already has it."""
     hc = sp.csr_matrix(h)
-    if hc.nnz == 0:
+    blocks = support_eigh(hc, vectors=True) if eig is None else eig
+    if not blocks:
         return hc
-    support = np.unique(np.concatenate(hc.nonzero()))
-    dense = hc[support][:, support].toarray()
-    dense = 0.5 * (dense + dense.T)
-    vals, vecs = np.linalg.eigh(dense)
-    clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-    clipped[np.abs(clipped) < 1e-14 * max(1.0, abs(clipped).max())] = 0.0
-    out = sp.lil_matrix(hc.shape)
-    out[np.ix_(support, support)] = clipped
-    return out.tocsr()
+    parts = [(idx, (vecs * np.maximum(vals, 0.0)) @ vecs.T) for idx, vals, vecs in blocks]
+    cut = 1e-14 * max(1.0, max(float(abs(c).max()) for _, c in parts))
+    rows, cols, data = [], [], []
+    for idx, clipped in parts:
+        ri, ci = np.nonzero(np.abs(clipped) >= cut)
+        rows.append(idx[ri])
+        cols.append(idx[ci])
+        data.append(clipped[ri, ci])
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=hc.shape,
+    )
 
 
 def build_objective(
-    net: Network, ti: PathIncidence
+    net: Network, ti: PathIncidence, blocks: VarBlocks | None = None
 ) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """Exact cost terms over the problem variables: returns (H, g, c) with the
     objective x'Hx + g'x + c in $ per hour.
@@ -119,44 +173,40 @@ def build_objective(
     The linear part carries the slack cost (at the fixed slack voltage) and
     the generator costs weighted by the load-only voltage profile; H is the
     symmetrized quadratic left by the affine voltage response to generation.
+    ``blocks`` is ``var_blocks(net, ti)`` when the caller already has it.
     """
-    var = _var_layout(net, ti)
-    n_vars = len(var)
+    lay = blocks or var_blocks(net, ti)
+    n_vars = lay.n_vars
     base = net.base_power
     g = np.zeros(n_vars)
-    slack_gen = net.bus(net.slack).gen
-    if slack_gen is None:
+    if not lay.gens or lay.gens[0] != net.slack:
         raise MdopfError("supply point has no generator")
-    g[var[f"Pg:{net.slack}"]] = net.v0 * slack_gen.cost_p * base
-    g[var[f"Qg:{net.slack}"]] = net.v0 * slack_gen.cost_q * base
+    slack_gen = net.bus(net.slack).gen
+    g[lay.pg] = net.v0 * slack_gen.cost_p * base
+    g[lay.qg] = net.v0 * slack_gen.cost_q * base
 
-    dg = [b for b in gen_buses(net, ti) if b != net.slack]
-    if dg:
-        try:
-            load_state = mdistflow.solve_fixed_load(net, ti)
-        except mdistflow.MdfError as exc:
-            raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
-        pos = bus_positions(net)
-        vd = {b: load_state.v[pos[b]] for b in dg}
-        order_pos = {b: i for i, b in enumerate(ti.order)}
-        cols = [order_pos[b] for b in dg]
-        cp = np.array([net.bus(b).gen.cost_p for b in dg])
-        cq = np.array([net.bus(b).gen.cost_q for b in dg])
-        for b in dg:
-            gen = net.bus(b).gen
-            g[var[f"Pg:{b}"]] = vd[b] * gen.cost_p * base
-            g[var[f"Qg:{b}"]] = vd[b] * gen.cost_q * base
-        t_g = ti.t[:, cols]
-        a_g = (t_g.T @ sp.diags(ti.r) @ t_g).toarray()
-        b_g = (t_g.T @ sp.diags(ti.x) @ t_g).toarray()
-        m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * base
-        block = 0.5 * (m + m.T)
-        idx = [var[f"Pg:{b}"] for b in dg] + [var[f"Qg:{b}"] for b in dg]
-        h = sp.lil_matrix((n_vars, n_vars))
-        h[np.ix_(idx, idx)] = block
-        h = h.tocsr()
-    else:
-        h = sp.csr_matrix((n_vars, n_vars))
+    dg = lay.gens[1:]
+    if not dg:
+        return sp.csr_matrix((n_vars, n_vars)), g, 0.0
+    try:
+        load_state = mdistflow.solve_fixed_load(net, ti)
+    except mdistflow.MdfError as exc:
+        raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
+    pos = bus_positions(net)
+    vd = load_state.v[[pos[b] for b in dg]]
+    cp = np.array([net.bus(b).gen.cost_p for b in dg])
+    cq = np.array([net.bus(b).gen.cost_q for b in dg])
+    n_dg = len(dg)
+    g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
+    g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
+    t_g = ti.t[:, lay.gen_w[1:] - 1]
+    a_g = (t_g.T @ sp.diags(ti.r) @ t_g).toarray()
+    b_g = (t_g.T @ sp.diags(ti.x) @ t_g).toarray()
+    m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * base
+    block = 0.5 * (m + m.T)
+    idx = np.concatenate([lay.pg + 1 + np.arange(n_dg), lay.qg + 1 + np.arange(n_dg)])
+    ri, ci = np.nonzero(block)
+    h = sp.csr_matrix((block[ri, ci], (idx[ri], idx[ci])), shape=(n_vars, n_vars))
     return h, g, 0.0
 
 
@@ -167,9 +217,14 @@ def build(
 ) -> QcqpProblem:
     """Assemble the OPF as a convex QCQP.
 
+    Variables: W per bus, Pbr and Qbr per branch, Pg and Qg per generator
+    (3n + 1 + 2g for n branches and g generators). Equality rows: the slack
+    W, one active and one reactive balance per bus with its load and
+    generation folded in, and one voltage drop per branch (3n + 3 rows).
     ``thermal``: "auto" adds a quadratic flow limit on every branch with a
     current rating, "off" ignores ratings. Raises on negative generator costs
-    (the convexity precondition) or a missing supply-point generator.
+    (the convexity precondition) or a missing supply-point generator. The
+    problem carries the certificate of the exact cost quadratic.
     """
     if thermal not in ("auto", "off"):
         raise ValueError("thermal must be 'auto' or 'off'")
@@ -178,15 +233,15 @@ def build(
             raise MdopfError(
                 f"convexity condition unsatisfied: negative generator cost at bus {b.id}"
             )
-    var = _var_layout(net, ti)
-    n_vars = len(var)
-    glist = gen_buses(net, ti)
-    gset = set(glist)
+    lay = var_blocks(net, ti)
+    n, n_vars = ti.n, lay.n_vars
+    n_gen = len(lay.gens)
 
-    h_exact, g, c = build_objective(net, ti)
-    cert = certify_convexity(h_exact)
+    h_exact, g, c = build_objective(net, ti, lay)
+    eig = support_eigh(h_exact, vectors=True)
+    cert = certify_convexity(h_exact, eig)
     if not cert.psd:
-        h = psd_projection(h_exact)
+        h = psd_projection(h_exact, eig)
         warnings.warn(
             "cost quadratic is indefinite "
             f"(min eigenvalue {cert.min_eigenvalue:.3e}); "
@@ -203,129 +258,87 @@ def build(
             stacklevel=2,
         )
 
-    rows: list[tuple[dict[int, float], float, str]] = []
-    all_buses = [net.slack, *ti.order]
+    all_buses = (net.slack, *ti.order)
+    buses = [net.bus(b) for b in all_buses]
+    gens = [buses[w].gen for w in lay.gen_w]
+    branches = _branch_names(net, ti)
+    k = np.arange(n)
+    kg = np.arange(n_gen)
+    w_child = k + 1
+    w_parent = np.asarray(ti.parent_pos, dtype=int) + 1
 
-    def add(coeffs: dict[int, float], rhs: float, label: str):
-        rows.append((coeffs, rhs, label))
-
-    add({var[f"V:{net.slack}"]: 1.0}, net.v0, "v_slack")
-    for b in all_buses:
-        add({var[f"V:{b}"]: 1.0, var[f"W:{b}"]: 1.0}, 2.0, f"v_def:{b}")
-
-    children: dict[int, list[int]] = {-1: []}
-    for i in range(ti.n):
-        children.setdefault(ti.parent_pos[i], []).append(i)
-        children.setdefault(i, [])
-    for axis, brkey, injkey in (("p", "Pbr", "Pinj"), ("q", "Qbr", "Qinj")):
-        coeffs = {var[f"{injkey}:{net.slack}"]: 1.0}
-        for j in children[-1]:
-            coeffs[var[_brname(net, ti, brkey, j)]] = -1.0
-        add(coeffs, 0.0, f"{axis}_balance:{net.slack}")
-        for i, bus_id in enumerate(ti.order):
-            coeffs = {
-                var[_brname(net, ti, brkey, i)]: 1.0,
-                var[f"{injkey}:{bus_id}"]: 1.0,
-            }
-            for j in children[i]:
-                coeffs[var[_brname(net, ti, brkey, j)]] = -1.0
-            add(coeffs, 0.0, f"{axis}_balance:{bus_id}")
-
-    for i, bus_id in enumerate(ti.order):
-        pp = ti.parent_pos[i]
-        parent = net.slack if pp < 0 else ti.order[pp]
-        add(
-            {
-                var[f"W:{bus_id}"]: 1.0,
-                var[f"W:{parent}"]: -1.0,
-                var[_brname(net, ti, "Pbr", i)]: -ti.r[i],
-                var[_brname(net, ti, "Qbr", i)]: -ti.x[i],
-            },
-            0.0,
-            f"w_drop:{parent}-{bus_id}",
-        )
-
-    for b in all_buses:
-        bus = net.bus(b)
-        coeffs = {var[f"Pinj:{b}"]: 1.0, var[f"W:{b}"]: bus.p_load}
-        if b in gset:
-            coeffs[var[f"Pg:{b}"]] = -1.0
-        add(coeffs, 0.0, f"p_inj_def:{b}")
-    for b in all_buses:
-        bus = net.bus(b)
-        coeffs = {var[f"Qinj:{b}"]: 1.0, var[f"W:{b}"]: bus.q_load}
-        if b in gset:
-            coeffs[var[f"Qg:{b}"]] = -1.0
-        add(coeffs, 0.0, f"q_inj_def:{b}")
-
-    a_eq, b_eq, eq_labels = _stack_rows(rows, n_vars)
-
-    irows: list[tuple[dict[int, float], float, str]] = []
-    for b in glist:
-        gen = net.bus(b).gen
-        w = var[f"W:{b}"]
-        irows.append(({var[f"Pg:{b}"]: 1.0, w: -gen.p_max}, 0.0, f"pg_cap:{b}"))
-        irows.append(({var[f"Pg:{b}"]: -1.0, w: gen.p_min}, 0.0, f"pg_floor:{b}"))
-        irows.append(({var[f"Qg:{b}"]: 1.0, w: -gen.q_max}, 0.0, f"qg_cap:{b}"))
-        irows.append(({var[f"Qg:{b}"]: -1.0, w: gen.q_min}, 0.0, f"qg_floor:{b}"))
-    for b in ti.order:
-        bus = net.bus(b)
-        irows.append(({var[f"W:{b}"]: 1.0}, 2.0 - bus.v_min, f"v_floor:{b}"))
-        irows.append(({var[f"W:{b}"]: -1.0}, -(2.0 - bus.v_max), f"v_cap:{b}"))
-    a_in, b_in, in_labels = _stack_rows(irows, n_vars)
-
-    qrows_d: list[dict[int, float]] = []
-    q_b: list[float] = []
-    q_labels: list[str] = []
-    if thermal == "auto":
-        for i in range(ti.n):
-            if np.isnan(ti.i_max[i]):
-                continue
-            qrows_d.append(
-                {
-                    var[_brname(net, ti, "Pbr", i)]: 1.0,
-                    var[_brname(net, ti, "Qbr", i)]: 1.0,
-                }
-            )
-            q_b.append(float(ti.i_max[i] ** 2))
-            pp = ti.parent_pos[i]
-            parent = net.slack if pp < 0 else ti.order[pp]
-            q_labels.append(f"thermal:{parent}-{ti.order[i]}")
-    quad_diag, _, _ = _stack_rows(
-        [(d, 0.0, "") for d in qrows_d], n_vars
+    # equality rows: w_slack | p_balance per bus | q_balance per bus | w_drop
+    p_bal, q_bal, drop = 1, n + 2, 2 * n + 3
+    load_p = np.array([bus.p_load for bus in buses])
+    load_q = np.array([bus.q_load for bus in buses])
+    lp, lq = np.flatnonzero(load_p), np.flatnonzero(load_q)
+    eq_r = np.concatenate([
+        [0],
+        p_bal + w_child, p_bal + w_parent, p_bal + lay.gen_w, p_bal + lp,
+        q_bal + w_child, q_bal + w_parent, q_bal + lay.gen_w, q_bal + lq,
+        np.tile(drop + k, 4),
+    ])
+    eq_c = np.concatenate([
+        [0],
+        lay.pbr + k, lay.pbr + k, lay.pg + kg, lp,
+        lay.qbr + k, lay.qbr + k, lay.qg + kg, lq,
+        w_child, w_parent, lay.pbr + k, lay.qbr + k,
+    ])
+    eq_v = np.concatenate([
+        [1.0],
+        np.ones(n), -np.ones(n), np.ones(n_gen), -load_p[lp],
+        np.ones(n), -np.ones(n), np.ones(n_gen), -load_q[lq],
+        np.ones(n), -np.ones(n), -ti.r, -ti.x,
+    ])
+    a_eq = sp.csr_matrix((eq_v, (eq_r, eq_c)), shape=(3 * n + 3, n_vars))
+    b_eq = np.zeros(3 * n + 3)
+    b_eq[0] = 2.0 - net.v0
+    eq_labels = (
+        "w_slack",
+        *(f"p_balance:{b}" for b in all_buses),
+        *(f"q_balance:{b}" for b in all_buses),
+        *(f"w_drop:{br}" for br in branches),
     )
-    quad_a = sp.csr_matrix((len(qrows_d), n_vars))
+
+    # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
+    # then per non-slack bus v_floor, v_cap
+    box = np.array([[gen.p_max, gen.p_min, gen.q_max, gen.q_min] for gen in gens])
+    gen_rows = 4 * kg[:, None] + np.arange(4)
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
+    v_rows = 4 * n_gen + 2 * k
+    in_r = np.concatenate([gen_rows.ravel(), gen_rows.ravel(), v_rows, v_rows + 1])
+    in_c = np.concatenate([out_col.ravel(), np.repeat(lay.gen_w, 4), w_child, w_child])
+    in_v = np.concatenate([
+        np.tile(sign, n_gen), (-sign * box).ravel(), np.ones(n), -np.ones(n),
+    ])
+    a_in = sp.csr_matrix((in_v, (in_r, in_c)), shape=(4 * n_gen + 2 * n, n_vars))
+    v_lim = np.array([[2.0 - bus.v_min, bus.v_max - 2.0] for bus in buses[1:]])
+    b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
+    in_labels = tuple(
+        f"{tag}:{b}" for b in lay.gens for tag in ("pg_cap", "pg_floor", "qg_cap", "qg_floor")
+    ) + tuple(f"{tag}:{b}" for b in ti.order for tag in ("v_floor", "v_cap"))
+
+    rated = np.flatnonzero(~np.isnan(ti.i_max)) if thermal == "auto" else np.zeros(0, int)
+    n_quad = rated.size
+    quad_diag = sp.csr_matrix(
+        (np.ones(2 * n_quad),
+         (np.tile(np.arange(n_quad), 2),
+          np.concatenate([lay.pbr + rated, lay.qbr + rated]))),
+        shape=(n_quad, n_vars),
+    )
 
     return QcqpProblem(
         n_vars=n_vars,
         h=h, g=g, c=c,
         a_eq=a_eq, b_eq=b_eq, eq_labels=eq_labels,
         a_in=a_in, b_in=b_in, in_labels=in_labels,
-        quad_diag=quad_diag, quad_a=quad_a,
-        quad_b=np.array(q_b), quad_labels=tuple(q_labels),
-        var_map=var,
+        quad_diag=quad_diag, quad_a=sp.csr_matrix((n_quad, n_vars)),
+        quad_b=ti.i_max[rated] ** 2,
+        quad_labels=tuple(f"thermal:{branches[i]}" for i in rated),
+        var_map=_var_layout(net, ti, lay),
+        certificate=cert,
     )
-
-
-def _brname(net, ti, prefix, i):
-    pp = ti.parent_pos[i]
-    parent = net.slack if pp < 0 else ti.order[pp]
-    return f"{prefix}:{parent}-{ti.order[i]}"
-
-
-def _stack_rows(rows, n_vars):
-    data, ri, ci = [], [], []
-    b = np.empty(len(rows))
-    labels = []
-    for k, (coeffs, rhs, label) in enumerate(rows):
-        for j, val in coeffs.items():
-            ri.append(k)
-            ci.append(j)
-            data.append(val)
-        b[k] = rhs
-        labels.append(label)
-    a = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n_vars))
-    return a, b, tuple(labels)
 
 
 def recover_dispatch(
@@ -338,24 +351,30 @@ def recover_dispatch(
 
     Generator outputs are the modified outputs divided by the bus W; the
     state is assembled (and consistency-checked) from the modified injections
-    and W profile.
+    (modified generation minus load times W) and the W profile.
     """
+    lay = var_blocks(net, ti)
     x = sol.x
-    var = prob.var_map
-    pg: dict[int, float] = {}
-    qg: dict[int, float] = {}
-    for b in gen_buses(net, ti):
-        w = x[var[f"W:{b}"]]
-        if w <= 0.0:
-            raise MdopfError(
-                f"nonphysical solution: W = {w:.4f} <= 0 at bus {b} "
-                "(voltage at or above 2 pu)"
-            )
-        pg[b] = float(x[var[f"Pg:{b}"]] / w)
-        qg[b] = float(x[var[f"Qg:{b}"]] / w)
-    p_hat = np.array([x[var[f"Pinj:{b}"]] for b in ti.order])
-    q_hat = np.array([x[var[f"Qinj:{b}"]] for b in ti.order])
-    w_r = np.array([x[var[f"W:{b}"]] for b in ti.order])
+    n_gen = len(lay.gens)
+    w = x[:ti.n + 1]
+    w_gen = w[lay.gen_w]
+    bad = np.flatnonzero(w_gen <= 0.0)
+    if bad.size:
+        raise MdopfError(
+            f"nonphysical solution: W = {w_gen[bad[0]]:.4f} <= 0 at bus "
+            f"{lay.gens[bad[0]]} (voltage at or above 2 pu)"
+        )
+    p_gen = x[lay.pg:lay.pg + n_gen]
+    q_gen = x[lay.qg:lay.qg + n_gen]
+    pg = dict(zip(lay.gens, (p_gen / w_gen).tolist()))
+    qg = dict(zip(lay.gens, (q_gen / w_gen).tolist()))
+    w_r = w[1:]
+    buses = [net.bus(b) for b in ti.order]
+    p_hat = -np.array([bus.p_load for bus in buses]) * w_r
+    q_hat = -np.array([bus.q_load for bus in buses]) * w_r
+    on_tree = lay.gen_w > 0
+    p_hat[lay.gen_w[on_tree] - 1] += p_gen[on_tree]
+    q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]
     state = mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)
     return replace(sol, pg=pg, qg=qg), state
 

@@ -20,10 +20,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    from .mdopf import ConvexityCertificate
 
 
 class SolverError(RuntimeError):
@@ -59,7 +64,9 @@ class QcqpProblem:
 
     ``var_map`` names every variable; the ``*_labels`` tuples name every
     constraint row (one audit tag per row). Quadratic inequality rows carry
-    their (diagonal) curvature in ``quad_diag``.
+    their (diagonal) curvature in ``quad_diag``. ``certificate`` is the
+    builder's convexity certificate of the exact cost quadratic, when it
+    made one; it is not part of the wire format.
     """
 
     n_vars: int
@@ -77,6 +84,7 @@ class QcqpProblem:
     quad_b: np.ndarray
     quad_labels: tuple[str, ...]
     var_map: dict[str, int] = field(default_factory=dict)
+    certificate: ConvexityCertificate | None = None
 
     @property
     def n_eq(self) -> int:
@@ -107,19 +115,48 @@ class OpfSolution:
     qg: dict[int, float] | None = None
 
 
-def _min_eig_on_support(h: sp.spmatrix) -> float:
-    """Smallest eigenvalue of the restriction of h to its nonzero support."""
+EigBlock = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+
+
+def support_eigh(h: sp.spmatrix | np.ndarray, vectors: bool = False) -> list[EigBlock]:
+    """Eigendecomposition of the symmetric part of ``h`` restricted to its
+    nonzero support, one block per connected component of the support's
+    sparsity graph.
+
+    The eigenpairs of a block-diagonal matrix are those of its blocks, so a
+    quadratic that couples generators only within each feeder costs one
+    small decomposition per feeder. Returns one (indices into ``h``,
+    eigenvalues in ascending order, eigenvectors as columns or None unless
+    ``vectors``) per block, and no block for an all-zero ``h``.
+    """
     hc = sp.csr_matrix(h)
-    support = np.unique(np.concatenate([hc.nonzero()[0], hc.nonzero()[1]]))
+    support = np.unique(np.concatenate(hc.nonzero()))
     if support.size == 0:
-        return 0.0
-    dense = hc[support][:, support].toarray()
-    return float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[0])
+        return []
+    sym = (0.5 * (hc + hc.T)).tocsr()[support][:, support]
+    _, label = csgraph.connected_components(sym, directed=False)
+    order = np.argsort(label, kind="stable")
+    sym = sym[order][:, order]
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), support.size]
+    blocks = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        dense = sym[lo:hi, lo:hi].toarray()
+        if vectors:
+            vals, vecs = np.linalg.eigh(dense)
+        else:
+            vals, vecs = np.linalg.eigvalsh(dense), None
+        blocks.append((support[order[lo:hi]], vals, vecs))
+    return blocks
+
+
+def min_eigenvalue(blocks: list[EigBlock]) -> float:
+    """Smallest eigenvalue over ``support_eigh`` blocks (0 when there are none)."""
+    return min((float(vals[0]) for _, vals, _ in blocks), default=0.0)
 
 
 def _check_convex(p: QcqpProblem) -> None:
     hnorm = abs(p.h).max() if p.h.nnz else 0.0
-    min_eig = _min_eig_on_support(p.h)
+    min_eig = min_eigenvalue(support_eigh(p.h))
     if min_eig < -1e-10 * max(1.0, hnorm):
         raise SolverError(
             f"objective matrix is not positive semidefinite "
@@ -238,6 +275,9 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
             status = "infeasible"
             break
 
+        # release the previous iteration's KKT matrix and factors before the
+        # new ones are built, so that the allocator reuses their memory
+        lu = kkt = None
         d = z / s
         hbar = two_h + jac.T @ sp.diags(d) @ jac + delta * sp.identity(n)
         extra = curvature(x, z)
@@ -335,20 +375,22 @@ def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
 def extract_duals(
     p: QcqpProblem, sol: OpfSolution
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """Shadow prices of the per-bus injection-definition rows.
+    """Shadow prices of the per-bus balance rows.
 
     Returns (active, reactive) dicts keyed by bus id; each value is the
     objective increase per unit of additional modified withdrawal at the bus.
+    A withdrawal enters a balance row with coefficient -1, so the price is
+    the negated row multiplier.
     """
     if sol.status != "optimal":
         raise SolverError(f"duals requested on a non-optimal solution ({sol.status})")
     lam_p: dict[int, float] = {}
     lam_q: dict[int, float] = {}
     for i, label in enumerate(p.eq_labels):
-        if label.startswith("p_inj_def:"):
-            lam_p[int(label.split(":")[1])] = float(sol.duals_eq[i])
-        elif label.startswith("q_inj_def:"):
-            lam_q[int(label.split(":")[1])] = float(sol.duals_eq[i])
+        if label.startswith("p_balance:"):
+            lam_p[int(label.split(":")[1])] = -float(sol.duals_eq[i])
+        elif label.startswith("q_balance:"):
+            lam_q[int(label.split(":")[1])] = -float(sol.duals_eq[i])
     return lam_p, lam_q
 
 

@@ -1,8 +1,10 @@
 """Shared test utilities: random radial networks and small oracles."""
 import numpy as np
+import scipy.sparse as sp
 
-from radialopf import netmodel, pricing
+from radialopf import mdistflow, mdopf, netmodel, pricing
 from radialopf.netmodel import Branch, Bus, Generator, Network
+from radialopf.qcqpsolver import QcqpProblem
 
 
 def random_tree_network(
@@ -83,3 +85,182 @@ def dense_loss_factors(net, ti, state, sens):
     dql_dp = 2.0 * (dp_dp.T @ txf + dq_dp.T @ txg)
     dql_dq = 2.0 * (dp_dq.T @ txf + dq_dq.T @ txg)
     return dpl_dp, dpl_dq, dql_dp, dql_dq
+
+
+# ---------------------------------------------------------------------------
+# Reference OPF builder: the string-keyed formulation with explicit V and
+# Pinj/Qinj variables (6n+2g+4 variables, 6n+6 equality rows). The lean
+# builder in ``mdopf`` substitutes V = 2 - W and folds the injections into
+# the balance rows; tests compare the two on the same interior-point solver.
+# ---------------------------------------------------------------------------
+
+def reference_var_layout(net, ti):
+    names = []
+    all_buses = [net.slack, *ti.order]
+    for prefix in ("W", "V", "Pinj", "Qinj"):
+        names.extend(f"{prefix}:{b}" for b in all_buses)
+    for prefix in ("Pbr", "Qbr"):
+        names.extend(_reference_brname(net, ti, prefix, i) for i in range(ti.n))
+    glist = mdopf.gen_buses(net, ti)
+    names.extend(f"Pg:{b}" for b in glist)
+    names.extend(f"Qg:{b}" for b in glist)
+    return {name: i for i, name in enumerate(names)}
+
+
+def _reference_brname(net, ti, prefix, i):
+    pp = ti.parent_pos[i]
+    parent = net.slack if pp < 0 else ti.order[pp]
+    return f"{prefix}:{parent}-{ti.order[i]}"
+
+
+def _reference_stack_rows(rows, n_vars):
+    data, ri, ci = [], [], []
+    b = np.empty(len(rows))
+    labels = []
+    for k, (coeffs, rhs, label) in enumerate(rows):
+        for j, val in coeffs.items():
+            ri.append(k)
+            ci.append(j)
+            data.append(val)
+        b[k] = rhs
+        labels.append(label)
+    a = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n_vars))
+    return a, b, tuple(labels)
+
+
+def reference_objective(net, ti):
+    """Exact (H, g, c) over the reference variables."""
+    var = reference_var_layout(net, ti)
+    n_vars = len(var)
+    base = net.base_power
+    g = np.zeros(n_vars)
+    slack_gen = net.bus(net.slack).gen
+    if slack_gen is None:
+        raise mdopf.MdopfError("supply point has no generator")
+    g[var[f"Pg:{net.slack}"]] = net.v0 * slack_gen.cost_p * base
+    g[var[f"Qg:{net.slack}"]] = net.v0 * slack_gen.cost_q * base
+    dg = [b for b in mdopf.gen_buses(net, ti) if b != net.slack]
+    if not dg:
+        return sp.csr_matrix((n_vars, n_vars)), g, 0.0
+    load_state = mdistflow.solve_fixed_load(net, ti)
+    pos = netmodel.bus_positions(net)
+    order_pos = {b: i for i, b in enumerate(ti.order)}
+    cp = np.array([net.bus(b).gen.cost_p for b in dg])
+    cq = np.array([net.bus(b).gen.cost_q for b in dg])
+    for b in dg:
+        gen = net.bus(b).gen
+        g[var[f"Pg:{b}"]] = load_state.v[pos[b]] * gen.cost_p * base
+        g[var[f"Qg:{b}"]] = load_state.v[pos[b]] * gen.cost_q * base
+    t_g = ti.t[:, [order_pos[b] for b in dg]]
+    a_g = (t_g.T @ sp.diags(ti.r) @ t_g).toarray()
+    b_g = (t_g.T @ sp.diags(ti.x) @ t_g).toarray()
+    m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * base
+    idx = [var[f"Pg:{b}"] for b in dg] + [var[f"Qg:{b}"] for b in dg]
+    h = sp.lil_matrix((n_vars, n_vars))
+    h[np.ix_(idx, idx)] = 0.5 * (m + m.T)
+    return h.tocsr(), g, 0.0
+
+
+def reference_build(net, ti, thermal="auto"):
+    """The reference QCQP, with the same certificate and PSD projection as
+    ``mdopf.build`` (warnings suppressed)."""
+    var = reference_var_layout(net, ti)
+    n_vars = len(var)
+    glist = mdopf.gen_buses(net, ti)
+    h, g, c = reference_objective(net, ti)
+    if not mdopf.certify_convexity(h).psd:
+        h = mdopf.psd_projection(h)
+
+    rows = []
+    all_buses = [net.slack, *ti.order]
+    rows.append(({var[f"V:{net.slack}"]: 1.0}, net.v0, "v_slack"))
+    for b in all_buses:
+        rows.append(({var[f"V:{b}"]: 1.0, var[f"W:{b}"]: 1.0}, 2.0, f"v_def:{b}"))
+    children = {-1: []}
+    for i in range(ti.n):
+        children.setdefault(ti.parent_pos[i], []).append(i)
+        children.setdefault(i, [])
+    for axis, brkey, injkey in (("p", "Pbr", "Pinj"), ("q", "Qbr", "Qinj")):
+        coeffs = {var[f"{injkey}:{net.slack}"]: 1.0}
+        for j in children[-1]:
+            coeffs[var[_reference_brname(net, ti, brkey, j)]] = -1.0
+        rows.append((coeffs, 0.0, f"{axis}_balance:{net.slack}"))
+        for i, bus_id in enumerate(ti.order):
+            coeffs = {var[_reference_brname(net, ti, brkey, i)]: 1.0,
+                      var[f"{injkey}:{bus_id}"]: 1.0}
+            for j in children[i]:
+                coeffs[var[_reference_brname(net, ti, brkey, j)]] = -1.0
+            rows.append((coeffs, 0.0, f"{axis}_balance:{bus_id}"))
+    for i, bus_id in enumerate(ti.order):
+        pp = ti.parent_pos[i]
+        parent = net.slack if pp < 0 else ti.order[pp]
+        rows.append(({var[f"W:{bus_id}"]: 1.0, var[f"W:{parent}"]: -1.0,
+                      var[_reference_brname(net, ti, "Pbr", i)]: -ti.r[i],
+                      var[_reference_brname(net, ti, "Qbr", i)]: -ti.x[i]},
+                     0.0, f"w_drop:{parent}-{bus_id}"))
+    for axis, injkey, gkey in (("p", "Pinj", "Pg"), ("q", "Qinj", "Qg")):
+        for b in all_buses:
+            load = net.bus(b).p_load if axis == "p" else net.bus(b).q_load
+            coeffs = {var[f"{injkey}:{b}"]: 1.0, var[f"W:{b}"]: load}
+            if b in glist:
+                coeffs[var[f"{gkey}:{b}"]] = -1.0
+            rows.append((coeffs, 0.0, f"{axis}_inj_def:{b}"))
+    a_eq, b_eq, eq_labels = _reference_stack_rows(rows, n_vars)
+
+    irows = []
+    for b in glist:
+        gen = net.bus(b).gen
+        w = var[f"W:{b}"]
+        irows.append(({var[f"Pg:{b}"]: 1.0, w: -gen.p_max}, 0.0, f"pg_cap:{b}"))
+        irows.append(({var[f"Pg:{b}"]: -1.0, w: gen.p_min}, 0.0, f"pg_floor:{b}"))
+        irows.append(({var[f"Qg:{b}"]: 1.0, w: -gen.q_max}, 0.0, f"qg_cap:{b}"))
+        irows.append(({var[f"Qg:{b}"]: -1.0, w: gen.q_min}, 0.0, f"qg_floor:{b}"))
+    for b in ti.order:
+        bus = net.bus(b)
+        irows.append(({var[f"W:{b}"]: 1.0}, 2.0 - bus.v_min, f"v_floor:{b}"))
+        irows.append(({var[f"W:{b}"]: -1.0}, -(2.0 - bus.v_max), f"v_cap:{b}"))
+    a_in, b_in, in_labels = _reference_stack_rows(irows, n_vars)
+
+    qrows, q_b, q_labels = [], [], []
+    if thermal == "auto":
+        for i in range(ti.n):
+            if np.isnan(ti.i_max[i]):
+                continue
+            qrows.append(({var[_reference_brname(net, ti, "Pbr", i)]: 1.0,
+                           var[_reference_brname(net, ti, "Qbr", i)]: 1.0}, 0.0, ""))
+            q_b.append(float(ti.i_max[i] ** 2))
+            q_labels.append("thermal:" + _reference_brname(net, ti, "", i)[1:])
+    quad_diag, _, _ = _reference_stack_rows(qrows, n_vars)
+    return QcqpProblem(
+        n_vars=n_vars, h=h, g=g, c=c,
+        a_eq=a_eq, b_eq=b_eq, eq_labels=eq_labels,
+        a_in=a_in, b_in=b_in, in_labels=in_labels,
+        quad_diag=quad_diag, quad_a=sp.csr_matrix((len(qrows), n_vars)),
+        quad_b=np.array(q_b), quad_labels=tuple(q_labels), var_map=var,
+    )
+
+
+def reference_extract_duals(prob, sol):
+    """Shadow prices of the reference injection-definition rows, keyed by bus."""
+    lam_p, lam_q = {}, {}
+    for i, label in enumerate(prob.eq_labels):
+        if label.startswith("p_inj_def:"):
+            lam_p[int(label.split(":")[1])] = float(sol.duals_eq[i])
+        elif label.startswith("q_inj_def:"):
+            lam_q[int(label.split(":")[1])] = float(sol.duals_eq[i])
+    return lam_p, lam_q
+
+
+def reference_recover_dispatch(net, ti, prob, sol):
+    """Dispatch (pg, qg dicts) and state from a reference solution."""
+    x = sol.x
+    var = prob.var_map
+    pg, qg = {}, {}
+    for b in mdopf.gen_buses(net, ti):
+        w = x[var[f"W:{b}"]]
+        pg[b] = float(x[var[f"Pg:{b}"]] / w)
+        qg[b] = float(x[var[f"Qg:{b}"]] / w)
+    p_hat = np.array([x[var[f"Pinj:{b}"]] for b in ti.order])
+    q_hat = np.array([x[var[f"Qinj:{b}"]] for b in ti.order])
+    w_r = np.array([x[var[f"W:{b}"]] for b in ti.order])
+    return pg, qg, mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)

@@ -270,6 +270,31 @@ def test_criterion_7_convexity_certificates(case33_psp, case69):
               "11 fixtures + 500 random trees PSD; negated cost rejected")
 
 
+def test_criterion_7_projection_changes_objective_little(case33_psp):
+    """At the solution, the exact (unprojected) cost and the projected cost
+    that the solver minimized differ by under 0.02 %."""
+    fixtures = [with_dgs(case33_psp, [bus], 1.0, 0.5, price, 2.0)
+                for bus, price, _, _ in TABLE_SCENARIOS]
+    four = with_dgs(case33_psp, [18, 22, 25, 33], 0.2, 0.1, 31.0, 4.0)
+    fixtures.append(four)
+    fixtures.append(netmodel.duplicate_system(
+        with_dgs(case33_psp, [18, 22, 25, 33], 0.2, 0.1, 25.0, 2.0), 10, seed=1
+    ))
+    fixtures.append(netmodel.duplicate_system(four, 10, seed=42))
+    worst = 0.0
+    for net in fixtures:
+        ti, prob, sol, _ = solve_opf(net)
+        assert not prob.certificate.psd  # the projection is in effect
+        h, g, c = mdopf.build_objective(net, ti)
+        x = sol.x
+        exact = float(x @ (h @ x) + g @ x + c)
+        rel = abs(exact - sol.objective_value) / abs(exact)
+        assert rel < 2e-4, (net.n_bus, rel)
+        worst = max(worst, rel)
+    _announce(7, "projection distance at the solution",
+              f"{len(fixtures)} fixtures, worst objective change {worst * 100:.2e}%")
+
+
 def test_criterion_8_solver_reference(case33_psp):
     """Interior point agrees with active-set enumeration; KKT residuals tight."""
     rng = np.random.default_rng(808)

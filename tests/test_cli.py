@@ -263,3 +263,42 @@ def test_network_missing_bus_field_is_data_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["validate", "--case", str(path)]) == 1
     assert "missing key 'v_min'" in capsys.readouterr().err
+
+
+def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
+    calls = []
+    to_json = netmodel.to_json
+
+    def counting(net):
+        calls.append(net.n_bus)
+        return to_json(net)
+
+    monkeypatch.setattr(netmodel, "to_json", counting)
+    code = run(["price", "--case", "case33.m", "--psp-v", "1.05",
+                "--psp-cost-p", "30", "--psp-cost-q", "3", "--copies", "2",
+                "--oracle", "--mechanism", "mlm", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == [65]
+
+
+def test_opf_builds_objective_once(tmp_path, monkeypatch):
+    from radialopf import mdistflow, mdopf
+
+    calls = {"objective": 0, "fixed_load": 0}
+    build_objective, solve_fixed_load = mdopf.build_objective, mdistflow.solve_fixed_load
+
+    def count(key, fn):
+        def wrapper(*a, **k):
+            calls[key] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(mdopf, "build_objective", count("objective", build_objective))
+    monkeypatch.setattr(mdistflow, "solve_fixed_load", count("fixed_load", solve_fixed_load))
+    assert run(["opf", "--case", "case33.m", "--psp-v", "1.05",
+                "--psp-cost-p", "30", "--psp-cost-q", "3",
+                "--dg", "18:1.0:0.5:31:2", "--out", str(tmp_path)]) == 0
+    assert calls == {"objective": 1, "fixed_load": 1}
+    cert = json.loads(read(tmp_path / "opf_summary.json"))["convexity_certificate"]
+    # generic P/Q cost ratios leave the exact quadratic indefinite
+    assert cert["projected"] and not cert["psd"] and cert["min_eigenvalue"] < 0

@@ -8,7 +8,10 @@ from radialopf import mdistflow as mdf, mdopf, netmodel, qcqpsolver as qs
 from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
-from helpers import bus_row, mk_case, random_tree_network
+from helpers import (
+    bus_row, mk_case, random_tree_network, reference_build, reference_extract_duals,
+    reference_recover_dispatch,
+)
 
 
 def build_quiet(net, ti, **kw):
@@ -32,14 +35,16 @@ def test_dimensions_case33_one_dg(case33_psp):
     ti = build_path_incidence(net)
     prob = build_quiet(net, ti)
     n = ti.n  # 32
-    # W, V, Pinj, Qinj per bus; flow pair per branch; P/Q output per generator
-    assert prob.n_vars == 4 * (n + 1) + 2 * n + 2 * 2
-    assert prob.n_eq == 6 * n + 6
+    # W per bus; flow pair per branch; P/Q output per generator
+    assert prob.n_vars == (n + 1) + 2 * n + 2 * 2
+    # slack W, P/Q balance per bus, voltage drop per branch
+    assert prob.n_eq == 3 * n + 3
     # four box rows per generator, two voltage rows per non-slack bus
     assert prob.n_in == 4 * 2 + 2 * n
     assert prob.n_quad == 0  # no current ratings in the case
-    for name in ("W:1", "V:18", "Pinj:33", "Qbr:17-18", "Pg:18", "Qg:1"):
+    for name in ("W:1", "W:18", "Pbr:32-33", "Qbr:17-18", "Pg:18", "Qg:1"):
         assert name in prob.var_map
+    assert len(prob.var_map) == prob.n_vars
     assert len(prob.eq_labels) == prob.n_eq
 
 
@@ -49,10 +54,8 @@ def test_equality_row_count_random_trees(n, seed):
     net = random_tree_network(np.random.default_rng(seed), n, gen_frac=0.3)
     ti = build_path_incidence(net)
     prob = build_quiet(net, ti)
-    assert prob.n_eq == 6 * ti.n + 6
-    assert prob.n_vars == 4 * (ti.n + 1) + 2 * ti.n + 2 * len(
-        mdopf.gen_buses(net, ti)
-    )
+    assert prob.n_eq == 3 * ti.n + 3
+    assert prob.n_vars == 3 * ti.n + 1 + 2 * len(mdopf.gen_buses(net, ti))
 
 
 def test_row_labels_name_buses(case33_psp):
@@ -62,8 +65,8 @@ def test_row_labels_name_buses(case33_psp):
     labels = set(prob.eq_labels)
     assert "p_balance:1" in labels and "q_balance:33" in labels
     assert "w_drop:17-18" in labels
-    assert "p_inj_def:18" in labels and "q_inj_def:2" in labels
-    assert "v_slack" in labels
+    assert "w_slack" in labels
+    assert len(labels) == 1 + 2 * 33 + 32
 
 
 def test_thermal_rows():
@@ -181,6 +184,33 @@ def test_raw_quadratic_needs_projection(net2):
     assert np.linalg.norm(diff) <= abs(cert.min_eigenvalue) * np.sqrt(2) + 1e-12
 
 
+def test_support_blocks_match_dense_decomposition():
+    # three coupled blocks scattered over a larger zero matrix: the per-block
+    # eigenvalues and projection equal those of the dense support
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(5)
+    n = 40
+    dense = np.zeros((n, n))
+    idx = rng.permutation(n)
+    for lo, hi in ((0, 5), (5, 6), (6, 14)):
+        m = rng.normal(size=(hi - lo, hi - lo))
+        dense[np.ix_(idx[lo:hi], idx[lo:hi])] = m + m.T
+    blocks = qs.support_eigh(sp.csr_matrix(dense), vectors=True)
+    assert sorted(len(b[0]) for b in blocks) == [1, 5, 8]
+    support = np.sort(idx[:14])
+    sub = dense[np.ix_(support, support)]
+    vals, vecs = np.linalg.eigh(sub)
+    got = np.sort(np.concatenate([b[1] for b in blocks]))
+    assert np.allclose(got, vals, rtol=0.0, atol=1e-12)
+    assert qs.min_eigenvalue(blocks) == pytest.approx(vals[0], abs=1e-12)
+    clipped = np.zeros((n, n))
+    clipped[np.ix_(support, support)] = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+    proj = mdopf.psd_projection(sp.csr_matrix(dense), blocks).toarray()
+    assert np.allclose(proj, clipped, rtol=0.0, atol=1e-12)
+    assert qs.support_eigh(sp.csr_matrix((4, 4))) == []
+
+
 def test_built_problem_psd_on_random_trees():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -291,8 +321,8 @@ def test_recover_rejects_nonphysical_w(net2):
         mdopf.recover_dispatch(net2, ti, prob, replace(sol, x=bad_x))
 
 
-def test_binding_thermal_limit():
-    # rating below the natural flow: the quadratic row must bind
+def binding_thermal_net():
+    """Two-bus feeder whose 0.8 pu branch rating is below the natural flow."""
     text = mk_case(
         [bus_row(1, 3), bus_row(2, pd=1.0, qd=0.0, vmax=1.5, vmin=0.5)],
         [[1, 2, 0.01, 0.02, 0, 0.8]],
@@ -301,7 +331,12 @@ def test_binding_thermal_limit():
                   [2, 0, 0, 1, 0, 1, 1, 1, 2, 0]],
         gencost_rows=[[2, 0, 0, 2, 30, 0], [2, 0, 0, 2, 50, 0]],
     )
-    net = netmodel.with_slack_costs(netmodel.parse_matpower_case(text), 30.0, 3.0)
+    return netmodel.with_slack_costs(netmodel.parse_matpower_case(text), 30.0, 3.0)
+
+
+def test_binding_thermal_limit():
+    # rating below the natural flow: the quadratic row must bind
+    net = binding_thermal_net()
     ti = build_path_incidence(net)
     prob = build_quiet(net, ti)
     assert prob.n_quad == 1
@@ -318,11 +353,87 @@ def test_binding_thermal_limit():
 
 
 # ---------------------------------------------------------------------------
-# injection-row shadow prices
+# lean builder vs the reference builder with V and Pinj/Qinj variables
+# ---------------------------------------------------------------------------
+
+TIGHT = qs.SolverConfig(tol_gap=1e-11, tol_feas=1e-11)
+
+
+def assert_matches_reference(net):
+    """Same IPM on both formulations: dispatch within 1e-6 pu, objective
+    within 1e-8 relative, balance-row prices within 1e-6 of the largest."""
+    ti = build_path_incidence(net)
+    lean = build_quiet(net, ti)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = reference_build(net, ti)
+    assert lean.n_vars + lean.n_eq < ref.n_vars + ref.n_eq
+    sol_l, sol_r = qs.solve(lean, TIGHT), qs.solve(ref, TIGHT)
+    assert sol_l.status == sol_r.status == "optimal"
+    sol_l, _ = mdopf.recover_dispatch(net, ti, lean, sol_l)
+    pg, qg, _ = reference_recover_dispatch(net, ti, ref, sol_r)
+    assert sol_l.pg.keys() == pg.keys()
+    for b in pg:
+        assert abs(sol_l.pg[b] - pg[b]) < 1e-6, b
+        assert abs(sol_l.qg[b] - qg[b]) < 1e-6, b
+    assert sol_l.objective_value == pytest.approx(sol_r.objective_value, rel=1e-8)
+    assert np.allclose(sol_l.duals_quad, sol_r.duals_quad, rtol=1e-6, atol=1e-9)
+    lean_duals = qs.extract_duals(lean, sol_l)
+    ref_duals = reference_extract_duals(ref, sol_r)
+    for lam_l, lam_r in zip(lean_duals, ref_duals):
+        assert lam_l.keys() == lam_r.keys() == {net.slack, *ti.order}
+        scale = max(abs(v) for v in lam_r.values())
+        for b in lam_r:
+            assert abs(lam_l[b] - lam_r[b]) <= 1e-6 * scale, b
+
+
+def test_lean_builder_matches_reference_case33_four_dgs(case33_psp):
+    net = case33_psp
+    for bus in (18, 22, 25, 33):
+        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 31.0, 4.0))
+    assert_matches_reference(net)
+
+
+def test_lean_builder_matches_reference_case69_x3(case69):
+    net = netmodel.with_slack_costs(netmodel.with_slack_voltage(case69, 1.05), 30.0, 3.0)
+    for bus in (27, 35, 46, 65):
+        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
+    assert_matches_reference(netmodel.duplicate_system(net, 3, seed=42))
+
+
+def test_lean_builder_matches_reference_random_trees():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        net = random_tree_network(rng, int(rng.integers(2, 60)), gen_frac=0.4)
+        assert_matches_reference(net)
+
+
+def test_lean_builder_matches_reference_binding_thermal():
+    assert_matches_reference(binding_thermal_net())
+
+
+def test_problem_carries_exact_certificate(net2, case33_psp):
+    # the built problem's certificate is that of the unprojected quadratic
+    for net in (
+        netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, 31.0, 2.0)),
+        scenario_net(case33_psp, 18, 31.0),
+        case33_psp,
+    ):
+        ti = build_path_incidence(net)
+        prob = build_quiet(net, ti)
+        exact = mdopf.certify_convexity(mdopf.build_objective(net, ti)[0])
+        assert prob.certificate.psd == exact.psd
+        assert prob.certificate.trace == exact.trace
+        assert prob.certificate.min_eigenvalue == pytest.approx(
+            exact.min_eigenvalue, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# balance-row shadow prices
 # ---------------------------------------------------------------------------
 
 def _interior_slack(net):
-    # keep the supply point strictly inside its band so the injection-row
+    # keep the supply point strictly inside its band so the balance-row
     # multipliers are unique
     g = net.bus(net.slack).gen
     return netmodel.with_generator(
