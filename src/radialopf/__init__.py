@@ -11,6 +11,10 @@ recover the physical state, price it:
     sol = qcqpsolver.solve(prob)
     sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
     table = pricing.compute_price_table(net, ti, state)
+
+Every per-bus array uses one bus order: ``state.v[0]`` is the slack and
+``state.v[1:]`` lines up with ``ti.order`` and with the rows of ``table``
+(``netmodel.tree_positions(net)`` maps a bus id to its position).
 """
 
 from . import acpf, cli, mdistflow, mdopf, netmodel, pricing, qcqpsolver

@@ -7,9 +7,10 @@ a transposed solve), keeps the dense Jacobian blocks and sensitivity
 matrices as their O(n^2) reference, and implements the finite-difference
 price oracle (slack-cost derivative under load perturbation).
 
-Array conventions: full-bus vectors follow ``net.buses`` order; "non-slack"
-vectors follow ``net.buses`` order with the slack row removed (see
-``nonslack_ids``). All quantities per unit on the network base.
+Array conventions: the package's one bus order (``netmodel.tree_positions``).
+Full-bus vectors hold the slack at position 0, then the non-slack buses in
+``ti.order``; non-slack vectors are the same order without the slack. All
+quantities per unit on the network base.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .netmodel import Network, bus_positions
+from .netmodel import Network, tree_positions
 
 
 class PowerFlowError(RuntimeError):
@@ -54,43 +55,37 @@ class JacobianBlocks:
     bus_ids: tuple[int, ...]
 
 
-def nonslack_ids(net: Network) -> tuple[int, ...]:
-    return tuple(b.id for b in net.buses if b.id != net.slack)
+def _branch_ends(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array positions of every branch's ends, and its series impedance."""
+    pos = tree_positions(net)
+    f = np.array([pos[br.from_bus] for br in net.branches], dtype=int)
+    t = np.array([pos[br.to_bus] for br in net.branches], dtype=int)
+    z = np.array([complex(br.r, br.x) for br in net.branches])
+    return f, t, z
 
 
 def admittance(net: Network) -> sp.csr_matrix:
     """Bus admittance matrix (series branch elements only)."""
-    pos = bus_positions(net)
-    n = net.n_bus
-    rows, cols, vals = [], [], []
-    for br in net.branches:
-        y = 1.0 / complex(br.r, br.x)
-        f, t = pos[br.from_bus], pos[br.to_bus]
-        rows += [f, t, f, t]
-        cols += [f, t, t, f]
-        vals += [y, y, -y, -y]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    f, t, z = _branch_ends(net)
+    y = 1.0 / z
+    rows = np.column_stack([f, t, f, t]).ravel()
+    cols = np.column_stack([f, t, t, f]).ravel()
+    vals = np.column_stack([y, y, -y, -y]).ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(net.n_bus, net.n_bus))
 
 
 def default_injections(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Net injections (pu) with all generation off: minus the loads, per
     non-slack bus."""
-    p = np.array([-b.p_load for b in net.buses if b.id != net.slack])
-    q = np.array([-b.q_load for b in net.buses if b.id != net.slack])
-    return p, q
+    buses = [net.bus(b) for b in tree_positions(net)][1:]
+    return np.array([-b.p_load for b in buses]), np.array([-b.q_load for b in buses])
 
 
 def _branch_losses(net: Network, vc: np.ndarray) -> tuple[float, float]:
-    pos = bus_positions(net)
-    pl = 0.0
-    ql = 0.0
-    for br in net.branches:
-        z = complex(br.r, br.x)
-        i = (vc[pos[br.from_bus]] - vc[pos[br.to_bus]]) / z
-        i2 = (i * i.conjugate()).real
-        pl += br.r * i2
-        ql += br.x * i2
-    return pl, ql
+    f, t, z = _branch_ends(net)
+    i = (vc[f] - vc[t]) / z
+    i2 = (i * i.conjugate()).real
+    return float(z.real @ i2), float(z.imag @ i2)
 
 
 def newton_pf(
@@ -104,14 +99,11 @@ def newton_pf(
 ) -> AcState:
     """Solve the AC power flow with fixed PQ injections at every non-slack bus.
 
-    ``p``/``q`` default to the negated loads. ``v_start``/``delta_start``
-    (full-bus order) warm-start the iteration; the default is a flat start at
-    the slack voltage.
+    ``p``/``q`` (non-slack) default to the negated loads.
+    ``v_start``/``delta_start`` (full-bus) warm-start the iteration; the
+    default is a flat start at the slack voltage.
     """
-    pos = bus_positions(net)
     n = net.n_bus
-    slack_pos = pos[net.slack]
-    pq = np.array([i for i in range(n) if i != slack_pos])
     if p is None or q is None:
         dp, dq = default_injections(net)
         p = dp if p is None else p
@@ -124,15 +116,13 @@ def newton_pf(
     ybus = admittance(net)
     vm = np.full(n, net.v0) if v_start is None else np.array(v_start, dtype=float)
     va = np.zeros(n) if delta_start is None else np.array(delta_start, dtype=float)
-    vm[slack_pos] = net.v0
-    va[slack_pos] = 0.0
-    s_spec = np.zeros(n, dtype=complex)
-    s_spec[pq] = p + 1j * q
+    vm[0] = net.v0
+    va[0] = 0.0
+    s_spec = p + 1j * q
 
     def mismatch(vc):
-        s_calc = vc * np.conj(ybus.dot(vc))
-        mis = s_calc - s_spec
-        return np.concatenate([mis[pq].real, mis[pq].imag])
+        mis = (vc * np.conj(ybus.dot(vc)))[1:] - s_spec
+        return np.concatenate([mis.real, mis.imag])
 
     vc = vm * np.exp(1j * va)
     f = mismatch(vc)
@@ -143,7 +133,7 @@ def newton_pf(
                 f"power flow diverged: mismatch {np.max(np.abs(f)):.3e} "
                 f"after {max_iter} iterations"
             )
-        j11, j12, j21, j22 = _jacobian_sparse(ybus, vc, pq)
+        j11, j12, j21, j22 = _jacobian_sparse(ybus, vc)
         jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
         try:
             dx = spla.spsolve(jac, -f)
@@ -151,14 +141,13 @@ def newton_pf(
             raise PowerFlowError(f"singular power-flow Jacobian: {exc}") from exc
         if not np.all(np.isfinite(dx)):
             raise PowerFlowError("singular power-flow Jacobian (non-finite step)")
-        m = len(pq)
-        va[pq] += dx[:m]
-        vm[pq] += dx[m:]
+        va[1:] += dx[:n - 1]
+        vm[1:] += dx[n - 1:]
         vc = vm * np.exp(1j * va)
         f = mismatch(vc)
         it += 1
 
-    s_slack = (vc * np.conj(ybus.dot(vc)))[slack_pos]
+    s_slack = (vc * np.conj(ybus.dot(vc)))[0]
     pl, ql = _branch_losses(net, vc)
     return AcState(
         v=vm, delta=va,
@@ -168,17 +157,16 @@ def newton_pf(
     )
 
 
-def _jacobian_sparse(ybus, vc, pq):
-    """Blocks of dS/d(angle), dS/d|V| restricted to the given buses."""
-    n = len(vc)
+def _jacobian_sparse(ybus, vc):
+    """Blocks of dS/d(angle), dS/d|V| restricted to the non-slack buses."""
     ibus = ybus.dot(vc)
     dv = sp.diags(vc)
     di = sp.diags(ibus)
     dvnorm = sp.diags(vc / np.abs(vc))
     ds_dva = 1j * dv @ (np.conj(di - ybus @ dv))
     ds_dvm = dv @ np.conj(ybus @ dvnorm) + np.conj(di) @ dvnorm
-    ds_dva = sp.csr_matrix(ds_dva)[pq][:, pq]
-    ds_dvm = sp.csr_matrix(ds_dvm)[pq][:, pq]
+    ds_dva = sp.csr_matrix(ds_dva)[1:, 1:]
+    ds_dvm = sp.csr_matrix(ds_dvm)[1:, 1:]
     return ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag
 
 
@@ -188,16 +176,12 @@ def jacobian_at(net: Network, v: np.ndarray, delta: np.ndarray) -> JacobianBlock
 
     Dense O(n^2) reference for ``voltage_adjoint``; pricing does not use it.
     """
-    pos = bus_positions(net)
-    slack_pos = pos[net.slack]
-    pq = np.array([i for i in range(net.n_bus) if i != slack_pos])
     vc = np.asarray(v, dtype=float) * np.exp(1j * np.asarray(delta, dtype=float))
-    j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc, pq)
-    ids = tuple(net.buses[i].id for i in pq)
+    j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc)
     return JacobianBlocks(
         dp_ddelta=j11.toarray(), dp_dv=j12.toarray(),
         dq_ddelta=j21.toarray(), dq_dv=j22.toarray(),
-        bus_ids=ids,
+        bus_ids=tuple(tree_positions(net))[1:],
     )
 
 
@@ -242,30 +226,26 @@ def voltage_adjoint(
     net: Network,
     v: np.ndarray,
     delta: np.ndarray,
-    bus_ids,
     u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transposed voltage sensitivities applied to ``u``: (dV/dP^T u, dV/dQ^T u).
 
-    ``v``/``delta`` are full-bus vectors (``net.buses`` order) at any operating
-    point; ``bus_ids`` lists every non-slack bus once and fixes the order of
-    the reduced Jacobian, of the rows of ``u`` (shape ``(m,)`` or ``(m, k)``)
-    and of the results. The reduced Jacobian J is factored once by sparse LU
+    ``v``/``delta`` are full-bus vectors at any operating point; the rows of
+    ``u`` (shape ``(m,)`` or ``(m, k)``) and of the results are the m
+    non-slack buses. The reduced Jacobian J is factored once by sparse LU
     and J^T y = [0; u] is solved, so that y = [dV/dP^T u; dV/dQ^T u] (the
     adjoint form of the lower blocks of J^-1). Feeders hanging off the slack
     give a block-diagonal J, which the factorization handles as is.
     """
-    pos = bus_positions(net)
-    pq = np.array([pos[b] for b in bus_ids], dtype=int)
-    m = len(pq)
+    m = net.n_bus - 1
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != m or m != net.n_bus - 1:
-        raise ValueError("bus_ids and u must cover every non-slack bus")
+    if u.shape[0] != m:
+        raise ValueError("u must have one row per non-slack bus")
     vc = np.asarray(v, dtype=float) * np.exp(1j * np.asarray(delta, dtype=float))
     # a zero voltage makes vc/|vc| undefined; the factorization or the
     # finiteness check below reports the singular Jacobian
     with np.errstate(invalid="ignore", divide="ignore"):
-        j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc, pq)
+        j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc)
     jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
     try:
         lu = spla.splu(jac)
@@ -308,8 +288,7 @@ def fd_price_oracle(
     if bus == net.slack:
         raise ValueError("price oracle is defined for non-slack buses")
     c0p, c0q = slack_costs(net)
-    ids = nonslack_ids(net)
-    k = ids.index(bus)
+    k = tree_positions(net)[bus] - 1
     if p is None or q is None:
         dp, dq = default_injections(net)
         p = dp if p is None else np.asarray(p, dtype=float)

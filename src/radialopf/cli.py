@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import multiprocessing
 import os
 import sys
 import warnings
@@ -260,7 +261,7 @@ def cmd_pf(args) -> int:
     ac = acpf.newton_pf(net, v_start=state.v, delta_start=state.delta)
     rep = mdistflow.losses(ti, state)
     rows = ["bus,v_model[pu],v_ac[pu],abs_err[pu],delta_model[rad],delta_ac[rad]"]
-    pos = netmodel.bus_positions(net)
+    pos = netmodel.tree_positions(net)
     for b in net.buses:
         i = pos[b.id]
         rows.append(",".join([
@@ -290,10 +291,9 @@ def cmd_pf(args) -> int:
 
 def _solve_opf(net: Network):
     ti = netmodel.build_path_incidence(net)
-    thermal = "auto"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        prob = mdopf.build(net, ti, thermal=thermal)
+        prob = mdopf.build(net, ti)
     for w in caught:
         print(f"note: {w.message}")
     sol = qcqpsolver.solve(prob)
@@ -342,35 +342,37 @@ def cmd_opf(args) -> int:
     return EXIT_OK
 
 
-def _oracle_worker(payload):
-    net_json, bus, axis, p, q, v, delta = payload
-    net = netmodel.from_json(net_json)
-    return acpf.fd_price_oracle(
-        net, bus, axis,
-        p=np.array(p), q=np.array(q),
-        v_start=np.array(v), delta_start=np.array(delta),
-    )
+# the network and base point of the sweep; set once in each oracle worker
+# process by ``_oracle_init``, never in the parent
+_oracle_point = None
+
+
+def _oracle_init(net_json, *point):
+    global _oracle_point
+    _oracle_point = (netmodel.from_json(net_json), *point)
+
+
+def _oracle_price(point, bus, axis):
+    net, p, q, v, delta = point
+    return acpf.fd_price_oracle(net, bus, axis, p=p, q=q, v_start=v, delta_start=delta)
+
+
+def _oracle_worker(task):
+    return _oracle_price(_oracle_point, *task)
 
 
 def _oracle_sweep(net, ti, state, sol, jobs: int):
-    pinj, qinj = netmodel.net_injections(net, ti, sol.pg, sol.qg)
-    perm = pricing.ti_to_acpf_permutation(net, ti)
-    p_ac = np.empty(ti.n)
-    q_ac = np.empty(ti.n)
-    p_ac[perm] = pinj
-    q_ac[perm] = qinj
-    net_json = netmodel.to_json(net)
-    p_ac, q_ac = p_ac.tolist(), q_ac.tolist()
-    v, delta = state.v.tolist(), state.delta.tolist()
-    payloads = [
-        (net_json, b, axis, p_ac, q_ac, v, delta)
-        for b in ti.order for axis in ("p", "q")
-    ]
+    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    point = (p, q, state.v, state.delta)
+    tasks = [(b, axis) for b in ti.order for axis in ("p", "q")]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_oracle_worker, payloads))
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_oracle_init, initargs=(netmodel.to_json(net), *point),
+        ) as pool:
+            results = list(pool.map(_oracle_worker, tasks))
     else:
-        results = [_oracle_worker(pl) for pl in payloads]
+        results = [_oracle_price((net, *point), *task) for task in tasks]
     oracle_p = np.array(results[0::2])
     oracle_q = np.array(results[1::2])
     return oracle_p, oracle_q
@@ -387,8 +389,7 @@ def cmd_price(args) -> int:
     # solver shadow prices alongside, for comparison with the explicit method
     # (the objective is $ per pu, so the per-MWh price divides out the base)
     lam_p, lam_q = qcqpsolver.extract_duals(prob, sol)
-    pos = netmodel.bus_positions(net)
-    scale = np.array([state.v[pos[b]] for b in ti.order]) * net.base_power
+    scale = state.v[1:] * net.base_power
     extra = {
         "dual_dlmp_p[$ per MWh]": np.array([lam_p[b] for b in ti.order]) / scale,
         "dual_dlmp_q[$ per MVarh]": np.array([lam_q[b] for b in ti.order]) / scale,

@@ -3,12 +3,14 @@
 State variables are the modified injections p_hat = P * w and flows, with the
 auxiliary per-bus variable w = 2 - V. For fixed injections the whole state
 follows from one sparse linear solve; no iteration is involved. The module
-also recovers bus angles branch-by-branch and computes the total network loss
-with its four-way split into active/reactive flow contributions.
+also recovers the bus angles, each the sum of the angle turns across the
+branches on its path, and computes the total network loss with its four-way
+split into active/reactive flow contributions.
 
-Alignment: full-bus arrays (w, v, delta) follow ``net.buses`` order;
-per-non-slack and per-branch arrays follow ``ti.order`` / the matching branch
-rows of the path incidence.
+Alignment: the package's one bus order. Full-bus arrays (w, v, delta) hold
+the slack at position 0, then ``ti.order``; per-non-slack arrays follow
+``ti.order`` and per-branch arrays the matching branch rows of the path
+incidence, so ``w[1:]`` lines up with ``p_hat`` and with branch row k.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .netmodel import Network, PathIncidence, bus_positions
+from .netmodel import Network, PathIncidence
 
 
 class MdfError(RuntimeError):
@@ -65,17 +67,11 @@ def system_matrix(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csc_mat
 
 
 def _assemble(net, ti, w_r, p_hat, q_hat):
-    pos = bus_positions(net)
-    n_all = net.n_bus
-    w = np.empty(n_all)
-    w0 = 2.0 - net.v0
-    w[pos[net.slack]] = w0
-    for i, bus_id in enumerate(ti.order):
-        w[pos[bus_id]] = w_r[i]
+    w = np.concatenate([[2.0 - net.v0], w_r])
     v = 2.0 - w
     p_br = -(ti.t @ p_hat)
     q_br = -(ti.t @ q_hat)
-    delta = _angles(net, ti, v, p_br, q_br)
+    delta = _angles(ti, v, p_br, q_br)
     return MdfState(
         w=w, v=v, delta=delta,
         p_hat=p_hat, q_hat=q_hat, p_br_hat=p_br, q_br_hat=q_br,
@@ -142,27 +138,18 @@ def state_from_solution(
     return _assemble(net, ti, w_r, p_hat_r, q_hat_r)
 
 
-def _angles(net, ti, v_full, p_br, q_br):
-    pos = bus_positions(net)
-    delta = np.empty(net.n_bus)
-    delta[pos[net.slack]] = 0.0
-    # ti.order is topological, so parents are settled before children
-    for i, bus_id in enumerate(ti.order):
-        pp = ti.parent_pos[i]
-        d_parent = delta[pos[net.slack]] if pp < 0 else delta[pos[ti.order[pp]]]
-        vj = v_full[pos[bus_id]]
-        arg = (ti.x[i] * p_br[i] - ti.r[i] * q_br[i]) / vj
-        if abs(arg) > 1.0:
-            raise MdfError(
-                f"angle recovery infeasible at bus {bus_id}: |sin| = {abs(arg):.4f}"
-            )
-        delta[pos[bus_id]] = d_parent - np.arcsin(arg)
-    return delta
-
-
-def recover_angles(net: Network, ti: PathIncidence, state: MdfState) -> np.ndarray:
-    """Per-bus angles (rad) accumulated root-to-leaf from the branch flows."""
-    return _angles(net, ti, state.v, state.p_br_hat, state.q_br_hat)
+def _angles(ti, v, p_br, q_br):
+    """Bus angles (rad), slack first. Branch k turns the angle by
+    -arcsin(arg_k) from its parent to its child, so each bus sums the turns
+    of the branches on its path: delta[1:] = -T' arcsin(arg)."""
+    arg = (ti.x * p_br - ti.r * q_br) / v[1:]
+    bad = np.flatnonzero(np.abs(arg) > 1.0)
+    if bad.size:
+        k = bad[0]
+        raise MdfError(
+            f"angle recovery infeasible at bus {ti.order[k]}: |sin| = {abs(arg[k]):.4f}"
+        )
+    return np.concatenate([[0.0], -(ti.t.T @ np.arcsin(arg))])
 
 
 def losses(ti: PathIncidence, state: MdfState) -> LossReport:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mdistflow
-from .netmodel import Network, PathIncidence, bus_positions
+from .netmodel import Network, PathIncidence
 from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, min_eigenvalue, support_eigh
 
 
@@ -192,8 +192,7 @@ def build_objective(
         load_state = mdistflow.solve_fixed_load(net, ti)
     except mdistflow.MdfError as exc:
         raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
-    pos = bus_positions(net)
-    vd = load_state.v[[pos[b] for b in dg]]
+    vd = load_state.v[lay.gen_w[1:]]
     cp = np.array([net.bus(b).gen.cost_p for b in dg])
     cq = np.array([net.bus(b).gen.cost_q for b in dg])
     n_dg = len(dg)
@@ -210,24 +209,19 @@ def build_objective(
     return h, g, 0.0
 
 
-def build(
-    net: Network,
-    ti: PathIncidence,
-    thermal: str = "auto",
-) -> QcqpProblem:
+def build(net: Network, ti: PathIncidence) -> QcqpProblem:
     """Assemble the OPF as a convex QCQP.
 
     Variables: W per bus, Pbr and Qbr per branch, Pg and Qg per generator
     (3n + 1 + 2g for n branches and g generators). Equality rows: the slack
     W, one active and one reactive balance per bus with its load and
     generation folded in, and one voltage drop per branch (3n + 3 rows).
-    ``thermal``: "auto" adds a quadratic flow limit on every branch with a
-    current rating, "off" ignores ratings. Raises on negative generator costs
-    (the convexity precondition) or a missing supply-point generator. The
-    problem carries the certificate of the exact cost quadratic.
+    Every branch with a current rating gets a quadratic flow limit (see
+    ``netmodel.strip_thermal_limits`` to drop them). Raises on negative
+    generator costs (the convexity precondition) or a missing supply-point
+    generator. The problem carries the certificate of the exact cost
+    quadratic.
     """
-    if thermal not in ("auto", "off"):
-        raise ValueError("thermal must be 'auto' or 'off'")
     for b in net.buses:
         if b.gen is not None and (b.gen.cost_p < 0 or b.gen.cost_q < 0):
             raise MdopfError(
@@ -319,7 +313,7 @@ def build(
         f"{tag}:{b}" for b in lay.gens for tag in ("pg_cap", "pg_floor", "qg_cap", "qg_floor")
     ) + tuple(f"{tag}:{b}" for b in ti.order for tag in ("v_floor", "v_cap"))
 
-    rated = np.flatnonzero(~np.isnan(ti.i_max)) if thermal == "auto" else np.zeros(0, int)
+    rated = np.flatnonzero(~np.isnan(ti.i_max))
     n_quad = rated.size
     quad_diag = sp.csr_matrix(
         (np.ones(2 * n_quad),
@@ -333,8 +327,7 @@ def build(
         h=h, g=g, c=c,
         a_eq=a_eq, b_eq=b_eq, eq_labels=eq_labels,
         a_in=a_in, b_in=b_in, in_labels=in_labels,
-        quad_diag=quad_diag, quad_a=sp.csr_matrix((n_quad, n_vars)),
-        quad_b=ti.i_max[rated] ** 2,
+        quad_diag=quad_diag, quad_b=ti.i_max[rated] ** 2,
         quad_labels=tuple(f"thermal:{branches[i]}" for i in rated),
         var_map=_var_layout(net, ti, lay),
         certificate=cert,
@@ -402,7 +395,6 @@ def evaluate_cost(
     if not dg:
         return c1, 0.0, 0.0
     load_state = mdistflow.solve_fixed_load(net, ti)
-    pos = bus_positions(net)
     order_pos = {b: i for i, b in enumerate(ti.order)}
     cols = [order_pos[b] for b in dg]
     t_g = ti.t[:, cols]
@@ -410,7 +402,7 @@ def evaluate_cost(
     qvec = np.array([q_hat_g.get(b, 0.0) for b in dg])
     cp = np.array([net.bus(b).gen.cost_p for b in dg])
     cq = np.array([net.bus(b).gen.cost_q for b in dg])
-    vd = np.array([load_state.v[pos[b]] for b in dg])
+    vd = load_state.v[1:][cols]
     c2 = base * float(vd @ (cp * pvec) + vd @ (cq * qvec))
     dv = ti.t.T @ (ti.r * (t_g @ pvec)) + ti.t.T @ (ti.x * (t_g @ qvec))
     dv_g = np.array([dv[order_pos[b]] for b in dg])

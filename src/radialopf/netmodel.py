@@ -9,7 +9,12 @@ Conventions used throughout the package:
   * all powers and impedances are per unit on ``Network.base_power``;
   * bus ids are integers as found in the case file;
   * every branch is stored oriented parent -> child relative to the slack;
-  * generator costs stay in $/MWh and $/MVarh.
+  * generator costs stay in $/MWh and $/MVarh;
+  * one bus order for every array: full-bus arrays hold the slack at
+    position 0, then the non-slack buses in the feeder's DFS preorder
+    (``PathIncidence.order``); non-slack arrays are the same order without
+    the slack (``tree_positions``). ``Network.buses`` is record storage only:
+    its order never indexes an array.
 """
 from __future__ import annotations
 
@@ -97,11 +102,30 @@ class PathIncidence:
 
 
 def bus_positions(net: Network) -> dict[int, int]:
-    """Map bus id -> position in ``net.buses`` (memoized on the instance)."""
+    """Map bus id -> position of its record in ``net.buses`` (memoized on the
+    instance). Record lookups only; arrays follow ``tree_positions``."""
     memo = net.__dict__.get("_pos_memo")
     if memo is None:
         memo = {b.id: i for i, b in enumerate(net.buses)}
         object.__setattr__(net, "_pos_memo", memo)
+    return memo
+
+
+def tree_positions(net: Network) -> dict[int, int]:
+    """Map bus id -> array position: the slack at 0, then the non-slack buses
+    in ``build_path_incidence(net).order`` at 1..n. Iterating the map yields
+    the bus ids in that order.
+
+    Memoized on the instance. ``build_path_incidence`` leaves its order on
+    the instance, so a network that has one runs no second tree search.
+    """
+    memo = net.__dict__.get("_tree_memo")
+    if memo is None:
+        order = net.__dict__.get("_tree_order")
+        if order is None:
+            order = _root_tree(net)[0]
+        memo = {b: k for k, b in enumerate((net.slack, *order))}
+        object.__setattr__(net, "_tree_memo", memo)
     return memo
 
 
@@ -184,6 +208,8 @@ def normalize_orientation(net: Network) -> Network:
 def build_path_incidence(net: Network) -> PathIncidence:
     """Build the path-branch incidence matrix and its topological ordering."""
     order, parent, parent_branch = _root_tree(net)
+    order = tuple(order)
+    object.__setattr__(net, "_tree_order", order)
     pos = {b: i for i, b in enumerate(order)}
     n = len(order)
     rows: list[int] = []
@@ -208,7 +234,7 @@ def build_path_incidence(net: Network) -> PathIncidence:
     parent_pos = tuple(pos.get(parent[b], -1) for b in order)
     for arr in (r, x, i_max):
         arr.setflags(write=False)
-    return PathIncidence(tuple(order), t, parent_pos, r, x, i_max)
+    return PathIncidence(order, t, parent_pos, r, x, i_max)
 
 
 def validate(net: Network) -> list[str]:
@@ -637,11 +663,10 @@ def net_injections(
     ``ti.order``. ``pg``/``qg`` map bus id -> dispatched output (pu)."""
     pg = pg or {}
     qg = qg or {}
-    pos = bus_positions(net)
     p = np.empty(ti.n)
     q = np.empty(ti.n)
     for i, bus_id in enumerate(ti.order):
-        b = net.buses[pos[bus_id]]
+        b = net.bus(bus_id)
         p[i] = pg.get(bus_id, 0.0) - b.p_load
         q[i] = qg.get(bus_id, 0.0) - b.q_load
     return p, q

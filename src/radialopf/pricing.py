@@ -11,7 +11,9 @@ Two consumer-facing price systems over one dispatch:
 
 Sign conventions: loss factors are derivatives with respect to net bus
 injections, so they are negative at load pockets and both price systems sit
-above the supply-point cost there. All per-bus arrays follow ``ti.order``.
+above the supply-point cost there. All per-bus arrays follow ``ti.order``,
+the package's one bus order without the slack; the state's full-bus arrays
+hold the slack first, so ``state.v[1:]`` lines up with them.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import acpf, mdistflow
 from .mdistflow import MdfState
-from .netmodel import Network, PathIncidence, bus_positions
+from .netmodel import Network, PathIncidence
 
 
 class PricingError(RuntimeError):
@@ -61,21 +63,11 @@ def _state_injections(net, ti, state):
     """Net injections implied by the state (exact inversion of the modified
     variables), plus the ratio-form modified vectors used by the sensitivity
     chain."""
-    pos = bus_positions(net)
-    idx = [pos[b] for b in ti.order]
-    w = state.w[idx]
-    v = state.v[idx]
+    w = state.w[1:]
+    v = state.v[1:]
     p = state.p_hat / w
     q = state.q_hat / w
     return p, q, p / v, q / v, v
-
-
-def ti_to_acpf_permutation(net: Network, ti: PathIncidence) -> np.ndarray:
-    """Index array mapping ``ti.order`` positions into the acpf non-slack
-    ordering (net.buses order with the slack removed)."""
-    ids = acpf.nonslack_ids(net)
-    lookup = {b: i for i, b in enumerate(ids)}
-    return np.array([lookup[b] for b in ti.order])
 
 
 def modified_injection_sensitivities(
@@ -89,8 +81,8 @@ def modified_injection_sensitivities(
 
     Entry [i, j] of the first matrix is d(p_hat_i)/d(P_j), with the ratio
     definition p_hat = P / V: a direct 1/V term on the diagonal plus the
-    voltage-feedback chain term. ``dv_dp``/``dv_dq`` must be aligned to
-    ``ti.order`` on both axes.
+    voltage-feedback chain term. ``dv_dp``/``dv_dq`` are the non-slack
+    sensitivities of ``acpf.voltage_sensitivities``.
 
     Dense O(n^2) reference for ``loss_factors``, which never forms these
     matrices.
@@ -126,7 +118,7 @@ def loss_factors(
     txf = ti.t.T @ (ti.x * f)
     txg = ti.t.T @ (ti.x * g)
     u = np.column_stack([p * trf + q * trg, p * txf + q * txg]) / (v**2)[:, None]
-    fb_p, fb_q = acpf.voltage_adjoint(net, state.v, state.delta, ti.order, u)
+    fb_p, fb_q = acpf.voltage_adjoint(net, state.v, state.delta, u)
     dpl_dp = 2.0 * (trf / v - fb_p[:, 0])
     dpl_dq = 2.0 * (trg / v - fb_q[:, 0])
     dql_dp = 2.0 * (txf / v - fb_p[:, 1])
@@ -181,8 +173,7 @@ def dlp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocated-loss nodal prices in $/MWh and $/MVarh, in the closed form
     that stays defined at zero-injection buses."""
-    pos = bus_positions(net)
-    v = state.v[[pos[b] for b in ti.order]]
+    v = state.v[1:]
     if np.any(v <= 0.0):
         raise PricingError("non-positive voltage magnitude in state")
     c0p, c0q = acpf.slack_costs(net)
@@ -214,10 +205,8 @@ def settle(
     price_p, price_q = prices
     c0p, c0q = acpf.slack_costs(net)
     base = net.base_power
-    pos = bus_positions(net)
-    idx = [pos[b] for b in ti.order]
-    w = state.w[idx]
-    v = state.v[idx]
+    w = state.w[1:]
+    v = state.v[1:]
     p_load = np.array([net.bus(b).p_load for b in ti.order])
     q_load = np.array([net.bus(b).q_load for b in ti.order])
     gen_p = state.p_hat / w + p_load

@@ -5,7 +5,7 @@ Handles problems of the form
     minimize    x' H x + g' x + c
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
-                x' diag(d_k) x + a_k' x <= b_k      (d_k >= 0)
+                x' diag(d_k) x <= b_k      (d_k >= 0)
 
 with a Mehrotra predictor-corrector iteration. The KKT systems are solved by
 sparse LU factorization of the statically regularized quasi-definite matrix;
@@ -13,7 +13,7 @@ everything is deterministic for fixed inputs.
 
 The problem container doubles as the wire format between the OPF builder
 and the solver; ``problem_to_json``/``problem_from_json`` give a documented
-standard form for external cross-checks.
+standard form for external cross-checks (format tag ``radialopf-qcqp-v2``).
 """
 from __future__ import annotations
 
@@ -35,13 +35,18 @@ class SolverError(RuntimeError):
     """Raised on non-convex input or numerical failure of the iteration."""
 
 
+#: static regularization of the KKT matrix (makes it quasi-definite)
+REGULARIZATION = 1e-9
+
+#: wire-format tag of ``problem_to_json``/``problem_from_json``
+QCQP_FORMAT = "radialopf-qcqp-v2"
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 100
-    barrier_decrease: float = 0.1
-    regularization: float = 1e-9
 
     def __post_init__(self):
         if self.tol_gap <= 0 or self.tol_feas <= 0:
@@ -80,7 +85,6 @@ class QcqpProblem:
     b_in: np.ndarray
     in_labels: tuple[str, ...]
     quad_diag: sp.csr_matrix
-    quad_a: sp.csr_matrix
     quad_b: np.ndarray
     quad_labels: tuple[str, ...]
     var_map: dict[str, int] = field(default_factory=dict)
@@ -174,24 +178,9 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     t_start = time.perf_counter()
     n = p.n_vars
     me = p.n_eq
-    delta = cfg.regularization
-
-    a_ineq = sp.vstack([p.a_in, p.quad_a], format="csr") if p.n_quad else p.a_in
-    b_ineq = np.concatenate([p.b_in, p.quad_b]) if p.n_quad else p.b_in
-    mi = a_ineq.shape[0]
+    delta = REGULARIZATION
+    mi = p.n_in + p.n_quad
     two_h = (2.0 * p.h).tocsr()
-
-    def phi(x):
-        vals = a_ineq @ x - b_ineq
-        if p.n_quad:
-            vals[p.n_in:] += p.quad_diag @ (x * x)
-        return vals
-
-    def ineq_jac(x):
-        if not p.n_quad:
-            return a_ineq
-        jq = p.quad_diag.multiply(2.0 * x).tocsr()
-        return sp.vstack([p.a_in, p.quad_a + jq], format="csr")
 
     def curvature(x, z):
         # sum_k z_k * 2 diag(d_k) from the quadratic rows
@@ -243,7 +232,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
             stats=stats,
         )
 
-    s = np.maximum(-phi(x), 1.0)
+    s = np.maximum(-_ineq_values(p, x), 1.0)
     z = np.ones(mi)
 
     g_scale = 1.0 + float(np.max(np.abs(p.g))) if n else 1.0
@@ -254,10 +243,10 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     feas = np.inf
 
     for it in range(1, cfg.max_iter + 1):
-        jac = ineq_jac(x)
+        jac = _ineq_jacobian(p, x)
         rd = two_h @ x + p.g + jac.T @ z + (p.a_eq.T @ y if me else 0.0)
         rp = p.a_eq @ x - p.b_eq if me else np.zeros(0)
-        rs = phi(x) + s
+        rs = _ineq_values(p, x) + s
         mu = s @ z / mi
 
         feas = max(
@@ -312,7 +301,8 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         alpha_p = _step_len(s, ds_a)
         alpha_d = _step_len(z, dz_a)
         mu_aff = ((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / mi
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12)) if mu > 0 else cfg.barrier_decrease
+        # s, z > 0 keep mu > 0
+        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12))
 
         # corrector
         rc = s * z + ds_a * dz_a - sigma * mu
@@ -348,18 +338,27 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
+def _ineq_values(p: QcqpProblem, x: np.ndarray) -> np.ndarray:
+    """Left minus right side of every inequality row, linear rows first."""
+    vals = p.a_in @ x - p.b_in
+    if not p.n_quad:
+        return vals
+    return np.concatenate([vals, p.quad_diag @ (x * x) - p.quad_b])
+
+
+def _ineq_jacobian(p: QcqpProblem, x: np.ndarray) -> sp.csr_matrix:
+    """Jacobian of ``_ineq_values`` at ``x``."""
+    if not p.n_quad:
+        return p.a_in
+    return sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x)], format="csr")
+
+
 def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
     """Stationarity, primal/dual feasibility and complementarity of a solution."""
     x = sol.x
     z = np.concatenate([sol.duals_in, sol.duals_quad])
-    a_ineq = sp.vstack([p.a_in, p.quad_a], format="csr") if p.n_quad else p.a_in
-    vals = a_ineq @ x - (np.concatenate([p.b_in, p.quad_b]) if p.n_quad else p.b_in)
-    if p.n_quad:
-        vals[p.n_in:] += p.quad_diag @ (x * x)
-        jq = p.quad_diag.multiply(2.0 * x).tocsr()
-        jac = sp.vstack([p.a_in, p.quad_a + jq], format="csr")
-    else:
-        jac = a_ineq
+    vals = _ineq_values(p, x)
+    jac = _ineq_jacobian(p, x)
     rd = 2.0 * (p.h @ x) + p.g + jac.T @ z
     if p.n_eq:
         rd = rd + p.a_eq.T @ sol.duals_eq
@@ -416,15 +415,15 @@ def _mat_from_doc(doc: dict) -> sp.csr_matrix:
 
 def problem_to_json(p: QcqpProblem) -> str:
     doc = {
-        "format": "radialopf-qcqp-v1",
+        "format": QCQP_FORMAT,
         "n_vars": p.n_vars,
         "objective": {"h": _mat_to_doc(p.h), "g": p.g.tolist(), "c": p.c},
         "eq": {"a": _mat_to_doc(p.a_eq), "b": p.b_eq.tolist(),
                "labels": list(p.eq_labels)},
         "ineq": {"a": _mat_to_doc(p.a_in), "b": p.b_in.tolist(),
                  "labels": list(p.in_labels)},
-        "quad": {"diag": _mat_to_doc(p.quad_diag), "a": _mat_to_doc(p.quad_a),
-                 "b": p.quad_b.tolist(), "labels": list(p.quad_labels)},
+        "quad": {"diag": _mat_to_doc(p.quad_diag), "b": p.quad_b.tolist(),
+                 "labels": list(p.quad_labels)},
         "var_map": p.var_map,
     }
     return json.dumps(doc)
@@ -432,7 +431,7 @@ def problem_to_json(p: QcqpProblem) -> str:
 
 def problem_from_json(text: str) -> QcqpProblem:
     doc = json.loads(text)
-    if doc.get("format") != "radialopf-qcqp-v1":
+    if doc.get("format") != QCQP_FORMAT:
         raise ValueError("not a radialopf QCQP document")
     return QcqpProblem(
         n_vars=doc["n_vars"],
@@ -446,7 +445,6 @@ def problem_from_json(text: str) -> QcqpProblem:
         b_in=np.array(doc["ineq"]["b"], dtype=float),
         in_labels=tuple(doc["ineq"]["labels"]),
         quad_diag=_mat_from_doc(doc["quad"]["diag"]),
-        quad_a=_mat_from_doc(doc["quad"]["a"]),
         quad_b=np.array(doc["quad"]["b"], dtype=float),
         quad_labels=tuple(doc["quad"]["labels"]),
         var_map={k: int(v) for k, v in doc["var_map"].items()},

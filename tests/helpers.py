@@ -68,6 +68,21 @@ def bus_row(i, btype=1, pd=0.0, qd=0.0, vmax=1.1, vmin=0.9):
     return [i, btype, pd, qd, 0, 0, 1, 1, 0, 12.66, 1, vmax, vmin]
 
 
+def reference_angles(ti, v, p_br, q_br):
+    """Per-branch reference for ``mdistflow``'s angle recovery: walk the
+    branches root to leaf (``ti.order`` is a preorder, so each parent is
+    settled before its children) and turn each child's angle from its
+    parent's by -arcsin((x P - r Q) / V_child). ``v`` and the result are
+    full-bus arrays, slack first."""
+    delta = np.zeros(ti.n + 1)
+    for i in range(ti.n):
+        arg = (ti.x[i] * p_br[i] - ti.r[i] * q_br[i]) / v[i + 1]
+        if abs(arg) > 1.0:
+            raise mdistflow.MdfError(f"angle recovery infeasible at bus {ti.order[i]}")
+        delta[i + 1] = delta[ti.parent_pos[i] + 1] - np.arcsin(arg)
+    return delta
+
+
 def dense_loss_factors(net, ti, state, sens):
     """Dense reference for ``pricing.loss_factors``: the loss gradient chained
     through the n x n modified-injection sensitivity matrices ``sens`` (from
@@ -143,7 +158,7 @@ def reference_objective(net, ti):
     if not dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
     load_state = mdistflow.solve_fixed_load(net, ti)
-    pos = netmodel.bus_positions(net)
+    pos = netmodel.tree_positions(net)
     order_pos = {b: i for i, b in enumerate(ti.order)}
     cp = np.array([net.bus(b).gen.cost_p for b in dg])
     cq = np.array([net.bus(b).gen.cost_q for b in dg])
@@ -161,7 +176,7 @@ def reference_objective(net, ti):
     return h.tocsr(), g, 0.0
 
 
-def reference_build(net, ti, thermal="auto"):
+def reference_build(net, ti):
     """The reference QCQP, with the same certificate and PSD projection as
     ``mdopf.build`` (warnings suppressed)."""
     var = reference_var_layout(net, ti)
@@ -222,21 +237,19 @@ def reference_build(net, ti, thermal="auto"):
     a_in, b_in, in_labels = _reference_stack_rows(irows, n_vars)
 
     qrows, q_b, q_labels = [], [], []
-    if thermal == "auto":
-        for i in range(ti.n):
-            if np.isnan(ti.i_max[i]):
-                continue
-            qrows.append(({var[_reference_brname(net, ti, "Pbr", i)]: 1.0,
-                           var[_reference_brname(net, ti, "Qbr", i)]: 1.0}, 0.0, ""))
-            q_b.append(float(ti.i_max[i] ** 2))
-            q_labels.append("thermal:" + _reference_brname(net, ti, "", i)[1:])
+    for i in range(ti.n):
+        if np.isnan(ti.i_max[i]):
+            continue
+        qrows.append(({var[_reference_brname(net, ti, "Pbr", i)]: 1.0,
+                       var[_reference_brname(net, ti, "Qbr", i)]: 1.0}, 0.0, ""))
+        q_b.append(float(ti.i_max[i] ** 2))
+        q_labels.append("thermal:" + _reference_brname(net, ti, "", i)[1:])
     quad_diag, _, _ = _reference_stack_rows(qrows, n_vars)
     return QcqpProblem(
         n_vars=n_vars, h=h, g=g, c=c,
         a_eq=a_eq, b_eq=b_eq, eq_labels=eq_labels,
         a_in=a_in, b_in=b_in, in_labels=in_labels,
-        quad_diag=quad_diag, quad_a=sp.csr_matrix((len(qrows), n_vars)),
-        quad_b=np.array(q_b), quad_labels=tuple(q_labels), var_map=var,
+        quad_diag=quad_diag, quad_b=np.array(q_b), quad_labels=tuple(q_labels), var_map=var,
     )
 
 

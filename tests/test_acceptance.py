@@ -46,19 +46,14 @@ def with_dgs(net, buses, p_mw, q_mvar, cost_p, cost_q):
 
 
 def oracle_sweep(net, ti, state, pg, qg):
-    pinj, qinj = netmodel.net_injections(net, ti, pg, qg)
-    perm = pricing.ti_to_acpf_permutation(net, ti)
-    p_ac = np.empty(ti.n)
-    q_ac = np.empty(ti.n)
-    p_ac[perm] = pinj
-    q_ac[perm] = qinj
+    p, q = netmodel.net_injections(net, ti, pg, qg)
     op = np.array([
-        acpf.fd_price_oracle(net, b, "p", p=p_ac, q=q_ac,
+        acpf.fd_price_oracle(net, b, "p", p=p, q=q,
                              v_start=state.v, delta_start=state.delta)
         for b in ti.order
     ])
     oq = np.array([
-        acpf.fd_price_oracle(net, b, "q", p=p_ac, q=q_ac,
+        acpf.fd_price_oracle(net, b, "q", p=p, q=q,
                              v_start=state.v, delta_start=state.delta)
         for b in ti.order
     ])
@@ -156,7 +151,7 @@ def test_criterion_3_dlmp_vs_oracle(case33_psp):
 @pytest.mark.parametrize("case_name", ["case33", "case69"])
 def test_criterion_4_loss_factor_self_consistency(case_name, request):
     """Analytic loss factors equal the model-consistent finite differences."""
-    from test_pricing import model_loss_fd, ti_aligned_sensitivities
+    from test_pricing import dense_sensitivities, model_loss_fd
 
     net = netmodel.with_slack_costs(
         netmodel.with_slack_voltage(request.getfixturevalue(case_name), 1.05),
@@ -164,7 +159,7 @@ def test_criterion_4_loss_factor_self_consistency(case_name, request):
     )
     ti = build_path_incidence(net)
     state = mdf.solve_fixed_load(net, ti)
-    dv = ti_aligned_sensitivities(net, ti, state)
+    dv = dense_sensitivities(net, state)
     dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state)
     worst = 0.0
     for j in range(ti.n):
@@ -215,13 +210,8 @@ def test_criterion_6_over_collection(case33_psp):
     assert mlm.ocl > 0.0
     assert abs(lam.ocl) < 1e-6 * lam.revenue
 
-    pinj, qinj = netmodel.net_injections(net, ti, sol.pg, sol.qg)
-    perm = pricing.ti_to_acpf_permutation(net, ti)
-    p_ac = np.empty(ti.n)
-    q_ac = np.empty(ti.n)
-    p_ac[perm] = pinj
-    q_ac[perm] = qinj
-    ac = acpf.newton_pf(net, p_ac, q_ac, v_start=state.v, delta_start=state.delta)
+    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
     lam_ac = pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam", ac_state=ac)
     c0p, c0q = acpf.slack_costs(net)
     loss_cost = (c0p * ac.pl_exact + c0q * ac.ql_exact) * net.base_power

@@ -57,9 +57,7 @@ def test_divergence_reported(net2):
 
 def _fd_jacobian(net, v, delta, h=1e-7):
     """Central finite differences of the complex injection equations."""
-    pos = netmodel.bus_positions(net)
-    slack_pos = pos[net.slack]
-    pq = [i for i in range(net.n_bus) if i != slack_pos]
+    pq = list(range(1, net.n_bus))
     ybus = acpf.admittance(net)
 
     def s_calc(vm, va):
@@ -123,12 +121,9 @@ def test_jacobian_symmetric_structure():
 
 
 def _fd_voltage_sens(net, p, q, eps=1e-5):
-    ids = acpf.nonslack_ids(net)
-    m = len(ids)
+    m = net.n_bus - 1
     dv_dp = np.zeros((m, m))
     dv_dq = np.zeros((m, m))
-    pos = netmodel.bus_positions(net)
-    rows = [pos[b] for b in ids]
     for j in range(m):
         for mat, vec in ((dv_dp, p), (dv_dq, q)):
             bump = vec.copy()
@@ -138,7 +133,7 @@ def _fd_voltage_sens(net, p, q, eps=1e-5):
             bump[j] -= 2 * eps
             lo = acpf.newton_pf(net, bump if mat is dv_dp else p,
                                 q if mat is dv_dp else bump)
-            mat[:, j] = (hi.v[rows] - lo.v[rows]) / (2 * eps)
+            mat[:, j] = (hi.v[1:] - lo.v[1:]) / (2 * eps)
     return dv_dp, dv_dq
 
 
@@ -163,35 +158,30 @@ def test_voltage_sensitivities_case33(case33_psp):
 
 
 def test_voltage_adjoint_matches_dense_transpose(case33_psp):
-    """The adjoint solve equals the dense sensitivities transposed, in any
-    bus order and for one or several right-hand sides."""
+    """The adjoint solve equals the dense sensitivities transposed, for one
+    or several right-hand sides."""
     st = acpf.newton_pf(case33_psp)
     dv_dp, dv_dq = acpf.voltage_sensitivities(
         acpf.jacobian_at(case33_psp, st.v, st.delta)
     )
-    ids = acpf.nonslack_ids(case33_psp)
-    rng = np.random.default_rng(3)
-    perm = rng.permutation(len(ids))
-    order = tuple(ids[i] for i in perm)
-    u = rng.standard_normal((len(ids), 2))
-    adj_p, adj_q = acpf.voltage_adjoint(case33_psp, st.v, st.delta, order, u)
-    ref_p = dv_dp[np.ix_(perm, perm)].T @ u
-    ref_q = dv_dq[np.ix_(perm, perm)].T @ u
+    m = case33_psp.n_bus - 1
+    u = np.random.default_rng(3).standard_normal((m, 2))
+    adj_p, adj_q = acpf.voltage_adjoint(case33_psp, st.v, st.delta, u)
+    ref_p = dv_dp.T @ u
+    ref_q = dv_dq.T @ u
     assert np.max(np.abs(adj_p - ref_p)) < 1e-12 * np.abs(ref_p).max()
     assert np.max(np.abs(adj_q - ref_q)) < 1e-12 * np.abs(ref_q).max()
-    one_p, one_q = acpf.voltage_adjoint(case33_psp, st.v, st.delta, order, u[:, 0])
-    assert one_p.shape == (len(ids),)
+    one_p, one_q = acpf.voltage_adjoint(case33_psp, st.v, st.delta, u[:, 0])
+    assert one_p.shape == (m,)
     assert np.array_equal(one_p, adj_p[:, 0]) and np.array_equal(one_q, adj_q[:, 0])
 
 
 def test_voltage_adjoint_zero_voltage_is_singular(case33_psp):
-    pos = netmodel.bus_positions(case33_psp)
     v = np.zeros(case33_psp.n_bus)
-    v[pos[case33_psp.slack]] = case33_psp.v0
-    ids = acpf.nonslack_ids(case33_psp)
+    v[0] = case33_psp.v0
     with pytest.raises(PowerFlowError, match="singular reduced Jacobian"):
         acpf.voltage_adjoint(
-            case33_psp, v, np.zeros(case33_psp.n_bus), ids, np.ones(len(ids))
+            case33_psp, v, np.zeros(case33_psp.n_bus), np.ones(case33_psp.n_bus - 1)
         )
 
 

@@ -266,6 +266,7 @@ def test_network_missing_bus_field_is_data_error(tmp_path, capsys):
 
 
 def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
+    """The process pool gets the network as one JSON document."""
     calls = []
     to_json = netmodel.to_json
 
@@ -276,9 +277,36 @@ def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
     monkeypatch.setattr(netmodel, "to_json", counting)
     code = run(["price", "--case", "case33.m", "--psp-v", "1.05",
                 "--psp-cost-p", "30", "--psp-cost-q", "3", "--copies", "2",
-                "--oracle", "--mechanism", "mlm", "--out", str(tmp_path)])
+                "--oracle", "--jobs", "2", "--mechanism", "mlm", "--out", str(tmp_path)])
     assert code == 0
     assert calls == [65]
+
+
+def test_oracle_sweep_in_process_parses_no_json(tmp_path, monkeypatch):
+    """With one job the sweep runs on the network in memory."""
+    calls = []
+
+    def refuse(text):
+        calls.append(len(text))
+        raise AssertionError("network parsed from JSON")
+
+    monkeypatch.setattr(netmodel, "from_json", refuse)
+    code = run(["price", "--case", "case33.m", "--psp-v", "1.05",
+                "--psp-cost-p", "30", "--psp-cost-q", "3", "--copies", "2",
+                "--oracle", "--jobs", "1", "--mechanism", "mlm", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == []
+
+
+def test_oracle_sweep_process_pool_matches_in_process(tmp_path):
+    args = ["price", "--case", "case33.m", "--psp-v", "1.05",
+            "--psp-cost-p", "30", "--psp-cost-q", "3", "--copies", "2",
+            "--dg", "18:0.2:0.1:25:2", "--oracle", "--mechanism", "both"]
+    for jobs in ("1", "2"):
+        assert run([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    one, two = read(tmp_path / "1" / "prices.csv"), read(tmp_path / "2" / "prices.csv")
+    assert "oracle_p[$ per MWh]" in one.split("\n")[0]
+    assert one == two
 
 
 def test_opf_builds_objective_once(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ from radialopf import acpf, mdistflow as mdf, netmodel
 from radialopf.mdistflow import MdfError
 from radialopf.netmodel import build_path_incidence
 
-from helpers import random_tree_network
+from helpers import random_tree_network, reference_angles
+from test_pricing import reverse_flow_net, solved_state
 
 
 def sweep_oracle(net, ti, p, q, iters=200, tol=1e-15):
@@ -79,10 +80,8 @@ def test_matrix_solution_matches_sweep(n, seed):
     p = np.array([-net.bus(b).p_load for b in ti.order])
     q = np.array([-net.bus(b).q_load for b in ti.order])
     st_ = mdf.solve_fixed_load(net, ti, p, q)
-    pos = netmodel.bus_positions(net)
-    w_state = np.array([st_.w[pos[b]] for b in ti.order])
     w_sweep = sweep_oracle(net, ti, p, q)
-    assert np.max(np.abs(w_state - w_sweep)) < 1e-12
+    assert np.max(np.abs(st_.w[1:] - w_sweep)) < 1e-12
 
 
 def test_voltage_affine_in_modified_generation(case33):
@@ -115,8 +114,7 @@ def test_voltage_affine_in_modified_generation(case33):
 def test_state_from_solution_round_trip(case33):
     ti = build_path_incidence(case33)
     st = mdf.solve_fixed_load(case33, ti)
-    pos = netmodel.bus_positions(case33)
-    w_r = np.array([st.w[pos[b]] for b in ti.order])
+    w_r = st.w[1:]
     again = mdf.state_from_solution(case33, ti, st.p_hat, st.q_hat, w_r)
     assert np.allclose(again.p_br_hat, st.p_br_hat)
     assert np.allclose(again.v, st.v)
@@ -125,8 +123,7 @@ def test_state_from_solution_round_trip(case33):
 def test_state_from_solution_rejects_inconsistency(case33):
     ti = build_path_incidence(case33)
     st = mdf.solve_fixed_load(case33, ti)
-    pos = netmodel.bus_positions(case33)
-    w_r = np.array([st.w[pos[b]] for b in ti.order])
+    w_r = st.w[1:].copy()
     w_r[5] += 1e-3
     with pytest.raises(MdfError, match="max residual"):
         mdf.state_from_solution(case33, ti, st.p_hat, st.q_hat, w_r)
@@ -174,10 +171,32 @@ def test_33_bus_against_ac(case33_psp):
     assert rep.pl == pytest.approx(sta.pl_exact, rel=0.02)
 
 
-def test_recover_angles_matches_state(case33):
-    ti = build_path_incidence(case33)
-    st = mdf.solve_fixed_load(case33, ti)
-    assert np.allclose(mdf.recover_angles(case33, ti, st), st.delta)
+def assert_angles_match_reference(ti, state):
+    ref = reference_angles(ti, state.v, state.p_br_hat, state.q_br_hat)
+    assert np.max(np.abs(state.delta - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture,copies", [("case33", 1), ("case69", 3)])
+def test_angles_match_reference_loop(fixture, copies, request):
+    net = request.getfixturevalue(fixture)
+    if copies > 1:
+        net = netmodel.duplicate_system(net, copies, seed=5)
+    ti = build_path_incidence(net)
+    assert_angles_match_reference(ti, mdf.solve_fixed_load(net, ti))
+
+
+def test_angles_match_reference_loop_random_trees():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        net = random_tree_network(rng, int(rng.integers(2, 41)))
+        ti = build_path_incidence(net)
+        assert_angles_match_reference(ti, mdf.solve_fixed_load(net, ti))
+
+
+def test_angles_match_reference_loop_reverse_flow(case33_psp):
+    ti, _, _, state = solved_state(reverse_flow_net(case33_psp))
+    assert np.any(state.p_br_hat < 0)  # some flows run towards the slack
+    assert_angles_match_reference(ti, state)
 
 
 def test_angle_recovery_infeasible():

@@ -14,10 +14,10 @@ from helpers import (
 )
 
 
-def build_quiet(net, ti, **kw):
+def build_quiet(net, ti):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return mdopf.build(net, ti, **kw)
+        return mdopf.build(net, ti)
 
 
 def scenario_net(case33_psp, bus, price, cost_q=2.0, p_cap=0.1, q_cap=0.05):
@@ -83,7 +83,8 @@ def test_thermal_rows():
     assert prob.n_quad == 1
     assert prob.quad_labels == ("thermal:1-2",)
     assert prob.quad_b[0] == pytest.approx(0.25)
-    prob_off = build_quiet(net, ti, thermal="off")
+    off = netmodel.strip_thermal_limits(net)
+    prob_off = build_quiet(off, build_path_incidence(off))
     assert prob_off.n_quad == 0
 
 
@@ -142,8 +143,7 @@ def test_objective_load_profile_weights(case33_psp):
     h, g, c = mdopf.build_objective(net, ti)
     var = mdopf._var_layout(net, ti)
     load_state = mdf.solve_fixed_load(net, ti)
-    pos = netmodel.bus_positions(net)
-    v18 = load_state.v[pos[18]]
+    v18 = load_state.v[netmodel.tree_positions(net)[18]]
     assert g[var["Pg:18"]] == pytest.approx(v18 * 31.0 * net.base_power, rel=1e-12)
 
 
@@ -290,9 +290,7 @@ def test_reconstructed_state_residual(case33_psp):
         - t.T @ (ti.r * (t @ state.p_hat))
         - t.T @ (ti.x * (t @ state.q_hat))
     )
-    pos = netmodel.bus_positions(net)
-    w_r = np.array([state.w[pos[b]] for b in ti.order])
-    assert np.max(np.abs(w_r - w_expect)) < 1e-8
+    assert np.max(np.abs(state.w[1:] - w_expect)) < 1e-8
 
 
 def test_objective_matches_closed_form_cost(case33_psp):
@@ -449,7 +447,7 @@ def test_duals_zero_load_equal_psp_cost(net2):
     sol = qs.solve(prob)
     lam_p, lam_q = qs.extract_duals(prob, sol)
     _, state = mdopf.recover_dispatch(net, ti, prob, sol)
-    pos = netmodel.bus_positions(net)
+    pos = netmodel.tree_positions(net)
     for b in (1, 2):
         assert lam_p[b] / state.v[pos[b]] == pytest.approx(30.0, abs=1e-4)
         assert lam_q[b] / state.v[pos[b]] == pytest.approx(3.0, abs=1e-4)
@@ -463,7 +461,6 @@ def test_duals_two_bus_near_oracle(net2):
     sol = qs.solve(prob)
     lam_p, _ = qs.extract_duals(prob, sol)
     _, state = mdopf.recover_dispatch(net2, ti, prob, sol)
-    pos = netmodel.bus_positions(net2)
-    dual_price = lam_p[2] / state.v[pos[2]]
+    dual_price = lam_p[2] / state.v[netmodel.tree_positions(net2)[2]]
     oracle = acpf.fd_price_oracle(net2, 2, "p")
     assert abs(dual_price - oracle) / oracle < 0.01

@@ -24,11 +24,8 @@ def solved_state(net):
     return ti, prob, sol, state
 
 
-def ti_aligned_sensitivities(net, ti, state):
-    jb = acpf.jacobian_at(net, state.v, state.delta)
-    dv_dp, dv_dq = acpf.voltage_sensitivities(jb)
-    perm = pricing.ti_to_acpf_permutation(net, ti)
-    return dv_dp[np.ix_(perm, perm)], dv_dq[np.ix_(perm, perm)]
+def dense_sensitivities(net, state):
+    return acpf.voltage_sensitivities(acpf.jacobian_at(net, state.v, state.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +35,7 @@ def ti_aligned_sensitivities(net, ti, state):
 def test_sensitivities_zero_injections(case33_psp):
     ti = build_path_incidence(case33_psp)
     state = mdf.solve_fixed_load(case33_psp, ti, np.zeros(ti.n), np.zeros(ti.n))
-    dv_dp, dv_dq = ti_aligned_sensitivities(case33_psp, ti, state)
+    dv_dp, dv_dq = dense_sensitivities(case33_psp, state)
     dp_dp, dp_dq, dq_dp, dq_dq = pricing.modified_injection_sensitivities(
         case33_psp, ti, state, dv_dp, dv_dq
     )
@@ -50,24 +47,16 @@ def test_sensitivities_zero_injections(case33_psp):
 def _fd_modified_sensitivity(net, ti, p, q, axis, j, h=1e-6):
     """Perturb one injection, re-solve the AC power flow, re-evaluate the
     modified injections as ratios."""
-    pos = netmodel.bus_positions(net)
-    rows = [pos[b] for b in ti.order]
-    perm = pricing.ti_to_acpf_permutation(net, ti)
     out = []
     for sign in (+1.0, -1.0):
-        pa = np.empty(ti.n)
-        qa = np.empty(ti.n)
-        pa[perm] = p
-        qa[perm] = q
-        k = perm[j]
+        pa = np.array(p, dtype=float)
+        qa = np.array(q, dtype=float)
         if axis == "p":
-            pa[k] += sign * h
+            pa[j] += sign * h
         else:
-            qa[k] += sign * h
-        stx = acpf.newton_pf(net, pa, qa)
-        v = stx.v[rows]
-        # reindex the perturbed injections back into ti order
-        out.append((pa[perm] / v, qa[perm] / v))
+            qa[j] += sign * h
+        v = acpf.newton_pf(net, pa, qa).v[1:]
+        out.append((pa / v, qa / v))
     dp = (out[0][0] - out[1][0]) / (2 * h)
     dq = (out[0][1] - out[1][1]) / (2 * h)
     return dp, dq
@@ -76,7 +65,7 @@ def _fd_modified_sensitivity(net, ti, p, q, axis, j, h=1e-6):
 def test_sensitivities_match_ac_finite_difference_two_bus(net2):
     ti = build_path_incidence(net2)
     state = mdf.solve_fixed_load(net2, ti)
-    dv_dp, dv_dq = ti_aligned_sensitivities(net2, ti, state)
+    dv_dp, dv_dq = dense_sensitivities(net2, state)
     dp_dp, dp_dq, dq_dp, dq_dq = pricing.modified_injection_sensitivities(
         net2, ti, state, dv_dp, dv_dq
     )
@@ -92,7 +81,7 @@ def test_sensitivities_match_ac_finite_difference_two_bus(net2):
 def test_sensitivities_match_ac_finite_difference_case33(case33_psp):
     ti = build_path_incidence(case33_psp)
     state = mdf.solve_fixed_load(case33_psp, ti)
-    dv_dp, dv_dq = ti_aligned_sensitivities(case33_psp, ti, state)
+    dv_dp, dv_dq = dense_sensitivities(case33_psp, state)
     dp_dp, _, _, dq_dq = pricing.modified_injection_sensitivities(
         case33_psp, ti, state, dv_dp, dv_dq
     )
@@ -135,11 +124,9 @@ def model_loss_fd(net, ti, state, sens_matrices, axis, j, h=1e-6):
     """Loss totals differentiated through the same linearized model the
     analytic factors use: V responds via the supplied sensitivity matrices,
     modified injections are ratios of the perturbed injections."""
-    pos = netmodel.bus_positions(net)
-    rows = [pos[b] for b in ti.order]
     dv_dp, dv_dq = sens_matrices
-    w = state.w[rows]
-    v0 = state.v[rows]
+    w = state.w[1:]
+    v0 = state.v[1:]
     p0 = state.p_hat / w
     q0 = state.q_hat / w
     out = []
@@ -166,7 +153,7 @@ def test_loss_factor_self_consistency(fixture, request):
     net = netmodel.with_slack_costs(net, 30.0, 3.0)
     ti = build_path_incidence(net)
     state = mdf.solve_fixed_load(net, ti)
-    dv = ti_aligned_sensitivities(net, ti, state)
+    dv = dense_sensitivities(net, state)
     dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state)
     worst = 0.0
     for j in range(ti.n):
@@ -181,7 +168,7 @@ def test_loss_factor_self_consistency(fixture, request):
 
 
 def assert_matches_dense(net, ti, state):
-    dv = ti_aligned_sensitivities(net, ti, state)
+    dv = dense_sensitivities(net, state)
     sens = pricing.modified_injection_sensitivities(net, ti, state, *dv)
     want = dense_loss_factors(net, ti, state, sens)
     got = pricing.loss_factors(net, ti, state)
@@ -378,8 +365,7 @@ def test_dlp_charge_equals_loss_cost(case33_psp):
     ti = build_path_incidence(case33_psp)
     state = mdf.solve_fixed_load(case33_psp, ti)
     dlp_p, dlp_q = pricing.dlp(case33_psp, ti, state)
-    pos = netmodel.bus_positions(case33_psp)
-    v = state.v[[pos[b] for b in ti.order]]
+    v = state.v[1:]
     # quantity consistent with the model: p_hat * v
     charge = -np.sum((dlp_p - 30.0) * state.p_hat * v) \
              - np.sum((dlp_q - 3.0) * state.q_hat * v)
@@ -480,19 +466,54 @@ def test_high_penetration_reverse_flow(case33_psp):
     pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
     assert pt.dlmp_p.min() < 30.0 < pt.dlmp_p.max()
 
-    pinj, qinj = netmodel.net_injections(net, ti, sol.pg, sol.qg)
-    perm = pricing.ti_to_acpf_permutation(net, ti)
-    p_ac = np.empty(ti.n)
-    q_ac = np.empty(ti.n)
-    p_ac[perm] = pinj
-    q_ac[perm] = qinj
+    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
     errs_p, errs_q = [], []
     for i, b in enumerate(ti.order):
-        op = acpf.fd_price_oracle(net, b, "p", p=p_ac, q=q_ac,
+        op = acpf.fd_price_oracle(net, b, "p", p=p, q=q,
                                   v_start=state.v, delta_start=state.delta)
-        oq = acpf.fd_price_oracle(net, b, "q", p=p_ac, q=q_ac,
+        oq = acpf.fd_price_oracle(net, b, "q", p=p, q=q,
                                   v_start=state.v, delta_start=state.delta)
         errs_p.append(abs(pt.dlmp_p[i] - op) / abs(op))
         errs_q.append(abs(pt.dlmp_q[i] - oq) / abs(oq))
     assert np.mean(errs_p) < 0.005
     assert np.mean(errs_q) < 0.015
+
+
+def shuffled_storage(net, seed):
+    """The same network with ``net.buses`` in a random order, slack not first."""
+    rng = np.random.default_rng(seed)
+    buses = [net.buses[i] for i in rng.permutation(net.n_bus)]
+    if buses[0].id == net.slack:
+        buses.append(buses.pop(0))
+    return replace(net, buses=tuple(buses))
+
+
+def study_by_bus(net):
+    """Dispatch, objective, price table and AC voltages keyed by bus id."""
+    ti, _, sol, state = solved_state(net)
+    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
+    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
+    pos = netmodel.tree_positions(net)
+    return sol, pt, {b: (ac.v[k], ac.delta[k]) for b, k in pos.items()}
+
+
+@pytest.mark.parametrize("case", ["case33_4dg", "case69x2"])
+def test_results_invariant_under_bus_storage_order(case, case33_psp, case69):
+    if case == "case33_4dg":
+        net = reverse_flow_net(case33_psp)
+    else:
+        net = netmodel.duplicate_system(
+            netmodel.with_slack_costs(case69, 30.0, 3.0), 2, seed=4
+        )
+    shuffled = shuffled_storage(net, seed=8)
+    assert shuffled.buses[0].id != net.slack and shuffled.buses != net.buses
+    sol_a, pt_a, ac_a = study_by_bus(net)
+    sol_b, pt_b, ac_b = study_by_bus(shuffled)
+    assert sol_a.pg == sol_b.pg and sol_a.qg == sol_b.qg
+    assert sol_a.objective_value == sol_b.objective_value
+    assert pt_a.bus_ids == pt_b.bus_ids
+    for name in pt_a.__dataclass_fields__:
+        if name != "bus_ids":
+            assert np.array_equal(getattr(pt_a, name), getattr(pt_b, name)), name
+    assert ac_a == ac_b

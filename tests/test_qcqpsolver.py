@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def _empty(m, n):
 
 
 def make_problem(h=None, g=None, c=0.0, a_eq=None, b_eq=None,
-                 a_in=None, b_in=None, quad_diag=None, quad_a=None, quad_b=None,
+                 a_in=None, b_in=None, quad_diag=None, quad_b=None,
                  n=None):
     g = np.asarray(g, dtype=float)
     n = n or len(g)
@@ -24,18 +25,15 @@ def make_problem(h=None, g=None, c=0.0, a_eq=None, b_eq=None,
     b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float)
     if quad_diag is None:
         quad_diag = _empty(0, n)
-        quad_a = _empty(0, n)
         quad_b = np.zeros(0)
     else:
         quad_diag = sp.csr_matrix(np.atleast_2d(quad_diag))
-        quad_a = (_empty(quad_diag.shape[0], n) if quad_a is None
-                  else sp.csr_matrix(np.atleast_2d(quad_a)))
         quad_b = np.asarray(quad_b, dtype=float)
     return QcqpProblem(
         n_vars=n, h=h, g=g, c=c,
         a_eq=a_eq, b_eq=b_eq, eq_labels=tuple(f"eq{i}" for i in range(a_eq.shape[0])),
         a_in=a_in, b_in=b_in, in_labels=tuple(f"in{i}" for i in range(a_in.shape[0])),
-        quad_diag=quad_diag, quad_a=quad_a, quad_b=quad_b,
+        quad_diag=quad_diag, quad_b=quad_b,
         quad_labels=tuple(f"q{i}" for i in range(quad_diag.shape[0])),
     )
 
@@ -218,3 +216,15 @@ def test_problem_json_round_trip():
     assert np.allclose(q.h.toarray(), p.h.toarray())
     s1, s2 = qs.solve(p), qs.solve(q)
     assert np.array_equal(s1.x, s2.x)
+
+
+def test_problem_json_rejects_v1_documents():
+    """Version-1 documents carried linear terms on the quadratic rows, which
+    the format no longer has."""
+    p = make_problem(g=[1.0], a_in=[[-1.0]], b_in=[0.0],
+                     quad_diag=[[1.0]], quad_b=[4.0])
+    doc = json.loads(qs.problem_to_json(p))
+    assert doc["format"] == "radialopf-qcqp-v2" and "a" not in doc["quad"]
+    doc["format"] = "radialopf-qcqp-v1"
+    with pytest.raises(ValueError, match="not a radialopf QCQP document"):
+        qs.problem_from_json(json.dumps(doc))
