@@ -1,16 +1,15 @@
 """Convex quadratic OPF, nodal pricing and loss allocation for radial feeders.
 
-Typical flow: parse a case, build the path incidence, solve the dispatch,
-recover the physical state, price it:
+Typical flow: parse a case, solve the dispatch (path incidence, build,
+interior-point solve and state recovery in one call), price it:
 
-    from radialopf import netmodel, mdopf, qcqpsolver, pricing
+    from radialopf import netmodel, mdopf, pricing
 
     net = netmodel.load_case("case33.m")
-    ti = netmodel.build_path_incidence(net)
-    prob = mdopf.build(net, ti)
-    sol = qcqpsolver.solve(prob)
-    sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
+    ti, prob, sol, state = mdopf.solve_opf(net)
     table = pricing.compute_price_table(net, ti, state)
+
+``prob.certificate`` holds the convexity verdict of the cost quadratic.
 
 Every per-bus array uses one bus order: ``state.v[0]`` is the slack and
 ``state.v[1:]`` lines up with ``ti.order`` and with the rows of ``table``

@@ -20,7 +20,6 @@ import json
 import multiprocessing
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,7 +130,7 @@ def load_network(path: Path) -> Network:
         problems = netmodel.validate(net)
         if problems:
             raise NetworkError("invalid network: " + "; ".join(problems))
-        return netmodel.normalize_orientation(net)
+        return net
     return netmodel.parse_matpower_case(text)
 
 
@@ -244,11 +243,6 @@ def cmd_validate(args) -> int:
     scen = _scenario_from_args(args)
     case_dir = Path(args.case_dir) if args.case_dir else None
     net = load_network(resolve_case(scen.case_path, case_dir))
-    problems = netmodel.validate(net)
-    if problems:
-        for p in problems:
-            print(f"violation: {p}")
-        return EXIT_DATA
     print(f"ok: {net.n_bus} buses, {len(net.branches)} branches, radial")
     return EXIT_OK
 
@@ -289,27 +283,20 @@ def cmd_pf(args) -> int:
     return EXIT_OK
 
 
-def _solve_opf(net: Network):
-    ti = netmodel.build_path_incidence(net)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        prob = mdopf.build(net, ti)
-    for w in caught:
-        print(f"note: {w.message}")
-    sol = qcqpsolver.solve(prob)
-    if sol.status != "optimal":
-        raise SolverError(
-            f"OPF solve ended with status {sol.status} "
-            f"(gap {sol.stats.final_gap:.2e}, feas {sol.stats.final_feas:.2e})"
-        )
-    sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
-    return ti, prob, sol, state
+def _print_notes(cert: mdopf.ConvexityCertificate) -> None:
+    """The convexity verdict of the built problem as ``note:`` lines."""
+    if not cert.psd:
+        print("note: cost quadratic is indefinite "
+              f"(min eigenvalue {cert.min_eigenvalue:.3e}); projected onto the PSD cone")
+    if not cert.trace_condition:
+        print("note: cost-trace condition fails; proceeding on the numerical certificate")
 
 
 def cmd_opf(args) -> int:
     scen = _scenario_from_args(args)
     net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
-    ti, prob, sol, state = _solve_opf(net)
+    ti, prob, sol, state = mdopf.solve_opf(net)
+    _print_notes(prob.certificate)
     base = net.base_power
     rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
     for b in mdopf.gen_buses(net, ti):
@@ -381,7 +368,8 @@ def _oracle_sweep(net, ti, state, sol, jobs: int):
 def cmd_price(args) -> int:
     scen = _scenario_from_args(args)
     net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
-    ti, prob, sol, state = _solve_opf(net)
+    ti, prob, sol, state = mdopf.solve_opf(net)
+    _print_notes(prob.certificate)
     slack_pg = (sol.pg[net.slack], sol.qg[net.slack])
     pt = pricing.compute_price_table(
         net, ti, state, thermal_duals=sol.duals_quad, slack_dispatch=slack_pg

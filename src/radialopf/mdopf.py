@@ -12,18 +12,21 @@ generator variables.
 The raw cost quadratic is certified for positive semidefiniteness; when the
 certificate fails (which happens for generic P/Q cost ratios, see
 ``certify_convexity``), the builder replaces it with its nearest PSD matrix
-in Frobenius norm and warns. The projection is tiny relative to the linear
+in Frobenius norm and records the verdict in ``prob.certificate``; the CLI
+prints it as ``note:`` lines. The projection is tiny relative to the linear
 cost terms and is validated against dispatch benchmarks in the test suite.
+
+``solve_opf`` is the whole pipeline: path incidence, build, interior-point
+solve and recovery of the dispatch and state.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import mdistflow
+from . import mdistflow, netmodel, qcqpsolver
 from .netmodel import Network, PathIncidence
 from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, min_eigenvalue, support_eigh
 
@@ -220,7 +223,7 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
     ``netmodel.strip_thermal_limits`` to drop them). Raises on negative
     generator costs (the convexity precondition) or a missing supply-point
     generator. The problem carries the certificate of the exact cost
-    quadratic.
+    quadratic; when it is not PSD, ``h`` is its PSD projection.
     """
     for b in net.buses:
         if b.gen is not None and (b.gen.cost_p < 0 or b.gen.cost_q < 0):
@@ -234,23 +237,7 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
     h_exact, g, c = build_objective(net, ti, lay)
     eig = support_eigh(h_exact, vectors=True)
     cert = certify_convexity(h_exact, eig)
-    if not cert.psd:
-        h = psd_projection(h_exact, eig)
-        warnings.warn(
-            "cost quadratic is indefinite "
-            f"(min eigenvalue {cert.min_eigenvalue:.3e}); "
-            "projected onto the PSD cone",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    else:
-        h = h_exact
-    if not cert.trace_condition:
-        warnings.warn(
-            "cost-trace condition fails; proceeding on the numerical certificate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    h = h_exact if cert.psd else psd_projection(h_exact, eig)
 
     all_buses = (net.slack, *ti.order)
     buses = [net.bus(b) for b in all_buses]
@@ -370,6 +357,25 @@ def recover_dispatch(
     q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]
     state = mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)
     return replace(sol, pg=pg, qg=qg), state
+
+
+def solve_opf(
+    net: Network,
+) -> tuple[PathIncidence, QcqpProblem, OpfSolution, mdistflow.MdfState]:
+    """Build, solve and recover the OPF of ``net``: returns the path
+    incidence, the problem (its ``certificate`` is the convexity verdict),
+    the solution with physical dispatch, and the network state. Raises
+    ``SolverError`` unless the interior-point solve ends optimal."""
+    ti = netmodel.build_path_incidence(net)
+    prob = build(net, ti)
+    sol = qcqpsolver.solve(prob)
+    if sol.status != "optimal":
+        raise qcqpsolver.SolverError(
+            f"OPF solve ended with status {sol.status} "
+            f"(gap {sol.stats.final_gap:.2e}, feas {sol.stats.final_feas:.2e})"
+        )
+    sol, state = recover_dispatch(net, ti, prob, sol)
+    return ti, prob, sol, state
 
 
 def evaluate_cost(

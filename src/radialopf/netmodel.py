@@ -114,17 +114,10 @@ def bus_positions(net: Network) -> dict[int, int]:
 def tree_positions(net: Network) -> dict[int, int]:
     """Map bus id -> array position: the slack at 0, then the non-slack buses
     in ``build_path_incidence(net).order`` at 1..n. Iterating the map yields
-    the bus ids in that order.
-
-    Memoized on the instance. ``build_path_incidence`` leaves its order on
-    the instance, so a network that has one runs no second tree search.
-    """
+    the bus ids in that order. Memoized on the instance."""
     memo = net.__dict__.get("_tree_memo")
     if memo is None:
-        order = net.__dict__.get("_tree_order")
-        if order is None:
-            order = _root_tree(net)[0]
-        memo = {b: k for k, b in enumerate((net.slack, *order))}
+        memo = {b: k for k, b in enumerate((net.slack, *_root_tree(net)[0]))}
         object.__setattr__(net, "_tree_memo", memo)
     return memo
 
@@ -141,64 +134,61 @@ def _adjacency(net: Network) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _root_tree(net: Network) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """DFS the network from the slack.
+def _root_tree(net: Network) -> tuple[tuple[int, ...], np.ndarray]:
+    """DFS the network from the slack, once per instance (memoized).
 
-    Returns (preorder of non-slack bus ids, child -> parent id,
-    child -> branch index). Raises on cycles or disconnection.
+    Returns the non-slack bus ids in preorder (the order the DFS pops them)
+    and, aligned to it, an int array of the index of each bus's parent
+    branch in ``net.branches`` (an array, not a tuple of ints, because the
+    memo lives as long as the network). Raises on cycles or disconnection.
     """
+    memo = net.__dict__.get("_root_memo")
+    if memo is not None:
+        return memo
     adj = _adjacency(net)
     if net.slack not in adj:
         raise NetworkError(f"slack bus {net.slack} is not in the bus list")
-    parent: dict[int, int] = {}
-    parent_branch: dict[int, int] = {}
-    seen = {net.slack}
+    via = {net.slack: -1}  # bus -> index of the branch it was reached by
+    order: list[int] = []
+    branch_of: list[int] = []
     stack = [net.slack]
     while stack:
         u = stack.pop()
+        if u != net.slack:
+            order.append(u)
+            branch_of.append(via[u])
         for v, li in sorted(adj[u], reverse=True):
-            if v == parent.get(u):
+            if li == via[u]:
                 continue
-            if v in seen:
+            if v in via:
                 raise NetworkError(
                     f"non-radial topology: bus {v} is reachable on two paths"
                 )
-            seen.add(v)
-            parent[v] = u
-            parent_branch[v] = li
+            via[v] = li
             stack.append(v)
-    order = _preorder(adj, parent, net.slack)
-    if len(seen) != len(net.buses):
-        missing = sorted(set(b.id for b in net.buses) - seen)
+    if len(via) != len(net.buses):
+        missing = sorted(set(b.id for b in net.buses) - via.keys())
         raise NetworkError(f"network is disconnected: unreachable buses {missing}")
     if len(net.branches) != len(net.buses) - 1:
         raise NetworkError(
             f"non-radial topology: {len(net.branches)} branches for "
             f"{len(net.buses)} buses"
         )
-    return order, parent, parent_branch
+    memo = (tuple(order), np.array(branch_of, dtype=int))
+    object.__setattr__(net, "_root_memo", memo)
+    return memo
 
 
-def _preorder(adj, parent, slack) -> list[int]:
-    children: dict[int, list[int]] = {}
-    for v, p in parent.items():
-        children.setdefault(p, []).append(v)
-    order: list[int] = []
-    stack = [slack]
-    while stack:
-        u = stack.pop()
-        if u != slack:
-            order.append(u)
-        for v in sorted(children.get(u, []), reverse=True):
-            stack.append(v)
-    return order
+def _branch_children(net: Network) -> dict[int, int]:
+    """Map branch index -> the bus it feeds (its end away from the slack)."""
+    order, branch_of = _root_tree(net)
+    return dict(zip(branch_of.tolist(), order))
 
 
 def normalize_orientation(net: Network) -> Network:
     """Return an equivalent network with every branch oriented parent -> child."""
-    _, parent, parent_branch = _root_tree(net)
     oriented = list(net.branches)
-    for child, li in parent_branch.items():
+    for li, child in _branch_children(net).items():
         br = oriented[li]
         if br.to_bus != child:
             oriented[li] = replace(br, from_bus=br.to_bus, to_bus=br.from_bus)
@@ -207,31 +197,29 @@ def normalize_orientation(net: Network) -> Network:
 
 def build_path_incidence(net: Network) -> PathIncidence:
     """Build the path-branch incidence matrix and its topological ordering."""
-    order, parent, parent_branch = _root_tree(net)
-    order = tuple(order)
-    object.__setattr__(net, "_tree_order", order)
+    order, branch_of = _root_tree(net)
     pos = {b: i for i, b in enumerate(order)}
+    branches = [net.branches[li] for li in branch_of.tolist()]
+    parent_pos = tuple(
+        pos.get(br.from_bus if br.to_bus == b else br.to_bus, -1)
+        for b, br in zip(order, branches)
+    )
     n = len(order)
     rows: list[int] = []
     cols: list[int] = []
-    for k, bus_id in enumerate(order):
-        u = bus_id
-        while u != net.slack:
-            rows.append(pos[u])
+    for k in range(n):
+        i = k
+        while i >= 0:
+            rows.append(i)
             cols.append(k)
-            u = parent[u]
+            i = parent_pos[i]
     data = np.ones(len(rows))
     t = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    r = np.empty(n)
-    x = np.empty(n)
-    i_max = np.full(n, np.nan)
-    for i, bus_id in enumerate(order):
-        br = net.branches[parent_branch[bus_id]]
-        r[i] = br.r
-        x[i] = br.x
-        if br.i_max is not None:
-            i_max[i] = br.i_max
-    parent_pos = tuple(pos.get(parent[b], -1) for b in order)
+    r = np.array([br.r for br in branches], dtype=float)
+    x = np.array([br.x for br in branches], dtype=float)
+    i_max = np.array(
+        [np.nan if br.i_max is None else br.i_max for br in branches], dtype=float
+    )
     for arr in (r, x, i_max):
         arr.setflags(write=False)
     return PathIncidence(order, t, parent_pos, r, x, i_max)
@@ -284,15 +272,12 @@ def validate(net: Network) -> list[str]:
             out.append(f"{tag}: non-positive current limit")
     if not out:
         try:
-            _, parent, _ = _root_tree(net)
+            child = _branch_children(net)
         except NetworkError as exc:
             out.append(str(exc))
             return out
-        depth = {net.slack: 0}
-        for b in _preorder(_adjacency(net), parent, net.slack):
-            depth[b] = depth[parent[b]] + 1
-        for br in net.branches:
-            if depth[br.from_bus] >= depth[br.to_bus]:
+        for li, br in enumerate(net.branches):
+            if child[li] != br.to_bus:
                 out.append(
                     f"branch {br.from_bus}-{br.to_bus}: not oriented parent to child"
                 )

@@ -21,7 +21,7 @@ import csv as _csv
 import io
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -299,32 +299,22 @@ PRICE_COLUMNS = [
 ]
 
 
-def price_table_rows(pt: PriceTable) -> list[list]:
-    rows = []
-    for i, b in enumerate(pt.bus_ids):
-        rows.append([
-            b,
-            pt.dlmp_p[i], pt.dlmp_q[i], pt.dlp_p[i], pt.dlp_q[i],
-            pt.dpl_dp[i], pt.dpl_dq[i], pt.dql_dp[i], pt.dql_dq[i],
-            pt.alloc_pl_p[i], pt.alloc_ql_p[i],
-            pt.alloc_pl_q[i], pt.alloc_ql_q[i],
-        ])
-    return rows
+def _value_rows(pt: PriceTable, extra: dict[str, np.ndarray]) -> list[list[float]]:
+    """Every column of ``PRICE_COLUMNS`` but ``bus`` (the ``PriceTable``
+    fields in declaration order), then the ``extra`` columns, one list per
+    bus."""
+    cols = [getattr(pt, f.name) for f in fields(pt)[1:]]
+    return np.column_stack([*cols, *extra.values()]).tolist()
 
 
 def price_table_to_csv(pt: PriceTable, extra: dict[str, np.ndarray] | None = None) -> str:
     """CSV with one row per bus; ``extra`` appends named columns (e.g. oracle
     errors)."""
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    header = list(PRICE_COLUMNS)
     extra = extra or {}
-    header.extend(extra.keys())
-    writer.writerow(header)
-    for i, row in enumerate(price_table_rows(pt)):
-        out = [row[0]] + [f"{val:.10g}" for val in row[1:]]
-        out.extend(f"{extra[k][i]:.10g}" for k in extra)
-        writer.writerow(out)
+    buf = io.StringIO()
+    _csv.writer(buf, lineterminator="\n").writerow(PRICE_COLUMNS + list(extra))
+    fmt = "%d" + ",%.10g" * (len(PRICE_COLUMNS) - 1 + len(extra)) + "\n"
+    buf.writelines(fmt % (b, *row) for b, row in zip(pt.bus_ids, _value_rows(pt, extra)))
     return buf.getvalue()
 
 
@@ -333,11 +323,7 @@ def price_table_to_json(pt: PriceTable, extra: dict[str, np.ndarray] | None = No
     doc = {
         "format": "radialopf-prices-v1",
         "columns": PRICE_COLUMNS + list(extra.keys()),
-        "rows": [
-            [row[0]] + [float(v) for v in row[1:]]
-            + [float(extra[k][i]) for k in extra]
-            for i, row in enumerate(price_table_rows(pt))
-        ],
+        "rows": [[b, *row] for b, row in zip(pt.bus_ids, _value_rows(pt, extra))],
     }
     return json.dumps(doc, indent=1)
 

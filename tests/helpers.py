@@ -1,4 +1,8 @@
 """Shared test utilities: random radial networks and small oracles."""
+import csv
+import io
+import json
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -66,6 +70,70 @@ def mk_case(bus_rows, branch_rows, base=1.0, gen_rows=None, gencost_rows=None):
 
 def bus_row(i, btype=1, pd=0.0, qd=0.0, vmax=1.1, vmin=0.9):
     return [i, btype, pd, qd, 0, 0, 1, 1, 0, 12.66, 1, vmax, vmin]
+
+
+def reference_preorder(net):
+    """Two-pass reference for the feeder tree search: parents from a
+    breadth-first search, then a preorder that visits each bus's children in
+    ascending id order. Returns (order, parent_pos) as in ``PathIncidence``."""
+    adj = {b.id: [] for b in net.buses}
+    for br in net.branches:
+        adj[br.from_bus].append(br.to_bus)
+        adj[br.to_bus].append(br.from_bus)
+    parent = {net.slack: None}
+    queue = [net.slack]
+    for u in queue:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    children = {}
+    for v, u in parent.items():
+        children.setdefault(u, []).append(v)
+    order, stack = [], [net.slack]
+    while stack:
+        u = stack.pop()
+        if u != net.slack:
+            order.append(u)
+        stack.extend(sorted(children.get(u, []), reverse=True))
+    pos = {b: i for i, b in enumerate(order)}
+    return order, [pos.get(parent[b], -1) for b in order]
+
+
+def reference_price_table_to_csv(pt, extra=None):
+    """Per-cell reference for ``pricing.price_table_to_csv``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    extra = extra or {}
+    writer.writerow(list(pricing.PRICE_COLUMNS) + list(extra.keys()))
+    for i, row in enumerate(_reference_price_rows(pt)):
+        out = [row[0]] + [f"{val:.10g}" for val in row[1:]]
+        out.extend(f"{extra[k][i]:.10g}" for k in extra)
+        writer.writerow(out)
+    return buf.getvalue()
+
+
+def reference_price_table_to_json(pt, extra=None):
+    """Per-cell reference for ``pricing.price_table_to_json``."""
+    extra = extra or {}
+    doc = {
+        "format": "radialopf-prices-v1",
+        "columns": pricing.PRICE_COLUMNS + list(extra.keys()),
+        "rows": [
+            [row[0]] + [float(v) for v in row[1:]] + [float(extra[k][i]) for k in extra]
+            for i, row in enumerate(_reference_price_rows(pt))
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+def _reference_price_rows(pt):
+    return [
+        [b, pt.dlmp_p[i], pt.dlmp_q[i], pt.dlp_p[i], pt.dlp_q[i],
+         pt.dpl_dp[i], pt.dpl_dq[i], pt.dql_dp[i], pt.dql_dq[i],
+         pt.alloc_pl_p[i], pt.alloc_ql_p[i], pt.alloc_pl_q[i], pt.alloc_ql_q[i]]
+        for i, b in enumerate(pt.bus_ids)
+    ]
 
 
 def reference_angles(ti, v, p_br, q_br):
@@ -178,7 +246,7 @@ def reference_objective(net, ti):
 
 def reference_build(net, ti):
     """The reference QCQP, with the same certificate and PSD projection as
-    ``mdopf.build`` (warnings suppressed)."""
+    ``mdopf.build``."""
     var = reference_var_layout(net, ti)
     n_vars = len(var)
     glist = mdopf.gen_buses(net, ti)

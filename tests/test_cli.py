@@ -180,13 +180,69 @@ def test_case_dir_env(tmp_path, monkeypatch):
     assert run(["validate", "--case", "mycase.m"]) == 0
 
 
-def test_solver_failure_exit_code(tmp_path):
+def test_solver_failure_exit_code(tmp_path, capsys):
     # infeasible by construction: voltage floor nothing can satisfy
     code = run(["opf", "--case", "case33.m", "--psp-v", "1.05",
                 "--psp-cost-p", "30", "--psp-cost-q", "3",
                 "--load-scale", "3.0", "--vmin", "1.04", "--vmax", "1.06",
                 "--out", str(tmp_path)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: OPF solve ended with status ")
+    assert err.count("\n") == 1
+
+
+def notes(capsys):
+    return [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("note:")]
+
+
+def test_opf_notes_projection(tmp_path, capsys):
+    assert run(["opf", "--case", "case33.m", "--psp-v", "1.05",
+                "--psp-cost-p", "30", "--psp-cost-q", "3",
+                "--dg", "18:1.0:0.5:31:2", "--out", str(tmp_path)]) == 0
+    [note] = notes(capsys)
+    assert note.startswith("note: cost quadratic is indefinite (min eigenvalue -")
+    assert note.endswith("); projected onto the PSD cone")
+
+
+def test_opf_notes_trace_condition_without_dgs(tmp_path, capsys):
+    assert run(["opf", "--case", "case33.m", "--psp-v", "1.05",
+                "--psp-cost-p", "30", "--psp-cost-q", "3", "--out", str(tmp_path)]) == 0
+    assert notes(capsys) == [
+        "note: cost-trace condition fails; proceeding on the numerical certificate"
+    ]
+
+
+def json_network(tmp_path, edit):
+    """A three-bus chain as a network JSON file, after ``edit(doc)``."""
+    doc = json.loads(netmodel.to_json(netmodel.parse_matpower_case(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=0.1), bus_row(3, pd=0.1)],
+        [[1, 2, 0.01, 0.02, 0, 0], [2, 3, 0.01, 0.02, 0, 0]],
+    ))))
+    edit(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_json_reversed_branch(tmp_path, capsys):
+    def reverse(doc):
+        br = doc["branches"][1]
+        br["from"], br["to"] = br["to"], br["from"]
+
+    assert run(["validate", "--case", json_network(tmp_path, reverse)]) == 1
+    err = capsys.readouterr().err
+    assert "branch 3-2: not oriented parent to child" in err and err.count("\n") == 1
+
+
+def test_validate_json_negative_load(tmp_path, capsys):
+    def negative(doc):
+        doc["buses"][2]["p_load"] = -0.01
+
+    assert run(["validate", "--case", json_network(tmp_path, negative)]) == 1
+    err = capsys.readouterr().err
+    assert "bus 3: negative load" in err and err.count("\n") == 1
 
 
 def test_opf_and_price_rerun_byte_identical(tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialopf import acpf, mdistflow as mdf, netmodel
+from radialopf import acpf, mdistflow as mdf, mdopf, netmodel
 from radialopf.mdistflow import MdfError
 from radialopf.netmodel import build_path_incidence
 
 from helpers import random_tree_network, reference_angles
-from test_pricing import reverse_flow_net, solved_state
+from test_pricing import reverse_flow_net
 
 
 def sweep_oracle(net, ti, p, q, iters=200, tol=1e-15):
@@ -194,7 +194,7 @@ def test_angles_match_reference_loop_random_trees():
 
 
 def test_angles_match_reference_loop_reverse_flow(case33_psp):
-    ti, _, _, state = solved_state(reverse_flow_net(case33_psp))
+    ti, _, _, state = mdopf.solve_opf(reverse_flow_net(case33_psp))
     assert np.any(state.p_br_hat < 0)  # some flows run towards the slack
     assert_angles_match_reference(ti, state)
 

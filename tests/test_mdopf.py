@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +10,6 @@ from helpers import (
     bus_row, mk_case, random_tree_network, reference_build, reference_extract_duals,
     reference_recover_dispatch,
 )
-
-
-def build_quiet(net, ti):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return mdopf.build(net, ti)
 
 
 def scenario_net(case33_psp, bus, price, cost_q=2.0, p_cap=0.1, q_cap=0.05):
@@ -33,7 +25,7 @@ def scenario_net(case33_psp, bus, price, cost_q=2.0, p_cap=0.1, q_cap=0.05):
 def test_dimensions_case33_one_dg(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
+    prob = mdopf.build(net, ti)
     n = ti.n  # 32
     # W per bus; flow pair per branch; P/Q output per generator
     assert prob.n_vars == (n + 1) + 2 * n + 2 * 2
@@ -53,7 +45,7 @@ def test_dimensions_case33_one_dg(case33_psp):
 def test_equality_row_count_random_trees(n, seed):
     net = random_tree_network(np.random.default_rng(seed), n, gen_frac=0.3)
     ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
+    prob = mdopf.build(net, ti)
     assert prob.n_eq == 3 * ti.n + 3
     assert prob.n_vars == 3 * ti.n + 1 + 2 * len(mdopf.gen_buses(net, ti))
 
@@ -61,7 +53,7 @@ def test_equality_row_count_random_trees(n, seed):
 def test_row_labels_name_buses(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
+    prob = mdopf.build(net, ti)
     labels = set(prob.eq_labels)
     assert "p_balance:1" in labels and "q_balance:33" in labels
     assert "w_drop:17-18" in labels
@@ -79,12 +71,12 @@ def test_thermal_rows():
     )
     net = netmodel.parse_matpower_case(text)
     ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
+    prob = mdopf.build(net, ti)
     assert prob.n_quad == 1
     assert prob.quad_labels == ("thermal:1-2",)
     assert prob.quad_b[0] == pytest.approx(0.25)
     off = netmodel.strip_thermal_limits(net)
-    prob_off = build_quiet(off, build_path_incidence(off))
+    prob_off = mdopf.build(off, build_path_incidence(off))
     assert prob_off.n_quad == 0
 
 
@@ -92,14 +84,14 @@ def test_build_requires_slack_generator(case33):
     net = netmodel.with_generator(case33, case33.slack, None)
     ti = build_path_incidence(net)
     with pytest.raises(MdopfError, match="no generator"):
-        build_quiet(net, ti)
+        mdopf.build(net, ti)
 
 
 def test_build_rejects_negative_costs(case33_psp):
     net = scenario_net(case33_psp, 18, -5.0)
     ti = build_path_incidence(net)
     with pytest.raises(MdopfError, match="convexity condition unsatisfied"):
-        build_quiet(net, ti)
+        mdopf.build(net, ti)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +168,8 @@ def test_raw_quadratic_needs_projection(net2):
     h_exact, _, _ = mdopf.build_objective(net, ti)
     cert = mdopf.certify_convexity(h_exact)
     assert not cert.psd and cert.min_eigenvalue < 0
-    with pytest.warns(RuntimeWarning, match="projected"):
-        prob = mdopf.build(net, ti)
+    prob = mdopf.build(net, ti)
+    assert not prob.certificate.psd and prob.certificate.trace_condition
     cert_built = mdopf.certify_convexity(prob.h)
     assert cert_built.psd
     diff = (prob.h - h_exact).toarray()
@@ -217,14 +209,14 @@ def test_built_problem_psd_on_random_trees():
         n = int(rng.integers(2, 50))
         net = random_tree_network(rng, n, gen_frac=0.4)
         ti = build_path_incidence(net)
-        prob = build_quiet(net, ti)
+        prob = mdopf.build(net, ti)
         assert mdopf.certify_convexity(prob.h).psd
 
 
-def test_no_dg_trace_warning(case33_psp):
-    ti = build_path_incidence(case33_psp)
-    with pytest.warns(RuntimeWarning, match="trace condition"):
-        mdopf.build(case33_psp, ti)
+def test_no_dg_fails_trace_condition(case33_psp):
+    # no distributed generation: the cost quadratic is zero, PSD with zero trace
+    prob = mdopf.build(case33_psp, build_path_incidence(case33_psp))
+    assert prob.certificate.psd and not prob.certificate.trace_condition
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +224,7 @@ def test_no_dg_trace_warning(case33_psp):
 # ---------------------------------------------------------------------------
 
 def test_two_bus_slack_serves_load(net2):
-    ti = build_path_incidence(net2)
-    prob = build_quiet(net2, ti)
-    sol = qs.solve(prob)
-    assert sol.status == "optimal"
-    sol, state = mdopf.recover_dispatch(net2, ti, prob, sol)
+    ti, _, sol, state = mdopf.solve_opf(net2)
     rep = mdf.losses(ti, state)
     # exact model identity: slack modified output balances the withdrawals
     w0 = 2.0 - net2.v0
@@ -248,21 +236,14 @@ def test_two_bus_slack_serves_load(net2):
 
 def test_zero_modified_output_zero_dispatch(net2):
     net = netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, 60.0, 60.0))
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
-    sol = qs.solve(prob)
-    sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
+    sol = mdopf.solve_opf(net)[2]
     # the expensive unit stays off; division by W keeps it exactly off-scale
     assert abs(sol.pg[2]) < 1e-6
 
 
 def test_table_dispatch_scenario_1(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
-    sol = qs.solve(prob)
-    assert sol.status == "optimal"
-    sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
+    sol = mdopf.solve_opf(net)[2]
     assert sol.objective_value == pytest.approx(122.16, rel=0.005)
     assert sol.pg[18] * net.base_power == pytest.approx(0.624, abs=0.02)
     assert sol.qg[18] * net.base_power == pytest.approx(0.5, abs=1e-3)
@@ -270,19 +251,13 @@ def test_table_dispatch_scenario_1(case33_psp):
 
 def test_table_dispatch_scenario_3_at_capacity(case33_psp):
     net = scenario_net(case33_psp, 33, 31.0)
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
-    sol = qs.solve(prob)
-    sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
+    sol = mdopf.solve_opf(net)[2]
     assert sol.pg[33] * net.base_power == pytest.approx(1.000, abs=0.02)
 
 
 def test_reconstructed_state_residual(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
-    sol = qs.solve(prob)
-    _, state = mdopf.recover_dispatch(net, ti, prob, sol)
+    ti, _, _, state = mdopf.solve_opf(net)
     w0 = 2.0 - net.v0
     t = ti.t
     w_expect = (
@@ -295,10 +270,8 @@ def test_reconstructed_state_residual(case33_psp):
 
 def test_objective_matches_closed_form_cost(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
+    ti, prob, sol, _ = mdopf.solve_opf(net)
     h_exact, g, c = mdopf.build_objective(net, ti)
-    sol = qs.solve(prob)
     x = sol.x
     var = prob.var_map
     phg = {b: x[var[f"Pg:{b}"]] for b in mdopf.gen_buses(net, ti)}
@@ -310,7 +283,7 @@ def test_objective_matches_closed_form_cost(case33_psp):
 
 def test_recover_rejects_nonphysical_w(net2):
     ti = build_path_incidence(net2)
-    prob = build_quiet(net2, ti)
+    prob = mdopf.build(net2, ti)
     sol = qs.solve(prob)
     bad_x = sol.x.copy()
     bad_x[prob.var_map["W:1"]] = -0.5
@@ -334,19 +307,14 @@ def binding_thermal_net():
 
 def test_binding_thermal_limit():
     # rating below the natural flow: the quadratic row must bind
-    net = binding_thermal_net()
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
+    _, prob, sol, _ = mdopf.solve_opf(binding_thermal_net())
     assert prob.n_quad == 1
-    sol = qs.solve(prob)
-    assert sol.status == "optimal"
     i_p = prob.var_map["Pbr:1-2"]
     i_q = prob.var_map["Qbr:1-2"]
     flow_sq = sol.x[i_p] ** 2 + sol.x[i_q] ** 2
     assert flow_sq == pytest.approx(0.64, abs=1e-6)
     assert sol.duals_quad[0] > 1e-3
     # the local unit covers what the limited import cannot
-    sol, _ = mdopf.recover_dispatch(net, ti, prob, sol)
     assert sol.pg[2] > 0.15
 
 
@@ -361,10 +329,8 @@ def assert_matches_reference(net):
     """Same IPM on both formulations: dispatch within 1e-6 pu, objective
     within 1e-8 relative, balance-row prices within 1e-6 of the largest."""
     ti = build_path_incidence(net)
-    lean = build_quiet(net, ti)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ref = reference_build(net, ti)
+    lean = mdopf.build(net, ti)
+    ref = reference_build(net, ti)
     assert lean.n_vars + lean.n_eq < ref.n_vars + ref.n_eq
     sol_l, sol_r = qs.solve(lean, TIGHT), qs.solve(ref, TIGHT)
     assert sol_l.status == sol_r.status == "optimal"
@@ -418,7 +384,7 @@ def test_problem_carries_exact_certificate(net2, case33_psp):
         case33_psp,
     ):
         ti = build_path_incidence(net)
-        prob = build_quiet(net, ti)
+        prob = mdopf.build(net, ti)
         exact = mdopf.certify_convexity(mdopf.build_objective(net, ti)[0])
         assert prob.certificate.psd == exact.psd
         assert prob.certificate.trace == exact.trace
@@ -442,11 +408,8 @@ def _interior_slack(net):
 
 def test_duals_zero_load_equal_psp_cost(net2):
     net = _interior_slack(netmodel.with_load(net2, 2, 0.0, 0.0))
-    ti = build_path_incidence(net)
-    prob = build_quiet(net, ti)
-    sol = qs.solve(prob)
+    _, prob, sol, state = mdopf.solve_opf(net)
     lam_p, lam_q = qs.extract_duals(prob, sol)
-    _, state = mdopf.recover_dispatch(net, ti, prob, sol)
     pos = netmodel.tree_positions(net)
     for b in (1, 2):
         assert lam_p[b] / state.v[pos[b]] == pytest.approx(30.0, abs=1e-4)
@@ -456,11 +419,8 @@ def test_duals_zero_load_equal_psp_cost(net2):
 def test_duals_two_bus_near_oracle(net2):
     from radialopf import acpf
 
-    ti = build_path_incidence(net2)
-    prob = build_quiet(net2, ti)
-    sol = qs.solve(prob)
+    _, prob, sol, state = mdopf.solve_opf(net2)
     lam_p, _ = qs.extract_duals(prob, sol)
-    _, state = mdopf.recover_dispatch(net2, ti, prob, sol)
     dual_price = lam_p[2] / state.v[netmodel.tree_positions(net2)[2]]
     oracle = acpf.fd_price_oracle(net2, 2, "p")
     assert abs(dual_price - oracle) / oracle < 0.01

@@ -10,7 +10,7 @@ from radialopf.netmodel import (
     build_path_incidence, duplicate_system, parse_matpower_case, validate,
 )
 
-from helpers import bus_row, mk_case, random_tree_network
+from helpers import bus_row, mk_case, random_tree_network, reference_preorder
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,72 @@ def test_incidence_order_independent(case33):
             u = parents[u]
     perm = [pos[b] for b in ti.order]
     assert np.array_equal(t_bfs[np.ix_(perm, perm)], ti.t.toarray())
+
+
+def relabelled(net, rng):
+    """The same feeder under random bus ids, with buses and branches stored in
+    random order and about half of the branches reversed."""
+    ids = dict(zip((b.id for b in net.buses),
+                   rng.permutation(10 * net.n_bus)[:net.n_bus].tolist()))
+    buses = [Bus(ids[b.id], b.p_load, b.q_load, b.v_min, b.v_max, b.gen)
+             for b in net.buses]
+    branches = []
+    for br in net.branches:
+        ends = (ids[br.from_bus], ids[br.to_bus])
+        if rng.random() < 0.5:
+            ends = ends[::-1]
+        branches.append(Branch(*ends, br.r, br.x, br.i_max))
+    return Network(
+        tuple(buses[i] for i in rng.permutation(len(buses))),
+        tuple(branches[i] for i in rng.permutation(len(branches))),
+        slack=ids[net.slack], base_power=net.base_power,
+    )
+
+
+def test_tree_order_matches_two_pass_reference(case69):
+    """The one-pass DFS yields the preorder and parents of the reference."""
+    rng = np.random.default_rng(300)
+    nets = [duplicate_system(case69, 70, seed=1)]
+    nets += [relabelled(random_tree_network(rng, int(rng.integers(2, 80))), rng)
+             for _ in range(100)]
+    for net in nets:
+        ti = build_path_incidence(net)
+        order, parent_pos = reference_preorder(net)
+        assert list(ti.order) == order
+        assert list(ti.parent_pos) == parent_pos
+        by_child = {frozenset((br.from_bus, br.to_bus)): br for br in net.branches}
+        for i, b in enumerate(ti.order):
+            parent = net.slack if parent_pos[i] < 0 else order[parent_pos[i]]
+            assert ti.r[i] == by_child[frozenset((parent, b))].r
+
+
+def test_tree_searched_once_per_network(case69, monkeypatch):
+    """validate, build_path_incidence and tree_positions share one search."""
+    calls = []
+    adjacency = netmodel._adjacency
+
+    def counting(net):
+        calls.append(net.n_bus)
+        return adjacency(net)
+
+    monkeypatch.setattr(netmodel, "_adjacency", counting)
+    net = duplicate_system(case69, 3, seed=1)
+    assert validate(net) == []
+    ti = build_path_incidence(net)
+    assert list(netmodel.tree_positions(net)) == [net.slack, *ti.order]
+    assert calls == [net.n_bus]
+
+
+def test_validate_names_reversed_branch():
+    net = parse_matpower_case(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=0.1), bus_row(3, pd=0.1)],
+        [[1, 2, 0.01, 0.01, 0, 0], [2, 3, 0.01, 0.01, 0, 0]],
+    ))
+    br = net.branches[1]
+    flipped = Network(net.buses, (net.branches[0], Branch(br.to_bus, br.from_bus, br.r, br.x)),
+                      slack=net.slack)
+    assert validate(flipped) == ["branch 3-2: not oriented parent to child"]
+    assert netmodel.normalize_orientation(flipped).branches == net.branches
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,18 @@
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialopf import acpf, mdistflow as mdf, mdopf, netmodel, pricing, qcqpsolver as qs
+from radialopf import acpf, mdistflow as mdf, mdopf, netmodel, pricing
 from radialopf.netmodel import Generator, build_path_incidence
 from radialopf.pricing import PricingError
 
-from helpers import dense_loss_factors, random_tree_network
-
-
-def solved_state(net):
-    ti = build_path_incidence(net)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        prob = mdopf.build(net, ti)
-    sol = qs.solve(prob)
-    assert sol.status == "optimal"
-    sol, state = mdopf.recover_dispatch(net, ti, prob, sol)
-    return ti, prob, sol, state
+from helpers import (
+    dense_loss_factors, random_tree_network, reference_price_table_to_csv,
+    reference_price_table_to_json,
+)
 
 
 def dense_sensitivities(net, state):
@@ -197,7 +188,7 @@ def test_loss_factors_match_dense_reference_random_trees():
 
 def test_loss_factors_match_dense_reference_reverse_flow(case33_psp):
     net = reverse_flow_net(case33_psp)
-    ti, _, _, state = solved_state(net)
+    ti, _, _, state = mdopf.solve_opf(net)
     assert_matches_dense(net, ti, state)
 
 
@@ -426,6 +417,24 @@ def test_price_table_serialization(case33_psp):
     assert json.loads(pricing.settlement_to_json(reports))["reports"][0]["mechanism"] == "lam"
 
 
+def test_price_table_writers_match_per_cell_reference():
+    """Row-at-a-time writers give the bytes of the per-cell reference,
+    including NaN, infinities, negative zero and extra columns."""
+    rng = np.random.default_rng(9)
+    n = 50
+    vals = rng.normal(size=(12, n)) * 10.0 ** rng.integers(-15, 15, size=(12, n))
+    vals[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    vals[5, :3] = [0.0, 1.0, -1e-300]
+    pt = pricing.PriceTable(tuple(rng.permutation(10**6)[:n].tolist()), *vals)
+    extra = {
+        "oracle_p[$ per MWh]": rng.normal(size=n) * 30.0,
+        "dlmp_p_rel_err": np.r_[np.nan, np.inf, -0.0, rng.random(n - 3)],
+    }
+    for ex in (None, extra):
+        assert pricing.price_table_to_csv(pt, extra=ex) == reference_price_table_to_csv(pt, ex)
+        assert pricing.price_table_to_json(pt, extra=ex) == reference_price_table_to_json(pt, ex)
+
+
 def test_full_scale_settlement_magnitude(case33_psp):
     """Hundredfold system: the marginal-pricing surplus lands at the
     published scale (about four hundred dollars) and allocation pricing
@@ -437,7 +446,7 @@ def test_full_scale_settlement_magnitude(case33_psp):
         )
     net = netmodel.duplicate_system(net, 100, seed=42)
     assert net.n_bus == 3201
-    ti, prob, sol, state = solved_state(net)
+    ti, prob, sol, state = mdopf.solve_opf(net)
     pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
     mlm = pricing.settle(net, ti, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
     lam = pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam")
@@ -460,7 +469,7 @@ def test_high_penetration_reverse_flow(case33_psp):
     at exporting buses drop below the supply-point cost and still track the
     oracle."""
     net = reverse_flow_net(case33_psp)
-    ti, prob, sol, state = solved_state(net)
+    ti, prob, sol, state = mdopf.solve_opf(net)
     assert all(sol.pg[b] == pytest.approx(0.1, abs=1e-4) for b in (18, 22, 25, 33))
     assert sol.pg[1] > 0.0  # supply point stays marginal
     pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
@@ -490,7 +499,7 @@ def shuffled_storage(net, seed):
 
 def study_by_bus(net):
     """Dispatch, objective, price table and AC voltages keyed by bus id."""
-    ti, _, sol, state = solved_state(net)
+    ti, _, sol, state = mdopf.solve_opf(net)
     pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
     p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
     ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
