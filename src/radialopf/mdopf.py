@@ -318,7 +318,40 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
         quad_labels=tuple(f"thermal:{branches[i]}" for i in rated),
         var_map=_var_layout(net, ti, lay),
         certificate=cert,
+        kkt_order=kkt_order(ti, lay),
     )
+
+
+def kkt_order(ti: PathIncidence, lay: VarBlocks) -> np.ndarray:
+    """Feeder-tree elimination order of the KKT rows of ``build``'s problem
+    (variables first, then equality rows, as ``qcqpsolver.solve`` lays them out).
+
+    Each non-slack bus is one group: its W, Pbr and Qbr, its p and q balance
+    rows and the voltage drop of the branch into it. Groups come leaves
+    first (reverse ``ti.order``), so every child is eliminated before its
+    parent and fill stays within the parent's group. The Pg/Qg of each
+    feeder's generators come just before the group of the feeder's top bus,
+    and the slack group (W0, ``w_slack`` and its balance rows) then the
+    slack generator come last.
+    """
+    n, n_gen, nv = ti.n, len(lay.gens), lay.n_vars
+    # equality rows follow the variables, laid out as in ``build``
+    p_bal, q_bal, drop = nv + 1, nv + n + 2, nv + 2 * n + 3
+    parent = np.asarray(ti.parent_pos, dtype=int)
+    k = np.arange(n)
+    # a preorder keeps each feeder contiguous: its top bus is the last
+    # position at or before k whose parent is the slack
+    top = np.maximum.accumulate(np.where(parent < 0, k, -1))
+    group = 2 * (n - 1 - k) + 1  # odd slots, leaves first
+    slot = np.empty(nv + 3 * n + 3, dtype=int)
+    for first in (1, lay.pbr, lay.qbr, p_bal + 1, q_bal + 1, drop):
+        slot[first + k] = group
+    dg_slot = group[top[lay.gen_w[1:] - 1]] - 1  # the even slot before the top bus
+    slot[lay.pg + 1:lay.pg + n_gen] = dg_slot
+    slot[lay.qg + 1:lay.qg + n_gen] = dg_slot
+    slot[[0, nv, p_bal, q_bal]] = 2 * n
+    slot[[lay.pg, lay.qg]] = 2 * n + 1
+    return np.argsort(slot, kind="stable")
 
 
 def recover_dispatch(
@@ -376,41 +409,3 @@ def solve_opf(
         )
     sol, state = recover_dispatch(net, ti, prob, sol)
     return ti, prob, sol, state
-
-
-def evaluate_cost(
-    net: Network,
-    ti: PathIncidence,
-    p_hat_g: dict[int, float],
-    q_hat_g: dict[int, float],
-) -> tuple[float, float, float]:
-    """Closed-form cost split (slack part, load-profile part, quadratic part)
-    for given modified generator outputs, in $.
-
-    Evaluates the generation cost with voltages taken from the affine
-    response to the generator injections; used for internal-consistency
-    checks of the objective assembly.
-    """
-    base = net.base_power
-    slack_gen = net.bus(net.slack).gen
-    c1 = net.v0 * base * (
-        slack_gen.cost_p * p_hat_g.get(net.slack, 0.0)
-        + slack_gen.cost_q * q_hat_g.get(net.slack, 0.0)
-    )
-    dg = [b for b in gen_buses(net, ti) if b != net.slack]
-    if not dg:
-        return c1, 0.0, 0.0
-    load_state = mdistflow.solve_fixed_load(net, ti)
-    order_pos = {b: i for i, b in enumerate(ti.order)}
-    cols = [order_pos[b] for b in dg]
-    t_g = ti.t[:, cols]
-    pvec = np.array([p_hat_g.get(b, 0.0) for b in dg])
-    qvec = np.array([q_hat_g.get(b, 0.0) for b in dg])
-    cp = np.array([net.bus(b).gen.cost_p for b in dg])
-    cq = np.array([net.bus(b).gen.cost_q for b in dg])
-    vd = load_state.v[1:][cols]
-    c2 = base * float(vd @ (cp * pvec) + vd @ (cq * qvec))
-    dv = ti.t.T @ (ti.r * (t_g @ pvec)) + ti.t.T @ (ti.x * (t_g @ qvec))
-    dv_g = np.array([dv[order_pos[b]] for b in dg])
-    c3 = base * float(dv_g @ (cp * pvec) + dv_g @ (cq * qvec))
-    return c1, c2, c3

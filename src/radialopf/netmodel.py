@@ -544,33 +544,33 @@ def duplicate_system(
     )
     nonslack = [b for b in net.buses if b.id != net.slack]
     n = len(nonslack)
+    # bus ids of copy c are 2 + c * n + (position in nonslack), the slack's 1
+    local = {b.id: i for i, b in enumerate(nonslack)}
+    local[net.slack] = -1
+    ends = np.array([[local[br.from_bus], local[br.to_bus]] for br in net.branches],
+                    dtype=int).reshape(-1, 2)
+    on_slack = ends < 0
+    p_load = np.array([b.p_load for b in nonslack], dtype=float)
+    q_load = np.array([b.q_load for b in nonslack], dtype=float)
+    r = np.array([br.r for br in net.branches], dtype=float)
+    x = np.array([br.x for br in net.branches], dtype=float)
     buses = [new_slack]
     branches: list[Branch] = []
     for c in range(copies):
-        idmap = {net.slack: 1}
-        for i, b in enumerate(nonslack):
-            idmap[b.id] = 2 + c * n + i
         load_f = rng.uniform(lo, hi, size=n)
-        for i, b in enumerate(nonslack):
-            buses.append(
-                replace(
-                    b,
-                    id=idmap[b.id],
-                    p_load=b.p_load * load_f[i],
-                    q_load=b.q_load * load_f[i],
-                )
-            )
+        buses.extend(
+            Bus(id=2 + c * n + i, p_load=p, q_load=q, v_min=b.v_min,
+                v_max=b.v_max, gen=b.gen)
+            for i, (b, p, q) in enumerate(
+                zip(nonslack, (p_load * load_f).tolist(), (q_load * load_f).tolist()))
+        )
         imp_f = rng.uniform(lo, hi, size=len(net.branches))
-        for j, br in enumerate(net.branches):
-            branches.append(
-                replace(
-                    br,
-                    from_bus=idmap[br.from_bus],
-                    to_bus=idmap[br.to_bus],
-                    r=br.r * imp_f[j],
-                    x=br.x * imp_f[j],
-                )
-            )
+        ids = np.where(on_slack, 1, ends + 2 + c * n).tolist()
+        branches.extend(
+            Branch(from_bus=f, to_bus=t, r=rj, x=xj, i_max=br.i_max)
+            for br, (f, t), rj, xj in zip(
+                net.branches, ids, (r * imp_f).tolist(), (x * imp_f).tolist())
+        )
     return replace(
         net, buses=tuple(buses), branches=tuple(branches), slack=1
     )

@@ -9,7 +9,13 @@ Handles problems of the form
 
 with a Mehrotra predictor-corrector iteration. The KKT systems are solved by
 sparse LU factorization of the statically regularized quasi-definite matrix;
-everything is deterministic for fixed inputs.
+everything is deterministic for fixed inputs. A quasi-definite matrix has a
+stable LDL' factorization in every symmetric order (Vanderbei, SIAM J. Optim.
+1995), so when the problem supplies an elimination order (``kkt_order``; the
+OPF builder's eliminates the feeder tree leaves first) the matrix is factored
+in that order with no pivoting, and each solve takes one step of iterative
+refinement. A problem without one, such as any read by
+``problem_from_json``, is factored in SuperLU's own order with pivoting.
 
 The problem container doubles as the wire format between the OPF builder
 and the solver; ``problem_to_json``/``problem_from_json`` give a documented
@@ -61,6 +67,7 @@ class SolveStats:
     final_gap: float
     final_feas: float
     runtime_seconds: float
+    factor_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,11 @@ class QcqpProblem:
     constraint row (one audit tag per row). Quadratic inequality rows carry
     their (diagonal) curvature in ``quad_diag``. ``certificate`` is the
     builder's convexity certificate of the exact cost quadratic, when it
-    made one; it is not part of the wire format.
+    made one. ``kkt_order`` is an elimination order of the KKT rows (the
+    variables, then the equality rows) under which the solver's
+    quasi-definite KKT matrices factor without pivoting and with little
+    fill; None leaves the ordering to SuperLU. Neither is part of the wire
+    format.
     """
 
     n_vars: int
@@ -89,6 +100,7 @@ class QcqpProblem:
     quad_labels: tuple[str, ...]
     var_map: dict[str, int] = field(default_factory=dict)
     certificate: ConvexityCertificate | None = None
+    kkt_order: np.ndarray | None = None
 
     @property
     def n_eq(self) -> int:
@@ -170,6 +182,74 @@ def _check_convex(p: QcqpProblem) -> None:
         raise SolverError("quadratic constraint with negative curvature")
 
 
+class _Kkt:
+    """The KKT matrices [[H, A_eq'], [A_eq, -delta I]] of one problem and
+    their factorizations; ``seconds`` sums the factorization wall time.
+
+    With a ``kkt_order`` the matrix is assembled with its rows and columns
+    already in that order and factored in it, with no pivoting: a
+    quasi-definite matrix has a stable LDL' factorization in every
+    symmetric order, but its solves then leave componentwise residuals of
+    about 1e-5, so each solve takes one step of iterative refinement, which
+    brings them to round-off. A feeder tree's supernodes are small, so
+    SuperLU works in panels and relaxed supernodes of two columns; its
+    wider defaults took 1.7 times the factor time on case69 x100. Without an
+    order, SuperLU picks its own column order and pivots, and solves are not
+    refined.
+    """
+
+    def __init__(self, p: QcqpProblem, delta: float):
+        self.order = p.kkt_order
+        self.a_eq = p.a_eq
+        self.delta = delta
+        self.seconds = 0.0
+        self.size = p.n_vars + p.n_eq
+        self.pos = np.arange(self.size)
+        if self.order is not None:
+            self.pos[self.order] = np.arange(self.size)
+
+    def assemble(self, h: sp.spmatrix) -> sp.csc_matrix:
+        """The KKT matrix with (1,1) block ``h``, rows and columns in the
+        problem's ``kkt_order``."""
+        hc, a = h.tocoo(), self.a_eq.tocoo()
+        n, pos = h.shape[0], self.pos
+        eq, var, diag = pos[n + a.row], pos[a.col], pos[n:]
+        return sp.csc_matrix(
+            (np.concatenate([hc.data, a.data, a.data, np.full(diag.size, -self.delta)]),
+             (np.concatenate([pos[hc.row], eq, var, diag]),
+              np.concatenate([pos[hc.col], var, eq, diag]))),
+            shape=(self.size, self.size),
+        )
+
+    def factor(self, h: sp.spmatrix, failure: str):
+        """Factor the KKT matrix with (1,1) block ``h``; returns a solve
+        function in the problem's row order. Raises ``SolverError`` with the
+        ``failure`` message when SuperLU fails."""
+        kkt = self.assemble(h)
+        t0 = time.perf_counter()
+        try:
+            if self.order is None:
+                lu = spla.splu(kkt)
+            else:
+                lu = spla.splu(kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
+                               relax=2, panel_size=2, options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise SolverError(f"{failure}: {exc}") from exc
+        finally:
+            self.seconds += time.perf_counter() - t0
+        if self.order is None:
+            return lu.solve
+        order, pos = self.order, self.pos
+
+        def solve(rhs):
+            b = rhs[order]
+            x = lu.solve(b)
+            x += lu.solve(b - kkt @ x)
+            return x[pos]
+
+        return solve
+
+
 def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     """Solve the QCQP; returns the optimal point with equality multipliers in
     problem row order, or a diagnostic non-optimal status."""
@@ -181,6 +261,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     delta = REGULARIZATION
     mi = p.n_in + p.n_quad
     two_h = (2.0 * p.h).tocsr()
+    kkt = _Kkt(p, delta)
 
     def curvature(x, z):
         # sum_k z_k * 2 diag(d_k) from the quadratic rows
@@ -191,15 +272,8 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
 
     # -- starting point: least-norm solution of the equalities ---------------
     if me:
-        k0 = sp.bmat(
-            [[sp.identity(n), p.a_eq.T], [p.a_eq, -delta * sp.identity(me)]],
-            format="csc",
-        )
-        try:
-            sol0 = spla.splu(k0).solve(np.concatenate([np.zeros(n), p.b_eq]))
-        except RuntimeError as exc:
-            raise SolverError(f"equality system factorization failed: {exc}") from exc
-        x = sol0[:n]
+        x = kkt.factor(sp.identity(n), "equality system factorization failed")(
+            np.concatenate([np.zeros(n), p.b_eq]))[:n]
         y = np.zeros(me)
     else:
         x = np.zeros(n)
@@ -207,24 +281,12 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
 
     if mi == 0:
         # equality-constrained QP: one Newton/KKT solve
-        kkt = sp.bmat(
-            [
-                [two_h + delta * sp.identity(n),
-                 p.a_eq.T if me else None],
-                [p.a_eq if me else None,
-                 -delta * sp.identity(me) if me else None],
-            ],
-            format="csc",
-        ) if me else (two_h + delta * sp.identity(n)).tocsc()
         rhs = np.concatenate([-p.g, p.b_eq]) if me else -p.g
-        try:
-            sol = spla.splu(kkt).solve(rhs)
-        except RuntimeError as exc:
-            raise SolverError(f"KKT factorization failed: {exc}") from exc
+        sol = kkt.factor(two_h + delta * sp.identity(n), "KKT factorization failed")(rhs)
         x = sol[:n]
         y = sol[n:]
         feas = float(np.max(np.abs(p.a_eq @ x - p.b_eq))) if me else 0.0
-        stats = SolveStats(1, 0.0, feas, time.perf_counter() - t_start)
+        stats = SolveStats(1, 0.0, feas, time.perf_counter() - t_start, kkt.seconds)
         status = "optimal" if feas < 10 * cfg.tol_feas else "max_iter"
         return OpfSolution(
             x=x, objective_value=p.objective_at(x), status=status,
@@ -266,30 +328,18 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
 
         # release the previous iteration's KKT matrix and factors before the
         # new ones are built, so that the allocator reuses their memory
-        lu = kkt = None
+        kkt_solve = None
         d = z / s
         hbar = two_h + jac.T @ sp.diags(d) @ jac + delta * sp.identity(n)
         extra = curvature(x, z)
         if extra is not None:
             hbar = hbar + extra
-        if me:
-            kkt = sp.bmat(
-                [[hbar, p.a_eq.T], [p.a_eq, -delta * sp.identity(me)]],
-                format="csc",
-            )
-        else:
-            kkt = hbar.tocsc()
-        try:
-            lu = spla.splu(kkt)
-        except RuntimeError as exc:
-            raise SolverError(
-                f"KKT factorization failed at iteration {it}: {exc}"
-            ) from exc
+        kkt_solve = kkt.factor(hbar, f"KKT factorization failed at iteration {it}")
 
         def newton_step(rc):
             r1 = -rd - jac.T @ (d * rs - rc / s)
             rhs = np.concatenate([r1, -rp]) if me else r1
-            sol = lu.solve(rhs)
+            sol = kkt_solve(rhs)
             dx = sol[:n]
             dy = sol[n:] if me else np.zeros(0)
             dz = d * (jac @ dx + rs) - rc / s
@@ -323,6 +373,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         final_gap=float(mu),
         final_feas=float(feas),
         runtime_seconds=time.perf_counter() - t_start,
+        factor_seconds=kkt.seconds,
     )
     return OpfSolution(
         x=x, objective_value=p.objective_at(x), status=status,

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -345,3 +346,70 @@ def reference_recover_dispatch(net, ti, prob, sol):
     q_hat = np.array([x[var[f"Qinj:{b}"]] for b in ti.order])
     w_r = np.array([x[var[f"W:{b}"]] for b in ti.order])
     return pg, qg, mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)
+
+
+def reference_duplicate_system(net, copies, seed=0, scale_range=(0.7, 1.3)):
+    """Record-by-record reference for ``netmodel.duplicate_system``: the same
+    random draws in the same order, each copied bus and branch made with
+    ``dataclasses.replace`` and scaled by numpy scalars."""
+    lo, hi = scale_range
+    rng = np.random.default_rng(seed)
+    slack_bus = net.bus(net.slack)
+    slack_gen = slack_bus.gen
+    if slack_gen is not None:
+        slack_gen = replace(
+            slack_gen,
+            p_min=slack_gen.p_min * copies, p_max=slack_gen.p_max * copies,
+            q_min=slack_gen.q_min * copies, q_max=slack_gen.q_max * copies,
+        )
+    buses = [Bus(id=1, p_load=slack_bus.p_load * copies, q_load=slack_bus.q_load * copies,
+                 v_min=slack_bus.v_min, v_max=slack_bus.v_max, gen=slack_gen)]
+    nonslack = [b for b in net.buses if b.id != net.slack]
+    n = len(nonslack)
+    branches = []
+    for c in range(copies):
+        idmap = {net.slack: 1}
+        for i, b in enumerate(nonslack):
+            idmap[b.id] = 2 + c * n + i
+        load_f = rng.uniform(lo, hi, size=n)
+        for i, b in enumerate(nonslack):
+            buses.append(replace(b, id=idmap[b.id], p_load=b.p_load * load_f[i],
+                                 q_load=b.q_load * load_f[i]))
+        imp_f = rng.uniform(lo, hi, size=len(net.branches))
+        for j, br in enumerate(net.branches):
+            branches.append(replace(br, from_bus=idmap[br.from_bus], to_bus=idmap[br.to_bus],
+                                    r=br.r * imp_f[j], x=br.x * imp_f[j]))
+    return replace(net, buses=tuple(buses), branches=tuple(branches), slack=1)
+
+
+def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
+    """Closed-form cost split (slack part, load-profile part, quadratic part)
+    for given modified generator outputs (dicts keyed by bus id), in $.
+
+    Evaluates the generation cost with voltages taken from the affine
+    response to the generator injections; the reference for the objective
+    assembly of ``mdopf.build_objective``.
+    """
+    base = net.base_power
+    slack_gen = net.bus(net.slack).gen
+    c1 = net.v0 * base * (
+        slack_gen.cost_p * p_hat_g.get(net.slack, 0.0)
+        + slack_gen.cost_q * q_hat_g.get(net.slack, 0.0)
+    )
+    dg = [b for b in mdopf.gen_buses(net, ti) if b != net.slack]
+    if not dg:
+        return c1, 0.0, 0.0
+    load_state = mdistflow.solve_fixed_load(net, ti)
+    order_pos = {b: i for i, b in enumerate(ti.order)}
+    cols = [order_pos[b] for b in dg]
+    t_g = ti.t[:, cols]
+    pvec = np.array([p_hat_g.get(b, 0.0) for b in dg])
+    qvec = np.array([q_hat_g.get(b, 0.0) for b in dg])
+    cp = np.array([net.bus(b).gen.cost_p for b in dg])
+    cq = np.array([net.bus(b).gen.cost_q for b in dg])
+    vd = load_state.v[1:][cols]
+    c2 = base * float(vd @ (cp * pvec) + vd @ (cq * qvec))
+    dv = ti.t.T @ (ti.r * (t_g @ pvec)) + ti.t.T @ (ti.x * (t_g @ qvec))
+    dv_g = np.array([dv[order_pos[b]] for b in dg])
+    c3 = base * float(dv_g @ (cp * pvec) + dv_g @ (cq * qvec))
+    return c1, c2, c3

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,8 @@ from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
-    bus_row, mk_case, random_tree_network, reference_build, reference_extract_duals,
-    reference_recover_dispatch,
+    bus_row, mk_case, random_tree_network, reference_build, reference_evaluate_cost,
+    reference_extract_duals, reference_recover_dispatch,
 )
 
 
@@ -16,6 +18,20 @@ def scenario_net(case33_psp, bus, price, cost_q=2.0, p_cap=0.1, q_cap=0.05):
     return netmodel.with_generator(
         case33_psp, bus, Generator(0.0, p_cap, 0.0, q_cap, price, cost_q)
     )
+
+
+def _four_dg_case33(case33_psp):
+    net = case33_psp
+    for bus in (18, 22, 25, 33):
+        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 31.0, 4.0))
+    return net
+
+
+def _case69_copies(case69, copies):
+    net = netmodel.with_slack_costs(netmodel.with_slack_voltage(case69, 1.05), 30.0, 3.0)
+    for bus in (27, 35, 46, 65):
+        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
+    return netmodel.duplicate_system(net, copies, seed=42)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +292,7 @@ def test_objective_matches_closed_form_cost(case33_psp):
     var = prob.var_map
     phg = {b: x[var[f"Pg:{b}"]] for b in mdopf.gen_buses(net, ti)}
     qhg = {b: x[var[f"Qg:{b}"]] for b in mdopf.gen_buses(net, ti)}
-    c1, c2, c3 = mdopf.evaluate_cost(net, ti, phg, qhg)
+    c1, c2, c3 = reference_evaluate_cost(net, ti, phg, qhg)
     f_exact = float(x @ (h_exact @ x) + g @ x + c)
     assert f_exact == pytest.approx(c1 + c2 + c3, rel=1e-8)
 
@@ -287,7 +303,6 @@ def test_recover_rejects_nonphysical_w(net2):
     sol = qs.solve(prob)
     bad_x = sol.x.copy()
     bad_x[prob.var_map["W:1"]] = -0.5
-    from dataclasses import replace
     with pytest.raises(MdopfError, match="nonphysical"):
         mdopf.recover_dispatch(net2, ti, prob, replace(sol, x=bad_x))
 
@@ -352,17 +367,11 @@ def assert_matches_reference(net):
 
 
 def test_lean_builder_matches_reference_case33_four_dgs(case33_psp):
-    net = case33_psp
-    for bus in (18, 22, 25, 33):
-        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 31.0, 4.0))
-    assert_matches_reference(net)
+    assert_matches_reference(_four_dg_case33(case33_psp))
 
 
 def test_lean_builder_matches_reference_case69_x3(case69):
-    net = netmodel.with_slack_costs(netmodel.with_slack_voltage(case69, 1.05), 30.0, 3.0)
-    for bus in (27, 35, 46, 65):
-        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
-    assert_matches_reference(netmodel.duplicate_system(net, 3, seed=42))
+    assert_matches_reference(_case69_copies(case69, 3))
 
 
 def test_lean_builder_matches_reference_random_trees():
@@ -424,3 +433,169 @@ def test_duals_two_bus_near_oracle(net2):
     dual_price = lam_p[2] / state.v[netmodel.tree_positions(net2)[2]]
     oracle = acpf.fd_price_oracle(net2, 2, "p")
     assert abs(dual_price - oracle) / oracle < 0.01
+
+
+# ---------------------------------------------------------------------------
+# feeder-tree elimination order of the KKT system
+# ---------------------------------------------------------------------------
+
+def _kkt_owners(net, prob):
+    """Owner of every KKT row (variables, then equality rows), read from the
+    problem's labels: a non-slack bus id for its W, the flows and voltage
+    drop of the branch into it and its balance rows; ("dg", bus) for a
+    distributed generator's Pg/Qg; "slack" for the slack's rows and its
+    generator."""
+    owners = []
+    names = sorted(prob.var_map, key=prob.var_map.get)
+    for label in (*names, *prob.eq_labels):
+        kind, _, rest = label.partition(":")
+        if kind == "w_slack":
+            owners.append("slack")
+            continue
+        bus = int(rest.split("-")[-1])
+        if kind in ("Pg", "Qg") and bus != net.slack:
+            owners.append(("dg", bus))
+        else:
+            owners.append("slack" if bus == net.slack else bus)
+    return owners
+
+
+def assert_tree_order(net):
+    ti = build_path_incidence(net)
+    prob = mdopf.build(net, ti)
+    order = prob.kkt_order
+    n_kkt = prob.n_vars + prob.n_eq
+    assert np.array_equal(np.sort(order), np.arange(n_kkt))
+    owners = _kkt_owners(net, prob)
+    at = {}  # owner -> positions of its rows in the elimination order
+    for k, row in enumerate(order):
+        at.setdefault(owners[row], []).append(k)
+    parent = {b: net.slack if pp < 0 else ti.order[pp]
+              for b, pp in zip(ti.order, ti.parent_pos)}
+    top = {}
+    for b in ti.order:  # preorder: parents are settled first
+        top[b] = b if parent[b] == net.slack else top[parent[b]]
+    for b in ti.order:
+        rows = at[b]
+        assert len(rows) == 6 and rows[-1] - rows[0] == 5, b  # one contiguous group
+        up = at["slack" if parent[b] == net.slack else parent[b]]
+        assert rows[-1] < up[0], b
+    dg = [owner[1] for owner in at if isinstance(owner, tuple)]
+    for t in {top[b] for b in dg}:
+        # the feeder's DG rows fill the slots just before its top bus
+        feeder_dg = sorted(k for b in dg if top[b] == t for k in at[("dg", b)])
+        assert feeder_dg == list(range(at[t][0] - len(feeder_dg), at[t][0])), t
+    slack = at["slack"]
+    assert slack == list(range(n_kkt - len(slack), n_kkt))
+
+
+def test_kkt_order_case33_four_dgs(case33_psp):
+    net = _four_dg_case33(case33_psp)
+    assert_tree_order(net)
+    # the order is the builder's advice to the solver, not problem data
+    prob = mdopf.build(net, build_path_incidence(net))
+    assert qs.problem_from_json(qs.problem_to_json(prob)).kkt_order is None
+
+
+def test_kkt_order_case69_x3(case69):
+    assert_tree_order(_case69_copies(case69, 3))
+
+
+def test_kkt_order_random_trees():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        net = random_tree_network(rng, int(rng.integers(2, 80)), gen_frac=0.5)
+        assert_tree_order(net)
+
+
+def _factor_nnz(prob, monkeypatch):
+    """Largest L+U nonzero count over the factorizations of one solve."""
+    nnz = []
+    splu = qs.spla.splu
+
+    def counting(a, *args, **kwargs):
+        lu = splu(a, *args, **kwargs)
+        nnz.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    with monkeypatch.context() as m:
+        m.setattr(qs.spla, "splu", counting)
+        assert qs.solve(prob).status == "optimal"
+    return max(nnz)
+
+
+def test_tree_order_fill_at_most_default(case69, monkeypatch):
+    net = _case69_copies(case69, 10)
+    prob = mdopf.build(net, build_path_incidence(net))
+    tree = _factor_nnz(prob, monkeypatch)
+    default = _factor_nnz(replace(prob, kkt_order=None), monkeypatch)
+    assert tree <= default
+
+
+def assert_tree_order_matches_default(net):
+    """The tree-ordered solve and SuperLU's own order agree at the
+    pipeline's tolerance: dispatch within 1e-6 pu, objective within 1e-8
+    relative, thermal and balance-row prices within 1e-6 of the largest,
+    and the same iteration count."""
+    ti = build_path_incidence(net)
+    prob = mdopf.build(net, ti)
+    sol_t, sol_d = qs.solve(prob), qs.solve(replace(prob, kkt_order=None))
+    assert sol_t.status == sol_d.status == "optimal"
+    assert 0.0 < sol_t.stats.factor_seconds < sol_t.stats.runtime_seconds
+    assert sol_t.stats.iterations == sol_d.stats.iterations
+    sol_t, _ = mdopf.recover_dispatch(net, ti, prob, sol_t)
+    sol_d, _ = mdopf.recover_dispatch(net, ti, prob, sol_d)
+    for b in sol_d.pg:
+        assert abs(sol_t.pg[b] - sol_d.pg[b]) < 1e-6, b
+        assert abs(sol_t.qg[b] - sol_d.qg[b]) < 1e-6, b
+    assert sol_t.objective_value == pytest.approx(sol_d.objective_value, rel=1e-8)
+    if prob.n_quad:
+        scale = np.max(np.abs(sol_d.duals_quad))
+        assert np.max(np.abs(sol_t.duals_quad - sol_d.duals_quad)) <= 1e-6 * scale
+    for lam_t, lam_d in zip(qs.extract_duals(prob, sol_t), qs.extract_duals(prob, sol_d)):
+        scale = max(abs(v) for v in lam_d.values())
+        for b in lam_d:
+            assert abs(lam_t[b] - lam_d[b]) <= 1e-6 * scale, b
+
+
+def test_tree_order_matches_default_case33_four_dgs(case33_psp):
+    assert_tree_order_matches_default(_four_dg_case33(case33_psp))
+
+
+def test_tree_order_matches_default_case69_x3(case69):
+    assert_tree_order_matches_default(_case69_copies(case69, 3))
+
+
+def test_tree_order_matches_default_random_trees():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        assert_tree_order_matches_default(
+            random_tree_network(rng, int(rng.integers(2, 60)), gen_frac=0.4))
+
+
+def test_tree_order_matches_default_binding_thermal():
+    assert_tree_order_matches_default(binding_thermal_net())
+
+
+def test_refined_solve_residual_last_iterate(case69, monkeypatch):
+    # Without pivoting, a tree-ordered solve of the last iterate's KKT system
+    # leaves a componentwise relative residual near 1e-5; the refinement step
+    # must bring it to round-off.
+    net = _case69_copies(case69, 3)
+    prob = mdopf.build(net, build_path_incidence(net))
+    factored = []
+    factor = qs._Kkt.factor
+
+    def keep(self, h, failure):
+        solve = factor(self, h, failure)
+        factored.append((self, h, solve))
+        return solve
+
+    monkeypatch.setattr(qs._Kkt, "factor", keep)
+    assert qs.solve(prob).status == "optimal"
+    kkt, h, solve = factored[-1]
+    k = kkt.assemble(h)[kkt.pos][:, kkt.pos]  # back to the problem's row order
+    b = np.random.default_rng(0).standard_normal(k.shape[0])
+    x = solve(b)
+    residual = np.abs(b - k @ x) / (abs(k) @ np.abs(x) + np.abs(b))
+    assert np.max(residual) < 1e-9

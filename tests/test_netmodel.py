@@ -10,7 +10,9 @@ from radialopf.netmodel import (
     build_path_incidence, duplicate_system, parse_matpower_case, validate,
 )
 
-from helpers import bus_row, mk_case, random_tree_network, reference_preorder
+from helpers import (
+    bus_row, mk_case, random_tree_network, reference_duplicate_system, reference_preorder,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,24 @@ def test_duplicate_scales_within_range(case33):
             f = dbr.r / br.r
             assert 0.7 <= f <= 1.3
             assert dbr.x / br.x == pytest.approx(f)
+
+
+@pytest.mark.parametrize("case, copies", [("case33", 5), ("case69", 7)])
+def test_duplicate_matches_reference(case, copies, request):
+    # the array-built copies carry the same values as the record-by-record
+    # reference, so the network JSON is byte-identical
+    net = request.getfixturevalue(case)
+    with_dg = netmodel.with_generator(
+        netmodel.with_slack_costs(net, 30.0, 3.0), 18,
+        Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
+    for base in (net, with_dg):
+        for seed in (0, 1, 42, 1042, 2042):
+            dup = duplicate_system(base, copies, seed=seed)
+            ref = reference_duplicate_system(base, copies, seed=seed)
+            assert dup == ref
+            assert netmodel.to_json(dup) == netmodel.to_json(ref)
+    dup = duplicate_system(net, copies, seed=3, scale_range=(0.5, 2.0))
+    assert dup == reference_duplicate_system(net, copies, seed=3, scale_range=(0.5, 2.0))
 
 
 def test_duplicate_requires_positive_copies(case33):

@@ -202,6 +202,19 @@ def test_config_validation():
         SolverConfig(max_iter=0)
 
 
+def test_factor_seconds_within_runtime():
+    # the factorization wall time is part of the solve's wall time
+    rng = np.random.default_rng(4)
+    for p in (
+        make_problem(h=np.eye(2), g=np.zeros(2), a_eq=[[1.0, 1.0]], b_eq=[2.0]),
+        make_problem(h=np.eye(3), g=rng.normal(size=3), a_eq=[[1.0, 1.0, 0.0]],
+                     b_eq=[1.0], a_in=rng.normal(size=(2, 3)), b_in=[1.0, 2.0],
+                     quad_diag=[[1.0, 1.0, 0.0]], quad_b=[4.0]),
+    ):
+        stats = qs.solve(p).stats
+        assert 0.0 < stats.factor_seconds < stats.runtime_seconds
+
+
 def test_problem_json_round_trip():
     rng = np.random.default_rng(2)
     p = make_problem(
