@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .netmodel import Network, tree_positions
+from .netmodel import Network, tree_buses, tree_positions
 
 
 class PowerFlowError(RuntimeError):
@@ -77,7 +77,7 @@ def admittance(net: Network) -> sp.csr_matrix:
 def default_injections(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Net injections (pu) with all generation off: minus the loads, per
     non-slack bus."""
-    buses = [net.bus(b) for b in tree_positions(net)][1:]
+    buses = tree_buses(net)[1:]
     return np.array([-b.p_load for b in buses]), np.array([-b.q_load for b in buses])
 
 

@@ -6,9 +6,9 @@ scenario overlay (declarative JSON file, individual flags override file
 values), runs the requested study and writes CSV/JSON reports.
 
 Exit codes: 0 success, 1 data error (including a scenario or network JSON
-with a missing key), 2 solver or pricing failure (including congestion,
-which the marginal-loss prices exclude), 3 oracle failure. Each failure
-prints one line to stderr.
+with a missing key or a wrongly typed or sized value), 2 solver or pricing
+failure (including congestion, which the marginal-loss prices exclude),
+3 oracle failure. Each failure prints one line to stderr.
 Case paths resolve against ``--case-dir``, the ``RADIALOPF_CASE_DIR``
 environment variable, or the packaged cases, in that order.
 """
@@ -30,7 +30,7 @@ from . import acpf, mdistflow, mdopf, netmodel, pricing, qcqpsolver
 from .acpf import OracleError, PowerFlowError
 from .mdistflow import MdfError
 from .mdopf import MdopfError
-from .netmodel import Network, NetworkError
+from .netmodel import Network, NetworkError, json_int, json_number, json_pair
 from .pricing import PricingError
 from .qcqpsolver import SolverError
 
@@ -67,6 +67,20 @@ class Scenario:
     thermal_limits: bool = True
 
 
+def _dg_spec(d: dict) -> DgSpec:
+    p_min, p_max = json_pair(d["p_range"], "p_range")
+    q_min, q_max = json_pair(d["q_range"], "q_range")
+    return DgSpec(
+        bus=json_int(d["bus"], "bus"), p_max=p_max, q_max=q_max,
+        cost_p=json_number(d["cost_p"], "cost_p"), cost_q=json_number(d["cost_q"], "cost_q"),
+        p_min=p_min, q_min=q_min,
+    )
+
+
+def _optional(doc: dict, key: str, convert):
+    return None if doc.get(key) is None else convert(doc[key], key)
+
+
 def scenario_from_json(text: str) -> Scenario:
     try:
         doc = json.loads(text)
@@ -75,33 +89,30 @@ def scenario_from_json(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise NetworkError("scenario JSON: not an object")
     try:
-        dgs = tuple(
-            DgSpec(
-                bus=int(d["bus"]),
-                p_max=float(d["p_range"][1]), p_min=float(d["p_range"][0]),
-                q_max=float(d["q_range"][1]), q_min=float(d["q_range"][0]),
-                cost_p=float(d["cost_p"]), cost_q=float(d["cost_q"]),
-            )
-            for d in doc.get("dgs", [])
-        )
+        if not isinstance(doc["case"], str):
+            raise TypeError(f"case must be a string, got {doc['case']!r}")
+        thermal = doc.get("thermal_limits", True)
+        if not isinstance(thermal, bool):
+            raise TypeError(f"thermal_limits must be true or false, got {thermal!r}")
+        dgs = tuple(_dg_spec(d) for d in doc.get("dgs", []))
         dup = None
         if doc.get("duplication"):
             dd = doc["duplication"]
-            dup = (int(dd["copies"]), int(dd.get("seed", 0)),
-                   tuple(dd.get("range", (0.7, 1.3))))
+            dup = (json_int(dd["copies"], "copies"), json_int(dd.get("seed", 0), "seed"),
+                   json_pair(dd.get("range", [0.7, 1.3]), "range"))
         return Scenario(
             case_path=doc["case"],
-            psp_voltage=doc.get("psp_voltage"),
-            psp_costs=tuple(doc["psp_costs"]) if doc.get("psp_costs") else None,
-            psp_load=tuple(doc["psp_load"]) if doc.get("psp_load") else None,
+            psp_voltage=_optional(doc, "psp_voltage", json_number),
+            psp_costs=_optional(doc, "psp_costs", json_pair),
+            psp_load=_optional(doc, "psp_load", json_pair),
             dgs=dgs,
-            load_scale=float(doc.get("load_scale", 1.0)),
-            impedance_scale=float(doc.get("impedance_scale", 1.0)),
-            v_limits=tuple(doc["v_limits"]) if doc.get("v_limits") else None,
+            load_scale=json_number(doc.get("load_scale", 1.0), "load_scale"),
+            impedance_scale=json_number(doc.get("impedance_scale", 1.0), "impedance_scale"),
+            v_limits=_optional(doc, "v_limits", json_pair),
             duplication=dup,
-            thermal_limits=bool(doc.get("thermal_limits", True)),
+            thermal_limits=thermal,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise netmodel.schema_error("scenario JSON", exc) from exc
 
 

@@ -1,11 +1,13 @@
-"""Closed-form power flow in power-to-voltage ratio variables.
+"""Modified DistFlow equations in power-to-voltage ratio variables.
 
 State variables are the modified injections p_hat = P * w and flows, with the
-auxiliary per-bus variable w = 2 - V. For fixed injections the whole state
-follows from one sparse linear solve; no iteration is involved. The module
-also recovers the bus angles, each the sum of the angle turns across the
-branches on its path, and computes the total network loss with its four-way
-split into active/reactive flow contributions.
+auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the model
+once, as the sparse branch-flow rows the OPF builder shares. For fixed
+injections the whole state follows from one direct sparse solve of those
+rows; no sweep or iteration is involved. The module also recovers the bus
+angles, each the sum of the angle turns across the branches on its path, and
+computes the total network loss with its four-way split into active/reactive
+flow contributions.
 
 Alignment: the package's one bus order. Full-bus arrays (w, v, delta) hold
 the slack at position 0, then ``ti.order``; per-non-slack arrays follow
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .netmodel import Network, PathIncidence
+from .netmodel import Network, PathIncidence, tree_buses
 
 
 class MdfError(RuntimeError):
@@ -58,12 +60,30 @@ class LossReport:
     ql_q: float
 
 
-def system_matrix(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csc_matrix:
-    """I + T' R T diag(p) + T' X T diag(q) for fixed injections p, q."""
-    t = ti.t
-    a = t.T @ sp.diags(ti.r) @ t @ sp.diags(p)
-    a = a + t.T @ sp.diags(ti.x) @ t @ sp.diags(q)
-    return (sp.identity(ti.n, format="csc") + a).tocsc()
+def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
+    """The modified branch-flow equations as sparse (3n + 3) x (3n + 1) rows.
+
+    Columns: W per bus (slack first, then ``ti.order``), then Pbr and Qbr per
+    branch row. Rows: ``w_slack``; the active, then the reactive balance of
+    each bus, Pbr in - Pbr out + p W = 0 for the full-bus net injections
+    ``p``/``q``; the voltage drop of each branch, W child - W parent - r Pbr
+    - x Qbr = 0. Explicit zeros are dropped, so a bus without injection
+    leaves no W entry in its balance rows.
+    """
+    n = ti.n
+    k = np.arange(n)
+    # branch k enters its child (W index k + 1) and leaves its parent
+    ends = np.concatenate([k + 1, np.asarray(ti.parent_pos, dtype=int) + 1])
+    inc = sp.csr_matrix((np.repeat([1.0, -1.0], n), (ends, np.tile(k, 2))), shape=(n + 1, n))
+    w_slack = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n + 1))
+    a = sp.bmat([
+        [w_slack, None, None],
+        [sp.diags(p), inc, None],
+        [sp.diags(q), None, inc],
+        [inc.T, sp.diags(-ti.r), sp.diags(-ti.x)],
+    ], format="csr")
+    a.eliminate_zeros()
+    return a
 
 
 def _assemble(net, ti, w_r, p_hat, q_hat):
@@ -84,32 +104,32 @@ def solve_fixed_load(
     p: np.ndarray | None = None,
     q: np.ndarray | None = None,
 ) -> MdfState:
-    """Closed-form solve with fixed net injections (default: minus the loads).
+    """One direct solve of ``flow_equations`` without the slack's balance
+    rows, for fixed net injections (default: minus the loads).
 
     ``p``/``q`` follow ``ti.order``; generators at fixed setpoints should be
     folded into them (see ``netmodel.net_injections``).
     """
-    if p is None:
-        p = np.array([-net.bus(b).p_load for b in ti.order])
-    if q is None:
-        q = np.array([-net.bus(b).q_load for b in ti.order])
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    a = system_matrix(ti, p, q)
-    w0 = 2.0 - net.v0
-    rhs = np.full(ti.n, w0)
+    buses = tree_buses(net)[1:]
+    p = np.array([-b.p_load for b in buses] if p is None else p, dtype=float)
+    q = np.array([-b.q_load for b in buses] if q is None else q, dtype=float)
+    n = ti.n
+    a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
+    a = a[np.delete(np.arange(3 * n + 3), [1, n + 2])]
+    rhs = np.zeros(3 * n + 1)
+    rhs[0] = 2.0 - net.v0
     try:
-        lu = spla.splu(a)
-        w_r = lu.solve(rhs)
+        x = spla.splu(a.tocsc()).solve(rhs)
     except RuntimeError as exc:
         raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
-    if not np.all(np.isfinite(w_r)):
+    if not np.all(np.isfinite(x)):
         raise MdfError("singular modified power-flow matrix (non-finite solution)")
-    resid = np.max(np.abs(a @ w_r - rhs))
-    if resid > 1e-8 * max(1.0, np.max(np.abs(w_r))):
+    resid = np.max(np.abs(a @ x - rhs))
+    if resid > 1e-8 * max(1.0, np.max(np.abs(x))):
         raise MdfError(
             f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
         )
+    w_r = x[1:n + 1]
     return _assemble(net, ti, w_r, p * w_r, q * w_r)
 
 

@@ -51,11 +51,7 @@ class ConvexityCertificate:
 
 def gen_buses(net: Network, ti: PathIncidence) -> list[int]:
     """Generator buses, slack first, then in path order."""
-    out = []
-    if net.bus(net.slack).gen is not None:
-        out.append(net.slack)
-    out.extend(b for b in ti.order if net.bus(b).gen is not None)
-    return out
+    return [b.id for b in netmodel.tree_buses(net) if b.gen is not None]
 
 
 @dataclass(frozen=True)
@@ -96,9 +92,8 @@ class VarBlocks:
 def var_blocks(net: Network, ti: PathIncidence) -> VarBlocks:
     """Variable index blocks of the OPF of ``net``."""
     gens = gen_buses(net, ti)
-    w_index = {b: k + 1 for k, b in enumerate(ti.order)}
-    w_index[net.slack] = 0
-    return VarBlocks(ti.n, tuple(gens), np.array([w_index[b] for b in gens], dtype=int))
+    pos = netmodel.tree_positions(net)
+    return VarBlocks(ti.n, tuple(gens), np.array([pos[b] for b in gens], dtype=int))
 
 
 def _branch_names(net: Network, ti: PathIncidence) -> list[str]:
@@ -184,7 +179,8 @@ def build_objective(
     g = np.zeros(n_vars)
     if not lay.gens or lay.gens[0] != net.slack:
         raise MdopfError("supply point has no generator")
-    slack_gen = net.bus(net.slack).gen
+    buses = netmodel.tree_buses(net)
+    slack_gen = buses[0].gen
     g[lay.pg] = net.v0 * slack_gen.cost_p * base
     g[lay.qg] = net.v0 * slack_gen.cost_q * base
 
@@ -196,14 +192,14 @@ def build_objective(
     except mdistflow.MdfError as exc:
         raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
     vd = load_state.v[lay.gen_w[1:]]
-    cp = np.array([net.bus(b).gen.cost_p for b in dg])
-    cq = np.array([net.bus(b).gen.cost_q for b in dg])
+    cp = np.array([buses[w].gen.cost_p for w in lay.gen_w[1:]])
+    cq = np.array([buses[w].gen.cost_q for w in lay.gen_w[1:]])
     n_dg = len(dg)
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
     t_g = ti.t[:, lay.gen_w[1:] - 1]
-    a_g = (t_g.T @ sp.diags(ti.r) @ t_g).toarray()
-    b_g = (t_g.T @ sp.diags(ti.x) @ t_g).toarray()
+    a_g = (t_g.T @ t_g.multiply(ti.r[:, None])).toarray()
+    b_g = (t_g.T @ t_g.multiply(ti.x[:, None])).toarray()
     m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * base
     block = 0.5 * (m + m.T)
     idx = np.concatenate([lay.pg + 1 + np.arange(n_dg), lay.qg + 1 + np.arange(n_dg)])
@@ -239,45 +235,29 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
     cert = certify_convexity(h_exact, eig)
     h = h_exact if cert.psd else psd_projection(h_exact, eig)
 
-    all_buses = (net.slack, *ti.order)
-    buses = [net.bus(b) for b in all_buses]
+    buses = netmodel.tree_buses(net)
     gens = [buses[w].gen for w in lay.gen_w]
     branches = _branch_names(net, ti)
     k = np.arange(n)
     kg = np.arange(n_gen)
     w_child = k + 1
-    w_parent = np.asarray(ti.parent_pos, dtype=int) + 1
 
-    # equality rows: w_slack | p_balance per bus | q_balance per bus | w_drop
-    p_bal, q_bal, drop = 1, n + 2, 2 * n + 3
-    load_p = np.array([bus.p_load for bus in buses])
-    load_q = np.array([bus.q_load for bus in buses])
-    lp, lq = np.flatnonzero(load_p), np.flatnonzero(load_q)
-    eq_r = np.concatenate([
-        [0],
-        p_bal + w_child, p_bal + w_parent, p_bal + lay.gen_w, p_bal + lp,
-        q_bal + w_child, q_bal + w_parent, q_bal + lay.gen_w, q_bal + lq,
-        np.tile(drop + k, 4),
-    ])
-    eq_c = np.concatenate([
-        [0],
-        lay.pbr + k, lay.pbr + k, lay.pg + kg, lp,
-        lay.qbr + k, lay.qbr + k, lay.qg + kg, lq,
-        w_child, w_parent, lay.pbr + k, lay.qbr + k,
-    ])
-    eq_v = np.concatenate([
-        [1.0],
-        np.ones(n), -np.ones(n), np.ones(n_gen), -load_p[lp],
-        np.ones(n), -np.ones(n), np.ones(n_gen), -load_q[lq],
-        np.ones(n), -np.ones(n), -ti.r, -ti.x,
-    ])
-    a_eq = sp.csr_matrix((eq_v, (eq_r, eq_c)), shape=(3 * n + 3, n_vars))
+    # equality rows: the branch-flow rows with the loads folded in, and each
+    # generator's Pg/Qg in its bus's p/q balance rows (1 + W index, n + 2 + W index)
+    flows = mdistflow.flow_equations(
+        ti, -np.array([bus.p_load for bus in buses]), -np.array([bus.q_load for bus in buses])
+    )
+    bal_rows = np.concatenate([1 + lay.gen_w, n + 2 + lay.gen_w])
+    gen_cols = sp.csr_matrix(
+        (np.ones(2 * n_gen), (bal_rows, np.arange(2 * n_gen))), shape=(3 * n + 3, 2 * n_gen)
+    )
+    a_eq = sp.hstack([flows, gen_cols], format="csr")
     b_eq = np.zeros(3 * n + 3)
     b_eq[0] = 2.0 - net.v0
     eq_labels = (
         "w_slack",
-        *(f"p_balance:{b}" for b in all_buses),
-        *(f"q_balance:{b}" for b in all_buses),
+        *(f"p_balance:{bus.id}" for bus in buses),
+        *(f"q_balance:{bus.id}" for bus in buses),
         *(f"w_drop:{br}" for br in branches),
     )
 
@@ -382,7 +362,7 @@ def recover_dispatch(
     pg = dict(zip(lay.gens, (p_gen / w_gen).tolist()))
     qg = dict(zip(lay.gens, (q_gen / w_gen).tolist()))
     w_r = w[1:]
-    buses = [net.bus(b) for b in ti.order]
+    buses = netmodel.tree_buses(net)[1:]
     p_hat = -np.array([bus.p_load for bus in buses]) * w_r
     q_hat = -np.array([bus.q_load for bus in buses]) * w_r
     on_tree = lay.gen_w > 0

@@ -122,6 +122,17 @@ def tree_positions(net: Network) -> dict[int, int]:
     return memo
 
 
+def tree_buses(net: Network) -> tuple[Bus, ...]:
+    """Bus records in array order: the slack, then ``tree_positions`` order.
+    Memoized on the instance."""
+    memo = net.__dict__.get("_tree_buses_memo")
+    if memo is None:
+        pos = bus_positions(net)
+        memo = tuple(net.buses[pos[b]] for b in tree_positions(net))
+        object.__setattr__(net, "_tree_buses_memo", memo)
+    return memo
+
+
 def _adjacency(net: Network) -> dict[int, list[tuple[int, int]]]:
     adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
     for li, br in enumerate(net.branches):
@@ -472,25 +483,25 @@ def from_json(text: str) -> Network:
     try:
         buses = tuple(
             Bus(
-                id=b["id"], p_load=b["p_load"], q_load=b["q_load"],
-                v_min=b["v_min"], v_max=b["v_max"],
-                gen=Generator(**b["gen"]) if b.get("gen") else None,
+                id=json_int(b["id"], "id"),
+                gen=_generator(b["gen"]) if b.get("gen") else None,
+                **_numbers(b, "p_load", "q_load", "v_min", "v_max"),
             )
             for b in doc["buses"]
         )
         branches = tuple(
             Branch(
-                from_bus=br["from"], to_bus=br["to"], r=br["r"], x=br["x"],
-                i_max=br["i_max"],
+                from_bus=json_int(br["from"], "from"), to_bus=json_int(br["to"], "to"),
+                i_max=None if br["i_max"] is None else json_number(br["i_max"], "i_max"),
+                **_numbers(br, "r", "x"),
             )
             for br in doc["branches"]
         )
         return Network(
-            buses=buses, branches=branches, slack=doc["slack"],
-            base_power=doc["base_power"], base_voltage=doc["base_voltage"],
-            v0=doc["v0"],
+            buses=buses, branches=branches, slack=json_int(doc["slack"], "slack"),
+            **_numbers(doc, "base_power", "base_voltage", "v0"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise schema_error("network JSON", exc) from exc
 
 
@@ -499,6 +510,38 @@ def schema_error(document: str, exc: Exception) -> NetworkError:
     if isinstance(exc, KeyError):
         return NetworkError(f"{document}: missing key {exc.args[0]!r}")
     return NetworkError(f"{document}: {exc}")
+
+
+def json_number(value, name: str) -> float:
+    """A JSON number field as a float; TypeError for anything else (strings,
+    null, booleans, lists)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer field; TypeError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_pair(value, name: str) -> tuple[float, float]:
+    """A JSON list of exactly two numbers as a float pair."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
+    return json_number(value[0], name), json_number(value[1], name)
+
+
+def _numbers(record: dict, *keys: str) -> dict[str, float]:
+    return {k: json_number(record[k], k) for k in keys}
+
+
+def _generator(record) -> Generator:
+    if not isinstance(record, dict):
+        raise TypeError(f"gen must be an object, got {record!r}")
+    return Generator(**_numbers(record, *record))
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +691,7 @@ def net_injections(
     ``ti.order``. ``pg``/``qg`` map bus id -> dispatched output (pu)."""
     pg = pg or {}
     qg = qg or {}
-    p = np.empty(ti.n)
-    q = np.empty(ti.n)
-    for i, bus_id in enumerate(ti.order):
-        b = net.bus(bus_id)
-        p[i] = pg.get(bus_id, 0.0) - b.p_load
-        q[i] = qg.get(bus_id, 0.0) - b.q_load
+    buses = tree_buses(net)[1:]
+    p = np.array([pg.get(b.id, 0.0) - b.p_load for b in buses])
+    q = np.array([qg.get(b.id, 0.0) - b.q_load for b in buses])
     return p, q

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import acpf, mdistflow
 from .mdistflow import MdfState
-from .netmodel import Network, PathIncidence
+from .netmodel import Network, PathIncidence, tree_buses
 
 
 class PricingError(RuntimeError):
@@ -159,8 +159,8 @@ def allocate_losses(
     A bus is charged for every branch on its path to the supply point, in
     proportion to its own modified injection times the branch flow.
     """
-    f = ti.t @ state.p_hat
-    g = ti.t @ state.q_hat
+    f = -state.p_br_hat
+    g = -state.q_br_hat
     pl_p = state.p_hat * (ti.t.T @ (ti.r * f))
     ql_p = state.p_hat * (ti.t.T @ (ti.x * f))
     pl_q = state.q_hat * (ti.t.T @ (ti.r * g))
@@ -178,8 +178,8 @@ def dlp(
         raise PricingError("non-positive voltage magnitude in state")
     c0p, c0q = acpf.slack_costs(net)
     kern = c0p * ti.r + c0q * ti.x
-    f = ti.t @ state.p_hat
-    g = ti.t @ state.q_hat
+    f = -state.p_br_hat
+    g = -state.q_br_hat
     dlp_p = c0p - (ti.t.T @ (kern * f)) / v
     dlp_q = c0q - (ti.t.T @ (kern * g)) / v
     return dlp_p, dlp_q
@@ -207,11 +207,11 @@ def settle(
     base = net.base_power
     w = state.w[1:]
     v = state.v[1:]
-    p_load = np.array([net.bus(b).p_load for b in ti.order])
-    q_load = np.array([net.bus(b).q_load for b in ti.order])
+    slack_bus, *buses = tree_buses(net)
+    p_load = np.array([b.p_load for b in buses])
+    q_load = np.array([b.q_load for b in buses])
     gen_p = state.p_hat / w + p_load
     gen_q = state.q_hat / w + q_load
-    slack_bus = net.bus(net.slack)
 
     if ac_state is None:
         scale = w * v

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from radialopf import mdistflow, mdopf, netmodel, pricing
 from radialopf.netmodel import Branch, Bus, Generator, Network
@@ -150,6 +151,23 @@ def reference_angles(ti, v, p_br, q_br):
             raise mdistflow.MdfError(f"angle recovery infeasible at bus {ti.order[i]}")
         delta[i + 1] = delta[ti.parent_pos[i] + 1] - np.arcsin(arg)
     return delta
+
+
+def reference_system_matrix(ti, p, q):
+    """The closed form of the load-only power flow for fixed injections
+    ``p``/``q`` (in ``ti.order``): I + T'RT diag(p) + T'XT diag(q), whose
+    solve against w0 gives W per non-slack bus."""
+    t = ti.t
+    a = t.T @ sp.diags(ti.r) @ t @ sp.diags(p)
+    a = a + t.T @ sp.diags(ti.x) @ t @ sp.diags(q)
+    return (sp.identity(ti.n, format="csc") + a).tocsc()
+
+
+def reference_fixed_load_w(net, ti, p, q):
+    """W per non-slack bus from the closed-form system, the reference for
+    ``mdistflow.solve_fixed_load``."""
+    a = reference_system_matrix(ti, p, q)
+    return spla.spsolve(a, np.full(ti.n, 2.0 - net.v0))
 
 
 def dense_loss_factors(net, ti, state, sens):

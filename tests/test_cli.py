@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from radialopf import cli, netmodel
 
 from helpers import bus_row, mk_case
@@ -321,6 +323,47 @@ def test_network_missing_bus_field_is_data_error(tmp_path, capsys):
     assert "missing key 'v_min'" in capsys.readouterr().err
 
 
+def _network_edit(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+_GEN = {"p_min": 0.0, "p_max": 1.0, "q_min": -1.0, "q_max": 1.0, "cost_q": 0.0}
+
+
+@pytest.mark.parametrize("document,edit", [
+    ("scenario", {"psp_voltage": "1.05"}),
+    ("scenario", {"psp_costs": [30]}),
+    ("scenario", {"psp_load": [1]}),
+    ("scenario", {"v_limits": ["a", 1.1]}),
+    ("scenario", {"duplication": {"copies": 2, "range": [1]}}),
+    ("scenario", {"case": 7}),
+    ("scenario", {"thermal_limits": "false"}),
+    ("network", _network_edit(("buses", 1, "p_load"), "x")),
+    ("network", _network_edit(("branches", 0, "r"), None)),
+    ("network", _network_edit(("v0",), "1")),
+    ("network", _network_edit(("buses", 0, "gen"), {**_GEN, "cost_p": [1]})),
+], ids=["psp_voltage", "psp_costs", "psp_load", "v_limits", "duplication_range", "case",
+        "thermal_limits", "p_load", "r", "v0", "cost_p"])
+def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
+    """A wrongly typed or sized JSON value ends in exit 1 with one stderr
+    line naming the document, not a traceback."""
+    if document == "scenario":
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps({"case": "case33.m", **edit}))
+        code = run(["opf", "--scenario", str(path), "--out", str(tmp_path)])
+    else:
+        code = run(["validate", "--case", json_network(tmp_path, edit)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"data error: {document} JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
     """The process pool gets the network as one JSON document."""
     calls = []
@@ -386,3 +429,22 @@ def test_opf_builds_objective_once(tmp_path, monkeypatch):
     cert = json.loads(read(tmp_path / "opf_summary.json"))["convexity_certificate"]
     # generic P/Q cost ratios leave the exact quadratic indefinite
     assert cert["projected"] and not cert["psd"] and cert["min_eigenvalue"] < 0
+
+
+def test_price_bus_lookups_bounded_by_generators(tmp_path, monkeypatch):
+    """Per-bus gathers read ``netmodel.tree_buses``: on case33 x10 (321 buses,
+    a DG per copy plus the supply point) ``price`` looks up fewer bus records
+    by id than there are generators."""
+    calls = []
+    bus = netmodel.Network.bus
+
+    def counting(self, bus_id):
+        calls.append(bus_id)
+        return bus(self, bus_id)
+
+    monkeypatch.setattr(netmodel.Network, "bus", counting)
+    assert run(["price", "--case", "case33.m", "--psp-v", "1.05",
+                "--psp-cost-p", "30", "--psp-cost-q", "3", "--dg", "18:0.2:0.1:31:2",
+                "--copies", "10", "--out", str(tmp_path)]) == 0
+    n_gen = 1 + 10
+    assert len(calls) <= n_gen

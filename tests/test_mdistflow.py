@@ -6,7 +6,7 @@ from radialopf import acpf, mdistflow as mdf, mdopf, netmodel
 from radialopf.mdistflow import MdfError
 from radialopf.netmodel import build_path_incidence
 
-from helpers import random_tree_network, reference_angles
+from helpers import random_tree_network, reference_angles, reference_fixed_load_w
 from test_pricing import reverse_flow_net
 
 
@@ -82,6 +82,51 @@ def test_matrix_solution_matches_sweep(n, seed):
     st_ = mdf.solve_fixed_load(net, ti, p, q)
     w_sweep = sweep_oracle(net, ti, p, q)
     assert np.max(np.abs(st_.w[1:] - w_sweep)) < 1e-12
+
+
+def assert_w_matches_closed_form(net, ti, p, q):
+    st_ = mdf.solve_fixed_load(net, ti, p, q)
+    assert np.max(np.abs(st_.w[1:] - reference_fixed_load_w(net, ti, p, q))) <= 1e-12
+    return st_
+
+
+@pytest.mark.parametrize("fixture,copies", [("net2", 1), ("case33", 1), ("case69", 3)])
+def test_fixed_load_matches_closed_form(fixture, copies, request):
+    net = request.getfixturevalue(fixture)
+    if copies > 1:
+        net = netmodel.duplicate_system(net, copies, seed=5)
+    ti = build_path_incidence(net)
+    assert_w_matches_closed_form(net, ti, *netmodel.net_injections(net, ti))
+
+
+def test_fixed_load_matches_closed_form_random_trees():
+    """Random trees with exporting buses (reverse flow) and buses that
+    inject nothing."""
+    rng = np.random.default_rng(17)
+    reverse = 0
+    for _ in range(30):
+        net = random_tree_network(rng, int(rng.integers(2, 41)))
+        ti = build_path_incidence(net)
+        p = rng.uniform(-0.03, 0.03, ti.n)
+        q = rng.uniform(-0.02, 0.02, ti.n)
+        idle = rng.random(ti.n) < 0.2
+        p[idle] = q[idle] = 0.0
+        st_ = assert_w_matches_closed_form(net, ti, p, q)
+        reverse += int(np.any(st_.p_br_hat < 0))
+    assert reverse > 0
+
+
+def test_flow_equations_drop_zero_injections(case69):
+    ti = build_path_incidence(case69)
+    buses = netmodel.tree_buses(case69)
+    p = -np.array([b.p_load for b in buses])
+    q = -np.array([b.q_load for b in buses])
+    a = mdf.flow_equations(ti, p, q)
+    assert a.shape == (3 * ti.n + 3, 3 * ti.n + 1)
+    assert np.all(a.data != 0.0)
+    # w_slack; each branch in two balance rows per axis and its drop row
+    assert a.nnz == 1 + 8 * ti.n + np.count_nonzero(p) + np.count_nonzero(q)
+    assert np.count_nonzero(p) < ti.n + 1  # case69 has buses without load
 
 
 def test_voltage_affine_in_modified_generation(case33):

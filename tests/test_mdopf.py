@@ -66,6 +66,32 @@ def test_equality_row_count_random_trees(n, seed):
     assert prob.n_vars == 3 * ti.n + 1 + 2 * len(mdopf.gen_buses(net, ti))
 
 
+def assert_equalities_are_flow_equations(net):
+    """The OPF's balance and drop rows are ``flow_equations`` with the loads
+    folded in, entry for entry; the rest of ``a_eq`` is one unit Pg/Qg entry
+    per generator in its bus's balance rows."""
+    ti = build_path_incidence(net)
+    prob = mdopf.build(net, ti)
+    buses = netmodel.tree_buses(net)
+    flows = mdf.flow_equations(
+        ti, -np.array([b.p_load for b in buses]), -np.array([b.q_load for b in buses])
+    )
+    head = prob.a_eq[:, :3 * ti.n + 1]
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(head, part), getattr(flows, part)), part
+    tail = prob.a_eq[:, 3 * ti.n + 1:].tocoo()
+    n_gen = len(mdopf.gen_buses(net, ti))
+    assert tail.nnz == 2 * n_gen and np.all(tail.data == 1.0)
+
+
+def test_equalities_are_flow_equations_case33_four_dgs(case33_psp):
+    assert_equalities_are_flow_equations(_four_dg_case33(case33_psp))
+
+
+def test_equalities_are_flow_equations_case69_copies(case69):
+    assert_equalities_are_flow_equations(_case69_copies(case69, 10))
+
+
 def test_row_labels_name_buses(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     ti = build_path_incidence(net)
