@@ -3,12 +3,13 @@
 Typical flow: parse a case, solve the dispatch (path incidence, build,
 interior-point solve and state recovery in one call), price it:
 
-    from radialopf import netmodel, mdopf, pricing
+    from radialopf import cli, netmodel, mdopf, pricing
 
-    net = netmodel.load_case("case33.m")
+    net = netmodel.load_case(cli.resolve_case("case33.m", None))
     ti, prob, sol, state = mdopf.solve_opf(net)
     table = pricing.compute_price_table(net, ti, state)
 
+``cli.resolve_case`` falls back to the packaged cases (case33.m, case69.m).
 ``prob.certificate`` holds the convexity verdict of the cost quadratic.
 
 Every per-bus array uses one bus order: ``state.v[0]`` is the slack and

@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,24 +216,22 @@ def _scenario_from_args(args) -> Scenario:
         )
     if args.no_thermal:
         updates["thermal_limits"] = False
-    if getattr(args, "dg", None):
+    if args.dg:
         dgs = list(scen.dgs)
         for spec in args.dg:
-            parts = spec.split(":")
-            if len(parts) != 5:
+            try:
+                bus, p_max, q_max, cost_p, cost_q = spec.split(":")
+                dgs.append(DgSpec(bus=int(bus), p_max=float(p_max), q_max=float(q_max),
+                                  cost_p=float(cost_p), cost_q=float(cost_q)))
+            except ValueError as exc:
                 raise NetworkError(
                     f"bad --dg spec {spec!r}; expected bus:pmax:qmax:costp:costq"
-                )
-            dgs.append(DgSpec(
-                bus=int(parts[0]), p_max=float(parts[1]), q_max=float(parts[2]),
-                cost_p=float(parts[3]), cost_q=float(parts[4]),
-            ))
+                ) from exc
         updates["dgs"] = tuple(dgs)
-    if getattr(args, "copies", None):
+    if args.copies is not None:
         rng = (args.scale_lo, args.scale_hi)
         updates["duplication"] = (args.copies, args.seed, rng)
     if updates:
-        from dataclasses import replace
         scen = replace(scen, **updates)
     return scen
 
@@ -364,8 +362,10 @@ def _oracle_sweep(net, ti, state, sol, jobs: int):
     point = (p, q, state.v, state.delta)
     tasks = [(b, axis) for b in ti.order for axis in ("p", "q")]
     if jobs > 1:
+        # one worker per CPU at most, and never more workers than tasks
+        workers = min(jobs, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
             initializer=_oracle_init, initargs=(netmodel.to_json(net), *point),
         ) as pool:
             results = list(pool.map(_oracle_worker, tasks))
@@ -377,6 +377,8 @@ def _oracle_sweep(net, ti, state, sol, jobs: int):
 
 
 def cmd_price(args) -> int:
+    if args.jobs < 1:
+        raise NetworkError(f"--jobs must be >= 1, got {args.jobs}")
     scen = _scenario_from_args(args)
     net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
     ti, prob, sol, state = mdopf.solve_opf(net)
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: $RADIALOPF_CASE_DIR, then packaged cases)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_dg=True):
+    def add_common(p):
         p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--case", help="case file (MATPOWER subset .m or native .json)")
         p.add_argument("--psp-v", type=float, help="supply-point voltage (pu)")
@@ -457,15 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-thermal", action="store_true",
                        help="ignore branch current ratings")
         p.add_argument("--out", default=".", help="output directory")
-        if with_dg:
-            p.add_argument("--dg", action="append",
-                           help="add a generator, bus:pmax_MW:qmax_MVar:costp:costq")
-            p.add_argument("--copies", type=int,
-                           help="duplicate the feeder this many times")
-            p.add_argument("--seed", type=int, default=0,
-                           help="duplication random seed")
-            p.add_argument("--scale-lo", type=float, default=0.7)
-            p.add_argument("--scale-hi", type=float, default=1.3)
+        p.add_argument("--dg", action="append",
+                       help="add a generator, bus:pmax_MW:qmax_MVar:costp:costq")
+        p.add_argument("--copies", type=int, help="duplicate the feeder this many times")
+        p.add_argument("--seed", type=int, default=0, help="duplication random seed")
+        p.add_argument("--scale-lo", type=float, default=0.7)
+        p.add_argument("--scale-hi", type=float, default=1.3)
 
     p = sub.add_parser("validate", help="check case-file invariants")
     add_common(p)

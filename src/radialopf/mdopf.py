@@ -198,13 +198,16 @@ def build_objective(
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
     t_g = ti.t[:, lay.gen_w[1:] - 1]
-    a_g = (t_g.T @ t_g.multiply(ti.r[:, None])).toarray()
-    b_g = (t_g.T @ t_g.multiply(ti.x[:, None])).toarray()
-    m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * base
-    block = 0.5 * (m + m.T)
+    # the common-path resistance and reactance between generator buses;
+    # feeders meet only at the slack, so both are block diagonal by feeder
+    a_g = t_g.T @ t_g.multiply(ti.r[:, None])
+    b_g = t_g.T @ t_g.multiply(ti.x[:, None])
+    m = sp.bmat([[a_g.multiply(cp), a_g.multiply(cq)],
+                 [b_g.multiply(cp), b_g.multiply(cq)]], format="csr") * base
+    block = sp.coo_matrix(0.5 * (m + m.T))
+    block.eliminate_zeros()
     idx = np.concatenate([lay.pg + 1 + np.arange(n_dg), lay.qg + 1 + np.arange(n_dg)])
-    ri, ci = np.nonzero(block)
-    h = sp.csr_matrix((block[ri, ci], (idx[ri], idx[ci])), shape=(n_vars, n_vars))
+    h = sp.csr_matrix((block.data, (idx[block.row], idx[block.col])), shape=(n_vars, n_vars))
     return h, g, 0.0
 
 

@@ -561,13 +561,14 @@ def duplicate_system(
     factor per bus (applied to P and Q together), drawn from ``scale_range``
     with numpy's PCG64 generator seeded by ``seed``. The copies' slack buses
     merge into the single new slack, whose generator capacity is scaled by
-    ``copies``. Bus count of the result is copies * (n_bus - 1) + 1.
+    ``copies``. Bus count of the result is copies * (n_bus - 1) + 1. Raises
+    ``NetworkError`` unless ``copies >= 1`` and ``0 < lo <= hi``.
     """
     if copies < 1:
-        raise ValueError("copies must be >= 1")
+        raise NetworkError(f"copies must be >= 1, got {copies}")
     lo, hi = scale_range
     if not (0 < lo <= hi):
-        raise ValueError(f"bad scale_range {scale_range}")
+        raise NetworkError(f"bad scale_range {scale_range}")
     rng = np.random.default_rng(seed)
     slack_bus = net.bus(net.slack)
     slack_gen = slack_bus.gen

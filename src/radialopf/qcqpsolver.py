@@ -7,23 +7,17 @@ Handles problems of the form
                 A_in x <= b_in
                 x' diag(d_k) x <= b_k      (d_k >= 0)
 
-with a Mehrotra predictor-corrector iteration. The KKT systems are solved by
-sparse LU factorization of the statically regularized quasi-definite matrix;
-everything is deterministic for fixed inputs. A quasi-definite matrix has a
-stable LDL' factorization in every symmetric order (Vanderbei, SIAM J. Optim.
-1995), so when the problem supplies an elimination order (``kkt_order``; the
-OPF builder's eliminates the feeder tree leaves first) the matrix is factored
-in that order with no pivoting, and each solve takes one step of iterative
-refinement. A problem without one, such as any read by
-``problem_from_json``, is factored in SuperLU's own order with pivoting.
-
-The problem container doubles as the wire format between the OPF builder
-and the solver; ``problem_to_json``/``problem_from_json`` give a documented
-standard form for external cross-checks (format tag ``radialopf-qcqp-v2``).
+with a Mehrotra predictor-corrector iteration; everything is deterministic
+for fixed inputs. The KKT systems are statically regularized, which makes
+them quasi-definite, and a quasi-definite matrix has a stable LDL'
+factorization in every symmetric order (Vanderbei, SIAM J. Optim. 1995). So
+every KKT matrix is factored by sparse LU in the problem's elimination order
+(``kkt_order``; the OPF builder's eliminates the feeder tree leaves first,
+and a problem without one uses the identity order) with no pivoting, and
+each solve takes one step of iterative refinement.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -43,9 +37,6 @@ class SolverError(RuntimeError):
 
 #: static regularization of the KKT matrix (makes it quasi-definite)
 REGULARIZATION = 1e-9
-
-#: wire-format tag of ``problem_to_json``/``problem_from_json``
-QCQP_FORMAT = "radialopf-qcqp-v2"
 
 
 @dataclass(frozen=True)
@@ -81,8 +72,7 @@ class QcqpProblem:
     made one. ``kkt_order`` is an elimination order of the KKT rows (the
     variables, then the equality rows) under which the solver's
     quasi-definite KKT matrices factor without pivoting and with little
-    fill; None leaves the ordering to SuperLU. Neither is part of the wire
-    format.
+    fill; None means the identity order.
     """
 
     n_vars: int
@@ -186,27 +176,26 @@ class _Kkt:
     """The KKT matrices [[H, A_eq'], [A_eq, -delta I]] of one problem and
     their factorizations; ``seconds`` sums the factorization wall time.
 
-    With a ``kkt_order`` the matrix is assembled with its rows and columns
-    already in that order and factored in it, with no pivoting: a
-    quasi-definite matrix has a stable LDL' factorization in every
-    symmetric order, but its solves then leave componentwise residuals of
-    about 1e-5, so each solve takes one step of iterative refinement, which
-    brings them to round-off. A feeder tree's supernodes are small, so
-    SuperLU works in panels and relaxed supernodes of two columns; its
-    wider defaults took 1.7 times the factor time on case69 x100. Without an
-    order, SuperLU picks its own column order and pivots, and solves are not
-    refined.
+    The matrix is assembled with its rows and columns already in the
+    problem's ``kkt_order`` (the identity order when it has none) and
+    factored in it, with no pivoting: a quasi-definite matrix has a stable
+    LDL' factorization in every symmetric order, but its solves then leave
+    componentwise residuals of about 1e-5, so each solve takes one step of
+    iterative refinement, which brings them to round-off (Gill, Saunders &
+    Shinnerl, SIAM J. Matrix Anal. Appl. 1996). A feeder tree's supernodes
+    are small, so SuperLU works in panels and relaxed supernodes of two
+    columns; its wider defaults took 1.7 times the factor time on case69
+    x100.
     """
 
     def __init__(self, p: QcqpProblem, delta: float):
-        self.order = p.kkt_order
         self.a_eq = p.a_eq
         self.delta = delta
         self.seconds = 0.0
         self.size = p.n_vars + p.n_eq
-        self.pos = np.arange(self.size)
-        if self.order is not None:
-            self.pos[self.order] = np.arange(self.size)
+        self.order = np.arange(self.size) if p.kkt_order is None else p.kkt_order
+        self.pos = np.empty(self.size, dtype=np.intp)
+        self.pos[self.order] = np.arange(self.size)
 
     def assemble(self, h: sp.spmatrix) -> sp.csc_matrix:
         """The KKT matrix with (1,1) block ``h``, rows and columns in the
@@ -228,17 +217,12 @@ class _Kkt:
         kkt = self.assemble(h)
         t0 = time.perf_counter()
         try:
-            if self.order is None:
-                lu = spla.splu(kkt)
-            else:
-                lu = spla.splu(kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
-                               relax=2, panel_size=2, options=dict(SymmetricMode=True))
+            lu = spla.splu(kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
+                           relax=2, panel_size=2, options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"{failure}: {exc}") from exc
         finally:
             self.seconds += time.perf_counter() - t0
-        if self.order is None:
-            return lu.solve
         order, pos = self.order, self.pos
 
         def solve(rhs):
@@ -442,61 +426,3 @@ def extract_duals(
         elif label.startswith("q_balance:"):
             lam_q[int(label.split(":")[1])] = -float(sol.duals_eq[i])
     return lam_p, lam_q
-
-
-# ---------------------------------------------------------------------------
-# JSON standard form
-# ---------------------------------------------------------------------------
-
-def _mat_to_doc(m: sp.spmatrix) -> dict:
-    coo = sp.coo_matrix(m)
-    return {
-        "shape": list(coo.shape),
-        "rows": coo.row.tolist(),
-        "cols": coo.col.tolist(),
-        "vals": coo.data.tolist(),
-    }
-
-
-def _mat_from_doc(doc: dict) -> sp.csr_matrix:
-    return sp.csr_matrix(
-        (doc["vals"], (doc["rows"], doc["cols"])), shape=tuple(doc["shape"])
-    )
-
-
-def problem_to_json(p: QcqpProblem) -> str:
-    doc = {
-        "format": QCQP_FORMAT,
-        "n_vars": p.n_vars,
-        "objective": {"h": _mat_to_doc(p.h), "g": p.g.tolist(), "c": p.c},
-        "eq": {"a": _mat_to_doc(p.a_eq), "b": p.b_eq.tolist(),
-               "labels": list(p.eq_labels)},
-        "ineq": {"a": _mat_to_doc(p.a_in), "b": p.b_in.tolist(),
-                 "labels": list(p.in_labels)},
-        "quad": {"diag": _mat_to_doc(p.quad_diag), "b": p.quad_b.tolist(),
-                 "labels": list(p.quad_labels)},
-        "var_map": p.var_map,
-    }
-    return json.dumps(doc)
-
-
-def problem_from_json(text: str) -> QcqpProblem:
-    doc = json.loads(text)
-    if doc.get("format") != QCQP_FORMAT:
-        raise ValueError("not a radialopf QCQP document")
-    return QcqpProblem(
-        n_vars=doc["n_vars"],
-        h=_mat_from_doc(doc["objective"]["h"]),
-        g=np.array(doc["objective"]["g"], dtype=float),
-        c=float(doc["objective"]["c"]),
-        a_eq=_mat_from_doc(doc["eq"]["a"]),
-        b_eq=np.array(doc["eq"]["b"], dtype=float),
-        eq_labels=tuple(doc["eq"]["labels"]),
-        a_in=_mat_from_doc(doc["ineq"]["a"]),
-        b_in=np.array(doc["ineq"]["b"], dtype=float),
-        in_labels=tuple(doc["ineq"]["labels"]),
-        quad_diag=_mat_from_doc(doc["quad"]["diag"]),
-        quad_b=np.array(doc["quad"]["b"], dtype=float),
-        quad_labels=tuple(doc["quad"]["labels"]),
-        var_map={k: int(v) for k, v in doc["var_map"].items()},
-    )

@@ -74,6 +74,14 @@ def bus_row(i, btype=1, pd=0.0, qd=0.0, vmax=1.1, vmin=0.9):
     return [i, btype, pd, qd, 0, 0, 1, 1, 0, 12.66, 1, vmax, vmin]
 
 
+def pivoting_factor(kkt, h, failure):
+    """Stand-in for ``qcqpsolver._Kkt.factor``, the reference for its
+    elimination-order path: SuperLU factors the KKT matrix in the problem's
+    row order, in its own column order with partial pivoting, and solves are
+    not refined."""
+    return spla.splu(kkt.assemble(h)[kkt.pos][:, kkt.pos]).solve
+
+
 def reference_preorder(net):
     """Two-pass reference for the feeder tree search: parents from a
     breadth-first search, then a preorder that visits each bus's children in
@@ -398,6 +406,25 @@ def reference_duplicate_system(net, copies, seed=0, scale_range=(0.7, 1.3)):
             branches.append(replace(br, from_bus=idmap[br.from_bus], to_bus=idmap[br.to_bus],
                                     r=br.r * imp_f[j], x=br.x * imp_f[j]))
     return replace(net, buses=tuple(buses), branches=tuple(branches), slack=1)
+
+
+def dense_objective_h(net, ti):
+    """Dense reference for the quadratic of ``mdopf.build_objective``: the
+    generator block formed as one dense 2g x 2g array, symmetrized and
+    gathered with ``np.nonzero``."""
+    lay = mdopf.var_blocks(net, ti)
+    buses = netmodel.tree_buses(net)
+    w = lay.gen_w[1:]
+    cp = np.array([buses[k].gen.cost_p for k in w])
+    cq = np.array([buses[k].gen.cost_q for k in w])
+    t_g = ti.t[:, w - 1]
+    a_g = (t_g.T @ t_g.multiply(ti.r[:, None])).toarray()
+    b_g = (t_g.T @ t_g.multiply(ti.x[:, None])).toarray()
+    m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * net.base_power
+    block = 0.5 * (m + m.T)
+    idx = np.concatenate([lay.pg + 1 + np.arange(w.size), lay.qg + 1 + np.arange(w.size)])
+    ri, ci = np.nonzero(block)
+    return sp.csr_matrix((block[ri, ci], (idx[ri], idx[ci])), shape=(lay.n_vars, lay.n_vars))
 
 
 def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):

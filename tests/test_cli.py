@@ -364,6 +364,63 @@ def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,scenario", [
+    (["opf", "--case", "case33.m", "--dg", "abc:1:1:1:1"], None),
+    (["opf", "--case", "case33.m", "--dg", "18:1:1:1"], None),
+    (["opf", "--case", "case33.m", "--copies", "2", "--scale-lo", "2", "--scale-hi", "1"],
+     None),
+    (["opf", "--case", "case33.m", "--copies", "0"], None),
+    (["duplicate", "--case", "case33.m", "--copies", "0"], None),
+    (["opf"], {"case": "case33.m", "duplication": {"copies": 0}}),
+    (["price", "--case", "case33.m", "--oracle", "--jobs", "0"], None),
+], ids=["dg_field", "dg_arity", "scale_range", "copies_flag", "duplicate_copies",
+        "scenario_copies", "jobs"])
+def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario):
+    if scenario is not None:
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(scenario))
+        argv = [*argv, "--scenario", str(path)]
+    code = run([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "opf_dispatch.csv").exists()
+
+
+class _RecordingPool:
+    """In-process stand-in for ``ProcessPoolExecutor``: records the worker
+    count it was asked for and starts no process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1), (1000, 64)])
+def test_oracle_pool_bounded_by_cpus_and_tasks(tmp_path, monkeypatch, cpus, workers):
+    # case33 has 32 non-slack buses, so the sweep has 64 tasks
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_oracle_point", None)
+    code = run(["price", "--case", "case33.m", "--psp-v", "1.05", "--oracle",
+                "--jobs", "100000", "--mechanism", "mlm", "--out", str(tmp_path)])
+    assert code == 0
+    assert _RecordingPool.max_workers == [workers]
+
+
 def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
     """The process pool gets the network as one JSON document."""
     calls = []

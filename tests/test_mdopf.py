@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
-    bus_row, mk_case, random_tree_network, reference_build, reference_evaluate_cost,
-    reference_extract_duals, reference_recover_dispatch,
+    bus_row, dense_objective_h, mk_case, pivoting_factor, random_tree_network, reference_build,
+    reference_evaluate_cost, reference_extract_duals, reference_recover_dispatch,
 )
 
 
@@ -27,10 +28,10 @@ def _four_dg_case33(case33_psp):
     return net
 
 
-def _case69_copies(case69, copies):
+def _case69_copies(case69, copies, cost_q=2.0):
     net = netmodel.with_slack_costs(netmodel.with_slack_voltage(case69, 1.05), 30.0, 3.0)
     for bus in (27, 35, 46, 65):
-        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
+        net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 25.0, cost_q))
     return netmodel.duplicate_system(net, copies, seed=42)
 
 
@@ -179,6 +180,48 @@ def test_objective_load_profile_weights(case33_psp):
     load_state = mdf.solve_fixed_load(net, ti)
     v18 = load_state.v[netmodel.tree_positions(net)[18]]
     assert g[var["Pg:18"]] == pytest.approx(v18 * 31.0 * net.base_power, rel=1e-12)
+
+
+def assert_objective_matches_dense(net):
+    """The sparse generator block is bit-identical to the dense reference."""
+    ti = build_path_incidence(net)
+    h, _, _ = mdopf.build_objective(net, ti)
+    ref = dense_objective_h(net, ti)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(h, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_objective_matches_dense_case33_four_dgs(case33_psp):
+    assert_objective_matches_dense(_four_dg_case33(case33_psp))
+
+
+def test_objective_matches_dense_case69_x3(case69):
+    assert_objective_matches_dense(_case69_copies(case69, 3))
+    # zero reactive costs leave zero blocks, which the sparse path drops too
+    assert_objective_matches_dense(_case69_copies(case69, 3, cost_q=0.0))
+
+
+def test_objective_matches_dense_random_trees():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        net = random_tree_network(rng, int(rng.integers(2, 60)), gen_frac=0.5)
+        assert_objective_matches_dense(net)
+        assert_objective_matches_dense(netmodel.duplicate_system(net, 3, seed=1))
+
+
+def test_objective_memory_grows_with_feeders_not_generators(case69):
+    # 300 feeders with 4 DGs each (1,201 generators): a dense 2g x 2g
+    # generator block peaks near 113 MB; per-feeder sparse blocks do not
+    net = _case69_copies(case69, 300)
+    ti = build_path_incidence(net)
+    tracemalloc.start()
+    try:
+        mdopf.build_objective(net, ti)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +561,6 @@ def assert_tree_order(net):
 def test_kkt_order_case33_four_dgs(case33_psp):
     net = _four_dg_case33(case33_psp)
     assert_tree_order(net)
-    # the order is the builder's advice to the solver, not problem data
-    prob = mdopf.build(net, build_path_incidence(net))
-    assert qs.problem_from_json(qs.problem_to_json(prob)).kkt_order is None
 
 
 def test_kkt_order_case69_x3(case69):
@@ -534,8 +574,9 @@ def test_kkt_order_random_trees():
         assert_tree_order(net)
 
 
-def _factor_nnz(prob, monkeypatch):
-    """Largest L+U nonzero count over the factorizations of one solve."""
+def _factor_nnz(prob, monkeypatch, factor=None):
+    """Largest L+U nonzero count over the factorizations of one solve, with
+    ``factor`` in place of ``qcqpsolver._Kkt.factor`` when given."""
     nnz = []
     splu = qs.spla.splu
 
@@ -546,6 +587,8 @@ def _factor_nnz(prob, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(qs.spla, "splu", counting)
+        if factor is not None:
+            m.setattr(qs._Kkt, "factor", factor)
         assert qs.solve(prob).status == "optimal"
     return max(nnz)
 
@@ -554,18 +597,21 @@ def test_tree_order_fill_at_most_default(case69, monkeypatch):
     net = _case69_copies(case69, 10)
     prob = mdopf.build(net, build_path_incidence(net))
     tree = _factor_nnz(prob, monkeypatch)
-    default = _factor_nnz(replace(prob, kkt_order=None), monkeypatch)
+    default = _factor_nnz(prob, monkeypatch, pivoting_factor)
     assert tree <= default
 
 
 def assert_tree_order_matches_default(net):
-    """The tree-ordered solve and SuperLU's own order agree at the
-    pipeline's tolerance: dispatch within 1e-6 pu, objective within 1e-8
+    """The tree-ordered solve and SuperLU's own order with pivoting agree at
+    the pipeline's tolerance: dispatch within 1e-6 pu, objective within 1e-8
     relative, thermal and balance-row prices within 1e-6 of the largest,
     and the same iteration count."""
     ti = build_path_incidence(net)
     prob = mdopf.build(net, ti)
-    sol_t, sol_d = qs.solve(prob), qs.solve(replace(prob, kkt_order=None))
+    sol_t = qs.solve(prob)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qs._Kkt, "factor", pivoting_factor)
+        sol_d = qs.solve(prob)
     assert sol_t.status == sol_d.status == "optimal"
     assert 0.0 < sol_t.stats.factor_seconds < sol_t.stats.runtime_seconds
     assert sol_t.stats.iterations == sol_d.stats.iterations

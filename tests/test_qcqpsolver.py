@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -213,31 +212,3 @@ def test_factor_seconds_within_runtime():
     ):
         stats = qs.solve(p).stats
         assert 0.0 < stats.factor_seconds < stats.runtime_seconds
-
-
-def test_problem_json_round_trip():
-    rng = np.random.default_rng(2)
-    p = make_problem(
-        h=np.eye(3), g=rng.normal(size=3),
-        a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
-        a_in=rng.normal(size=(2, 3)), b_in=[1.0, 2.0],
-        quad_diag=[[1.0, 1.0, 0.0]], quad_b=[4.0],
-    )
-    q = qs.problem_from_json(qs.problem_to_json(p))
-    assert q.n_vars == p.n_vars
-    assert np.allclose(q.g, p.g)
-    assert np.allclose(q.h.toarray(), p.h.toarray())
-    s1, s2 = qs.solve(p), qs.solve(q)
-    assert np.array_equal(s1.x, s2.x)
-
-
-def test_problem_json_rejects_v1_documents():
-    """Version-1 documents carried linear terms on the quadratic rows, which
-    the format no longer has."""
-    p = make_problem(g=[1.0], a_in=[[-1.0]], b_in=[0.0],
-                     quad_diag=[[1.0]], quad_b=[4.0])
-    doc = json.loads(qs.problem_to_json(p))
-    assert doc["format"] == "radialopf-qcqp-v2" and "a" not in doc["quad"]
-    doc["format"] = "radialopf-qcqp-v1"
-    with pytest.raises(ValueError, match="not a radialopf QCQP document"):
-        qs.problem_from_json(json.dumps(doc))
