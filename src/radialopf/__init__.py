@@ -17,7 +17,9 @@ Every per-bus array uses one bus order: ``state.v[0]`` is the slack and
 (``netmodel.tree_positions(net)`` maps a bus id to its position).
 """
 
-from . import acpf, cli, mdistflow, mdopf, netmodel, pricing, qcqpsolver
+# ``cli`` is not imported here, so that ``python -m radialopf.cli`` runs it
+# as a fresh module; ``from radialopf import cli`` imports it on demand
+from . import acpf, mdistflow, mdopf, netmodel, pricing, qcqpsolver
 from .netmodel import (
     Branch,
     Bus,

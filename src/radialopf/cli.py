@@ -6,7 +6,8 @@ scenario overlay (declarative JSON file, individual flags override file
 values), runs the requested study and writes CSV/JSON reports.
 
 Exit codes: 0 success, 1 data error (including a scenario or network JSON
-with a missing key or a wrongly typed or sized value), 2 solver or pricing
+with a missing key or a wrongly typed or sized value, and a file that cannot
+be read, decoded or written), 2 solver or pricing
 failure (including congestion, which the marginal-loss prices exclude),
 3 oracle failure. Each failure prints one line to stderr.
 Case paths resolve against ``--case-dir``, the ``RADIALOPF_CASE_DIR``
@@ -38,6 +39,10 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_SOLVER = 2
 EXIT_ORACLE = 3
+
+#: duplication seed and scale range where neither the scenario file nor a flag sets them
+DEFAULT_SEED = 0
+DEFAULT_SCALE_RANGE = (0.7, 1.3)
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,9 @@ def scenario_from_json(text: str) -> Scenario:
         dup = None
         if doc.get("duplication"):
             dd = doc["duplication"]
-            dup = (json_int(dd["copies"], "copies"), json_int(dd.get("seed", 0), "seed"),
-                   json_pair(dd.get("range", [0.7, 1.3]), "range"))
+            dup = (json_int(dd["copies"], "copies"),
+                   json_int(dd.get("seed", DEFAULT_SEED), "seed"),
+                   json_pair(dd.get("range", DEFAULT_SCALE_RANGE), "range"))
         return Scenario(
             case_path=doc["case"],
             psp_voltage=_optional(doc, "psp_voltage", json_number),
@@ -228,9 +234,15 @@ def _scenario_from_args(args) -> Scenario:
                     f"bad --dg spec {spec!r}; expected bus:pmax:qmax:costp:costq"
                 ) from exc
         updates["dgs"] = tuple(dgs)
-    if args.copies is not None:
-        rng = (args.scale_lo, args.scale_hi)
-        updates["duplication"] = (args.copies, args.seed, rng)
+    if args.copies is not None or scen.duplication is not None:
+        # each duplication flag overrides only its own key
+        copies, seed, (lo, hi) = scen.duplication or (None, DEFAULT_SEED, DEFAULT_SCALE_RANGE)
+        updates["duplication"] = (
+            args.copies if args.copies is not None else copies,
+            args.seed if args.seed is not None else seed,
+            (args.scale_lo if args.scale_lo is not None else lo,
+             args.scale_hi if args.scale_hi is not None else hi),
+        )
     if updates:
         scen = replace(scen, **updates)
     return scen
@@ -250,8 +262,7 @@ def _fmt(x: float) -> str:
 
 def cmd_validate(args) -> int:
     scen = _scenario_from_args(args)
-    case_dir = Path(args.case_dir) if args.case_dir else None
-    net = load_network(resolve_case(scen.case_path, case_dir))
+    net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
     print(f"ok: {net.n_bus} buses, {len(net.branches)} branches, radial")
     return EXIT_OK
 
@@ -308,7 +319,7 @@ def cmd_opf(args) -> int:
     _print_notes(prob.certificate)
     base = net.base_power
     rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
-    for b in mdopf.gen_buses(net, ti):
+    for b in mdopf.gen_buses(net):
         g = net.bus(b).gen
         rows.append(",".join([
             str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base),
@@ -387,13 +398,17 @@ def cmd_price(args) -> int:
     pt = pricing.compute_price_table(
         net, ti, state, thermal_duals=sol.duals_quad, slack_dispatch=slack_pg
     )
-    # solver shadow prices alongside, for comparison with the explicit method
-    # (the objective is $ per pu, so the per-MWh price divides out the base)
-    lam_p, lam_q = qcqpsolver.extract_duals(prob, sol)
+    # solver shadow prices of the non-slack balance rows (tree order) alongside,
+    # for comparison with the explicit method (the objective is $ per pu, so
+    # the per-MWh price divides out the base)
+    rows = mdistflow.FlowRows(ti.n)
+    nonslack = np.arange(1, ti.n + 1)
     scale = state.v[1:] * net.base_power
     extra = {
-        "dual_dlmp_p[$ per MWh]": np.array([lam_p[b] for b in ti.order]) / scale,
-        "dual_dlmp_q[$ per MVarh]": np.array([lam_q[b] for b in ti.order]) / scale,
+        "dual_dlmp_p[$ per MWh]":
+            qcqpsolver.extract_duals(prob, sol, rows.p_bal + nonslack) / scale,
+        "dual_dlmp_q[$ per MVarh]":
+            qcqpsolver.extract_duals(prob, sol, rows.q_bal + nonslack) / scale,
     }
     if args.oracle:
         oracle_p, oracle_q = _oracle_sweep(net, ti, state, sol, args.jobs)
@@ -462,11 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dg", action="append",
                        help="add a generator, bus:pmax_MW:qmax_MVar:costp:costq")
         p.add_argument("--copies", type=int, help="duplicate the feeder this many times")
-        p.add_argument("--seed", type=int, default=0, help="duplication random seed")
-        p.add_argument("--scale-lo", type=float, default=0.7)
-        p.add_argument("--scale-hi", type=float, default=1.3)
+        # no defaults here, so that each flag overrides only its own key
+        p.add_argument("--seed", type=int, help="duplication random seed")
+        p.add_argument("--scale-lo", type=float)
+        p.add_argument("--scale-hi", type=float)
 
-    p = sub.add_parser("validate", help="check case-file invariants")
+    p = sub.add_parser("validate", help="check the network a case and scenario produce")
     add_common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -490,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duplicate", help="replicate a feeder onto a common supply point")
     p.add_argument("--case", required=True)
     p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale-lo", type=float, default=0.7)
-    p.add_argument("--scale-hi", type=float, default=1.3)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--scale-lo", type=float, default=DEFAULT_SCALE_RANGE[0])
+    p.add_argument("--scale-hi", type=float, default=DEFAULT_SCALE_RANGE[1])
     p.add_argument("--name", default="network.json", help="output file name")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_duplicate)
@@ -503,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkError, FileNotFoundError) as exc:
+    except (NetworkError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OracleError as exc:

@@ -60,8 +60,35 @@ class LossReport:
     ql_q: float
 
 
+@dataclass(frozen=True)
+class FlowRows:
+    """Row blocks of ``flow_equations`` for ``n`` branches, the one statement
+    of that layout: ``w_slack`` is a single row; the active and reactive
+    balance rows of full bus k (slack first, then ``ti.order``) are
+    ``p_bal + k`` and ``q_bal + k``; the voltage drop of branch row k is
+    ``drop + k``.
+    """
+
+    n: int
+    w_slack = 0
+    p_bal = 1
+
+    @property
+    def q_bal(self) -> int:
+        return self.n + 2
+
+    @property
+    def drop(self) -> int:
+        return 2 * self.n + 3
+
+    @property
+    def count(self) -> int:
+        return 3 * self.n + 3
+
+
 def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
-    """The modified branch-flow equations as sparse (3n + 3) x (3n + 1) rows.
+    """The modified branch-flow equations as sparse (3n + 3) x (3n + 1) rows,
+    laid out as ``FlowRows(ti.n)`` states.
 
     Columns: W per bus (slack first, then ``ti.order``), then Pbr and Qbr per
     branch row. Rows: ``w_slack``; the active, then the reactive balance of
@@ -113,11 +140,12 @@ def solve_fixed_load(
     buses = tree_buses(net)[1:]
     p = np.array([-b.p_load for b in buses] if p is None else p, dtype=float)
     q = np.array([-b.q_load for b in buses] if q is None else q, dtype=float)
-    n = ti.n
+    n, rows = ti.n, FlowRows(ti.n)
     a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
-    a = a[np.delete(np.arange(3 * n + 3), [1, n + 2])]
+    # the slack's balance rows follow ``w_slack``, which keeps its row
+    a = a[np.delete(np.arange(rows.count), [rows.p_bal, rows.q_bal])]
     rhs = np.zeros(3 * n + 1)
-    rhs[0] = 2.0 - net.v0
+    rhs[rows.w_slack] = 2.0 - net.v0
     try:
         x = spla.splu(a.tocsc()).solve(rhs)
     except RuntimeError as exc:

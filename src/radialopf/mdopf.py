@@ -49,19 +49,21 @@ class ConvexityCertificate:
     trace_condition: bool
 
 
-def gen_buses(net: Network, ti: PathIncidence) -> list[int]:
+def gen_buses(net: Network) -> list[int]:
     """Generator buses, slack first, then in path order."""
     return [b.id for b in netmodel.tree_buses(net) if b.gen is not None]
 
 
 @dataclass(frozen=True)
 class VarBlocks:
-    """Index blocks of the problem variables.
+    """Index blocks of the problem variables, the one statement of their
+    layout.
 
     W runs over all buses, slack first, then ``ti.order`` (so bus position
     ``k`` of ``ti.order`` is W index ``k + 1``); Pbr and Qbr follow the
     branch rows of ``ti``; Pg and Qg follow ``gens``. ``gen_w`` is the W
-    index of each generator bus.
+    index of each generator bus. The equality rows are laid out as
+    ``mdistflow.FlowRows`` states.
     """
 
     n: int
@@ -91,31 +93,9 @@ class VarBlocks:
 
 def var_blocks(net: Network, ti: PathIncidence) -> VarBlocks:
     """Variable index blocks of the OPF of ``net``."""
-    gens = gen_buses(net, ti)
+    gens = gen_buses(net)
     pos = netmodel.tree_positions(net)
     return VarBlocks(ti.n, tuple(gens), np.array([pos[b] for b in gens], dtype=int))
-
-
-def _branch_names(net: Network, ti: PathIncidence) -> list[str]:
-    """``parent-child`` name of every branch row of ``ti``."""
-    return [
-        f"{net.slack if pp < 0 else ti.order[pp]}-{b}"
-        for pp, b in zip(ti.parent_pos, ti.order)
-    ]
-
-
-def _var_layout(
-    net: Network, ti: PathIncidence, blocks: VarBlocks | None = None
-) -> dict[str, int]:
-    """Variable names in index order, as the problem's ``var_map``."""
-    branches = _branch_names(net, ti)
-    gens = (blocks or var_blocks(net, ti)).gens
-    names = [f"W:{b}" for b in (net.slack, *ti.order)]
-    names += [f"Pbr:{br}" for br in branches]
-    names += [f"Qbr:{br}" for br in branches]
-    names += [f"Pg:{b}" for b in gens]
-    names += [f"Qg:{b}" for b in gens]
-    return {name: i for i, name in enumerate(names)}
 
 
 def certify_convexity(
@@ -240,29 +220,23 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
 
     buses = netmodel.tree_buses(net)
     gens = [buses[w].gen for w in lay.gen_w]
-    branches = _branch_names(net, ti)
+    rows = mdistflow.FlowRows(n)
     k = np.arange(n)
     kg = np.arange(n_gen)
     w_child = k + 1
 
     # equality rows: the branch-flow rows with the loads folded in, and each
-    # generator's Pg/Qg in its bus's p/q balance rows (1 + W index, n + 2 + W index)
+    # generator's Pg/Qg in its bus's p/q balance rows
     flows = mdistflow.flow_equations(
         ti, -np.array([bus.p_load for bus in buses]), -np.array([bus.q_load for bus in buses])
     )
-    bal_rows = np.concatenate([1 + lay.gen_w, n + 2 + lay.gen_w])
+    bal_rows = np.concatenate([rows.p_bal + lay.gen_w, rows.q_bal + lay.gen_w])
     gen_cols = sp.csr_matrix(
-        (np.ones(2 * n_gen), (bal_rows, np.arange(2 * n_gen))), shape=(3 * n + 3, 2 * n_gen)
+        (np.ones(2 * n_gen), (bal_rows, np.arange(2 * n_gen))), shape=(rows.count, 2 * n_gen)
     )
     a_eq = sp.hstack([flows, gen_cols], format="csr")
-    b_eq = np.zeros(3 * n + 3)
-    b_eq[0] = 2.0 - net.v0
-    eq_labels = (
-        "w_slack",
-        *(f"p_balance:{bus.id}" for bus in buses),
-        *(f"q_balance:{bus.id}" for bus in buses),
-        *(f"w_drop:{br}" for br in branches),
-    )
+    b_eq = np.zeros(rows.count)
+    b_eq[rows.w_slack] = 2.0 - net.v0
 
     # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
     # then per non-slack bus v_floor, v_cap
@@ -279,9 +253,6 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
     a_in = sp.csr_matrix((in_v, (in_r, in_c)), shape=(4 * n_gen + 2 * n, n_vars))
     v_lim = np.array([[2.0 - bus.v_min, bus.v_max - 2.0] for bus in buses[1:]])
     b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
-    in_labels = tuple(
-        f"{tag}:{b}" for b in lay.gens for tag in ("pg_cap", "pg_floor", "qg_cap", "qg_floor")
-    ) + tuple(f"{tag}:{b}" for b in ti.order for tag in ("v_floor", "v_cap"))
 
     rated = np.flatnonzero(~np.isnan(ti.i_max))
     n_quad = rated.size
@@ -295,11 +266,9 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
     return QcqpProblem(
         n_vars=n_vars,
         h=h, g=g, c=c,
-        a_eq=a_eq, b_eq=b_eq, eq_labels=eq_labels,
-        a_in=a_in, b_in=b_in, in_labels=in_labels,
+        a_eq=a_eq, b_eq=b_eq,
+        a_in=a_in, b_in=b_in,
         quad_diag=quad_diag, quad_b=ti.i_max[rated] ** 2,
-        quad_labels=tuple(f"thermal:{branches[i]}" for i in rated),
-        var_map=_var_layout(net, ti, lay),
         certificate=cert,
         kkt_order=kkt_order(ti, lay),
     )
@@ -318,30 +287,28 @@ def kkt_order(ti: PathIncidence, lay: VarBlocks) -> np.ndarray:
     slack generator come last.
     """
     n, n_gen, nv = ti.n, len(lay.gens), lay.n_vars
-    # equality rows follow the variables, laid out as in ``build``
-    p_bal, q_bal, drop = nv + 1, nv + n + 2, nv + 2 * n + 3
+    # the equality rows follow the variables
+    rows = mdistflow.FlowRows(n)
+    p_bal, q_bal, drop = nv + rows.p_bal, nv + rows.q_bal, nv + rows.drop
     parent = np.asarray(ti.parent_pos, dtype=int)
     k = np.arange(n)
     # a preorder keeps each feeder contiguous: its top bus is the last
     # position at or before k whose parent is the slack
     top = np.maximum.accumulate(np.where(parent < 0, k, -1))
     group = 2 * (n - 1 - k) + 1  # odd slots, leaves first
-    slot = np.empty(nv + 3 * n + 3, dtype=int)
+    slot = np.empty(nv + rows.count, dtype=int)
     for first in (1, lay.pbr, lay.qbr, p_bal + 1, q_bal + 1, drop):
         slot[first + k] = group
     dg_slot = group[top[lay.gen_w[1:] - 1]] - 1  # the even slot before the top bus
     slot[lay.pg + 1:lay.pg + n_gen] = dg_slot
     slot[lay.qg + 1:lay.qg + n_gen] = dg_slot
-    slot[[0, nv, p_bal, q_bal]] = 2 * n
+    slot[[0, nv + rows.w_slack, p_bal, q_bal]] = 2 * n
     slot[[lay.pg, lay.qg]] = 2 * n + 1
     return np.argsort(slot, kind="stable")
 
 
 def recover_dispatch(
-    net: Network,
-    ti: PathIncidence,
-    prob: QcqpProblem,
-    sol: OpfSolution,
+    net: Network, ti: PathIncidence, sol: OpfSolution
 ) -> tuple[OpfSolution, mdistflow.MdfState]:
     """Physical dispatch and full network state from the solver variables.
 
@@ -390,5 +357,5 @@ def solve_opf(
             f"OPF solve ended with status {sol.status} "
             f"(gap {sol.stats.final_gap:.2e}, feas {sol.stats.final_feas:.2e})"
         )
-    sol, state = recover_dispatch(net, ti, prob, sol)
+    sol, state = recover_dispatch(net, ti, sol)
     return ti, prob, sol, state

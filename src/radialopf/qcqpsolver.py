@@ -19,7 +19,7 @@ each solve takes one step of iterative refinement.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,16 +63,19 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class QcqpProblem:
-    """Convex QCQP in standard form with named variables and audited rows.
+    """Convex QCQP in standard form.
 
-    ``var_map`` names every variable; the ``*_labels`` tuples name every
-    constraint row (one audit tag per row). Quadratic inequality rows carry
-    their (diagonal) curvature in ``quad_diag``. ``certificate`` is the
-    builder's convexity certificate of the exact cost quadratic, when it
-    made one. ``kkt_order`` is an elimination order of the KKT rows (the
-    variables, then the equality rows) under which the solver's
-    quasi-definite KKT matrices factor without pivoting and with little
-    fill; None means the identity order.
+    Variables and rows carry no names: the builder's layout states what each
+    index means (for the OPF, ``mdopf.VarBlocks`` and
+    ``mdistflow.FlowRows``). Quadratic inequality rows carry their
+    (diagonal) curvature in ``quad_diag``. ``certificate`` is the builder's
+    convexity certificate of the exact cost quadratic, when it made one.
+    ``kkt_order`` is an elimination order of the KKT rows (the variables,
+    then the equality rows) under which the solver's quasi-definite KKT
+    matrices factor without pivoting and with little fill; None means the
+    identity order. At an optimal solution, -y for the multiplier y of an
+    equality row is the objective's sensitivity to that row's right-hand
+    side.
     """
 
     n_vars: int
@@ -81,14 +84,10 @@ class QcqpProblem:
     c: float
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
-    eq_labels: tuple[str, ...]
     a_in: sp.csr_matrix
     b_in: np.ndarray
-    in_labels: tuple[str, ...]
     quad_diag: sp.csr_matrix
     quad_b: np.ndarray
-    quad_labels: tuple[str, ...]
-    var_map: dict[str, int] = field(default_factory=dict)
     certificate: ConvexityCertificate | None = None
     kkt_order: np.ndarray | None = None
 
@@ -406,23 +405,15 @@ def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
     }
 
 
-def extract_duals(
-    p: QcqpProblem, sol: OpfSolution
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Shadow prices of the per-bus balance rows.
+def extract_duals(p: QcqpProblem, sol: OpfSolution, rows: np.ndarray) -> np.ndarray:
+    """Shadow prices of the equality ``rows`` of ``p``, in the given order.
 
-    Returns (active, reactive) dicts keyed by bus id; each value is the
-    objective increase per unit of additional modified withdrawal at the bus.
-    A withdrawal enters a balance row with coefficient -1, so the price is
-    the negated row multiplier.
+    Each is -y for the row's multiplier y: the objective's sensitivity to
+    the row's right-hand side. For a per-bus balance row of the OPF, where a
+    withdrawal enters with coefficient -1, that is the objective increase
+    per unit of additional modified withdrawal at the bus. Raises
+    ``SolverError`` unless ``sol`` is optimal.
     """
     if sol.status != "optimal":
         raise SolverError(f"duals requested on a non-optimal solution ({sol.status})")
-    lam_p: dict[int, float] = {}
-    lam_q: dict[int, float] = {}
-    for i, label in enumerate(p.eq_labels):
-        if label.startswith("p_balance:"):
-            lam_p[int(label.split(":")[1])] = -float(sol.duals_eq[i])
-        elif label.startswith("q_balance:"):
-            lam_q[int(label.split(":")[1])] = -float(sol.duals_eq[i])
-    return lam_p, lam_q
+    return -sol.duals_eq[rows]

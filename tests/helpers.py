@@ -3,6 +3,7 @@ import csv
 import io
 import json
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,7 +203,16 @@ def dense_loss_factors(net, ti, state, sens):
 # Pinj/Qinj variables (6n+2g+4 variables, 6n+6 equality rows). The lean
 # builder in ``mdopf`` substitutes V = 2 - W and folds the injections into
 # the balance rows; tests compare the two on the same interior-point solver.
+# The problem carries no names, so the reference keeps its own.
 # ---------------------------------------------------------------------------
+
+
+class ReferenceOpf(NamedTuple):
+    """The reference QCQP with the names of its variables and equality rows."""
+
+    prob: QcqpProblem
+    var_map: dict[str, int]
+    eq_labels: tuple[str, ...]
 
 def reference_var_layout(net, ti):
     names = []
@@ -211,7 +221,7 @@ def reference_var_layout(net, ti):
         names.extend(f"{prefix}:{b}" for b in all_buses)
     for prefix in ("Pbr", "Qbr"):
         names.extend(_reference_brname(net, ti, prefix, i) for i in range(ti.n))
-    glist = mdopf.gen_buses(net, ti)
+    glist = mdopf.gen_buses(net)
     names.extend(f"Pg:{b}" for b in glist)
     names.extend(f"Qg:{b}" for b in glist)
     return {name: i for i, name in enumerate(names)}
@@ -249,7 +259,7 @@ def reference_objective(net, ti):
         raise mdopf.MdopfError("supply point has no generator")
     g[var[f"Pg:{net.slack}"]] = net.v0 * slack_gen.cost_p * base
     g[var[f"Qg:{net.slack}"]] = net.v0 * slack_gen.cost_q * base
-    dg = [b for b in mdopf.gen_buses(net, ti) if b != net.slack]
+    dg = [b for b in mdopf.gen_buses(net) if b != net.slack]
     if not dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
     load_state = mdistflow.solve_fixed_load(net, ti)
@@ -271,12 +281,12 @@ def reference_objective(net, ti):
     return h.tocsr(), g, 0.0
 
 
-def reference_build(net, ti):
+def reference_build(net, ti) -> ReferenceOpf:
     """The reference QCQP, with the same certificate and PSD projection as
-    ``mdopf.build``."""
+    ``mdopf.build``, and its names."""
     var = reference_var_layout(net, ti)
     n_vars = len(var)
-    glist = mdopf.gen_buses(net, ti)
+    glist = mdopf.gen_buses(net)
     h, g, c = reference_objective(net, ti)
     if not mdopf.certify_convexity(h).psd:
         h = mdopf.psd_projection(h)
@@ -329,29 +339,28 @@ def reference_build(net, ti):
         bus = net.bus(b)
         irows.append(({var[f"W:{b}"]: 1.0}, 2.0 - bus.v_min, f"v_floor:{b}"))
         irows.append(({var[f"W:{b}"]: -1.0}, -(2.0 - bus.v_max), f"v_cap:{b}"))
-    a_in, b_in, in_labels = _reference_stack_rows(irows, n_vars)
+    a_in, b_in, _ = _reference_stack_rows(irows, n_vars)
 
-    qrows, q_b, q_labels = [], [], []
+    qrows, q_b = [], []
     for i in range(ti.n):
         if np.isnan(ti.i_max[i]):
             continue
         qrows.append(({var[_reference_brname(net, ti, "Pbr", i)]: 1.0,
                        var[_reference_brname(net, ti, "Qbr", i)]: 1.0}, 0.0, ""))
         q_b.append(float(ti.i_max[i] ** 2))
-        q_labels.append("thermal:" + _reference_brname(net, ti, "", i)[1:])
     quad_diag, _, _ = _reference_stack_rows(qrows, n_vars)
-    return QcqpProblem(
+    prob = QcqpProblem(
         n_vars=n_vars, h=h, g=g, c=c,
-        a_eq=a_eq, b_eq=b_eq, eq_labels=eq_labels,
-        a_in=a_in, b_in=b_in, in_labels=in_labels,
-        quad_diag=quad_diag, quad_b=np.array(q_b), quad_labels=tuple(q_labels), var_map=var,
+        a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
+        quad_diag=quad_diag, quad_b=np.array(q_b),
     )
+    return ReferenceOpf(prob, var, eq_labels)
 
 
-def reference_extract_duals(prob, sol):
+def reference_extract_duals(ref, sol):
     """Shadow prices of the reference injection-definition rows, keyed by bus."""
     lam_p, lam_q = {}, {}
-    for i, label in enumerate(prob.eq_labels):
+    for i, label in enumerate(ref.eq_labels):
         if label.startswith("p_inj_def:"):
             lam_p[int(label.split(":")[1])] = float(sol.duals_eq[i])
         elif label.startswith("q_inj_def:"):
@@ -359,12 +368,12 @@ def reference_extract_duals(prob, sol):
     return lam_p, lam_q
 
 
-def reference_recover_dispatch(net, ti, prob, sol):
+def reference_recover_dispatch(net, ti, ref, sol):
     """Dispatch (pg, qg dicts) and state from a reference solution."""
     x = sol.x
-    var = prob.var_map
+    var = ref.var_map
     pg, qg = {}, {}
-    for b in mdopf.gen_buses(net, ti):
+    for b in mdopf.gen_buses(net):
         w = x[var[f"W:{b}"]]
         pg[b] = float(x[var[f"Pg:{b}"]] / w)
         qg[b] = float(x[var[f"Qg:{b}"]] / w)
@@ -441,7 +450,7 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
         slack_gen.cost_p * p_hat_g.get(net.slack, 0.0)
         + slack_gen.cost_q * q_hat_g.get(net.slack, 0.0)
     )
-    dg = [b for b in mdopf.gen_buses(net, ti) if b != net.slack]
+    dg = [b for b in mdopf.gen_buses(net) if b != net.slack]
     if not dg:
         return c1, 0.0, 0.0
     load_state = mdistflow.solve_fixed_load(net, ti)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,74 @@ def test_validate_bad_case(tmp_path):
 
 def test_missing_case_is_data_error():
     assert run(["validate", "--case", "no-such-case.m"]) == 1
+
+
+def test_validate_applies_scenario(capsys):
+    # the scenario flags are validated too, as ``pf`` would apply them
+    assert run(["validate", "--case", "case33.m", "--copies", "0",
+                "--dg", "999:1:1:1:1"]) == 1
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert run(["validate", "--case", "case33.m", "--dg", "999:1:1:1:1"]) == 1
+    assert "no bus 999" in capsys.readouterr().err
+    assert run(["validate", "--case", "case33.m", "--copies", "3"]) == 0
+    assert capsys.readouterr().out == "ok: 97 buses, 96 branches, radial\n"
+
+
+def _duplication(tmp_path, *flags):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        "case": "case33.m", "duplication": {"copies": 3, "seed": 42, "range": [0.9, 1.1]},
+    }))
+    args = cli.build_parser().parse_args(["opf", "--scenario", str(path), *flags])
+    return cli._scenario_from_args(args).duplication
+
+
+def test_copies_flag_keeps_scenario_seed_and_range(tmp_path):
+    assert _duplication(tmp_path, "--copies", "3") == (3, 42, (0.9, 1.1))
+    assert _duplication(tmp_path, "--copies", "5", "--scale-hi", "1.2") == (5, 42, (0.9, 1.2))
+    # without a scenario duplication the defaults fill the keys no flag sets
+    args = cli.build_parser().parse_args(["opf", "--case", "case33.m", "--copies", "2"])
+    assert cli._scenario_from_args(args).duplication == (2, 0, (0.7, 1.3))
+
+
+def test_seed_flag_overrides_scenario_seed(tmp_path):
+    assert _duplication(tmp_path, "--seed", "7") == (3, 7, (0.9, 1.1))
+    assert _duplication(tmp_path) == (3, 42, (0.9, 1.1))
+
+
+def _unreadable_input(tmp_path, case):
+    if case == "scenario_dir":
+        return ["validate", "--scenario", str(tmp_path)]
+    if case == "case_not_utf8":
+        bad = tmp_path / "bad.m"
+        bad.write_bytes(b"mpc.baseMVA = 1;\n\xff\xfe\n")
+        return ["validate", "--case", str(bad)]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return ["pf", "--case", "case33.m", "--out", str(blocker / "out")]
+
+
+@pytest.mark.parametrize("case", ["scenario_dir", "case_not_utf8", "out_under_file"])
+def test_os_and_decode_errors_are_one_line_data_error(tmp_path, capsys, case):
+    code = run(_unreadable_input(tmp_path, case))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_runs_as_module_without_warning():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "radialopf.cli",
+         "validate", "--case", "case33.m"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.startswith("ok: 33 buses")
 
 
 def test_pf_outputs(tmp_path):

@@ -51,10 +51,10 @@ def test_dimensions_case33_one_dg(case33_psp):
     # four box rows per generator, two voltage rows per non-slack bus
     assert prob.n_in == 4 * 2 + 2 * n
     assert prob.n_quad == 0  # no current ratings in the case
-    for name in ("W:1", "W:18", "Pbr:32-33", "Qbr:17-18", "Pg:18", "Qg:1"):
-        assert name in prob.var_map
-    assert len(prob.var_map) == prob.n_vars
-    assert len(prob.eq_labels) == prob.n_eq
+    lay = mdopf.var_blocks(net, ti)
+    assert lay.gens == (1, 18) and lay.n_vars == prob.n_vars
+    assert (lay.pbr, lay.qbr, lay.pg, lay.qg) == (n + 1, 2 * n + 1, 3 * n + 1, 3 * n + 3)
+    assert lay.gen_w.tolist() == [0, netmodel.tree_positions(net)[18]]
 
 
 @settings(max_examples=20, deadline=None)
@@ -64,7 +64,7 @@ def test_equality_row_count_random_trees(n, seed):
     ti = build_path_incidence(net)
     prob = mdopf.build(net, ti)
     assert prob.n_eq == 3 * ti.n + 3
-    assert prob.n_vars == 3 * ti.n + 1 + 2 * len(mdopf.gen_buses(net, ti))
+    assert prob.n_vars == 3 * ti.n + 1 + 2 * len(mdopf.gen_buses(net))
 
 
 def assert_equalities_are_flow_equations(net):
@@ -81,7 +81,7 @@ def assert_equalities_are_flow_equations(net):
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(head, part), getattr(flows, part)), part
     tail = prob.a_eq[:, 3 * ti.n + 1:].tocoo()
-    n_gen = len(mdopf.gen_buses(net, ti))
+    n_gen = len(mdopf.gen_buses(net))
     assert tail.nnz == 2 * n_gen and np.all(tail.data == 1.0)
 
 
@@ -91,17 +91,6 @@ def test_equalities_are_flow_equations_case33_four_dgs(case33_psp):
 
 def test_equalities_are_flow_equations_case69_copies(case69):
     assert_equalities_are_flow_equations(_case69_copies(case69, 10))
-
-
-def test_row_labels_name_buses(case33_psp):
-    net = scenario_net(case33_psp, 18, 31.0)
-    ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
-    labels = set(prob.eq_labels)
-    assert "p_balance:1" in labels and "q_balance:33" in labels
-    assert "w_drop:17-18" in labels
-    assert "w_slack" in labels
-    assert len(labels) == 1 + 2 * 33 + 32
 
 
 def test_thermal_rows():
@@ -116,7 +105,9 @@ def test_thermal_rows():
     ti = build_path_incidence(net)
     prob = mdopf.build(net, ti)
     assert prob.n_quad == 1
-    assert prob.quad_labels == ("thermal:1-2",)
+    # the one thermal row sits on the flows of branch 1-2
+    lay, k = mdopf.var_blocks(net, ti), ti.order.index(2)
+    assert sorted(prob.quad_diag.tocoo().col) == [lay.pbr + k, lay.qbr + k]
     assert prob.quad_b[0] == pytest.approx(0.25)
     off = netmodel.strip_thermal_limits(net)
     prob_off = mdopf.build(off, build_path_incidence(off))
@@ -156,8 +147,9 @@ def test_objective_single_generator_hand_block(net2):
     net = netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, cp, 0.0))
     ti = build_path_incidence(net)
     h, g, c = mdopf.build_objective(net, ti)
-    var = mdopf._var_layout(net, ti)
-    idx = [var["Pg:2"], var["Qg:2"]]
+    lay = mdopf.var_blocks(net, ti)
+    assert lay.gens == (1, 2)
+    idx = [lay.pg + 1, lay.qg + 1]
     block = h.toarray()[np.ix_(idx, idx)]
     r, x = 0.01, 0.02
     raw = np.array([[r * cp, 0.0], [x * cp, 0.0]])
@@ -167,19 +159,21 @@ def test_objective_single_generator_hand_block(net2):
 def test_objective_slack_terms(net2):
     ti = build_path_incidence(net2)
     h, g, c = mdopf.build_objective(net2, ti)
-    var = mdopf._var_layout(net2, ti)
-    assert g[var["Pg:1"]] == pytest.approx(net2.v0 * 30.0 * net2.base_power)
-    assert g[var["Qg:1"]] == pytest.approx(net2.v0 * 3.0 * net2.base_power)
+    lay = mdopf.var_blocks(net2, ti)
+    assert lay.gens[0] == net2.slack
+    assert g[lay.pg] == pytest.approx(net2.v0 * 30.0 * net2.base_power)
+    assert g[lay.qg] == pytest.approx(net2.v0 * 3.0 * net2.base_power)
 
 
 def test_objective_load_profile_weights(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     ti = build_path_incidence(net)
     h, g, c = mdopf.build_objective(net, ti)
-    var = mdopf._var_layout(net, ti)
+    lay = mdopf.var_blocks(net, ti)
     load_state = mdf.solve_fixed_load(net, ti)
     v18 = load_state.v[netmodel.tree_positions(net)[18]]
-    assert g[var["Pg:18"]] == pytest.approx(v18 * 31.0 * net.base_power, rel=1e-12)
+    pg18 = lay.pg + lay.gens.index(18)
+    assert g[pg18] == pytest.approx(v18 * 31.0 * net.base_power, rel=1e-12)
 
 
 def assert_objective_matches_dense(net):
@@ -222,6 +216,22 @@ def test_objective_memory_grows_with_feeders_not_generators(case69):
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_built_problem_holds_no_names(case69):
+    # 6,801 buses: the problem's arrays take about 2.1 MB; one name per
+    # variable and row (about 57,000 strings) took 4.7 MB more
+    net = _case69_copies(case69, 100)
+    ti = build_path_incidence(net)
+    mdopf.build(net, ti)  # memoizes the per-network bus lookups outside the trace
+    tracemalloc.start()
+    try:
+        prob = mdopf.build(net, ti)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prob.n_vars + prob.n_eq == 41_606
+    assert retained < 3.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +368,9 @@ def test_objective_matches_closed_form_cost(case33_psp):
     ti, prob, sol, _ = mdopf.solve_opf(net)
     h_exact, g, c = mdopf.build_objective(net, ti)
     x = sol.x
-    var = prob.var_map
-    phg = {b: x[var[f"Pg:{b}"]] for b in mdopf.gen_buses(net, ti)}
-    qhg = {b: x[var[f"Qg:{b}"]] for b in mdopf.gen_buses(net, ti)}
+    lay = mdopf.var_blocks(net, ti)
+    phg = {b: x[lay.pg + i] for i, b in enumerate(lay.gens)}
+    qhg = {b: x[lay.qg + i] for i, b in enumerate(lay.gens)}
     c1, c2, c3 = reference_evaluate_cost(net, ti, phg, qhg)
     f_exact = float(x @ (h_exact @ x) + g @ x + c)
     assert f_exact == pytest.approx(c1 + c2 + c3, rel=1e-8)
@@ -371,9 +381,9 @@ def test_recover_rejects_nonphysical_w(net2):
     prob = mdopf.build(net2, ti)
     sol = qs.solve(prob)
     bad_x = sol.x.copy()
-    bad_x[prob.var_map["W:1"]] = -0.5
+    bad_x[netmodel.tree_positions(net2)[1]] = -0.5  # W of bus 1
     with pytest.raises(MdopfError, match="nonphysical"):
-        mdopf.recover_dispatch(net2, ti, prob, replace(sol, x=bad_x))
+        mdopf.recover_dispatch(net2, ti, replace(sol, x=bad_x))
 
 
 def binding_thermal_net():
@@ -391,10 +401,11 @@ def binding_thermal_net():
 
 def test_binding_thermal_limit():
     # rating below the natural flow: the quadratic row must bind
-    _, prob, sol, _ = mdopf.solve_opf(binding_thermal_net())
+    net = binding_thermal_net()
+    ti, prob, sol, _ = mdopf.solve_opf(net)
     assert prob.n_quad == 1
-    i_p = prob.var_map["Pbr:1-2"]
-    i_q = prob.var_map["Qbr:1-2"]
+    lay, k = mdopf.var_blocks(net, ti), ti.order.index(2)
+    i_p, i_q = lay.pbr + k, lay.qbr + k
     flow_sq = sol.x[i_p] ** 2 + sol.x[i_q] ** 2
     assert flow_sq == pytest.approx(0.64, abs=1e-6)
     assert sol.duals_quad[0] > 1e-3
@@ -409,16 +420,24 @@ def test_binding_thermal_limit():
 TIGHT = qs.SolverConfig(tol_gap=1e-11, tol_feas=1e-11)
 
 
+def balance_duals(prob, sol, ti):
+    """Shadow prices of the active and reactive balance rows of every bus,
+    slack first, then ``ti.order``."""
+    rows, buses = mdf.FlowRows(ti.n), np.arange(ti.n + 1)
+    return (qs.extract_duals(prob, sol, rows.p_bal + buses),
+            qs.extract_duals(prob, sol, rows.q_bal + buses))
+
+
 def assert_matches_reference(net):
     """Same IPM on both formulations: dispatch within 1e-6 pu, objective
     within 1e-8 relative, balance-row prices within 1e-6 of the largest."""
     ti = build_path_incidence(net)
     lean = mdopf.build(net, ti)
     ref = reference_build(net, ti)
-    assert lean.n_vars + lean.n_eq < ref.n_vars + ref.n_eq
-    sol_l, sol_r = qs.solve(lean, TIGHT), qs.solve(ref, TIGHT)
+    assert lean.n_vars + lean.n_eq < ref.prob.n_vars + ref.prob.n_eq
+    sol_l, sol_r = qs.solve(lean, TIGHT), qs.solve(ref.prob, TIGHT)
     assert sol_l.status == sol_r.status == "optimal"
-    sol_l, _ = mdopf.recover_dispatch(net, ti, lean, sol_l)
+    sol_l, _ = mdopf.recover_dispatch(net, ti, sol_l)
     pg, qg, _ = reference_recover_dispatch(net, ti, ref, sol_r)
     assert sol_l.pg.keys() == pg.keys()
     for b in pg:
@@ -426,13 +445,13 @@ def assert_matches_reference(net):
         assert abs(sol_l.qg[b] - qg[b]) < 1e-6, b
     assert sol_l.objective_value == pytest.approx(sol_r.objective_value, rel=1e-8)
     assert np.allclose(sol_l.duals_quad, sol_r.duals_quad, rtol=1e-6, atol=1e-9)
-    lean_duals = qs.extract_duals(lean, sol_l)
-    ref_duals = reference_extract_duals(ref, sol_r)
-    for lam_l, lam_r in zip(lean_duals, ref_duals):
-        assert lam_l.keys() == lam_r.keys() == {net.slack, *ti.order}
-        scale = max(abs(v) for v in lam_r.values())
-        for b in lam_r:
-            assert abs(lam_l[b] - lam_r[b]) <= 1e-6 * scale, b
+    buses = [net.slack, *ti.order]
+    for lam_l, lam_r in zip(balance_duals(lean, sol_l, ti), reference_extract_duals(ref, sol_r)):
+        assert lam_r.keys() == set(buses)
+        lam_r = np.array([lam_r[b] for b in buses])
+        scale = np.max(np.abs(lam_r))
+        for b, lean_b, ref_b in zip(buses, lam_l, lam_r):
+            assert abs(lean_b - ref_b) <= 1e-6 * scale, b
 
 
 def test_lean_builder_matches_reference_case33_four_dgs(case33_psp):
@@ -486,20 +505,21 @@ def _interior_slack(net):
 
 def test_duals_zero_load_equal_psp_cost(net2):
     net = _interior_slack(netmodel.with_load(net2, 2, 0.0, 0.0))
-    _, prob, sol, state = mdopf.solve_opf(net)
-    lam_p, lam_q = qs.extract_duals(prob, sol)
+    ti, prob, sol, state = mdopf.solve_opf(net)
+    lam_p, lam_q = balance_duals(prob, sol, ti)
     pos = netmodel.tree_positions(net)
     for b in (1, 2):
-        assert lam_p[b] / state.v[pos[b]] == pytest.approx(30.0, abs=1e-4)
-        assert lam_q[b] / state.v[pos[b]] == pytest.approx(3.0, abs=1e-4)
+        assert lam_p[pos[b]] / state.v[pos[b]] == pytest.approx(30.0, abs=1e-4)
+        assert lam_q[pos[b]] / state.v[pos[b]] == pytest.approx(3.0, abs=1e-4)
 
 
 def test_duals_two_bus_near_oracle(net2):
     from radialopf import acpf
 
-    _, prob, sol, state = mdopf.solve_opf(net2)
-    lam_p, _ = qs.extract_duals(prob, sol)
-    dual_price = lam_p[2] / state.v[netmodel.tree_positions(net2)[2]]
+    ti, prob, sol, state = mdopf.solve_opf(net2)
+    lam_p, _ = balance_duals(prob, sol, ti)
+    pos = netmodel.tree_positions(net2)[2]
+    dual_price = lam_p[pos] / state.v[pos]
     oracle = acpf.fd_price_oracle(net2, 2, "p")
     assert abs(dual_price - oracle) / oracle < 0.01
 
@@ -508,25 +528,17 @@ def test_duals_two_bus_near_oracle(net2):
 # feeder-tree elimination order of the KKT system
 # ---------------------------------------------------------------------------
 
-def _kkt_owners(net, prob):
-    """Owner of every KKT row (variables, then equality rows), read from the
-    problem's labels: a non-slack bus id for its W, the flows and voltage
-    drop of the branch into it and its balance rows; ("dg", bus) for a
-    distributed generator's Pg/Qg; "slack" for the slack's rows and its
-    generator."""
-    owners = []
-    names = sorted(prob.var_map, key=prob.var_map.get)
-    for label in (*names, *prob.eq_labels):
-        kind, _, rest = label.partition(":")
-        if kind == "w_slack":
-            owners.append("slack")
-            continue
-        bus = int(rest.split("-")[-1])
-        if kind in ("Pg", "Qg") and bus != net.slack:
-            owners.append(("dg", bus))
-        else:
-            owners.append("slack" if bus == net.slack else bus)
-    return owners
+def _kkt_owners(net, ti):
+    """Owner of every KKT row (variables, then equality rows), listed block
+    by block from the OPF's layout: a non-slack bus id for its W, the flows
+    and voltage drop of the branch into it (a branch is named by its child)
+    and its balance rows; ("dg", bus) for a distributed generator's Pg/Qg;
+    "slack" for the slack's rows and its generator."""
+    buses = ["slack", *ti.order]
+    gens = ["slack" if b == net.slack else ("dg", b) for b in mdopf.gen_buses(net)]
+    variables = [*buses, *ti.order, *ti.order, *gens, *gens]  # W, Pbr, Qbr, Pg, Qg
+    equalities = ["slack", *buses, *buses, *ti.order]  # w_slack, p/q balance, w_drop
+    return variables + equalities
 
 
 def assert_tree_order(net):
@@ -535,7 +547,8 @@ def assert_tree_order(net):
     order = prob.kkt_order
     n_kkt = prob.n_vars + prob.n_eq
     assert np.array_equal(np.sort(order), np.arange(n_kkt))
-    owners = _kkt_owners(net, prob)
+    owners = _kkt_owners(net, ti)
+    assert len(owners) == n_kkt
     at = {}  # owner -> positions of its rows in the elimination order
     for k, row in enumerate(order):
         at.setdefault(owners[row], []).append(k)
@@ -615,8 +628,8 @@ def assert_tree_order_matches_default(net):
     assert sol_t.status == sol_d.status == "optimal"
     assert 0.0 < sol_t.stats.factor_seconds < sol_t.stats.runtime_seconds
     assert sol_t.stats.iterations == sol_d.stats.iterations
-    sol_t, _ = mdopf.recover_dispatch(net, ti, prob, sol_t)
-    sol_d, _ = mdopf.recover_dispatch(net, ti, prob, sol_d)
+    sol_t, _ = mdopf.recover_dispatch(net, ti, sol_t)
+    sol_d, _ = mdopf.recover_dispatch(net, ti, sol_d)
     for b in sol_d.pg:
         assert abs(sol_t.pg[b] - sol_d.pg[b]) < 1e-6, b
         assert abs(sol_t.qg[b] - sol_d.qg[b]) < 1e-6, b
@@ -624,10 +637,11 @@ def assert_tree_order_matches_default(net):
     if prob.n_quad:
         scale = np.max(np.abs(sol_d.duals_quad))
         assert np.max(np.abs(sol_t.duals_quad - sol_d.duals_quad)) <= 1e-6 * scale
-    for lam_t, lam_d in zip(qs.extract_duals(prob, sol_t), qs.extract_duals(prob, sol_d)):
-        scale = max(abs(v) for v in lam_d.values())
-        for b in lam_d:
-            assert abs(lam_t[b] - lam_d[b]) <= 1e-6 * scale, b
+    buses = [net.slack, *ti.order]
+    for lam_t, lam_d in zip(balance_duals(prob, sol_t, ti), balance_duals(prob, sol_d, ti)):
+        scale = np.max(np.abs(lam_d))
+        for b, tree_b, default_b in zip(buses, lam_t, lam_d):
+            assert abs(tree_b - default_b) <= 1e-6 * scale, b
 
 
 def test_tree_order_matches_default_case33_four_dgs(case33_psp):

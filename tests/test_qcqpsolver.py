@@ -29,11 +29,8 @@ def make_problem(h=None, g=None, c=0.0, a_eq=None, b_eq=None,
         quad_diag = sp.csr_matrix(np.atleast_2d(quad_diag))
         quad_b = np.asarray(quad_b, dtype=float)
     return QcqpProblem(
-        n_vars=n, h=h, g=g, c=c,
-        a_eq=a_eq, b_eq=b_eq, eq_labels=tuple(f"eq{i}" for i in range(a_eq.shape[0])),
-        a_in=a_in, b_in=b_in, in_labels=tuple(f"in{i}" for i in range(a_in.shape[0])),
+        n_vars=n, h=h, g=g, c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
         quad_diag=quad_diag, quad_b=quad_b,
-        quad_labels=tuple(f"q{i}" for i in range(quad_diag.shape[0])),
     )
 
 
@@ -91,6 +88,22 @@ def test_equality_only():
     assert s.status == "optimal"
     assert np.allclose(s.x, [1.0, 1.0], atol=1e-8)
     assert s.duals_eq[0] == pytest.approx(-2.0, abs=1e-6)
+
+
+def test_extract_duals_are_rhs_sensitivities():
+    # -y of each requested equality row, in the requested order, is the
+    # derivative of the optimal objective in that row's right-hand side
+    def problem(b_eq):
+        return make_problem(h=np.eye(3), g=[1.0, 0.0, -1.0], a_eq=[[1, 1, 0], [0, 1, -1]],
+                            b_eq=b_eq, a_in=[[0, 0, 1]], b_in=[5.0])
+
+    b, eps, tight = np.array([2.0, 1.0]), 1e-4, SolverConfig(tol_gap=1e-12, tol_feas=1e-12)
+    p = problem(b)
+    prices = qs.extract_duals(p, qs.solve(p, tight), np.array([1, 0]))
+    for price, row in zip(prices, (1, 0)):
+        step = eps * np.eye(2)[row]
+        up, down = (qs.solve(problem(b + d), tight).objective_value for d in (step, -step))
+        assert price == pytest.approx((up - down) / (2 * eps), abs=1e-6)
 
 
 def test_active_box():
@@ -191,7 +204,7 @@ def test_duals_requested_on_non_optimal():
     p = make_problem(h=[[1.0]], g=[0.0], a_in=[[1.0], [-1.0]], b_in=[-1.0, -1.0])
     s = qs.solve(p, SolverConfig(max_iter=40))
     with pytest.raises(SolverError, match="non-optimal"):
-        qs.extract_duals(p, s)
+        qs.extract_duals(p, s, np.arange(0))
 
 
 def test_config_validation():
