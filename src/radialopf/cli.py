@@ -105,7 +105,7 @@ def scenario_from_json(text: str) -> Scenario:
             dd = doc["duplication"]
             dup = (json_int(dd["copies"], "copies"),
                    json_int(dd.get("seed", DEFAULT_SEED), "seed"),
-                   json_pair(dd.get("range", DEFAULT_SCALE_RANGE), "range"))
+                   json_pair(dd["range"], "range") if "range" in dd else DEFAULT_SCALE_RANGE)
         return Scenario(
             case_path=doc["case"],
             psp_voltage=_optional(doc, "psp_voltage", json_number),
@@ -140,8 +140,15 @@ def resolve_case(path_str: str, case_dir: Path | None) -> Path:
     raise NetworkError(f"case file not found: {path_str}")
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NetworkError(f"cannot read {path}: {exc}") from exc
+
+
 def load_network(path: Path) -> Network:
-    text = path.read_text()
+    text = _read(path)
     if path.suffix == ".json":
         net = netmodel.from_json(text)
         problems = netmodel.validate(net)
@@ -193,7 +200,7 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
 
 def _scenario_from_args(args) -> Scenario:
     if args.scenario:
-        scen = scenario_from_json(Path(args.scenario).read_text())
+        scen = scenario_from_json(_read(Path(args.scenario)))
     else:
         if not args.case:
             raise NetworkError("either --scenario or --case is required")
@@ -249,9 +256,12 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise NetworkError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
     return path
 
@@ -519,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkError, OSError, UnicodeDecodeError) as exc:
+    except NetworkError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OracleError as exc:

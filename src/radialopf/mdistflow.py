@@ -60,30 +60,17 @@ class LossReport:
     ql_q: float
 
 
-@dataclass(frozen=True)
 class FlowRows:
     """Row blocks of ``flow_equations`` for ``n`` branches, the one statement
     of that layout: ``w_slack`` is a single row; the active and reactive
     balance rows of full bus k (slack first, then ``ti.order``) are
     ``p_bal + k`` and ``q_bal + k``; the voltage drop of branch row k is
-    ``drop + k``.
+    ``drop + k``. ``count`` rows in all.
     """
 
-    n: int
-    w_slack = 0
-    p_bal = 1
-
-    @property
-    def q_bal(self) -> int:
-        return self.n + 2
-
-    @property
-    def drop(self) -> int:
-        return 2 * self.n + 3
-
-    @property
-    def count(self) -> int:
-        return 3 * self.n + 3
+    def __init__(self, n: int):
+        self.w_slack, self.p_bal, self.q_bal, self.drop, self.count = (
+            0, 1, n + 2, 2 * n + 3, 3 * n + 3)
 
 
 def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
@@ -103,12 +90,18 @@ def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_ma
     ends = np.concatenate([k + 1, np.asarray(ti.parent_pos, dtype=int) + 1])
     inc = sp.csr_matrix((np.repeat([1.0, -1.0], n), (ends, np.tile(k, 2))), shape=(n + 1, n))
     w_slack = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n + 1))
-    a = sp.bmat([
-        [w_slack, None, None],
-        [sp.diags(p), inc, None],
-        [sp.diags(q), None, inc],
-        [inc.T, sp.diags(-ti.r), sp.diags(-ti.x)],
-    ], format="csr")
+    # each row block stacks at its FlowRows offset
+    rows = FlowRows(n)
+    blocks = {
+        rows.w_slack: [w_slack, None, None],
+        rows.p_bal: [sp.diags(p), inc, None],
+        rows.q_bal: [sp.diags(q), None, inc],
+        rows.drop: [inc.T, sp.diags(-ti.r), sp.diags(-ti.x)],
+    }
+    starts = sorted(blocks)
+    stops = np.cumsum([blocks[s][0].shape[0] for s in starts]).tolist()
+    assert starts[1:] + [rows.count] == stops, "FlowRows offsets disagree with the blocks"
+    a = sp.bmat([blocks[s] for s in starts], format="csr")
     a.eliminate_zeros()
     return a
 

@@ -64,6 +64,13 @@ def test_copies_flag_keeps_scenario_seed_and_range(tmp_path):
     assert cli._scenario_from_args(args).duplication == (2, 0, (0.7, 1.3))
 
 
+def test_scenario_duplication_defaults_seed_and_range(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"case": "case33.m", "duplication": {"copies": 2}}))
+    args = cli.build_parser().parse_args(["opf", "--scenario", str(path)])
+    assert cli._scenario_from_args(args).duplication == (2, 0, (0.7, 1.3))
+
+
 def test_seed_flag_overrides_scenario_seed(tmp_path):
     assert _duplication(tmp_path, "--seed", "7") == (3, 7, (0.9, 1.1))
     assert _duplication(tmp_path) == (3, 42, (0.9, 1.1))
@@ -81,12 +88,16 @@ def _unreadable_input(tmp_path, case):
     return ["pf", "--case", "case33.m", "--out", str(blocker / "out")]
 
 
-@pytest.mark.parametrize("case", ["scenario_dir", "case_not_utf8", "out_under_file"])
-def test_os_and_decode_errors_are_one_line_data_error(tmp_path, capsys, case):
+@pytest.mark.parametrize("case,says", [
+    ("scenario_dir", "cannot read {tmp}"),
+    ("case_not_utf8", "cannot read {tmp}/bad.m: 'utf-8' codec"),
+    ("out_under_file", "cannot write {tmp}/file/out/"),
+], ids=["scenario_dir", "case_not_utf8", "out_under_file"])
+def test_os_and_decode_errors_are_one_line_data_error(tmp_path, capsys, case, says):
     code = run(_unreadable_input(tmp_path, case))
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("data error: ")
+    assert err.startswith("data error: " + says.format(tmp=tmp_path))
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -436,18 +447,21 @@ def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,scenario", [
-    (["opf", "--case", "case33.m", "--dg", "abc:1:1:1:1"], None),
-    (["opf", "--case", "case33.m", "--dg", "18:1:1:1"], None),
+@pytest.mark.parametrize("argv,scenario,says", [
+    (["opf", "--case", "case33.m", "--dg", "abc:1:1:1:1"], None, "bad --dg spec"),
+    (["opf", "--case", "case33.m", "--dg", "18:1:1:1"], None, "bad --dg spec"),
     (["opf", "--case", "case33.m", "--copies", "2", "--scale-lo", "2", "--scale-hi", "1"],
-     None),
-    (["opf", "--case", "case33.m", "--copies", "0"], None),
-    (["duplicate", "--case", "case33.m", "--copies", "0"], None),
-    (["opf"], {"case": "case33.m", "duplication": {"copies": 0}}),
-    (["price", "--case", "case33.m", "--oracle", "--jobs", "0"], None),
+     None, "bad scale_range"),
+    (["opf", "--case", "case33.m", "--copies", "0"], None, "copies must be >= 1, got 0"),
+    (["duplicate", "--case", "case33.m", "--copies", "0"], None,
+     "copies must be >= 1, got 0"),
+    (["opf"], {"case": "case33.m", "duplication": {"copies": 0}},
+     "copies must be >= 1, got 0"),
+    (["price", "--case", "case33.m", "--oracle", "--jobs", "0"], None,
+     "--jobs must be >= 1, got 0"),
 ], ids=["dg_field", "dg_arity", "scale_range", "copies_flag", "duplicate_copies",
         "scenario_copies", "jobs"])
-def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario):
+def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario, says):
     if scenario is not None:
         path = tmp_path / "scen.json"
         path.write_text(json.dumps(scenario))
@@ -455,7 +469,7 @@ def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario):
     code = run([*argv, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("data error: ")
+    assert err.startswith("data error: ") and says in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "opf_dispatch.csv").exists()
 
