@@ -250,6 +250,12 @@ def _scenario_from_args(args) -> Scenario:
             (args.scale_lo if args.scale_lo is not None else lo,
              args.scale_hi if args.scale_hi is not None else hi),
         )
+    else:
+        stray = [flag for flag, value in (("--seed", args.seed), ("--scale-lo", args.scale_lo),
+                                          ("--scale-hi", args.scale_hi)) if value is not None]
+        if stray:
+            raise NetworkError(f"{', '.join(stray)} without a duplication: "
+                               "give --copies or a scenario duplication")
     if updates:
         scen = replace(scen, **updates)
     return scen
@@ -379,7 +385,7 @@ def _oracle_worker(task):
 
 
 def _oracle_sweep(net, ti, state, sol, jobs: int):
-    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     point = (p, q, state.v, state.delta)
     tasks = [(b, axis) for b in ti.order for axis in ("p", "q")]
     if jobs > 1:

@@ -7,7 +7,11 @@ injections the whole state follows from one direct sparse solve of those
 rows; no sweep or iteration is involved. The module also recovers the bus
 angles, each the sum of the angle turns across the branches on its path, and
 computes the total network loss with its four-way split into active/reactive
-flow contributions.
+flow contributions. The path matrix T of the paper's closed form is never
+formed: T x (each branch's sum over the buses it feeds) is
+``ti.t.solve(x)`` and T' y (each bus's sum over its path to the slack) is
+``ti.t.solve(y, trans="T")``, one triangular solve each (see
+``netmodel.PathIncidence``).
 
 Alignment: the package's one bus order. Full-bus arrays (w, v, delta) hold
 the slack at position 0, then ``ti.order``; per-non-slack arrays follow
@@ -109,8 +113,8 @@ def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_ma
 def _assemble(net, ti, w_r, p_hat, q_hat):
     w = np.concatenate([[2.0 - net.v0], w_r])
     v = 2.0 - w
-    p_br = -(ti.t @ p_hat)
-    q_br = -(ti.t @ q_hat)
+    p_br = -ti.t.solve(p_hat)
+    q_br = -ti.t.solve(q_hat)
     delta = _angles(ti, v, p_br, q_br)
     return MdfState(
         w=w, v=v, delta=delta,
@@ -163,13 +167,15 @@ def state_from_solution(
     tol: float = STATE_RESIDUAL_TOL,
 ) -> MdfState:
     """Assemble a full state from solver variables, enforcing the voltage-drop
-    identity w = w0 - T'R T p_hat - T'X T q_hat within ``tol``."""
+    identity w = w0 - T'R T p_hat - T'X T q_hat within ``tol``, each T and T'
+    product one triangular solve with the factor ``ti.t``."""
     p_hat_r = np.asarray(p_hat_r, dtype=float)
     q_hat_r = np.asarray(q_hat_r, dtype=float)
     w_r = np.asarray(w_r, dtype=float)
     w0 = 2.0 - net.v0
     t = ti.t
-    w_expect = w0 - t.T @ (ti.r * (t @ p_hat_r)) - t.T @ (ti.x * (t @ q_hat_r))
+    w_expect = (w0 - t.solve(ti.r * t.solve(p_hat_r), trans="T")
+                - t.solve(ti.x * t.solve(q_hat_r), trans="T"))
     resid = float(np.max(np.abs(w_r - w_expect))) if ti.n else 0.0
     if resid > tol:
         raise MdfError(
@@ -182,7 +188,8 @@ def state_from_solution(
 def _angles(ti, v, p_br, q_br):
     """Bus angles (rad), slack first. Branch k turns the angle by
     -arcsin(arg_k) from its parent to its child, so each bus sums the turns
-    of the branches on its path: delta[1:] = -T' arcsin(arg)."""
+    of the branches on its path: delta[1:] = -T' arcsin(arg), one transposed
+    solve with ``ti.t``."""
     arg = (ti.x * p_br - ti.r * q_br) / v[1:]
     bad = np.flatnonzero(np.abs(arg) > 1.0)
     if bad.size:
@@ -190,7 +197,7 @@ def _angles(ti, v, p_br, q_br):
         raise MdfError(
             f"angle recovery infeasible at bus {ti.order[k]}: |sin| = {abs(arg[k]):.4f}"
         )
-    return np.concatenate([[0.0], -(ti.t.T @ np.arcsin(arg))])
+    return np.concatenate([[0.0], -ti.t.solve(np.arcsin(arg), trans="T")])
 
 
 def losses(ti: PathIncidence, state: MdfState) -> LossReport:

@@ -177,7 +177,15 @@ def build_objective(
     n_dg = len(dg)
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
-    t_g = ti.t[:, lay.gen_w[1:] - 1]
+    # the path matrix T at the generator columns: the branch rows on each
+    # generator bus's path to the slack
+    rows, cols = [], []
+    for j, k in enumerate((lay.gen_w[1:] - 1).tolist()):
+        while k >= 0:
+            rows.append(k)
+            cols.append(j)
+            k = ti.parent_pos[k]
+    t_g = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(ti.n, n_dg))
     # the common-path resistance and reactance between generator buses;
     # feeders meet only at the slack, so both are block diagonal by feeder
     a_g = t_g.T @ t_g.multiply(ti.r[:, None])

@@ -1,9 +1,18 @@
 """Network data model for radial distribution feeders.
 
 Holds the immutable grid description (buses, branches, generators), the
-path-branch incidence structure used by the closed-form power-flow and OPF
-builders, a MATPOWER-subset case reader, a native JSON format, and feeder
-duplication for large-system synthesis.
+feeder's tree order with the factored branch-parent incidence that the
+closed-form power-flow, OPF and pricing code use for path sums, a
+MATPOWER-subset case reader, a native JSON format, and feeder duplication
+for large-system synthesis.
+
+The paper writes every branch flow and voltage drop through the path matrix
+T, whose entry (i, k) is 1 when branch i lies on the path from bus k to the
+slack. T is the inverse of the unit upper-triangular branch-parent
+incidence I - A, so T is never formed: each product with T or T' is one
+triangular solve with I - A, which has at most 2n nonzeros for n branches,
+while T has one nonzero per (bus, ancestor) pair, quadratic in n on a deep
+feeder.
 
 Conventions used throughout the package:
   * all powers and impedances are per unit on ``Network.base_power``;
@@ -25,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 class NetworkError(ValueError):
@@ -79,18 +89,29 @@ class Network:
 
 @dataclass(frozen=True)
 class PathIncidence:
-    """Path-branch incidence matrix of a rooted radial network.
+    """Tree order of a rooted radial network and its path sums.
 
-    Row i is the branch whose child bus is ``order[i]``; column k flags the
-    branches on the path from ``order[k]`` to the slack. Under this indexing
-    the matrix is unit upper triangular. ``parent_pos[i]`` is the position of
-    the parent of ``order[i]`` within ``order`` (-1 when the parent is the
-    slack), and ``r``/``x``/``i_max`` are the branch parameters aligned to
-    rows (``i_max`` is NaN where the branch is unlimited).
+    Branch row i is the branch whose child bus is ``order[i]``.
+    ``parent_pos[i]`` is the position of the parent of ``order[i]`` within
+    ``order`` (-1 when the parent is the slack), and ``r``/``x``/``i_max`` are
+    the branch parameters aligned to rows (``i_max`` is NaN where the branch
+    is unlimited).
+
+    ``t`` is the SuperLU factor of I - A, where A[parent_pos[k], k] = 1. In
+    preorder every parent precedes its children, so I - A is unit upper
+    triangular; it is factored in natural order without pivoting, so the
+    factor has no fill: L is the identity and U is I - A. Its inverse is the
+    path matrix T (T[i, k] = 1 when branch i lies on the path from
+    ``order[k]`` to the slack), applied without forming it:
+
+    * ``t.solve(x)`` is T x, each branch's sum of ``x`` over the buses it
+      feeds;
+    * ``t.solve(y, trans="T")`` is T' y, each bus's sum of ``y`` over the
+      branches on its path to the slack.
     """
 
     order: tuple[int, ...]
-    t: sp.csr_matrix
+    t: spla.SuperLU
     parent_pos: tuple[int, ...]
     r: np.ndarray
     x: np.ndarray
@@ -207,7 +228,8 @@ def normalize_orientation(net: Network) -> Network:
 
 
 def build_path_incidence(net: Network) -> PathIncidence:
-    """Build the path-branch incidence matrix and its topological ordering."""
+    """Order the feeder in preorder and factor its branch-parent incidence
+    (see ``PathIncidence``)."""
     order, branch_of = _root_tree(net)
     pos = {b: i for i, b in enumerate(order)}
     branches = [net.branches[li] for li in branch_of.tolist()]
@@ -216,16 +238,15 @@ def build_path_incidence(net: Network) -> PathIncidence:
         for b, br in zip(order, branches)
     )
     n = len(order)
-    rows: list[int] = []
-    cols: list[int] = []
-    for k in range(n):
-        i = k
-        while i >= 0:
-            rows.append(i)
-            cols.append(k)
-            i = parent_pos[i]
-    data = np.ones(len(rows))
-    t = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    parent = np.array(parent_pos, dtype=int)
+    child = np.flatnonzero(parent >= 0)
+    i_minus_a = sp.csc_matrix(
+        (np.concatenate([np.ones(n), -np.ones(child.size)]),
+         (np.concatenate([np.arange(n), parent[child]]), np.concatenate([np.arange(n), child]))),
+        shape=(n, n),
+    )
+    # one-column supernodes: the factor stores I - A and L's unit diagonal only
+    t = spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1)
     r = np.array([br.r for br in branches], dtype=float)
     x = np.array([br.x for br in branches], dtype=float)
     i_max = np.array(
@@ -401,6 +422,10 @@ def parse_matpower_case(text: str) -> Network:
                 raise NetworkError(
                     f"gencost row {gi + 1}: only linear costs "
                     "(MODEL=2, NCOST=2) are supported"
+                )
+            if len(crow) < 6:
+                raise NetworkError(
+                    f"gencost row {gi + 1}: NCOST=2 needs 2 coefficients, got {len(crow) - 4}"
                 )
             cost_p = crow[4]
         gen_by_bus[bus_id] = Generator(
@@ -684,12 +709,12 @@ def strip_thermal_limits(net: Network) -> Network:
 
 def net_injections(
     net: Network,
-    ti: PathIncidence,
     pg: dict[int, float] | None = None,
     qg: dict[int, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed net injections (generation minus load) per non-slack bus, in
-    ``ti.order``. ``pg``/``qg`` map bus id -> dispatched output (pu)."""
+    tree order (``tree_positions`` without the slack). ``pg``/``qg`` map bus
+    id -> dispatched output (pu)."""
     pg = pg or {}
     qg = qg or {}
     buses = tree_buses(net)[1:]

@@ -59,7 +59,7 @@ class SettlementReport:
     ocl: float
 
 
-def _state_injections(net, ti, state):
+def _state_injections(state):
     """Net injections implied by the state (exact inversion of the modified
     variables), plus the ratio-form modified vectors used by the sensitivity
     chain."""
@@ -87,7 +87,7 @@ def modified_injection_sensitivities(
     Dense O(n^2) reference for ``loss_factors``, which never forms these
     matrices.
     """
-    p, q, _, _, v = _state_injections(net, ti, state)
+    p, q, _, _, v = _state_injections(state)
     inv_v = 1.0 / v
     dp_dp = np.diag(inv_v) - (p / v**2)[:, None] * dv_dp
     dp_dq = -(p / v**2)[:, None] * dv_dq
@@ -110,13 +110,13 @@ def loss_factors(
     the two weight vectors u (one per loss total) go through a single
     adjoint solve of the AC Jacobian, so no n x n matrix is formed.
     """
-    p, q, p_hat, q_hat, v = _state_injections(net, ti, state)
-    f = ti.t @ p_hat
-    g = ti.t @ q_hat
-    trf = ti.t.T @ (ti.r * f)
-    trg = ti.t.T @ (ti.r * g)
-    txf = ti.t.T @ (ti.x * f)
-    txg = ti.t.T @ (ti.x * g)
+    p, q, p_hat, q_hat, v = _state_injections(state)
+    f = ti.t.solve(p_hat)
+    g = ti.t.solve(q_hat)
+    trf = ti.t.solve(ti.r * f, trans="T")
+    trg = ti.t.solve(ti.r * g, trans="T")
+    txf = ti.t.solve(ti.x * f, trans="T")
+    txg = ti.t.solve(ti.x * g, trans="T")
     u = np.column_stack([p * trf + q * trg, p * txf + q * txg]) / (v**2)[:, None]
     fb_p, fb_q = acpf.voltage_adjoint(net, state.v, state.delta, u)
     dpl_dp = 2.0 * (trf / v - fb_p[:, 0])
@@ -161,10 +161,10 @@ def allocate_losses(
     """
     f = -state.p_br_hat
     g = -state.q_br_hat
-    pl_p = state.p_hat * (ti.t.T @ (ti.r * f))
-    ql_p = state.p_hat * (ti.t.T @ (ti.x * f))
-    pl_q = state.q_hat * (ti.t.T @ (ti.r * g))
-    ql_q = state.q_hat * (ti.t.T @ (ti.x * g))
+    pl_p = state.p_hat * ti.t.solve(ti.r * f, trans="T")
+    ql_p = state.p_hat * ti.t.solve(ti.x * f, trans="T")
+    pl_q = state.q_hat * ti.t.solve(ti.r * g, trans="T")
+    ql_q = state.q_hat * ti.t.solve(ti.x * g, trans="T")
     return pl_p, ql_p, pl_q, ql_q
 
 
@@ -180,8 +180,8 @@ def dlp(
     kern = c0p * ti.r + c0q * ti.x
     f = -state.p_br_hat
     g = -state.q_br_hat
-    dlp_p = c0p - (ti.t.T @ (kern * f)) / v
-    dlp_q = c0q - (ti.t.T @ (kern * g)) / v
+    dlp_p = c0p - ti.t.solve(kern * f, trans="T") / v
+    dlp_q = c0q - ti.t.solve(kern * g, trans="T") / v
     return dlp_p, dlp_q
 
 

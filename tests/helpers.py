@@ -162,11 +162,41 @@ def reference_angles(ti, v, p_br, q_br):
     return delta
 
 
+def path_matrix(ti):
+    """The path matrix T that ``ti.t`` factors the inverse of, formed
+    explicitly as the reference for its path sums: entry (i, k) is 1 when
+    branch row i lies on the path from ``ti.order[k]`` to the slack, one
+    nonzero per (bus, ancestor) pair."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for k in range(ti.n):
+        i = k
+        while i >= 0:
+            rows.append(i)
+            cols.append(k)
+            i = ti.parent_pos[i]
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(ti.n, ti.n))
+
+
+def chain_network(n: int, dg_every: int) -> Network:
+    """An n-bus chain feeder (bus 1, the slack, at its head) with a load on
+    every non-slack bus and a generator cheaper than the supply point on
+    every ``dg_every``-th bus. The depth-n feeder is the worst case for the size
+    of the path matrix."""
+    buses = [Bus(id=1, v_min=0.9, v_max=1.1)]
+    for i in range(2, n + 1):
+        gen = Generator(0.0, 2e-3, 0.0, 1e-3, 25.0, 2.0) if i % dg_every == 0 else None
+        buses.append(Bus(id=i, p_load=1e-4, q_load=5e-5, v_min=0.9, v_max=1.1, gen=gen))
+    branches = tuple(Branch(from_bus=i - 1, to_bus=i, r=1e-5, x=1e-5) for i in range(2, n + 1))
+    net = Network(buses=tuple(buses), branches=branches, slack=1)
+    return netmodel.with_slack_costs(net, 30.0, 3.0)
+
+
 def reference_system_matrix(ti, p, q):
     """The closed form of the load-only power flow for fixed injections
     ``p``/``q`` (in ``ti.order``): I + T'RT diag(p) + T'XT diag(q), whose
     solve against w0 gives W per non-slack bus."""
-    t = ti.t
+    t = path_matrix(ti)
     a = t.T @ sp.diags(ti.r) @ t @ sp.diags(p)
     a = a + t.T @ sp.diags(ti.x) @ t @ sp.diags(q)
     return (sp.identity(ti.n, format="csc") + a).tocsc()
@@ -183,13 +213,14 @@ def dense_loss_factors(net, ti, state, sens):
     """Dense reference for ``pricing.loss_factors``: the loss gradient chained
     through the n x n modified-injection sensitivity matrices ``sens`` (from
     ``pricing.modified_injection_sensitivities``)."""
-    _, _, p_hat, q_hat, _ = pricing._state_injections(net, ti, state)
-    f = ti.t @ p_hat
-    g = ti.t @ q_hat
-    trf = ti.t.T @ (ti.r * f)
-    trg = ti.t.T @ (ti.r * g)
-    txf = ti.t.T @ (ti.x * f)
-    txg = ti.t.T @ (ti.x * g)
+    _, _, p_hat, q_hat, _ = pricing._state_injections(state)
+    t = path_matrix(ti)
+    f = t @ p_hat
+    g = t @ q_hat
+    trf = t.T @ (ti.r * f)
+    trg = t.T @ (ti.r * g)
+    txf = t.T @ (ti.x * f)
+    txg = t.T @ (ti.x * g)
     dp_dp, dp_dq, dq_dp, dq_dq = sens
     dpl_dp = 2.0 * (dp_dp.T @ trf + dq_dp.T @ trg)
     dpl_dq = 2.0 * (dp_dq.T @ trf + dq_dq.T @ trg)
@@ -271,7 +302,7 @@ def reference_objective(net, ti):
         gen = net.bus(b).gen
         g[var[f"Pg:{b}"]] = load_state.v[pos[b]] * gen.cost_p * base
         g[var[f"Qg:{b}"]] = load_state.v[pos[b]] * gen.cost_q * base
-    t_g = ti.t[:, [order_pos[b] for b in dg]]
+    t_g = path_matrix(ti)[:, [order_pos[b] for b in dg]]
     a_g = (t_g.T @ sp.diags(ti.r) @ t_g).toarray()
     b_g = (t_g.T @ sp.diags(ti.x) @ t_g).toarray()
     m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * base
@@ -426,7 +457,7 @@ def dense_objective_h(net, ti):
     w = lay.gen_w[1:]
     cp = np.array([buses[k].gen.cost_p for k in w])
     cq = np.array([buses[k].gen.cost_q for k in w])
-    t_g = ti.t[:, w - 1]
+    t_g = path_matrix(ti)[:, w - 1]
     a_g = (t_g.T @ t_g.multiply(ti.r[:, None])).toarray()
     b_g = (t_g.T @ t_g.multiply(ti.x[:, None])).toarray()
     m = np.block([[a_g * cp, a_g * cq], [b_g * cp, b_g * cq]]) * net.base_power
@@ -456,14 +487,15 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
     load_state = mdistflow.solve_fixed_load(net, ti)
     order_pos = {b: i for i, b in enumerate(ti.order)}
     cols = [order_pos[b] for b in dg]
-    t_g = ti.t[:, cols]
+    t = path_matrix(ti)
+    t_g = t[:, cols]
     pvec = np.array([p_hat_g.get(b, 0.0) for b in dg])
     qvec = np.array([q_hat_g.get(b, 0.0) for b in dg])
     cp = np.array([net.bus(b).gen.cost_p for b in dg])
     cq = np.array([net.bus(b).gen.cost_q for b in dg])
     vd = load_state.v[1:][cols]
     c2 = base * float(vd @ (cp * pvec) + vd @ (cq * qvec))
-    dv = ti.t.T @ (ti.r * (t_g @ pvec)) + ti.t.T @ (ti.x * (t_g @ qvec))
+    dv = t.T @ (ti.r * (t_g @ pvec)) + t.T @ (ti.x * (t_g @ qvec))
     dv_g = np.array([dv[order_pos[b]] for b in dg])
     c3 = base * float(dv_g @ (cp * pvec) + dv_g @ (cq * qvec))
     return c1, c2, c3

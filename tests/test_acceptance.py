@@ -30,7 +30,7 @@ def with_dgs(net, buses, p_mw, q_mvar, cost_p, cost_q):
 
 
 def oracle_sweep(net, ti, state, pg, qg):
-    p, q = netmodel.net_injections(net, ti, pg, qg)
+    p, q = netmodel.net_injections(net, pg, qg)
     op = np.array([
         acpf.fd_price_oracle(net, b, "p", p=p, q=q,
                              v_start=state.v, delta_start=state.delta)
@@ -194,7 +194,7 @@ def test_criterion_6_over_collection(case33_psp):
     assert mlm.ocl > 0.0
     assert abs(lam.ocl) < 1e-6 * lam.revenue
 
-    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
     lam_ac = pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam", ac_state=ac)
     c0p, c0q = acpf.slack_costs(net)

@@ -386,6 +386,21 @@ def test_congestion_is_pricing_error_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_short_gencost_row_is_one_line_data_error(tmp_path, capsys):
+    """A linear gencost row without its coefficients ends in exit 1 with one
+    stderr line, not an IndexError traceback."""
+    case = tmp_path / "short.m"
+    case.write_text(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=0.1)], [[1, 2, 0.01, 0.02, 0, 0]],
+        gen_rows=[[1, 0, 0, 10, -10, 1, 10, 1, 10, 0]], gencost_rows=[[2, 0, 0, 2]],
+    ))
+    code = run(["validate", "--case", str(case)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("data error: ") and "gencost row 1: NCOST=2 needs 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_scenario_missing_dg_key_is_data_error(tmp_path, capsys):
     scen = {"case": "case33.m",
             "dgs": [{"bus": 18, "q_range": [0, 0.5], "cost_p": 31, "cost_q": 2}]}
@@ -459,8 +474,13 @@ def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
      "copies must be >= 1, got 0"),
     (["price", "--case", "case33.m", "--oracle", "--jobs", "0"], None,
      "--jobs must be >= 1, got 0"),
+    (["validate", "--case", "case33.m", "--seed", "7"], None,
+     "--seed without a duplication"),
+    (["opf", "--case", "case33.m", "--scale-lo", "5"], None,
+     "--scale-lo without a duplication"),
+    (["opf", "--scale-hi", "2"], {"case": "case33.m"}, "--scale-hi without a duplication"),
 ], ids=["dg_field", "dg_arity", "scale_range", "copies_flag", "duplicate_copies",
-        "scenario_copies", "jobs"])
+        "scenario_copies", "jobs", "stray_seed", "stray_scale_lo", "stray_scale_hi_scenario"])
 def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario, says):
     if scenario is not None:
         path = tmp_path / "scen.json"

@@ -6,7 +6,7 @@ from radialopf import acpf, mdistflow as mdf, mdopf, netmodel
 from radialopf.mdistflow import MdfError
 from radialopf.netmodel import build_path_incidence
 
-from helpers import random_tree_network, reference_angles, reference_fixed_load_w
+from helpers import path_matrix, random_tree_network, reference_angles, reference_fixed_load_w
 from test_pricing import reverse_flow_net
 
 
@@ -96,7 +96,7 @@ def test_fixed_load_matches_closed_form(fixture, copies, request):
     if copies > 1:
         net = netmodel.duplicate_system(net, copies, seed=5)
     ti = build_path_incidence(net)
-    assert_w_matches_closed_form(net, ti, *netmodel.net_injections(net, ti))
+    assert_w_matches_closed_form(net, ti, *netmodel.net_injections(net))
 
 
 def test_fixed_load_matches_closed_form_random_trees():
@@ -135,7 +135,7 @@ def test_voltage_affine_in_modified_generation(case33):
     net = netmodel.with_slack_voltage(case33, 1.05)
     ti = build_path_incidence(net)
     rng = np.random.default_rng(3)
-    t = ti.t.toarray()
+    t = path_matrix(ti).toarray()
     a = t.T @ np.diag(ti.r) @ t
     b = t.T @ np.diag(ti.x) @ t
     p_d = np.array([net.bus(k).p_load for k in ti.order])
@@ -203,7 +203,7 @@ def test_random_star_flows_match_direct_multiply():
     p = rng.uniform(-0.1, 0.1, ti.n)
     q = rng.uniform(-0.1, 0.1, ti.n)
     st_ = mdf.solve_fixed_load(net, ti, p, q)
-    assert np.allclose(st_.p_br_hat, -(ti.t.toarray() @ st_.p_hat), atol=1e-15)
+    assert np.allclose(st_.p_br_hat, -(path_matrix(ti) @ st_.p_hat), atol=1e-15)
 
 
 def test_33_bus_against_ac(case33_psp):

@@ -10,8 +10,9 @@ from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
-    bus_row, dense_objective_h, mk_case, pivoting_factor, random_tree_network, reference_build,
-    reference_evaluate_cost, reference_extract_duals, reference_recover_dispatch,
+    bus_row, dense_objective_h, mk_case, path_matrix, pivoting_factor, random_tree_network,
+    reference_build, reference_evaluate_cost, reference_extract_duals,
+    reference_recover_dispatch,
 )
 
 
@@ -354,7 +355,7 @@ def test_reconstructed_state_residual(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     ti, _, _, state = mdopf.solve_opf(net)
     w0 = 2.0 - net.v0
-    t = ti.t
+    t = path_matrix(ti)
     w_expect = (
         w0
         - t.T @ (ti.r * (t @ state.p_hat))

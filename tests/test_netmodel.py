@@ -1,17 +1,20 @@
 import json
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialopf import netmodel
+from radialopf import mdopf, netmodel
 from radialopf.netmodel import (
     Branch, Bus, Generator, Network, NetworkError,
     build_path_incidence, duplicate_system, parse_matpower_case, validate,
 )
 
 from helpers import (
-    bus_row, mk_case, random_tree_network, reference_duplicate_system, reference_preorder,
+    bus_row, chain_network, dense_objective_h, mk_case, path_matrix, random_tree_network,
+    reference_duplicate_system, reference_preorder,
 )
 
 
@@ -89,6 +92,15 @@ def test_parse_polynomial_gencost_rejected():
         parse_matpower_case(text)
 
 
+@pytest.mark.parametrize("coefficients", [[], [30]])
+def test_parse_short_gencost_row_rejected(coefficients):
+    text = mk_case([bus_row(1, 3), bus_row(2)], [[1, 2, 0.01, 0.02, 0, 0]],
+                   gen_rows=[[1, 0, 0, 1, -1, 1, 1, 1, 1, 0]],
+                   gencost_rows=[[2, 0, 0, 2, *coefficients]])
+    with pytest.raises(NetworkError, match="NCOST=2 needs 2 coefficients"):
+        parse_matpower_case(text)
+
+
 def test_parse_comments_and_semicolon_rows():
     text = (
         "% header comment\nmpc.baseMVA = 10; % trailing\n"
@@ -123,7 +135,7 @@ def test_parse_rate_a_maps_to_i_max():
 def test_incidence_two_bus(net2):
     ti = build_path_incidence(net2)
     assert ti.order == (2,)
-    assert ti.t.toarray().tolist() == [[1.0]]
+    assert ti.t.solve(np.eye(1)).tolist() == [[1.0]]
 
 
 def test_incidence_three_bus_chain():
@@ -133,7 +145,7 @@ def test_incidence_three_bus_chain():
     ))
     ti = build_path_incidence(net)
     assert ti.order == (2, 3)
-    assert ti.t.toarray().tolist() == [[1.0, 1.0], [0.0, 1.0]]
+    assert ti.t.solve(np.eye(2)).tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
 
 def test_incidence_three_bus_star():
@@ -142,7 +154,7 @@ def test_incidence_three_bus_star():
         [[1, 2, 0.01, 0.01, 0, 0], [1, 3, 0.01, 0.01, 0, 0]],
     ))
     ti = build_path_incidence(net)
-    assert np.array_equal(ti.t.toarray(), np.eye(2))
+    assert np.array_equal(ti.t.solve(np.eye(2)), np.eye(2))
 
 
 def _depth(net, bus_id):
@@ -161,7 +173,7 @@ def test_incidence_tree_properties(data):
     seed = data.draw(st.integers(0, 2**31 - 1))
     net = random_tree_network(np.random.default_rng(seed), n)
     ti = build_path_incidence(net)
-    t = ti.t.toarray()
+    t = ti.t.solve(np.eye(ti.n))
     # unit upper triangular under the topological order
     assert np.allclose(np.diag(t), 1.0)
     assert np.allclose(np.tril(t, -1), 0.0)
@@ -202,7 +214,74 @@ def test_incidence_order_independent(case33):
             t_bfs[pos[u], k] = 1.0
             u = parents[u]
     perm = [pos[b] for b in ti.order]
-    assert np.array_equal(t_bfs[np.ix_(perm, perm)], ti.t.toarray())
+    assert np.array_equal(t_bfs[np.ix_(perm, perm)], ti.t.solve(np.eye(n)))
+
+
+def _path_sum_networks(case33, case69):
+    """Feeders with generators: case33 with four, case69 x3 with four per
+    copy, 50 random trees and a 1,000-bus chain."""
+    gen = Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0)
+    c33 = case33
+    c69 = case69
+    for b in (18, 22, 25, 33):
+        c33 = netmodel.with_generator(c33, b, gen)
+    for b in (27, 35, 46, 65):
+        c69 = netmodel.with_generator(c69, b, gen)
+    rng = np.random.default_rng(40)
+    trees = [random_tree_network(rng, int(rng.integers(2, 120)), gen_frac=0.3)
+             for _ in range(50)]
+    return [netmodel.with_slack_costs(c33, 30.0, 3.0),
+            netmodel.with_slack_costs(duplicate_system(c69, 3, seed=42), 30.0, 3.0),
+            *trees, chain_network(1000, 100)]
+
+
+def test_path_sums_match_path_matrix(case33, case69):
+    """Each product the package takes with the path matrix (T x, T' y and T
+    at the generator columns) matches the explicit T, and networkx's
+    descendant and ancestor sums, within 1e-12 relative."""
+    rng = np.random.default_rng(41)
+    for net in _path_sum_networks(case33, case69):
+        ti = build_path_incidence(net)
+        t = path_matrix(ti)
+        # positive entries: no cancellation, so every entry holds to rtol
+        x = rng.uniform(0.5, 1.5, ti.n)
+        y = rng.uniform(0.5, 1.5, ti.n)
+        tx = ti.t.solve(x)
+        ty = ti.t.solve(y, trans="T")
+        np.testing.assert_allclose(tx, t @ x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ty, t.T @ y, rtol=1e-12, atol=0)
+        # bus k's branch row is k, so its sums run over the feeder's tree
+        pos = {b: k for k, b in enumerate(ti.order)}
+        tree = nx.DiGraph((br.from_bus, br.to_bus) for br in net.branches)
+        down = [x[k] + sum(x[pos[d]] for d in nx.descendants(tree, b))
+                for k, b in enumerate(ti.order)]
+        up = [y[k] + sum(y[pos[a]] for a in nx.ancestors(tree, b) if a != net.slack)
+              for k, b in enumerate(ti.order)]
+        np.testing.assert_allclose(tx, down, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ty, up, rtol=1e-12, atol=0)
+        # the generator block of the objective reads T at the generator columns
+        h = mdopf.build_objective(net, ti)[0].toarray()
+        want = dense_objective_h(net, ti).toarray()
+        assert np.any(want)
+        np.testing.assert_allclose(h, want, rtol=1e-12, atol=0)
+
+
+def test_path_incidence_is_linear_on_a_deep_feeder():
+    """On a 3,000-bus chain the path matrix would hold 4.5 million nonzeros;
+    the factor of I - A holds the identity L and U = I - A. SuperLU counts
+    the diagonal in both, so its ``nnz`` reads 3n - 1 here."""
+    net = chain_network(3000, 100)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ti = build_path_incidence(net)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = ti.n
+    assert retained < 2 * 1024 * 1024
+    assert ti.t.L.nnz == n and ti.t.U.nnz <= 2 * n
+    assert ti.t.nnz <= 3 * n
 
 
 def relabelled(net, rng):
@@ -404,7 +483,7 @@ def test_json_rejects_other_documents():
 
 def test_net_injections_with_dispatch(case33):
     ti = build_path_incidence(case33)
-    p, q = netmodel.net_injections(case33, ti, {18: 0.05}, {18: 0.02})
+    p, q = netmodel.net_injections(case33, {18: 0.05}, {18: 0.02})
     i = ti.order.index(18)
     assert p[i] == pytest.approx(0.05 - case33.bus(18).p_load)
     assert q[i] == pytest.approx(0.02 - case33.bus(18).q_load)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radialopf import acpf, mdistflow as mdf, mdopf, netmodel, pricing
-from radialopf.netmodel import Generator, build_path_incidence
+from radialopf.netmodel import Bus, Generator, Network, build_path_incidence
 from radialopf.pricing import PricingError
 
 from helpers import (
-    dense_loss_factors, random_tree_network, reference_price_table_to_csv,
+    dense_loss_factors, path_matrix, random_tree_network, reference_price_table_to_csv,
     reference_price_table_to_json,
 )
 
@@ -120,6 +120,7 @@ def model_loss_fd(net, ti, state, sens_matrices, axis, j, h=1e-6):
     v0 = state.v[1:]
     p0 = state.p_hat / w
     q0 = state.q_hat / w
+    t = path_matrix(ti)
     out = []
     for sign in (+1.0, -1.0):
         p = p0.copy()
@@ -130,8 +131,8 @@ def model_loss_fd(net, ti, state, sens_matrices, axis, j, h=1e-6):
         else:
             q[j] += sign * h
             v = v0 + dv_dq[:, j] * sign * h
-        f = ti.t @ (p / v)
-        g = ti.t @ (q / v)
+        f = t @ (p / v)
+        g = t @ (q / v)
         pl = float(ti.r @ (f * f) + ti.r @ (g * g))
         ql = float(ti.x @ (f * f) + ti.x @ (g * g))
         out.append((pl, ql))
@@ -285,7 +286,7 @@ def test_allocation_two_bus_hand_value(net2):
 def branch_level_allocation(ti, state):
     """Brute-force oracle: walk every bus's path and apportion each branch's
     quadratic loss share explicitly."""
-    t = ti.t.toarray()
+    t = path_matrix(ti).toarray()
     f = t @ state.p_hat
     g = t @ state.q_hat
     n = ti.n
@@ -328,7 +329,7 @@ def test_allocation_off_path_locality(case33_psp):
     state = mdf.solve_fixed_load(case33_psp, ti)
     pl_p, _, _, _ = pricing.allocate_losses(ti, state)
     k = ti.order.index(18)
-    path_rows = set(np.nonzero(ti.t.toarray()[:, k])[0])
+    path_rows = set(np.nonzero(path_matrix(ti).toarray()[:, k])[0])
     off_path = next(i for i in range(ti.n) if i not in path_rows)
     r2 = ti.r.copy()
     r2.setflags(write=True)
@@ -475,7 +476,7 @@ def test_high_penetration_reverse_flow(case33_psp):
     pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
     assert pt.dlmp_p.min() < 30.0 < pt.dlmp_p.max()
 
-    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     errs_p, errs_q = [], []
     for i, b in enumerate(ti.order):
         op = acpf.fd_price_oracle(net, b, "p", p=p, q=q,
@@ -501,7 +502,7 @@ def study_by_bus(net):
     """Dispatch, objective, price table and AC voltages keyed by bus id."""
     ti, _, sol, state = mdopf.solve_opf(net)
     pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
-    p, q = netmodel.net_injections(net, ti, sol.pg, sol.qg)
+    p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
     pos = netmodel.tree_positions(net)
     return sol, pt, {b: (ac.v[k], ac.delta[k]) for b, k in pos.items()}
@@ -526,3 +527,17 @@ def test_results_invariant_under_bus_storage_order(case, case33_psp, case69):
         if name != "bus_ids":
             assert np.array_equal(getattr(pt_a, name), getattr(pt_b, name)), name
     assert ac_a == ac_b
+
+
+def test_slack_only_network_solves_and_prices():
+    """A feeder of the supply point alone (no branch, n = 0) still runs the
+    OPF, the load-only power flow and the price table."""
+    net = netmodel.with_slack_costs(
+        Network(buses=(Bus(id=1, p_load=0.01, q_load=0.005),), branches=(), slack=1), 30.0, 3.0
+    )
+    ti, _, sol, state = mdopf.solve_opf(net)
+    assert ti.n == 0 and sol.status == "optimal"
+    assert sol.pg[1] == pytest.approx(0.01, rel=1e-6)
+    assert mdf.solve_fixed_load(net, ti).v.tolist() == [net.v0]
+    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
+    assert pt.bus_ids == () and pt.dlmp_p.size == 0 and pt.dlp_q.size == 0
