@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from . import mdistflow, netmodel, qcqpsolver
 from .netmodel import Network, PathIncidence
-from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, min_eigenvalue, support_eigh
+from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, psd_test, support_eigh
 
 
 class MdopfError(RuntimeError):
@@ -103,19 +103,18 @@ def certify_convexity(
 ) -> ConvexityCertificate:
     """Numerical PSD certificate for a symmetric quadratic-form matrix.
 
-    Checks the eigenvalues of the restriction to the nonzero support with
-    tolerance -1e-10 * ||H||; reports the minimum eigenvalue and the
-    trace-positivity signal alongside the verdict. ``eig`` is the
-    ``qcqpsolver.support_eigh`` decomposition of ``h`` when the caller
-    already has it.
+    The verdict is ``qcqpsolver.psd_test``, the solver's own convexity test;
+    the certificate reports the minimum eigenvalue and the trace-positivity
+    signal alongside it. ``eig`` is the ``qcqpsolver.support_eigh``
+    decomposition of ``h`` when the caller already has it.
     """
     hc = sp.csr_matrix(h)
     trace = float(hc.diagonal().sum())
     scale = max(1.0, float(abs(hc).max())) if hc.nnz else 1.0
     if hc.nnz and abs(hc - hc.T).max() > 1e-12 * scale:
         raise MdopfError("convexity certificate requires a symmetric matrix")
-    min_eig = min_eigenvalue(support_eigh(hc) if eig is None else eig)
-    return ConvexityCertificate(min_eig >= -1e-10 * scale, min_eig, trace, trace > 0.0)
+    psd, min_eig = psd_test(hc, support_eigh(hc) if eig is None else eig)
+    return ConvexityCertificate(psd, min_eig, trace, trace > 0.0)
 
 
 def psd_projection(

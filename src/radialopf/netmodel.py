@@ -587,13 +587,16 @@ def duplicate_system(
     with numpy's PCG64 generator seeded by ``seed``. The copies' slack buses
     merge into the single new slack, whose generator capacity is scaled by
     ``copies``. Bus count of the result is copies * (n_bus - 1) + 1. Raises
-    ``NetworkError`` unless ``copies >= 1`` and ``0 < lo <= hi``.
+    ``NetworkError`` unless ``copies >= 1``, ``seed >= 0`` and
+    ``0 < lo <= hi`` with both bounds finite.
     """
     if copies < 1:
         raise NetworkError(f"copies must be >= 1, got {copies}")
+    if seed < 0:
+        raise NetworkError(f"seed must be >= 0, got {seed}")
     lo, hi = scale_range
-    if not (0 < lo <= hi):
-        raise NetworkError(f"bad scale_range {scale_range}")
+    if not (0 < lo <= hi < math.inf):
+        raise NetworkError(f"bad scale_range {scale_range}: need 0 < lo <= hi, both finite")
     rng = np.random.default_rng(seed)
     slack_bus = net.bus(net.slack)
     slack_gen = slack_bus.gen

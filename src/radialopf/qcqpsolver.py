@@ -8,13 +8,16 @@ Handles problems of the form
                 x' diag(d_k) x <= b_k      (d_k >= 0)
 
 with a Mehrotra predictor-corrector iteration; everything is deterministic
-for fixed inputs. The KKT systems are statically regularized, which makes
-them quasi-definite, and a quasi-definite matrix has a stable LDL'
-factorization in every symmetric order (Vanderbei, SIAM J. Optim. 1995). So
-every KKT matrix is factored by sparse LU in the problem's elimination order
-(``kkt_order``; the OPF builder's eliminates the feeder tree leaves first,
-and a problem without one uses the identity order) with no pivoting, and
-each solve takes one step of iterative refinement.
+for fixed inputs. One path serves every problem shape: a block with no
+rows passes through the same arithmetic, and the centring parameter is 0
+when there are no inequality rows. So an equality-only QP iterates too, each
+step leaving 0.5 % of its residuals. The KKT systems are statically
+regularized, which makes them quasi-definite, and a quasi-definite matrix
+has a stable LDL' factorization in every symmetric order (Vanderbei, SIAM J.
+Optim. 1995). So every KKT matrix is factored by sparse LU in the problem's
+elimination order (``kkt_order``; the OPF builder's eliminates the feeder
+tree leaves first, and a problem without one uses the identity order) with
+no pivoting, and each solve takes one step of iterative refinement.
 """
 from __future__ import annotations
 
@@ -159,15 +162,23 @@ def min_eigenvalue(blocks: list[EigBlock]) -> float:
     return min((float(vals[0]) for _, vals, _ in blocks), default=0.0)
 
 
+def psd_test(h: sp.spmatrix, blocks: list[EigBlock]) -> tuple[bool, float]:
+    """Whether the symmetric ``h`` is positive semidefinite, and its smallest
+    eigenvalue, from its ``support_eigh`` blocks: the smallest eigenvalue
+    must be at least -1e-10 * max(1, max |H|)."""
+    min_eig = min_eigenvalue(blocks)
+    scale = max(1.0, float(abs(h).max())) if h.nnz else 1.0
+    return min_eig >= -1e-10 * scale, min_eig
+
+
 def _check_convex(p: QcqpProblem) -> None:
-    hnorm = abs(p.h).max() if p.h.nnz else 0.0
-    min_eig = min_eigenvalue(support_eigh(p.h))
-    if min_eig < -1e-10 * max(1.0, hnorm):
+    psd, min_eig = psd_test(p.h, support_eigh(p.h))
+    if not psd:
         raise SolverError(
             f"objective matrix is not positive semidefinite "
             f"(min eigenvalue {min_eig:.3e}); refusing non-convex input"
         )
-    if p.n_quad and p.quad_diag.nnz and p.quad_diag.min() < 0:
+    if (p.quad_diag.data < 0).any():
         raise SolverError("quadratic constraint with negative curvature")
 
 
@@ -240,71 +251,38 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     _check_convex(p)
     t_start = time.perf_counter()
     n = p.n_vars
-    me = p.n_eq
     delta = REGULARIZATION
     mi = p.n_in + p.n_quad
     two_h = (2.0 * p.h).tocsr()
     kkt = _Kkt(p, delta)
 
-    def curvature(x, z):
-        # sum_k z_k * 2 diag(d_k) from the quadratic rows
-        if not p.n_quad:
-            return None
-        w = p.quad_diag.T @ z[p.n_in:]
-        return sp.diags(2.0 * w)
-
     # -- starting point: least-norm solution of the equalities ---------------
-    if me:
-        x = kkt.factor(sp.identity(n), "equality system factorization failed")(
-            np.concatenate([np.zeros(n), p.b_eq]))[:n]
-        y = np.zeros(me)
-    else:
-        x = np.zeros(n)
-        y = np.zeros(0)
-
-    if mi == 0:
-        # equality-constrained QP: one Newton/KKT solve
-        rhs = np.concatenate([-p.g, p.b_eq]) if me else -p.g
-        sol = kkt.factor(two_h + delta * sp.identity(n), "KKT factorization failed")(rhs)
-        x = sol[:n]
-        y = sol[n:]
-        feas = float(np.max(np.abs(p.a_eq @ x - p.b_eq))) if me else 0.0
-        stats = SolveStats(1, 0.0, feas, time.perf_counter() - t_start, kkt.seconds)
-        status = "optimal" if feas < 10 * cfg.tol_feas else "max_iter"
-        return OpfSolution(
-            x=x, objective_value=p.objective_at(x), status=status,
-            duals_eq=y, duals_in=np.zeros(0), duals_quad=np.zeros(0),
-            stats=stats,
-        )
-
+    x = kkt.factor(sp.identity(n), "equality system factorization failed")(
+        np.concatenate([np.zeros(n), p.b_eq]))[:n]
+    y = np.zeros(p.n_eq)
     s = np.maximum(-_ineq_values(p, x), 1.0)
     z = np.ones(mi)
 
-    g_scale = 1.0 + float(np.max(np.abs(p.g))) if n else 1.0
-    b_scale = 1.0 + (float(np.max(np.abs(p.b_eq))) if me else 0.0)
+    g_scale = 1.0 + float(np.abs(p.g).max(initial=0.0))
+    b_scale = 1.0 + float(np.abs(p.b_eq).max(initial=0.0))
     status = "max_iter"
-    it = 0
-    mu = s @ z / mi
-    feas = np.inf
 
     for it in range(1, cfg.max_iter + 1):
         jac = _ineq_jacobian(p, x)
-        rd = two_h @ x + p.g + jac.T @ z + (p.a_eq.T @ y if me else 0.0)
-        rp = p.a_eq @ x - p.b_eq if me else np.zeros(0)
+        rd = two_h @ x + p.g + jac.T @ z + p.a_eq.T @ y
+        rp = p.a_eq @ x - p.b_eq
         rs = _ineq_values(p, x) + s
-        mu = s @ z / mi
+        mu = s @ z / max(mi, 1)
 
-        feas = max(
-            float(np.max(np.abs(rp))) / b_scale if me else 0.0,
-            float(np.max(np.abs(rs))),
-        )
-        dfeas = float(np.max(np.abs(rd))) / g_scale
+        feas = max(float(np.abs(rp).max(initial=0.0)) / b_scale,
+                   float(np.abs(rs).max(initial=0.0)))
+        dfeas = float(np.abs(rd).max(initial=0.0)) / g_scale
         gap = mu / (1.0 + abs(p.objective_at(x)))
         if feas < cfg.tol_feas and dfeas < cfg.tol_feas and gap < cfg.tol_gap:
             status = "optimal"
             break
 
-        dual_mag = float(np.max(np.abs(z))) + (float(np.max(np.abs(y))) if me else 0.0)
+        dual_mag = float(np.abs(z).max(initial=0.0) + np.abs(y).max(initial=0.0))
         if dual_mag > 1e12 * g_scale and feas > 100 * cfg.tol_feas:
             status = "infeasible"
             break
@@ -313,38 +291,33 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         # new ones are built, so that the allocator reuses their memory
         kkt_solve = None
         d = z / s
-        hbar = two_h + jac.T @ sp.diags(d) @ jac + delta * sp.identity(n)
-        extra = curvature(x, z)
-        if extra is not None:
-            hbar = hbar + extra
+        # regularization plus the quadratic rows' curvature sum_k z_k 2 diag(d_k)
+        curvature = delta + 2.0 * (p.quad_diag.T @ z[p.n_in:])
+        hbar = two_h + jac.T @ sp.diags(d) @ jac + sp.diags(curvature)
         kkt_solve = kkt.factor(hbar, f"KKT factorization failed at iteration {it}")
 
         def newton_step(rc):
             r1 = -rd - jac.T @ (d * rs - rc / s)
-            rhs = np.concatenate([r1, -rp]) if me else r1
-            sol = kkt_solve(rhs)
+            sol = kkt_solve(np.concatenate([r1, -rp]))
             dx = sol[:n]
-            dy = sol[n:] if me else np.zeros(0)
             dz = d * (jac @ dx + rs) - rc / s
-            ds = -rs - jac @ dx
-            return dx, dy, dz, ds
+            return dx, sol[n:], dz, -rs - jac @ dx
 
         # predictor
         dx_a, dy_a, dz_a, ds_a = newton_step(s * z)
         alpha_p = _step_len(s, ds_a)
         alpha_d = _step_len(z, dz_a)
-        mu_aff = ((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / mi
-        # s, z > 0 keep mu > 0
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12))
+        mu_aff = ((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / max(mi, 1)
+        # s, z > 0 keep mu > 0 when there are inequality rows
+        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12)) if mi else 0.0
 
         # corrector
         rc = s * z + ds_a * dz_a - sigma * mu
         dx, dy, dz, ds = newton_step(rc)
         alpha = 0.995 * min(_step_len(s, ds), _step_len(z, dz))
-        alpha = min(1.0, alpha)
 
         x = x + alpha * dx
-        y = y + alpha * dy if me else y
+        y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
 
@@ -360,49 +333,27 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     )
     return OpfSolution(
         x=x, objective_value=p.objective_at(x), status=status,
-        duals_eq=np.asarray(y), duals_in=z[:p.n_in], duals_quad=z[p.n_in:],
+        duals_eq=y, duals_in=z[:p.n_in], duals_quad=z[p.n_in:],
         stats=stats,
     )
 
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps ``v + step * dv`` non-negative."""
     neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    return float(np.min(-v[neg] / dv[neg], initial=1.0))
 
 
 def _ineq_values(p: QcqpProblem, x: np.ndarray) -> np.ndarray:
     """Left minus right side of every inequality row, linear rows first."""
-    vals = p.a_in @ x - p.b_in
-    if not p.n_quad:
-        return vals
-    return np.concatenate([vals, p.quad_diag @ (x * x) - p.quad_b])
+    return np.concatenate([p.a_in @ x - p.b_in, p.quad_diag @ (x * x) - p.quad_b])
 
 
 def _ineq_jacobian(p: QcqpProblem, x: np.ndarray) -> sp.csr_matrix:
     """Jacobian of ``_ineq_values`` at ``x``."""
-    if not p.n_quad:
-        return p.a_in
-    return sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x)], format="csr")
-
-
-def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
-    """Stationarity, primal/dual feasibility and complementarity of a solution."""
-    x = sol.x
-    z = np.concatenate([sol.duals_in, sol.duals_quad])
-    vals = _ineq_values(p, x)
-    jac = _ineq_jacobian(p, x)
-    rd = 2.0 * (p.h @ x) + p.g + jac.T @ z
-    if p.n_eq:
-        rd = rd + p.a_eq.T @ sol.duals_eq
-    return {
-        "stationarity": float(np.max(np.abs(rd))) if len(rd) else 0.0,
-        "primal_eq": float(np.max(np.abs(p.a_eq @ x - p.b_eq))) if p.n_eq else 0.0,
-        "primal_in": max(0.0, float(np.max(vals))) if len(vals) else 0.0,
-        "dual": max(0.0, float(-np.min(z))) if len(z) else 0.0,
-        "complementarity": float(np.max(np.abs(vals * z))) if len(vals) else 0.0,
-    }
+    # with both blocks in CSR, vstack concatenates their arrays instead of
+    # converting them through COO
+    return sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x).tocsr()], format="csr")
 
 
 def extract_duals(p: QcqpProblem, sol: OpfSolution, rows: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from radialopf import mdistflow, mdopf, netmodel, pricing
 from radialopf.netmodel import Branch, Bus, Generator, Network
-from radialopf.qcqpsolver import QcqpProblem
+from radialopf.qcqpsolver import OpfSolution, QcqpProblem
 
 
 def random_tree_network(
@@ -81,6 +81,24 @@ def pivoting_factor(kkt, h, failure):
     row order, in its own column order with partial pivoting, and solves are
     not refined."""
     return spla.splu(kkt.assemble(h)[kkt.pos][:, kkt.pos]).solve
+
+
+def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
+    """Stationarity, primal/dual feasibility and complementarity of a QCQP
+    solution, with the inequality rows restated here: the linear rows, then
+    x' diag(d_k) x <= b_k."""
+    x = sol.x
+    z = np.concatenate([sol.duals_in, sol.duals_quad])
+    vals = np.concatenate([p.a_in @ x - p.b_in, p.quad_diag @ (x * x) - p.quad_b])
+    jac = sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x)])
+    rd = 2.0 * (p.h @ x) + p.g + jac.T @ z + p.a_eq.T @ sol.duals_eq
+    return {
+        "stationarity": float(np.abs(rd).max(initial=0.0)),
+        "primal_eq": float(np.abs(p.a_eq @ x - p.b_eq).max(initial=0.0)),
+        "primal_in": float(vals.max(initial=0.0)),
+        "dual": float((-z).max(initial=0.0)),
+        "complementarity": float(np.abs(vals * z).max(initial=0.0)),
+    }
 
 
 def reference_preorder(net):

@@ -479,8 +479,20 @@ def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
     (["opf", "--case", "case33.m", "--scale-lo", "5"], None,
      "--scale-lo without a duplication"),
     (["opf", "--scale-hi", "2"], {"case": "case33.m"}, "--scale-hi without a duplication"),
+    (["validate", "--case", "case33.m", "--copies", "2", "--seed", "-1"], None,
+     "seed must be >= 0, got -1"),
+    (["opf"], {"case": "case33.m", "duplication": {"copies": 2, "seed": -3}},
+     "seed must be >= 0, got -3"),
+    (["duplicate", "--case", "case33.m", "--copies", "2", "--seed", "-1"], None,
+     "seed must be >= 0, got -1"),
+    (["opf", "--case", "case33.m", "--copies", "2", "--scale-hi", "inf"], None,
+     "both finite"),
+    (["duplicate", "--case", "case33.m", "--copies", "2", "--scale-hi", "1e309"], None,
+     "both finite"),
 ], ids=["dg_field", "dg_arity", "scale_range", "copies_flag", "duplicate_copies",
-        "scenario_copies", "jobs", "stray_seed", "stray_scale_lo", "stray_scale_hi_scenario"])
+        "scenario_copies", "jobs", "stray_seed", "stray_scale_lo", "stray_scale_hi_scenario",
+        "negative_seed", "negative_seed_scenario", "duplicate_negative_seed",
+        "infinite_scale_hi", "duplicate_overflowing_scale_hi"])
 def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario, says):
     if scenario is not None:
         path = tmp_path / "scen.json"

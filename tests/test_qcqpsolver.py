@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from radialopf import qcqpsolver as qs
 from radialopf.qcqpsolver import QcqpProblem, SolverConfig, SolverError
 
+from helpers import kkt_residuals
+
 
 def _empty(m, n):
     return sp.csr_matrix((m, n))
@@ -88,6 +90,57 @@ def test_equality_only():
     assert s.status == "optimal"
     assert np.allclose(s.x, [1.0, 1.0], atol=1e-8)
     assert s.duals_eq[0] == pytest.approx(-2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("me,mi,nq", list(itertools.product((0, 2), (0, 3), (0, 1))))
+def test_every_problem_shape_takes_one_path(me, mi, nq):
+    """Every combination of empty and non-empty equality, linear and
+    quadratic inequality blocks reaches the active-set oracle's optimum (a
+    direct KKT solve when there are no linear inequalities) and a KKT point.
+    The quadratic row is a ball that holds the oracle's optimum inside."""
+    rng = np.random.default_rng(31)
+    n = 5
+    m = rng.normal(size=(n, n))
+    h = m.T @ m + 0.5 * np.eye(n)
+    g = rng.normal(size=n)
+    a_eq, b_eq = rng.normal(size=(me, n)), rng.normal(size=me)
+    a_in, b_in = rng.normal(size=(mi, n)), rng.normal(size=mi) + 1.0
+    ref, xref = active_set_oracle(h, g, a_eq, b_eq, a_in, b_in)
+    assert xref is not None
+    quad = dict(quad_diag=[np.ones(n)], quad_b=[2.0 * xref @ xref + 1.0]) if nq else {}
+    p = make_problem(h=h, g=g, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in, **quad)
+    s = qs.solve(p, SolverConfig(tol_gap=1e-11, tol_feas=1e-11))
+    assert s.status == "optimal"
+    assert s.objective_value == pytest.approx(ref, rel=1e-8, abs=1e-8)
+    assert np.allclose(s.x, xref, atol=1e-6)
+    for key, val in kkt_residuals(p, s).items():
+        assert val < 1e-7, (key, val)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_equality_only_matches_direct_kkt_solve(seed):
+    # an equality-only QP runs the interior-point loop; at stopping
+    # tolerances of 1e-12 it reaches the solution of its KKT system
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    me = int(rng.integers(0, n))
+    m = rng.normal(size=(n, n))
+    h = m.T @ m + 0.5 * np.eye(n)
+    g, a_eq, b_eq = rng.normal(size=n), rng.normal(size=(me, n)), rng.normal(size=me)
+    kkt = np.block([[2 * h, a_eq.T], [a_eq, np.zeros((me, me))]])
+    ref = np.linalg.solve(kkt, np.concatenate([-g, b_eq]))
+    p = make_problem(h=h, g=g, a_eq=a_eq, b_eq=b_eq)
+    s = qs.solve(p, SolverConfig(tol_gap=1e-12, tol_feas=1e-12))
+    assert s.status == "optimal" and s.stats.iterations <= 10
+    assert np.abs(s.x - ref[:n]).max() < 1e-9
+    assert np.abs(s.duals_eq - ref[n:]).max(initial=0.0) < 1e-9
+
+
+def test_inconsistent_equalities_not_optimal():
+    # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
+    p = make_problem(h=np.eye(2), g=np.zeros(2), a_eq=[[1.0, 1.0], [1.0, 1.0]],
+                     b_eq=[1.0, 2.0])
+    assert qs.solve(p).status != "optimal"
 
 
 def test_extract_duals_are_rhs_sensitivities():
@@ -173,7 +226,7 @@ def test_kkt_residuals_on_random_problems():
         )
         s = qs.solve(p)
         assert s.status == "optimal"
-        res = qs.kkt_residuals(p, s)
+        res = kkt_residuals(p, s)
         for key, val in res.items():
             assert val < 1e-7, (key, val)
 
