@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .netmodel import Network, tree_buses, tree_positions
+from .netmodel import Network, net_injections, tree_positions
 
 
 class PowerFlowError(RuntimeError):
@@ -74,13 +74,6 @@ def admittance(net: Network) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(net.n_bus, net.n_bus))
 
 
-def default_injections(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Net injections (pu) with all generation off: minus the loads, per
-    non-slack bus."""
-    buses = tree_buses(net)[1:]
-    return np.array([-b.p_load for b in buses]), np.array([-b.q_load for b in buses])
-
-
 def _branch_losses(net: Network, vc: np.ndarray) -> tuple[float, float]:
     f, t, z = _branch_ends(net)
     i = (vc[f] - vc[t]) / z
@@ -105,7 +98,7 @@ def newton_pf(
     """
     n = net.n_bus
     if p is None or q is None:
-        dp, dq = default_injections(net)
+        dp, dq = net_injections(net)
         p = dp if p is None else p
         q = dq if q is None else q
     p = np.asarray(p, dtype=float)
@@ -290,7 +283,7 @@ def fd_price_oracle(
     c0p, c0q = slack_costs(net)
     k = tree_positions(net)[bus] - 1
     if p is None or q is None:
-        dp, dq = default_injections(net)
+        dp, dq = net_injections(net)
         p = dp if p is None else np.asarray(p, dtype=float)
         q = dq if q is None else np.asarray(q, dtype=float)
     costs = []

@@ -1,13 +1,17 @@
 """Command-line front-end.
 
 Subcommands: ``validate``, ``pf``, ``opf``, ``price``, ``duplicate``. Each
-loads a case (MATPOWER subset or the native JSON format), applies the
-scenario overlay (declarative JSON file, individual flags override file
-values), runs the requested study and writes CSV/JSON reports.
+builds its network with ``apply_scenario``: a case (MATPOWER subset or the
+native JSON format) with each value that the scenario sets in place of the
+case's, then duplicated if the scenario asks for copies. A scenario comes
+from a declarative JSON file and from flags, one ``Scenario`` field per
+value; a flag overrides only its own value, and a value that neither sets
+keeps the case's. The command then runs its study and writes CSV/JSON
+reports.
 
 Exit codes: 0 success, 1 data error (including a scenario or network JSON
-with a missing key or a wrongly typed or sized value, and a file that cannot
-be read, decoded or written), 2 solver or pricing
+with a missing or unknown key or a wrongly typed or sized value, and a file
+that cannot be read, decoded or written), 2 solver or pricing
 failure (including congestion, which the marginal-loss prices exclude),
 3 oracle failure. Each failure prints one line to stderr.
 Case paths resolve against ``--case-dir``, the ``RADIALOPF_CASE_DIR``
@@ -22,7 +26,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +44,6 @@ EXIT_DATA = 1
 EXIT_SOLVER = 2
 EXIT_ORACLE = 3
 
-#: duplication seed and scale range where neither the scenario file nor a flag sets them
-DEFAULT_SEED = 0
-DEFAULT_SCALE_RANGE = (0.7, 1.3)
-
 
 @dataclass(frozen=True)
 class DgSpec:
@@ -58,67 +58,100 @@ class DgSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Declarative study setup; power fields are in MW/MVar."""
+    """Declarative study setup: one field per value that a flag (named alike)
+    or a scenario-file key sets, and ``--dg`` adds to ``dgs``. None keeps the
+    case's value, or ``netmodel.duplicate_system``'s default. Power in MW/MVar."""
 
-    case_path: str
-    psp_voltage: float | None = None
-    psp_costs: tuple[float, float] | None = None
+    case: str | None = None
+    psp_v: float | None = None
+    psp_cost_p: float | None = None
+    psp_cost_q: float | None = None
     psp_load: tuple[float, float] | None = None
     dgs: tuple[DgSpec, ...] = ()
-    load_scale: float = 1.0
-    impedance_scale: float = 1.0
-    v_limits: tuple[float, float] | None = None
-    duplication: tuple[int, int, tuple[float, float]] | None = None
-    thermal_limits: bool = True
+    load_scale: float | None = None
+    impedance_scale: float | None = None
+    vmin: float | None = None
+    vmax: float | None = None
+    no_thermal: bool = False
+    copies: int | None = None
+    seed: int | None = None
+    scale_lo: float | None = None
+    scale_hi: float | None = None
 
 
-def _dg_spec(d: dict) -> DgSpec:
-    p_min, p_max = json_pair(d["p_range"], "p_range")
-    q_min, q_max = json_pair(d["q_range"], "q_range")
-    return DgSpec(
-        bus=json_int(d["bus"], "bus"), p_max=p_max, q_max=q_max,
-        cost_p=json_number(d["cost_p"], "cost_p"), cost_q=json_number(d["cost_q"], "cost_q"),
-        p_min=p_min, q_min=q_min,
-    )
+def _of_type(kind: type, what: str):
+    def read(value, key):
+        if not isinstance(value, kind):
+            raise TypeError(f"{key} must be {what}, got {value!r}")
+        return value
+    return read
 
 
-def _optional(doc: dict, key: str, convert):
-    return None if doc.get(key) is None else convert(doc[key], key)
+# readers of one JSON key: (value, key) -> the fields it sets
+def _to(field: str, convert):
+    return lambda value, key: {field: convert(value, key)}
+
+
+def _split(lo: str, hi: str):
+    return lambda value, key: dict(zip((lo, hi), json_pair(value, key)))
+
+
+def _fields(record, readers: dict, required: tuple[str, ...], name: str) -> dict:
+    """The fields that a JSON object's keys set through ``readers``; a null
+    value sets nothing, and a required key must be given and not null."""
+    if not isinstance(record, dict):
+        raise TypeError(f"{name} must be an object, got {record!r}")
+    for key in required:
+        if record.get(key) is None:
+            raise KeyError(key)
+    out = {}
+    for key, value in record.items():
+        if key not in readers:
+            raise ValueError(f"unknown key {key!r}")
+        if value is not None:
+            out.update(readers[key](value, key))
+    return out
+
+
+_DG_KEYS = {
+    "bus": _to("bus", json_int),
+    "p_range": _split("p_min", "p_max"),
+    "q_range": _split("q_min", "q_max"),
+    "cost_p": _to("cost_p", json_number),
+    "cost_q": _to("cost_q", json_number),
+}
+_DUPLICATION_KEYS = {
+    "copies": _to("copies", json_int),
+    "seed": _to("seed", json_int),
+    "range": _split("scale_lo", "scale_hi"),
+}
+
+
+def _dgs(value, key: str) -> dict:
+    entries = _of_type(list, "a list")(value, key)
+    return {"dgs": tuple(DgSpec(**_fields(d, _DG_KEYS, tuple(_DG_KEYS), "dgs entry"))
+                         for d in entries)}
+
+
+_SCENARIO_KEYS = {
+    "case": _to("case", _of_type(str, "a string")),
+    "psp_voltage": _to("psp_v", json_number),
+    "psp_costs": _split("psp_cost_p", "psp_cost_q"),
+    "psp_load": _to("psp_load", json_pair),
+    "dgs": _dgs,
+    "load_scale": _to("load_scale", json_number),
+    "impedance_scale": _to("impedance_scale", json_number),
+    "v_limits": _split("vmin", "vmax"),
+    "duplication": lambda value, key: _fields(value, _DUPLICATION_KEYS, ("copies",), key),
+    "thermal_limits": lambda value, key: {
+        "no_thermal": not _of_type(bool, "true or false")(value, key)},
+}
 
 
 def scenario_from_json(text: str) -> Scenario:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkError(f"invalid scenario JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise NetworkError("scenario JSON: not an object")
-    try:
-        if not isinstance(doc["case"], str):
-            raise TypeError(f"case must be a string, got {doc['case']!r}")
-        thermal = doc.get("thermal_limits", True)
-        if not isinstance(thermal, bool):
-            raise TypeError(f"thermal_limits must be true or false, got {thermal!r}")
-        dgs = tuple(_dg_spec(d) for d in doc.get("dgs", []))
-        dup = None
-        if doc.get("duplication"):
-            dd = doc["duplication"]
-            dup = (json_int(dd["copies"], "copies"),
-                   json_int(dd.get("seed", DEFAULT_SEED), "seed"),
-                   json_pair(dd["range"], "range") if "range" in dd else DEFAULT_SCALE_RANGE)
-        return Scenario(
-            case_path=doc["case"],
-            psp_voltage=_optional(doc, "psp_voltage", json_number),
-            psp_costs=_optional(doc, "psp_costs", json_pair),
-            psp_load=_optional(doc, "psp_load", json_pair),
-            dgs=dgs,
-            load_scale=json_number(doc.get("load_scale", 1.0), "load_scale"),
-            impedance_scale=json_number(doc.get("impedance_scale", 1.0), "impedance_scale"),
-            v_limits=_optional(doc, "v_limits", json_pair),
-            duplication=dup,
-            thermal_limits=thermal,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    try:  # json.JSONDecodeError is a ValueError, too deep a nesting a RecursionError
+        return Scenario(**_fields(json.loads(text), _SCENARIO_KEYS, ("case",), "scenario"))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise netmodel.schema_error("scenario JSON", exc) from exc
 
 
@@ -159,38 +192,35 @@ def load_network(path: Path) -> Network:
 
 
 def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
-    net = load_network(resolve_case(scen.case_path, case_dir))
+    """The scenario's network: its case with each value that the scenario
+    sets in place of the case's, duplicated when it sets ``copies``, and
+    validated."""
+    dup = {k: v for k in ("seed", "scale_lo", "scale_hi") if (v := getattr(scen, k)) is not None}
+    if dup and scen.copies is None:
+        raise NetworkError(", ".join("--" + k.replace("_", "-") for k in dup)
+                           + " without a duplication: give --copies or a scenario duplication")
+    net = load_network(resolve_case(scen.case, case_dir))
     base = net.base_power
-    if scen.psp_voltage is not None:
-        net = netmodel.with_slack_voltage(net, scen.psp_voltage)
-    if scen.psp_costs is not None:
-        net = netmodel.with_slack_costs(net, *scen.psp_costs)
+    if scen.psp_v is not None:
+        net = netmodel.with_slack_voltage(net, scen.psp_v)
+    net = netmodel.with_slack_costs(net, scen.psp_cost_p, scen.psp_cost_q)
     if scen.psp_load is not None:
-        net = netmodel.with_load(
-            net, net.slack, scen.psp_load[0] / base, scen.psp_load[1] / base
-        )
+        net = netmodel.with_load(net, net.slack, *(v / base for v in scen.psp_load))
     for dg in scen.dgs:
-        net = netmodel.with_generator(
-            net, dg.bus,
-            netmodel.Generator(
-                p_min=dg.p_min / base, p_max=dg.p_max / base,
-                q_min=dg.q_min / base, q_max=dg.q_max / base,
-                cost_p=dg.cost_p, cost_q=dg.cost_q,
-            ),
-        )
-    if scen.load_scale != 1.0:
+        gen = netmodel.Generator(dg.p_min / base, dg.p_max / base, dg.q_min / base,
+                                 dg.q_max / base, dg.cost_p, dg.cost_q)
+        net = netmodel.with_generator(net, dg.bus, gen)
+    if scen.load_scale is not None:
         slack_load = (net.bus(net.slack).p_load, net.bus(net.slack).q_load)
         net = netmodel.scale_loads(net, scen.load_scale)
         net = netmodel.with_load(net, net.slack, *slack_load)
-    if scen.impedance_scale != 1.0:
+    if scen.impedance_scale is not None:
         net = netmodel.scale_impedance(net, scen.impedance_scale)
-    if scen.v_limits is not None:
-        net = netmodel.with_voltage_limits(net, *scen.v_limits)
-    if not scen.thermal_limits:
+    net = netmodel.with_voltage_limits(net, scen.vmin, scen.vmax)
+    if scen.no_thermal:
         net = netmodel.strip_thermal_limits(net)
-    if scen.duplication is not None:
-        copies, seed, rng = scen.duplication
-        net = netmodel.duplicate_system(net, copies, seed=seed, scale_range=rng)
+    if scen.copies is not None:
+        net = netmodel.duplicate_system(net, scen.copies, **dup)
     problems = netmodel.validate(net)
     if problems:
         raise NetworkError("scenario produced an invalid network: "
@@ -198,67 +228,32 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
     return net
 
 
+def _dg_flag(spec: str) -> DgSpec:
+    try:
+        bus, p_max, q_max, cost_p, cost_q = spec.split(":")
+        return DgSpec(int(bus), float(p_max), float(q_max), float(cost_p), float(cost_q))
+    except ValueError as exc:
+        raise NetworkError(
+            f"bad --dg spec {spec!r}; expected bus:pmax:qmax:costp:costq"
+        ) from exc
+
+
 def _scenario_from_args(args) -> Scenario:
-    if args.scenario:
-        scen = scenario_from_json(_read(Path(args.scenario)))
-    else:
-        if not args.case:
-            raise NetworkError("either --scenario or --case is required")
-        scen = Scenario(case_path=args.case)
-    # flags override scenario-file values
-    updates = {}
-    if args.case:
-        updates["case_path"] = args.case
-    if args.psp_v is not None:
-        updates["psp_voltage"] = args.psp_v
-    if args.psp_cost_p is not None or args.psp_cost_q is not None:
-        cur = scen.psp_costs or (30.0, 3.0)
-        updates["psp_costs"] = (
-            args.psp_cost_p if args.psp_cost_p is not None else cur[0],
-            args.psp_cost_q if args.psp_cost_q is not None else cur[1],
-        )
-    if args.load_scale is not None:
-        updates["load_scale"] = args.load_scale
-    if args.impedance_scale is not None:
-        updates["impedance_scale"] = args.impedance_scale
-    if args.vmin is not None or args.vmax is not None:
-        cur = scen.v_limits or (0.9, 1.1)
-        updates["v_limits"] = (
-            args.vmin if args.vmin is not None else cur[0],
-            args.vmax if args.vmax is not None else cur[1],
-        )
-    if args.no_thermal:
-        updates["thermal_limits"] = False
-    if args.dg:
-        dgs = list(scen.dgs)
-        for spec in args.dg:
-            try:
-                bus, p_max, q_max, cost_p, cost_q = spec.split(":")
-                dgs.append(DgSpec(bus=int(bus), p_max=float(p_max), q_max=float(q_max),
-                                  cost_p=float(cost_p), cost_q=float(cost_q)))
-            except ValueError as exc:
-                raise NetworkError(
-                    f"bad --dg spec {spec!r}; expected bus:pmax:qmax:costp:costq"
-                ) from exc
-        updates["dgs"] = tuple(dgs)
-    if args.copies is not None or scen.duplication is not None:
-        # each duplication flag overrides only its own key
-        copies, seed, (lo, hi) = scen.duplication or (None, DEFAULT_SEED, DEFAULT_SCALE_RANGE)
-        updates["duplication"] = (
-            args.copies if args.copies is not None else copies,
-            args.seed if args.seed is not None else seed,
-            (args.scale_lo if args.scale_lo is not None else lo,
-             args.scale_hi if args.scale_hi is not None else hi),
-        )
-    else:
-        stray = [flag for flag, value in (("--seed", args.seed), ("--scale-lo", args.scale_lo),
-                                          ("--scale-hi", args.scale_hi)) if value is not None]
-        if stray:
-            raise NetworkError(f"{', '.join(stray)} without a duplication: "
-                               "give --copies or a scenario duplication")
-    if updates:
-        scen = replace(scen, **updates)
-    return scen
+    """The scenario file's fields with each flag that is set in place of its
+    own field, and the ``--dg`` generators after the file's."""
+    path = getattr(args, "scenario", None)
+    scen = scenario_from_json(_read(Path(path))) if path else Scenario()
+    flags = {f.name: getattr(args, f.name, None) for f in fields(Scenario)}
+    scen = replace(scen, **{k: v for k, v in flags.items() if v is not None})
+    if scen.case is None:
+        raise NetworkError("either --scenario or --case is required")
+    return replace(scen, dgs=scen.dgs + tuple(map(_dg_flag, getattr(args, "dg", None) or ())))
+
+
+def _network(args) -> Network:
+    """The network of the scenario that ``args`` give."""
+    return apply_scenario(_scenario_from_args(args),
+                          Path(args.case_dir) if args.case_dir else None)
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -277,15 +272,13 @@ def _fmt(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    scen = _scenario_from_args(args)
-    net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
+    net = _network(args)
     print(f"ok: {net.n_bus} buses, {len(net.branches)} branches, radial")
     return EXIT_OK
 
 
 def cmd_pf(args) -> int:
-    scen = _scenario_from_args(args)
-    net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
+    net = _network(args)
     ti = netmodel.build_path_incidence(net)
     state = mdistflow.solve_fixed_load(net, ti)
     ac = acpf.newton_pf(net, v_start=state.v, delta_start=state.delta)
@@ -329,8 +322,7 @@ def _print_notes(cert: mdopf.ConvexityCertificate) -> None:
 
 
 def cmd_opf(args) -> int:
-    scen = _scenario_from_args(args)
-    net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
+    net = _network(args)
     ti, prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
     base = net.base_power
@@ -406,8 +398,7 @@ def _oracle_sweep(net, ti, state, sol, jobs: int):
 def cmd_price(args) -> int:
     if args.jobs < 1:
         raise NetworkError(f"--jobs must be >= 1, got {args.jobs}")
-    scen = _scenario_from_args(args)
-    net = apply_scenario(scen, Path(args.case_dir) if args.case_dir else None)
+    net = _network(args)
     ti, prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
     slack_pg = (sol.pg[net.slack], sol.qg[net.slack])
@@ -457,14 +448,9 @@ def cmd_price(args) -> int:
 
 
 def cmd_duplicate(args) -> int:
-    case_dir = Path(args.case_dir) if args.case_dir else None
-    net = load_network(resolve_case(args.case, case_dir))
-    dup = netmodel.duplicate_system(
-        net, args.copies, seed=args.seed, scale_range=(args.scale_lo, args.scale_hi)
-    )
-    out_dir = Path(args.out)
-    _write(out_dir, args.name, netmodel.to_json(dup))
-    print(f"{dup.n_bus} buses, {len(dup.branches)} branches")
+    net = _network(args)
+    _write(Path(args.out), args.name, netmodel.to_json(net))
+    print(f"{net.n_bus} buses, {len(net.branches)} branches")
     return EXIT_OK
 
 
@@ -477,6 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: $RADIALOPF_CASE_DIR, then packaged cases)")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # no flag has a default, so that each overrides only its own value
+    def add_duplication(p, required=False):
+        p.add_argument("--copies", type=int, required=required,
+                       help="duplicate the feeder this many times")
+        p.add_argument("--seed", type=int, help="duplication random seed")
+        p.add_argument("--scale-lo", type=float, help="lowest load and impedance factor")
+        p.add_argument("--scale-hi", type=float, help="highest load and impedance factor")
+
     def add_common(p):
         p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--case", help="case file (MATPOWER subset .m or native .json)")
@@ -487,16 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--impedance-scale", type=float, help="scale all impedances")
         p.add_argument("--vmin", type=float, help="override bus voltage floor (pu)")
         p.add_argument("--vmax", type=float, help="override bus voltage cap (pu)")
-        p.add_argument("--no-thermal", action="store_true",
+        p.add_argument("--no-thermal", action="store_true", default=None,
                        help="ignore branch current ratings")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--dg", action="append",
                        help="add a generator, bus:pmax_MW:qmax_MVar:costp:costq")
-        p.add_argument("--copies", type=int, help="duplicate the feeder this many times")
-        # no defaults here, so that each flag overrides only its own key
-        p.add_argument("--seed", type=int, help="duplication random seed")
-        p.add_argument("--scale-lo", type=float)
-        p.add_argument("--scale-hi", type=float)
+        add_duplication(p)
 
     p = sub.add_parser("validate", help="check the network a case and scenario produce")
     add_common(p)
@@ -521,10 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duplicate", help="replicate a feeder onto a common supply point")
     p.add_argument("--case", required=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--scale-lo", type=float, default=DEFAULT_SCALE_RANGE[0])
-    p.add_argument("--scale-hi", type=float, default=DEFAULT_SCALE_RANGE[1])
+    add_duplication(p, required=True)
     p.add_argument("--name", default="network.json", help="output file name")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_duplicate)

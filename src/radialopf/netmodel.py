@@ -268,8 +268,10 @@ def validate(net: Network) -> list[str]:
     if net.slack not in set(ids):
         out.append(f"slack bus {net.slack} missing from bus list")
         return out
-    if not (net.v0 > 0 and math.isfinite(net.v0)):
+    if not 0 < net.v0 < math.inf:
         out.append(f"slack voltage {net.v0} is not positive and finite")
+    if not 0 < net.base_power < math.inf:
+        out.append(f"base power {net.base_power} is not positive and finite")
     for b in net.buses:
         if not all(map(math.isfinite, (b.p_load, b.q_load, b.v_min, b.v_max))):
             out.append(f"bus {b.id}: non-finite load or voltage limit")
@@ -300,8 +302,8 @@ def validate(net: Network) -> list[str]:
             out.append(f"{tag}: negative impedance")
         if br.r == 0 and br.x == 0:
             out.append(f"{tag}: resistance and reactance both zero")
-        if br.i_max is not None and br.i_max <= 0:
-            out.append(f"{tag}: non-positive current limit")
+        if br.i_max is not None and not 0 < br.i_max < math.inf:
+            out.append(f"{tag}: current limit {br.i_max} is not positive and finite")
     if not out:
         try:
             child = _branch_children(net)
@@ -341,15 +343,26 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
     return rows
 
 
+def _integer(value: float, where: str) -> int:
+    """An integer column's value; ``NetworkError`` naming ``where`` (row and
+    column) unless it is finite and integral."""
+    if not value.is_integer():
+        raise NetworkError(f"{where} must be an integer, got {value}")
+    return int(value)
+
+
 def parse_matpower_case(text: str) -> Network:
     """Parse the MATPOWER-subset case format into a per-unit Network."""
     clean = _strip_comments(text)
     m = _SCALAR_RE.search(clean)
     if not m:
         raise NetworkError("missing mpc.baseMVA statement")
-    base = float(m.group(1))
-    if base <= 0:
-        raise NetworkError(f"baseMVA must be positive, got {base}")
+    try:
+        base = float(m.group(1))
+    except ValueError as exc:
+        raise NetworkError(f"malformed mpc.baseMVA: {m.group(1)!r}") from exc
+    if not 0 < base < math.inf:
+        raise NetworkError(f"baseMVA must be positive and finite, got {base}")
     mats = {name: _parse_matrix(name, body) for name, body in _MATRIX_RE.findall(clean)}
     for required in ("bus", "branch"):
         if required not in mats:
@@ -359,11 +372,11 @@ def parse_matpower_case(text: str) -> Network:
     slack_ids: list[int] = []
     base_kv = None
     v0 = 1.0
-    for row in mats["bus"]:
+    for k, row in enumerate(mats["bus"], 1):
         if len(row) < 13:
             raise NetworkError(f"bus row needs 13 columns, got {len(row)}: {row}")
-        bus_id = int(row[0])
-        btype = int(row[1])
+        bus_id = _integer(row[0], f"mpc.bus row {k}: BUS_I")
+        btype = _integer(row[1], f"mpc.bus row {k}: BUS_TYPE")
         if btype not in (1, 2, 3):
             raise NetworkError(f"bus {bus_id}: unsupported bus type {btype}")
         if btype == 3:
@@ -389,13 +402,15 @@ def parse_matpower_case(text: str) -> Network:
         raise NetworkError("duplicate bus ids in mpc.bus")
 
     branches: list[Branch] = []
-    for row in mats["branch"]:
+    for k, row in enumerate(mats["branch"], 1):
         if len(row) < 6:
             raise NetworkError(f"branch row needs 6 columns, got {len(row)}: {row}")
-        f, t = int(row[0]), int(row[1])
+        f = _integer(row[0], f"mpc.branch row {k}: F_BUS")
+        t = _integer(row[1], f"mpc.branch row {k}: T_BUS")
         if f not in known or t not in known:
             raise NetworkError(f"branch {f}-{t} references an unknown bus")
-        rate = row[5] / base if row[5] > 0 else None
+        # RATE_A 0 (or below) means unrated; a NaN rating reaches validate
+        rate = None if row[5] <= 0 else row[5] / base
         branches.append(Branch(from_bus=f, to_bus=t, r=row[2], x=row[3], i_max=rate))
 
     gens = mats.get("gen", [])
@@ -408,17 +423,20 @@ def parse_matpower_case(text: str) -> Network:
     for gi, row in enumerate(gens):
         if len(row) < 10:
             raise NetworkError(f"gen row needs 10 columns, got {len(row)}: {row}")
-        bus_id = int(row[0])
+        bus_id = _integer(row[0], f"mpc.gen row {gi + 1}: GEN_BUS")
         if bus_id not in known:
             raise NetworkError(f"generator references unknown bus {bus_id}")
-        if int(row[7]) == 0:
+        if _integer(row[7], f"mpc.gen row {gi + 1}: GEN_STATUS") == 0:
             continue
         if bus_id in gen_by_bus:
             raise NetworkError(f"multiple generators at bus {bus_id}")
         cost_p = 0.0
         if gencost:
             crow = gencost[gi]
-            if len(crow) < 4 or int(crow[0]) != 2 or int(crow[3]) != 2:
+            if len(crow) < 4 or (
+                _integer(crow[0], f"mpc.gencost row {gi + 1}: MODEL") != 2
+                or _integer(crow[3], f"mpc.gencost row {gi + 1}: NCOST") != 2
+            ):
                 raise NetworkError(
                     f"gencost row {gi + 1}: only linear costs "
                     "(MODEL=2, NCOST=2) are supported"
@@ -501,7 +519,7 @@ def to_json(net: Network) -> str:
 def from_json(text: str) -> Network:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise NetworkError(f"invalid JSON network: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "radialopf-network-v1":
         raise NetworkError("not a radialopf network document")
@@ -573,30 +591,28 @@ def _generator(record) -> Generator:
 # Feeder duplication
 # ---------------------------------------------------------------------------
 
-def duplicate_system(
-    net: Network,
-    copies: int,
-    seed: int = 0,
-    scale_range: tuple[float, float] = (0.7, 1.3),
-) -> Network:
+# a scaled value that overflows is infinite, which ``validate`` rejects
+@np.errstate(over="ignore")
+def duplicate_system(net: Network, copies: int, seed: int = 0, scale_lo: float = 0.7,
+                     scale_hi: float = 1.3) -> Network:
     """Attach ``copies`` randomized replicas of the feeder to a common slack.
 
     Every copy keeps the feeder topology; its branch impedances get one
     uniform factor per branch (applied to r and x together) and its loads one
-    factor per bus (applied to P and Q together), drawn from ``scale_range``
-    with numpy's PCG64 generator seeded by ``seed``. The copies' slack buses
-    merge into the single new slack, whose generator capacity is scaled by
-    ``copies``. Bus count of the result is copies * (n_bus - 1) + 1. Raises
-    ``NetworkError`` unless ``copies >= 1``, ``seed >= 0`` and
-    ``0 < lo <= hi`` with both bounds finite.
+    factor per bus (applied to P and Q together), drawn from [scale_lo,
+    scale_hi] with numpy's PCG64 generator seeded by ``seed``. The copies'
+    slack buses merge into the single new slack, whose generator capacity is
+    scaled by ``copies``. Bus count of the result is copies * (n_bus - 1) + 1.
+    Raises ``NetworkError`` unless ``copies >= 1``, ``seed >= 0`` and
+    ``0 < scale_lo <= scale_hi`` with both bounds finite.
     """
     if copies < 1:
         raise NetworkError(f"copies must be >= 1, got {copies}")
     if seed < 0:
         raise NetworkError(f"seed must be >= 0, got {seed}")
-    lo, hi = scale_range
-    if not (0 < lo <= hi < math.inf):
-        raise NetworkError(f"bad scale_range {scale_range}: need 0 < lo <= hi, both finite")
+    if not (0 < scale_lo <= scale_hi < math.inf):
+        raise NetworkError(f"bad scale_range ({scale_lo}, {scale_hi}): "
+                           "need 0 < lo <= hi, both finite")
     rng = np.random.default_rng(seed)
     slack_bus = net.bus(net.slack)
     slack_gen = slack_bus.gen
@@ -629,14 +645,14 @@ def duplicate_system(
     buses = [new_slack]
     branches: list[Branch] = []
     for c in range(copies):
-        load_f = rng.uniform(lo, hi, size=n)
+        load_f = rng.uniform(scale_lo, scale_hi, size=n)
         buses.extend(
             Bus(id=2 + c * n + i, p_load=p, q_load=q, v_min=b.v_min,
                 v_max=b.v_max, gen=b.gen)
             for i, (b, p, q) in enumerate(
                 zip(nonslack, (p_load * load_f).tolist(), (q_load * load_f).tolist()))
         )
-        imp_f = rng.uniform(lo, hi, size=len(net.branches))
+        imp_f = rng.uniform(scale_lo, scale_hi, size=len(net.branches))
         ids = np.where(on_slack, 1, ends + 2 + c * n).tolist()
         branches.extend(
             Branch(from_bus=f, to_bus=t, r=rj, x=xj, i_max=br.i_max)
@@ -665,17 +681,20 @@ def with_generator(net: Network, bus_id: int, gen: Generator | None) -> Network:
     return replace(net, buses=tuple(buses))
 
 
-def with_slack_costs(net: Network, cost_p: float, cost_q: float) -> Network:
-    """Set the supply-point prices, creating a wide-capacity generator if absent."""
+def with_slack_costs(net: Network, cost_p: float | None = None,
+                     cost_q: float | None = None) -> Network:
+    """Set the supply-point prices that are not None, creating a wide-capacity
+    generator (costs 0) if absent; with neither price, return ``net``."""
+    prices = {k: v for k, v in (("cost_p", cost_p), ("cost_q", cost_q)) if v is not None}
+    if not prices:
+        return net
     g = net.bus(net.slack).gen
     if g is None:
         total_p = sum(b.p_load for b in net.buses)
         total_q = sum(abs(b.q_load) for b in net.buses)
         g = Generator(0.0, 10.0 * total_p + 10.0, -10.0 * total_q - 10.0,
                       10.0 * total_q + 10.0)
-    return with_generator(
-        net, net.slack, replace(g, cost_p=cost_p, cost_q=cost_q)
-    )
+    return with_generator(net, net.slack, replace(g, **prices))
 
 
 def with_load(net: Network, bus_id: int, p_load: float, q_load: float) -> Network:
@@ -700,9 +719,11 @@ def scale_impedance(net: Network, factor: float) -> Network:
     return replace(net, branches=branches)
 
 
-def with_voltage_limits(net: Network, v_min: float, v_max: float) -> Network:
-    buses = tuple(replace(b, v_min=v_min, v_max=v_max) for b in net.buses)
-    return replace(net, buses=buses)
+def with_voltage_limits(net: Network, v_min: float | None = None,
+                        v_max: float | None = None) -> Network:
+    """Set every bus's voltage limits that are not None; the others stay."""
+    limits = {k: v for k, v in (("v_min", v_min), ("v_max", v_max)) if v is not None}
+    return replace(net, buses=tuple(replace(b, **limits) for b in net.buses))
 
 
 def strip_thermal_limits(net: Network) -> Network:

@@ -432,11 +432,10 @@ def reference_recover_dispatch(net, ti, ref, sol):
     return pg, qg, mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)
 
 
-def reference_duplicate_system(net, copies, seed=0, scale_range=(0.7, 1.3)):
+def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
     """Record-by-record reference for ``netmodel.duplicate_system``: the same
     random draws in the same order, each copied bus and branch made with
     ``dataclasses.replace`` and scaled by numpy scalars."""
-    lo, hi = scale_range
     rng = np.random.default_rng(seed)
     slack_bus = net.bus(net.slack)
     slack_gen = slack_bus.gen
@@ -455,11 +454,11 @@ def reference_duplicate_system(net, copies, seed=0, scale_range=(0.7, 1.3)):
         idmap = {net.slack: 1}
         for i, b in enumerate(nonslack):
             idmap[b.id] = 2 + c * n + i
-        load_f = rng.uniform(lo, hi, size=n)
+        load_f = rng.uniform(scale_lo, scale_hi, size=n)
         for i, b in enumerate(nonslack):
             buses.append(replace(b, id=idmap[b.id], p_load=b.p_load * load_f[i],
                                  q_load=b.q_load * load_f[i]))
-        imp_f = rng.uniform(lo, hi, size=len(net.branches))
+        imp_f = rng.uniform(scale_lo, scale_hi, size=len(net.branches))
         for j, br in enumerate(net.branches):
             branches.append(replace(br, from_bus=idmap[br.from_bus], to_bus=idmap[br.to_bus],
                                     r=br.r * imp_f[j], x=br.x * imp_f[j]))

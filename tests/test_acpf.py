@@ -141,7 +141,7 @@ def test_voltage_sensitivities_two_bus(net2):
     st = acpf.newton_pf(net2)
     jb = acpf.jacobian_at(net2, st.v, st.delta)
     dv_dp, dv_dq = acpf.voltage_sensitivities(jb)
-    p, q = acpf.default_injections(net2)
+    p, q = netmodel.net_injections(net2)
     fd_p, fd_q = _fd_voltage_sens(net2, p, q)
     assert np.max(np.abs(dv_dp - fd_p)) / np.abs(fd_p).max() < 1e-4
     assert np.max(np.abs(dv_dq - fd_q)) / np.abs(fd_q).max() < 1e-4
@@ -151,7 +151,7 @@ def test_voltage_sensitivities_case33(case33_psp):
     st = acpf.newton_pf(case33_psp)
     jb = acpf.jacobian_at(case33_psp, st.v, st.delta)
     dv_dp, dv_dq = acpf.voltage_sensitivities(jb)
-    p, q = acpf.default_injections(case33_psp)
+    p, q = netmodel.net_injections(case33_psp)
     fd_p, fd_q = _fd_voltage_sens(case33_psp, p, q)
     assert np.max(np.abs(dv_dp - fd_p)) / np.abs(fd_p).max() < 1e-3
     assert np.max(np.abs(dv_dq - fd_q)) / np.abs(fd_q).max() < 1e-3

@@ -1,5 +1,8 @@
+import importlib.resources
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,33 +50,109 @@ def test_validate_applies_scenario(capsys):
     assert capsys.readouterr().out == "ok: 97 buses, 96 branches, radial\n"
 
 
+def _scenario(argv):
+    return cli._scenario_from_args(cli.build_parser().parse_args(argv))
+
+
 def _duplication(tmp_path, *flags):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({
         "case": "case33.m", "duplication": {"copies": 3, "seed": 42, "range": [0.9, 1.1]},
     }))
-    args = cli.build_parser().parse_args(["opf", "--scenario", str(path), *flags])
-    return cli._scenario_from_args(args).duplication
+    scen = _scenario(["opf", "--scenario", str(path), *flags])
+    return scen.copies, scen.seed, (scen.scale_lo, scen.scale_hi)
+
+
+def _case33_text():
+    return (importlib.resources.files("radialopf") / "cases" / "case33.m").read_text()
+
+
+def _case33():
+    return netmodel.parse_matpower_case(_case33_text())
 
 
 def test_copies_flag_keeps_scenario_seed_and_range(tmp_path):
     assert _duplication(tmp_path, "--copies", "3") == (3, 42, (0.9, 1.1))
     assert _duplication(tmp_path, "--copies", "5", "--scale-hi", "1.2") == (5, 42, (0.9, 1.2))
-    # without a scenario duplication the defaults fill the keys no flag sets
-    args = cli.build_parser().parse_args(["opf", "--case", "case33.m", "--copies", "2"])
-    assert cli._scenario_from_args(args).duplication == (2, 0, (0.7, 1.3))
+    # without a scenario duplication the keys no flag sets stay unset, and
+    # ``apply_scenario`` leaves them to the defaults, seed 0 and range 0.7-1.3
+    scen = _scenario(["opf", "--case", "case33.m", "--copies", "2", "--scale-hi", "1.2"])
+    assert (scen.copies, scen.seed, scen.scale_lo, scen.scale_hi) == (2, None, None, 1.2)
+    assert cli.apply_scenario(scen) == netmodel.duplicate_system(
+        _case33(), 2, seed=0, scale_lo=0.7, scale_hi=1.2)
 
 
 def test_scenario_duplication_defaults_seed_and_range(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({"case": "case33.m", "duplication": {"copies": 2}}))
-    args = cli.build_parser().parse_args(["opf", "--scenario", str(path)])
-    assert cli._scenario_from_args(args).duplication == (2, 0, (0.7, 1.3))
+    scen = _scenario(["opf", "--scenario", str(path)])
+    assert (scen.copies, scen.seed, scen.scale_lo, scen.scale_hi) == (2, None, None, None)
+    assert cli.apply_scenario(scen) == netmodel.duplicate_system(
+        _case33(), 2, seed=0, scale_lo=0.7, scale_hi=1.3)
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):
     assert _duplication(tmp_path, "--seed", "7") == (3, 7, (0.9, 1.1))
     assert _duplication(tmp_path) == (3, 42, (0.9, 1.1))
+
+
+def test_duplicate_command_builds_through_apply_scenario(tmp_path, monkeypatch):
+    """``duplicate`` writes the network of the scenario its flags give, built
+    by ``apply_scenario`` with the same defaults as every other command."""
+    calls = []
+    apply_scenario = cli.apply_scenario
+
+    def recording(scen, case_dir=None):
+        calls.append(scen)
+        return apply_scenario(scen, case_dir)
+
+    monkeypatch.setattr(cli, "apply_scenario", recording)
+    assert run(["duplicate", "--case", "case33.m", "--copies", "2", "--out", str(tmp_path)]) == 0
+    assert calls == [cli.Scenario(case="case33.m", copies=2)]
+    written = netmodel.from_json(read(tmp_path / "network.json"))
+    assert written == netmodel.duplicate_system(_case33(), 2)
+
+
+def _own_case(tmp_path):
+    """A three-bus chain whose buses hold 0.92-1.05 pu and whose slack costs
+    40 $/MWh and nothing per MVarh."""
+    path = tmp_path / "own.m"
+    path.write_text(mk_case(
+        [bus_row(i, 3 if i == 1 else 1, pd=0.0 if i == 1 else 0.1, vmax=1.05, vmin=0.92)
+         for i in (1, 2, 3)],
+        [[1, 2, 0.01, 0.02, 0, 0], [2, 3, 0.01, 0.02, 0, 0]],
+        gen_rows=[[1, 0, 0, 10, -10, 1, 10, 1, 10, 0]],
+        gencost_rows=[[2, 0, 0, 2, 40, 0]],
+    ))
+    return str(path)
+
+
+def test_psp_cost_flag_keeps_the_other_case_cost(tmp_path):
+    """Each supply-point price flag sets only its own price."""
+    case = _own_case(tmp_path)
+    slack = cli.apply_scenario(_scenario(["opf", "--case", case, "--psp-cost-q", "5"])).bus(1)
+    assert (slack.gen.cost_p, slack.gen.cost_q) == (40, 5)
+    slack = cli.apply_scenario(_scenario(["opf", "--case", case, "--psp-cost-p", "25"])).bus(1)
+    assert (slack.gen.cost_p, slack.gen.cost_q) == (25, 0)
+
+
+def test_psp_cost_p_alone_equals_explicit_case_cost_q(tmp_path):
+    """case33.m prices reactive supply at 0, so ``--psp-cost-p`` alone gives
+    the reports of the same run with ``--psp-cost-q 0``."""
+    args = ["opf", "--case", "case33.m", "--dg", "18:0.2:0.1:25:2", "--psp-cost-p", "25"]
+    assert run([*args, "--out", str(tmp_path / "p")]) == 0
+    assert run([*args, "--psp-cost-q", "0", "--out", str(tmp_path / "pq")]) == 0
+    for name in ("opf_dispatch.csv", "opf_summary.json"):
+        assert read(tmp_path / "p" / name) == read(tmp_path / "pq" / name), name
+
+
+@pytest.mark.parametrize("flag,kept", [("--vmin", "v_max"), ("--vmax", "v_min")])
+def test_voltage_flag_keeps_each_bus_other_limit(tmp_path, flag, kept):
+    case = _own_case(tmp_path)
+    own = {b.id: getattr(b, kept) for b in netmodel.load_case(case).buses}
+    net = cli.apply_scenario(_scenario(["opf", "--case", case, flag, "0.95"]))
+    assert {b.id: getattr(b, kept) for b in net.buses} == own
+    assert {b.v_min if flag == "--vmin" else b.v_max for b in net.buses} == {0.95}
 
 
 def _unreadable_input(tmp_path, case):
@@ -258,9 +337,7 @@ def test_scenario_psp_load(tmp_path):
 
 
 def test_case_dir_env(tmp_path, monkeypatch):
-    import importlib.resources
-    src = (importlib.resources.files("radialopf") / "cases" / "case33.m").read_text()
-    (tmp_path / "mycase.m").write_text(src)
+    (tmp_path / "mycase.m").write_text(_case33_text())
     monkeypatch.setenv("RADIALOPF_CASE_DIR", str(tmp_path))
     assert run(["validate", "--case", "mycase.m"]) == 0
 
@@ -441,12 +518,18 @@ _GEN = {"p_min": 0.0, "p_max": 1.0, "q_min": -1.0, "q_max": 1.0, "cost_q": 0.0}
     ("scenario", {"duplication": {"copies": 2, "range": [1]}}),
     ("scenario", {"case": 7}),
     ("scenario", {"thermal_limits": "false"}),
+    ("scenario", {"psp_votage": 1.2}),
+    ("scenario", {"dgs": [{"bus": 18, "p_range": [0, 1.0], "q_range": [0, 0.5],
+                           "cost_p": 31, "cost_q": 2, "cost_x": 5}]}),
+    ("scenario", {"duplication": {"copies": 2, "sed": 9}}),
+    ("scenario", {"duplication": {}}),
     ("network", _network_edit(("buses", 1, "p_load"), "x")),
     ("network", _network_edit(("branches", 0, "r"), None)),
     ("network", _network_edit(("v0",), "1")),
     ("network", _network_edit(("buses", 0, "gen"), {**_GEN, "cost_p": [1]})),
 ], ids=["psp_voltage", "psp_costs", "psp_load", "v_limits", "duplication_range", "case",
-        "thermal_limits", "p_load", "r", "v0", "cost_p"])
+        "thermal_limits", "unknown_key", "unknown_dg_key", "unknown_duplication_key",
+        "empty_duplication", "p_load", "r", "v0", "cost_p"])
 def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
     """A wrongly typed or sized JSON value ends in exit 1 with one stderr
     line naming the document, not a traceback."""
@@ -460,6 +543,91 @@ def test_mistyped_json_is_one_line_data_error(tmp_path, capsys, document, edit):
     assert code == 1
     assert err.startswith(f"data error: {document} JSON: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,says", [
+    ({"psp_votage": 1.2}, "unknown key 'psp_votage'"),
+    ({"duplication": {"copies": 2, "sed": 9}}, "unknown key 'sed'"),
+    ({"duplication": {}}, "missing key 'copies'"),
+], ids=["top_level", "duplication", "empty_duplication"])
+def test_scenario_key_error_names_the_key(tmp_path, capsys, key, says):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"case": "case33.m", **key}))
+    assert run(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"data error: scenario JSON: {says}\n"
+
+
+# an edit of one case33.m line: (pattern, replacement), and a phrase of the error
+_CASE33_EDITS = {
+    "nan_bus_id": (r"^\t33\t1\t", "\tnan\t1\t", "mpc.bus row 33: BUS_I must be an integer"),
+    "fractional_bus_id": (r"^\t33\t1\t", "\t33.7\t1\t", "BUS_I must be an integer, got 33.7"),
+    "infinite_bus_type": (r"^\t1\t3\t", "\t1\tinf\t", "mpc.bus row 1: BUS_TYPE must be an"),
+    "overflowing_branch_end": (r"^\t32\t33\t", "\t32\t1e309\t",
+                               "mpc.branch row 32: T_BUS must be an integer"),
+    "overflowing_gen_bus": (r"^\t1\t0\t0\t10\t", "\t1e400\t0\t0\t10\t",
+                            "mpc.gen row 1: GEN_BUS must be an integer"),
+    "nan_gencost_model": (r"^\t2\t0\t0\t2\t30", "\tnan\t0\t0\t2\t30",
+                          "mpc.gencost row 1: MODEL must be an integer"),
+    "infinite_base_mva": (r"= 10;", "= 1e999;", "baseMVA must be positive and finite, got inf"),
+    "infinite_rate_a": (r"^(\t26\t27\t\S+\t\S+\t0)\t0;", r"\1\tinf;",
+                        "branch 26-27: current limit inf is not positive and finite"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_CASE33_EDITS))
+def test_bad_case_value_is_one_line_data_error(tmp_path, capsys, edit):
+    """Non-integral integer columns, a non-finite base and a non-finite
+    rating in a MATPOWER case end in exit 1 with one stderr line."""
+    pattern, replacement, says = _CASE33_EDITS[edit]
+    text, count = re.subn(pattern, replacement, _case33_text(), count=1, flags=re.M)
+    assert count == 1
+    (tmp_path / "bad.m").write_text(text)
+    assert run(["validate", "--case", str(tmp_path / "bad.m")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and says in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,path,value,says", [
+    ("validate", ("base_power",), 0, "base power 0.0 is not positive and finite"),
+    ("opf", ("base_power",), 0, "base power 0.0 is not positive and finite"),
+    ("validate", ("base_power",), math.inf, "base power inf is not positive and finite"),
+    ("validate", ("branches", 0, "i_max"), math.nan,
+     "branch 1-2: current limit nan is not positive and finite"),
+    ("validate", ("branches", 0, "i_max"), math.inf,
+     "branch 1-2: current limit inf is not positive and finite"),
+], ids=["zero_base", "zero_base_opf_with_dg", "infinite_base", "nan_i_max", "infinite_i_max"])
+def test_bad_network_value_is_one_line_data_error(tmp_path, capsys, command, path, value,
+                                                  says):
+    argv = [command, "--case", json_network(tmp_path, _network_edit(path, value))]
+    if command == "opf":
+        argv += ["--dg", "3:0.02:0.01:25:2", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"data error: invalid network: {says}\n"
+
+
+@pytest.mark.parametrize("flag,says", [("--scenario", "scenario JSON: maximum recursion"),
+                                       ("--case", "invalid JSON network: maximum recursion")])
+def test_deeply_nested_json_is_one_line_data_error(tmp_path, capsys, flag, says):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["validate", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {says}") and err.count("\n") == 1
+
+
+def test_overflowing_duplication_is_one_line_data_error(tmp_path, capsys):
+    """Scale factors that overflow a copy's impedances give infinite values,
+    which ``validate`` rejects, with no overflow warning."""
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"case": "case33.m", "impedance_scale": 1e308,
+                                "duplication": {"copies": 1, "range": [1, 1e10]}}))
+    assert run(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: scenario produced an invalid network: branch 1-2: "
+                          "non-finite impedance")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,scenario,says", [

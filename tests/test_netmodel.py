@@ -367,7 +367,7 @@ def test_duplicate_case69_100(case69):
 
 
 def test_duplicate_identity(case33):
-    dup = duplicate_system(case33, 1, seed=0, scale_range=(1.0, 1.0))
+    dup = duplicate_system(case33, 1, seed=0, scale_lo=1.0, scale_hi=1.0)
     assert dup.n_bus == case33.n_bus
     assert [b.p_load for b in dup.buses] == [b.p_load for b in case33.buses]
     assert [(br.r, br.x) for br in dup.branches] == [
@@ -384,7 +384,7 @@ def test_duplicate_deterministic(case33):
 
 
 def test_duplicate_scales_within_range(case33):
-    dup = duplicate_system(case33, 3, seed=5, scale_range=(0.7, 1.3))
+    dup = duplicate_system(case33, 3, seed=5, scale_lo=0.7, scale_hi=1.3)
     for c in range(3):
         for j, br in enumerate(case33.branches):
             dbr = dup.branches[c * 32 + j]
@@ -407,8 +407,8 @@ def test_duplicate_matches_reference(case, copies, request):
             ref = reference_duplicate_system(base, copies, seed=seed)
             assert dup == ref
             assert netmodel.to_json(dup) == netmodel.to_json(ref)
-    dup = duplicate_system(net, copies, seed=3, scale_range=(0.5, 2.0))
-    assert dup == reference_duplicate_system(net, copies, seed=3, scale_range=(0.5, 2.0))
+    dup = duplicate_system(net, copies, seed=3, scale_lo=0.5, scale_hi=2.0)
+    assert dup == reference_duplicate_system(net, copies, seed=3, scale_lo=0.5, scale_hi=2.0)
 
 
 def test_duplicate_requires_positive_copies(case33):
