@@ -184,9 +184,7 @@ def load_network(path: Path) -> Network:
     text = _read(path)
     if path.suffix == ".json":
         net = netmodel.from_json(text)
-        problems = netmodel.validate(net)
-        if problems:
-            raise NetworkError("invalid network: " + "; ".join(problems))
+        netmodel.require_valid(net, "invalid network")
         return net
     return netmodel.parse_matpower_case(text)
 
@@ -221,10 +219,7 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
         net = netmodel.strip_thermal_limits(net)
     if scen.copies is not None:
         net = netmodel.duplicate_system(net, scen.copies, **dup)
-    problems = netmodel.validate(net)
-    if problems:
-        raise NetworkError("scenario produced an invalid network: "
-                           + "; ".join(problems))
+    netmodel.require_valid(net, "scenario produced an invalid network")
     return net
 
 

@@ -139,21 +139,32 @@ def solve_fixed_load(
     q = np.array([-b.q_load for b in buses] if q is None else q, dtype=float)
     n, rows = ti.n, FlowRows(ti.n)
     a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
-    # the slack's balance rows follow ``w_slack``, which keeps its row
-    a = a[np.delete(np.arange(rows.count), [rows.p_bal, rows.q_bal])]
+    # One group per non-slack bus, leaves first (reverse ``ti.order``):
+    # columns W_{k+1}, Pbr_k, Qbr_k and rows drop_k, p_bal_{k+1}, q_bal_{k+1};
+    # then the slack's W and ``w_slack``. The slack's balance rows are left
+    # out. Each child is eliminated before its parent, so the tree factors
+    # with no pivot search and fill only within the parent's group.
+    k = np.arange(n)[::-1]
+    cols = np.append(np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel(), 0)
+    eqs = np.append(np.column_stack(
+        [rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel(), rows.w_slack)
+    a = a[eqs][:, cols].tocsc()
     rhs = np.zeros(3 * n + 1)
-    rhs[rows.w_slack] = 2.0 - net.v0
+    rhs[-1] = 2.0 - net.v0  # the w_slack row
     try:
-        x = spla.splu(a.tocsc()).solve(rhs)
+        y = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0,
+                      relax=2, panel_size=2).solve(rhs)
     except RuntimeError as exc:
         raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(y)):
         raise MdfError("singular modified power-flow matrix (non-finite solution)")
-    resid = np.max(np.abs(a @ x - rhs))
-    if resid > 1e-8 * max(1.0, np.max(np.abs(x))):
+    resid = np.max(np.abs(a @ y - rhs))
+    if resid > 1e-8 * max(1.0, np.max(np.abs(y))):
         raise MdfError(
             f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
         )
+    x = np.empty_like(y)
+    x[cols] = y
     w_r = x[1:n + 1]
     return _assemble(net, ti, w_r, p * w_r, q * w_r)
 

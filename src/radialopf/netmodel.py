@@ -272,6 +272,8 @@ def validate(net: Network) -> list[str]:
         out.append(f"slack voltage {net.v0} is not positive and finite")
     if not 0 < net.base_power < math.inf:
         out.append(f"base power {net.base_power} is not positive and finite")
+    if not 0 < net.base_voltage < math.inf:
+        out.append(f"base voltage {net.base_voltage} is not positive and finite")
     for b in net.buses:
         if not all(map(math.isfinite, (b.p_load, b.q_load, b.v_min, b.v_max))):
             out.append(f"bus {b.id}: non-finite load or voltage limit")
@@ -351,6 +353,16 @@ def _integer(value: float, where: str) -> int:
     return int(value)
 
 
+def require_valid(net: Network, what: str) -> None:
+    """Raise ``NetworkError`` starting with ``what`` when ``validate`` finds
+    violations: all of them on one line when there are at most five, else
+    the first five and their count."""
+    problems = validate(net)
+    if problems:
+        more = f" (first 5 of {len(problems)} violations)" if len(problems) > 5 else ""
+        raise NetworkError(f"{what}: " + "; ".join(problems[:5]) + more)
+
+
 def parse_matpower_case(text: str) -> Network:
     """Parse the MATPOWER-subset case format into a per-unit Network."""
     clean = _strip_comments(text)
@@ -381,6 +393,9 @@ def parse_matpower_case(text: str) -> Network:
             raise NetworkError(f"bus {bus_id}: unsupported bus type {btype}")
         if btype == 3:
             slack_ids.append(bus_id)
+            for col, name in ((7, "VM"), (9, "BASE_KV")):
+                if not math.isfinite(row[col]):
+                    raise NetworkError(f"mpc.bus row {k}: {name} must be finite, got {row[col]}")
             base_kv = row[9]
             v0 = row[7] if row[7] > 0 else 1.0
         buses.append(
@@ -467,9 +482,7 @@ def parse_matpower_case(text: str) -> Network:
         v0=v0,
     )
     net = normalize_orientation(net)
-    problems = validate(net)
-    if problems:
-        raise NetworkError("invalid case data: " + "; ".join(problems))
+    require_valid(net, "invalid case data")
     return net
 
 

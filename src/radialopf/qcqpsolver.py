@@ -17,7 +17,9 @@ has a stable LDL' factorization in every symmetric order (Vanderbei, SIAM J.
 Optim. 1995). So every KKT matrix is factored by sparse LU in the problem's
 elimination order (``kkt_order``; the OPF builder's eliminates the feeder
 tree leaves first, and a problem without one uses the identity order) with
-no pivoting, and each solve takes one step of iterative refinement.
+no pivoting, and each solve takes one step of iterative refinement. Its
+pattern never moves, so it is built once per solve, already in that order,
+and each iteration writes only the values.
 """
 from __future__ import annotations
 
@@ -183,48 +185,87 @@ def _check_convex(p: QcqpProblem) -> None:
 
 
 class _Kkt:
-    """The KKT matrices [[H, A_eq'], [A_eq, -delta I]] of one problem and
-    their factorizations; ``seconds`` sums the factorization wall time.
+    """The KKT matrices [[2H + J' D J + diag(c), A_eq'], [A_eq, -delta I]] of
+    one problem (J the Jacobian of its inequality rows) and their
+    factorizations; ``seconds`` sums the factorization wall time.
 
-    The matrix is assembled with its rows and columns already in the
-    problem's ``kkt_order`` (the identity order when it has none) and
-    factored in it, with no pivoting: a quasi-definite matrix has a stable
-    LDL' factorization in every symmetric order, but its solves then leave
-    componentwise residuals of about 1e-5, so each solve takes one step of
-    iterative refinement, which brings them to round-off (Gill, Saunders &
-    Shinnerl, SIAM J. Matrix Anal. Appl. 1996). A feeder tree's supernodes
-    are small, so SuperLU works in panels and relaxed supernodes of two
-    columns; its wider defaults took 1.7 times the factor time on case69
-    x100.
+    The matrices share one CSC pattern and data vector, rows and columns in
+    the problem's ``kkt_order`` (the identity order when it has none). The
+    pattern holds every entry an iteration can: 2H, each product of two
+    Jacobian entries of one row (a quadratic row's values move with x, its
+    positions do not), the variable diagonal, A_eq, A_eq' and -delta I,
+    zeros included. The constant entries and 2H are placed once; int32 slot
+    maps place the values each matrix writes: the row pairs and the diagonal.
+    Each is factored in that order with no pivoting: a quasi-definite matrix
+    has a stable LDL' factorization in every symmetric order, but its solves
+    then leave componentwise residuals of about 1e-5, so each solve takes
+    one step of iterative refinement, which brings them to round-off (Gill,
+    Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 1996). A feeder tree's
+    supernodes are small, so SuperLU works in panels and relaxed supernodes
+    of two columns; its wider defaults took 1.7 times the factor time on
+    case69 x100.
     """
 
     def __init__(self, p: QcqpProblem, delta: float):
-        self.a_eq = p.a_eq
-        self.delta = delta
-        self.seconds = 0.0
-        self.size = p.n_vars + p.n_eq
-        self.order = np.arange(self.size) if p.kkt_order is None else p.kkt_order
-        self.pos = np.empty(self.size, dtype=np.intp)
-        self.pos[self.order] = np.arange(self.size)
+        n, self.seconds = p.n_vars, 0.0
+        self.size = size = n + p.n_eq
+        self.order = np.arange(size) if p.kkt_order is None else p.kkt_order
+        self.pos = pos = np.empty(size, dtype=np.intp)
+        pos[self.order] = np.arange(size)
+        self.quad = p.quad_diag.tocsr()
+        self.jac = jac = sp.vstack([p.a_in.tocsr(), self.quad], format="csr")
+        h, a = p.h.tocoo(), p.a_eq.tocoo()
+        a.sum_duplicates()
+        # entries i and j of J share a row where (E E')_ij = 1, E the
+        # entry-row incidence: every such pair, rows ascending
+        m, nnz = jac.shape[0], jac.nnz
+        self.jac_row = np.repeat(np.arange(m, dtype=np.int32), np.diff(jac.indptr))
+        e = sp.csr_matrix((np.ones(nnz), self.jac_row, np.arange(nnz + 1)), shape=(nnz, m))
+        pairs = (e @ e.T).tocoo()
+        self.pair_i, self.pair_j = pairs.row.astype(np.int32), pairs.col.astype(np.int32)
+        # the (1,1) block's distinct entries, and each varying term's place among them
+        r = np.concatenate([h.row, jac.indices[self.pair_i], np.arange(n)])
+        c = np.concatenate([h.col, jac.indices[self.pair_j], np.arange(n)])
+        block, local = np.unique(c.astype(np.int64) * n + r, return_inverse=True)
+        self.h_block = np.bincount(local[:h.nnz], 2.0 * h.data, minlength=block.size)
+        self.pair_slot, self.diag_slot = (
+            s.astype(np.int32) for s in np.split(local[h.nnz:], [pairs.nnz]))
+        # the whole pattern: its entries are distinct, so each keeps its
+        # number through scipy's conversion and so names its slot
+        eq = np.arange(n, size)
+        rows = pos[np.concatenate([block % n, n + a.row, a.col, eq])]
+        cols = pos[np.concatenate([block // n, a.col, n + a.row, eq])]
+        pattern = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), (size, size))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        slot = np.empty(rows.size, dtype=np.intp)
+        slot[pattern.data.astype(np.intp) - 1] = np.arange(rows.size)
+        self.vary = slot[:block.size].astype(np.int32)
+        self.data = np.zeros(rows.size)
+        self.data[slot[block.size:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
 
-    def assemble(self, h: sp.spmatrix) -> sp.csc_matrix:
-        """The KKT matrix with (1,1) block ``h``, rows and columns in the
-        problem's ``kkt_order``."""
-        hc, a = h.tocoo(), self.a_eq.tocoo()
-        n, pos = h.shape[0], self.pos
-        eq, var, diag = pos[n + a.row], pos[a.col], pos[n:]
-        return sp.csc_matrix(
-            (np.concatenate([hc.data, a.data, a.data, np.full(diag.size, -self.delta)]),
-             (np.concatenate([pos[hc.row], eq, var, diag]),
-              np.concatenate([pos[hc.col], var, eq, diag]))),
-            shape=(self.size, self.size),
-        )
+    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+        """J at ``x``: only the quadratic rows' values 2 x_i d_ki change."""
+        quad = self.quad
+        self.jac.data[self.jac.nnz - quad.nnz:] = quad.data * (2.0 * x)[quad.indices]
+        return self.jac
 
-    def factor(self, h: sp.spmatrix, failure: str):
-        """Factor the KKT matrix with (1,1) block ``h``; returns a solve
-        function in the problem's row order. Raises ``SolverError`` with the
-        ``failure`` message when SuperLU fails."""
-        kkt = self.assemble(h)
+    def matrix(self, diag: np.ndarray, d: np.ndarray | None = None) -> sp.csc_matrix:
+        """The KKT matrix with (1,1) block diag(``diag``), plus 2H + J' diag(``d``) J
+        at the last ``jacobian`` when ``d`` is given. It overwrites the values
+        of the matrix the previous call returned."""
+        block = np.zeros(self.vary.size)
+        if d is not None:
+            j = self.jac.data
+            pairs = (j * d[self.jac_row])[self.pair_i] * j[self.pair_j]
+            block = self.h_block + np.bincount(self.pair_slot, pairs, minlength=block.size)
+        block[self.diag_slot] += diag
+        self.data[self.vary] = block
+        return sp.csc_matrix((self.data, self.indices, self.indptr), (self.size, self.size))
+
+    def factor(self, kkt: sp.csc_matrix, failure: str):
+        """Factor ``kkt``, a matrix of ``matrix``; returns a solve function in
+        the problem's row order. Raises ``SolverError`` with the ``failure``
+        message when SuperLU fails."""
         t0 = time.perf_counter()
         try:
             lu = spla.splu(kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
@@ -257,7 +298,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     kkt = _Kkt(p, delta)
 
     # -- starting point: least-norm solution of the equalities ---------------
-    x = kkt.factor(sp.identity(n), "equality system factorization failed")(
+    x = kkt.factor(kkt.matrix(np.ones(n)), "equality system factorization failed")(
         np.concatenate([np.zeros(n), p.b_eq]))[:n]
     y = np.zeros(p.n_eq)
     s = np.maximum(-_ineq_values(p, x), 1.0)
@@ -268,7 +309,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     status = "max_iter"
 
     for it in range(1, cfg.max_iter + 1):
-        jac = _ineq_jacobian(p, x)
+        jac = kkt.jacobian(x)
         rd = two_h @ x + p.g + jac.T @ z + p.a_eq.T @ y
         rp = p.a_eq @ x - p.b_eq
         rs = _ineq_values(p, x) + s
@@ -293,8 +334,8 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         d = z / s
         # regularization plus the quadratic rows' curvature sum_k z_k 2 diag(d_k)
         curvature = delta + 2.0 * (p.quad_diag.T @ z[p.n_in:])
-        hbar = two_h + jac.T @ sp.diags(d) @ jac + sp.diags(curvature)
-        kkt_solve = kkt.factor(hbar, f"KKT factorization failed at iteration {it}")
+        kkt_solve = kkt.factor(kkt.matrix(curvature, d),
+                               f"KKT factorization failed at iteration {it}")
 
         def newton_step(rc):
             r1 = -rd - jac.T @ (d * rs - rc / s)
@@ -347,13 +388,6 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
 def _ineq_values(p: QcqpProblem, x: np.ndarray) -> np.ndarray:
     """Left minus right side of every inequality row, linear rows first."""
     return np.concatenate([p.a_in @ x - p.b_in, p.quad_diag @ (x * x) - p.quad_b])
-
-
-def _ineq_jacobian(p: QcqpProblem, x: np.ndarray) -> sp.csr_matrix:
-    """Jacobian of ``_ineq_values`` at ``x``."""
-    # with both blocks in CSR, vstack concatenates their arrays instead of
-    # converting them through COO
-    return sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x).tocsr()], format="csr")
 
 
 def extract_duals(p: QcqpProblem, sol: OpfSolution, rows: np.ndarray) -> np.ndarray:

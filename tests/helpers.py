@@ -6,10 +6,11 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from radialopf import mdistflow, mdopf, netmodel, pricing
+from radialopf import mdistflow, mdopf, netmodel, pricing, qcqpsolver
 from radialopf.netmodel import Branch, Bus, Generator, Network
 from radialopf.qcqpsolver import OpfSolution, QcqpProblem
 
@@ -75,12 +76,92 @@ def bus_row(i, btype=1, pd=0.0, qd=0.0, vmax=1.1, vmin=0.9):
     return [i, btype, pd, qd, 0, 0, 1, 1, 0, 12.66, 1, vmax, vmin]
 
 
-def pivoting_factor(kkt, h, failure):
+def pivoting_factor(kkt, matrix, failure):
     """Stand-in for ``qcqpsolver._Kkt.factor``, the reference for its
-    elimination-order path: SuperLU factors the KKT matrix in the problem's
-    row order, in its own column order with partial pivoting, and solves are
-    not refined."""
-    return spla.splu(kkt.assemble(h)[kkt.pos][:, kkt.pos]).solve
+    elimination-order path: SuperLU factors the KKT ``matrix`` in the
+    problem's row order, in its own column order with partial pivoting, and
+    solves are not refined."""
+    return spla.splu(matrix[kkt.pos][:, kkt.pos]).solve
+
+
+def reference_kkt(p: QcqpProblem, h: sp.spmatrix, delta: float) -> sp.csc_matrix:
+    """The KKT matrix [[h, A_eq'], [A_eq, -delta I]] of ``p`` assembled from
+    COO triplets, rows and columns in the problem's ``kkt_order``: the
+    reference for ``qcqpsolver._Kkt.matrix``. Zeros in ``h`` are not stored."""
+    size = p.n_vars + p.n_eq
+    order = np.arange(size) if p.kkt_order is None else p.kkt_order
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(size)
+    hc, a = sp.csr_matrix(h).tocoo(), p.a_eq.tocoo()
+    hc.eliminate_zeros()
+    n = p.n_vars
+    eq, var, diag = pos[n + a.row], pos[a.col], pos[n:]
+    return sp.csc_matrix(
+        (np.concatenate([hc.data, a.data, a.data, np.full(diag.size, -delta)]),
+         (np.concatenate([pos[hc.row], eq, var, diag]),
+          np.concatenate([pos[hc.col], var, eq, diag]))),
+        shape=(size, size),
+    )
+
+
+def reference_hbar(p: QcqpProblem, x, d, diag) -> sp.csr_matrix:
+    """The KKT (1,1) block 2H + J' diag(d) J + diag(diag) by sparse algebra,
+    J the Jacobian of the inequality rows at ``x``: the reference for the
+    values ``qcqpsolver._Kkt.matrix`` writes."""
+    jac = sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x).tocsr()], format="csr")
+    return (2.0 * p.h).tocsr() + jac.T @ sp.diags(d) @ jac + sp.diags(diag)
+
+
+def assert_same_kkt(kkt: sp.csc_matrix, ref: sp.csc_matrix) -> None:
+    """``kkt`` equals ``ref`` once both drop their stored zeros: the same
+    pattern, and values within 1 ulp."""
+    kkt, ref = kkt.copy(), ref.copy()
+    for m in (kkt, ref):
+        m.eliminate_zeros()
+        m.sort_indices()
+    assert np.array_equal(kkt.indptr, ref.indptr)
+    assert np.array_equal(kkt.indices, ref.indices)
+    assert np.all(np.abs(kkt.data - ref.data) <= np.spacing(np.abs(ref.data)))
+
+
+def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> None:
+    """Every KKT matrix ``qcqpsolver._Kkt`` builds for ``p`` equals
+    ``reference_kkt`` (see ``assert_same_kkt``): the least-norm start's and
+    each iteration's of one solve, and one at a random point where every
+    third variable and the first quadratic row's first variable are zero,
+    so that quadratic rows hold explicit zeros. Every matrix keeps the one
+    stored pattern."""
+    delta = qcqpsolver.REGULARIZATION
+    jacobian, matrix = qcqpsolver._Kkt.jacobian, qcqpsolver._Kkt.matrix
+    at, built = [], []
+
+    def record_x(self, x):
+        at.append(x.copy())
+        return jacobian(self, x)
+
+    def compare(self, diag, d=None):
+        kkt = matrix(self, diag, d)
+        h = sp.diags(diag) if d is None else reference_hbar(p, at[-1], d, diag)
+        assert_same_kkt(kkt, reference_kkt(p, h, delta))
+        built.append(kkt)
+        return kkt
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qcqpsolver._Kkt, "jacobian", record_x)
+        m.setattr(qcqpsolver._Kkt, "matrix", compare)
+        assert qcqpsolver.solve(p).status == "optimal"
+    x = rng.standard_normal(p.n_vars)
+    x[::3] = 0.0
+    x[p.quad_diag.indices[:1]] = 0.0
+    d = rng.uniform(0.1, 10.0, p.n_in + p.n_quad)
+    diag = rng.uniform(0.1, 10.0, p.n_vars)
+    kkt = qcqpsolver._Kkt(p, delta)
+    kkt.jacobian(x)
+    built.append(kkt.matrix(diag, d))
+    assert_same_kkt(built[-1], reference_kkt(p, reference_hbar(p, x, d, diag), delta))
+    for m in built:
+        assert np.array_equal(m.indices, built[0].indices)
+        assert np.array_equal(m.indptr, built[0].indptr)
 
 
 def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
@@ -225,6 +306,18 @@ def reference_fixed_load_w(net, ti, p, q):
     ``mdistflow.solve_fixed_load``."""
     a = reference_system_matrix(ti, p, q)
     return spla.spsolve(a, np.full(ti.n, 2.0 - net.v0))
+
+
+def pivoting_fixed_load_w(net, ti, p, q):
+    """W per non-slack bus from ``flow_equations`` without the slack's
+    balance rows, solved by SuperLU in its own column order with partial
+    pivoting: the reference for ``mdistflow.solve_fixed_load``'s tree order."""
+    rows = mdistflow.FlowRows(ti.n)
+    a = mdistflow.flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
+    a = a[np.delete(np.arange(rows.count), [rows.p_bal, rows.q_bal])]
+    rhs = np.zeros(a.shape[0])
+    rhs[rows.w_slack] = 2.0 - net.v0
+    return spla.splu(a.tocsc()).solve(rhs)[1:ti.n + 1]
 
 
 def dense_loss_factors(net, ti, state, sens):

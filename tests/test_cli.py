@@ -571,13 +571,18 @@ _CASE33_EDITS = {
     "infinite_base_mva": (r"= 10;", "= 1e999;", "baseMVA must be positive and finite, got inf"),
     "infinite_rate_a": (r"^(\t26\t27\t\S+\t\S+\t0)\t0;", r"\1\tinf;",
                         "branch 26-27: current limit inf is not positive and finite"),
+    "nan_slack_vm": (r"^(\t1\t3\t(?:\S+\t){4}\S+)\t1\t", r"\1\tnan\t",
+                     "mpc.bus row 1: VM must be finite, got nan"),
+    "nan_base_kv": (r"^(\t1\t3\t(?:\S+\t){7})12\.66", r"\1nan",
+                    "mpc.bus row 1: BASE_KV must be finite, got nan"),
 }
 
 
 @pytest.mark.parametrize("edit", list(_CASE33_EDITS))
 def test_bad_case_value_is_one_line_data_error(tmp_path, capsys, edit):
-    """Non-integral integer columns, a non-finite base and a non-finite
-    rating in a MATPOWER case end in exit 1 with one stderr line."""
+    """Non-integral integer columns, a non-finite base, a non-finite rating
+    and a non-finite slack voltage or base voltage in a MATPOWER case end in
+    exit 1 with one stderr line."""
     pattern, replacement, says = _CASE33_EDITS[edit]
     text, count = re.subn(pattern, replacement, _case33_text(), count=1, flags=re.M)
     assert count == 1
@@ -596,7 +601,10 @@ def test_bad_case_value_is_one_line_data_error(tmp_path, capsys, edit):
      "branch 1-2: current limit nan is not positive and finite"),
     ("validate", ("branches", 0, "i_max"), math.inf,
      "branch 1-2: current limit inf is not positive and finite"),
-], ids=["zero_base", "zero_base_opf_with_dg", "infinite_base", "nan_i_max", "infinite_i_max"])
+    ("validate", ("base_voltage",), math.nan, "base voltage nan is not positive and finite"),
+    ("validate", ("base_voltage",), 0, "base voltage 0.0 is not positive and finite"),
+], ids=["zero_base", "zero_base_opf_with_dg", "infinite_base", "nan_i_max", "infinite_i_max",
+        "nan_base_voltage", "zero_base_voltage"])
 def test_bad_network_value_is_one_line_data_error(tmp_path, capsys, command, path, value,
                                                   says):
     argv = [command, "--case", json_network(tmp_path, _network_edit(path, value))]
@@ -628,6 +636,20 @@ def test_overflowing_duplication_is_one_line_data_error(tmp_path, capsys):
     assert err.startswith("data error: scenario produced an invalid network: branch 1-2: "
                           "non-finite impedance")
     assert err.count("\n") == 1
+
+
+def test_many_violations_are_counted_not_listed(tmp_path, capsys):
+    """An overflowing load scale on a duplicated feeder breaks all 64
+    non-slack buses; the error line shows the first five and the count."""
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"case": "case33.m", "load_scale": 1e308,
+                                "duplication": {"copies": 2, "range": [1, 1e10]}}))
+    assert run(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: scenario produced an invalid network: bus ")
+    assert err.endswith(" (first 5 of 64 violations)\n")
+    assert err.count("non-finite load or voltage limit") == 5
+    assert err.count("\n") == 1 and len(err) < 400
 
 
 @pytest.mark.parametrize("argv,scenario,says", [

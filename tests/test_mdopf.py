@@ -10,9 +10,9 @@ from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
-    bus_row, dense_objective_h, mk_case, path_matrix, pivoting_factor, random_tree_network,
-    reference_build, reference_evaluate_cost, reference_extract_duals,
-    reference_recover_dispatch,
+    assert_kkt_matches_reference, bus_row, dense_objective_h, mk_case, path_matrix,
+    pivoting_factor, random_tree_network, reference_build, reference_evaluate_cost,
+    reference_extract_duals, reference_recover_dispatch,
 )
 
 
@@ -664,6 +664,32 @@ def test_tree_order_matches_default_binding_thermal():
     assert_tree_order_matches_default(binding_thermal_net())
 
 
+def test_kkt_matches_reference_case33_four_dgs(case33_psp):
+    net = _four_dg_case33(case33_psp)
+    assert_kkt_matches_reference(mdopf.build(net, build_path_incidence(net)),
+                                 np.random.default_rng(0))
+
+
+def test_kkt_matches_reference_case69_x3(case69):
+    net = _case69_copies(case69, 3)
+    assert_kkt_matches_reference(mdopf.build(net, build_path_incidence(net)),
+                                 np.random.default_rng(1))
+
+
+def test_kkt_matches_reference_binding_thermal():
+    net = binding_thermal_net()
+    prob = mdopf.build(net, build_path_incidence(net))
+    assert prob.n_quad
+    assert_kkt_matches_reference(prob, np.random.default_rng(2))
+
+
+def test_kkt_matches_reference_random_trees():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        net = random_tree_network(rng, int(rng.integers(2, 60)), gen_frac=0.4)
+        assert_kkt_matches_reference(mdopf.build(net, build_path_incidence(net)), rng)
+
+
 def test_refined_solve_residual_last_iterate(case69, monkeypatch):
     # Without pivoting, a tree-ordered solve of the last iterate's KKT system
     # leaves a componentwise relative residual near 1e-5; the refinement step
@@ -673,15 +699,15 @@ def test_refined_solve_residual_last_iterate(case69, monkeypatch):
     factored = []
     factor = qs._Kkt.factor
 
-    def keep(self, h, failure):
-        solve = factor(self, h, failure)
-        factored.append((self, h, solve))
+    def keep(self, matrix, failure):
+        solve = factor(self, matrix, failure)
+        factored.append((self, matrix, solve))
         return solve
 
     monkeypatch.setattr(qs._Kkt, "factor", keep)
     assert qs.solve(prob).status == "optimal"
-    kkt, h, solve = factored[-1]
-    k = kkt.assemble(h)[kkt.pos][:, kkt.pos]  # back to the problem's row order
+    kkt, matrix, solve = factored[-1]
+    k = matrix[kkt.pos][:, kkt.pos]  # back to the problem's row order
     b = np.random.default_rng(0).standard_normal(k.shape[0])
     x = solve(b)
     residual = np.abs(b - k @ x) / (abs(k) @ np.abs(x) + np.abs(b))

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from radialopf import qcqpsolver as qs
 from radialopf.qcqpsolver import QcqpProblem, SolverConfig, SolverError
 
-from helpers import kkt_residuals
+from helpers import assert_kkt_matches_reference, kkt_residuals
 
 
 def _empty(m, n):
@@ -278,3 +278,45 @@ def test_factor_seconds_within_runtime():
     ):
         stats = qs.solve(p).stats
         assert 0.0 < stats.factor_seconds < stats.runtime_seconds
+
+
+def _dense_problem(rng, n, me, mi, nq):
+    m = rng.normal(size=(n, n))
+    quad = dict(quad_diag=rng.uniform(0.0, 1.0, (nq, n)), quad_b=np.full(nq, 50.0)) if nq else {}
+    return make_problem(h=m.T @ m + 0.5 * np.eye(n), g=rng.normal(size=n),
+                        a_eq=rng.normal(size=(me, n)), b_eq=rng.normal(size=me),
+                        a_in=rng.normal(size=(mi, n)), b_in=rng.normal(size=mi) + 1.0,
+                        **quad)
+
+
+def test_kkt_matches_reference_without_inequality_rows():
+    rng = np.random.default_rng(7)
+    assert_kkt_matches_reference(_dense_problem(rng, 6, 2, 0, 0), rng)
+
+
+def test_kkt_matches_reference_without_kkt_order():
+    # linear and quadratic rows with several entries each, in the identity order
+    rng = np.random.default_rng(8)
+    p = _dense_problem(rng, 6, 2, 3, 2)
+    assert p.kkt_order is None
+    assert_kkt_matches_reference(p, rng)
+
+
+def test_kkt_pattern_shared_within_solve(monkeypatch):
+    # the KKT pattern is built once: every matrix factored in one solve
+    # shares its index arrays, and only the values change
+    rng = np.random.default_rng(9)
+    p = _dense_problem(rng, 6, 2, 3, 2)
+    factored = []
+    splu = qs.spla.splu
+
+    def keep(a, *args, **kwargs):
+        factored.append(a)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(qs.spla, "splu", keep)
+    assert qs.solve(p).status == "optimal"
+    assert len(factored) > 2
+    for a in factored[1:]:
+        assert np.shares_memory(a.indices, factored[0].indices)
+        assert np.shares_memory(a.indptr, factored[0].indptr)
