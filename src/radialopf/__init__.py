@@ -1,20 +1,21 @@
 """Convex quadratic OPF, nodal pricing and loss allocation for radial feeders.
 
-Typical flow: parse a case, solve the dispatch (path incidence, build,
-interior-point solve and state recovery in one call), price it:
+Typical flow: parse a case, solve the dispatch (build, interior-point solve
+and state recovery in one call), price it:
 
     from radialopf import cli, netmodel, mdopf, pricing
 
     net = netmodel.load_case(cli.resolve_case("case33.m", None))
-    ti, prob, sol, state = mdopf.solve_opf(net)
-    table = pricing.compute_price_table(net, ti, state)
+    prob, sol, state = mdopf.solve_opf(net)
+    table = pricing.compute_price_table(net, state)
 
 ``cli.resolve_case`` falls back to the packaged cases (case33.m, case69.m).
 ``prob.certificate`` holds the convexity verdict of the cost quadratic.
 
 Every per-bus array uses one bus order: ``state.v[0]`` is the slack and
-``state.v[1:]`` lines up with ``ti.order`` and with the rows of ``table``
-(``netmodel.tree_positions(net)`` maps a bus id to its position).
+``state.v[1:]`` lines up with ``netmodel.path_incidence(net).order`` and with
+the rows of ``table`` (``netmodel.tree_positions(net)`` maps a bus id to its
+position).
 """
 
 # ``cli`` is not imported here, so that ``python -m radialopf.cli`` runs it

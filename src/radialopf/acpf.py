@@ -9,8 +9,8 @@ price oracle (slack-cost derivative under load perturbation).
 
 Array conventions: the package's one bus order (``netmodel.tree_positions``).
 Full-bus vectors hold the slack at position 0, then the non-slack buses in
-``ti.order``; non-slack vectors are the same order without the slack. All
-quantities per unit on the network base.
+``netmodel.path_incidence(net).order``; non-slack vectors are the same order
+without the slack. All quantities per unit on the network base.
 """
 from __future__ import annotations
 

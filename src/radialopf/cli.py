@@ -274,10 +274,9 @@ def cmd_validate(args) -> int:
 
 def cmd_pf(args) -> int:
     net = _network(args)
-    ti = netmodel.build_path_incidence(net)
-    state = mdistflow.solve_fixed_load(net, ti)
+    state = mdistflow.solve_fixed_load(net)
     ac = acpf.newton_pf(net, v_start=state.v, delta_start=state.delta)
-    rep = mdistflow.losses(ti, state)
+    rep = mdistflow.losses(net, state)
     rows = ["bus,v_model[pu],v_ac[pu],abs_err[pu],delta_model[rad],delta_ac[rad]"]
     pos = netmodel.tree_positions(net)
     for b in net.buses:
@@ -318,7 +317,7 @@ def _print_notes(cert: mdopf.ConvexityCertificate) -> None:
 
 def cmd_opf(args) -> int:
     net = _network(args)
-    ti, prob, sol, state = mdopf.solve_opf(net)
+    prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
     base = net.base_power
     rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
@@ -371,10 +370,10 @@ def _oracle_worker(task):
     return _oracle_price(_oracle_point, *task)
 
 
-def _oracle_sweep(net, ti, state, sol, jobs: int):
+def _oracle_sweep(net, state, sol, jobs: int):
     p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     point = (p, q, state.v, state.delta)
-    tasks = [(b, axis) for b in ti.order for axis in ("p", "q")]
+    tasks = [(b, axis) for b in netmodel.path_incidence(net).order for axis in ("p", "q")]
     if jobs > 1:
         # one worker per CPU at most, and never more workers than tasks
         workers = min(jobs, os.cpu_count() or 1, len(tasks))
@@ -390,21 +389,28 @@ def _oracle_sweep(net, ti, state, sol, jobs: int):
     return oracle_p, oracle_q
 
 
+def _rel_err(price: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """|price - oracle| / |oracle|, undefined (NaN) where the oracle price is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(oracle != 0, np.abs(price - oracle) / np.abs(oracle), np.nan)
+
+
 def cmd_price(args) -> int:
     if args.jobs < 1:
         raise NetworkError(f"--jobs must be >= 1, got {args.jobs}")
     net = _network(args)
-    ti, prob, sol, state = mdopf.solve_opf(net)
+    prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
-    slack_pg = (sol.pg[net.slack], sol.qg[net.slack])
-    pt = pricing.compute_price_table(
-        net, ti, state, thermal_duals=sol.duals_quad, slack_dispatch=slack_pg
-    )
+    if not sol.pg[net.slack] > net.bus(net.slack).gen.p_min + 1e-9:
+        print("note: supply-point generation is not strictly interior; "
+              "marginal-loss prices assume the supply point is marginal")
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
     # solver shadow prices of the non-slack balance rows (tree order) alongside,
     # for comparison with the explicit method (the objective is $ per pu, so
     # the per-MWh price divides out the base)
-    rows = mdistflow.FlowRows(ti.n)
-    nonslack = np.arange(1, ti.n + 1)
+    n = len(pt.bus_ids)
+    rows = mdistflow.FlowRows(n)
+    nonslack = np.arange(1, n + 1)
     scale = state.v[1:] * net.base_power
     extra = {
         "dual_dlmp_p[$ per MWh]":
@@ -413,21 +419,24 @@ def cmd_price(args) -> int:
             qcqpsolver.extract_duals(prob, sol, rows.q_bal + nonslack) / scale,
     }
     if args.oracle:
-        oracle_p, oracle_q = _oracle_sweep(net, ti, state, sol, args.jobs)
+        oracle_p, oracle_q = _oracle_sweep(net, state, sol, args.jobs)
         extra.update({
             "oracle_p[$ per MWh]": oracle_p,
             "oracle_q[$ per MVarh]": oracle_q,
-            "dlmp_p_rel_err": np.abs(pt.dlmp_p - oracle_p) / np.abs(oracle_p),
-            "dlmp_q_rel_err": np.abs(pt.dlmp_q - oracle_q) / np.abs(oracle_q),
+            "dlmp_p_rel_err": _rel_err(pt.dlmp_p, oracle_p),
+            "dlmp_q_rel_err": _rel_err(pt.dlmp_q, oracle_q),
         })
-        print(f"avg DLMP_P oracle error: {np.mean(extra['dlmp_p_rel_err'])*100:.4f}%")
-        print(f"avg DLMP_Q oracle error: {np.mean(extra['dlmp_q_rel_err'])*100:.4f}%")
+        for axis in ("p", "q"):  # the mean over the rows where it is defined
+            err = extra[f"dlmp_{axis}_rel_err"]
+            defined = err[~np.isnan(err)]
+            avg = f"{np.mean(defined)*100:.4f}%" if defined.size else "n/a"
+            print(f"avg DLMP_{axis.upper()} oracle error: {avg}")
 
     reports = []
     if args.mechanism in ("mlm", "both"):
-        reports.append(pricing.settle(net, ti, state, (pt.dlmp_p, pt.dlmp_q), "mlm"))
+        reports.append(pricing.settle(net, state, (pt.dlmp_p, pt.dlmp_q), "mlm"))
     if args.mechanism in ("lam", "both"):
-        reports.append(pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam"))
+        reports.append(pricing.settle(net, state, (pt.dlp_p, pt.dlp_q), "lam"))
 
     out_dir = Path(args.out)
     if args.format == "json":

@@ -14,9 +14,10 @@ formed: T x (each branch's sum over the buses it feeds) is
 ``netmodel.PathIncidence``).
 
 Alignment: the package's one bus order. Full-bus arrays (w, v, delta) hold
-the slack at position 0, then ``ti.order``; per-non-slack arrays follow
-``ti.order`` and per-branch arrays the matching branch rows of the path
-incidence, so ``w[1:]`` lines up with ``p_hat`` and with branch row k.
+the slack at position 0, then ``netmodel.path_incidence(net).order``;
+per-non-slack arrays follow that order and per-branch arrays the matching
+branch rows of the path incidence, so ``w[1:]`` lines up with ``p_hat`` and
+with branch row k.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .netmodel import Network, PathIncidence, tree_buses
+from .netmodel import Network, PathIncidence, path_incidence, tree_buses
 
 
 class MdfError(RuntimeError):
@@ -123,17 +124,15 @@ def _assemble(net, ti, w_r, p_hat, q_hat):
 
 
 def solve_fixed_load(
-    net: Network,
-    ti: PathIncidence,
-    p: np.ndarray | None = None,
-    q: np.ndarray | None = None,
+    net: Network, p: np.ndarray | None = None, q: np.ndarray | None = None
 ) -> MdfState:
     """One direct solve of ``flow_equations`` without the slack's balance
     rows, for fixed net injections (default: minus the loads).
 
-    ``p``/``q`` follow ``ti.order``; generators at fixed setpoints should be
-    folded into them (see ``netmodel.net_injections``).
+    ``p``/``q`` are non-slack arrays in tree order; generators at fixed
+    setpoints should be folded into them (see ``netmodel.net_injections``).
     """
+    ti = path_incidence(net)
     buses = tree_buses(net)[1:]
     p = np.array([-b.p_load for b in buses] if p is None else p, dtype=float)
     q = np.array([-b.q_load for b in buses] if q is None else q, dtype=float)
@@ -171,7 +170,6 @@ def solve_fixed_load(
 
 def state_from_solution(
     net: Network,
-    ti: PathIncidence,
     p_hat_r: np.ndarray,
     q_hat_r: np.ndarray,
     w_r: np.ndarray,
@@ -179,7 +177,8 @@ def state_from_solution(
 ) -> MdfState:
     """Assemble a full state from solver variables, enforcing the voltage-drop
     identity w = w0 - T'R T p_hat - T'X T q_hat within ``tol``, each T and T'
-    product one triangular solve with the factor ``ti.t``."""
+    product one triangular solve with the path incidence's factor ``t``."""
+    ti = path_incidence(net)
     p_hat_r = np.asarray(p_hat_r, dtype=float)
     q_hat_r = np.asarray(q_hat_r, dtype=float)
     w_r = np.asarray(w_r, dtype=float)
@@ -211,8 +210,9 @@ def _angles(ti, v, p_br, q_br):
     return np.concatenate([[0.0], -ti.t.solve(np.arcsin(arg), trans="T")])
 
 
-def losses(ti: PathIncidence, state: MdfState) -> LossReport:
+def losses(net: Network, state: MdfState) -> LossReport:
     """Quadratic network-loss totals with the four-way P/Q decomposition."""
+    ti = path_incidence(net)
     fp2 = state.p_br_hat ** 2
     fq2 = state.q_br_hat ** 2
     pl_p = float(ti.r @ fp2)

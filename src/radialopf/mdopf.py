@@ -16,8 +16,9 @@ in Frobenius norm and records the verdict in ``prob.certificate``; the CLI
 prints it as ``note:`` lines. The projection is tiny relative to the linear
 cost terms and is validated against dispatch benchmarks in the test suite.
 
-``solve_opf`` is the whole pipeline: path incidence, build, interior-point
-solve and recovery of the dispatch and state.
+``solve_opf`` is the whole pipeline: build, interior-point solve and
+recovery of the dispatch and state. Each function reads the path incidence
+of its network from ``netmodel.path_incidence``.
 """
 from __future__ import annotations
 
@@ -59,11 +60,11 @@ class VarBlocks:
     """Index blocks of the problem variables, the one statement of their
     layout.
 
-    W runs over all buses, slack first, then ``ti.order`` (so bus position
-    ``k`` of ``ti.order`` is W index ``k + 1``); Pbr and Qbr follow the
-    branch rows of ``ti``; Pg and Qg follow ``gens``. ``gen_w`` is the W
-    index of each generator bus. The equality rows are laid out as
-    ``mdistflow.FlowRows`` states.
+    W runs over all buses, slack first, then the path incidence's ``order``
+    (so its bus position ``k`` is W index ``k + 1``); Pbr and Qbr follow its
+    branch rows; Pg and Qg follow ``gens``. ``gen_w`` is the W index of each
+    generator bus. The equality rows are laid out as ``mdistflow.FlowRows``
+    states.
     """
 
     n: int
@@ -91,11 +92,11 @@ class VarBlocks:
         return 3 * self.n + 1 + 2 * len(self.gens)
 
 
-def var_blocks(net: Network, ti: PathIncidence) -> VarBlocks:
+def var_blocks(net: Network) -> VarBlocks:
     """Variable index blocks of the OPF of ``net``."""
     gens = gen_buses(net)
     pos = netmodel.tree_positions(net)
-    return VarBlocks(ti.n, tuple(gens), np.array([pos[b] for b in gens], dtype=int))
+    return VarBlocks(len(pos) - 1, tuple(gens), np.array([pos[b] for b in gens], dtype=int))
 
 
 def certify_convexity(
@@ -141,18 +142,15 @@ def psd_projection(
     )
 
 
-def build_objective(
-    net: Network, ti: PathIncidence, blocks: VarBlocks | None = None
-) -> tuple[sp.csr_matrix, np.ndarray, float]:
+def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """Exact cost terms over the problem variables: returns (H, g, c) with the
     objective x'Hx + g'x + c in $ per hour.
 
     The linear part carries the slack cost (at the fixed slack voltage) and
     the generator costs weighted by the load-only voltage profile; H is the
     symmetrized quadratic left by the affine voltage response to generation.
-    ``blocks`` is ``var_blocks(net, ti)`` when the caller already has it.
     """
-    lay = blocks or var_blocks(net, ti)
+    lay = var_blocks(net)
     n_vars = lay.n_vars
     base = net.base_power
     g = np.zeros(n_vars)
@@ -167,7 +165,7 @@ def build_objective(
     if not dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
     try:
-        load_state = mdistflow.solve_fixed_load(net, ti)
+        load_state = mdistflow.solve_fixed_load(net)
     except mdistflow.MdfError as exc:
         raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
     vd = load_state.v[lay.gen_w[1:]]
@@ -178,6 +176,7 @@ def build_objective(
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
     # the path matrix T at the generator columns: the branch rows on each
     # generator bus's path to the slack
+    ti = netmodel.path_incidence(net)
     rows, cols = [], []
     for j, k in enumerate((lay.gen_w[1:] - 1).tolist()):
         while k >= 0:
@@ -198,7 +197,7 @@ def build_objective(
     return h, g, 0.0
 
 
-def build(net: Network, ti: PathIncidence) -> QcqpProblem:
+def build(net: Network) -> QcqpProblem:
     """Assemble the OPF as a convex QCQP.
 
     Variables: W per bus, Pbr and Qbr per branch, Pg and Qg per generator
@@ -216,11 +215,12 @@ def build(net: Network, ti: PathIncidence) -> QcqpProblem:
             raise MdopfError(
                 f"convexity condition unsatisfied: negative generator cost at bus {b.id}"
             )
-    lay = var_blocks(net, ti)
+    ti = netmodel.path_incidence(net)
+    lay = var_blocks(net)
     n, n_vars = ti.n, lay.n_vars
     n_gen = len(lay.gens)
 
-    h_exact, g, c = build_objective(net, ti, lay)
+    h_exact, g, c = build_objective(net)
     eig = support_eigh(h_exact, vectors=True)
     cert = certify_convexity(h_exact, eig)
     h = h_exact if cert.psd else psd_projection(h_exact, eig)
@@ -315,7 +315,7 @@ def kkt_order(ti: PathIncidence, lay: VarBlocks) -> np.ndarray:
 
 
 def recover_dispatch(
-    net: Network, ti: PathIncidence, sol: OpfSolution
+    net: Network, sol: OpfSolution
 ) -> tuple[OpfSolution, mdistflow.MdfState]:
     """Physical dispatch and full network state from the solver variables.
 
@@ -323,10 +323,10 @@ def recover_dispatch(
     state is assembled (and consistency-checked) from the modified injections
     (modified generation minus load times W) and the W profile.
     """
-    lay = var_blocks(net, ti)
+    lay = var_blocks(net)
     x = sol.x
     n_gen = len(lay.gens)
-    w = x[:ti.n + 1]
+    w = x[:lay.n + 1]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)
     if bad.size:
@@ -345,24 +345,21 @@ def recover_dispatch(
     on_tree = lay.gen_w > 0
     p_hat[lay.gen_w[on_tree] - 1] += p_gen[on_tree]
     q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]
-    state = mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)
+    state = mdistflow.state_from_solution(net, p_hat, q_hat, w_r)
     return replace(sol, pg=pg, qg=qg), state
 
 
-def solve_opf(
-    net: Network,
-) -> tuple[PathIncidence, QcqpProblem, OpfSolution, mdistflow.MdfState]:
-    """Build, solve and recover the OPF of ``net``: returns the path
-    incidence, the problem (its ``certificate`` is the convexity verdict),
-    the solution with physical dispatch, and the network state. Raises
-    ``SolverError`` unless the interior-point solve ends optimal."""
-    ti = netmodel.build_path_incidence(net)
-    prob = build(net, ti)
+def solve_opf(net: Network) -> tuple[QcqpProblem, OpfSolution, mdistflow.MdfState]:
+    """Build, solve and recover the OPF of ``net``: returns the problem (its
+    ``certificate`` is the convexity verdict), the solution with physical
+    dispatch, and the network state. Raises ``SolverError`` unless the
+    interior-point solve ends optimal."""
+    prob = build(net)
     sol = qcqpsolver.solve(prob)
     if sol.status != "optimal":
         raise qcqpsolver.SolverError(
             f"OPF solve ended with status {sol.status} "
             f"(gap {sol.stats.final_gap:.2e}, feas {sol.stats.final_feas:.2e})"
         )
-    sol, state = recover_dispatch(net, ti, sol)
-    return ti, prob, sol, state
+    sol, state = recover_dispatch(net, sol)
+    return prob, sol, state

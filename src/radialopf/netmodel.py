@@ -134,7 +134,7 @@ def bus_positions(net: Network) -> dict[int, int]:
 
 def tree_positions(net: Network) -> dict[int, int]:
     """Map bus id -> array position: the slack at 0, then the non-slack buses
-    in ``build_path_incidence(net).order`` at 1..n. Iterating the map yields
+    in ``path_incidence(net).order`` at 1..n. Iterating the map yields
     the bus ids in that order. Memoized on the instance."""
     memo = net.__dict__.get("_tree_memo")
     if memo is None:
@@ -227,9 +227,18 @@ def normalize_orientation(net: Network) -> Network:
     return replace(net, branches=tuple(oriented))
 
 
+def path_incidence(net: Network) -> PathIncidence:
+    """The path incidence of ``net``, built once per instance (memoized)."""
+    memo = net.__dict__.get("_ti_memo")
+    if memo is None:
+        memo = build_path_incidence(net)
+        object.__setattr__(net, "_ti_memo", memo)
+    return memo
+
+
 def build_path_incidence(net: Network) -> PathIncidence:
     """Order the feeder in preorder and factor its branch-parent incidence
-    (see ``PathIncidence``)."""
+    (see ``PathIncidence``); ``path_incidence`` is the memoized call."""
     order, branch_of = _root_tree(net)
     pos = {b: i for i, b in enumerate(order)}
     branches = [net.branches[li] for li in branch_of.tolist()]

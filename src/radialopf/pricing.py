@@ -11,23 +11,23 @@ Two consumer-facing price systems over one dispatch:
 
 Sign conventions: loss factors are derivatives with respect to net bus
 injections, so they are negative at load pockets and both price systems sit
-above the supply-point cost there. All per-bus arrays follow ``ti.order``,
-the package's one bus order without the slack; the state's full-bus arrays
-hold the slack first, so ``state.v[1:]`` lines up with them.
+above the supply-point cost there. All per-bus arrays follow
+``netmodel.path_incidence(net).order``, the package's one bus order without
+the slack; the state's full-bus arrays hold the slack first, so
+``state.v[1:]`` lines up with them.
 """
 from __future__ import annotations
 
 import csv as _csv
 import io
 import json
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import acpf, mdistflow
 from .mdistflow import MdfState
-from .netmodel import Network, PathIncidence, tree_buses
+from .netmodel import Network, path_incidence, tree_buses
 
 
 class PricingError(RuntimeError):
@@ -72,7 +72,6 @@ def _state_injections(state):
 
 def modified_injection_sensitivities(
     net: Network,
-    ti: PathIncidence,
     state: MdfState,
     dv_dp: np.ndarray,
     dv_dq: np.ndarray,
@@ -97,9 +96,7 @@ def modified_injection_sensitivities(
 
 
 def loss_factors(
-    net: Network,
-    ti: PathIncidence,
-    state: MdfState,
+    net: Network, state: MdfState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Derivatives of the total losses with respect to net bus injections.
 
@@ -110,6 +107,7 @@ def loss_factors(
     the two weight vectors u (one per loss total) go through a single
     adjoint solve of the AC Jacobian, so no n x n matrix is formed.
     """
+    ti = path_incidence(net)
     p, q, p_hat, q_hat, v = _state_injections(state)
     f = ti.t.solve(p_hat)
     g = ti.t.solve(q_hat)
@@ -151,7 +149,7 @@ def dlmp(
 
 
 def allocate_losses(
-    ti: PathIncidence, state: MdfState
+    net: Network, state: MdfState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-bus loss shares (active-from-P, reactive-from-P, active-from-Q,
     reactive-from-Q), each summing exactly to the matching loss total.
@@ -159,6 +157,7 @@ def allocate_losses(
     A bus is charged for every branch on its path to the supply point, in
     proportion to its own modified injection times the branch flow.
     """
+    ti = path_incidence(net)
     f = -state.p_br_hat
     g = -state.q_br_hat
     pl_p = state.p_hat * ti.t.solve(ti.r * f, trans="T")
@@ -168,15 +167,14 @@ def allocate_losses(
     return pl_p, ql_p, pl_q, ql_q
 
 
-def dlp(
-    net: Network, ti: PathIncidence, state: MdfState
-) -> tuple[np.ndarray, np.ndarray]:
+def dlp(net: Network, state: MdfState) -> tuple[np.ndarray, np.ndarray]:
     """Allocated-loss nodal prices in $/MWh and $/MVarh, in the closed form
     that stays defined at zero-injection buses."""
     v = state.v[1:]
     if np.any(v <= 0.0):
         raise PricingError("non-positive voltage magnitude in state")
     c0p, c0q = acpf.slack_costs(net)
+    ti = path_incidence(net)
     kern = c0p * ti.r + c0q * ti.x
     f = -state.p_br_hat
     g = -state.q_br_hat
@@ -187,7 +185,6 @@ def dlp(
 
 def settle(
     net: Network,
-    ti: PathIncidence,
     state: MdfState,
     prices: tuple[np.ndarray, np.ndarray],
     mechanism: str,
@@ -215,7 +212,7 @@ def settle(
 
     if ac_state is None:
         scale = w * v
-        rep = mdistflow.losses(ti, state)
+        rep = mdistflow.losses(net, state)
         w0 = 2.0 - net.v0
         slack_scale = w0 * net.v0
         slack_gen_p = (
@@ -227,7 +224,7 @@ def settle(
             + rep.ql + slack_bus.q_load * slack_scale
         )
     else:
-        scale = np.ones(ti.n)
+        scale = np.ones(len(buses))
         slack_scale = 1.0
         slack_gen_p = ac_state.slack_p + slack_bus.p_load
         slack_gen_q = ac_state.slack_q + slack_bus.q_load
@@ -250,35 +247,20 @@ def settle(
 
 
 def compute_price_table(
-    net: Network,
-    ti: PathIncidence,
-    state: MdfState,
-    thermal_duals: np.ndarray | None = None,
-    slack_dispatch: tuple[float, float] | None = None,
+    net: Network, state: MdfState, thermal_duals: np.ndarray | None = None
 ) -> PriceTable:
     """Full pricing pass at a solved state.
 
     Takes the loss factors from one sparse factorization of the AC Jacobian
     at the model voltages and angles, turns them into the marginal-loss
     prices, and computes the allocation-based prices alongside.
-    ``slack_dispatch`` (pu P, Q at the supply point), when given, is checked
-    against the interior-generation assumption.
     """
-    if slack_dispatch is not None:
-        g = net.bus(net.slack).gen
-        if g is not None and not (slack_dispatch[0] > g.p_min + 1e-9):
-            warnings.warn(
-                "supply-point generation is not strictly interior; "
-                "marginal-loss prices assume the supply point is marginal",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    factors = loss_factors(net, ti, state)
+    factors = loss_factors(net, state)
     dlmp_p, dlmp_q = dlmp(net, factors, thermal_duals=thermal_duals)
-    pl_p, ql_p, pl_q, ql_q = allocate_losses(ti, state)
-    dlp_p, dlp_q = dlp(net, ti, state)
+    pl_p, ql_p, pl_q, ql_q = allocate_losses(net, state)
+    dlp_p, dlp_q = dlp(net, state)
     return PriceTable(
-        bus_ids=ti.order,
+        bus_ids=path_incidence(net).order,
         dlmp_p=dlmp_p, dlmp_q=dlmp_q, dlp_p=dlp_p, dlp_q=dlp_q,
         dpl_dp=factors[0], dpl_dq=factors[1],
         dql_dp=factors[2], dql_dq=factors[3],

@@ -404,7 +404,7 @@ def reference_objective(net, ti):
     dg = [b for b in mdopf.gen_buses(net) if b != net.slack]
     if not dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
-    load_state = mdistflow.solve_fixed_load(net, ti)
+    load_state = mdistflow.solve_fixed_load(net)
     pos = netmodel.tree_positions(net)
     order_pos = {b: i for i, b in enumerate(ti.order)}
     cp = np.array([net.bus(b).gen.cost_p for b in dg])
@@ -522,7 +522,7 @@ def reference_recover_dispatch(net, ti, ref, sol):
     p_hat = np.array([x[var[f"Pinj:{b}"]] for b in ti.order])
     q_hat = np.array([x[var[f"Qinj:{b}"]] for b in ti.order])
     w_r = np.array([x[var[f"W:{b}"]] for b in ti.order])
-    return pg, qg, mdistflow.state_from_solution(net, ti, p_hat, q_hat, w_r)
+    return pg, qg, mdistflow.state_from_solution(net, p_hat, q_hat, w_r)
 
 
 def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
@@ -562,7 +562,7 @@ def dense_objective_h(net, ti):
     """Dense reference for the quadratic of ``mdopf.build_objective``: the
     generator block formed as one dense 2g x 2g array, symmetrized and
     gathered with ``np.nonzero``."""
-    lay = mdopf.var_blocks(net, ti)
+    lay = mdopf.var_blocks(net)
     buses = netmodel.tree_buses(net)
     w = lay.gen_w[1:]
     cp = np.array([buses[k].gen.cost_p for k in w])
@@ -594,7 +594,7 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
     dg = [b for b in mdopf.gen_buses(net) if b != net.slack]
     if not dg:
         return c1, 0.0, 0.0
-    load_state = mdistflow.solve_fixed_load(net, ti)
+    load_state = mdistflow.solve_fixed_load(net)
     order_pos = {b: i for i, b in enumerate(ti.order)}
     cols = [order_pos[b] for b in dg]
     t = path_matrix(ti)

@@ -29,17 +29,18 @@ def with_dgs(net, buses, p_mw, q_mvar, cost_p, cost_q):
     return net
 
 
-def oracle_sweep(net, ti, state, pg, qg):
+def oracle_sweep(net, state, pg, qg):
     p, q = netmodel.net_injections(net, pg, qg)
+    order = netmodel.path_incidence(net).order
     op = np.array([
         acpf.fd_price_oracle(net, b, "p", p=p, q=q,
                              v_start=state.v, delta_start=state.delta)
-        for b in ti.order
+        for b in order
     ])
     oq = np.array([
         acpf.fd_price_oracle(net, b, "q", p=p, q=q,
                              v_start=state.v, delta_start=state.delta)
-        for b in ti.order
+        for b in order
     ])
     return op, oq
 
@@ -63,7 +64,7 @@ def test_criterion_1_dispatch_benchmarks(case33_psp):
     worst_pg = 0.0
     for bus, price, ref_obj, ref_pg in TABLE_SCENARIOS:
         net = with_dgs(case33_psp, [bus], 1.0, 0.5, price, 2.0)
-        _, _, sol, _ = mdopf.solve_opf(net)
+        _, sol, _ = mdopf.solve_opf(net)
         obj_err = abs(sol.objective_value - ref_obj) / ref_obj
         pg_err = abs(sol.pg[bus] * net.base_power - ref_pg)
         assert obj_err < 0.005, (bus, sol.objective_value, ref_obj)
@@ -77,8 +78,7 @@ def test_criterion_1_dispatch_benchmarks(case33_psp):
 
 def test_criterion_2_power_flow_accuracy(case33_psp):
     """Closed-form voltages vs Newton: base < 0.005 pu, stressed < 0.02 pu."""
-    ti = build_path_incidence(case33_psp)
-    stm = mdf.solve_fixed_load(case33_psp, ti)
+    stm = mdf.solve_fixed_load(case33_psp)
     sta = acpf.newton_pf(case33_psp)
     base_err = float(np.max(np.abs(stm.v - sta.v)))
     assert base_err < 0.005
@@ -87,8 +87,7 @@ def test_criterion_2_power_flow_accuracy(case33_psp):
         ("heavy load x1.5", netmodel.scale_loads(case33_psp, 1.5)),
         ("impedance x2.9", netmodel.scale_impedance(case33_psp, 2.9)),
     ):
-        tix = build_path_incidence(netx)
-        sm = mdf.solve_fixed_load(netx, tix)
+        sm = mdf.solve_fixed_load(netx)
         sa = acpf.newton_pf(netx, v_start=sm.v, delta_start=sm.delta)
         err = float(np.max(np.abs(sm.v - sa.v)))
         assert err < 0.02, (tag, err)
@@ -104,9 +103,9 @@ def test_criterion_3_dlmp_vs_oracle(case33_psp):
 
     # high-price DGs at the feeder ends, solved dispatch
     net = with_dgs(case33_psp, [18, 22, 25, 33], 0.2, 0.1, 31.0, 4.0)
-    ti, prob, sol, state = mdopf.solve_opf(net)
-    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
-    op, oq = oracle_sweep(net, ti, state, sol.pg, sol.qg)
+    prob, sol, state = mdopf.solve_opf(net)
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
+    op, oq = oracle_sweep(net, state, sol.pg, sol.qg)
     err_p = float(np.mean(np.abs(pt.dlmp_p - op) / np.abs(op)))
     err_q = float(np.mean(np.abs(pt.dlmp_q - oq) / np.abs(oq)))
     assert err_p < 0.005, err_p
@@ -118,10 +117,9 @@ def test_criterion_3_dlmp_vs_oracle(case33_psp):
         ("A3", netmodel.scale_loads(case33_psp, 1.5), 0.01),
         ("A4", netmodel.scale_impedance(case33_psp, 2.9), 0.03),
     ):
-        tix = build_path_incidence(netx)
-        st = mdf.solve_fixed_load(netx, tix)
-        ptx = pricing.compute_price_table(netx, tix, st)
-        op, oq = oracle_sweep(netx, tix, st, {}, {})
+        st = mdf.solve_fixed_load(netx)
+        ptx = pricing.compute_price_table(netx, st)
+        op, oq = oracle_sweep(netx, st, {}, {})
         err_p = float(np.mean(np.abs(ptx.dlmp_p - op) / np.abs(op)))
         err_q = float(np.mean(np.abs(ptx.dlmp_q - oq) / np.abs(oq)))
         assert err_p < bound, (tag, err_p)
@@ -142,9 +140,9 @@ def test_criterion_4_loss_factor_self_consistency(case_name, request):
         30.0, 3.0,
     )
     ti = build_path_incidence(net)
-    state = mdf.solve_fixed_load(net, ti)
+    state = mdf.solve_fixed_load(net)
     dv = dense_sensitivities(net, state)
-    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state)
+    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, state)
     worst = 0.0
     for j in range(ti.n):
         fd_pl_p, fd_ql_p = model_loss_fd(net, ti, state, dv, "p", j)
@@ -166,14 +164,13 @@ def test_criterion_5_allocation_reconciliation():
     for trial in range(100):
         n = int(rng.integers(2, 201))
         net = random_tree_network(rng, n)
-        ti = build_path_incidence(net)
         # keep accumulated feeder flows physical on deep random trees
         mag = min(1.0, 25.0 / n)
-        p = rng.uniform(-0.05, 0.02, ti.n) * mag
-        q = rng.uniform(-0.03, 0.015, ti.n) * mag
-        state = mdf.solve_fixed_load(net, ti, p, q)
-        rep = mdf.losses(ti, state)
-        parts = pricing.allocate_losses(ti, state)
+        p = rng.uniform(-0.05, 0.02, n - 1) * mag
+        q = rng.uniform(-0.03, 0.015, n - 1) * mag
+        state = mdf.solve_fixed_load(net, p, q)
+        rep = mdf.losses(net, state)
+        parts = pricing.allocate_losses(net, state)
         totals = (rep.pl_p, rep.ql_p, rep.pl_q, rep.ql_q)
         for part, total in zip(parts, totals):
             err = abs(float(np.sum(part)) - total) / max(1e-300, abs(total))
@@ -187,16 +184,16 @@ def test_criterion_6_over_collection(case33_psp):
     """Marginal pricing over-collects; allocation pricing does not."""
     net = with_dgs(case33_psp, [18, 22, 25, 33], 0.2, 0.1, 25.0, 2.0)
     net = netmodel.duplicate_system(net, 10, seed=42)
-    ti, prob, sol, state = mdopf.solve_opf(net)
-    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
-    mlm = pricing.settle(net, ti, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
-    lam = pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam")
+    prob, sol, state = mdopf.solve_opf(net)
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
+    mlm = pricing.settle(net, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
+    lam = pricing.settle(net, state, (pt.dlp_p, pt.dlp_q), "lam")
     assert mlm.ocl > 0.0
     assert abs(lam.ocl) < 1e-6 * lam.revenue
 
     p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
-    lam_ac = pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam", ac_state=ac)
+    lam_ac = pricing.settle(net, state, (pt.dlp_p, pt.dlp_q), "lam", ac_state=ac)
     c0p, c0q = acpf.slack_costs(net)
     loss_cost = (c0p * ac.pl_exact + c0q * ac.ql_exact) * net.base_power
     assert abs(lam_ac.ocl) < 0.01 * loss_cost
@@ -219,27 +216,24 @@ def test_criterion_7_convexity_certificates(case33_psp, case69):
         with_dgs(case33_psp, [18, 22, 25, 33], 0.2, 0.1, 25.0, 2.0), 10, seed=1
     ))
     for net in fixtures:
-        ti = build_path_incidence(net)
-        prob = mdopf.build(net, ti)
+        prob = mdopf.build(net)
         assert mdopf.certify_convexity(prob.h).psd
 
     rng = np.random.default_rng(7)
     for _ in range(500):
         n = int(rng.integers(2, 51))
         net = random_tree_network(rng, n, gen_frac=0.5)
-        ti = build_path_incidence(net)
-        prob = mdopf.build(net, ti)
+        prob = mdopf.build(net)
         assert mdopf.certify_convexity(prob.h).psd
 
     # engineered counterexample: flipped cost sign fails the certificate and
     # the builder refuses the network outright
     net = with_dgs(case33_psp, [18], 1.0, 0.5, 31.0, 2.0)
-    ti = build_path_incidence(net)
-    h, _, _ = mdopf.build_objective(net, ti)
+    h, _, _ = mdopf.build_objective(net)
     assert not mdopf.certify_convexity(-h).psd
     bad = with_dgs(case33_psp, [18], 1.0, 0.5, -31.0, 2.0)
     with pytest.raises(mdopf.MdopfError, match="convexity condition"):
-        mdopf.build(bad, build_path_incidence(bad))
+        mdopf.build(bad)
     _announce(7, "convexity certificates",
               "11 fixtures + 500 random trees PSD; negated cost rejected")
 
@@ -257,9 +251,9 @@ def test_criterion_7_projection_changes_objective_little(case33_psp):
     fixtures.append(netmodel.duplicate_system(four, 10, seed=42))
     worst = 0.0
     for net in fixtures:
-        ti, prob, sol, _ = mdopf.solve_opf(net)
+        prob, sol, _ = mdopf.solve_opf(net)
         assert not prob.certificate.psd  # the projection is in effect
-        h, g, c = mdopf.build_objective(net, ti)
+        h, g, c = mdopf.build_objective(net)
         x = sol.x
         exact = float(x @ (h @ x) + g @ x + c)
         rel = abs(exact - sol.objective_value) / abs(exact)
@@ -300,8 +294,7 @@ def test_criterion_8_solver_reference(case33_psp):
     kkt_worst = 0.0
     for bus, price, _, _ in TABLE_SCENARIOS[:3]:
         net = with_dgs(case33_psp, [bus], 1.0, 0.5, price, 2.0)
-        ti = build_path_incidence(net)
-        prob = mdopf.build(net, ti)
+        prob = mdopf.build(net)
         sol = qs.solve(prob, qs.SolverConfig(tol_gap=1e-10, tol_feas=1e-10))
         res = kkt_residuals(prob, sol)
         for key, val in res.items():
@@ -318,7 +311,7 @@ def test_criterion_9_scale(case33_psp):
     net = netmodel.duplicate_system(net, 100, seed=42)
     assert net.n_bus == 3201
     t0 = time.perf_counter()
-    sol = mdopf.solve_opf(net)[2]
+    sol = mdopf.solve_opf(net)[1]
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, elapsed
     assert sol.pg[1] > 0.0

@@ -224,8 +224,7 @@ def test_fd_oracle_failure_maps_to_oracle_error(net2):
 def test_warm_start_extreme_case(case33_psp):
     from radialopf import mdistflow as mdf
     net = netmodel.scale_impedance(case33_psp, 2.9)
-    ti = build_path_incidence(net)
-    stm = mdf.solve_fixed_load(net, ti)
+    stm = mdf.solve_fixed_load(net)
     st = acpf.newton_pf(net, v_start=stm.v, delta_start=stm.delta)
     assert st.max_mismatch < 1e-10
 

@@ -286,6 +286,76 @@ def test_price_with_oracle_column(tmp_path):
     assert "oracle_p[$ per MWh]" in header and "dlmp_p_rel_err" in header
 
 
+def _oracle_cells(path):
+    """(oracle, relative error) pairs of every row of a prices.csv, P then Q."""
+    rows = [line.split(",") for line in read(path).strip().split("\n")]
+    col = {name: j for j, name in enumerate(rows[0])}
+    return [(float(r[col[o]]), float(r[col[e]])) for r in rows[1:]
+            for o, e in (("oracle_p[$ per MWh]", "dlmp_p_rel_err"),
+                         ("oracle_q[$ per MVarh]", "dlmp_q_rel_err"))]
+
+
+def test_price_oracle_zero_supply_price(tmp_path, capsys):
+    """Free supply makes every oracle price 0: the relative errors are NaN
+    and the averages n/a, with nothing on stderr."""
+    code = run(["price", "--case", "case33.m", "--psp-cost-p", "0", "--psp-cost-q", "0",
+                "--oracle", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert "avg DLMP_P oracle error: n/a" in out.splitlines()
+    assert "avg DLMP_Q oracle error: n/a" in out.splitlines()
+    cells = _oracle_cells(tmp_path / "prices.csv")
+    assert len(cells) == 64
+    assert all(oracle == 0.0 and math.isnan(rel) for oracle, rel in cells)
+
+
+def test_price_oracle_error_undefined_only_at_zero_oracle(tmp_path, capsys, monkeypatch):
+    """A zero oracle price at bus 18 leaves its relative errors NaN and the
+    others finite; the averages run over the finite ones."""
+    oracle = cli.acpf.fd_price_oracle
+
+    def zero_at_18(net, bus, axis, **kw):
+        return 0.0 if bus == 18 else oracle(net, bus, axis, **kw)
+
+    monkeypatch.setattr(cli.acpf, "fd_price_oracle", zero_at_18)
+    assert run(["price", "--case", "case33.m", "--psp-v", "1.05", "--psp-cost-p", "30",
+                "--psp-cost-q", "3", "--oracle", "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    cells = _oracle_cells(tmp_path / "prices.csv")
+    assert all(math.isnan(rel) == (o == 0.0) for o, rel in cells)
+    assert sum(o == 0.0 for o, _ in cells) == 2
+    finite_p = [rel for o, rel in cells[0::2] if o != 0.0]
+    want = f"avg DLMP_P oracle error: {sum(finite_p) / len(finite_p) * 100:.4f}%"
+    assert want in out.splitlines()
+
+
+def test_price_notes_supply_point_not_interior(tmp_path, capsys):
+    """A cheap DG that serves the whole load leaves the supply point at its
+    floor: one note on stdout, nothing on stderr."""
+    code = run(["price", "--case", "case33.m", "--psp-v", "1.0", "--psp-cost-p", "30",
+                "--psp-cost-q", "3", "--dg", "2:4:2:1:1", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert ("note: supply-point generation is not strictly interior; marginal-loss "
+            "prices assume the supply point is marginal") in out.splitlines()
+
+
+def test_price_builds_path_incidence_once(tmp_path, monkeypatch):
+    """The pipeline reads one memoized path incidence per network."""
+    calls = []
+    build = netmodel.build_path_incidence
+
+    def counting(net):
+        calls.append(net.n_bus)
+        return build(net)
+
+    monkeypatch.setattr(netmodel, "build_path_incidence", counting)
+    assert run(["price", "--case", "case33.m", "--psp-v", "1.05", "--psp-cost-p", "30",
+                "--psp-cost-q", "3", "--copies", "3", "--out", str(tmp_path)]) == 0
+    assert calls == [97]
+
+
 def test_duplicate_command(tmp_path):
     code = run(["duplicate", "--case", "case33.m", "--copies", "100",
                 "--seed", "3", "--out", str(tmp_path)])

@@ -44,21 +44,20 @@ def sweep_oracle(net, ti, p, q, iters=200, tol=1e-15):
 
 def test_zero_injections_flat(case33):
     net = netmodel.with_slack_voltage(case33, 1.05)
-    ti = build_path_incidence(net)
-    st = mdf.solve_fixed_load(net, ti, p=np.zeros(ti.n), q=np.zeros(ti.n))
+    z = np.zeros(net.n_bus - 1)
+    st = mdf.solve_fixed_load(net, p=z, q=z)
     assert np.allclose(st.v, 1.05)
     assert np.allclose(st.p_br_hat, 0.0) and np.allclose(st.q_br_hat, 0.0)
     assert np.allclose(st.delta, 0.0)
-    rep = mdf.losses(ti, st)
+    rep = mdf.losses(net, st)
     assert rep.pl == 0.0 and rep.ql == 0.0
 
 
 def test_two_bus_hand_values(net2):
-    ti = build_path_incidence(net2)
-    st = mdf.solve_fixed_load(net2, ti)
+    st = mdf.solve_fixed_load(net2)
     assert st.w[1] == pytest.approx(1.0 / 0.99, rel=1e-12)
     assert st.v[1] == pytest.approx(0.989899, abs=1e-6)
-    rep = mdf.losses(ti, st)
+    rep = mdf.losses(net2, st)
     assert rep.pl == pytest.approx(0.0102030, abs=1e-6)
     assert rep.ql == pytest.approx(0.0204061, abs=1e-6)
     assert rep.pl_q == 0.0 and rep.ql_q == 0.0
@@ -69,8 +68,7 @@ def test_two_bus_hand_values(net2):
 
 
 def test_w_plus_v_identity(case33):
-    ti = build_path_incidence(case33)
-    st = mdf.solve_fixed_load(case33, ti)
+    st = mdf.solve_fixed_load(case33)
     assert np.all(st.w + st.v == 2.0)
 
 
@@ -82,13 +80,13 @@ def test_matrix_solution_matches_sweep(n, seed):
     ti = build_path_incidence(net)
     p = np.array([-net.bus(b).p_load for b in ti.order])
     q = np.array([-net.bus(b).q_load for b in ti.order])
-    st_ = mdf.solve_fixed_load(net, ti, p, q)
+    st_ = mdf.solve_fixed_load(net, p, q)
     w_sweep = sweep_oracle(net, ti, p, q)
     assert np.max(np.abs(st_.w[1:] - w_sweep)) < 1e-12
 
 
 def assert_w_matches_closed_form(net, ti, p, q):
-    st_ = mdf.solve_fixed_load(net, ti, p, q)
+    st_ = mdf.solve_fixed_load(net, p, q)
     assert np.max(np.abs(st_.w[1:] - reference_fixed_load_w(net, ti, p, q))) <= 1e-12
     return st_
 
@@ -108,7 +106,7 @@ def test_fixed_load_tree_order_matches_pivoting(case33, case69):
     random trees (with exporting buses) and a 1,000-bus chain."""
     def check(net, p, q):
         ti = build_path_incidence(net)
-        w = mdf.solve_fixed_load(net, ti, p, q).w[1:]
+        w = mdf.solve_fixed_load(net, p, q).w[1:]
         assert np.max(np.abs(w - pivoting_fixed_load_w(net, ti, p, q))) <= 1e-12
 
     for net in (case33, netmodel.duplicate_system(case69, 3, seed=5), chain_network(1000, 100)):
@@ -178,27 +176,24 @@ def test_voltage_affine_in_modified_generation(case33):
 
 
 def test_state_from_solution_round_trip(case33):
-    ti = build_path_incidence(case33)
-    st = mdf.solve_fixed_load(case33, ti)
+    st = mdf.solve_fixed_load(case33)
     w_r = st.w[1:]
-    again = mdf.state_from_solution(case33, ti, st.p_hat, st.q_hat, w_r)
+    again = mdf.state_from_solution(case33, st.p_hat, st.q_hat, w_r)
     assert np.allclose(again.p_br_hat, st.p_br_hat)
     assert np.allclose(again.v, st.v)
 
 
 def test_state_from_solution_rejects_inconsistency(case33):
-    ti = build_path_incidence(case33)
-    st = mdf.solve_fixed_load(case33, ti)
+    st = mdf.solve_fixed_load(case33)
     w_r = st.w[1:].copy()
     w_r[5] += 1e-3
     with pytest.raises(MdfError, match="max residual"):
-        mdf.state_from_solution(case33, ti, st.p_hat, st.q_hat, w_r)
+        mdf.state_from_solution(case33, st.p_hat, st.q_hat, w_r)
 
 
 def test_state_from_solution_zero_case(net2):
-    ti = build_path_incidence(net2)
     st = mdf.state_from_solution(
-        net2, ti, np.zeros(1), np.zeros(1), np.full(1, 2.0 - net2.v0)
+        net2, np.zeros(1), np.zeros(1), np.full(1, 2.0 - net2.v0)
     )
     assert np.allclose(st.p_br_hat, 0.0)
     assert np.allclose(st.v, net2.v0)
@@ -208,9 +203,8 @@ def test_state_from_solution_zero_case(net2):
 @given(st.integers(2, 20), st.integers(0, 2**31 - 1))
 def test_loss_decomposition_closure(n, seed):
     net = random_tree_network(np.random.default_rng(seed), n)
-    ti = build_path_incidence(net)
-    st_ = mdf.solve_fixed_load(net, ti)
-    rep = mdf.losses(ti, st_)
+    st_ = mdf.solve_fixed_load(net)
+    rep = mdf.losses(net, st_)
     assert rep.pl == rep.pl_p + rep.pl_q
     assert rep.ql == rep.ql_p + rep.ql_q
     for part in (rep.pl_p, rep.pl_q, rep.ql_p, rep.ql_q):
@@ -223,21 +217,21 @@ def test_random_star_flows_match_direct_multiply():
     ti = build_path_incidence(net)
     p = rng.uniform(-0.1, 0.1, ti.n)
     q = rng.uniform(-0.1, 0.1, ti.n)
-    st_ = mdf.solve_fixed_load(net, ti, p, q)
+    st_ = mdf.solve_fixed_load(net, p, q)
     assert np.allclose(st_.p_br_hat, -(path_matrix(ti) @ st_.p_hat), atol=1e-15)
 
 
 def test_33_bus_against_ac(case33_psp):
-    ti = build_path_incidence(case33_psp)
-    stm = mdf.solve_fixed_load(case33_psp, ti)
+    stm = mdf.solve_fixed_load(case33_psp)
     sta = acpf.newton_pf(case33_psp)
     assert np.max(np.abs(stm.v - sta.v)) < 0.005
     assert np.max(np.abs(stm.delta - sta.delta)) < 0.005
-    rep = mdf.losses(ti, stm)
+    rep = mdf.losses(case33_psp, stm)
     assert rep.pl == pytest.approx(sta.pl_exact, rel=0.02)
 
 
-def assert_angles_match_reference(ti, state):
+def assert_angles_match_reference(net, state):
+    ti = build_path_incidence(net)
     ref = reference_angles(ti, state.v, state.p_br_hat, state.q_br_hat)
     assert np.max(np.abs(state.delta - ref)) <= 1e-12
 
@@ -247,22 +241,21 @@ def test_angles_match_reference_loop(fixture, copies, request):
     net = request.getfixturevalue(fixture)
     if copies > 1:
         net = netmodel.duplicate_system(net, copies, seed=5)
-    ti = build_path_incidence(net)
-    assert_angles_match_reference(ti, mdf.solve_fixed_load(net, ti))
+    assert_angles_match_reference(net, mdf.solve_fixed_load(net))
 
 
 def test_angles_match_reference_loop_random_trees():
     rng = np.random.default_rng(21)
     for _ in range(20):
         net = random_tree_network(rng, int(rng.integers(2, 41)))
-        ti = build_path_incidence(net)
-        assert_angles_match_reference(ti, mdf.solve_fixed_load(net, ti))
+        assert_angles_match_reference(net, mdf.solve_fixed_load(net))
 
 
 def test_angles_match_reference_loop_reverse_flow(case33_psp):
-    ti, _, _, state = mdopf.solve_opf(reverse_flow_net(case33_psp))
+    net = reverse_flow_net(case33_psp)
+    _, _, state = mdopf.solve_opf(net)
     assert np.any(state.p_br_hat < 0)  # some flows run towards the slack
-    assert_angles_match_reference(ti, state)
+    assert_angles_match_reference(net, state)
 
 
 def test_angle_recovery_infeasible():
@@ -276,9 +269,8 @@ def test_angle_recovery_infeasible():
     mpc.branch = [ 1 2 0.001 0.8 0 0; ];
     """
     net = netmodel.parse_matpower_case(text)
-    ti = build_path_incidence(net)
     with pytest.raises(MdfError, match="angle recovery"):
-        mdf.solve_fixed_load(net, ti)
+        mdf.solve_fixed_load(net)
 
 
 def test_singular_matrix_reported():
@@ -292,6 +284,5 @@ def test_singular_matrix_reported():
     mpc.branch = [ 1 2 1.0 0.0 0 0; ];
     """
     net = netmodel.parse_matpower_case(text)
-    ti = build_path_incidence(net)
     with pytest.raises(MdfError, match="singular|ill-conditioned"):
-        mdf.solve_fixed_load(net, ti)
+        mdf.solve_fixed_load(net)

@@ -43,7 +43,7 @@ def _case69_copies(case69, copies, cost_q=2.0):
 def test_dimensions_case33_one_dg(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     n = ti.n  # 32
     # W per bus; flow pair per branch; P/Q output per generator
     assert prob.n_vars == (n + 1) + 2 * n + 2 * 2
@@ -52,7 +52,7 @@ def test_dimensions_case33_one_dg(case33_psp):
     # four box rows per generator, two voltage rows per non-slack bus
     assert prob.n_in == 4 * 2 + 2 * n
     assert prob.n_quad == 0  # no current ratings in the case
-    lay = mdopf.var_blocks(net, ti)
+    lay = mdopf.var_blocks(net)
     assert lay.gens == (1, 18) and lay.n_vars == prob.n_vars
     assert (lay.pbr, lay.qbr, lay.pg, lay.qg) == (n + 1, 2 * n + 1, 3 * n + 1, 3 * n + 3)
     assert lay.gen_w.tolist() == [0, netmodel.tree_positions(net)[18]]
@@ -63,7 +63,7 @@ def test_dimensions_case33_one_dg(case33_psp):
 def test_equality_row_count_random_trees(n, seed):
     net = random_tree_network(np.random.default_rng(seed), n, gen_frac=0.3)
     ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     assert prob.n_eq == 3 * ti.n + 3
     assert prob.n_vars == 3 * ti.n + 1 + 2 * len(mdopf.gen_buses(net))
 
@@ -73,7 +73,7 @@ def assert_equalities_are_flow_equations(net):
     folded in, entry for entry; the rest of ``a_eq`` is one unit Pg/Qg entry
     per generator in its bus's balance rows."""
     ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     buses = netmodel.tree_buses(net)
     flows = mdf.flow_equations(
         ti, -np.array([b.p_load for b in buses]), -np.array([b.q_load for b in buses])
@@ -104,29 +104,27 @@ def test_thermal_rows():
     )
     net = netmodel.parse_matpower_case(text)
     ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     assert prob.n_quad == 1
     # the one thermal row sits on the flows of branch 1-2
-    lay, k = mdopf.var_blocks(net, ti), ti.order.index(2)
+    lay, k = mdopf.var_blocks(net), ti.order.index(2)
     assert sorted(prob.quad_diag.tocoo().col) == [lay.pbr + k, lay.qbr + k]
     assert prob.quad_b[0] == pytest.approx(0.25)
     off = netmodel.strip_thermal_limits(net)
-    prob_off = mdopf.build(off, build_path_incidence(off))
+    prob_off = mdopf.build(off)
     assert prob_off.n_quad == 0
 
 
 def test_build_requires_slack_generator(case33):
     net = netmodel.with_generator(case33, case33.slack, None)
-    ti = build_path_incidence(net)
     with pytest.raises(MdopfError, match="no generator"):
-        mdopf.build(net, ti)
+        mdopf.build(net)
 
 
 def test_build_rejects_negative_costs(case33_psp):
     net = scenario_net(case33_psp, 18, -5.0)
-    ti = build_path_incidence(net)
     with pytest.raises(MdopfError, match="convexity condition unsatisfied"):
-        mdopf.build(net, ti)
+        mdopf.build(net)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +133,7 @@ def test_build_rejects_negative_costs(case33_psp):
 
 def test_objective_zero_costs_linear(case33):
     net = netmodel.with_slack_costs(case33, 0.0, 0.0)
-    ti = build_path_incidence(net)
-    h, g, c = mdopf.build_objective(net, ti)
+    h, g, c = mdopf.build_objective(net)
     assert h.nnz == 0
     assert np.count_nonzero(g) == 0 and c == 0.0
 
@@ -146,9 +143,8 @@ def test_objective_single_generator_hand_block(net2):
     # quadratic block is the symmetrization of [[r cp, 0], [x cp, 0]]
     cp = 31.0
     net = netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, cp, 0.0))
-    ti = build_path_incidence(net)
-    h, g, c = mdopf.build_objective(net, ti)
-    lay = mdopf.var_blocks(net, ti)
+    h, g, c = mdopf.build_objective(net)
+    lay = mdopf.var_blocks(net)
     assert lay.gens == (1, 2)
     idx = [lay.pg + 1, lay.qg + 1]
     block = h.toarray()[np.ix_(idx, idx)]
@@ -158,9 +154,8 @@ def test_objective_single_generator_hand_block(net2):
 
 
 def test_objective_slack_terms(net2):
-    ti = build_path_incidence(net2)
-    h, g, c = mdopf.build_objective(net2, ti)
-    lay = mdopf.var_blocks(net2, ti)
+    h, g, c = mdopf.build_objective(net2)
+    lay = mdopf.var_blocks(net2)
     assert lay.gens[0] == net2.slack
     assert g[lay.pg] == pytest.approx(net2.v0 * 30.0 * net2.base_power)
     assert g[lay.qg] == pytest.approx(net2.v0 * 3.0 * net2.base_power)
@@ -168,10 +163,9 @@ def test_objective_slack_terms(net2):
 
 def test_objective_load_profile_weights(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    ti = build_path_incidence(net)
-    h, g, c = mdopf.build_objective(net, ti)
-    lay = mdopf.var_blocks(net, ti)
-    load_state = mdf.solve_fixed_load(net, ti)
+    h, g, c = mdopf.build_objective(net)
+    lay = mdopf.var_blocks(net)
+    load_state = mdf.solve_fixed_load(net)
     v18 = load_state.v[netmodel.tree_positions(net)[18]]
     pg18 = lay.pg + lay.gens.index(18)
     assert g[pg18] == pytest.approx(v18 * 31.0 * net.base_power, rel=1e-12)
@@ -180,7 +174,7 @@ def test_objective_load_profile_weights(case33_psp):
 def assert_objective_matches_dense(net):
     """The sparse generator block is bit-identical to the dense reference."""
     ti = build_path_incidence(net)
-    h, _, _ = mdopf.build_objective(net, ti)
+    h, _, _ = mdopf.build_objective(net)
     ref = dense_objective_h(net, ti)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(h, name), getattr(ref, name)
@@ -209,10 +203,10 @@ def test_objective_memory_grows_with_feeders_not_generators(case69):
     # 300 feeders with 4 DGs each (1,201 generators): a dense 2g x 2g
     # generator block peaks near 113 MB; per-feeder sparse blocks do not
     net = _case69_copies(case69, 300)
-    ti = build_path_incidence(net)
+    netmodel.path_incidence(net)  # the builder's input, memoized outside the trace
     tracemalloc.start()
     try:
-        mdopf.build_objective(net, ti)
+        mdopf.build_objective(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,11 +217,10 @@ def test_built_problem_holds_no_names(case69):
     # 6,801 buses: the problem's arrays take about 2.1 MB; one name per
     # variable and row (about 57,000 strings) took 4.7 MB more
     net = _case69_copies(case69, 100)
-    ti = build_path_incidence(net)
-    mdopf.build(net, ti)  # memoizes the per-network bus lookups outside the trace
+    mdopf.build(net)  # memoizes the per-network bus lookups outside the trace
     tracemalloc.start()
     try:
-        prob = mdopf.build(net, ti)
+        prob = mdopf.build(net)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -249,8 +242,7 @@ def test_certify_zero_matrix():
 def test_certify_negated_cost_counterexample(case33_psp):
     # flipping a cost sign by hand must flip the verdict
     net = scenario_net(case33_psp, 18, 31.0)
-    ti = build_path_incidence(net)
-    h, _, _ = mdopf.build_objective(net, ti)
+    h, _, _ = mdopf.build_objective(net)
     cert = mdopf.certify_convexity(-h)
     assert not cert.psd
     assert not cert.trace_condition
@@ -260,11 +252,10 @@ def test_raw_quadratic_needs_projection(net2):
     # generic P/Q cost ratios leave the raw quadratic indefinite; the built
     # problem carries its PSD projection, within the clipped distance
     net = netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, 31.0, 2.0))
-    ti = build_path_incidence(net)
-    h_exact, _, _ = mdopf.build_objective(net, ti)
+    h_exact, _, _ = mdopf.build_objective(net)
     cert = mdopf.certify_convexity(h_exact)
     assert not cert.psd and cert.min_eigenvalue < 0
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     assert not prob.certificate.psd and prob.certificate.trace_condition
     cert_built = mdopf.certify_convexity(prob.h)
     assert cert_built.psd
@@ -304,14 +295,13 @@ def test_built_problem_psd_on_random_trees():
     for _ in range(25):
         n = int(rng.integers(2, 50))
         net = random_tree_network(rng, n, gen_frac=0.4)
-        ti = build_path_incidence(net)
-        prob = mdopf.build(net, ti)
+        prob = mdopf.build(net)
         assert mdopf.certify_convexity(prob.h).psd
 
 
 def test_no_dg_fails_trace_condition(case33_psp):
     # no distributed generation: the cost quadratic is zero, PSD with zero trace
-    prob = mdopf.build(case33_psp, build_path_incidence(case33_psp))
+    prob = mdopf.build(case33_psp)
     assert prob.certificate.psd and not prob.certificate.trace_condition
 
 
@@ -320,8 +310,8 @@ def test_no_dg_fails_trace_condition(case33_psp):
 # ---------------------------------------------------------------------------
 
 def test_two_bus_slack_serves_load(net2):
-    ti, _, sol, state = mdopf.solve_opf(net2)
-    rep = mdf.losses(ti, state)
+    _, sol, state = mdopf.solve_opf(net2)
+    rep = mdf.losses(net2, state)
     # exact model identity: slack modified output balances the withdrawals
     w0 = 2.0 - net2.v0
     assert sol.pg[1] * w0 == pytest.approx(-np.sum(state.p_hat), abs=1e-7)
@@ -332,14 +322,14 @@ def test_two_bus_slack_serves_load(net2):
 
 def test_zero_modified_output_zero_dispatch(net2):
     net = netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, 60.0, 60.0))
-    sol = mdopf.solve_opf(net)[2]
+    sol = mdopf.solve_opf(net)[1]
     # the expensive unit stays off; division by W keeps it exactly off-scale
     assert abs(sol.pg[2]) < 1e-6
 
 
 def test_table_dispatch_scenario_1(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    sol = mdopf.solve_opf(net)[2]
+    sol = mdopf.solve_opf(net)[1]
     assert sol.objective_value == pytest.approx(122.16, rel=0.005)
     assert sol.pg[18] * net.base_power == pytest.approx(0.624, abs=0.02)
     assert sol.qg[18] * net.base_power == pytest.approx(0.5, abs=1e-3)
@@ -347,14 +337,15 @@ def test_table_dispatch_scenario_1(case33_psp):
 
 def test_table_dispatch_scenario_3_at_capacity(case33_psp):
     net = scenario_net(case33_psp, 33, 31.0)
-    sol = mdopf.solve_opf(net)[2]
+    sol = mdopf.solve_opf(net)[1]
     assert sol.pg[33] * net.base_power == pytest.approx(1.000, abs=0.02)
 
 
 def test_reconstructed_state_residual(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    ti, _, _, state = mdopf.solve_opf(net)
+    _, _, state = mdopf.solve_opf(net)
     w0 = 2.0 - net.v0
+    ti = build_path_incidence(net)
     t = path_matrix(ti)
     w_expect = (
         w0
@@ -366,25 +357,24 @@ def test_reconstructed_state_residual(case33_psp):
 
 def test_objective_matches_closed_form_cost(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
-    ti, prob, sol, _ = mdopf.solve_opf(net)
-    h_exact, g, c = mdopf.build_objective(net, ti)
+    prob, sol, _ = mdopf.solve_opf(net)
+    h_exact, g, c = mdopf.build_objective(net)
     x = sol.x
-    lay = mdopf.var_blocks(net, ti)
+    lay = mdopf.var_blocks(net)
     phg = {b: x[lay.pg + i] for i, b in enumerate(lay.gens)}
     qhg = {b: x[lay.qg + i] for i, b in enumerate(lay.gens)}
-    c1, c2, c3 = reference_evaluate_cost(net, ti, phg, qhg)
+    c1, c2, c3 = reference_evaluate_cost(net, build_path_incidence(net), phg, qhg)
     f_exact = float(x @ (h_exact @ x) + g @ x + c)
     assert f_exact == pytest.approx(c1 + c2 + c3, rel=1e-8)
 
 
 def test_recover_rejects_nonphysical_w(net2):
-    ti = build_path_incidence(net2)
-    prob = mdopf.build(net2, ti)
+    prob = mdopf.build(net2)
     sol = qs.solve(prob)
     bad_x = sol.x.copy()
     bad_x[netmodel.tree_positions(net2)[1]] = -0.5  # W of bus 1
     with pytest.raises(MdopfError, match="nonphysical"):
-        mdopf.recover_dispatch(net2, ti, replace(sol, x=bad_x))
+        mdopf.recover_dispatch(net2, replace(sol, x=bad_x))
 
 
 def binding_thermal_net():
@@ -403,9 +393,9 @@ def binding_thermal_net():
 def test_binding_thermal_limit():
     # rating below the natural flow: the quadratic row must bind
     net = binding_thermal_net()
-    ti, prob, sol, _ = mdopf.solve_opf(net)
+    prob, sol, _ = mdopf.solve_opf(net)
     assert prob.n_quad == 1
-    lay, k = mdopf.var_blocks(net, ti), ti.order.index(2)
+    lay, k = mdopf.var_blocks(net), netmodel.path_incidence(net).order.index(2)
     i_p, i_q = lay.pbr + k, lay.qbr + k
     flow_sq = sol.x[i_p] ** 2 + sol.x[i_q] ** 2
     assert flow_sq == pytest.approx(0.64, abs=1e-6)
@@ -421,10 +411,10 @@ def test_binding_thermal_limit():
 TIGHT = qs.SolverConfig(tol_gap=1e-11, tol_feas=1e-11)
 
 
-def balance_duals(prob, sol, ti):
+def balance_duals(net, prob, sol):
     """Shadow prices of the active and reactive balance rows of every bus,
-    slack first, then ``ti.order``."""
-    rows, buses = mdf.FlowRows(ti.n), np.arange(ti.n + 1)
+    slack first, then in tree order."""
+    rows, buses = mdf.FlowRows(net.n_bus - 1), np.arange(net.n_bus)
     return (qs.extract_duals(prob, sol, rows.p_bal + buses),
             qs.extract_duals(prob, sol, rows.q_bal + buses))
 
@@ -433,12 +423,12 @@ def assert_matches_reference(net):
     """Same IPM on both formulations: dispatch within 1e-6 pu, objective
     within 1e-8 relative, balance-row prices within 1e-6 of the largest."""
     ti = build_path_incidence(net)
-    lean = mdopf.build(net, ti)
+    lean = mdopf.build(net)
     ref = reference_build(net, ti)
     assert lean.n_vars + lean.n_eq < ref.prob.n_vars + ref.prob.n_eq
     sol_l, sol_r = qs.solve(lean, TIGHT), qs.solve(ref.prob, TIGHT)
     assert sol_l.status == sol_r.status == "optimal"
-    sol_l, _ = mdopf.recover_dispatch(net, ti, sol_l)
+    sol_l, _ = mdopf.recover_dispatch(net, sol_l)
     pg, qg, _ = reference_recover_dispatch(net, ti, ref, sol_r)
     assert sol_l.pg.keys() == pg.keys()
     for b in pg:
@@ -447,7 +437,7 @@ def assert_matches_reference(net):
     assert sol_l.objective_value == pytest.approx(sol_r.objective_value, rel=1e-8)
     assert np.allclose(sol_l.duals_quad, sol_r.duals_quad, rtol=1e-6, atol=1e-9)
     buses = [net.slack, *ti.order]
-    for lam_l, lam_r in zip(balance_duals(lean, sol_l, ti), reference_extract_duals(ref, sol_r)):
+    for lam_l, lam_r in zip(balance_duals(net, lean, sol_l), reference_extract_duals(ref, sol_r)):
         assert lam_r.keys() == set(buses)
         lam_r = np.array([lam_r[b] for b in buses])
         scale = np.max(np.abs(lam_r))
@@ -481,9 +471,8 @@ def test_problem_carries_exact_certificate(net2, case33_psp):
         scenario_net(case33_psp, 18, 31.0),
         case33_psp,
     ):
-        ti = build_path_incidence(net)
-        prob = mdopf.build(net, ti)
-        exact = mdopf.certify_convexity(mdopf.build_objective(net, ti)[0])
+        prob = mdopf.build(net)
+        exact = mdopf.certify_convexity(mdopf.build_objective(net)[0])
         assert prob.certificate.psd == exact.psd
         assert prob.certificate.trace == exact.trace
         assert prob.certificate.min_eigenvalue == pytest.approx(
@@ -506,8 +495,8 @@ def _interior_slack(net):
 
 def test_duals_zero_load_equal_psp_cost(net2):
     net = _interior_slack(netmodel.with_load(net2, 2, 0.0, 0.0))
-    ti, prob, sol, state = mdopf.solve_opf(net)
-    lam_p, lam_q = balance_duals(prob, sol, ti)
+    prob, sol, state = mdopf.solve_opf(net)
+    lam_p, lam_q = balance_duals(net, prob, sol)
     pos = netmodel.tree_positions(net)
     for b in (1, 2):
         assert lam_p[pos[b]] / state.v[pos[b]] == pytest.approx(30.0, abs=1e-4)
@@ -517,8 +506,8 @@ def test_duals_zero_load_equal_psp_cost(net2):
 def test_duals_two_bus_near_oracle(net2):
     from radialopf import acpf
 
-    ti, prob, sol, state = mdopf.solve_opf(net2)
-    lam_p, _ = balance_duals(prob, sol, ti)
+    prob, sol, state = mdopf.solve_opf(net2)
+    lam_p, _ = balance_duals(net2, prob, sol)
     pos = netmodel.tree_positions(net2)[2]
     dual_price = lam_p[pos] / state.v[pos]
     oracle = acpf.fd_price_oracle(net2, 2, "p")
@@ -544,7 +533,7 @@ def _kkt_owners(net, ti):
 
 def assert_tree_order(net):
     ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     order = prob.kkt_order
     n_kkt = prob.n_vars + prob.n_eq
     assert np.array_equal(np.sort(order), np.arange(n_kkt))
@@ -609,7 +598,7 @@ def _factor_nnz(prob, monkeypatch, factor=None):
 
 def test_tree_order_fill_at_most_default(case69, monkeypatch):
     net = _case69_copies(case69, 10)
-    prob = mdopf.build(net, build_path_incidence(net))
+    prob = mdopf.build(net)
     tree = _factor_nnz(prob, monkeypatch)
     default = _factor_nnz(prob, monkeypatch, pivoting_factor)
     assert tree <= default
@@ -620,8 +609,7 @@ def assert_tree_order_matches_default(net):
     the pipeline's tolerance: dispatch within 1e-6 pu, objective within 1e-8
     relative, thermal and balance-row prices within 1e-6 of the largest,
     and the same iteration count."""
-    ti = build_path_incidence(net)
-    prob = mdopf.build(net, ti)
+    prob = mdopf.build(net)
     sol_t = qs.solve(prob)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(qs._Kkt, "factor", pivoting_factor)
@@ -629,8 +617,8 @@ def assert_tree_order_matches_default(net):
     assert sol_t.status == sol_d.status == "optimal"
     assert 0.0 < sol_t.stats.factor_seconds < sol_t.stats.runtime_seconds
     assert sol_t.stats.iterations == sol_d.stats.iterations
-    sol_t, _ = mdopf.recover_dispatch(net, ti, sol_t)
-    sol_d, _ = mdopf.recover_dispatch(net, ti, sol_d)
+    sol_t, _ = mdopf.recover_dispatch(net, sol_t)
+    sol_d, _ = mdopf.recover_dispatch(net, sol_d)
     for b in sol_d.pg:
         assert abs(sol_t.pg[b] - sol_d.pg[b]) < 1e-6, b
         assert abs(sol_t.qg[b] - sol_d.qg[b]) < 1e-6, b
@@ -638,8 +626,8 @@ def assert_tree_order_matches_default(net):
     if prob.n_quad:
         scale = np.max(np.abs(sol_d.duals_quad))
         assert np.max(np.abs(sol_t.duals_quad - sol_d.duals_quad)) <= 1e-6 * scale
-    buses = [net.slack, *ti.order]
-    for lam_t, lam_d in zip(balance_duals(prob, sol_t, ti), balance_duals(prob, sol_d, ti)):
+    buses = list(netmodel.tree_positions(net))
+    for lam_t, lam_d in zip(balance_duals(net, prob, sol_t), balance_duals(net, prob, sol_d)):
         scale = np.max(np.abs(lam_d))
         for b, tree_b, default_b in zip(buses, lam_t, lam_d):
             assert abs(tree_b - default_b) <= 1e-6 * scale, b
@@ -666,19 +654,19 @@ def test_tree_order_matches_default_binding_thermal():
 
 def test_kkt_matches_reference_case33_four_dgs(case33_psp):
     net = _four_dg_case33(case33_psp)
-    assert_kkt_matches_reference(mdopf.build(net, build_path_incidence(net)),
+    assert_kkt_matches_reference(mdopf.build(net),
                                  np.random.default_rng(0))
 
 
 def test_kkt_matches_reference_case69_x3(case69):
     net = _case69_copies(case69, 3)
-    assert_kkt_matches_reference(mdopf.build(net, build_path_incidence(net)),
+    assert_kkt_matches_reference(mdopf.build(net),
                                  np.random.default_rng(1))
 
 
 def test_kkt_matches_reference_binding_thermal():
     net = binding_thermal_net()
-    prob = mdopf.build(net, build_path_incidence(net))
+    prob = mdopf.build(net)
     assert prob.n_quad
     assert_kkt_matches_reference(prob, np.random.default_rng(2))
 
@@ -687,7 +675,7 @@ def test_kkt_matches_reference_random_trees():
     rng = np.random.default_rng(13)
     for _ in range(10):
         net = random_tree_network(rng, int(rng.integers(2, 60)), gen_frac=0.4)
-        assert_kkt_matches_reference(mdopf.build(net, build_path_incidence(net)), rng)
+        assert_kkt_matches_reference(mdopf.build(net), rng)
 
 
 def test_refined_solve_residual_last_iterate(case69, monkeypatch):
@@ -695,7 +683,7 @@ def test_refined_solve_residual_last_iterate(case69, monkeypatch):
     # leaves a componentwise relative residual near 1e-5; the refinement step
     # must bring it to round-off.
     net = _case69_copies(case69, 3)
-    prob = mdopf.build(net, build_path_incidence(net))
+    prob = mdopf.build(net)
     factored = []
     factor = qs._Kkt.factor
 

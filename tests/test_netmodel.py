@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -260,7 +261,7 @@ def test_path_sums_match_path_matrix(case33, case69):
         np.testing.assert_allclose(tx, down, rtol=1e-12, atol=0)
         np.testing.assert_allclose(ty, up, rtol=1e-12, atol=0)
         # the generator block of the objective reads T at the generator columns
-        h = mdopf.build_objective(net, ti)[0].toarray()
+        h = mdopf.build_objective(net)[0].toarray()
         want = dense_objective_h(net, ti).toarray()
         assert np.any(want)
         np.testing.assert_allclose(h, want, rtol=1e-12, atol=0)
@@ -336,6 +337,21 @@ def test_tree_searched_once_per_network(case69, monkeypatch):
     ti = build_path_incidence(net)
     assert list(netmodel.tree_positions(net)) == [net.slack, *ti.order]
     assert calls == [net.n_bus]
+
+
+def test_path_incidence_memo_lives_with_its_network(case33):
+    """The memo is per instance: a network with one branch changed gets its
+    own path incidence, whose resistance row reflects the change."""
+    ti = netmodel.path_incidence(case33)
+    assert netmodel.path_incidence(case33) is ti
+    child = case33.branches[5].to_bus
+    changed = replace(case33, branches=tuple(
+        replace(br, r=2.0 * br.r) if br.to_bus == child else br for br in case33.branches))
+    ti2 = netmodel.path_incidence(changed)
+    assert ti2 is not ti and netmodel.path_incidence(changed) is ti2
+    k = ti2.order.index(child)
+    assert ti2.r[k] == 2.0 * ti.r[k]
+    assert np.array_equal(np.delete(ti2.r, k), np.delete(ti.r, k))
 
 
 def test_validate_names_reversed_branch():

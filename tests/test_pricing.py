@@ -25,10 +25,10 @@ def dense_sensitivities(net, state):
 
 def test_sensitivities_zero_injections(case33_psp):
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti, np.zeros(ti.n), np.zeros(ti.n))
+    state = mdf.solve_fixed_load(case33_psp, np.zeros(ti.n), np.zeros(ti.n))
     dv_dp, dv_dq = dense_sensitivities(case33_psp, state)
     dp_dp, dp_dq, dq_dp, dq_dq = pricing.modified_injection_sensitivities(
-        case33_psp, ti, state, dv_dp, dv_dq
+        case33_psp, state, dv_dp, dv_dq
     )
     # only the direct ratio term survives at zero injections
     assert np.allclose(dp_dp, np.diag(1.0 / np.full(ti.n, 1.05)), atol=1e-12)
@@ -55,10 +55,10 @@ def _fd_modified_sensitivity(net, ti, p, q, axis, j, h=1e-6):
 
 def test_sensitivities_match_ac_finite_difference_two_bus(net2):
     ti = build_path_incidence(net2)
-    state = mdf.solve_fixed_load(net2, ti)
+    state = mdf.solve_fixed_load(net2)
     dv_dp, dv_dq = dense_sensitivities(net2, state)
     dp_dp, dp_dq, dq_dp, dq_dq = pricing.modified_injection_sensitivities(
-        net2, ti, state, dv_dp, dv_dq
+        net2, state, dv_dp, dv_dq
     )
     p = np.array([-1.0])
     q = np.array([0.0])
@@ -71,10 +71,10 @@ def test_sensitivities_match_ac_finite_difference_two_bus(net2):
 
 def test_sensitivities_match_ac_finite_difference_case33(case33_psp):
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
+    state = mdf.solve_fixed_load(case33_psp)
     dv_dp, dv_dq = dense_sensitivities(case33_psp, state)
     dp_dp, _, _, dq_dq = pricing.modified_injection_sensitivities(
-        case33_psp, ti, state, dv_dp, dv_dq
+        case33_psp, state, dv_dp, dv_dq
     )
     p = np.array([-case33_psp.bus(b).p_load for b in ti.order])
     q = np.array([-case33_psp.bus(b).q_load for b in ti.order])
@@ -91,16 +91,15 @@ def test_sensitivities_match_ac_finite_difference_case33(case33_psp):
 
 def test_loss_factors_zero_injections(case33_psp):
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti, np.zeros(ti.n), np.zeros(ti.n))
-    factors = pricing.loss_factors(case33_psp, ti, state)
+    state = mdf.solve_fixed_load(case33_psp, np.zeros(ti.n), np.zeros(ti.n))
+    factors = pricing.loss_factors(case33_psp, state)
     for f in factors:
         assert np.allclose(f, 0.0, atol=1e-14)
 
 
 def test_loss_factors_two_bus_vs_exact_ac(net2):
-    ti = build_path_incidence(net2)
-    state = mdf.solve_fixed_load(net2, ti)
-    dpl_dp, _, dql_dp, _ = pricing.loss_factors(net2, ti, state)
+    state = mdf.solve_fixed_load(net2)
+    dpl_dp, _, dql_dp, _ = pricing.loss_factors(net2, state)
     h = 1e-5
     hi = acpf.newton_pf(net2, np.array([-1.0 + h]), np.array([0.0]))
     lo = acpf.newton_pf(net2, np.array([-1.0 - h]), np.array([0.0]))
@@ -144,9 +143,9 @@ def test_loss_factor_self_consistency(fixture, request):
     net = request.getfixturevalue(fixture)
     net = netmodel.with_slack_costs(net, 30.0, 3.0)
     ti = build_path_incidence(net)
-    state = mdf.solve_fixed_load(net, ti)
+    state = mdf.solve_fixed_load(net)
     dv = dense_sensitivities(net, state)
-    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, ti, state)
+    dpl_dp, dpl_dq, dql_dp, dql_dq = pricing.loss_factors(net, state)
     worst = 0.0
     for j in range(ti.n):
         fd_pl_p, fd_ql_p = model_loss_fd(net, ti, state, dv, "p", j)
@@ -159,11 +158,11 @@ def test_loss_factor_self_consistency(fixture, request):
     assert worst < 1e-6
 
 
-def assert_matches_dense(net, ti, state):
+def assert_matches_dense(net, state):
     dv = dense_sensitivities(net, state)
-    sens = pricing.modified_injection_sensitivities(net, ti, state, *dv)
-    want = dense_loss_factors(net, ti, state, sens)
-    got = pricing.loss_factors(net, ti, state)
+    sens = pricing.modified_injection_sensitivities(net, state, *dv)
+    want = dense_loss_factors(net, build_path_incidence(net), state, sens)
+    got = pricing.loss_factors(net, state)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.abs(w).max()
 
@@ -175,22 +174,20 @@ def test_loss_factors_match_dense_reference(fixture, copies, request):
     net = netmodel.with_slack_costs(request.getfixturevalue(fixture), 30.0, 3.0)
     if copies > 1:  # feeders off a common slack: block-diagonal Jacobian
         net = netmodel.duplicate_system(net, copies, seed=5)
-    ti = build_path_incidence(net)
-    assert_matches_dense(net, ti, mdf.solve_fixed_load(net, ti))
+    assert_matches_dense(net, mdf.solve_fixed_load(net))
 
 
 def test_loss_factors_match_dense_reference_random_trees():
     rng = np.random.default_rng(77)
     for _ in range(20):
         net = random_tree_network(rng, int(rng.integers(2, 41)))
-        ti = build_path_incidence(net)
-        assert_matches_dense(net, ti, mdf.solve_fixed_load(net, ti))
+        assert_matches_dense(net, mdf.solve_fixed_load(net))
 
 
 def test_loss_factors_match_dense_reference_reverse_flow(case33_psp):
     net = reverse_flow_net(case33_psp)
-    ti, _, _, state = mdopf.solve_opf(net)
-    assert_matches_dense(net, ti, state)
+    _, _, state = mdopf.solve_opf(net)
+    assert_matches_dense(net, state)
 
 
 def test_price_table_skips_dense_chain(case33_psp, monkeypatch):
@@ -200,21 +197,20 @@ def test_price_table_skips_dense_chain(case33_psp, monkeypatch):
     monkeypatch.setattr(acpf, "jacobian_at", refuse)
     monkeypatch.setattr(acpf, "voltage_sensitivities", refuse)
     monkeypatch.setattr(pricing, "modified_injection_sensitivities", refuse)
-    ti = build_path_incidence(case33_psp)
-    pricing.compute_price_table(case33_psp, ti, mdf.solve_fixed_load(case33_psp, ti))
+    pricing.compute_price_table(case33_psp, mdf.solve_fixed_load(case33_psp))
 
 
 def test_price_table_memory_below_one_dense_matrix(case33_psp):
     """Pricing 1281 buses allocates less than one n x n float64 array."""
     net = netmodel.duplicate_system(case33_psp, 40, seed=1)
     ti = build_path_incidence(net)
-    state = mdf.solve_fixed_load(net, ti)
+    state = mdf.solve_fixed_load(net)
     dense_bytes = ti.n * ti.n * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pricing.compute_price_table(net, ti, state)
+        pricing.compute_price_table(net, state)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -227,8 +223,8 @@ def test_price_table_memory_below_one_dense_matrix(case33_psp):
 
 def test_dlmp_zero_load_equals_psp_costs(case33_psp):
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti, np.zeros(ti.n), np.zeros(ti.n))
-    pt = pricing.compute_price_table(case33_psp, ti, state)
+    state = mdf.solve_fixed_load(case33_psp, np.zeros(ti.n), np.zeros(ti.n))
+    pt = pricing.compute_price_table(case33_psp, state)
     assert np.allclose(pt.dlmp_p, 30.0, atol=1e-10)
     assert np.allclose(pt.dlmp_q, 3.0, atol=1e-10)
     assert np.allclose(pt.dlp_p, 30.0, atol=1e-10)
@@ -236,29 +232,18 @@ def test_dlmp_zero_load_equals_psp_costs(case33_psp):
 
 
 def test_dlmp_two_bus_vs_oracle(net2):
-    ti = build_path_incidence(net2)
-    state = mdf.solve_fixed_load(net2, ti)
-    pt = pricing.compute_price_table(net2, ti, state)
+    state = mdf.solve_fixed_load(net2)
+    pt = pricing.compute_price_table(net2, state)
     oracle = acpf.fd_price_oracle(net2, 2, "p")
     assert abs(pt.dlmp_p[0] - oracle) / oracle < 0.01
     assert pt.dlmp_p[0] > 30.0
 
 
 def test_dlmp_congestion_refusal(case33_psp):
-    ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
+    state = mdf.solve_fixed_load(case33_psp)
     with pytest.raises(PricingError, match="congestion"):
         pricing.compute_price_table(
-            case33_psp, ti, state, thermal_duals=np.array([0.5])
-        )
-
-
-def test_slack_interior_warning(case33_psp):
-    ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
-    with pytest.warns(RuntimeWarning, match="interior"):
-        pricing.compute_price_table(
-            case33_psp, ti, state, slack_dispatch=(0.0, 0.0)
+            case33_psp, state, thermal_duals=np.array([0.5])
         )
 
 
@@ -268,17 +253,16 @@ def test_slack_interior_warning(case33_psp):
 
 def test_allocation_zero_injections(case33_psp):
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti, np.zeros(ti.n), np.zeros(ti.n))
-    for part in pricing.allocate_losses(ti, state):
+    state = mdf.solve_fixed_load(case33_psp, np.zeros(ti.n), np.zeros(ti.n))
+    for part in pricing.allocate_losses(case33_psp, state):
         assert np.allclose(part, 0.0)
 
 
 def test_allocation_two_bus_hand_value(net2):
-    ti = build_path_incidence(net2)
-    state = mdf.solve_fixed_load(net2, ti)
-    pl_p, ql_p, pl_q, ql_q = pricing.allocate_losses(ti, state)
+    state = mdf.solve_fixed_load(net2)
+    pl_p, ql_p, pl_q, ql_q = pricing.allocate_losses(net2, state)
     assert pl_p[0] == pytest.approx(0.0102030, abs=1e-6)
-    rep = mdf.losses(ti, state)
+    rep = mdf.losses(net2, state)
     assert pl_p[0] == pytest.approx(rep.pl_p, rel=1e-12)
     assert np.allclose(pl_q, 0.0) and np.allclose(ql_q, 0.0)
 
@@ -313,10 +297,10 @@ def test_allocation_matches_branch_enumeration(n, seed):
     ti = build_path_incidence(net)
     p = rng.uniform(-0.08, 0.03, ti.n)
     q = rng.uniform(-0.05, 0.02, ti.n)
-    state = mdf.solve_fixed_load(net, ti, p, q)
-    matrix_form = pricing.allocate_losses(ti, state)
+    state = mdf.solve_fixed_load(net, p, q)
+    matrix_form = pricing.allocate_losses(net, state)
     explicit = branch_level_allocation(ti, state)
-    rep = mdf.losses(ti, state)
+    rep = mdf.losses(net, state)
     totals = (rep.pl_p, rep.ql_p, rep.pl_q, rep.ql_q)
     for got, want, total in zip(matrix_form, explicit, totals):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
@@ -326,16 +310,16 @@ def test_allocation_matches_branch_enumeration(n, seed):
 def test_allocation_off_path_locality(case33_psp):
     """A bus's loss share depends only on branches along its own path."""
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
-    pl_p, _, _, _ = pricing.allocate_losses(ti, state)
+    state = mdf.solve_fixed_load(case33_psp)
+    pl_p, _, _, _ = pricing.allocate_losses(case33_psp, state)
     k = ti.order.index(18)
     path_rows = set(np.nonzero(path_matrix(ti).toarray()[:, k])[0])
     off_path = next(i for i in range(ti.n) if i not in path_rows)
-    r2 = ti.r.copy()
-    r2.setflags(write=True)
-    r2[off_path] *= 7.0
-    ti2 = replace(ti, r=r2)
-    pl_p2, _, _, _ = pricing.allocate_losses(ti2, state)
+    # branch row i is the branch into bus ti.order[i]
+    branches = tuple(replace(br, r=br.r * 7.0) if br.to_bus == ti.order[off_path] else br
+                     for br in case33_psp.branches)
+    scaled = replace(case33_psp, branches=branches)
+    pl_p2, _, _, _ = pricing.allocate_losses(scaled, state)
     assert pl_p2[k] == pl_p[k]
     assert not np.allclose(pl_p2, pl_p)
 
@@ -345,58 +329,54 @@ def test_allocation_off_path_locality(case33_psp):
 # ---------------------------------------------------------------------------
 
 def test_dlp_two_bus_hand_value(net2):
-    ti = build_path_incidence(net2)
-    state = mdf.solve_fixed_load(net2, ti)
-    dlp_p, dlp_q = pricing.dlp(net2, ti, state)
+    state = mdf.solve_fixed_load(net2)
+    dlp_p, dlp_q = pricing.dlp(net2, state)
     assert dlp_p[0] == pytest.approx(30.367, abs=5e-4)
 
 
 def test_dlp_charge_equals_loss_cost(case33_psp):
     """Total loss charges embedded in the allocated-loss prices equal the
     priced loss totals exactly at the model state."""
-    ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
-    dlp_p, dlp_q = pricing.dlp(case33_psp, ti, state)
+    state = mdf.solve_fixed_load(case33_psp)
+    dlp_p, dlp_q = pricing.dlp(case33_psp, state)
     v = state.v[1:]
     # quantity consistent with the model: p_hat * v
     charge = -np.sum((dlp_p - 30.0) * state.p_hat * v) \
              - np.sum((dlp_q - 3.0) * state.q_hat * v)
-    rep = mdf.losses(ti, state)
+    rep = mdf.losses(case33_psp, state)
     loss_cost = 30.0 * rep.pl + 3.0 * rep.ql
     assert charge == pytest.approx(loss_cost, rel=1e-10)
 
 
 def test_settlement_zero_load(case33_psp):
-    ti = build_path_incidence(case33_psp)
     net = netmodel.scale_loads(case33_psp, 0.0)
-    state = mdf.solve_fixed_load(net, ti, np.zeros(ti.n), np.zeros(ti.n))
-    pt = pricing.compute_price_table(net, ti, state)
-    rep = pricing.settle(net, ti, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
+    z = np.zeros(net.n_bus - 1)
+    state = mdf.solve_fixed_load(net, z, z)
+    pt = pricing.compute_price_table(net, state)
+    rep = pricing.settle(net, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
     assert rep.revenue == 0.0 and rep.ocl == 0.0
 
 
 def test_settlement_mlm_overcollects(case33_psp):
-    ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
-    pt = pricing.compute_price_table(case33_psp, ti, state)
-    mlm = pricing.settle(case33_psp, ti, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
+    state = mdf.solve_fixed_load(case33_psp)
+    pt = pricing.compute_price_table(case33_psp, state)
+    mlm = pricing.settle(case33_psp, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
     assert mlm.ocl > 0.0
     assert mlm.ocl == pytest.approx(mlm.revenue - mlm.payment, abs=1e-12)
-    lam = pricing.settle(case33_psp, ti, state, (pt.dlp_p, pt.dlp_q), "lam")
+    lam = pricing.settle(case33_psp, state, (pt.dlp_p, pt.dlp_q), "lam")
     assert abs(lam.ocl) < 1e-9 * lam.revenue
     # marginal roughly doubles average: surplus close to the loss cost
-    rep = mdf.losses(ti, state)
+    rep = mdf.losses(case33_psp, state)
     loss_cost = (30.0 * rep.pl + 3.0 * rep.ql) * case33_psp.base_power
     assert 0.5 * loss_cost < mlm.ocl < 1.5 * loss_cost
 
 
 def test_settlement_against_exact_ac(case33_psp):
-    ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
-    pt = pricing.compute_price_table(case33_psp, ti, state)
+    state = mdf.solve_fixed_load(case33_psp)
+    pt = pricing.compute_price_table(case33_psp, state)
     ac = acpf.newton_pf(case33_psp, v_start=state.v, delta_start=state.delta)
     lam = pricing.settle(
-        case33_psp, ti, state, (pt.dlp_p, pt.dlp_q), "lam", ac_state=ac
+        case33_psp, state, (pt.dlp_p, pt.dlp_q), "lam", ac_state=ac
     )
     loss_cost = (30.0 * ac.pl_exact + 3.0 * ac.ql_exact) * case33_psp.base_power
     assert abs(lam.ocl) < 0.01 * loss_cost
@@ -404,8 +384,8 @@ def test_settlement_against_exact_ac(case33_psp):
 
 def test_price_table_serialization(case33_psp):
     ti = build_path_incidence(case33_psp)
-    state = mdf.solve_fixed_load(case33_psp, ti)
-    pt = pricing.compute_price_table(case33_psp, ti, state)
+    state = mdf.solve_fixed_load(case33_psp)
+    pt = pricing.compute_price_table(case33_psp, state)
     csv_text = pricing.price_table_to_csv(pt)
     lines = csv_text.strip().split("\n")
     assert len(lines) == 1 + ti.n
@@ -413,7 +393,7 @@ def test_price_table_serialization(case33_psp):
     import json
     doc = json.loads(pricing.price_table_to_json(pt))
     assert len(doc["rows"]) == ti.n
-    reports = [pricing.settle(case33_psp, ti, state, (pt.dlp_p, pt.dlp_q), "lam")]
+    reports = [pricing.settle(case33_psp, state, (pt.dlp_p, pt.dlp_q), "lam")]
     assert "mechanism" in pricing.settlement_to_csv(reports)
     assert json.loads(pricing.settlement_to_json(reports))["reports"][0]["mechanism"] == "lam"
 
@@ -447,10 +427,10 @@ def test_full_scale_settlement_magnitude(case33_psp):
         )
     net = netmodel.duplicate_system(net, 100, seed=42)
     assert net.n_bus == 3201
-    ti, prob, sol, state = mdopf.solve_opf(net)
-    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
-    mlm = pricing.settle(net, ti, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
-    lam = pricing.settle(net, ti, state, (pt.dlp_p, pt.dlp_q), "lam")
+    prob, sol, state = mdopf.solve_opf(net)
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
+    mlm = pricing.settle(net, state, (pt.dlmp_p, pt.dlmp_q), "mlm")
+    lam = pricing.settle(net, state, (pt.dlp_p, pt.dlp_q), "lam")
     assert 200.0 < mlm.ocl < 700.0
     assert abs(lam.ocl) < 1e-6 * lam.revenue
 
@@ -470,15 +450,15 @@ def test_high_penetration_reverse_flow(case33_psp):
     at exporting buses drop below the supply-point cost and still track the
     oracle."""
     net = reverse_flow_net(case33_psp)
-    ti, prob, sol, state = mdopf.solve_opf(net)
+    prob, sol, state = mdopf.solve_opf(net)
     assert all(sol.pg[b] == pytest.approx(0.1, abs=1e-4) for b in (18, 22, 25, 33))
     assert sol.pg[1] > 0.0  # supply point stays marginal
-    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
     assert pt.dlmp_p.min() < 30.0 < pt.dlmp_p.max()
 
     p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     errs_p, errs_q = [], []
-    for i, b in enumerate(ti.order):
+    for i, b in enumerate(pt.bus_ids):
         op = acpf.fd_price_oracle(net, b, "p", p=p, q=q,
                                   v_start=state.v, delta_start=state.delta)
         oq = acpf.fd_price_oracle(net, b, "q", p=p, q=q,
@@ -500,8 +480,8 @@ def shuffled_storage(net, seed):
 
 def study_by_bus(net):
     """Dispatch, objective, price table and AC voltages keyed by bus id."""
-    ti, _, sol, state = mdopf.solve_opf(net)
-    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
+    _, sol, state = mdopf.solve_opf(net)
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
     p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     ac = acpf.newton_pf(net, p, q, v_start=state.v, delta_start=state.delta)
     pos = netmodel.tree_positions(net)
@@ -535,9 +515,9 @@ def test_slack_only_network_solves_and_prices():
     net = netmodel.with_slack_costs(
         Network(buses=(Bus(id=1, p_load=0.01, q_load=0.005),), branches=(), slack=1), 30.0, 3.0
     )
-    ti, _, sol, state = mdopf.solve_opf(net)
-    assert ti.n == 0 and sol.status == "optimal"
+    _, sol, state = mdopf.solve_opf(net)
+    assert netmodel.path_incidence(net).n == 0 and sol.status == "optimal"
     assert sol.pg[1] == pytest.approx(0.01, rel=1e-6)
-    assert mdf.solve_fixed_load(net, ti).v.tolist() == [net.v0]
-    pt = pricing.compute_price_table(net, ti, state, thermal_duals=sol.duals_quad)
+    assert mdf.solve_fixed_load(net).v.tolist() == [net.v0]
+    pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
     assert pt.bus_ids == () and pt.dlmp_p.size == 0 and pt.dlp_q.size == 0
