@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acpf, mdistflow, mdopf, netmodel, pricing, qcqpsolver
+from . import acpf, mdistflow, mdopf, netmodel, pricing
 from .acpf import OracleError, PowerFlowError
 from .mdistflow import MdfError
 from .mdopf import MdopfError
@@ -408,15 +408,11 @@ def cmd_price(args) -> int:
     # solver shadow prices of the non-slack balance rows (tree order) alongside,
     # for comparison with the explicit method (the objective is $ per pu, so
     # the per-MWh price divides out the base)
-    n = len(pt.bus_ids)
-    rows = mdistflow.FlowRows(n)
-    nonslack = np.arange(1, n + 1)
+    lam_p, lam_q = mdopf.balance_prices(net, prob, sol)
     scale = state.v[1:] * net.base_power
     extra = {
-        "dual_dlmp_p[$ per MWh]":
-            qcqpsolver.extract_duals(prob, sol, rows.p_bal + nonslack) / scale,
-        "dual_dlmp_q[$ per MVarh]":
-            qcqpsolver.extract_duals(prob, sol, rows.q_bal + nonslack) / scale,
+        "dual_dlmp_p[$ per MWh]": lam_p[1:] / scale,
+        "dual_dlmp_q[$ per MVarh]": lam_q[1:] / scale,
     }
     if args.oracle:
         oracle_p, oracle_q = _oracle_sweep(net, state, sol, args.jobs)

@@ -1,14 +1,17 @@
 """Modified DistFlow equations in power-to-voltage ratio variables.
 
-State variables are the modified injections p_hat = P * w and flows, with the
-auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the model
-once, as the sparse branch-flow rows the OPF builder shares. For fixed
+State variables are the modified injections p_hat = P * w and flows, with
+the auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the
+model once, as the sparse branch-flow rows the OPF builder shares. For fixed
 injections the whole state follows from one direct sparse solve of those
-rows; no sweep or iteration is involved. The module also recovers the bus
-angles, each the sum of the angle turns across the branches on its path, and
-computes the total network loss with its four-way split into active/reactive
-flow contributions. The path matrix T of the paper's closed form is never
-formed: T x (each branch's sum over the buses it feeds) is
+rows, factored one feeder at a time (``FeederFactors``); no sweep or
+iteration is involved. The same factors, memoized per network by
+``load_factors``, give the OPF builder the state that each generator drives
+and the balance-row duals their transposed solve. The module also recovers
+the bus angles, each the sum of the angle turns across the branches on its
+path, and computes the total network loss with its four-way split into
+active/reactive flow contributions. The path matrix T of the paper's closed
+form is never formed: T x (each branch's sum over the buses it feeds) is
 ``ti.t.solve(x)`` and T' y (each bus's sum over its path to the slack) is
 ``ti.t.solve(y, trans="T")``, one triangular solve each (see
 ``netmodel.PathIncidence``).
@@ -123,48 +126,110 @@ def _assemble(net, ti, w_r, p_hat, q_hat):
     )
 
 
+class FeederFactors:
+    """``flow_equations`` at fixed non-slack net injections ``p``/``q`` (tree
+    order) without the slack's two balance rows, square in the state (W,
+    Pbr, Qbr in ``flow_equations``' columns), factored one feeder at a time.
+
+    Feeders meet only at the slack, whose W is fixed, so with W0 on the
+    right-hand side the rows are block diagonal by feeder. Each block is
+    factored leaves first, one group per bus (W, Pbr, Qbr of the branch
+    into it; its drop and balance rows), with no pivoting: each child is
+    eliminated before its parent, so fill stays within the parent's group.
+    ``state`` is the solution at the slack voltage ``net.v0``.
+    """
+
+    def __init__(self, net: Network, p: np.ndarray, q: np.ndarray):
+        ti = path_incidence(net)
+        n, rows = ti.n, FlowRows(ti.n)
+        self.rows = rows
+        a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
+        k = np.arange(n)[::-1]
+        self.cols = np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel()
+        self.eqs = np.column_stack(
+            [rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
+        # a preorder keeps each feeder contiguous, so in leaves-first order
+        # the feeder whose top bus sits at position lo spans a range of
+        # groups, and no entry leaves its block
+        tops = np.flatnonzero(np.asarray(ti.parent_pos, dtype=int) < 0)
+        ends = np.append(tops, n)
+        self.spans = [(3 * (n - hi), 3 * (n - lo)) for lo, hi in zip(ends[:-1], ends[1:])]
+        blocks = a[self.eqs][:, self.cols].tocsc()
+        self.lus = []
+        for lo, hi in self.spans:
+            at = slice(blocks.indptr[lo], blocks.indptr[hi])
+            block = sp.csc_matrix(
+                (blocks.data[at], blocks.indices[at] - lo, blocks.indptr[lo:hi + 1] - at.start),
+                shape=(hi - lo, hi - lo))
+            try:
+                self.lus.append(spla.splu(block, permc_spec="NATURAL", diag_pivot_thresh=0,
+                                          relax=2, panel_size=2))
+            except RuntimeError as exc:
+                raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
+        w0 = 2.0 - net.v0
+        self.state = -w0 * self.solve(a[:, [0]]).toarray()[:, 0]  # W0 in the top drops
+        self.state[0] = w0
+        if not np.all(np.isfinite(self.state)):
+            raise MdfError("singular modified power-flow matrix (non-finite solution)")
+        resid = np.max(np.abs((a @ self.state)[self.eqs]), initial=0.0)
+        if resid > 1e-8 * max(1.0, np.max(np.abs(self.state))):
+            raise MdfError(
+                f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
+            )
+
+    def solve(self, b: sp.spmatrix) -> sp.csr_matrix:
+        """The state that each column of ``b`` (rows in ``FlowRows`` layout)
+        drives with W0 held at 0. The slack's rows of ``b`` are not read.
+        Each feeder solves only the columns that reach its rows, so the
+        result is dense within a feeder and zero outside it."""
+        b = sp.csr_matrix(b)[self.eqs]
+        rows, cols, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+        for (lo, hi), lu in zip(self.spans, self.lus):
+            at = slice(b.indptr[lo], b.indptr[hi])
+            used, col = np.unique(b.indices[at], return_inverse=True)
+            if used.size:
+                rhs = np.zeros((hi - lo, used.size))
+                rhs[np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo:hi + 1])), col] = b.data[at]
+                rows.append(np.repeat(self.cols[lo:hi], used.size))
+                cols.append(np.tile(used, hi - lo))
+                vals.append(lu.solve(rhs).ravel())
+        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(self.cols.size + 1, b.shape[1]))  # W0 held at 0
+
+    def solve_transposed(self, r: np.ndarray) -> np.ndarray:
+        """Multipliers y of the factored rows with A' y = ``r`` on the
+        non-slack state columns, in ``FlowRows`` layout; the slack's rows
+        are left 0."""
+        y = np.zeros(self.rows.count)
+        rg = r[self.cols]
+        for (lo, hi), lu in zip(self.spans, self.lus):
+            y[self.eqs[lo:hi]] = lu.solve(rg[lo:hi], trans="T")
+        return y
+
+
+def load_factors(net: Network) -> FeederFactors:
+    """``FeederFactors`` of ``net`` at its loads, memoized on the instance."""
+    memo = net.__dict__.get("_load_factors_memo")
+    if memo is None:
+        buses = tree_buses(net)[1:]
+        memo = FeederFactors(net, -np.array([b.p_load for b in buses]),
+                             -np.array([b.q_load for b in buses]))
+        object.__setattr__(net, "_load_factors_memo", memo)
+    return memo
+
+
 def solve_fixed_load(
     net: Network, p: np.ndarray | None = None, q: np.ndarray | None = None
 ) -> MdfState:
-    """One direct solve of ``flow_equations`` without the slack's balance
-    rows, for fixed net injections (default: minus the loads).
-
-    ``p``/``q`` are non-slack arrays in tree order; generators at fixed
-    setpoints should be folded into them (see ``netmodel.net_injections``).
+    """The state at fixed non-slack net injections ``p``/``q`` in tree order
+    (default: minus the loads), one ``FeederFactors`` solve. Generators at
+    fixed setpoints are folded into them (see ``netmodel.net_injections``).
     """
     ti = path_incidence(net)
     buses = tree_buses(net)[1:]
     p = np.array([-b.p_load for b in buses] if p is None else p, dtype=float)
     q = np.array([-b.q_load for b in buses] if q is None else q, dtype=float)
-    n, rows = ti.n, FlowRows(ti.n)
-    a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
-    # One group per non-slack bus, leaves first (reverse ``ti.order``):
-    # columns W_{k+1}, Pbr_k, Qbr_k and rows drop_k, p_bal_{k+1}, q_bal_{k+1};
-    # then the slack's W and ``w_slack``. The slack's balance rows are left
-    # out. Each child is eliminated before its parent, so the tree factors
-    # with no pivot search and fill only within the parent's group.
-    k = np.arange(n)[::-1]
-    cols = np.append(np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel(), 0)
-    eqs = np.append(np.column_stack(
-        [rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel(), rows.w_slack)
-    a = a[eqs][:, cols].tocsc()
-    rhs = np.zeros(3 * n + 1)
-    rhs[-1] = 2.0 - net.v0  # the w_slack row
-    try:
-        y = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0,
-                      relax=2, panel_size=2).solve(rhs)
-    except RuntimeError as exc:
-        raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
-    if not np.all(np.isfinite(y)):
-        raise MdfError("singular modified power-flow matrix (non-finite solution)")
-    resid = np.max(np.abs(a @ y - rhs))
-    if resid > 1e-8 * max(1.0, np.max(np.abs(y))):
-        raise MdfError(
-            f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
-        )
-    x = np.empty_like(y)
-    x[cols] = y
-    w_r = x[1:n + 1]
+    w_r = FeederFactors(net, p, q).state[1:ti.n + 1]
     return _assemble(net, ti, w_r, p * w_r, q * w_r)
 
 

@@ -1,13 +1,18 @@
-"""Convex quadratic OPF builder for radial feeders.
+"""Convex quadratic OPF builder for radial feeders, in generator space.
 
-Variables are the ratio-form quantities of the modified power-flow model:
-per-bus W = 2 - V, modified branch flows, and modified generator outputs.
-The modified injections (generation minus load, both scaled by W) are folded
-into the per-bus balance rows. All constraints are linear except the
-per-branch thermal limits, which are diagonal quadratic rows. The objective
-is the generation cost with the voltage weights eliminated through the
-closed-form affine voltage map, which leaves a quadratic form over the
-generator variables.
+The modified power-flow model is linear in its state (per-bus W = 2 - V and
+the modified branch flows) once the loads are folded in, and its rows
+without the slack's two balance rows are square in that state. So the
+state is affine in the modified generator outputs x: s = s0 + S x, with s0
+the load-only state and S one solve of the generators' balance-row entries
+(``mdistflow.load_factors``, one factor per feeder; S is dense within a
+feeder and zero outside it). The problem's variables are the generator
+outputs alone, plus the flows of the branches with a current rating. The
+voltage and generator-box rows are the full-space rows with s0 + S x put
+in for the state; the slack's two balance rows are the only equality rows
+besides the ties of the rated flows. The objective is the generation cost
+with the voltage weights eliminated through the closed-form affine voltage
+map, which leaves a quadratic form over the generator variables.
 
 The raw cost quadratic is certified for positive semidefiniteness; when the
 certificate fails (which happens for generic P/Q cost ratios, see
@@ -17,8 +22,9 @@ prints it as ``note:`` lines. The projection is tiny relative to the linear
 cost terms and is validated against dispatch benchmarks in the test suite.
 
 ``solve_opf`` is the whole pipeline: build, interior-point solve and
-recovery of the dispatch and state. Each function reads the path incidence
-of its network from ``netmodel.path_incidence``.
+recovery of the dispatch and state; ``balance_prices`` returns every bus's
+balance-row shadow prices from the solution. Each function reads the path
+incidence of its network from ``netmodel.path_incidence``.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mdistflow, netmodel, qcqpsolver
-from .netmodel import Network, PathIncidence
+from .netmodel import Network
 from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, psd_test, support_eigh
 
 
@@ -60,43 +66,31 @@ class VarBlocks:
     """Index blocks of the problem variables, the one statement of their
     layout.
 
-    W runs over all buses, slack first, then the path incidence's ``order``
-    (so its bus position ``k`` is W index ``k + 1``); Pbr and Qbr follow its
-    branch rows; Pg and Qg follow ``gens``. ``gen_w`` is the W index of each
-    generator bus. The equality rows are laid out as ``mdistflow.FlowRows``
-    states.
+    Pg and Qg are the modified generator outputs, following ``gens`` (the
+    slack first); Pbr and Qbr are the modified flows of the rated branches,
+    following ``rated`` (branch rows of the path incidence). ``gen_w`` is
+    the bus position of each generator (slack 0, then the path incidence's
+    ``order``), which is also its W column in ``mdistflow.flow_equations``.
     """
 
-    n: int
     gens: tuple[int, ...]
     gen_w: np.ndarray
-
-    @property
-    def pbr(self) -> int:
-        return self.n + 1
-
-    @property
-    def qbr(self) -> int:
-        return 2 * self.n + 1
-
-    @property
-    def pg(self) -> int:
-        return 3 * self.n + 1
-
-    @property
-    def qg(self) -> int:
-        return 3 * self.n + 1 + len(self.gens)
-
-    @property
-    def n_vars(self) -> int:
-        return 3 * self.n + 1 + 2 * len(self.gens)
+    rated: np.ndarray
+    pg: int
+    qg: int
+    pbr: int
+    qbr: int
+    n_vars: int
 
 
 def var_blocks(net: Network) -> VarBlocks:
     """Variable index blocks of the OPF of ``net``."""
     gens = gen_buses(net)
     pos = netmodel.tree_positions(net)
-    return VarBlocks(len(pos) - 1, tuple(gens), np.array([pos[b] for b in gens], dtype=int))
+    rated = np.flatnonzero(~np.isnan(netmodel.path_incidence(net).i_max))
+    g, r = len(gens), rated.size
+    return VarBlocks(tuple(gens), np.array([pos[b] for b in gens], dtype=int), rated,
+                     0, g, 2 * g, 2 * g + r, 2 * g + 2 * r)
 
 
 def certify_convexity(
@@ -165,10 +159,10 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     if not dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
     try:
-        load_state = mdistflow.solve_fixed_load(net)
+        load_w = mdistflow.load_factors(net).state
     except mdistflow.MdfError as exc:
         raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
-    vd = load_state.v[lay.gen_w[1:]]
+    vd = 2.0 - load_w[lay.gen_w[1:]]
     cp = np.array([buses[w].gen.cost_p for w in lay.gen_w[1:]])
     cq = np.array([buses[w].gen.cost_q for w in lay.gen_w[1:]])
     n_dg = len(dg)
@@ -177,13 +171,16 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     # the path matrix T at the generator columns: the branch rows on each
     # generator bus's path to the slack
     ti = netmodel.path_incidence(net)
+    parent = np.asarray(ti.parent_pos, dtype=int)
     rows, cols = [], []
-    for j, k in enumerate((lay.gen_w[1:] - 1).tolist()):
-        while k >= 0:
-            rows.append(k)
-            cols.append(j)
-            k = ti.parent_pos[k]
-    t_g = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(ti.n, n_dg))
+    k, j = lay.gen_w[1:] - 1, np.arange(n_dg)
+    while k.size:  # one level up per pass, every generator at once
+        rows.append(k)
+        cols.append(j)
+        up = parent[k]
+        k, j = up[up >= 0], j[up >= 0]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    t_g = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(ti.n, n_dg))
     # the common-path resistance and reactance between generator buses;
     # feeders meet only at the slack, so both are block diagonal by feeder
     a_g = t_g.T @ t_g.multiply(ti.r[:, None])
@@ -197,14 +194,76 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     return h, g, 0.0
 
 
-def build(net: Network) -> QcqpProblem:
-    """Assemble the OPF as a convex QCQP.
+def _generation(lay: VarBlocks, rows: mdistflow.FlowRows) -> sp.csr_matrix:
+    """Each generator's Pg and Qg as unit entries in its bus's balance rows."""
+    bal = np.concatenate([rows.p_bal + lay.gen_w, rows.q_bal + lay.gen_w])
+    return sp.csr_matrix((np.ones(bal.size), (bal, lay.pg + np.arange(bal.size))),
+                         shape=(rows.count, lay.n_vars))
 
-    Variables: W per bus, Pbr and Qbr per branch, Pg and Qg per generator
-    (3n + 1 + 2g for n branches and g generators). Equality rows: the slack
-    W, one active and one reactive balance per bus with its load and
-    generation folded in, and one voltage drop per branch (3n + 3 rows).
-    Every branch with a current rating gets a quadratic flow limit (see
+
+def _full_space(net: Network, lay: VarBlocks) -> tuple:
+    """``build``'s rows before the state is put in: the generators' entries
+    in the flow rows (``FlowRows`` layout), then the equality rows' and the
+    inequality rows' coefficients on the state (``flow_equations``'
+    columns) and on the variables, and the inequality rows' right-hand
+    sides; the equality rows' are 0."""
+    ti = netmodel.path_incidence(net)
+    n, n_vars, n_gen, n_rated = ti.n, lay.n_vars, len(lay.gens), lay.rated.size
+    buses = netmodel.tree_buses(net)
+    rows = mdistflow.FlowRows(n)
+    kg = np.arange(n_gen)
+    gen_cols = _generation(lay, rows)
+
+    # equality rows: each rated flow tied to the state's Pbr, then to its
+    # Qbr, then the slack's active and reactive balance, which meet every
+    # generator and so come last in the KKT factor's order
+    slack = [rows.p_bal, rows.q_bal]
+    flows = mdistflow.flow_equations(
+        ti, -np.array([bus.p_load for bus in buses]), -np.array([bus.q_load for bus in buses])
+    )[slack]
+    tie = np.arange(2 * n_rated)
+    flow_cols = np.concatenate([n + 1 + lay.rated, 2 * n + 1 + lay.rated])
+    eq_state = sp.vstack([
+        sp.csr_matrix((-np.ones(tie.size), (tie, flow_cols)), shape=(tie.size, 3 * n + 1)), flows,
+    ], format="csr")
+    eq_vars = sp.vstack([
+        sp.csr_matrix((np.ones(tie.size), (tie, lay.pbr + tie)), shape=(tie.size, n_vars)),
+        gen_cols[slack],
+    ], format="csr")
+
+    # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
+    # then per non-slack bus v_floor, v_cap
+    gens = [buses[w].gen for w in lay.gen_w]
+    box = np.array([[gen.p_max, gen.p_min, gen.q_max, gen.q_min] for gen in gens])
+    gen_rows = (4 * kg[:, None] + np.arange(4)).ravel()
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
+    v_rows = 4 * n_gen + 2 * np.arange(n)
+    w_child = np.arange(1, n + 1)
+    n_in = 4 * n_gen + 2 * n
+    in_state = sp.csr_matrix(
+        (np.concatenate([(-sign * box).ravel(), np.ones(n), -np.ones(n)]),
+         (np.concatenate([gen_rows, v_rows, v_rows + 1]),
+          np.concatenate([np.repeat(lay.gen_w, 4), w_child, w_child]))),
+        shape=(n_in, 3 * n + 1))
+    in_vars = sp.csr_matrix((np.tile(sign, n_gen), (gen_rows, out_col.ravel())),
+                            shape=(n_in, n_vars))
+    v_lim = np.array([[2.0 - bus.v_min, bus.v_max - 2.0] for bus in buses[1:]])
+    b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
+    return gen_cols, eq_state, eq_vars, in_state, in_vars, b_in
+
+
+def build(net: Network) -> QcqpProblem:
+    """Assemble the OPF as a convex QCQP in generator space.
+
+    Variables: Pg and Qg per generator, then Pbr and Qbr per rated branch
+    (``VarBlocks``). Every full-space row has the state s0 + S x put in for
+    W, Pbr and Qbr. Equality rows: one tie per rated flow to its value in
+    the state, then the slack's active and reactive balance. Inequality rows:
+    per generator pg_cap, pg_floor, qg_cap and qg_floor (the output against
+    its bus W times its limit), then per non-slack bus v_floor and v_cap;
+    each is dense within the feeder of its bus. Every rated branch gets a
+    diagonal quadratic flow limit on its two flow variables (see
     ``netmodel.strip_thermal_limits`` to drop them). Raises on negative
     generator costs (the convexity precondition) or a missing supply-point
     generator. The problem carries the certificate of the exact cost
@@ -215,103 +274,28 @@ def build(net: Network) -> QcqpProblem:
             raise MdopfError(
                 f"convexity condition unsatisfied: negative generator cost at bus {b.id}"
             )
-    ti = netmodel.path_incidence(net)
     lay = var_blocks(net)
-    n, n_vars = ti.n, lay.n_vars
-    n_gen = len(lay.gens)
-
     h_exact, g, c = build_objective(net)
     eig = support_eigh(h_exact, vectors=True)
     cert = certify_convexity(h_exact, eig)
     h = h_exact if cert.psd else psd_projection(h_exact, eig)
 
-    buses = netmodel.tree_buses(net)
-    gens = [buses[w].gen for w in lay.gen_w]
-    rows = mdistflow.FlowRows(n)
-    k = np.arange(n)
-    kg = np.arange(n_gen)
-    w_child = k + 1
-
-    # equality rows: the branch-flow rows with the loads folded in, and each
-    # generator's Pg/Qg in its bus's p/q balance rows
-    flows = mdistflow.flow_equations(
-        ti, -np.array([bus.p_load for bus in buses]), -np.array([bus.q_load for bus in buses])
-    )
-    bal_rows = np.concatenate([rows.p_bal + lay.gen_w, rows.q_bal + lay.gen_w])
-    gen_cols = sp.csr_matrix(
-        (np.ones(2 * n_gen), (bal_rows, np.arange(2 * n_gen))), shape=(rows.count, 2 * n_gen)
-    )
-    a_eq = sp.hstack([flows, gen_cols], format="csr")
-    b_eq = np.zeros(rows.count)
-    b_eq[rows.w_slack] = 2.0 - net.v0
-
-    # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
-    # then per non-slack bus v_floor, v_cap
-    box = np.array([[gen.p_max, gen.p_min, gen.q_max, gen.q_min] for gen in gens])
-    gen_rows = 4 * kg[:, None] + np.arange(4)
-    sign = np.array([1.0, -1.0, 1.0, -1.0])
-    out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
-    v_rows = 4 * n_gen + 2 * k
-    in_r = np.concatenate([gen_rows.ravel(), gen_rows.ravel(), v_rows, v_rows + 1])
-    in_c = np.concatenate([out_col.ravel(), np.repeat(lay.gen_w, 4), w_child, w_child])
-    in_v = np.concatenate([
-        np.tile(sign, n_gen), (-sign * box).ravel(), np.ones(n), -np.ones(n),
-    ])
-    a_in = sp.csr_matrix((in_v, (in_r, in_c)), shape=(4 * n_gen + 2 * n, n_vars))
-    v_lim = np.array([[2.0 - bus.v_min, bus.v_max - 2.0] for bus in buses[1:]])
-    b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
-
-    rated = np.flatnonzero(~np.isnan(ti.i_max))
-    n_quad = rated.size
-    quad_diag = sp.csr_matrix(
-        (np.ones(2 * n_quad),
-         (np.tile(np.arange(n_quad), 2),
-          np.concatenate([lay.pbr + rated, lay.qbr + rated]))),
-        shape=(n_quad, n_vars),
-    )
-
+    fac = mdistflow.load_factors(net)
+    gen, eq_state, eq_vars, in_state, in_vars, in_b = _full_space(net, lay)
+    state_map = -fac.solve(gen)  # S: the state per unit of each variable
+    rated = lay.rated
     return QcqpProblem(
-        n_vars=n_vars,
+        n_vars=lay.n_vars,
         h=h, g=g, c=c,
-        a_eq=a_eq, b_eq=b_eq,
-        a_in=a_in, b_in=b_in,
-        quad_diag=quad_diag, quad_b=ti.i_max[rated] ** 2,
+        a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
+        a_in=(in_vars + in_state @ state_map).tocsr(), b_in=in_b - in_state @ fac.state,
+        quad_diag=sp.csr_matrix(
+            (np.ones(2 * rated.size),
+             (np.tile(np.arange(rated.size), 2), lay.pbr + np.arange(2 * rated.size))),
+            shape=(rated.size, lay.n_vars)),
+        quad_b=netmodel.path_incidence(net).i_max[rated] ** 2,
         certificate=cert,
-        kkt_order=kkt_order(ti, lay),
     )
-
-
-def kkt_order(ti: PathIncidence, lay: VarBlocks) -> np.ndarray:
-    """Feeder-tree elimination order of the KKT rows of ``build``'s problem
-    (variables first, then equality rows, as ``qcqpsolver.solve`` lays them out).
-
-    Each non-slack bus is one group: its W, Pbr and Qbr, its p and q balance
-    rows and the voltage drop of the branch into it. Groups come leaves
-    first (reverse ``ti.order``), so every child is eliminated before its
-    parent and fill stays within the parent's group. The Pg/Qg of each
-    feeder's generators come just before the group of the feeder's top bus,
-    and the slack group (W0, ``w_slack`` and its balance rows) then the
-    slack generator come last.
-    """
-    n, n_gen, nv = ti.n, len(lay.gens), lay.n_vars
-    # the equality rows follow the variables
-    rows = mdistflow.FlowRows(n)
-    p_bal, q_bal, drop = nv + rows.p_bal, nv + rows.q_bal, nv + rows.drop
-    parent = np.asarray(ti.parent_pos, dtype=int)
-    k = np.arange(n)
-    # a preorder keeps each feeder contiguous: its top bus is the last
-    # position at or before k whose parent is the slack
-    top = np.maximum.accumulate(np.where(parent < 0, k, -1))
-    group = 2 * (n - 1 - k) + 1  # odd slots, leaves first
-    slot = np.empty(nv + rows.count, dtype=int)
-    for first in (1, lay.pbr, lay.qbr, p_bal + 1, q_bal + 1, drop):
-        slot[first + k] = group
-    dg_slot = group[top[lay.gen_w[1:] - 1]] - 1  # the even slot before the top bus
-    slot[lay.pg + 1:lay.pg + n_gen] = dg_slot
-    slot[lay.qg + 1:lay.qg + n_gen] = dg_slot
-    slot[[0, nv + rows.w_slack, p_bal, q_bal]] = 2 * n
-    slot[[lay.pg, lay.qg]] = 2 * n + 1
-    return np.argsort(slot, kind="stable")
 
 
 def recover_dispatch(
@@ -319,14 +303,20 @@ def recover_dispatch(
 ) -> tuple[OpfSolution, mdistflow.MdfState]:
     """Physical dispatch and full network state from the solver variables.
 
+    W is s0 + S x, S x one solve of the generators' balance-row entries.
     Generator outputs are the modified outputs divided by the bus W; the
-    state is assembled (and consistency-checked) from the modified injections
-    (modified generation minus load times W) and the W profile.
+    state is assembled (and consistency-checked) from the modified
+    injections (modified generation minus load times W) and W.
     """
     lay = var_blocks(net)
+    fac = mdistflow.load_factors(net)
     x = sol.x
     n_gen = len(lay.gens)
-    w = x[:lay.n + 1]
+    p_gen = x[lay.pg:lay.pg + n_gen]
+    q_gen = x[lay.qg:lay.qg + n_gen]
+    n = netmodel.path_incidence(net).n
+    gen = _generation(lay, mdistflow.FlowRows(n)) @ sp.csr_matrix(x[:, None])
+    w = fac.state[:n + 1] - fac.solve(gen).toarray()[:n + 1, 0]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)
     if bad.size:
@@ -334,8 +324,6 @@ def recover_dispatch(
             f"nonphysical solution: W = {w_gen[bad[0]]:.4f} <= 0 at bus "
             f"{lay.gens[bad[0]]} (voltage at or above 2 pu)"
         )
-    p_gen = x[lay.pg:lay.pg + n_gen]
-    q_gen = x[lay.qg:lay.qg + n_gen]
     pg = dict(zip(lay.gens, (p_gen / w_gen).tolist()))
     qg = dict(zip(lay.gens, (q_gen / w_gen).tolist()))
     w_r = w[1:]
@@ -347,6 +335,26 @@ def recover_dispatch(
     q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]
     state = mdistflow.state_from_solution(net, p_hat, q_hat, w_r)
     return replace(sol, pg=pg, qg=qg), state
+
+
+def balance_prices(
+    net: Network, prob: QcqpProblem, sol: OpfSolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shadow prices -y of every bus's active and reactive balance row of the
+    full-space OPF (the objective increase per unit of extra modified
+    withdrawal), slack first, then in tree order. The slack's rows are rows
+    of ``prob`` (``qcqpsolver.extract_duals``); the state is stationary,
+    A' y_d + E' y + F' z = 0 (A the factored flow rows, E and F the state
+    parts of ``prob``'s rows), so the others are one transposed solve per
+    feeder. Raises ``SolverError`` unless ``sol`` is optimal.
+    """
+    lam = qcqpsolver.extract_duals(prob, sol, np.arange(prob.n_eq))
+    _, eq_state, _, in_state, _, _ = _full_space(net, var_blocks(net))
+    prices = mdistflow.load_factors(net).solve_transposed(
+        in_state.T @ sol.duals_in - eq_state.T @ lam)
+    rows = mdistflow.FlowRows(netmodel.path_incidence(net).n)
+    prices[[rows.p_bal, rows.q_bal]] = lam[-2:]
+    return prices[rows.p_bal:rows.q_bal], prices[rows.q_bal:rows.drop]
 
 
 def solve_opf(net: Network) -> tuple[QcqpProblem, OpfSolution, mdistflow.MdfState]:

@@ -14,12 +14,12 @@ when there are no inequality rows. So an equality-only QP iterates too, each
 step leaving 0.5 % of its residuals. The KKT systems are statically
 regularized, which makes them quasi-definite, and a quasi-definite matrix
 has a stable LDL' factorization in every symmetric order (Vanderbei, SIAM J.
-Optim. 1995). So every KKT matrix is factored by sparse LU in the problem's
-elimination order (``kkt_order``; the OPF builder's eliminates the feeder
-tree leaves first, and a problem without one uses the identity order) with
-no pivoting, and each solve takes one step of iterative refinement. Its
-pattern never moves, so it is built once per solve, already in that order,
-and each iteration writes only the values.
+Optim. 1995). So every KKT matrix is factored by sparse LU in its own row
+order (the variables, then the equality rows) with no pivoting, and each
+solve takes one step of iterative refinement. Its (1,1) block is block diagonal over the components of
+variables that H and the inequality rows couple; each iteration forms one
+dense block J'DJ per component, and the pattern, built once per solve,
+never moves, so each iteration writes only the values.
 """
 from __future__ import annotations
 
@@ -71,14 +71,11 @@ class QcqpProblem:
     """Convex QCQP in standard form.
 
     Variables and rows carry no names: the builder's layout states what each
-    index means (for the OPF, ``mdopf.VarBlocks`` and
-    ``mdistflow.FlowRows``). Quadratic inequality rows carry their
+    index means (for the OPF, ``mdopf.VarBlocks`` and the row blocks that
+    ``mdopf.build`` states). Quadratic inequality rows carry their
     (diagonal) curvature in ``quad_diag``. ``certificate`` is the builder's
     convexity certificate of the exact cost quadratic, when it made one.
-    ``kkt_order`` is an elimination order of the KKT rows (the variables,
-    then the equality rows) under which the solver's quasi-definite KKT
-    matrices factor without pivoting and with little fill; None means the
-    identity order. At an optimal solution, -y for the multiplier y of an
+    At an optimal solution, -y for the multiplier y of an
     equality row is the objective's sensitivity to that row's right-hand
     side.
     """
@@ -94,7 +91,6 @@ class QcqpProblem:
     quad_diag: sp.csr_matrix
     quad_b: np.ndarray
     certificate: ConvexityCertificate | None = None
-    kkt_order: np.ndarray | None = None
 
     @property
     def n_eq(self) -> int:
@@ -184,64 +180,104 @@ def _check_convex(p: QcqpProblem) -> None:
         raise SolverError("quadratic constraint with negative curvature")
 
 
+def _rank_within(label: np.ndarray, n_label: int) -> np.ndarray:
+    """Each element's position among the elements with its label, in index
+    order."""
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=n_label)
+    rank = np.empty(label.size, dtype=np.intp)
+    rank[order] = np.arange(label.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rank
+
+
+def _split_by(label: np.ndarray, n_label: int) -> list[np.ndarray]:
+    """The indices of the elements of each label, in index order."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(label, minlength=n_label))[:-1])
+
+
 class _Kkt:
     """The KKT matrices [[2H + J' D J + diag(c), A_eq'], [A_eq, -delta I]] of
     one problem (J the Jacobian of its inequality rows) and their
     factorizations; ``seconds`` sums the factorization wall time.
 
-    The matrices share one CSC pattern and data vector, rows and columns in
-    the problem's ``kkt_order`` (the identity order when it has none). The
-    pattern holds every entry an iteration can: 2H, each product of two
-    Jacobian entries of one row (a quadratic row's values move with x, its
-    positions do not), the variable diagonal, A_eq, A_eq' and -delta I,
-    zeros included. The constant entries and 2H are placed once; int32 slot
-    maps place the values each matrix writes: the row pairs and the diagonal.
-    Each is factored in that order with no pivoting: a quasi-definite matrix
-    has a stable LDL' factorization in every symmetric order, but its solves
-    then leave componentwise residuals of about 1e-5, so each solve takes
-    one step of iterative refinement, which brings them to round-off (Gill,
-    Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 1996). A feeder tree's
-    supernodes are small, so SuperLU works in panels and relaxed supernodes
-    of two columns; its wider defaults took 1.7 times the factor time on
-    case69 x100.
+    Two variables are coupled when an entry of H or a row of J holds both,
+    so the (1,1) block is block diagonal over the connected components of
+    that coupling (for the OPF, its feeders), found once per solve. Each
+    iteration forms each component's block 2H_c + J_c' diag(d_c) J_c as one
+    dense product, components of one shape in one stacked product, and
+    writes it into the one CSC pattern that every matrix shares (each
+    block's entries, A_eq, A_eq' and -delta I, zeros included). Each matrix
+    is factored in that order with no pivoting: a quasi-definite matrix has
+    a stable LDL' factorization in every symmetric order, but its solves
+    can leave componentwise residuals far above round-off (5e-9 on the last
+    KKT matrix of case69 x10), so each solve takes one step of iterative
+    refinement (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl.
+    1996). Equality rows that meet every variable belong last: the rows
+    before them are eliminated without filling in across components.
     """
 
     def __init__(self, p: QcqpProblem, delta: float):
         n, self.seconds = p.n_vars, 0.0
         self.size = size = n + p.n_eq
-        self.order = np.arange(size) if p.kkt_order is None else p.kkt_order
-        self.pos = pos = np.empty(size, dtype=np.intp)
-        pos[self.order] = np.arange(size)
         self.quad = p.quad_diag.tocsr()
         self.jac = jac = sp.vstack([p.a_in.tocsr(), self.quad], format="csr")
         h, a = p.h.tocoo(), p.a_eq.tocoo()
         a.sum_duplicates()
-        # entries i and j of J share a row where (E E')_ij = 1, E the
-        # entry-row incidence: every such pair, rows ascending
-        m, nnz = jac.shape[0], jac.nnz
-        self.jac_row = np.repeat(np.arange(m, dtype=np.int32), np.diff(jac.indptr))
-        e = sp.csr_matrix((np.ones(nnz), self.jac_row, np.arange(nnz + 1)), shape=(nnz, m))
-        pairs = (e @ e.T).tocoo()
-        self.pair_i, self.pair_j = pairs.row.astype(np.int32), pairs.col.astype(np.int32)
-        # the (1,1) block's distinct entries, and each varying term's place among them
-        r = np.concatenate([h.row, jac.indices[self.pair_i], np.arange(n)])
-        c = np.concatenate([h.col, jac.indices[self.pair_j], np.arange(n)])
-        block, local = np.unique(c.astype(np.int64) * n + r, return_inverse=True)
-        self.h_block = np.bincount(local[:h.nnz], 2.0 * h.data, minlength=block.size)
-        self.pair_slot, self.diag_slot = (
-            s.astype(np.int32) for s in np.split(local[h.nnz:], [pairs.nnz]))
+        # the variables and the rows of J as one graph, an edge per entry of
+        # H or J (a quadratic row's values move with x, its positions do not)
+        m = jac.shape[0]
+        jac_row = np.repeat(np.arange(m), np.diff(jac.indptr))
+        edges = sp.coo_matrix(
+            (np.ones(h.nnz + jac.nnz),
+             (np.concatenate([h.row, n + jac_row]), np.concatenate([h.col, jac.indices]))),
+            shape=(n + m, n + m))
+        n_comp, label = csgraph.connected_components(edges, directed=False)
+        # each node's place within its component, variables and rows apart
+        local = np.concatenate([_rank_within(label[:n], n_comp), _rank_within(label[n:], n_comp)])
+        size_v = np.bincount(label[:n], minlength=n_comp)
+        size_r = np.bincount(label[n:], minlength=n_comp)
+        # components of one shape stack; a row with no entries is a component
+        # without variables and adds nothing
+        shapes, group = np.unique(np.stack([size_v, size_r], axis=1), axis=0, return_inverse=True)
+        group = group.ravel()
+        rank = _rank_within(group, len(shapes))
+        var_c, row_c = label[:n], label[n:]
+        parts = [_split_by(group[c], len(shapes)) for c in (var_c, row_c, row_c[jac_row], var_c[h.row])]
+        self.groups, blocks = [], []
+        for (v, r), in_v, in_r, src, hs in zip(shapes.tolist(), *parts):
+            if v == 0:
+                continue
+            k = in_v.size // v
+            var_idx = np.empty((k, v), dtype=np.intp)
+            var_idx[rank[var_c[in_v]], local[in_v]] = in_v
+            row_idx = np.empty((k, r), dtype=np.intp)
+            row_idx[rank[row_c[in_r]], local[n + in_r]] = in_r
+            dst = ((rank[row_c[jac_row[src]]] * r + local[n + jac_row[src]]) * v
+                   + local[jac.indices[src]])
+            jd = np.zeros((k, r, v))
+            jd.reshape(-1)[dst] = jac.data[src]
+            moving = src >= jac.nnz - self.quad.nnz  # the quadratic rows' entries
+            h_dst = (rank[var_c[h.row[hs]]] * v + local[h.row[hs]]) * v + local[h.col[hs]]
+            h_block = np.bincount(h_dst, 2.0 * h.data[hs], minlength=k * v * v)
+            self.groups.append((var_idx, row_idx, src[moving], dst[moving],
+                                h_block.reshape(k, v, v), jd))
+            blocks.append(var_idx)
         # the whole pattern: its entries are distinct, so each keeps its
         # number through scipy's conversion and so names its slot
         eq = np.arange(n, size)
-        rows = pos[np.concatenate([block % n, n + a.row, a.col, eq])]
-        cols = pos[np.concatenate([block // n, a.col, n + a.row, eq])]
+        rows = np.concatenate([*(np.repeat(b, b.shape[1], axis=1).ravel() for b in blocks),
+                               n + a.row, a.col, eq])
+        cols = np.concatenate([*(np.tile(b, (1, b.shape[1])).ravel() for b in blocks),
+                               a.col, n + a.row, eq])
         pattern = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), (size, size))
         self.indices, self.indptr = pattern.indices, pattern.indptr
         slot = np.empty(rows.size, dtype=np.intp)
         slot[pattern.data.astype(np.intp) - 1] = np.arange(rows.size)
-        self.vary = slot[:block.size].astype(np.int32)
+        n_block = rows.size - 2 * a.nnz - p.n_eq
+        self.vary = slot[:n_block]
         self.data = np.zeros(rows.size)
-        self.data[slot[block.size:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
+        self.data[slot[n_block:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         """J at ``x``: only the quadratic rows' values 2 x_i d_ki change."""
@@ -253,34 +289,36 @@ class _Kkt:
         """The KKT matrix with (1,1) block diag(``diag``), plus 2H + J' diag(``d``) J
         at the last ``jacobian`` when ``d`` is given. It overwrites the values
         of the matrix the previous call returned."""
-        block = np.zeros(self.vary.size)
-        if d is not None:
-            j = self.jac.data
-            pairs = (j * d[self.jac_row])[self.pair_i] * j[self.pair_j]
-            block = self.h_block + np.bincount(self.pair_slot, pairs, minlength=block.size)
-        block[self.diag_slot] += diag
-        self.data[self.vary] = block
+        values = []
+        for var_idx, row_idx, src, dst, h_block, jd in self.groups:
+            v = var_idx.shape[1]
+            if d is None:
+                block = np.zeros(h_block.shape)
+            else:
+                jd.reshape(-1)[dst] = self.jac.data[src]  # the quadratic rows at x
+                block = h_block + np.matmul(jd.transpose(0, 2, 1), jd * d[row_idx][:, :, None])
+            block[:, np.arange(v), np.arange(v)] += diag[var_idx]
+            values.append(block.ravel())
+        self.data[self.vary] = np.concatenate(values)
         return sp.csc_matrix((self.data, self.indices, self.indptr), (self.size, self.size))
 
     def factor(self, kkt: sp.csc_matrix, failure: str):
-        """Factor ``kkt``, a matrix of ``matrix``; returns a solve function in
-        the problem's row order. Raises ``SolverError`` with the ``failure``
-        message when SuperLU fails."""
+        """Factor ``kkt``, a matrix of ``matrix``; returns its solve function.
+        Raises ``SolverError`` with the ``failure`` message when SuperLU
+        fails."""
         t0 = time.perf_counter()
         try:
             lu = spla.splu(kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
-                           relax=2, panel_size=2, options=dict(SymmetricMode=True))
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"{failure}: {exc}") from exc
         finally:
             self.seconds += time.perf_counter() - t0
-        order, pos = self.order, self.pos
 
         def solve(rhs):
-            b = rhs[order]
-            x = lu.solve(b)
-            x += lu.solve(b - kkt @ x)
-            return x[pos]
+            x = lu.solve(rhs)
+            x += lu.solve(rhs - kkt @ x)
+            return x
 
         return solve
 
@@ -318,7 +356,9 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         feas = max(float(np.abs(rp).max(initial=0.0)) / b_scale,
                    float(np.abs(rs).max(initial=0.0)))
         dfeas = float(np.abs(rd).max(initial=0.0)) / g_scale
-        gap = mu / (1.0 + abs(p.objective_at(x)))
+        # every stopping measure is a max-norm: the mean mu can hide one
+        # pair that holds most of the complementarity
+        gap = float(np.max(s * z, initial=0.0)) / (1.0 + abs(p.objective_at(x)))
         if feas < cfg.tol_feas and dfeas < cfg.tol_feas and gap < cfg.tol_gap:
             status = "optimal"
             break

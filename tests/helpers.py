@@ -78,50 +78,35 @@ def bus_row(i, btype=1, pd=0.0, qd=0.0, vmax=1.1, vmin=0.9):
 
 def pivoting_factor(kkt, matrix, failure):
     """Stand-in for ``qcqpsolver._Kkt.factor``, the reference for its
-    elimination-order path: SuperLU factors the KKT ``matrix`` in the
-    problem's row order, in its own column order with partial pivoting, and
-    solves are not refined."""
-    return spla.splu(matrix[kkt.pos][:, kkt.pos]).solve
+    unpivoted factor: SuperLU factors the KKT ``matrix`` in its own column
+    order with partial pivoting, and solves are not refined."""
+    return spla.splu(matrix).solve
 
 
-def reference_kkt(p: QcqpProblem, h: sp.spmatrix, delta: float) -> sp.csc_matrix:
-    """The KKT matrix [[h, A_eq'], [A_eq, -delta I]] of ``p`` assembled from
-    COO triplets, rows and columns in the problem's ``kkt_order``: the
-    reference for ``qcqpsolver._Kkt.matrix``. Zeros in ``h`` are not stored."""
-    size = p.n_vars + p.n_eq
-    order = np.arange(size) if p.kkt_order is None else p.kkt_order
-    pos = np.empty(size, dtype=np.intp)
-    pos[order] = np.arange(size)
-    hc, a = sp.csr_matrix(h).tocoo(), p.a_eq.tocoo()
-    hc.eliminate_zeros()
-    n = p.n_vars
-    eq, var, diag = pos[n + a.row], pos[a.col], pos[n:]
-    return sp.csc_matrix(
-        (np.concatenate([hc.data, a.data, a.data, np.full(diag.size, -delta)]),
-         (np.concatenate([pos[hc.row], eq, var, diag]),
-          np.concatenate([pos[hc.col], var, eq, diag]))),
-        shape=(size, size),
-    )
+def reference_kkt(p: QcqpProblem, x, d, diag, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The KKT matrix [[2H + J' diag(d) J + diag(diag), A_eq'], [A_eq, -delta I]]
+    of ``p`` as one dense array, J the Jacobian of the inequality rows at
+    ``x``; without ``d`` the (1,1) block is diag(``diag``) alone. The
+    reference for ``qcqpsolver._Kkt.matrix``. Also returns the same sums
+    over the absolute values of their terms, the scale of each entry's
+    round-off."""
+    a = p.a_eq.toarray()
+    eq = -delta * np.eye(p.n_eq)
+    blocks = []
+    for f in (lambda m: m, np.abs):
+        hbar = np.diag(f(diag))
+        if d is not None:
+            jac = f(np.vstack([p.a_in.toarray(), p.quad_diag.toarray() * (2.0 * x)]))
+            hbar = hbar + f(2.0 * p.h.toarray()) + jac.T @ (d[:, None] * jac)
+        blocks.append(np.block([[hbar, f(a).T], [f(a), f(eq)]]))
+    return blocks[0], blocks[1]
 
 
-def reference_hbar(p: QcqpProblem, x, d, diag) -> sp.csr_matrix:
-    """The KKT (1,1) block 2H + J' diag(d) J + diag(diag) by sparse algebra,
-    J the Jacobian of the inequality rows at ``x``: the reference for the
-    values ``qcqpsolver._Kkt.matrix`` writes."""
-    jac = sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x).tocsr()], format="csr")
-    return (2.0 * p.h).tocsr() + jac.T @ sp.diags(d) @ jac + sp.diags(diag)
-
-
-def assert_same_kkt(kkt: sp.csc_matrix, ref: sp.csc_matrix) -> None:
-    """``kkt`` equals ``ref`` once both drop their stored zeros: the same
-    pattern, and values within 1 ulp."""
-    kkt, ref = kkt.copy(), ref.copy()
-    for m in (kkt, ref):
-        m.eliminate_zeros()
-        m.sort_indices()
-    assert np.array_equal(kkt.indptr, ref.indptr)
-    assert np.array_equal(kkt.indices, ref.indices)
-    assert np.all(np.abs(kkt.data - ref.data) <= np.spacing(np.abs(ref.data)))
+def assert_same_kkt(kkt: sp.csc_matrix, ref: tuple[np.ndarray, np.ndarray]) -> None:
+    """``kkt`` equals the dense ``reference_kkt`` within 1e-12 relative,
+    entry by entry, to the sum of the absolute values of the entry's terms."""
+    value, scale = ref
+    assert np.all(np.abs(kkt.toarray() - value) <= 1e-12 * scale)
 
 
 def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> None:
@@ -141,8 +126,7 @@ def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> No
 
     def compare(self, diag, d=None):
         kkt = matrix(self, diag, d)
-        h = sp.diags(diag) if d is None else reference_hbar(p, at[-1], d, diag)
-        assert_same_kkt(kkt, reference_kkt(p, h, delta))
+        assert_same_kkt(kkt, reference_kkt(p, at[-1] if at else None, d, diag, delta))
         built.append(kkt)
         return kkt
 
@@ -158,7 +142,7 @@ def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> No
     kkt = qcqpsolver._Kkt(p, delta)
     kkt.jacobian(x)
     built.append(kkt.matrix(diag, d))
-    assert_same_kkt(built[-1], reference_kkt(p, reference_hbar(p, x, d, diag), delta))
+    assert_same_kkt(built[-1], reference_kkt(p, x, d, diag, delta))
     for m in built:
         assert np.array_equal(m.indices, built[0].indices)
         assert np.array_equal(m.indptr, built[0].indptr)

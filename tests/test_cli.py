@@ -846,8 +846,11 @@ def test_oracle_sweep_process_pool_matches_in_process(tmp_path):
 def test_opf_builds_objective_once(tmp_path, monkeypatch):
     from radialopf import mdistflow, mdopf
 
-    calls = {"objective": 0, "fixed_load": 0}
+    # the load flow is factored once: the objective's voltage weights, the
+    # state map and the recovery share the network's FeederFactors
+    calls = {"objective": 0, "fixed_load": 0, "factors": 0}
     build_objective, solve_fixed_load = mdopf.build_objective, mdistflow.solve_fixed_load
+    factors = mdistflow.FeederFactors.__init__
 
     def count(key, fn):
         def wrapper(*a, **k):
@@ -857,10 +860,11 @@ def test_opf_builds_objective_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mdopf, "build_objective", count("objective", build_objective))
     monkeypatch.setattr(mdistflow, "solve_fixed_load", count("fixed_load", solve_fixed_load))
+    monkeypatch.setattr(mdistflow.FeederFactors, "__init__", count("factors", factors))
     assert run(["opf", "--case", "case33.m", "--psp-v", "1.05",
                 "--psp-cost-p", "30", "--psp-cost-q", "3",
                 "--dg", "18:1.0:0.5:31:2", "--out", str(tmp_path)]) == 0
-    assert calls == {"objective": 1, "fixed_load": 1}
+    assert calls == {"objective": 1, "fixed_load": 0, "factors": 1}
     cert = json.loads(read(tmp_path / "opf_summary.json"))["convexity_certificate"]
     # generic P/Q cost ratios leave the exact quadratic indefinite
     assert cert["projected"] and not cert["psd"] and cert["min_eigenvalue"] < 0

@@ -294,11 +294,60 @@ def test_kkt_matches_reference_without_inequality_rows():
     assert_kkt_matches_reference(_dense_problem(rng, 6, 2, 0, 0), rng)
 
 
-def test_kkt_matches_reference_without_kkt_order():
-    # linear and quadratic rows with several entries each, in the identity order
+def test_kkt_matches_reference_dense_rows():
+    # linear and quadratic rows with several entries each: one component
     rng = np.random.default_rng(8)
     p = _dense_problem(rng, 6, 2, 3, 2)
-    assert p.kkt_order is None
+    assert_kkt_matches_reference(p, rng)
+
+
+def _component_problem(rng, couple):
+    """Variables in components of sizes 3, 3, 2, 1, 4 and 1: H and the linear
+    rows couple variables only within a component (the two of size 3
+    stack), the last variable is in no row and has no H entry, and two
+    equality rows span them all. One quadratic row holds the variables of
+    the component of size 4, or with ``couple`` every variable."""
+    sizes = [3, 3, 2, 1, 4, 1]
+    n = sum(sizes)
+    h = np.zeros((n, n))
+    a_in = []
+    lo = 0
+    for size in sizes[:-1]:
+        m = rng.normal(size=(size, size))
+        h[lo:lo + size, lo:lo + size] = m.T @ m + 0.5 * np.eye(size)
+        rows = np.zeros((size + 1, n))
+        rows[:, lo:lo + size] = rng.normal(size=(size + 1, size))
+        a_in.append(rows)
+        lo += size
+    quad = np.zeros((1, n))
+    held = slice(0, n) if couple else slice(9, 13)
+    quad[0, held] = rng.uniform(0.1, 1.0, n if couple else 4)
+    a_in = np.vstack(a_in)
+    return make_problem(h=h, g=rng.normal(size=n), a_eq=rng.normal(size=(2, n)),
+                        b_eq=rng.normal(size=2), a_in=a_in,
+                        b_in=rng.normal(size=a_in.shape[0]) + 1.0,
+                        quad_diag=quad, quad_b=[50.0]), sizes
+
+
+def _block_entries(p):
+    return sum(var_idx.size * var_idx.shape[1]
+               for var_idx, *_ in qs._Kkt(p, qs.REGULARIZATION).groups)
+
+
+def test_kkt_matches_reference_several_components():
+    rng = np.random.default_rng(10)
+    p, sizes = _component_problem(rng, couple=False)
+    # one dense block per component; the two of size 3 (four rows each)
+    # share a stack, the two of size 1 (two rows and none) do not
+    assert _block_entries(p) == sum(s * s for s in sizes)
+    assert len(qs._Kkt(p, qs.REGULARIZATION).groups) == 5
+    assert_kkt_matches_reference(p, rng)
+
+
+def test_kkt_matches_reference_quadratic_row_couples_all():
+    rng = np.random.default_rng(11)
+    p, _ = _component_problem(rng, couple=True)
+    assert _block_entries(p) == p.n_vars ** 2
     assert_kkt_matches_reference(p, rng)
 
 
