@@ -4,17 +4,17 @@ State variables are the modified injections p_hat = P * w and flows, with
 the auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the
 model once, as the sparse branch-flow rows the OPF builder shares. For fixed
 injections the whole state follows from one direct sparse solve of those
-rows, factored one feeder at a time (``FeederFactors``); no sweep or
-iteration is involved. The same factors, memoized per network by
-``load_factors``, give the OPF builder the state that each generator drives
-and the balance-row duals their transposed solve. The module also recovers
-the bus angles, each the sum of the angle turns across the branches on its
-path, and computes the total network loss with its four-way split into
-active/reactive flow contributions. The path matrix T of the paper's closed
-form is never formed: T x (each branch's sum over the buses it feeds) is
-``ti.t.solve(x)`` and T' y (each bus's sum over its path to the slack) is
-``ti.t.solve(y, trans="T")``, one triangular solve each (see
-``netmodel.PathIncidence``).
+rows, block diagonal by feeder and factored whole (``FeederFactors``); no
+sweep or iteration is involved. The same factor, memoized per network by
+``load_factors``, gives the OPF builder the state that each generator
+drives and the balance-row duals their transposed solve. The module also
+recovers the bus angles, each the sum of the angle turns across the
+branches on its path, and computes the total network loss with its
+four-way split into active/reactive flow contributions. The path matrix T
+of the paper's closed form is never formed: T x (each branch's sum over
+the buses it feeds) is ``ti.t.solve(x)`` and T' y (each bus's sum over its
+path to the slack) is ``ti.t.solve(y, trans="T")``, one triangular solve
+each (see ``netmodel.PathIncidence``).
 
 Alignment: the package's one bus order. Full-bus arrays (w, v, delta) hold
 the slack at position 0, then ``netmodel.path_incidence(net).order``;
@@ -129,14 +129,15 @@ def _assemble(net, ti, w_r, p_hat, q_hat):
 class FeederFactors:
     """``flow_equations`` at fixed non-slack net injections ``p``/``q`` (tree
     order) without the slack's two balance rows, square in the state (W,
-    Pbr, Qbr in ``flow_equations``' columns), factored one feeder at a time.
+    Pbr, Qbr in ``flow_equations``' columns), in one factor.
 
     Feeders meet only at the slack, whose W is fixed, so with W0 on the
-    right-hand side the rows are block diagonal by feeder. Each block is
-    factored leaves first, one group per bus (W, Pbr, Qbr of the branch
-    into it; its drop and balance rows), with no pivoting: each child is
-    eliminated before its parent, so fill stays within the parent's group.
-    ``state`` is the solution at the slack voltage ``net.v0``.
+    right-hand side the rows are block diagonal by feeder. They are factored
+    leaves first, one group per bus (W, Pbr, Qbr of the branch into it; its
+    drop and balance rows), with no pivoting: each child is eliminated
+    before its parent, so fill stays within the parent's group and the
+    factor is that of each feeder's block. ``state`` is the solution at the
+    slack voltage ``net.v0``.
     """
 
     def __init__(self, net: Network, p: np.ndarray, q: np.ndarray):
@@ -148,24 +149,17 @@ class FeederFactors:
         self.cols = np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel()
         self.eqs = np.column_stack(
             [rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
-        # a preorder keeps each feeder contiguous, so in leaves-first order
-        # the feeder whose top bus sits at position lo spans a range of
-        # groups, and no entry leaves its block
-        tops = np.flatnonzero(np.asarray(ti.parent_pos, dtype=int) < 0)
-        ends = np.append(tops, n)
-        self.spans = [(3 * (n - hi), 3 * (n - lo)) for lo, hi in zip(ends[:-1], ends[1:])]
-        blocks = a[self.eqs][:, self.cols].tocsc()
-        self.lus = []
-        for lo, hi in self.spans:
-            at = slice(blocks.indptr[lo], blocks.indptr[hi])
-            block = sp.csc_matrix(
-                (blocks.data[at], blocks.indices[at] - lo, blocks.indptr[lo:hi + 1] - at.start),
-                shape=(hi - lo, hi - lo))
-            try:
-                self.lus.append(spla.splu(block, permc_spec="NATURAL", diag_pivot_thresh=0,
-                                          relax=2, panel_size=2))
-            except RuntimeError as exc:
-                raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
+        # a preorder keeps each feeder contiguous, so in leaves-first order a
+        # feeder's rows end at its top bus: number the feeders in that order
+        top = (np.asarray(ti.parent_pos, dtype=int) < 0)[::-1]
+        self.feeder = np.repeat(np.cumsum(top) - top, 3)
+        self.size = np.bincount(self.feeder)
+        self.start = np.cumsum(self.size) - self.size
+        try:
+            self.lu = spla.splu(a[self.eqs][:, self.cols].tocsc(), permc_spec="NATURAL",
+                                diag_pivot_thresh=0, relax=2, panel_size=2)
+        except RuntimeError as exc:
+            raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
         w0 = 2.0 - net.v0
         self.state = -w0 * self.solve(a[:, [0]]).toarray()[:, 0]  # W0 in the top drops
         self.state[0] = w0
@@ -180,30 +174,31 @@ class FeederFactors:
     def solve(self, b: sp.spmatrix) -> sp.csr_matrix:
         """The state that each column of ``b`` (rows in ``FlowRows`` layout)
         drives with W0 held at 0. The slack's rows of ``b`` are not read.
-        Each feeder solves only the columns that reach its rows, so the
-        result is dense within a feeder and zero outside it."""
-        b = sp.csr_matrix(b)[self.eqs]
-        rows, cols, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
-        for (lo, hi), lu in zip(self.spans, self.lus):
-            at = slice(b.indptr[lo], b.indptr[hi])
-            used, col = np.unique(b.indices[at], return_inverse=True)
-            if used.size:
-                rhs = np.zeros((hi - lo, used.size))
-                rhs[np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo:hi + 1])), col] = b.data[at]
-                rows.append(np.repeat(self.cols[lo:hi], used.size))
-                cols.append(np.tile(used, hi - lo))
-                vals.append(lu.solve(rhs).ravel())
-        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(self.cols.size + 1, b.shape[1]))  # W0 held at 0
+        Each column is solved on the feeders whose rows it reaches, so the
+        result is dense within a feeder and zero outside it. Feeders share
+        no rows, so the k-th column that reaches each feeder shares one
+        right-hand side with the others (Curtis, Powell & Reid 1974)."""
+        b = sp.csr_matrix(b)[self.eqs].tocoo()
+        pair, at = np.unique(self.feeder[b.row] * b.shape[1] + b.col, return_inverse=True)
+        feeder, col = np.divmod(pair, b.shape[1])
+        # each pair's rank among its feeder's columns names its slot
+        slot = np.arange(pair.size) - np.searchsorted(feeder, feeder)
+        rhs = np.zeros((self.cols.size, slot.max(initial=-1) + 1))
+        rhs[b.row, slot[at]] = b.data
+        x = self.lu.solve(rhs)
+        # each (feeder, column) pair takes its slot's values on the feeder's rows
+        size = self.size[feeder]
+        row = np.repeat(self.start[feeder] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        return sp.csr_matrix(
+            (x[row, np.repeat(slot, size)], (self.cols[row], np.repeat(col, size))),
+            shape=(self.cols.size + 1, b.shape[1]))  # W0 held at 0
 
     def solve_transposed(self, r: np.ndarray) -> np.ndarray:
         """Multipliers y of the factored rows with A' y = ``r`` on the
         non-slack state columns, in ``FlowRows`` layout; the slack's rows
         are left 0."""
         y = np.zeros(self.rows.count)
-        rg = r[self.cols]
-        for (lo, hi), lu in zip(self.spans, self.lus):
-            y[self.eqs[lo:hi]] = lu.solve(rg[lo:hi], trans="T")
+        y[self.eqs] = self.lu.solve(r[self.cols], trans="T")
         return y
 
 

@@ -5,14 +5,15 @@ the modified branch flows) once the loads are folded in, and its rows
 without the slack's two balance rows are square in that state. So the
 state is affine in the modified generator outputs x: s = s0 + S x, with s0
 the load-only state and S one solve of the generators' balance-row entries
-(``mdistflow.load_factors``, one factor per feeder; S is dense within a
-feeder and zero outside it). The problem's variables are the generator
-outputs alone, plus the flows of the branches with a current rating. The
-voltage and generator-box rows are the full-space rows with s0 + S x put
-in for the state; the slack's two balance rows are the only equality rows
-besides the ties of the rated flows. The objective is the generation cost
-with the voltage weights eliminated through the closed-form affine voltage
-map, which leaves a quadratic form over the generator variables.
+(``mdistflow.load_factors``, one factor of the whole network; S is dense
+within a feeder and zero outside it). The problem's variables are the
+generator outputs alone, plus the flows of the branches with a current
+rating. The voltage and generator-box rows are the full-space rows with
+s0 + S x put in for the state; the slack's two balance rows are the only
+equality rows besides the ties of the rated flows. The objective is the
+generation cost with the voltage weights eliminated through the
+closed-form affine voltage map, which leaves a quadratic form over the
+generator variables.
 
 The raw cost quadratic is certified for positive semidefiniteness; when the
 certificate fails (which happens for generic P/Q cost ratios, see
@@ -116,20 +117,22 @@ def psd_projection(
     h: sp.spmatrix, eig: list[EigBlock] | None = None
 ) -> sp.csr_matrix:
     """Frobenius-nearest PSD matrix: eigenvalues clipped at zero on the
-    nonzero support. ``eig`` is the ``qcqpsolver.support_eigh(h,
-    vectors=True)`` decomposition when the caller already has it."""
+    nonzero support, one stacked product per block size of
+    ``qcqpsolver.support_eigh(h, vectors=True)``. ``eig`` is that
+    decomposition when the caller already has it."""
     hc = sp.csr_matrix(h)
     blocks = support_eigh(hc, vectors=True) if eig is None else eig
     if not blocks:
         return hc
-    parts = [(idx, (vecs * np.maximum(vals, 0.0)) @ vecs.T) for idx, vals, vecs in blocks]
+    parts = [(idx, np.matmul(vecs * np.maximum(vals, 0.0)[:, None, :], vecs.transpose(0, 2, 1)))
+             for idx, vals, vecs in blocks]
     cut = 1e-14 * max(1.0, max(float(abs(c).max()) for _, c in parts))
     rows, cols, data = [], [], []
     for idx, clipped in parts:
-        ri, ci = np.nonzero(np.abs(clipped) >= cut)
-        rows.append(idx[ri])
-        cols.append(idx[ci])
-        data.append(clipped[ri, ci])
+        b, ri, ci = np.nonzero(np.abs(clipped) >= cut)
+        rows.append(idx[b, ri])
+        cols.append(idx[b, ci])
+        data.append(clipped[b, ri, ci])
     return sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=hc.shape,
@@ -345,8 +348,9 @@ def balance_prices(
     withdrawal), slack first, then in tree order. The slack's rows are rows
     of ``prob`` (``qcqpsolver.extract_duals``); the state is stationary,
     A' y_d + E' y + F' z = 0 (A the factored flow rows, E and F the state
-    parts of ``prob``'s rows), so the others are one transposed solve per
-    feeder. Raises ``SolverError`` unless ``sol`` is optimal.
+    parts of ``prob``'s rows), so the others are one transposed solve with
+    ``mdistflow.load_factors``. Raises ``SolverError`` unless ``sol`` is
+    optimal.
     """
     lam = qcqpsolver.extract_duals(prob, sol, np.arange(prob.n_eq))
     _, eq_state, _, in_state, _, _ = _full_space(net, var_blocks(net))

@@ -59,6 +59,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """``final_gap`` and ``final_feas`` are the measures that the stop test
+    compares with ``tol_gap`` and ``tol_feas``, at the last iterate."""
+
     iterations: int
     final_gap: float
     final_feas: float
@@ -130,34 +133,42 @@ def support_eigh(h: sp.spmatrix | np.ndarray, vectors: bool = False) -> list[Eig
     sparsity graph.
 
     The eigenpairs of a block-diagonal matrix are those of its blocks, so a
-    quadratic that couples generators only within each feeder costs one
-    small decomposition per feeder. Returns one (indices into ``h``,
-    eigenvalues in ascending order, eigenvectors as columns or None unless
-    ``vectors``) per block, and no block for an all-zero ``h``.
+    quadratic that couples generators only within each feeder decomposes
+    as its feeders' blocks, and blocks of one size as one stacked
+    decomposition. Returns one (indices into ``h`` (k, s), eigenvalues in
+    ascending order (k, s), eigenvectors as columns (k, s, s) or None unless
+    ``vectors``) per block size s held by k blocks, and nothing for an
+    all-zero ``h``.
     """
     hc = sp.csr_matrix(h)
     support = np.unique(np.concatenate(hc.nonzero()))
     if support.size == 0:
         return []
-    sym = (0.5 * (hc + hc.T)).tocsr()[support][:, support]
-    _, label = csgraph.connected_components(sym, directed=False)
-    order = np.argsort(label, kind="stable")
-    sym = sym[order][:, order]
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), support.size]
+    sym = (0.5 * (hc + hc.T)).tocsr()[support][:, support].tocoo()
+    n_comp, label = csgraph.connected_components(sym, directed=False)
+    local = _rank_within(label, n_comp)  # each index's place in its block
+    sizes, group = np.unique(np.bincount(label), return_inverse=True)
+    rank = _rank_within(group, sizes.size)  # each block's place in its stack
     blocks = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        dense = sym[lo:hi, lo:hi].toarray()
+    for s, k, on, at in zip(sizes.tolist(), np.bincount(group).tolist(),
+                            _split_by(group[label], sizes.size),
+                            _split_by(group[label[sym.row]], sizes.size)):
+        idx = np.empty((k, s), dtype=np.intp)
+        idx[rank[label[on]], local[on]] = support[on]
+        r, c = sym.row[at], sym.col[at]
+        dense = np.zeros((k, s, s))
+        dense[rank[label[r]], local[r], local[c]] = sym.data[at]
         if vectors:
             vals, vecs = np.linalg.eigh(dense)
         else:
             vals, vecs = np.linalg.eigvalsh(dense), None
-        blocks.append((support[order[lo:hi]], vals, vecs))
+        blocks.append((idx, vals, vecs))
     return blocks
 
 
 def min_eigenvalue(blocks: list[EigBlock]) -> float:
     """Smallest eigenvalue over ``support_eigh`` blocks (0 when there are none)."""
-    return min((float(vals[0]) for _, vals, _ in blocks), default=0.0)
+    return min((float(vals[:, 0].min()) for _, vals, _ in blocks), default=0.0)
 
 
 def psd_test(h: sp.spmatrix, blocks: list[EigBlock]) -> tuple[bool, float]:
@@ -381,8 +392,8 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
             r1 = -rd - jac.T @ (d * rs - rc / s)
             sol = kkt_solve(np.concatenate([r1, -rp]))
             dx = sol[:n]
-            dz = d * (jac @ dx + rs) - rc / s
-            return dx, sol[n:], dz, -rs - jac @ dx
+            ds = -rs - jac @ dx
+            return dx, sol[n:], -d * ds - rc / s, ds
 
         # predictor
         dx_a, dy_a, dz_a, ds_a = newton_step(s * z)
@@ -407,7 +418,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
 
     stats = SolveStats(
         iterations=it,
-        final_gap=float(mu),
+        final_gap=gap,
         final_feas=float(feas),
         runtime_seconds=time.perf_counter() - t_start,
         factor_seconds=kkt.seconds,

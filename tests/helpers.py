@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from radialopf import mdistflow, mdopf, netmodel, pricing, qcqpsolver
@@ -304,6 +305,66 @@ def pivoting_fixed_load_w(net, ti, p, q):
     return spla.splu(a.tocsc()).solve(rhs)[1:ti.n + 1]
 
 
+class ReferenceFactors(NamedTuple):
+    state: np.ndarray
+    solve: object
+    solve_transposed: object
+
+
+def reference_feeder_factors(net, p, q) -> ReferenceFactors:
+    """``mdistflow.FeederFactors`` one feeder at a time: the rows of each
+    feeder's block, cut out of the leaves-first matrix, get their own
+    SuperLU factor (same options, no pivoting), and each feeder solves only
+    the columns of ``b`` that reach its rows. The reference for the
+    whole-network factor and its packed solve."""
+    ti = netmodel.path_incidence(net)
+    n, rows = ti.n, mdistflow.FlowRows(ti.n)
+    a = mdistflow.flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
+    k = np.arange(n)[::-1]
+    cols = np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel()
+    eqs = np.column_stack([rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
+    tops = np.flatnonzero(np.asarray(ti.parent_pos, dtype=int) < 0)
+    ends = np.append(tops, n)
+    spans = [(3 * (n - hi), 3 * (n - lo)) for lo, hi in zip(ends[:-1], ends[1:])]
+    blocks = a[eqs][:, cols].tocsc()
+    lus = []
+    for lo, hi in spans:
+        at = slice(blocks.indptr[lo], blocks.indptr[hi])
+        block = sp.csc_matrix(
+            (blocks.data[at], blocks.indices[at] - lo, blocks.indptr[lo:hi + 1] - at.start),
+            shape=(hi - lo, hi - lo))
+        lus.append(spla.splu(block, permc_spec="NATURAL", diag_pivot_thresh=0,
+                             relax=2, panel_size=2))
+
+    def solve(b):
+        b = sp.csr_matrix(b)[eqs]
+        out_rows, out_cols, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+        for (lo, hi), lu in zip(spans, lus):
+            at = slice(b.indptr[lo], b.indptr[hi])
+            used, col = np.unique(b.indices[at], return_inverse=True)
+            if used.size:
+                rhs = np.zeros((hi - lo, used.size))
+                rhs[np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo:hi + 1])), col] = b.data[at]
+                out_rows.append(np.repeat(cols[lo:hi], used.size))
+                out_cols.append(np.tile(used, hi - lo))
+                vals.append(lu.solve(rhs).ravel())
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(out_rows), np.concatenate(out_cols))),
+            shape=(cols.size + 1, b.shape[1]))
+
+    def solve_transposed(r):
+        y = np.zeros(rows.count)
+        rg = r[cols]
+        for (lo, hi), lu in zip(spans, lus):
+            y[eqs[lo:hi]] = lu.solve(rg[lo:hi], trans="T")
+        return y
+
+    w0 = 2.0 - net.v0
+    state = -w0 * solve(a[:, [0]]).toarray()[:, 0]
+    state[0] = w0
+    return ReferenceFactors(state, solve, solve_transposed)
+
+
 def dense_loss_factors(net, ti, state, sens):
     """Dense reference for ``pricing.loss_factors``: the loss gradient chained
     through the n x n modified-injection sensitivity matrices ``sens`` (from
@@ -593,3 +654,29 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
     dv_g = np.array([dv[order_pos[b]] for b in dg])
     c3 = base * float(dv_g @ (cp * pvec) + dv_g @ (cq * qvec))
     return c1, c2, c3
+
+
+def reference_psd_projection(h):
+    """``mdopf.psd_projection`` one block at a time: each connected component
+    of the symmetric part's support is cut out as a sparse slice, decomposed
+    by its own ``np.linalg.eigh`` and clipped at zero."""
+    hc = sp.csr_matrix(h)
+    support = np.unique(np.concatenate(hc.nonzero()))
+    if support.size == 0:
+        return hc
+    sym = (0.5 * (hc + hc.T)).tocsr()[support][:, support]
+    _, label = csgraph.connected_components(sym, directed=False)
+    parts = []
+    for c in np.unique(label):
+        on = np.flatnonzero(label == c)
+        vals, vecs = np.linalg.eigh(sym[on][:, on].toarray())
+        parts.append((support[on], (vecs * np.maximum(vals, 0.0)) @ vecs.T))
+    cut = 1e-14 * max(1.0, max(float(abs(c).max()) for _, c in parts))
+    rows, cols, data = [], [], []
+    for idx, clipped in parts:
+        ri, ci = np.nonzero(np.abs(clipped) >= cut)
+        rows.append(idx[ri])
+        cols.append(idx[ci])
+        data.append(clipped[ri, ci])
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=hc.shape)

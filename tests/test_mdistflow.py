@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from radialopf import acpf, mdistflow as mdf, mdopf, netmodel
 from radialopf.mdistflow import MdfError
-from radialopf.netmodel import build_path_incidence
+from radialopf.netmodel import Branch, Bus, Generator, Network, build_path_incidence
 
 from helpers import (
     chain_network, path_matrix, pivoting_fixed_load_w, random_tree_network, reference_angles,
-    reference_fixed_load_w,
+    reference_feeder_factors, reference_fixed_load_w,
 )
 from test_pricing import reverse_flow_net
 
@@ -286,3 +287,84 @@ def test_singular_matrix_reported():
     net = netmodel.parse_matpower_case(text)
     with pytest.raises(MdfError, match="singular|ill-conditioned"):
         mdf.solve_fixed_load(net)
+
+
+def mixed_feeders_network() -> Network:
+    """Three feeders of different sizes off one slack: a 3-bus chain without
+    DG, a 6-bus chain with one DG and a branched 12-bus feeder with four."""
+    dg = Generator(0.0, 0.05, 0.0, 0.03, 25.0, 2.0)
+    parents = {  # bus: parent
+        2: 1, 3: 2, 4: 3,
+        5: 1, 6: 5, 7: 6, 8: 7, 9: 8, 10: 9,
+        11: 1, 12: 11, 13: 12, 14: 13, 15: 12, 16: 15, 17: 11, 18: 17, 19: 18, 20: 17,
+        21: 20, 22: 14,
+    }
+    gens = {8: dg, 14: dg, 16: dg, 19: dg, 22: dg}
+    buses = [Bus(id=1, v_min=0.5, v_max=1.5)] + [
+        Bus(id=b, p_load=0.01 * (b % 4 + 1), q_load=0.004 * (b % 3 + 1), v_min=0.5,
+            v_max=1.5, gen=gens.get(b)) for b in parents]
+    branches = [Branch(from_bus=a, to_bus=b, r=0.002 * (b % 5 + 1), x=0.003 * (b % 3 + 1))
+                for b, a in parents.items()]
+    net = Network(buses=tuple(buses), branches=tuple(branches), slack=1,
+                  base_power=10.0, base_voltage=12.66, v0=1.02)
+    return netmodel.with_slack_costs(net, 30.0, 3.0)
+
+
+def assert_factors_match_reference(net, rng):
+    """``FeederFactors`` against the per-feeder reference, entry by entry:
+    the load-only state, S for the generator columns and for random columns
+    that reach several feeders, and the transposed solve."""
+    p, q = netmodel.net_injections(net)
+    fac, ref = mdf.FeederFactors(net, p, q), reference_feeder_factors(net, p, q)
+    assert np.array_equal(fac.state, ref.state)
+    n = netmodel.path_incidence(net).n
+    rows = mdf.FlowRows(n)
+    dense = rng.normal(size=(rows.count, 7)) * (rng.random((rows.count, 7)) < 0.05)
+    for b in (mdopf._generation(mdopf.var_blocks(net), rows), sp.csr_matrix(dense)):
+        got, want = fac.solve(b), ref.solve(b)
+        got.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    r = rng.normal(size=3 * n + 1)  # one per state column
+    assert np.array_equal(fac.solve_transposed(r), ref.solve_transposed(r))
+    return fac
+
+
+def test_feeder_factors_match_per_feeder_reference(case69):
+    """One factor of the whole network and one packed solve give what one
+    factor and one solve per feeder give: on feeders with 0, 1 and 4 DGs,
+    case69 x3 with DGs, 20 random multi-feeder trees and the slack alone."""
+    rng = np.random.default_rng(31)
+    fac = assert_factors_match_reference(mixed_feeders_network(), rng)
+    assert fac.size.tolist() == [3 * 12, 3 * 6, 3 * 3]  # leaves first: last feeder first
+    dg = Generator(0.0, 0.2, 0.0, 0.1, 25.0, 2.0)
+    net = netmodel.duplicate_system(case69, 3, seed=5)
+    for bus in (27, 65, 95, 180):
+        net = netmodel.with_generator(net, bus, dg)
+    assert_factors_match_reference(netmodel.with_slack_costs(net, 30.0, 3.0), rng)
+    for _ in range(20):
+        tree = random_tree_network(rng, int(rng.integers(2, 30)), gen_frac=0.3)
+        net = netmodel.duplicate_system(tree, int(rng.integers(2, 4)), seed=int(rng.integers(99)))
+        assert assert_factors_match_reference(net, rng).size.size >= 2
+    slack = Network(buses=(Bus(id=1, gen=Generator(0.0, 1.0, 0.0, 1.0, 30.0, 3.0)),),
+                    branches=(), slack=1, base_power=1.0, base_voltage=12.66, v0=1.05)
+    assert assert_factors_match_reference(slack, rng).state.tolist() == [2.0 - 1.05]
+
+
+def test_feeder_factors_one_splu_call(case69, monkeypatch):
+    """The network's rows are factored in one SuperLU call, not one per
+    feeder."""
+    calls = []
+    splu = mdf.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    net = netmodel.duplicate_system(case69, 10, seed=5)
+    netmodel.path_incidence(net)  # factored on its own
+    monkeypatch.setattr(mdf.spla, "splu", counting)
+    mdf.FeederFactors(net, *netmodel.net_injections(net))
+    assert calls == [(3 * 680, 3 * 680)]

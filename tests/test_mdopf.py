@@ -13,7 +13,8 @@ from radialopf.netmodel import Generator, build_path_incidence
 from helpers import (
     assert_kkt_matches_reference, bus_row, chain_network, dense_objective_h, kkt_residuals,
     mk_case, path_matrix, pivoting_factor, random_tree_network, reference_build,
-    reference_evaluate_cost, reference_extract_duals, reference_recover_dispatch,
+    reference_evaluate_cost, reference_extract_duals, reference_psd_projection,
+    reference_recover_dispatch,
 )
 
 
@@ -318,11 +319,14 @@ def test_support_blocks_match_dense_decomposition():
         m = rng.normal(size=(hi - lo, hi - lo))
         dense[np.ix_(idx[lo:hi], idx[lo:hi])] = m + m.T
     blocks = qs.support_eigh(sp.csr_matrix(dense), vectors=True)
-    assert sorted(len(b[0]) for b in blocks) == [1, 5, 8]
+    # one stack per block size: indices (k, s), values (k, s), vectors (k, s, s)
+    assert sorted(b[0].shape for b in blocks) == [(1, 1), (1, 5), (1, 8)]
+    assert all(b[1].shape == b[0].shape and b[2].shape == b[0].shape + b[0].shape[-1:]
+               for b in blocks)
     support = np.sort(idx[:14])
     sub = dense[np.ix_(support, support)]
     vals, vecs = np.linalg.eigh(sub)
-    got = np.sort(np.concatenate([b[1] for b in blocks]))
+    got = np.sort(np.concatenate([b[1].ravel() for b in blocks]))
     assert np.allclose(got, vals, rtol=0.0, atol=1e-12)
     assert qs.min_eigenvalue(blocks) == pytest.approx(vals[0], abs=1e-12)
     clipped = np.zeros((n, n))
@@ -330,6 +334,35 @@ def test_support_blocks_match_dense_decomposition():
     proj = mdopf.psd_projection(sp.csr_matrix(dense), blocks).toarray()
     assert np.allclose(proj, clipped, rtol=0.0, atol=1e-12)
     assert qs.support_eigh(sp.csr_matrix((4, 4))) == []
+
+
+def test_support_blocks_stack_by_size():
+    # two 3 x 3 components and one 2 x 2 among zero rows: the 3 x 3 pair is
+    # one stack, and each component's eigenpairs are its own eigh's
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(8)
+    n = 12
+    dense = np.zeros((n, n))
+    comps = [np.array([0, 4, 9]), np.array([2, 3, 11]), np.array([6, 7])]
+    for on in comps:
+        m = rng.normal(size=(on.size, on.size))
+        dense[np.ix_(on, on)] = m + m.T
+    blocks = qs.support_eigh(sp.csr_matrix(dense), vectors=True)
+    assert sorted(b[0].shape for b in blocks) == [(1, 2), (2, 3)]
+    found = {tuple(i): (v, w) for idx, vals, vecs in blocks
+             for i, v, w in zip(idx, vals, vecs)}
+    only = {tuple(i): v for idx, vals, _ in qs.support_eigh(sp.csr_matrix(dense))
+            for i, v in zip(idx, vals)}
+    assert sorted(found) == sorted(only) == sorted(tuple(on) for on in comps)
+    for on in comps:
+        vals, vecs = np.linalg.eigh(dense[np.ix_(on, on)])
+        assert np.array_equal(found[tuple(on)][0], vals)
+        assert np.array_equal(found[tuple(on)][1], vecs)
+        assert np.array_equal(only[tuple(on)], np.linalg.eigvalsh(dense[np.ix_(on, on)]))
+    proj = mdopf.psd_projection(sp.csr_matrix(dense), blocks).toarray()
+    ref = reference_psd_projection(sp.csr_matrix(dense)).toarray()
+    assert np.allclose(proj, ref, rtol=0.0, atol=1e-12)
 
 
 def test_built_problem_psd_on_random_trees():
