@@ -321,7 +321,7 @@ def cmd_opf(args) -> int:
     _print_notes(prob.certificate)
     base = net.base_power
     rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
-    for b in mdopf.gen_buses(net):
+    for b in mdopf.var_blocks(net).gens:
         g = net.bus(b).gen
         rows.append(",".join([
             str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base),

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .netmodel import Network, PathIncidence, path_incidence, tree_buses
+from .netmodel import Network, PathIncidence, columns, path_incidence, tree_records
 
 
 class MdfError(RuntimeError):
@@ -206,9 +206,8 @@ def load_factors(net: Network) -> FeederFactors:
     """``FeederFactors`` of ``net`` at its loads, memoized on the instance."""
     memo = net.__dict__.get("_load_factors_memo")
     if memo is None:
-        buses = tree_buses(net)[1:]
-        memo = FeederFactors(net, -np.array([b.p_load for b in buses]),
-                             -np.array([b.q_load for b in buses]))
+        at, cols = tree_records(net)[1:], columns(net)
+        memo = FeederFactors(net, -cols.p_load[at], -cols.q_load[at])
         object.__setattr__(net, "_load_factors_memo", memo)
     return memo
 
@@ -221,9 +220,9 @@ def solve_fixed_load(
     fixed setpoints are folded into them (see ``netmodel.net_injections``).
     """
     ti = path_incidence(net)
-    buses = tree_buses(net)[1:]
-    p = np.array([-b.p_load for b in buses] if p is None else p, dtype=float)
-    q = np.array([-b.q_load for b in buses] if q is None else q, dtype=float)
+    at, cols = tree_records(net)[1:], columns(net)
+    p = -cols.p_load[at] if p is None else np.array(p, dtype=float)
+    q = -cols.q_load[at] if q is None else np.array(q, dtype=float)
     w_r = FeederFactors(net, p, q).state[1:ti.n + 1]
     return _assemble(net, ti, w_r, p * w_r, q * w_r)
 

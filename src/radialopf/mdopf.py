@@ -59,7 +59,7 @@ class ConvexityCertificate:
 
 def gen_buses(net: Network) -> list[int]:
     """Generator buses, slack first, then in path order."""
-    return [b.id for b in netmodel.tree_buses(net) if b.gen is not None]
+    return list(var_blocks(net).gens)
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,19 @@ class VarBlocks:
 
 
 def var_blocks(net: Network) -> VarBlocks:
-    """Variable index blocks of the OPF of ``net``."""
-    gens = gen_buses(net)
-    pos = netmodel.tree_positions(net)
-    rated = np.flatnonzero(~np.isnan(netmodel.path_incidence(net).i_max))
-    g, r = len(gens), rated.size
-    return VarBlocks(tuple(gens), np.array([pos[b] for b in gens], dtype=int), rated,
-                     0, g, 2 * g, 2 * g + r, 2 * g + 2 * r)
+    """Variable index blocks of the OPF of ``net``, memoized on the instance."""
+    memo = net.__dict__.get("_var_blocks_memo")
+    if memo is None:
+        at, cols = netmodel.tree_records(net), netmodel.columns(net)
+        gen_w = np.flatnonzero(cols.gen[at])
+        gens = tuple(cols.bus_id[at[gen_w]].tolist())
+        rated = np.flatnonzero(~np.isnan(netmodel.path_incidence(net).i_max))
+        for arr in (gen_w, rated):
+            arr.setflags(write=False)
+        g, r = len(gens), rated.size
+        memo = VarBlocks(gens, gen_w, rated, 0, g, 2 * g, 2 * g + r, 2 * g + 2 * r)
+        object.__setattr__(net, "_var_blocks_memo", memo)
+    return memo
 
 
 def certify_convexity(
@@ -153,10 +159,10 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     g = np.zeros(n_vars)
     if not lay.gens or lay.gens[0] != net.slack:
         raise MdopfError("supply point has no generator")
-    buses = netmodel.tree_buses(net)
-    slack_gen = buses[0].gen
-    g[lay.pg] = net.v0 * slack_gen.cost_p * base
-    g[lay.qg] = net.v0 * slack_gen.cost_q * base
+    cols = netmodel.columns(net)
+    at = netmodel.tree_records(net)
+    g[lay.pg] = net.v0 * cols.cost_p[at[0]] * base
+    g[lay.qg] = net.v0 * cols.cost_q[at[0]] * base
 
     dg = lay.gens[1:]
     if not dg:
@@ -166,8 +172,8 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     except mdistflow.MdfError as exc:
         raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
     vd = 2.0 - load_w[lay.gen_w[1:]]
-    cp = np.array([buses[w].gen.cost_p for w in lay.gen_w[1:]])
-    cq = np.array([buses[w].gen.cost_q for w in lay.gen_w[1:]])
+    cp = cols.cost_p[at[lay.gen_w[1:]]]
+    cq = cols.cost_q[at[lay.gen_w[1:]]]
     n_dg = len(dg)
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
@@ -212,22 +218,29 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
     sides; the equality rows' are 0."""
     ti = netmodel.path_incidence(net)
     n, n_vars, n_gen, n_rated = ti.n, lay.n_vars, len(lay.gens), lay.rated.size
-    buses = netmodel.tree_buses(net)
+    cols = netmodel.columns(net)
+    at = netmodel.tree_records(net)
     rows = mdistflow.FlowRows(n)
     kg = np.arange(n_gen)
     gen_cols = _generation(lay, rows)
 
     # equality rows: each rated flow tied to the state's Pbr, then to its
     # Qbr, then the slack's active and reactive balance, which meet every
-    # generator and so come last in the KKT factor's order
+    # generator and so come last in the KKT factor's order. The balance rows
+    # are those of ``flow_equations``: the slack's load on W0 where it is
+    # nonzero, and -1 on the Pbr (Qbr) of each branch out of the slack.
     slack = [rows.p_bal, rows.q_bal]
-    flows = mdistflow.flow_equations(
-        ti, -np.array([bus.p_load for bus in buses]), -np.array([bus.q_load for bus in buses])
-    )[slack]
+    top = n + 1 + np.flatnonzero(ti.parent_pos < 0)
+    balance = sp.csr_matrix(
+        (np.concatenate([-cols.p_load[at[:1]], -np.ones(top.size),
+                         -cols.q_load[at[:1]], -np.ones(top.size)]),
+         (np.repeat([0, 1], 1 + top.size), np.concatenate([[0], top, [0], top + n]))),
+        shape=(2, 3 * n + 1))
+    balance.eliminate_zeros()
     tie = np.arange(2 * n_rated)
     flow_cols = np.concatenate([n + 1 + lay.rated, 2 * n + 1 + lay.rated])
     eq_state = sp.vstack([
-        sp.csr_matrix((-np.ones(tie.size), (tie, flow_cols)), shape=(tie.size, 3 * n + 1)), flows,
+        sp.csr_matrix((-np.ones(tie.size), (tie, flow_cols)), shape=(tie.size, 3 * n + 1)), balance,
     ], format="csr")
     eq_vars = sp.vstack([
         sp.csr_matrix((np.ones(tie.size), (tie, lay.pbr + tie)), shape=(tie.size, n_vars)),
@@ -236,8 +249,9 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
 
     # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
     # then per non-slack bus v_floor, v_cap
-    gens = [buses[w].gen for w in lay.gen_w]
-    box = np.array([[gen.p_max, gen.p_min, gen.q_max, gen.q_min] for gen in gens])
+    gen_at = at[lay.gen_w]
+    box = np.column_stack([cols.p_max[gen_at], cols.p_min[gen_at], cols.q_max[gen_at],
+                           cols.q_min[gen_at]])
     gen_rows = (4 * kg[:, None] + np.arange(4)).ravel()
     sign = np.array([1.0, -1.0, 1.0, -1.0])
     out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
@@ -251,7 +265,7 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
         shape=(n_in, 3 * n + 1))
     in_vars = sp.csr_matrix((np.tile(sign, n_gen), (gen_rows, out_col.ravel())),
                             shape=(n_in, n_vars))
-    v_lim = np.array([[2.0 - bus.v_min, bus.v_max - 2.0] for bus in buses[1:]])
+    v_lim = np.column_stack([2.0 - cols.v_min[at[1:]], cols.v_max[at[1:]] - 2.0])
     b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
     return gen_cols, eq_state, eq_vars, in_state, in_vars, b_in
 
@@ -272,11 +286,11 @@ def build(net: Network) -> QcqpProblem:
     generator. The problem carries the certificate of the exact cost
     quadratic; when it is not PSD, ``h`` is its PSD projection.
     """
-    for b in net.buses:
-        if b.gen is not None and (b.gen.cost_p < 0 or b.gen.cost_q < 0):
-            raise MdopfError(
-                f"convexity condition unsatisfied: negative generator cost at bus {b.id}"
-            )
+    cols = netmodel.columns(net)
+    negative = np.flatnonzero(cols.gen & ((cols.cost_p < 0) | (cols.cost_q < 0)))
+    if negative.size:
+        raise MdopfError("convexity condition unsatisfied: negative generator cost "
+                         f"at bus {net.buses[negative[0]].id}")
     lay = var_blocks(net)
     h_exact, g, c = build_objective(net)
     eig = support_eigh(h_exact, vectors=True)
@@ -330,9 +344,9 @@ def recover_dispatch(
     pg = dict(zip(lay.gens, (p_gen / w_gen).tolist()))
     qg = dict(zip(lay.gens, (q_gen / w_gen).tolist()))
     w_r = w[1:]
-    buses = netmodel.tree_buses(net)[1:]
-    p_hat = -np.array([bus.p_load for bus in buses]) * w_r
-    q_hat = -np.array([bus.q_load for bus in buses]) * w_r
+    at, cols = netmodel.tree_records(net)[1:], netmodel.columns(net)
+    p_hat = -cols.p_load[at] * w_r
+    q_hat = -cols.q_load[at] * w_r
     on_tree = lay.gen_w > 0
     p_hat[lay.gen_w[on_tree] - 1] += p_gen[on_tree]
     q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]

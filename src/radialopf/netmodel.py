@@ -6,6 +6,14 @@ closed-form power-flow, OPF and pricing code use for path sums, a
 MATPOWER-subset case reader, a native JSON format, and feeder duplication
 for large-system synthesis.
 
+``Bus`` and ``Branch`` are named tuples (``._replace`` makes a changed
+copy); ``Generator`` and ``Network`` are frozen dataclasses. The records
+are read once per network: ``columns`` gathers their numbers into
+read-only arrays in record order, memoized on the instance, and
+``validate`` and every later stage work on those arrays. The tree order
+comes from one compiled depth-first search from the slack over the buses
+ranked by id (``scipy.sparse.csgraph.depth_first_order``), also memoized.
+
 The paper writes every branch flow and voltage drop through the path matrix
 T, whose entry (i, k) is 1 when branch i lies on the path from bus k to the
 slack. T is the inverse of the unit upper-triangular branch-parent
@@ -31,9 +39,12 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
@@ -51,8 +62,7 @@ class Generator:
     cost_q: float = 0.0
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
     id: int
     p_load: float = 0.0
     q_load: float = 0.0
@@ -61,8 +71,7 @@ class Bus:
     gen: Generator | None = None
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     from_bus: int
     to_bus: int
     r: float
@@ -95,7 +104,7 @@ class PathIncidence:
     ``parent_pos[i]`` is the position of the parent of ``order[i]`` within
     ``order`` (-1 when the parent is the slack), and ``r``/``x``/``i_max`` are
     the branch parameters aligned to rows (``i_max`` is NaN where the branch
-    is unlimited).
+    is unlimited); all four are read-only arrays.
 
     ``t`` is the SuperLU factor of I - A, where A[parent_pos[k], k] = 1. In
     preorder every parent precedes its children, so I - A is unit upper
@@ -112,7 +121,7 @@ class PathIncidence:
 
     order: tuple[int, ...]
     t: spla.SuperLU
-    parent_pos: tuple[int, ...]
+    parent_pos: np.ndarray
     r: np.ndarray
     x: np.ndarray
     i_max: np.ndarray
@@ -120,6 +129,68 @@ class PathIncidence:
     @property
     def n(self) -> int:
         return len(self.order)
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The numbers of a network's records as read-only arrays in record
+    order: the bus fields follow ``net.buses`` and the branch fields
+    ``net.branches``. ``gen`` marks the buses with a generator; the
+    generator fields (``p_min`` to ``cost_q``) are NaN at the others.
+    ``rated`` marks the branches with a current limit; ``i_max`` is NaN at
+    the others. A bus field indexed by ``tree_records`` is in array order.
+    """
+
+    bus_id: np.ndarray
+    p_load: np.ndarray
+    q_load: np.ndarray
+    v_min: np.ndarray
+    v_max: np.ndarray
+    gen: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    cost_p: np.ndarray
+    cost_q: np.ndarray
+    from_bus: np.ndarray
+    to_bus: np.ndarray
+    r: np.ndarray
+    x: np.ndarray
+    i_max: np.ndarray
+    rated: np.ndarray
+
+
+_GEN_FIELDS = attrgetter("p_min", "p_max", "q_min", "q_max", "cost_p", "cost_q")
+
+
+def _transposed(records, width: int) -> tuple[tuple, ...]:
+    """The records' fields, one tuple per field (``width`` empty ones when
+    there are no records)."""
+    return tuple(zip(*records)) or ((),) * width
+
+
+def columns(net: Network) -> Columns:
+    """The column view of ``net``'s records (see ``Columns``), gathered in one
+    pass over them and memoized on the instance."""
+    memo = net.__dict__.get("_columns_memo")
+    if memo is None:
+        ids, p_load, q_load, v_min, v_max, gens = _transposed(net.buses, len(Bus._fields))
+        has_gen = np.array([g is not None for g in gens], dtype=bool)
+        gen = np.full((len(gens), 6), np.nan)
+        gen[has_gen] = np.array(list(map(_GEN_FIELDS, filter(None, gens))),
+                                dtype=float).reshape(-1, 6)
+        from_bus, to_bus, r, x, i_max = _transposed(net.branches, len(Branch._fields))
+        memo = Columns(
+            np.array(ids), *(np.array(c, dtype=float) for c in (p_load, q_load, v_min, v_max)),
+            has_gen, *gen.T.copy(), np.array(from_bus), np.array(to_bus),
+            *(np.array(c, dtype=float) for c in (r, x, i_max)),  # None -> NaN
+            np.array([v is not None for v in i_max], dtype=bool),
+        )
+        for arr in vars(memo).values():
+            arr.setflags(write=False)
+        object.__setattr__(net, "_columns_memo", memo)
+    return memo
 
 
 def bus_positions(net: Network) -> dict[int, int]:
@@ -138,92 +209,95 @@ def tree_positions(net: Network) -> dict[int, int]:
     the bus ids in that order. Memoized on the instance."""
     memo = net.__dict__.get("_tree_memo")
     if memo is None:
-        memo = {b: k for k, b in enumerate((net.slack, *_root_tree(net)[0]))}
+        memo = {b: k for k, b in enumerate((net.slack, *_root_tree(net).order))}
         object.__setattr__(net, "_tree_memo", memo)
     return memo
 
 
-def tree_buses(net: Network) -> tuple[Bus, ...]:
-    """Bus records in array order: the slack, then ``tree_positions`` order.
-    Memoized on the instance."""
-    memo = net.__dict__.get("_tree_buses_memo")
-    if memo is None:
-        pos = bus_positions(net)
-        memo = tuple(net.buses[pos[b]] for b in tree_positions(net))
-        object.__setattr__(net, "_tree_buses_memo", memo)
-    return memo
+def tree_records(net: Network) -> np.ndarray:
+    """Record positions in array order: ``net.buses[tree_records(net)[k]]`` is
+    the bus at array position k (the slack at 0), so ``columns(net).p_load[
+    tree_records(net)[1:]]`` is the non-slack loads in tree order."""
+    return _root_tree(net).at
 
 
-def _adjacency(net: Network) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
-    for li, br in enumerate(net.branches):
-        if br.from_bus not in adj or br.to_bus not in adj:
-            raise NetworkError(
-                f"branch {br.from_bus}-{br.to_bus} references an unknown bus"
-            )
-        adj[br.from_bus].append((br.to_bus, li))
-        adj[br.to_bus].append((br.from_bus, li))
-    return adj
+class _Tree(NamedTuple):
+    order: tuple[int, ...]  # non-slack bus ids in preorder
+    at: np.ndarray  # record position of the slack, then of each bus in ``order``
+    branch_of: np.ndarray  # index in ``net.branches`` of each bus's parent branch
+    parent_pos: np.ndarray  # position of each bus's parent in ``order``, -1 for the slack
 
 
-def _root_tree(net: Network) -> tuple[tuple[int, ...], np.ndarray]:
-    """DFS the network from the slack, once per instance (memoized).
+def _root_tree(net: Network) -> _Tree:
+    """Search the network from the slack, once per instance (memoized).
 
-    Returns the non-slack bus ids in preorder (the order the DFS pops them)
-    and, aligned to it, an int array of the index of each bus's parent
-    branch in ``net.branches`` (an array, not a tuple of ints, because the
-    memo lives as long as the network). Raises on cycles or disconnection.
+    One compiled depth-first search (``scipy.sparse.csgraph``) over the
+    buses ranked by id, so that each bus's children come in ascending id
+    order. The network is a tree when it has n - 1 branches for n buses and
+    the search reaches every bus; otherwise this raises ``NetworkError``, as
+    it does for an unknown branch end, a duplicate bus id or a missing
+    slack. The arrays are read-only, since the memo lives as long as the
+    network.
     """
     memo = net.__dict__.get("_root_memo")
     if memo is not None:
         return memo
-    adj = _adjacency(net)
-    if net.slack not in adj:
+    cols = columns(net)
+    n, m = cols.bus_id.size, cols.from_bus.size
+    ends = np.stack([cols.from_bus, cols.to_bus]).reshape(2, m)
+    unknown = np.flatnonzero(~np.isin(ends, cols.bus_id).all(axis=0))
+    if unknown.size:
+        br = net.branches[unknown[0]]
+        raise NetworkError(f"branch {br.from_bus}-{br.to_bus} references an unknown bus")
+    ids, rank, count = np.unique(cols.bus_id, return_inverse=True, return_counts=True)
+    if ids.size < n:
+        raise NetworkError(f"duplicate bus ids {ids[count > 1].tolist()}")
+    root = int(np.searchsorted(ids, net.slack))
+    if root == n or ids[root] != net.slack:
         raise NetworkError(f"slack bus {net.slack} is not in the bus list")
-    via = {net.slack: -1}  # bus -> index of the branch it was reached by
-    order: list[int] = []
-    branch_of: list[int] = []
-    stack = [net.slack]
-    while stack:
-        u = stack.pop()
-        if u != net.slack:
-            order.append(u)
-            branch_of.append(via[u])
-        for v, li in sorted(adj[u], reverse=True):
-            if li == via[u]:
-                continue
-            if v in via:
-                raise NetworkError(
-                    f"non-radial topology: bus {v} is reachable on two paths"
-                )
-            via[v] = li
-            stack.append(v)
-    if len(via) != len(net.buses):
-        missing = sorted(set(b.id for b in net.buses) - via.keys())
-        raise NetworkError(f"network is disconnected: unreachable buses {missing}")
-    if len(net.branches) != len(net.buses) - 1:
-        raise NetworkError(
-            f"non-radial topology: {len(net.branches)} branches for "
-            f"{len(net.buses)} buses"
-        )
-    memo = (tuple(order), np.array(branch_of, dtype=int))
+    a, b = np.searchsorted(ids, ends)  # each branch's ends by rank
+    graph = sp.csr_matrix((np.ones(2 * m), (np.concatenate([a, b]), np.concatenate([b, a]))),
+                          shape=(n, n))
+    pre, pred = csgraph.depth_first_order(graph, root, directed=True, return_predecessors=True)
+    if pre.size < n:
+        reached = np.zeros(n, dtype=bool)
+        reached[pre] = True
+        raise NetworkError(f"network is disconnected: unreachable buses {ids[~reached].tolist()}")
+    if m != n - 1:
+        raise NetworkError(f"non-radial topology: {m} branches for {n} buses")
+    via = np.empty(n, dtype=int)  # by rank: the branch into each bus
+    via[np.where(pred[b] == a, b, a)] = np.arange(m)
+    where = np.empty(n, dtype=int)  # by rank: the position in ``order``
+    where[pre] = np.arange(-1, n - 1)
+    record = np.empty(n, dtype=int)
+    record[rank] = np.arange(n)
+    at = record[pre]
+    memo = _Tree(tuple(cols.bus_id[at[1:]].tolist()), at, via[pre[1:]], where[pred[pre[1:]]])
+    for arr in memo[1:]:
+        arr.setflags(write=False)
     object.__setattr__(net, "_root_memo", memo)
     return memo
 
 
-def _branch_children(net: Network) -> dict[int, int]:
-    """Map branch index -> the bus it feeds (its end away from the slack)."""
-    order, branch_of = _root_tree(net)
-    return dict(zip(branch_of.tolist(), order))
+def _flipped(net: Network) -> np.ndarray:
+    """Per branch, whether its ``to_bus`` is the end nearer the slack."""
+    tree = _root_tree(net)
+    cols = columns(net)
+    flipped = np.zeros(cols.to_bus.size, dtype=bool)
+    flipped[tree.branch_of] = cols.to_bus[tree.branch_of] != cols.bus_id[tree.at[1:]]
+    return flipped
 
 
 def normalize_orientation(net: Network) -> Network:
-    """Return an equivalent network with every branch oriented parent -> child."""
+    """Return an equivalent network with every branch oriented parent -> child
+    (``net`` itself, with its memos, when every branch already is)."""
+    flipped = np.flatnonzero(_flipped(net)).tolist()
+    if not flipped:
+        return net
     oriented = list(net.branches)
-    for li, child in _branch_children(net).items():
+    for li in flipped:
         br = oriented[li]
-        if br.to_bus != child:
-            oriented[li] = replace(br, from_bus=br.to_bus, to_bus=br.from_bus)
+        oriented[li] = br._replace(from_bus=br.to_bus, to_bus=br.from_bus)
     return replace(net, branches=tuple(oriented))
 
 
@@ -239,15 +313,10 @@ def path_incidence(net: Network) -> PathIncidence:
 def build_path_incidence(net: Network) -> PathIncidence:
     """Order the feeder in preorder and factor its branch-parent incidence
     (see ``PathIncidence``); ``path_incidence`` is the memoized call."""
-    order, branch_of = _root_tree(net)
-    pos = {b: i for i, b in enumerate(order)}
-    branches = [net.branches[li] for li in branch_of.tolist()]
-    parent_pos = tuple(
-        pos.get(br.from_bus if br.to_bus == b else br.to_bus, -1)
-        for b, br in zip(order, branches)
-    )
-    n = len(order)
-    parent = np.array(parent_pos, dtype=int)
+    tree = _root_tree(net)
+    cols = columns(net)
+    parent = tree.parent_pos
+    n = parent.size
     child = np.flatnonzero(parent >= 0)
     i_minus_a = sp.csc_matrix(
         (np.concatenate([np.ones(n), -np.ones(child.size)]),
@@ -256,25 +325,50 @@ def build_path_incidence(net: Network) -> PathIncidence:
     )
     # one-column supernodes: the factor stores I - A and L's unit diagonal only
     t = spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1)
-    r = np.array([br.r for br in branches], dtype=float)
-    x = np.array([br.x for br in branches], dtype=float)
-    i_max = np.array(
-        [np.nan if br.i_max is None else br.i_max for br in branches], dtype=float
-    )
+    r, x, i_max = (c[tree.branch_of] for c in (cols.r, cols.x, cols.i_max))
     for arr in (r, x, i_max):
         arr.setflags(write=False)
-    return PathIncidence(order, t, parent_pos, r, x, i_max)
+    return PathIncidence(tree.order, t, parent, r, x, i_max)
+
+
+# one template per check, in the order of their columns in ``validate``
+_BUS_CHECKS = (
+    "bus {b.id}: non-finite load or voltage limit",
+    "bus {b.id}: negative load",
+    "bus {b.id}: v_min must be positive",
+    "bus {b.id}: v_min {b.v_min} not below v_max {b.v_max}",
+    "bus {b.id}: non-finite generator data",
+    "bus {b.id}: generator bounds out of order",
+    "bus {b.id}: negative generator cost",
+)
+_BRANCH_CHECKS = (
+    "branch {b.from_bus}-{b.to_bus}: unknown endpoint",
+    "branch {b.from_bus}-{b.to_bus}: non-finite impedance",
+    "branch {b.from_bus}-{b.to_bus}: negative impedance",
+    "branch {b.from_bus}-{b.to_bus}: resistance and reactance both zero",
+    "branch {b.from_bus}-{b.to_bus}: current limit {b.i_max} is not positive and finite",
+)
+
+
+def _messages(records, failed: np.ndarray, templates) -> list[str]:
+    """One message per failed check (``failed[i, k]``: record i, template k),
+    record by record; only the flagged records are read."""
+    return [templates[k].format(b=records[i]) for i, k in zip(*np.nonzero(failed))]
 
 
 def validate(net: Network) -> list[str]:
-    """Check the network invariants; returns one message per violation."""
+    """Check the network invariants; returns one message per violation.
+
+    Each check is one array comparison over ``columns(net)``; only the
+    records that fail a check are read, to write their messages.
+    """
     out: list[str] = []
-    ids = [b.id for b in net.buses]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        out.append(f"duplicate bus ids {dupes}")
+    c = columns(net)
+    ids, count = np.unique(c.bus_id, return_counts=True)
+    if ids.size < c.bus_id.size:
+        out.append(f"duplicate bus ids {ids[count > 1].tolist()}")
         return out
-    if net.slack not in set(ids):
+    if not np.any(c.bus_id == net.slack):
         out.append(f"slack bus {net.slack} missing from bus list")
         return out
     if not 0 < net.v0 < math.inf:
@@ -283,49 +377,33 @@ def validate(net: Network) -> list[str]:
         out.append(f"base power {net.base_power} is not positive and finite")
     if not 0 < net.base_voltage < math.inf:
         out.append(f"base voltage {net.base_voltage} is not positive and finite")
-    for b in net.buses:
-        if not all(map(math.isfinite, (b.p_load, b.q_load, b.v_min, b.v_max))):
-            out.append(f"bus {b.id}: non-finite load or voltage limit")
-        if b.p_load < 0 or b.q_load < 0:
-            out.append(f"bus {b.id}: negative load")
-        if b.v_min <= 0:
-            out.append(f"bus {b.id}: v_min must be positive")
-        if not b.v_min < b.v_max:
-            out.append(f"bus {b.id}: v_min {b.v_min} not below v_max {b.v_max}")
-        g = b.gen
-        if g is not None:
-            vals = (g.p_min, g.p_max, g.q_min, g.q_max, g.cost_p, g.cost_q)
-            if not all(map(math.isfinite, vals)):
-                out.append(f"bus {b.id}: non-finite generator data")
-            if g.p_min > g.p_max or g.q_min > g.q_max:
-                out.append(f"bus {b.id}: generator bounds out of order")
-            if g.cost_p < 0 or g.cost_q < 0:
-                out.append(f"bus {b.id}: negative generator cost")
-    known = set(ids)
-    for br in net.branches:
-        tag = f"branch {br.from_bus}-{br.to_bus}"
-        if br.from_bus not in known or br.to_bus not in known:
-            out.append(f"{tag}: unknown endpoint")
-            continue
-        if not (math.isfinite(br.r) and math.isfinite(br.x)):
-            out.append(f"{tag}: non-finite impedance")
-        if br.r < 0 or br.x < 0:
-            out.append(f"{tag}: negative impedance")
-        if br.r == 0 and br.x == 0:
-            out.append(f"{tag}: resistance and reactance both zero")
-        if br.i_max is not None and not 0 < br.i_max < math.inf:
-            out.append(f"{tag}: current limit {br.i_max} is not positive and finite")
+    finite = np.isfinite
+    out += _messages(net.buses, np.column_stack([
+        ~(finite(c.p_load) & finite(c.q_load) & finite(c.v_min) & finite(c.v_max)),
+        (c.p_load < 0) | (c.q_load < 0),
+        c.v_min <= 0,
+        ~(c.v_min < c.v_max),
+        c.gen & ~finite([c.p_min, c.p_max, c.q_min, c.q_max, c.cost_p, c.cost_q]).all(axis=0),
+        c.gen & ((c.p_min > c.p_max) | (c.q_min > c.q_max)),
+        c.gen & ((c.cost_p < 0) | (c.cost_q < 0)),
+    ]).reshape(-1, len(_BUS_CHECKS)), _BUS_CHECKS)
+    known = np.isin(c.from_bus, c.bus_id) & np.isin(c.to_bus, c.bus_id)
+    # an unknown endpoint is the branch's one message
+    out += _messages(net.branches, np.column_stack([
+        ~known,
+        known & ~(finite(c.r) & finite(c.x)),
+        known & ((c.r < 0) | (c.x < 0)),
+        known & (c.r == 0) & (c.x == 0),
+        known & c.rated & ~((0 < c.i_max) & (c.i_max < math.inf)),
+    ]).reshape(-1, len(_BRANCH_CHECKS)), _BRANCH_CHECKS)
     if not out:
         try:
-            child = _branch_children(net)
+            flipped = _flipped(net)
         except NetworkError as exc:
             out.append(str(exc))
             return out
-        for li, br in enumerate(net.branches):
-            if child[li] != br.to_bus:
-                out.append(
-                    f"branch {br.from_bus}-{br.to_bus}: not oriented parent to child"
-                )
+        out += [f"branch {br.from_bus}-{br.to_bus}: not oriented parent to child"
+                for br in map(net.branches.__getitem__, np.flatnonzero(flipped).tolist())]
     return out
 
 
@@ -480,7 +558,7 @@ def parse_matpower_case(text: str) -> Network:
         )
 
     buses = [
-        replace(b, gen=gen_by_bus[b.id]) if b.id in gen_by_bus else b for b in buses
+        b._replace(gen=gen_by_bus[b.id]) if b.id in gen_by_bus else b for b in buses
     ]
     net = Network(
         buses=tuple(buses),
@@ -635,7 +713,6 @@ def duplicate_system(net: Network, copies: int, seed: int = 0, scale_lo: float =
     if not (0 < scale_lo <= scale_hi < math.inf):
         raise NetworkError(f"bad scale_range ({scale_lo}, {scale_hi}): "
                            "need 0 < lo <= hi, both finite")
-    rng = np.random.default_rng(seed)
     slack_bus = net.bus(net.slack)
     slack_gen = slack_bus.gen
     if slack_gen is not None:
@@ -653,37 +730,27 @@ def duplicate_system(net: Network, copies: int, seed: int = 0, scale_lo: float =
         gen=slack_gen,
     )
     nonslack = [b for b in net.buses if b.id != net.slack]
-    n = len(nonslack)
+    n, m = len(nonslack), len(net.branches)
     # bus ids of copy c are 2 + c * n + (position in nonslack), the slack's 1
     local = {b.id: i for i, b in enumerate(nonslack)}
     local[net.slack] = -1
     ends = np.array([[local[br.from_bus], local[br.to_bus]] for br in net.branches],
                     dtype=int).reshape(-1, 2)
-    on_slack = ends < 0
-    p_load = np.array([b.p_load for b in nonslack], dtype=float)
-    q_load = np.array([b.q_load for b in nonslack], dtype=float)
-    r = np.array([br.r for br in net.branches], dtype=float)
-    x = np.array([br.x for br in net.branches], dtype=float)
-    buses = [new_slack]
-    branches: list[Branch] = []
-    for c in range(copies):
-        load_f = rng.uniform(scale_lo, scale_hi, size=n)
-        buses.extend(
-            Bus(id=2 + c * n + i, p_load=p, q_load=q, v_min=b.v_min,
-                v_max=b.v_max, gen=b.gen)
-            for i, (b, p, q) in enumerate(
-                zip(nonslack, (p_load * load_f).tolist(), (q_load * load_f).tolist()))
-        )
-        imp_f = rng.uniform(scale_lo, scale_hi, size=len(net.branches))
-        ids = np.where(on_slack, 1, ends + 2 + c * n).tolist()
-        branches.extend(
-            Branch(from_bus=f, to_bus=t, r=rj, x=xj, i_max=br.i_max)
-            for br, (f, t), rj, xj in zip(
-                net.branches, ids, (r * imp_f).tolist(), (x * imp_f).tolist())
-        )
-    return replace(
-        net, buses=tuple(buses), branches=tuple(branches), slack=1
-    )
+    ends = np.where(ends < 0, 1, ends + 2 + n * np.arange(copies)[:, None, None])
+    _, p_load, q_load, v_min, v_max, gens = _transposed(nonslack, len(Bus._fields))
+    _, _, r, x, i_max = _transposed(net.branches, len(Branch._fields))
+    # per copy, the load factors then the impedance factors: one PCG64 stream
+    factors = np.random.default_rng(seed).uniform(scale_lo, scale_hi, size=(copies, n + m))
+    load_f, imp_f = factors[:, :n], factors[:, n:]
+
+    def scaled(values, factor):
+        return (np.array(values, dtype=float) * factor).ravel().tolist()
+
+    buses = map(Bus, range(2, 2 + copies * n), scaled(p_load, load_f), scaled(q_load, load_f),
+                v_min * copies, v_max * copies, gens * copies)
+    branches = map(Branch, ends[..., 0].ravel().tolist(), ends[..., 1].ravel().tolist(),
+                   scaled(r, imp_f), scaled(x, imp_f), i_max * copies)
+    return replace(net, buses=(new_slack, *buses), branches=tuple(branches), slack=1)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +766,7 @@ def with_generator(net: Network, bus_id: int, gen: Generator | None) -> Network:
     if bus_id not in pos:
         raise NetworkError(f"no bus {bus_id} in network")
     buses = list(net.buses)
-    buses[pos[bus_id]] = replace(buses[pos[bus_id]], gen=gen)
+    buses[pos[bus_id]] = buses[pos[bus_id]]._replace(gen=gen)
     return replace(net, buses=tuple(buses))
 
 
@@ -722,13 +789,13 @@ def with_slack_costs(net: Network, cost_p: float | None = None,
 def with_load(net: Network, bus_id: int, p_load: float, q_load: float) -> Network:
     pos = bus_positions(net)
     buses = list(net.buses)
-    buses[pos[bus_id]] = replace(buses[pos[bus_id]], p_load=p_load, q_load=q_load)
+    buses[pos[bus_id]] = buses[pos[bus_id]]._replace(p_load=p_load, q_load=q_load)
     return replace(net, buses=tuple(buses))
 
 
 def scale_loads(net: Network, factor: float) -> Network:
     buses = tuple(
-        replace(b, p_load=b.p_load * factor, q_load=b.q_load * factor)
+        b._replace(p_load=b.p_load * factor, q_load=b.q_load * factor)
         for b in net.buses
     )
     return replace(net, buses=buses)
@@ -736,7 +803,7 @@ def scale_loads(net: Network, factor: float) -> Network:
 
 def scale_impedance(net: Network, factor: float) -> Network:
     branches = tuple(
-        replace(br, r=br.r * factor, x=br.x * factor) for br in net.branches
+        br._replace(r=br.r * factor, x=br.x * factor) for br in net.branches
     )
     return replace(net, branches=branches)
 
@@ -745,11 +812,11 @@ def with_voltage_limits(net: Network, v_min: float | None = None,
                         v_max: float | None = None) -> Network:
     """Set every bus's voltage limits that are not None; the others stay."""
     limits = {k: v for k, v in (("v_min", v_min), ("v_max", v_max)) if v is not None}
-    return replace(net, buses=tuple(replace(b, **limits) for b in net.buses))
+    return replace(net, buses=tuple(b._replace(**limits) for b in net.buses))
 
 
 def strip_thermal_limits(net: Network) -> Network:
-    branches = tuple(replace(br, i_max=None) for br in net.branches)
+    branches = tuple(br._replace(i_max=None) for br in net.branches)
     return replace(net, branches=branches)
 
 
@@ -761,9 +828,14 @@ def net_injections(
     """Fixed net injections (generation minus load) per non-slack bus, in
     tree order (``tree_positions`` without the slack). ``pg``/``qg`` map bus
     id -> dispatched output (pu)."""
-    pg = pg or {}
-    qg = qg or {}
-    buses = tree_buses(net)[1:]
-    p = np.array([pg.get(b.id, 0.0) - b.p_load for b in buses])
-    q = np.array([qg.get(b.id, 0.0) - b.q_load for b in buses])
-    return p, q
+    pos = tree_positions(net)
+    at = tree_records(net)[1:]
+    cols = columns(net)
+    out = []
+    for gen, load in ((pg, cols.p_load), (qg, cols.q_load)):
+        g = np.zeros(at.size)
+        for b, value in (gen or {}).items():
+            if pos.get(b, 0) > 0:  # the slack's output is not an injection here
+                g[pos[b] - 1] = value
+        out.append(g - load[at])
+    return out[0], out[1]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import acpf, mdistflow
 from .mdistflow import MdfState
-from .netmodel import Network, path_incidence, tree_buses
+from .netmodel import Network, columns, path_incidence, tree_records
 
 
 class PricingError(RuntimeError):
@@ -204,9 +204,9 @@ def settle(
     base = net.base_power
     w = state.w[1:]
     v = state.v[1:]
-    slack_bus, *buses = tree_buses(net)
-    p_load = np.array([b.p_load for b in buses])
-    q_load = np.array([b.q_load for b in buses])
+    at, cols = tree_records(net), columns(net)
+    p_load, q_load = cols.p_load[at[1:]], cols.q_load[at[1:]]
+    slack_p, slack_q = float(cols.p_load[at[0]]), float(cols.q_load[at[0]])
     gen_p = state.p_hat / w + p_load
     gen_q = state.q_hat / w + q_load
 
@@ -217,22 +217,22 @@ def settle(
         slack_scale = w0 * net.v0
         slack_gen_p = (
             float(np.sum(p_load * scale) - np.sum(gen_p * scale))
-            + rep.pl + slack_bus.p_load * slack_scale
+            + rep.pl + slack_p * slack_scale
         )
         slack_gen_q = (
             float(np.sum(q_load * scale) - np.sum(gen_q * scale))
-            + rep.ql + slack_bus.q_load * slack_scale
+            + rep.ql + slack_q * slack_scale
         )
     else:
-        scale = np.ones(len(buses))
+        scale = np.ones(p_load.size)
         slack_scale = 1.0
-        slack_gen_p = ac_state.slack_p + slack_bus.p_load
-        slack_gen_q = ac_state.slack_q + slack_bus.q_load
+        slack_gen_p = ac_state.slack_p + slack_p
+        slack_gen_q = ac_state.slack_q + slack_q
 
     revenue = base * float(
         np.sum(price_p * p_load * scale) + np.sum(price_q * q_load * scale)
-        + c0p * slack_bus.p_load * slack_scale
-        + c0q * slack_bus.q_load * slack_scale
+        + c0p * slack_p * slack_scale
+        + c0q * slack_q * slack_scale
     )
     payment = base * float(
         np.sum(price_p * gen_p * scale) + np.sum(price_q * gen_q * scale)

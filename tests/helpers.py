@@ -195,6 +195,78 @@ def reference_preorder(net):
     return order, [pos.get(parent[b], -1) for b in order]
 
 
+def reference_validate(net):
+    """Record-by-record reference for ``netmodel.validate``: each bus and
+    branch checked in a Python loop, then the topology from networkx and
+    ``reference_preorder`` (reached from the slack, n - 1 branches, every
+    branch stored parent to child)."""
+    import math
+
+    import networkx as nx
+
+    out = []
+    ids = [b.id for b in net.buses]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        out.append(f"duplicate bus ids {dupes}")
+        return out
+    if net.slack not in set(ids):
+        out.append(f"slack bus {net.slack} missing from bus list")
+        return out
+    if not 0 < net.v0 < math.inf:
+        out.append(f"slack voltage {net.v0} is not positive and finite")
+    if not 0 < net.base_power < math.inf:
+        out.append(f"base power {net.base_power} is not positive and finite")
+    if not 0 < net.base_voltage < math.inf:
+        out.append(f"base voltage {net.base_voltage} is not positive and finite")
+    for b in net.buses:
+        if not all(map(math.isfinite, (b.p_load, b.q_load, b.v_min, b.v_max))):
+            out.append(f"bus {b.id}: non-finite load or voltage limit")
+        if b.p_load < 0 or b.q_load < 0:
+            out.append(f"bus {b.id}: negative load")
+        if b.v_min <= 0:
+            out.append(f"bus {b.id}: v_min must be positive")
+        if not b.v_min < b.v_max:
+            out.append(f"bus {b.id}: v_min {b.v_min} not below v_max {b.v_max}")
+        g = b.gen
+        if g is not None:
+            vals = (g.p_min, g.p_max, g.q_min, g.q_max, g.cost_p, g.cost_q)
+            if not all(map(math.isfinite, vals)):
+                out.append(f"bus {b.id}: non-finite generator data")
+            if g.p_min > g.p_max or g.q_min > g.q_max:
+                out.append(f"bus {b.id}: generator bounds out of order")
+            if g.cost_p < 0 or g.cost_q < 0:
+                out.append(f"bus {b.id}: negative generator cost")
+    known = set(ids)
+    for br in net.branches:
+        tag = f"branch {br.from_bus}-{br.to_bus}"
+        if br.from_bus not in known or br.to_bus not in known:
+            out.append(f"{tag}: unknown endpoint")
+            continue
+        if not (math.isfinite(br.r) and math.isfinite(br.x)):
+            out.append(f"{tag}: non-finite impedance")
+        if br.r < 0 or br.x < 0:
+            out.append(f"{tag}: negative impedance")
+        if br.r == 0 and br.x == 0:
+            out.append(f"{tag}: resistance and reactance both zero")
+        if br.i_max is not None and not 0 < br.i_max < math.inf:
+            out.append(f"{tag}: current limit {br.i_max} is not positive and finite")
+    if out:
+        return out
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from((br.from_bus, br.to_bus) for br in net.branches)
+    missing = sorted(known - nx.node_connected_component(graph, net.slack))
+    if missing:
+        return [f"network is disconnected: unreachable buses {missing}"]
+    if len(net.branches) != len(ids) - 1:
+        return [f"non-radial topology: {len(net.branches)} branches for {len(ids)} buses"]
+    order, parent_pos = reference_preorder(net)
+    parent = {b: net.slack if k < 0 else order[k] for b, k in zip(order, parent_pos)}
+    return [f"branch {br.from_bus}-{br.to_bus}: not oriented parent to child"
+            for br in net.branches if parent.get(br.to_bus) != br.from_bus]
+
+
 def reference_price_table_to_csv(pt, extra=None):
     """Per-cell reference for ``pricing.price_table_to_csv``."""
     buf = io.StringIO()
@@ -573,7 +645,7 @@ def reference_recover_dispatch(net, ti, ref, sol):
 def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
     """Record-by-record reference for ``netmodel.duplicate_system``: the same
     random draws in the same order, each copied bus and branch made with
-    ``dataclasses.replace`` and scaled by numpy scalars."""
+    ``_replace`` and scaled by numpy scalars."""
     rng = np.random.default_rng(seed)
     slack_bus = net.bus(net.slack)
     slack_gen = slack_bus.gen
@@ -594,13 +666,20 @@ def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
             idmap[b.id] = 2 + c * n + i
         load_f = rng.uniform(scale_lo, scale_hi, size=n)
         for i, b in enumerate(nonslack):
-            buses.append(replace(b, id=idmap[b.id], p_load=b.p_load * load_f[i],
-                                 q_load=b.q_load * load_f[i]))
+            buses.append(b._replace(id=idmap[b.id], p_load=b.p_load * load_f[i],
+                                    q_load=b.q_load * load_f[i]))
         imp_f = rng.uniform(scale_lo, scale_hi, size=len(net.branches))
         for j, br in enumerate(net.branches):
-            branches.append(replace(br, from_bus=idmap[br.from_bus], to_bus=idmap[br.to_bus],
-                                    r=br.r * imp_f[j], x=br.x * imp_f[j]))
+            branches.append(br._replace(from_bus=idmap[br.from_bus], to_bus=idmap[br.to_bus],
+                                       r=br.r * imp_f[j], x=br.x * imp_f[j]))
     return replace(net, buses=tuple(buses), branches=tuple(branches), slack=1)
+
+
+def tree_buses(net):
+    """Bus records in array order (the slack, then ``tree_positions``
+    order), looked up one by one."""
+    pos = netmodel.bus_positions(net)
+    return [net.buses[pos[b]] for b in netmodel.tree_positions(net)]
 
 
 def dense_objective_h(net, ti):
@@ -608,7 +687,7 @@ def dense_objective_h(net, ti):
     generator block formed as one dense 2g x 2g array, symmetrized and
     gathered with ``np.nonzero``."""
     lay = mdopf.var_blocks(net)
-    buses = netmodel.tree_buses(net)
+    buses = tree_buses(net)
     w = lay.gen_w[1:]
     cp = np.array([buses[k].gen.cost_p for k in w])
     cq = np.array([buses[k].gen.cost_q for k in w])

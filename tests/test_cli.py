@@ -888,7 +888,7 @@ def test_opf_builds_objective_once(tmp_path, monkeypatch):
 
 
 def test_price_bus_lookups_bounded_by_generators(tmp_path, monkeypatch):
-    """Per-bus gathers read ``netmodel.tree_buses``: on case33 x10 (321 buses,
+    """Per-bus gathers read ``netmodel.columns``: on case33 x10 (321 buses,
     a DG per copy plus the supply point) ``price`` looks up fewer bus records
     by id than there are generators."""
     calls = []

@@ -9,7 +9,7 @@ from radialopf.netmodel import Branch, Bus, Generator, Network, build_path_incid
 
 from helpers import (
     chain_network, path_matrix, pivoting_fixed_load_w, random_tree_network, reference_angles,
-    reference_feeder_factors, reference_fixed_load_w,
+    reference_feeder_factors, reference_fixed_load_w, tree_buses,
 )
 from test_pricing import reverse_flow_net
 
@@ -138,7 +138,7 @@ def test_fixed_load_matches_closed_form_random_trees():
 
 def test_flow_equations_drop_zero_injections(case69):
     ti = build_path_incidence(case69)
-    buses = netmodel.tree_buses(case69)
+    buses = tree_buses(case69)
     p = -np.array([b.p_load for b in buses])
     q = -np.array([b.q_load for b in buses])
     a = mdf.flow_equations(ti, p, q)

@@ -14,7 +14,7 @@ from helpers import (
     assert_kkt_matches_reference, bus_row, chain_network, dense_objective_h, kkt_residuals,
     mk_case, path_matrix, pivoting_factor, random_tree_network, reference_build,
     reference_evaluate_cost, reference_extract_duals, reference_psd_projection,
-    reference_recover_dispatch,
+    reference_recover_dispatch, tree_buses,
 )
 
 
@@ -77,7 +77,7 @@ def full_space_rows(net, x):
     Returns (equality rows, inequality rows) as left minus right side."""
     ti = build_path_incidence(net)
     lay = mdopf.var_blocks(net)
-    buses = netmodel.tree_buses(net)
+    buses = tree_buses(net)
     rows = mdf.FlowRows(ti.n)
     flows = mdf.flow_equations(
         ti, -np.array([b.p_load for b in buses]), -np.array([b.q_load for b in buses]))
@@ -653,7 +653,7 @@ def test_kkt_fill_every_branch_rated(case69, monkeypatch):
     net = _case69_copies(case69, 10)
     state = mdf.solve_fixed_load(net)
     cap = 3.0 * float(np.max(np.hypot(state.p_br_hat, state.q_br_hat)))
-    net = replace(net, branches=tuple(replace(br, i_max=cap) for br in net.branches))
+    net = replace(net, branches=tuple(br._replace(i_max=cap) for br in net.branches))
     prob = mdopf.build(net)
     assert prob.n_quad == len(net.branches)
     # at most about one dense block per feeder's 136 tie rows (223k L+U

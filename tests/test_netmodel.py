@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import networkx as nx
@@ -15,7 +17,7 @@ from radialopf.netmodel import (
 
 from helpers import (
     bus_row, chain_network, dense_objective_h, mk_case, path_matrix, random_tree_network,
-    reference_duplicate_system, reference_preorder,
+    reference_duplicate_system, reference_preorder, reference_validate,
 )
 
 
@@ -306,7 +308,7 @@ def relabelled(net, rng):
 
 
 def test_tree_order_matches_two_pass_reference(case69):
-    """The one-pass DFS yields the preorder and parents of the reference."""
+    """The compiled search yields the preorder and parents of the reference."""
     rng = np.random.default_rng(300)
     nets = [duplicate_system(case69, 70, seed=1)]
     nets += [relabelled(random_tree_network(rng, int(rng.integers(2, 80))), rng)
@@ -323,20 +325,121 @@ def test_tree_order_matches_two_pass_reference(case69):
 
 
 def test_tree_searched_once_per_network(case69, monkeypatch):
-    """validate, build_path_incidence and tree_positions share one search."""
+    """validate, build_path_incidence and tree_positions share one compiled
+    search, over one column view."""
     calls = []
-    adjacency = netmodel._adjacency
+    search = netmodel.csgraph.depth_first_order
 
-    def counting(net):
-        calls.append(net.n_bus)
-        return adjacency(net)
+    def counting(graph, *args, **kwargs):
+        calls.append(graph.shape[0])
+        return search(graph, *args, **kwargs)
 
-    monkeypatch.setattr(netmodel, "_adjacency", counting)
+    monkeypatch.setattr(netmodel.csgraph, "depth_first_order", counting)
     net = duplicate_system(case69, 3, seed=1)
     assert validate(net) == []
     ti = build_path_incidence(net)
     assert list(netmodel.tree_positions(net)) == [net.slack, *ti.order]
     assert calls == [net.n_bus]
+    assert netmodel.columns(net) is netmodel.columns(net)
+
+
+def _chain(n_bus, ends, slack=1, ids=None):
+    """Buses ``ids`` (default 1..n_bus) joined by the branches ``ends``."""
+    ids = ids or range(1, n_bus + 1)
+    return Network(tuple(Bus(i, p_load=0.01) for i in ids),
+                   tuple(Branch(f, t, 0.01, 0.02) for f, t in ends), slack=slack)
+
+
+@pytest.mark.parametrize("net, says", [
+    # with n - 1 branches a cycle leaves a bus unreached
+    (_chain(5, [(1, 2), (2, 3), (3, 4), (4, 2)]), "disconnected: unreachable buses [5]"),
+    (_chain(4, [(1, 2), (2, 3), (3, 4), (4, 2)]), "non-radial topology: 4 branches for 4 buses"),
+    (_chain(4, [(1, 2), (2, 3)]), "disconnected: unreachable buses [4]"),
+    (_chain(4, [(1, 2), (2, 3), (3, 4), (2, 3)]), "non-radial topology: 4 branches for 4 buses"),
+    (_chain(4, [(1, 2), (2, 3), (3, 4), (4, 4)]), "non-radial topology: 4 branches for 4 buses"),
+    (_chain(4, [(1, 2), (2, 3), (3, 9)]), "branch 3-9 references an unknown bus"),
+    (_chain(4, [(1, 2), (2, 3), (3, 1)], ids=[1, 2, 2, 3]), "duplicate bus ids [2]"),
+    (_chain(4, [(1, 2), (2, 3), (3, 4)], slack=7), "slack bus 7 is not in the bus list"),
+], ids=["cycle", "cycle_extra_branch", "isolated", "parallel", "self_loop", "unknown_end",
+        "duplicate_id", "no_slack"])
+def test_path_incidence_rejects_non_trees(net, says):
+    with pytest.raises(NetworkError) as exc:
+        netmodel.path_incidence(net)
+    assert str(exc.value).endswith(says)
+    assert "_ti_memo" not in net.__dict__ and "_root_memo" not in net.__dict__
+
+
+_ODD_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 1e-3, 2.0]
+_UNKNOWN = 10 ** 6
+
+
+@st.composite
+def _overlaid_trees(draw):
+    """A random ``helpers`` tree with up to six overlays: odd numbers in
+    bus, generator, branch and network fields, unknown endpoints, duplicate
+    ids, flipped or rewired branches, an isolated bus, a parallel branch, a
+    self-loop and a slack that moved."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    net = random_tree_network(rng, draw(st.integers(1, 10)), gen_frac=0.3)
+    buses, branches = list(net.buses), list(net.branches)
+    top = dict(slack=net.slack, base_power=net.base_power, base_voltage=net.base_voltage,
+               v0=net.v0)
+
+    def pick(seq):  # the first few records, so that overlays often meet
+        return draw(st.integers(0, min(len(seq), 3) - 1))
+
+    def odd():
+        return draw(st.sampled_from(_ODD_VALUES))
+
+    for kind in draw(st.lists(st.sampled_from(
+            ["bus", "gen", "branch", "network", "unknown", "duplicate", "flip", "rewire",
+             "isolated", "parallel", "self_loop", "slack"]), max_size=6)):
+        i = pick(buses)
+        if kind == "bus":
+            field = draw(st.sampled_from(["p_load", "q_load", "v_min", "v_max"]))
+            buses[i] = buses[i]._replace(**{field: odd()})
+        elif kind == "gen":
+            gen = buses[i].gen or Generator(0.0, 0.1, 0.0, 0.05, 1.0, 1.0)
+            field = draw(st.sampled_from(["p_min", "p_max", "q_min", "q_max", "cost_p",
+                                          "cost_q"]))
+            buses[i] = buses[i]._replace(gen=replace(gen, **{field: odd()}))
+        elif kind == "network":
+            top[draw(st.sampled_from(["base_power", "base_voltage", "v0"]))] = odd()
+        elif kind == "duplicate":
+            buses[i] = buses[i]._replace(id=buses[pick(buses)].id)
+        elif kind == "isolated":
+            buses.append(Bus(max(b.id for b in buses) + 1, p_load=0.01))
+        elif kind == "self_loop":
+            branches.append(Branch(buses[i].id, buses[i].id, 0.01, 0.02))
+        elif kind == "slack":
+            top["slack"] = draw(st.sampled_from([buses[i].id, _UNKNOWN]))
+        elif branches:
+            j = pick(branches)
+            br = branches[j]
+            if kind == "branch":
+                fields = draw(st.sampled_from([("r",), ("x",), ("r", "x"), ("i_max",)]))
+                branches[j] = br._replace(**dict.fromkeys(fields, odd()))
+            elif kind == "unknown":
+                branches[j] = br._replace(**{draw(st.sampled_from(["from_bus", "to_bus"])):
+                                             _UNKNOWN})
+            elif kind == "flip":
+                branches[j] = br._replace(from_bus=br.to_bus, to_bus=br.from_bus)
+            elif kind == "rewire":  # a new parent: still a tree, or a cycle and a cut
+                branches[j] = br._replace(from_bus=buses[i].id)
+            else:
+                branches.append(br)
+    return Network(tuple(buses), tuple(branches), **top)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_overlaid_trees())
+def test_validate_matches_record_reference(net):
+    """The array checks return the per-record reference's messages in its
+    order, without a RuntimeWarning on NaN or infinite values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = validate(net)
+    assert got == reference_validate(net)
 
 
 def test_path_incidence_memo_lives_with_its_network(case33):
@@ -346,7 +449,7 @@ def test_path_incidence_memo_lives_with_its_network(case33):
     assert netmodel.path_incidence(case33) is ti
     child = case33.branches[5].to_bus
     changed = replace(case33, branches=tuple(
-        replace(br, r=2.0 * br.r) if br.to_bus == child else br for br in case33.branches))
+        br._replace(r=2.0 * br.r) if br.to_bus == child else br for br in case33.branches))
     ti2 = netmodel.path_incidence(changed)
     assert ti2 is not ti and netmodel.path_incidence(changed) is ti2
     k = ti2.order.index(child)
@@ -409,7 +512,7 @@ def test_duplicate_scales_within_range(case33):
             assert dbr.x / br.x == pytest.approx(f)
 
 
-@pytest.mark.parametrize("case, copies", [("case33", 5), ("case69", 7)])
+@pytest.mark.parametrize("case, copies", [("case33", 5), ("case69", 7), ("case33", 1)])
 def test_duplicate_matches_reference(case, copies, request):
     # the array-built copies carry the same values as the record-by-record
     # reference, so the network JSON is byte-identical
@@ -417,14 +520,17 @@ def test_duplicate_matches_reference(case, copies, request):
     with_dg = netmodel.with_generator(
         netmodel.with_slack_costs(net, 30.0, 3.0), 18,
         Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
-    for base in (net, with_dg):
+    no_slack_gen = netmodel.with_generator(net, net.slack, None)
+    for base in (net, with_dg, no_slack_gen):
         for seed in (0, 1, 42, 1042, 2042):
             dup = duplicate_system(base, copies, seed=seed)
             ref = reference_duplicate_system(base, copies, seed=seed)
             assert dup == ref
             assert netmodel.to_json(dup) == netmodel.to_json(ref)
-    dup = duplicate_system(net, copies, seed=3, scale_lo=0.5, scale_hi=2.0)
-    assert dup == reference_duplicate_system(net, copies, seed=3, scale_lo=0.5, scale_hi=2.0)
+    assert duplicate_system(no_slack_gen, copies).bus(1).gen is None
+    for lo, hi in ((0.5, 2.0), (1.3, 1.3)):
+        dup = duplicate_system(net, copies, seed=3, scale_lo=lo, scale_hi=hi)
+        assert dup == reference_duplicate_system(net, copies, seed=3, scale_lo=lo, scale_hi=hi)
 
 
 def test_duplicate_requires_positive_copies(case33):
@@ -449,6 +555,10 @@ def test_validate_zero_impedance():
     )
     msgs = validate(net)
     assert len(msgs) == 1 and "both zero" in msgs[0]
+    # an unknown endpoint is the branch's one message
+    stray = replace(net, branches=(*net.branches, Branch(2, 9, 0.0, 0.0, float("nan"))))
+    assert validate(stray) == reference_validate(stray) == [
+        "branch 1-2: resistance and reactance both zero", "branch 2-9: unknown endpoint"]
 
 
 def test_validate_duplicate_ids():

@@ -316,7 +316,7 @@ def test_allocation_off_path_locality(case33_psp):
     path_rows = set(np.nonzero(path_matrix(ti).toarray()[:, k])[0])
     off_path = next(i for i in range(ti.n) if i not in path_rows)
     # branch row i is the branch into bus ti.order[i]
-    branches = tuple(replace(br, r=br.r * 7.0) if br.to_bus == ti.order[off_path] else br
+    branches = tuple(br._replace(r=br.r * 7.0) if br.to_bus == ti.order[off_path] else br
                      for br in case33_psp.branches)
     scaled = replace(case33_psp, branches=branches)
     pl_p2, _, _, _ = pricing.allocate_losses(scaled, state)
