@@ -13,8 +13,9 @@ and state recovery in one call), price it:
 ``prob.certificate`` holds the convexity verdict of the cost quadratic.
 
 Every per-bus array uses one bus order: ``state.v[0]`` is the slack and
-``state.v[1:]`` lines up with ``netmodel.path_incidence(net).order`` and with
-the rows of ``table`` (``netmodel.tree_positions(net)`` maps a bus id to its
+``state.v[1:]`` lines up with ``netmodel.path_incidence(net).order``, with
+the rows of ``table`` and with ``netmodel.columns(net)``, the network's
+numbers as arrays (``netmodel.tree_positions(net)`` maps a bus id to its
 position).
 """
 

@@ -23,6 +23,11 @@ from scipy.sparse import csgraph
 
 from .netmodel import Network, net_injections, tree_positions
 
+#: Newton-Raphson convergence: the largest mismatch (pu), the iteration limit
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 30
+#: load perturbation (pu) of the finite-difference price oracle
+ORACLE_EPS = 1e-5
+
 
 class PowerFlowError(RuntimeError):
     """Raised when Newton-Raphson fails to converge or the Jacobian is singular."""
@@ -56,7 +61,8 @@ class JacobianBlocks:
 
 
 def _branch_ends(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array positions of every branch's ends, and its series impedance."""
+    """Array positions of every branch's ends, and its series impedance, in
+    ``net.branches`` order (``_branch_losses``' sums move in any other)."""
     pos = tree_positions(net)
     f = np.array([pos[br.from_bus] for br in net.branches], dtype=int)
     t = np.array([pos[br.to_bus] for br in net.branches], dtype=int)
@@ -87,8 +93,6 @@ def newton_pf(
     q: np.ndarray | None = None,
     v_start: np.ndarray | None = None,
     delta_start: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 30,
 ) -> AcState:
     """Solve the AC power flow with fixed PQ injections at every non-slack bus.
 
@@ -120,11 +124,11 @@ def newton_pf(
     vc = vm * np.exp(1j * va)
     f = mismatch(vc)
     it = 0
-    while np.max(np.abs(f)) >= tol:
-        if it >= max_iter:
+    while np.max(np.abs(f)) >= NEWTON_TOL:
+        if it >= NEWTON_MAX_ITER:
             raise PowerFlowError(
                 f"power flow diverged: mismatch {np.max(np.abs(f)):.3e} "
-                f"after {max_iter} iterations"
+                f"after {NEWTON_MAX_ITER} iterations"
             )
         j11, j12, j21, j22 = _jacobian_sparse(ybus, vc)
         jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
@@ -263,7 +267,6 @@ def fd_price_oracle(
     net: Network,
     bus: int,
     axis: str = "p",
-    eps: float = 1e-5,
     p: np.ndarray | None = None,
     q: np.ndarray | None = None,
     v_start: np.ndarray | None = None,
@@ -292,12 +295,12 @@ def fd_price_oracle(
         qq = np.array(q, dtype=float)
         # a load increment is an injection decrement
         if axis == "p":
-            pp[k] -= sign * eps
+            pp[k] -= sign * ORACLE_EPS
         else:
-            qq[k] -= sign * eps
+            qq[k] -= sign * ORACLE_EPS
         try:
             st = newton_pf(net, pp, qq, v_start=v_start, delta_start=delta_start)
         except PowerFlowError as exc:
             raise OracleError(f"oracle power flow failed at bus {bus}: {exc}") from exc
         costs.append(c0p * st.slack_p + c0q * st.slack_q)
-    return (costs[0] - costs[1]) / (2.0 * eps)
+    return (costs[0] - costs[1]) / (2.0 * ORACLE_EPS)

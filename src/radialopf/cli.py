@@ -279,7 +279,7 @@ def cmd_pf(args) -> int:
     rep = mdistflow.losses(net, state)
     rows = ["bus,v_model[pu],v_ac[pu],abs_err[pu],delta_model[rad],delta_ac[rad]"]
     pos = netmodel.tree_positions(net)
-    for b in net.buses:
+    for b in net.buses:  # the report's rows follow the case file
         i = pos[b.id]
         rows.append(",".join([
             str(b.id), _fmt(state.v[i]), _fmt(ac.v[i]),

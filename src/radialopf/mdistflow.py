@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .netmodel import Network, PathIncidence, columns, path_incidence, tree_records
+from .netmodel import Network, PathIncidence, columns, path_incidence, per_network
 
 
 class MdfError(RuntimeError):
@@ -202,14 +202,11 @@ class FeederFactors:
         return y
 
 
+@per_network
 def load_factors(net: Network) -> FeederFactors:
     """``FeederFactors`` of ``net`` at its loads, memoized on the instance."""
-    memo = net.__dict__.get("_load_factors_memo")
-    if memo is None:
-        at, cols = tree_records(net)[1:], columns(net)
-        memo = FeederFactors(net, -cols.p_load[at], -cols.q_load[at])
-        object.__setattr__(net, "_load_factors_memo", memo)
-    return memo
+    cols = columns(net)
+    return FeederFactors(net, -cols.p_load[1:], -cols.q_load[1:])
 
 
 def solve_fixed_load(
@@ -220,9 +217,9 @@ def solve_fixed_load(
     fixed setpoints are folded into them (see ``netmodel.net_injections``).
     """
     ti = path_incidence(net)
-    at, cols = tree_records(net)[1:], columns(net)
-    p = -cols.p_load[at] if p is None else np.array(p, dtype=float)
-    q = -cols.q_load[at] if q is None else np.array(q, dtype=float)
+    cols = columns(net)
+    p = -cols.p_load[1:] if p is None else np.array(p, dtype=float)
+    q = -cols.q_load[1:] if q is None else np.array(q, dtype=float)
     w_r = FeederFactors(net, p, q).state[1:ti.n + 1]
     return _assemble(net, ti, w_r, p * w_r, q * w_r)
 
@@ -232,11 +229,11 @@ def state_from_solution(
     p_hat_r: np.ndarray,
     q_hat_r: np.ndarray,
     w_r: np.ndarray,
-    tol: float = STATE_RESIDUAL_TOL,
 ) -> MdfState:
     """Assemble a full state from solver variables, enforcing the voltage-drop
-    identity w = w0 - T'R T p_hat - T'X T q_hat within ``tol``, each T and T'
-    product one triangular solve with the path incidence's factor ``t``."""
+    identity w = w0 - T'R T p_hat - T'X T q_hat within ``STATE_RESIDUAL_TOL``,
+    each T and T' product one triangular solve with the path incidence's
+    factor ``t``."""
     ti = path_incidence(net)
     p_hat_r = np.asarray(p_hat_r, dtype=float)
     q_hat_r = np.asarray(q_hat_r, dtype=float)
@@ -246,10 +243,10 @@ def state_from_solution(
     w_expect = (w0 - t.solve(ti.r * t.solve(p_hat_r), trans="T")
                 - t.solve(ti.x * t.solve(q_hat_r), trans="T"))
     resid = float(np.max(np.abs(w_r - w_expect))) if ti.n else 0.0
-    if resid > tol:
+    if resid > STATE_RESIDUAL_TOL:
         raise MdfError(
             f"solution inconsistent with voltage-drop identity: "
-            f"max residual {resid:.3e} exceeds {tol:.1e}"
+            f"max residual {resid:.3e} exceeds {STATE_RESIDUAL_TOL:.1e}"
         )
     return _assemble(net, ti, w_r, p_hat_r, q_hat_r)
 

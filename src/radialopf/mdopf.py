@@ -57,11 +57,6 @@ class ConvexityCertificate:
     trace_condition: bool
 
 
-def gen_buses(net: Network) -> list[int]:
-    """Generator buses, slack first, then in path order."""
-    return list(var_blocks(net).gens)
-
-
 @dataclass(frozen=True)
 class VarBlocks:
     """Index blocks of the problem variables, the one statement of their
@@ -84,20 +79,17 @@ class VarBlocks:
     n_vars: int
 
 
+@netmodel.per_network
 def var_blocks(net: Network) -> VarBlocks:
     """Variable index blocks of the OPF of ``net``, memoized on the instance."""
-    memo = net.__dict__.get("_var_blocks_memo")
-    if memo is None:
-        at, cols = netmodel.tree_records(net), netmodel.columns(net)
-        gen_w = np.flatnonzero(cols.gen[at])
-        gens = tuple(cols.bus_id[at[gen_w]].tolist())
-        rated = np.flatnonzero(~np.isnan(netmodel.path_incidence(net).i_max))
-        for arr in (gen_w, rated):
-            arr.setflags(write=False)
-        g, r = len(gens), rated.size
-        memo = VarBlocks(gens, gen_w, rated, 0, g, 2 * g, 2 * g + r, 2 * g + 2 * r)
-        object.__setattr__(net, "_var_blocks_memo", memo)
-    return memo
+    cols = netmodel.columns(net)
+    gen_w = np.flatnonzero(cols.gen)
+    gens = tuple(cols.bus_id[gen_w].tolist())
+    rated = np.flatnonzero(~np.isnan(cols.i_max))
+    for arr in (gen_w, rated):
+        arr.setflags(write=False)
+    g, r = len(gens), rated.size
+    return VarBlocks(gens, gen_w, rated, 0, g, 2 * g, 2 * g + r, 2 * g + 2 * r)
 
 
 def certify_convexity(
@@ -160,9 +152,8 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     if not lay.gens or lay.gens[0] != net.slack:
         raise MdopfError("supply point has no generator")
     cols = netmodel.columns(net)
-    at = netmodel.tree_records(net)
-    g[lay.pg] = net.v0 * cols.cost_p[at[0]] * base
-    g[lay.qg] = net.v0 * cols.cost_q[at[0]] * base
+    g[lay.pg] = net.v0 * cols.cost_p[0] * base
+    g[lay.qg] = net.v0 * cols.cost_q[0] * base
 
     dg = lay.gens[1:]
     if not dg:
@@ -172,8 +163,8 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     except mdistflow.MdfError as exc:
         raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
     vd = 2.0 - load_w[lay.gen_w[1:]]
-    cp = cols.cost_p[at[lay.gen_w[1:]]]
-    cq = cols.cost_q[at[lay.gen_w[1:]]]
+    cp = cols.cost_p[lay.gen_w[1:]]
+    cq = cols.cost_q[lay.gen_w[1:]]
     n_dg = len(dg)
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
@@ -219,7 +210,6 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
     ti = netmodel.path_incidence(net)
     n, n_vars, n_gen, n_rated = ti.n, lay.n_vars, len(lay.gens), lay.rated.size
     cols = netmodel.columns(net)
-    at = netmodel.tree_records(net)
     rows = mdistflow.FlowRows(n)
     kg = np.arange(n_gen)
     gen_cols = _generation(lay, rows)
@@ -232,8 +222,8 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
     slack = [rows.p_bal, rows.q_bal]
     top = n + 1 + np.flatnonzero(ti.parent_pos < 0)
     balance = sp.csr_matrix(
-        (np.concatenate([-cols.p_load[at[:1]], -np.ones(top.size),
-                         -cols.q_load[at[:1]], -np.ones(top.size)]),
+        (np.concatenate([-cols.p_load[:1], -np.ones(top.size),
+                         -cols.q_load[:1], -np.ones(top.size)]),
          (np.repeat([0, 1], 1 + top.size), np.concatenate([[0], top, [0], top + n]))),
         shape=(2, 3 * n + 1))
     balance.eliminate_zeros()
@@ -249,9 +239,8 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
 
     # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
     # then per non-slack bus v_floor, v_cap
-    gen_at = at[lay.gen_w]
-    box = np.column_stack([cols.p_max[gen_at], cols.p_min[gen_at], cols.q_max[gen_at],
-                           cols.q_min[gen_at]])
+    box = np.column_stack([cols.p_max[lay.gen_w], cols.p_min[lay.gen_w],
+                           cols.q_max[lay.gen_w], cols.q_min[lay.gen_w]])
     gen_rows = (4 * kg[:, None] + np.arange(4)).ravel()
     sign = np.array([1.0, -1.0, 1.0, -1.0])
     out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
@@ -265,7 +254,7 @@ def _full_space(net: Network, lay: VarBlocks) -> tuple:
         shape=(n_in, 3 * n + 1))
     in_vars = sp.csr_matrix((np.tile(sign, n_gen), (gen_rows, out_col.ravel())),
                             shape=(n_in, n_vars))
-    v_lim = np.column_stack([2.0 - cols.v_min[at[1:]], cols.v_max[at[1:]] - 2.0])
+    v_lim = np.column_stack([2.0 - cols.v_min[1:], cols.v_max[1:] - 2.0])
     b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
     return gen_cols, eq_state, eq_vars, in_state, in_vars, b_in
 
@@ -290,7 +279,7 @@ def build(net: Network) -> QcqpProblem:
     negative = np.flatnonzero(cols.gen & ((cols.cost_p < 0) | (cols.cost_q < 0)))
     if negative.size:
         raise MdopfError("convexity condition unsatisfied: negative generator cost "
-                         f"at bus {net.buses[negative[0]].id}")
+                         f"at bus {cols.bus_id[negative[0]]}")
     lay = var_blocks(net)
     h_exact, g, c = build_objective(net)
     eig = support_eigh(h_exact, vectors=True)
@@ -344,9 +333,9 @@ def recover_dispatch(
     pg = dict(zip(lay.gens, (p_gen / w_gen).tolist()))
     qg = dict(zip(lay.gens, (q_gen / w_gen).tolist()))
     w_r = w[1:]
-    at, cols = netmodel.tree_records(net)[1:], netmodel.columns(net)
-    p_hat = -cols.p_load[at] * w_r
-    q_hat = -cols.q_load[at] * w_r
+    cols = netmodel.columns(net)
+    p_hat = -cols.p_load[1:] * w_r
+    q_hat = -cols.q_load[1:] * w_r
     on_tree = lay.gen_w > 0
     p_hat[lay.gen_w[on_tree] - 1] += p_gen[on_tree]
     q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]

@@ -8,11 +8,12 @@ for large-system synthesis.
 
 ``Bus`` and ``Branch`` are named tuples (``._replace`` makes a changed
 copy); ``Generator`` and ``Network`` are frozen dataclasses. The records
-are read once per network: ``columns`` gathers their numbers into
-read-only arrays in record order, memoized on the instance, and
-``validate`` and every later stage work on those arrays. The tree order
-comes from one compiled depth-first search from the slack over the buses
-ranked by id (``scipy.sparse.csgraph.depth_first_order``), also memoized.
+are read once per network, into read-only arrays in record order that only
+``validate`` and the tree search see. The tree order comes from one
+compiled depth-first search from the slack over the buses ranked by id
+(``scipy.sparse.csgraph.depth_first_order``), and ``columns`` puts the
+records' numbers in that array order for every later stage. Each view
+derived from a network is memoized on the instance (``per_network``).
 
 The paper writes every branch flow and voltage drop through the path matrix
 T, whose entry (i, k) is 1 when branch i lies on the path from bus k to the
@@ -30,11 +31,13 @@ Conventions used throughout the package:
   * one bus order for every array: full-bus arrays hold the slack at
     position 0, then the non-slack buses in the feeder's DFS preorder
     (``PathIncidence.order``); non-slack arrays are the same order without
-    the slack (``tree_positions``). ``Network.buses`` is record storage only:
-    its order never indexes an array.
+    the slack (``tree_positions``). ``Network.buses`` and
+    ``Network.branches`` are record storage: outside this module only
+    ``acpf``'s branch loop and the ``pf`` report's rows follow their order.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -104,7 +107,7 @@ class PathIncidence:
     ``parent_pos[i]`` is the position of the parent of ``order[i]`` within
     ``order`` (-1 when the parent is the slack), and ``r``/``x``/``i_max`` are
     the branch parameters aligned to rows (``i_max`` is NaN where the branch
-    is unlimited); all four are read-only arrays.
+    is unlimited), the arrays of ``columns(net)``; all four are read-only.
 
     ``t`` is the SuperLU factor of I - A, where A[parent_pos[k], k] = 1. In
     preorder every parent precedes its children, so I - A is unit upper
@@ -133,12 +136,12 @@ class PathIncidence:
 
 @dataclass(frozen=True)
 class Columns:
-    """The numbers of a network's records as read-only arrays in record
-    order: the bus fields follow ``net.buses`` and the branch fields
-    ``net.branches``. ``gen`` marks the buses with a generator; the
-    generator fields (``p_min`` to ``cost_q``) are NaN at the others.
-    ``rated`` marks the branches with a current limit; ``i_max`` is NaN at
-    the others. A bus field indexed by ``tree_records`` is in array order.
+    """The numbers of a network's records as read-only arrays in array
+    order: a bus field holds the slack at 0, then the buses of
+    ``path_incidence(net).order``; branch field k is the branch into
+    ``order[k]``. ``gen`` marks the buses with a generator; the generator
+    fields (``p_min`` to ``cost_q``) are NaN at the others. ``rated`` marks
+    the branches with a current limit; ``i_max`` is NaN at the others.
     """
 
     bus_id: np.ndarray
@@ -160,6 +163,10 @@ class Columns:
     i_max: np.ndarray
     rated: np.ndarray
 
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
 
 _GEN_FIELDS = attrgetter("p_min", "p_max", "q_min", "q_max", "cost_p", "cost_q")
 
@@ -170,55 +177,61 @@ def _transposed(records, width: int) -> tuple[tuple, ...]:
     return tuple(zip(*records)) or ((),) * width
 
 
+def per_network(build):
+    """Memoize ``build(net)`` on the instance, under ``build``'s module and
+    qualified name in ``vars(net)``; nothing is kept when the build raises."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def memoized(net: Network):
+        if key not in net.__dict__:
+            object.__setattr__(net, key, build(net))
+        return net.__dict__[key]
+
+    return memoized
+
+
+@per_network
+def _records(net: Network) -> Columns:
+    """The numbers of ``net``'s records in record order, gathered in one pass
+    over them: the bus fields follow ``net.buses`` and the branch fields
+    ``net.branches``. Only ``validate`` and the tree search read this order."""
+    ids, p_load, q_load, v_min, v_max, gens = _transposed(net.buses, len(Bus._fields))
+    has_gen = np.array([g is not None for g in gens], dtype=bool)
+    gen = np.full((len(gens), 6), np.nan)
+    gen[has_gen] = np.array(list(map(_GEN_FIELDS, filter(None, gens))),
+                            dtype=float).reshape(-1, 6)
+    from_bus, to_bus, r, x, i_max = _transposed(net.branches, len(Branch._fields))
+    return Columns(
+        np.array(ids), *(np.array(c, dtype=float) for c in (p_load, q_load, v_min, v_max)),
+        has_gen, *gen.T.copy(), np.array(from_bus), np.array(to_bus),
+        *(np.array(c, dtype=float) for c in (r, x, i_max)),  # None -> NaN
+        np.array([v is not None for v in i_max], dtype=bool),
+    )
+
+
+@per_network
 def columns(net: Network) -> Columns:
-    """The column view of ``net``'s records (see ``Columns``), gathered in one
-    pass over them and memoized on the instance."""
-    memo = net.__dict__.get("_columns_memo")
-    if memo is None:
-        ids, p_load, q_load, v_min, v_max, gens = _transposed(net.buses, len(Bus._fields))
-        has_gen = np.array([g is not None for g in gens], dtype=bool)
-        gen = np.full((len(gens), 6), np.nan)
-        gen[has_gen] = np.array(list(map(_GEN_FIELDS, filter(None, gens))),
-                                dtype=float).reshape(-1, 6)
-        from_bus, to_bus, r, x, i_max = _transposed(net.branches, len(Branch._fields))
-        memo = Columns(
-            np.array(ids), *(np.array(c, dtype=float) for c in (p_load, q_load, v_min, v_max)),
-            has_gen, *gen.T.copy(), np.array(from_bus), np.array(to_bus),
-            *(np.array(c, dtype=float) for c in (r, x, i_max)),  # None -> NaN
-            np.array([v is not None for v in i_max], dtype=bool),
-        )
-        for arr in vars(memo).values():
-            arr.setflags(write=False)
-        object.__setattr__(net, "_columns_memo", memo)
-    return memo
+    """The column view of ``net``'s records in array order (see ``Columns``),
+    memoized on the instance."""
+    tree, branch = _root_tree(net), {*Branch._fields, "rated"}
+    return Columns(**{name: c[tree.branch_of if name in branch else tree.at]
+                      for name, c in vars(_records(net)).items()})
 
 
+@per_network
 def bus_positions(net: Network) -> dict[int, int]:
     """Map bus id -> position of its record in ``net.buses`` (memoized on the
     instance). Record lookups only; arrays follow ``tree_positions``."""
-    memo = net.__dict__.get("_pos_memo")
-    if memo is None:
-        memo = {b.id: i for i, b in enumerate(net.buses)}
-        object.__setattr__(net, "_pos_memo", memo)
-    return memo
+    return {b.id: i for i, b in enumerate(net.buses)}
 
 
+@per_network
 def tree_positions(net: Network) -> dict[int, int]:
     """Map bus id -> array position: the slack at 0, then the non-slack buses
     in ``path_incidence(net).order`` at 1..n. Iterating the map yields
     the bus ids in that order. Memoized on the instance."""
-    memo = net.__dict__.get("_tree_memo")
-    if memo is None:
-        memo = {b: k for k, b in enumerate((net.slack, *_root_tree(net).order))}
-        object.__setattr__(net, "_tree_memo", memo)
-    return memo
-
-
-def tree_records(net: Network) -> np.ndarray:
-    """Record positions in array order: ``net.buses[tree_records(net)[k]]`` is
-    the bus at array position k (the slack at 0), so ``columns(net).p_load[
-    tree_records(net)[1:]]`` is the non-slack loads in tree order."""
-    return _root_tree(net).at
+    return {b: k for k, b in enumerate((net.slack, *_root_tree(net).order))}
 
 
 class _Tree(NamedTuple):
@@ -228,6 +241,7 @@ class _Tree(NamedTuple):
     parent_pos: np.ndarray  # position of each bus's parent in ``order``, -1 for the slack
 
 
+@per_network
 def _root_tree(net: Network) -> _Tree:
     """Search the network from the slack, once per instance (memoized).
 
@@ -239,10 +253,7 @@ def _root_tree(net: Network) -> _Tree:
     slack. The arrays are read-only, since the memo lives as long as the
     network.
     """
-    memo = net.__dict__.get("_root_memo")
-    if memo is not None:
-        return memo
-    cols = columns(net)
+    cols = _records(net)
     n, m = cols.bus_id.size, cols.from_bus.size
     ends = np.stack([cols.from_bus, cols.to_bus]).reshape(2, m)
     unknown = np.flatnonzero(~np.isin(ends, cols.bus_id).all(axis=0))
@@ -272,19 +283,17 @@ def _root_tree(net: Network) -> _Tree:
     record = np.empty(n, dtype=int)
     record[rank] = np.arange(n)
     at = record[pre]
-    memo = _Tree(tuple(cols.bus_id[at[1:]].tolist()), at, via[pre[1:]], where[pred[pre[1:]]])
-    for arr in memo[1:]:
+    tree = _Tree(tuple(cols.bus_id[at[1:]].tolist()), at, via[pre[1:]], where[pred[pre[1:]]])
+    for arr in tree[1:]:
         arr.setflags(write=False)
-    object.__setattr__(net, "_root_memo", memo)
-    return memo
+    return tree
 
 
 def _flipped(net: Network) -> np.ndarray:
     """Per branch, whether its ``to_bus`` is the end nearer the slack."""
-    tree = _root_tree(net)
     cols = columns(net)
     flipped = np.zeros(cols.to_bus.size, dtype=bool)
-    flipped[tree.branch_of] = cols.to_bus[tree.branch_of] != cols.bus_id[tree.at[1:]]
+    flipped[_root_tree(net).branch_of] = cols.to_bus != cols.bus_id[1:]
     return flipped
 
 
@@ -301,13 +310,10 @@ def normalize_orientation(net: Network) -> Network:
     return replace(net, branches=tuple(oriented))
 
 
+@per_network
 def path_incidence(net: Network) -> PathIncidence:
     """The path incidence of ``net``, built once per instance (memoized)."""
-    memo = net.__dict__.get("_ti_memo")
-    if memo is None:
-        memo = build_path_incidence(net)
-        object.__setattr__(net, "_ti_memo", memo)
-    return memo
+    return build_path_incidence(net)
 
 
 def build_path_incidence(net: Network) -> PathIncidence:
@@ -325,10 +331,7 @@ def build_path_incidence(net: Network) -> PathIncidence:
     )
     # one-column supernodes: the factor stores I - A and L's unit diagonal only
     t = spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1)
-    r, x, i_max = (c[tree.branch_of] for c in (cols.r, cols.x, cols.i_max))
-    for arr in (r, x, i_max):
-        arr.setflags(write=False)
-    return PathIncidence(tree.order, t, parent, r, x, i_max)
+    return PathIncidence(tree.order, t, parent, cols.r, cols.x, cols.i_max)
 
 
 # one template per check, in the order of their columns in ``validate``
@@ -359,11 +362,11 @@ def _messages(records, failed: np.ndarray, templates) -> list[str]:
 def validate(net: Network) -> list[str]:
     """Check the network invariants; returns one message per violation.
 
-    Each check is one array comparison over ``columns(net)``; only the
+    Each check is one array comparison over the records' numbers; only the
     records that fail a check are read, to write their messages.
     """
     out: list[str] = []
-    c = columns(net)
+    c = _records(net)
     ids, count = np.unique(c.bus_id, return_counts=True)
     if ids.size < c.bus_id.size:
         out.append(f"duplicate bus ids {ids[count > 1].tolist()}")
@@ -656,11 +659,15 @@ def schema_error(document: str, exc: Exception) -> NetworkError:
 
 
 def json_number(value, name: str) -> float:
-    """A JSON number field as a float; TypeError for anything else (strings,
-    null, booleans, lists)."""
+    """A JSON number field as a float, infinite for an integer beyond the
+    floats as for a float literal (which ``validate`` rejects); TypeError
+    for anything else (strings, null, booleans, lists)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def json_int(value, name: str) -> int:
@@ -704,10 +711,14 @@ def duplicate_system(net: Network, copies: int, seed: int = 0, scale_lo: float =
     slack buses merge into the single new slack, whose generator capacity is
     scaled by ``copies``. Bus count of the result is copies * (n_bus - 1) + 1.
     Raises ``NetworkError`` unless ``copies >= 1``, ``seed >= 0`` and
-    ``0 < scale_lo <= scale_hi`` with both bounds finite.
+    ``0 < scale_lo <= scale_hi`` with both bounds finite, and unless numpy
+    can address the copies' factors in one float array.
     """
     if copies < 1:
         raise NetworkError(f"copies must be >= 1, got {copies}")
+    most = np.iinfo(np.intp).max // 8 // max(net.n_bus - 1 + len(net.branches), 1)
+    if copies > most:
+        raise NetworkError(f"copies must be at most {most} for this feeder, got {copies}")
     if seed < 0:
         raise NetworkError(f"seed must be >= 0, got {seed}")
     if not (0 < scale_lo <= scale_hi < math.inf):
@@ -828,14 +839,12 @@ def net_injections(
     """Fixed net injections (generation minus load) per non-slack bus, in
     tree order (``tree_positions`` without the slack). ``pg``/``qg`` map bus
     id -> dispatched output (pu)."""
-    pos = tree_positions(net)
-    at = tree_records(net)[1:]
-    cols = columns(net)
+    pos, cols = tree_positions(net), columns(net)
     out = []
-    for gen, load in ((pg, cols.p_load), (qg, cols.q_load)):
-        g = np.zeros(at.size)
+    for gen, load in ((pg, cols.p_load[1:]), (qg, cols.q_load[1:])):
+        g = np.zeros(load.size)
         for b, value in (gen or {}).items():
             if pos.get(b, 0) > 0:  # the slack's output is not an injection here
                 g[pos[b] - 1] = value
-        out.append(g - load[at])
+        out.append(g - load)
     return out[0], out[1]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import acpf, mdistflow
 from .mdistflow import MdfState
-from .netmodel import Network, columns, path_incidence, tree_records
+from .netmodel import Network, columns, path_incidence
 
 
 class PricingError(RuntimeError):
@@ -204,9 +204,9 @@ def settle(
     base = net.base_power
     w = state.w[1:]
     v = state.v[1:]
-    at, cols = tree_records(net), columns(net)
-    p_load, q_load = cols.p_load[at[1:]], cols.q_load[at[1:]]
-    slack_p, slack_q = float(cols.p_load[at[0]]), float(cols.q_load[at[0]])
+    cols = columns(net)
+    p_load, q_load = cols.p_load[1:], cols.q_load[1:]
+    slack_p, slack_q = float(cols.p_load[0]), float(cols.q_load[0])
     gen_p = state.p_hat / w + p_load
     gen_q = state.q_hat / w + q_load
 

@@ -480,7 +480,7 @@ def reference_var_layout(net, ti):
         names.extend(f"{prefix}:{b}" for b in all_buses)
     for prefix in ("Pbr", "Qbr"):
         names.extend(_reference_brname(net, ti, prefix, i) for i in range(ti.n))
-    glist = mdopf.gen_buses(net)
+    glist = mdopf.var_blocks(net).gens
     names.extend(f"Pg:{b}" for b in glist)
     names.extend(f"Qg:{b}" for b in glist)
     return {name: i for i, name in enumerate(names)}
@@ -518,7 +518,7 @@ def reference_objective(net, ti):
         raise mdopf.MdopfError("supply point has no generator")
     g[var[f"Pg:{net.slack}"]] = net.v0 * slack_gen.cost_p * base
     g[var[f"Qg:{net.slack}"]] = net.v0 * slack_gen.cost_q * base
-    dg = [b for b in mdopf.gen_buses(net) if b != net.slack]
+    dg = [b for b in mdopf.var_blocks(net).gens if b != net.slack]
     if not dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
     load_state = mdistflow.solve_fixed_load(net)
@@ -545,7 +545,7 @@ def reference_build(net, ti) -> ReferenceOpf:
     ``mdopf.build``, and its names."""
     var = reference_var_layout(net, ti)
     n_vars = len(var)
-    glist = mdopf.gen_buses(net)
+    glist = mdopf.var_blocks(net).gens
     h, g, c = reference_objective(net, ti)
     if not mdopf.certify_convexity(h).psd:
         h = mdopf.psd_projection(h)
@@ -632,7 +632,7 @@ def reference_recover_dispatch(net, ti, ref, sol):
     x = sol.x
     var = ref.var_map
     pg, qg = {}, {}
-    for b in mdopf.gen_buses(net):
+    for b in mdopf.var_blocks(net).gens:
         w = x[var[f"W:{b}"]]
         pg[b] = float(x[var[f"Pg:{b}"]] / w)
         qg[b] = float(x[var[f"Qg:{b}"]] / w)
@@ -715,7 +715,7 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
         slack_gen.cost_p * p_hat_g.get(net.slack, 0.0)
         + slack_gen.cost_q * q_hat_g.get(net.slack, 0.0)
     )
-    dg = [b for b in mdopf.gen_buses(net) if b != net.slack]
+    dg = [b for b in mdopf.var_blocks(net).gens if b != net.slack]
     if not dg:
         return c1, 0.0, 0.0
     load_state = mdistflow.solve_fixed_load(net)

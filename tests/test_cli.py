@@ -690,8 +690,10 @@ def test_bad_case_value_is_one_line_data_error(tmp_path, capsys, edit):
      "branch 1-2: current limit inf is not positive and finite"),
     ("validate", ("base_voltage",), math.nan, "base voltage nan is not positive and finite"),
     ("validate", ("base_voltage",), 0, "base voltage 0.0 is not positive and finite"),
+    # an integer beyond the floats reads as infinite, as the float literal 1e400 does
+    ("validate", ("buses", 1, "p_load"), 10 ** 400, "bus 2: non-finite load or voltage limit"),
 ], ids=["zero_base", "zero_base_opf_with_dg", "infinite_base", "nan_i_max", "infinite_i_max",
-        "nan_base_voltage", "zero_base_voltage"])
+        "nan_base_voltage", "zero_base_voltage", "huge_integer_load"])
 def test_bad_network_value_is_one_line_data_error(tmp_path, capsys, command, path, value,
                                                   says):
     argv = [command, "--case", json_network(tmp_path, _network_edit(path, value))]
@@ -766,10 +768,18 @@ def test_many_violations_are_counted_not_listed(tmp_path, capsys):
      "both finite"),
     (["duplicate", "--case", "case33.m", "--copies", "2", "--scale-hi", "1e309"], None,
      "both finite"),
+    (["opf"], {"case": "case33.m", "load_scale": 10 ** 400},
+     "invalid network: bus 2: non-finite load or voltage limit"),
+    # counts whose factors numpy cannot address: nothing is allocated
+    (["opf"], {"case": "case33.m", "duplication": {"copies": 10 ** 400}},
+     f"copies must be at most 18014398509481983 for this feeder, got {10 ** 400}"),
+    (["duplicate", "--case", "case33.m", "--copies", str(10 ** 30)], None,
+     f"copies must be at most 18014398509481983 for this feeder, got {10 ** 30}"),
 ], ids=["dg_field", "dg_arity", "scale_range", "copies_flag", "duplicate_copies",
         "scenario_copies", "jobs", "stray_seed", "stray_scale_lo", "stray_scale_hi_scenario",
         "negative_seed", "negative_seed_scenario", "duplicate_negative_seed",
-        "infinite_scale_hi", "duplicate_overflowing_scale_hi"])
+        "infinite_scale_hi", "duplicate_overflowing_scale_hi", "huge_integer_load_scale",
+        "huge_integer_copies_scenario", "huge_copies_flag"])
 def test_bad_cli_value_is_one_line_data_error(tmp_path, capsys, argv, scenario, says):
     if scenario is not None:
         path = tmp_path / "scen.json"

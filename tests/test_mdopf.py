@@ -66,7 +66,7 @@ def test_equality_row_count_random_trees(n, seed):
     net = random_tree_network(np.random.default_rng(seed), n, gen_frac=0.3)
     prob = mdopf.build(net)
     assert prob.n_eq == 2
-    assert prob.n_vars == 2 * len(mdopf.gen_buses(net))
+    assert prob.n_vars == 2 * len(mdopf.var_blocks(net).gens)
 
 
 def full_space_rows(net, x):

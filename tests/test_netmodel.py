@@ -343,6 +343,23 @@ def test_tree_searched_once_per_network(case69, monkeypatch):
     assert netmodel.columns(net) is netmodel.columns(net)
 
 
+def test_column_view_is_in_array_order(case69):
+    """On records stored in random order, with random ids and reversed
+    branches, the column view's bus fields follow ``tree_positions`` and its
+    branch fields the path incidence's rows, which share its arrays."""
+    net = relabelled(duplicate_system(case69, 3, seed=1), np.random.default_rng(5))
+    cols, ti = netmodel.columns(net), netmodel.path_incidence(net)
+    assert cols.bus_id.tolist() == list(netmodel.tree_positions(net))
+    assert cols.bus_id.tolist() != [b.id for b in net.buses]
+    for name in ("r", "x", "i_max"):
+        assert np.shares_memory(getattr(cols, name), getattr(ti, name)), name
+    parent = [net.slack if k < 0 else ti.order[k] for k in ti.parent_pos.tolist()]
+    assert list(map(set, zip(cols.from_bus.tolist(), cols.to_bus.tolist()))) == list(
+        map(set, zip(ti.order, parent)))
+    assert cols.p_load.tolist() == [net.bus(b).p_load for b in cols.bus_id.tolist()]
+    assert {"radialopf.netmodel.columns", "radialopf.netmodel._root_tree"} <= vars(net).keys()
+
+
 def _chain(n_bus, ends, slack=1, ids=None):
     """Buses ``ids`` (default 1..n_bus) joined by the branches ``ends``."""
     ids = ids or range(1, n_bus + 1)
@@ -366,7 +383,9 @@ def test_path_incidence_rejects_non_trees(net, says):
     with pytest.raises(NetworkError) as exc:
         netmodel.path_incidence(net)
     assert str(exc.value).endswith(says)
-    assert "_ti_memo" not in net.__dict__ and "_root_memo" not in net.__dict__
+    # ``per_network`` keys a memo by its function's module and qualified name
+    assert "radialopf.netmodel.path_incidence" not in vars(net)
+    assert "radialopf.netmodel._root_tree" not in vars(net)
 
 
 _ODD_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 1e-3, 2.0]
