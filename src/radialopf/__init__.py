@@ -12,19 +12,18 @@ and state recovery in one call), price it:
 ``cli.resolve_case`` falls back to the packaged cases (case33.m, case69.m).
 ``prob.certificate`` holds the convexity verdict of the cost quadratic.
 
-Every per-bus array uses one bus order: ``state.v[0]`` is the slack and
-``state.v[1:]`` lines up with ``netmodel.path_incidence(net).order``, with
-the rows of ``table`` and with ``netmodel.columns(net)``, the network's
-numbers as arrays (``netmodel.tree_positions(net)`` maps a bus id to its
-position).
+A network is its columns: ``net.records`` holds one read-only array per
+bus or branch field in the case file's order. Every per-bus array of the
+pipeline uses one bus order: ``state.v[0]`` is the slack and ``state.v[1:]``
+lines up with ``netmodel.path_incidence(net).order``, with the rows of
+``table`` and with ``netmodel.columns(net)``, the same columns in that order
+(``netmodel.tree_positions(net)`` maps a bus id to its position).
 """
 
 # ``cli`` is not imported here, so that ``python -m radialopf.cli`` runs it
 # as a fresh module; ``from radialopf import cli`` imports it on demand
 from . import acpf, mdistflow, mdopf, netmodel, pricing, qcqpsolver
 from .netmodel import (
-    Branch,
-    Bus,
     Generator,
     Network,
     NetworkError,
@@ -40,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "acpf", "cli", "mdistflow", "mdopf", "netmodel", "pricing", "qcqpsolver",
-    "Branch", "Bus", "Generator", "Network", "NetworkError", "PathIncidence",
+    "Generator", "Network", "NetworkError", "PathIncidence",
     "build_path_incidence", "duplicate_system", "load_case",
     "parse_matpower_case", "validate",
 ]

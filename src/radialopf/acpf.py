@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .netmodel import Network, net_injections, tree_positions
+from .netmodel import Network, columns, net_injections, per_network, tree_positions
 
 #: Newton-Raphson convergence: the largest mismatch (pu), the iteration limit
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 30
@@ -60,13 +60,18 @@ class JacobianBlocks:
     bus_ids: tuple[int, ...]
 
 
+@per_network
 def _branch_ends(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array positions of every branch's ends, and its series impedance, in
-    ``net.branches`` order (``_branch_losses``' sums move in any other)."""
-    pos = tree_positions(net)
-    f = np.array([pos[br.from_bus] for br in net.branches], dtype=int)
-    t = np.array([pos[br.to_bus] for br in net.branches], dtype=int)
-    z = np.array([complex(br.r, br.x) for br in net.branches])
+    record order (``_branch_losses``' sums move in any other): one array
+    pass over ``net.records``, memoized on the instance."""
+    rec, ids = net.records, columns(net).bus_id
+    rank = np.argsort(ids)
+    f, t = rank[np.searchsorted(ids, np.stack([rec.from_bus, rec.to_bus]), sorter=rank)]
+    z = np.empty(rec.r.size, dtype=complex)
+    z.real, z.imag = rec.r, rec.x
+    for arr in (f, t, z):
+        arr.setflags(write=False)
     return f, t, z
 
 
@@ -257,10 +262,10 @@ def voltage_adjoint(
 
 
 def slack_costs(net: Network) -> tuple[float, float]:
-    g = net.bus(net.slack).gen
-    if g is None:
+    cols = columns(net)
+    if not cols.gen[0]:
         raise OracleError("slack bus has no generator (supply-point costs unknown)")
-    return g.cost_p, g.cost_q
+    return cols.cost_p[0].item(), cols.cost_q[0].item()
 
 
 def fd_price_oracle(

@@ -35,7 +35,10 @@ from . import acpf, mdistflow, mdopf, netmodel, pricing
 from .acpf import OracleError, PowerFlowError
 from .mdistflow import MdfError
 from .mdopf import MdopfError
-from .netmodel import Network, NetworkError, json_int, json_number, json_pair
+from .netmodel import (
+    Network, NetworkError, json_field, json_fields, json_int, json_number, json_of_type,
+    json_pair,
+)
 from .pricing import PricingError
 from .qcqpsolver import SolverError
 
@@ -79,78 +82,49 @@ class Scenario:
     scale_hi: float | None = None
 
 
-def _of_type(kind: type, what: str):
-    def read(value, key):
-        if not isinstance(value, kind):
-            raise TypeError(f"{key} must be {what}, got {value!r}")
-        return value
-    return read
-
-
-# readers of one JSON key: (value, key) -> the fields it sets
-def _to(field: str, convert):
-    return lambda value, key: {field: convert(value, key)}
-
-
 def _split(lo: str, hi: str):
+    """Reader of a JSON pair that sets the fields ``lo`` and ``hi``."""
     return lambda value, key: dict(zip((lo, hi), json_pair(value, key)))
 
 
-def _fields(record, readers: dict, required: tuple[str, ...], name: str) -> dict:
-    """The fields that a JSON object's keys set through ``readers``; a null
-    value sets nothing, and a required key must be given and not null."""
-    if not isinstance(record, dict):
-        raise TypeError(f"{name} must be an object, got {record!r}")
-    for key in required:
-        if record.get(key) is None:
-            raise KeyError(key)
-    out = {}
-    for key, value in record.items():
-        if key not in readers:
-            raise ValueError(f"unknown key {key!r}")
-        if value is not None:
-            out.update(readers[key](value, key))
-    return out
-
-
 _DG_KEYS = {
-    "bus": _to("bus", json_int),
+    "bus": json_field("bus", json_int),
     "p_range": _split("p_min", "p_max"),
     "q_range": _split("q_min", "q_max"),
-    "cost_p": _to("cost_p", json_number),
-    "cost_q": _to("cost_q", json_number),
+    "cost_p": json_field("cost_p", json_number),
+    "cost_q": json_field("cost_q", json_number),
 }
 _DUPLICATION_KEYS = {
-    "copies": _to("copies", json_int),
-    "seed": _to("seed", json_int),
+    "copies": json_field("copies", json_int),
+    "seed": json_field("seed", json_int),
     "range": _split("scale_lo", "scale_hi"),
 }
 
 
 def _dgs(value, key: str) -> dict:
-    entries = _of_type(list, "a list")(value, key)
-    return {"dgs": tuple(DgSpec(**_fields(d, _DG_KEYS, tuple(_DG_KEYS), "dgs entry"))
+    entries = json_of_type(list, "a list")(value, key)
+    return {"dgs": tuple(DgSpec(**json_fields(d, _DG_KEYS, tuple(_DG_KEYS), "dgs entry"))
                          for d in entries)}
 
 
 _SCENARIO_KEYS = {
-    "case": _to("case", _of_type(str, "a string")),
-    "psp_voltage": _to("psp_v", json_number),
+    "case": json_field("case", json_of_type(str, "a string")),
+    "psp_voltage": json_field("psp_v", json_number),
     "psp_costs": _split("psp_cost_p", "psp_cost_q"),
-    "psp_load": _to("psp_load", json_pair),
+    "psp_load": json_field("psp_load", json_pair),
     "dgs": _dgs,
-    "load_scale": _to("load_scale", json_number),
-    "impedance_scale": _to("impedance_scale", json_number),
+    "load_scale": json_field("load_scale", json_number),
+    "impedance_scale": json_field("impedance_scale", json_number),
     "v_limits": _split("vmin", "vmax"),
-    "duplication": lambda value, key: _fields(value, _DUPLICATION_KEYS, ("copies",), key),
+    "duplication": lambda value, key: json_fields(value, _DUPLICATION_KEYS, ("copies",), key),
     "thermal_limits": lambda value, key: {
-        "no_thermal": not _of_type(bool, "true or false")(value, key)},
+        "no_thermal": not json_of_type(bool, "true or false")(value, key)},
 }
 
 
 def scenario_from_json(text: str) -> Scenario:
     try:  # json.JSONDecodeError is a ValueError, too deep a nesting a RecursionError
-        return Scenario(**_fields(json.loads(text), _SCENARIO_KEYS, ("case",), "scenario"))
+        return Scenario(**json_fields(json.loads(text), _SCENARIO_KEYS, ("case",), "scenario"))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise netmodel.schema_error("scenario JSON", exc) from exc
 
@@ -209,7 +183,8 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
                                  dg.q_max / base, dg.cost_p, dg.cost_q)
         net = netmodel.with_generator(net, dg.bus, gen)
     if scen.load_scale is not None:
-        slack_load = (net.bus(net.slack).p_load, net.bus(net.slack).q_load)
+        cols = netmodel.columns(net)  # the supply point's own load stays
+        slack_load = (cols.p_load[0], cols.q_load[0])
         net = netmodel.scale_loads(net, scen.load_scale)
         net = netmodel.with_load(net, net.slack, *slack_load)
     if scen.impedance_scale is not None:
@@ -268,7 +243,7 @@ def _fmt(x: float) -> str:
 
 def cmd_validate(args) -> int:
     net = _network(args)
-    print(f"ok: {net.n_bus} buses, {len(net.branches)} branches, radial")
+    print(f"ok: {net.n_bus} buses, {net.records.from_bus.size} branches, radial")
     return EXIT_OK
 
 
@@ -279,10 +254,10 @@ def cmd_pf(args) -> int:
     rep = mdistflow.losses(net, state)
     rows = ["bus,v_model[pu],v_ac[pu],abs_err[pu],delta_model[rad],delta_ac[rad]"]
     pos = netmodel.tree_positions(net)
-    for b in net.buses:  # the report's rows follow the case file
-        i = pos[b.id]
+    for b in net.records.bus_id.tolist():  # the report's rows follow the case file
+        i = pos[b]
         rows.append(",".join([
-            str(b.id), _fmt(state.v[i]), _fmt(ac.v[i]),
+            str(b), _fmt(state.v[i]), _fmt(ac.v[i]),
             _fmt(abs(state.v[i] - ac.v[i])),
             _fmt(state.delta[i]), _fmt(ac.delta[i]),
         ]))
@@ -321,11 +296,11 @@ def cmd_opf(args) -> int:
     _print_notes(prob.certificate)
     base = net.base_power
     rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
-    for b in mdopf.var_blocks(net).gens:
-        g = net.bus(b).gen
+    vb, cols = mdopf.var_blocks(net), netmodel.columns(net)
+    for b, cost_p, cost_q in zip(vb.gens, cols.cost_p[vb.gen_w].tolist(),
+                                 cols.cost_q[vb.gen_w].tolist()):
         rows.append(",".join([
-            str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base),
-            _fmt(g.cost_p), _fmt(g.cost_q),
+            str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base), _fmt(cost_p), _fmt(cost_q),
         ]))
     out_dir = Path(args.out)
     _write(out_dir, "opf_dispatch.csv", "\n".join(rows) + "\n")
@@ -401,7 +376,7 @@ def cmd_price(args) -> int:
     net = _network(args)
     prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
-    if not sol.pg[net.slack] > net.bus(net.slack).gen.p_min + 1e-9:
+    if not sol.pg[net.slack] > netmodel.columns(net).p_min[0] + 1e-9:
         print("note: supply-point generation is not strictly interior; "
               "marginal-loss prices assume the supply point is marginal")
     pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)
@@ -450,7 +425,7 @@ def cmd_price(args) -> int:
 def cmd_duplicate(args) -> int:
     net = _network(args)
     _write(Path(args.out), args.name, netmodel.to_json(net))
-    print(f"{net.n_bus} buses, {len(net.branches)} branches")
+    print(f"{net.n_bus} buses, {net.records.from_bus.size} branches")
     return EXIT_OK
 
 

@@ -1,19 +1,21 @@
 """Network data model for radial distribution feeders.
 
-Holds the immutable grid description (buses, branches, generators), the
-feeder's tree order with the factored branch-parent incidence that the
-closed-form power-flow, OPF and pricing code use for path sums, a
-MATPOWER-subset case reader, a native JSON format, and feeder duplication
-for large-system synthesis.
+Holds the immutable grid description, the feeder's tree order with the
+factored branch-parent incidence that the closed-form power-flow, OPF and
+pricing code use for path sums, a MATPOWER-subset case reader, a native
+JSON format, and feeder duplication for large-system synthesis.
 
-``Bus`` and ``Branch`` are named tuples (``._replace`` makes a changed
-copy); ``Generator`` and ``Network`` are frozen dataclasses. The records
-are read once per network, into read-only arrays in record order that only
-``validate`` and the tree search see. The tree order comes from one
-compiled depth-first search from the slack over the buses ranked by id
-(``scipy.sparse.csgraph.depth_first_order``), and ``columns`` puts the
-records' numbers in that array order for every later stage. Each view
-derived from a network is memoized on the instance (``per_network``).
+A ``Network`` is its columns: one read-only ``Columns`` in record order
+(``Network.records``: bus field i is the i-th bus of the case file or
+document, branch field j its j-th branch), the slack's bus id and the
+per-unit bases, as MATPOWER stores a case. The readers, the overlays,
+``validate`` and ``duplicate_system`` read and write those arrays; none
+makes an object per bus or per branch. ``Generator`` is the value that
+``with_generator`` takes. The tree order comes from one compiled
+depth-first search from the slack over the buses ranked by id
+(``scipy.sparse.csgraph.depth_first_order``), and ``columns`` holds the
+same numbers in that array order for every later stage. Each view derived
+from a network is memoized on the instance (``per_network``).
 
 The paper writes every branch flow and voltage drop through the path matrix
 T, whose entry (i, k) is 1 when branch i lies on the path from bus k to the
@@ -31,9 +33,9 @@ Conventions used throughout the package:
   * one bus order for every array: full-bus arrays hold the slack at
     position 0, then the non-slack buses in the feeder's DFS preorder
     (``PathIncidence.order``); non-slack arrays are the same order without
-    the slack (``tree_positions``). ``Network.buses`` and
-    ``Network.branches`` are record storage: outside this module only
-    ``acpf``'s branch loop and the ``pf`` report's rows follow their order.
+    the slack (``tree_positions``). ``Network.records`` is storage: outside
+    this module only ``acpf``'s branch sums and the ``pf`` report's rows
+    follow its order.
 """
 from __future__ import annotations
 
@@ -41,8 +43,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -65,38 +66,66 @@ class Generator:
     cost_q: float = 0.0
 
 
-class Bus(NamedTuple):
-    id: int
-    p_load: float = 0.0
-    q_load: float = 0.0
-    v_min: float = 0.9
-    v_max: float = 1.1
-    gen: Generator | None = None
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A network's numbers as read-only arrays, one per field. In
+    ``Network.records`` they are in record order; in ``columns(net)`` they
+    are in array order: a bus field holds the slack at 0, then the buses of
+    ``path_incidence(net).order``, and branch field k is the branch into
+    ``order[k]``. ``gen`` marks the buses with a generator; the generator
+    fields (``p_min`` to ``cost_q``) are NaN at the others. ``rated`` marks
+    the branches with a current limit; ``i_max`` is NaN at the others.
+    Each field is converted to its dtype: integer ids, boolean marks,
+    floats for the rest.
+    """
+
+    bus_id: np.ndarray
+    p_load: np.ndarray
+    q_load: np.ndarray
+    v_min: np.ndarray
+    v_max: np.ndarray
+    gen: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    cost_p: np.ndarray
+    cost_q: np.ndarray
+    from_bus: np.ndarray
+    to_bus: np.ndarray
+    r: np.ndarray
+    x: np.ndarray
+    i_max: np.ndarray
+    rated: np.ndarray
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            kind = (int if name in ("bus_id", "from_bus", "to_bus")
+                    else bool if name in ("gen", "rated") else float)
+            arr = np.asarray(value, dtype=kind)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-class Branch(NamedTuple):
-    from_bus: int
-    to_bus: int
-    r: float
-    x: float
-    i_max: float | None = None
+_BRANCH = frozenset(("from_bus", "to_bus", "r", "x", "i_max", "rated"))
+_GEN = tuple(f.name for f in fields(Generator))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    buses: tuple[Bus, ...]
-    branches: tuple[Branch, ...]
+    """A feeder: its numbers in record order, the slack's bus id and the
+    per-unit bases. Networks compare by identity, as their arrays would not
+    compare to one truth value."""
+
+    records: Columns
     slack: int
     base_power: float = 10.0
     base_voltage: float = 12.66
     v0: float = 1.0
 
-    def bus(self, bus_id: int) -> Bus:
-        return self.buses[bus_positions(self)[bus_id]]
-
     @property
     def n_bus(self) -> int:
-        return len(self.buses)
+        return self.records.bus_id.size
 
 
 @dataclass(frozen=True)
@@ -134,49 +163,6 @@ class PathIncidence:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class Columns:
-    """The numbers of a network's records as read-only arrays in array
-    order: a bus field holds the slack at 0, then the buses of
-    ``path_incidence(net).order``; branch field k is the branch into
-    ``order[k]``. ``gen`` marks the buses with a generator; the generator
-    fields (``p_min`` to ``cost_q``) are NaN at the others. ``rated`` marks
-    the branches with a current limit; ``i_max`` is NaN at the others.
-    """
-
-    bus_id: np.ndarray
-    p_load: np.ndarray
-    q_load: np.ndarray
-    v_min: np.ndarray
-    v_max: np.ndarray
-    gen: np.ndarray
-    p_min: np.ndarray
-    p_max: np.ndarray
-    q_min: np.ndarray
-    q_max: np.ndarray
-    cost_p: np.ndarray
-    cost_q: np.ndarray
-    from_bus: np.ndarray
-    to_bus: np.ndarray
-    r: np.ndarray
-    x: np.ndarray
-    i_max: np.ndarray
-    rated: np.ndarray
-
-    def __post_init__(self):
-        for arr in vars(self).values():
-            arr.setflags(write=False)
-
-
-_GEN_FIELDS = attrgetter("p_min", "p_max", "q_min", "q_max", "cost_p", "cost_q")
-
-
-def _transposed(records, width: int) -> tuple[tuple, ...]:
-    """The records' fields, one tuple per field (``width`` empty ones when
-    there are no records)."""
-    return tuple(zip(*records)) or ((),) * width
-
-
 def per_network(build):
     """Memoize ``build(net)`` on the instance, under ``build``'s module and
     qualified name in ``vars(net)``; nothing is kept when the build raises."""
@@ -192,38 +178,12 @@ def per_network(build):
 
 
 @per_network
-def _records(net: Network) -> Columns:
-    """The numbers of ``net``'s records in record order, gathered in one pass
-    over them: the bus fields follow ``net.buses`` and the branch fields
-    ``net.branches``. Only ``validate`` and the tree search read this order."""
-    ids, p_load, q_load, v_min, v_max, gens = _transposed(net.buses, len(Bus._fields))
-    has_gen = np.array([g is not None for g in gens], dtype=bool)
-    gen = np.full((len(gens), 6), np.nan)
-    gen[has_gen] = np.array(list(map(_GEN_FIELDS, filter(None, gens))),
-                            dtype=float).reshape(-1, 6)
-    from_bus, to_bus, r, x, i_max = _transposed(net.branches, len(Branch._fields))
-    return Columns(
-        np.array(ids), *(np.array(c, dtype=float) for c in (p_load, q_load, v_min, v_max)),
-        has_gen, *gen.T.copy(), np.array(from_bus), np.array(to_bus),
-        *(np.array(c, dtype=float) for c in (r, x, i_max)),  # None -> NaN
-        np.array([v is not None for v in i_max], dtype=bool),
-    )
-
-
-@per_network
 def columns(net: Network) -> Columns:
-    """The column view of ``net``'s records in array order (see ``Columns``),
-    memoized on the instance."""
-    tree, branch = _root_tree(net), {*Branch._fields, "rated"}
-    return Columns(**{name: c[tree.branch_of if name in branch else tree.at]
-                      for name, c in vars(_records(net)).items()})
-
-
-@per_network
-def bus_positions(net: Network) -> dict[int, int]:
-    """Map bus id -> position of its record in ``net.buses`` (memoized on the
-    instance). Record lookups only; arrays follow ``tree_positions``."""
-    return {b.id: i for i, b in enumerate(net.buses)}
+    """``net``'s numbers in array order (see ``Columns``): one gather of
+    ``net.records``, memoized on the instance."""
+    tree = _root_tree(net)
+    return Columns(**{name: c[tree.branch_of if name in _BRANCH else tree.at]
+                      for name, c in vars(net.records).items()})
 
 
 @per_network
@@ -237,7 +197,7 @@ def tree_positions(net: Network) -> dict[int, int]:
 class _Tree(NamedTuple):
     order: tuple[int, ...]  # non-slack bus ids in preorder
     at: np.ndarray  # record position of the slack, then of each bus in ``order``
-    branch_of: np.ndarray  # index in ``net.branches`` of each bus's parent branch
+    branch_of: np.ndarray  # record position of each bus's parent branch
     parent_pos: np.ndarray  # position of each bus's parent in ``order``, -1 for the slack
 
 
@@ -253,13 +213,13 @@ def _root_tree(net: Network) -> _Tree:
     slack. The arrays are read-only, since the memo lives as long as the
     network.
     """
-    cols = _records(net)
+    cols = net.records
     n, m = cols.bus_id.size, cols.from_bus.size
     ends = np.stack([cols.from_bus, cols.to_bus]).reshape(2, m)
     unknown = np.flatnonzero(~np.isin(ends, cols.bus_id).all(axis=0))
     if unknown.size:
-        br = net.branches[unknown[0]]
-        raise NetworkError(f"branch {br.from_bus}-{br.to_bus} references an unknown bus")
+        f, t = ends[:, unknown[0]].tolist()
+        raise NetworkError(f"branch {f}-{t} references an unknown bus")
     ids, rank, count = np.unique(cols.bus_id, return_inverse=True, return_counts=True)
     if ids.size < n:
         raise NetworkError(f"duplicate bus ids {ids[count > 1].tolist()}")
@@ -300,14 +260,12 @@ def _flipped(net: Network) -> np.ndarray:
 def normalize_orientation(net: Network) -> Network:
     """Return an equivalent network with every branch oriented parent -> child
     (``net`` itself, with its memos, when every branch already is)."""
-    flipped = np.flatnonzero(_flipped(net)).tolist()
-    if not flipped:
+    flipped = _flipped(net)
+    if not flipped.any():
         return net
-    oriented = list(net.branches)
-    for li in flipped:
-        br = oriented[li]
-        oriented[li] = br._replace(from_bus=br.to_bus, to_bus=br.from_bus)
-    return replace(net, branches=tuple(oriented))
+    c = net.records
+    return _with(net, from_bus=np.where(flipped, c.to_bus, c.from_bus),
+                 to_bus=np.where(flipped, c.from_bus, c.to_bus))
 
 
 @per_network
@@ -336,37 +294,38 @@ def build_path_incidence(net: Network) -> PathIncidence:
 
 # one template per check, in the order of their columns in ``validate``
 _BUS_CHECKS = (
-    "bus {b.id}: non-finite load or voltage limit",
-    "bus {b.id}: negative load",
-    "bus {b.id}: v_min must be positive",
-    "bus {b.id}: v_min {b.v_min} not below v_max {b.v_max}",
-    "bus {b.id}: non-finite generator data",
-    "bus {b.id}: generator bounds out of order",
-    "bus {b.id}: negative generator cost",
+    "bus {bus_id}: non-finite load or voltage limit",
+    "bus {bus_id}: negative load",
+    "bus {bus_id}: v_min must be positive",
+    "bus {bus_id}: v_min {v_min} not below v_max {v_max}",
+    "bus {bus_id}: non-finite generator data",
+    "bus {bus_id}: generator bounds out of order",
+    "bus {bus_id}: negative generator cost",
 )
 _BRANCH_CHECKS = (
-    "branch {b.from_bus}-{b.to_bus}: unknown endpoint",
-    "branch {b.from_bus}-{b.to_bus}: non-finite impedance",
-    "branch {b.from_bus}-{b.to_bus}: negative impedance",
-    "branch {b.from_bus}-{b.to_bus}: resistance and reactance both zero",
-    "branch {b.from_bus}-{b.to_bus}: current limit {b.i_max} is not positive and finite",
+    "branch {from_bus}-{to_bus}: unknown endpoint",
+    "branch {from_bus}-{to_bus}: non-finite impedance",
+    "branch {from_bus}-{to_bus}: negative impedance",
+    "branch {from_bus}-{to_bus}: resistance and reactance both zero",
+    "branch {from_bus}-{to_bus}: current limit {i_max} is not positive and finite",
 )
 
 
-def _messages(records, failed: np.ndarray, templates) -> list[str]:
+def _messages(failed: np.ndarray, templates, **named: np.ndarray) -> list[str]:
     """One message per failed check (``failed[i, k]``: record i, template k),
-    record by record; only the flagged records are read."""
-    return [templates[k].format(b=records[i]) for i, k in zip(*np.nonzero(failed))]
+    record by record; only the flagged records' ``named`` values are read."""
+    return [templates[k].format(**{name: col[i].item() for name, col in named.items()})
+            for i, k in zip(*np.nonzero(failed))]
 
 
 def validate(net: Network) -> list[str]:
     """Check the network invariants; returns one message per violation.
 
-    Each check is one array comparison over the records' numbers; only the
+    Each check is one array comparison over ``net.records``; only the
     records that fail a check are read, to write their messages.
     """
     out: list[str] = []
-    c = _records(net)
+    c = net.records
     ids, count = np.unique(c.bus_id, return_counts=True)
     if ids.size < c.bus_id.size:
         out.append(f"duplicate bus ids {ids[count > 1].tolist()}")
@@ -381,7 +340,7 @@ def validate(net: Network) -> list[str]:
     if not 0 < net.base_voltage < math.inf:
         out.append(f"base voltage {net.base_voltage} is not positive and finite")
     finite = np.isfinite
-    out += _messages(net.buses, np.column_stack([
+    out += _messages(np.column_stack([
         ~(finite(c.p_load) & finite(c.q_load) & finite(c.v_min) & finite(c.v_max)),
         (c.p_load < 0) | (c.q_load < 0),
         c.v_min <= 0,
@@ -389,24 +348,26 @@ def validate(net: Network) -> list[str]:
         c.gen & ~finite([c.p_min, c.p_max, c.q_min, c.q_max, c.cost_p, c.cost_q]).all(axis=0),
         c.gen & ((c.p_min > c.p_max) | (c.q_min > c.q_max)),
         c.gen & ((c.cost_p < 0) | (c.cost_q < 0)),
-    ]).reshape(-1, len(_BUS_CHECKS)), _BUS_CHECKS)
+    ]).reshape(-1, len(_BUS_CHECKS)), _BUS_CHECKS, bus_id=c.bus_id, v_min=c.v_min,
+        v_max=c.v_max)
     known = np.isin(c.from_bus, c.bus_id) & np.isin(c.to_bus, c.bus_id)
     # an unknown endpoint is the branch's one message
-    out += _messages(net.branches, np.column_stack([
+    out += _messages(np.column_stack([
         ~known,
         known & ~(finite(c.r) & finite(c.x)),
         known & ((c.r < 0) | (c.x < 0)),
         known & (c.r == 0) & (c.x == 0),
         known & c.rated & ~((0 < c.i_max) & (c.i_max < math.inf)),
-    ]).reshape(-1, len(_BRANCH_CHECKS)), _BRANCH_CHECKS)
+    ]).reshape(-1, len(_BRANCH_CHECKS)), _BRANCH_CHECKS, from_bus=c.from_bus,
+        to_bus=c.to_bus, i_max=c.i_max)
     if not out:
         try:
             flipped = _flipped(net)
         except NetworkError as exc:
             out.append(str(exc))
             return out
-        out += [f"branch {br.from_bus}-{br.to_bus}: not oriented parent to child"
-                for br in map(net.branches.__getitem__, np.flatnonzero(flipped).tolist())]
+        out += [f"branch {f}-{t}: not oriented parent to child"
+                for f, t in zip(c.from_bus[flipped].tolist(), c.to_bus[flipped].tolist())]
     return out
 
 
@@ -437,10 +398,17 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
 
 def _integer(value: float, where: str) -> int:
     """An integer column's value; ``NetworkError`` naming ``where`` (row and
-    column) unless it is finite and integral."""
+    column) unless it is finite, integral and fits in 64 bits."""
     if not value.is_integer():
         raise NetworkError(f"{where} must be an integer, got {value}")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise NetworkError(f"{where} must fit in 64 bits, got {value}")
     return int(value)
+
+
+def _table(rows: list[list[float]], width: int) -> np.ndarray:
+    """The first ``width`` columns of a matrix's checked rows, as floats."""
+    return np.array([row[:width] for row in rows], dtype=float).reshape(-1, width)
 
 
 def require_valid(net: Network, what: str) -> None:
@@ -453,8 +421,11 @@ def require_valid(net: Network, what: str) -> None:
         raise NetworkError(f"{what}: " + "; ".join(problems[:5]) + more)
 
 
+# a per-unit value that overflows is infinite, which ``validate`` rejects
+@np.errstate(over="ignore")
 def parse_matpower_case(text: str) -> Network:
-    """Parse the MATPOWER-subset case format into a per-unit Network."""
+    """Parse the MATPOWER-subset case format into a per-unit Network. Each
+    row is checked in file order; the columns are then read as arrays."""
     clean = _strip_comments(text)
     m = _SCALAR_RE.search(clean)
     if not m:
@@ -470,7 +441,6 @@ def parse_matpower_case(text: str) -> Network:
         if required not in mats:
             raise NetworkError(f"missing mpc.{required} matrix")
 
-    buses: list[Bus] = []
     slack_ids: list[int] = []
     base_kv = None
     v0 = 1.0
@@ -488,25 +458,16 @@ def parse_matpower_case(text: str) -> Network:
                     raise NetworkError(f"mpc.bus row {k}: {name} must be finite, got {row[col]}")
             base_kv = row[9]
             v0 = row[7] if row[7] > 0 else 1.0
-        buses.append(
-            Bus(
-                id=bus_id,
-                p_load=row[2] / base,
-                q_load=row[3] / base,
-                v_min=row[12],
-                v_max=row[11],
-            )
-        )
     if len(slack_ids) != 1:
         raise NetworkError(
             f"expected exactly one slack (type 3) bus, found {len(slack_ids)}"
         )
-    slack = slack_ids[0]
-    known = {b.id for b in buses}
-    if len(known) != len(buses):
+    bus = _table(mats["bus"], 13)
+    ids = bus[:, 0].astype(int)
+    known = {b: i for i, b in enumerate(ids.tolist())}  # bus id -> record position
+    if len(known) != ids.size:
         raise NetworkError("duplicate bus ids in mpc.bus")
 
-    branches: list[Branch] = []
     for k, row in enumerate(mats["branch"], 1):
         if len(row) < 6:
             raise NetworkError(f"branch row needs 6 columns, got {len(row)}: {row}")
@@ -514,9 +475,7 @@ def parse_matpower_case(text: str) -> Network:
         t = _integer(row[1], f"mpc.branch row {k}: T_BUS")
         if f not in known or t not in known:
             raise NetworkError(f"branch {f}-{t} references an unknown bus")
-        # RATE_A 0 (or below) means unrated; a NaN rating reaches validate
-        rate = None if row[5] <= 0 else row[5] / base
-        branches.append(Branch(from_bus=f, to_bus=t, r=row[2], x=row[3], i_max=rate))
+    branch = _table(mats["branch"], 6)
 
     gens = mats.get("gen", [])
     gencost = mats.get("gencost", [])
@@ -524,7 +483,8 @@ def parse_matpower_case(text: str) -> Network:
         raise NetworkError(
             f"gencost has {len(gencost)} rows for {len(gens)} generators"
         )
-    gen_by_bus: dict[int, Generator] = {}
+    in_service: dict[int, int] = {}  # record position of the bus -> gen row
+    cost_p = np.zeros(len(gens))
     for gi, row in enumerate(gens):
         if len(row) < 10:
             raise NetworkError(f"gen row needs 10 columns, got {len(row)}: {row}")
@@ -533,9 +493,9 @@ def parse_matpower_case(text: str) -> Network:
             raise NetworkError(f"generator references unknown bus {bus_id}")
         if _integer(row[7], f"mpc.gen row {gi + 1}: GEN_STATUS") == 0:
             continue
-        if bus_id in gen_by_bus:
+        if known[bus_id] in in_service:
             raise NetworkError(f"multiple generators at bus {bus_id}")
-        cost_p = 0.0
+        in_service[known[bus_id]] = gi
         if gencost:
             crow = gencost[gi]
             if len(crow) < 4 or (
@@ -550,23 +510,21 @@ def parse_matpower_case(text: str) -> Network:
                 raise NetworkError(
                     f"gencost row {gi + 1}: NCOST=2 needs 2 coefficients, got {len(crow) - 4}"
                 )
-            cost_p = crow[4]
-        gen_by_bus[bus_id] = Generator(
-            p_min=row[9] / base,
-            p_max=row[8] / base,
-            q_min=row[4] / base,
-            q_max=row[3] / base,
-            cost_p=cost_p,
-            cost_q=0.0,
-        )
-
-    buses = [
-        b._replace(gen=gen_by_bus[b.id]) if b.id in gen_by_bus else b for b in buses
-    ]
+            cost_p[gi] = crow[4]
+    at, rows = list(in_service), list(in_service.values())
+    gen = _table(gens, 10)[rows]
+    has_gen = np.zeros(ids.size, dtype=bool)
+    has_gen[at] = True
+    gen_cols = np.full((6, ids.size), np.nan)  # p_min, p_max, q_min, q_max, cost_p, cost_q
+    gen_cols[:, at] = [gen[:, 9] / base, gen[:, 8] / base, gen[:, 4] / base, gen[:, 3] / base,
+                       cost_p[rows], np.zeros(len(rows))]
+    rate = branch[:, 5]
+    rated = ~(rate <= 0)  # RATE_A 0 (or below) means unrated; a NaN rating reaches validate
     net = Network(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        slack=slack,
+        Columns(ids, bus[:, 2] / base, bus[:, 3] / base, bus[:, 12], bus[:, 11], has_gen,
+                *gen_cols, branch[:, 0].astype(int), branch[:, 1].astype(int), branch[:, 2],
+                branch[:, 3], np.where(rated, rate / base, np.nan), rated),
+        slack=slack_ids[0],
         base_power=base,
         base_voltage=base_kv if base_kv else 1.0,
         v0=v0,
@@ -586,69 +544,32 @@ def load_case(path) -> Network:
 # ---------------------------------------------------------------------------
 
 def to_json(net: Network) -> str:
-    def gen_dict(g: Generator | None):
-        if g is None:
-            return None
-        return {
-            "p_min": g.p_min, "p_max": g.p_max,
-            "q_min": g.q_min, "q_max": g.q_max,
-            "cost_p": g.cost_p, "cost_q": g.cost_q,
-        }
-
+    """The network document: its buses and branches in record order."""
+    c = net.records
+    gens = zip(*(getattr(c, k).tolist() for k in _GEN))
+    buses = [
+        {"id": i, "p_load": p, "q_load": q, "v_min": lo, "v_max": hi,
+         "gen": dict(zip(_GEN, g)) if has else None}
+        for i, p, q, lo, hi, has, g in zip(c.bus_id.tolist(), c.p_load.tolist(),
+                                           c.q_load.tolist(), c.v_min.tolist(),
+                                           c.v_max.tolist(), c.gen.tolist(), gens)
+    ]
+    branches = [
+        {"from": f, "to": t, "r": r, "x": x, "i_max": i_max if rated else None}
+        for f, t, r, x, i_max, rated in zip(c.from_bus.tolist(), c.to_bus.tolist(),
+                                            c.r.tolist(), c.x.tolist(), c.i_max.tolist(),
+                                            c.rated.tolist())
+    ]
     doc = {
         "format": "radialopf-network-v1",
         "slack": net.slack,
         "base_power": net.base_power,
         "base_voltage": net.base_voltage,
         "v0": net.v0,
-        "buses": [
-            {
-                "id": b.id, "p_load": b.p_load, "q_load": b.q_load,
-                "v_min": b.v_min, "v_max": b.v_max, "gen": gen_dict(b.gen),
-            }
-            for b in net.buses
-        ],
-        "branches": [
-            {
-                "from": br.from_bus, "to": br.to_bus,
-                "r": br.r, "x": br.x, "i_max": br.i_max,
-            }
-            for br in net.branches
-        ],
+        "buses": buses,
+        "branches": branches,
     }
     return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def from_json(text: str) -> Network:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise NetworkError(f"invalid JSON network: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "radialopf-network-v1":
-        raise NetworkError("not a radialopf network document")
-    try:
-        buses = tuple(
-            Bus(
-                id=json_int(b["id"], "id"),
-                gen=_generator(b["gen"]) if b.get("gen") else None,
-                **_numbers(b, "p_load", "q_load", "v_min", "v_max"),
-            )
-            for b in doc["buses"]
-        )
-        branches = tuple(
-            Branch(
-                from_bus=json_int(br["from"], "from"), to_bus=json_int(br["to"], "to"),
-                i_max=None if br["i_max"] is None else json_number(br["i_max"], "i_max"),
-                **_numbers(br, "r", "x"),
-            )
-            for br in doc["branches"]
-        )
-        return Network(
-            buses=buses, branches=branches, slack=json_int(doc["slack"], "slack"),
-            **_numbers(doc, "base_power", "base_voltage", "v0"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise schema_error("network JSON", exc) from exc
 
 
 def schema_error(document: str, exc: Exception) -> NetworkError:
@@ -684,14 +605,97 @@ def json_pair(value, name: str) -> tuple[float, float]:
     return json_number(value[0], name), json_number(value[1], name)
 
 
-def _numbers(record: dict, *keys: str) -> dict[str, float]:
-    return {k: json_number(record[k], k) for k in keys}
-
-
-def _generator(record) -> Generator:
+def json_fields(record, readers: dict, required: tuple[str, ...], name: str) -> dict:
+    """The fields that a JSON object's keys set through ``readers`` (key ->
+    reader(value, key) -> fields); a null value sets nothing, a required key
+    must be given and not null, and any other key is an error. The one
+    schema reader of the network and scenario documents."""
     if not isinstance(record, dict):
-        raise TypeError(f"gen must be an object, got {record!r}")
-    return Generator(**_numbers(record, *record))
+        raise TypeError(f"{name} must be an object, got {record!r}")
+    for key in required:
+        if record.get(key) is None:
+            raise KeyError(key)
+    out = {}
+    for key, value in record.items():
+        if key not in readers:
+            raise ValueError(f"unknown key {key!r}")
+        if value is not None:
+            out.update(readers[key](value, key))
+    return out
+
+
+def json_field(field: str, convert):
+    """Reader of one JSON key that sets ``field`` to ``convert(value, key)``."""
+    return lambda value, key: {field: convert(value, key)}
+
+
+def json_of_type(kind: type, what: str):
+    """Converter that passes a value of ``kind`` and rejects any other."""
+    def read(value, key):
+        if not isinstance(value, kind):
+            raise TypeError(f"{key} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+def _json_id(value, name: str) -> int:
+    """A bus id in a network document: a JSON integer that fits in 64 bits."""
+    value = json_int(value, name)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{name} must fit in 64 bits, got {value}")
+    return value
+
+
+def _json_rows(readers: dict, required: tuple[str, ...], name: str):
+    """Reader of a JSON list of objects, each read by ``json_fields``."""
+    def read(value, key):
+        rows = json_of_type(list, "a list")(value, key)
+        return {key: [json_fields(row, readers, required, name) for row in rows]}
+    return read
+
+
+_GEN_KEYS = {k: json_field(k, json_number) for k in _GEN}
+_BUS_KEYS = {
+    "id": json_field("bus_id", _json_id),
+    **{k: json_field(k, json_number) for k in ("p_load", "q_load", "v_min", "v_max")},
+    "gen": lambda value, key: {"gen": True, **json_fields(value, _GEN_KEYS, _GEN, key)},
+}
+_BRANCH_KEYS = {
+    "from": json_field("from_bus", _json_id),
+    "to": json_field("to_bus", _json_id),
+    "r": json_field("r", json_number),
+    "x": json_field("x", json_number),
+    "i_max": lambda value, key: {"rated": True, "i_max": json_number(value, key)},
+}
+_NETWORK_KEYS = {
+    "format": lambda value, key: {},  # checked before the schema
+    "slack": json_field("slack", json_int),
+    **{k: json_field(k, json_number) for k in ("base_power", "base_voltage", "v0")},
+    "buses": _json_rows(_BUS_KEYS, ("id", "p_load", "q_load", "v_min", "v_max"), "bus"),
+    "branches": _json_rows(_BRANCH_KEYS, ("from", "to", "r", "x"), "branch"),
+}
+
+
+def from_json(text: str) -> Network:
+    """Read a network document. Every key is required but a bus's ``gen``
+    and a branch's ``i_max`` (null or absent: none); an unknown key, a
+    wrongly typed value or an id beyond 64 bits is a ``NetworkError``."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise NetworkError(f"invalid JSON network: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "radialopf-network-v1":
+        raise NetworkError("not a radialopf network document")
+    try:
+        top = json_fields(doc, _NETWORK_KEYS, tuple(_NETWORK_KEYS), "network")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise schema_error("network JSON", exc) from exc
+    buses, branches = top.pop("buses"), top.pop("branches")
+    # a field a row leaves out is None: NaN in a number column, False in a mark
+    return Network(Columns(**{
+        name: [row.get(name) for row in (branches if name in _BRANCH else buses)]
+        for name in Columns.__dataclass_fields__
+    }), **top)
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +714,15 @@ def duplicate_system(net: Network, copies: int, seed: int = 0, scale_lo: float =
     scale_hi] with numpy's PCG64 generator seeded by ``seed``. The copies'
     slack buses merge into the single new slack, whose generator capacity is
     scaled by ``copies``. Bus count of the result is copies * (n_bus - 1) + 1.
-    Raises ``NetworkError`` unless ``copies >= 1``, ``seed >= 0`` and
-    ``0 < scale_lo <= scale_hi`` with both bounds finite, and unless numpy
-    can address the copies' factors in one float array.
+    The copies' columns are the feeder's, tiled. Raises ``NetworkError``
+    unless ``copies >= 1``, ``seed >= 0`` and ``0 < scale_lo <= scale_hi``
+    with both bounds finite, and unless numpy can address the copies'
+    factors in one float array.
     """
+    c = net.records
     if copies < 1:
         raise NetworkError(f"copies must be >= 1, got {copies}")
-    most = np.iinfo(np.intp).max // 8 // max(net.n_bus - 1 + len(net.branches), 1)
+    most = np.iinfo(np.intp).max // 8 // max(net.n_bus - 1 + c.from_bus.size, 1)
     if copies > most:
         raise NetworkError(f"copies must be at most {most} for this feeder, got {copies}")
     if seed < 0:
@@ -724,61 +730,67 @@ def duplicate_system(net: Network, copies: int, seed: int = 0, scale_lo: float =
     if not (0 < scale_lo <= scale_hi < math.inf):
         raise NetworkError(f"bad scale_range ({scale_lo}, {scale_hi}): "
                            "need 0 < lo <= hi, both finite")
-    slack_bus = net.bus(net.slack)
-    slack_gen = slack_bus.gen
-    if slack_gen is not None:
-        slack_gen = replace(
-            slack_gen,
-            p_min=slack_gen.p_min * copies, p_max=slack_gen.p_max * copies,
-            q_min=slack_gen.q_min * copies, q_max=slack_gen.q_max * copies,
-        )
-    new_slack = Bus(
-        id=1,
-        p_load=slack_bus.p_load * copies,
-        q_load=slack_bus.q_load * copies,
-        v_min=slack_bus.v_min,
-        v_max=slack_bus.v_max,
-        gen=slack_gen,
-    )
-    nonslack = [b for b in net.buses if b.id != net.slack]
-    n, m = len(nonslack), len(net.branches)
-    # bus ids of copy c are 2 + c * n + (position in nonslack), the slack's 1
-    local = {b.id: i for i, b in enumerate(nonslack)}
-    local[net.slack] = -1
-    ends = np.array([[local[br.from_bus], local[br.to_bus]] for br in net.branches],
-                    dtype=int).reshape(-1, 2)
-    ends = np.where(ends < 0, 1, ends + 2 + n * np.arange(copies)[:, None, None])
-    _, p_load, q_load, v_min, v_max, gens = _transposed(nonslack, len(Bus._fields))
-    _, _, r, x, i_max = _transposed(net.branches, len(Branch._fields))
+    s = _position(net, net.slack)
+    keep = np.flatnonzero(c.bus_id != net.slack)  # the non-slack records, in order
+    n, m = keep.size, c.from_bus.size
+    # bus ids of copy c are 2 + c * n + (position in ``keep``), the slack's 1
+    rank = np.argsort(c.bus_id)
+    ends = rank[np.searchsorted(c.bus_id, np.stack([c.from_bus, c.to_bus]), sorter=rank)]
+    ends = np.where(ends == s, 1, ends - (ends > s) + 2 + n * np.arange(copies)[:, None, None])
     # per copy, the load factors then the impedance factors: one PCG64 stream
     factors = np.random.default_rng(seed).uniform(scale_lo, scale_hi, size=(copies, n + m))
     load_f, imp_f = factors[:, :n], factors[:, n:]
 
-    def scaled(values, factor):
-        return (np.array(values, dtype=float) * factor).ravel().tolist()
+    def tiled(col):  # the slack's value, then the non-slack values per copy
+        return np.concatenate([col[s:s + 1], np.tile(col[keep], copies)])
 
-    buses = map(Bus, range(2, 2 + copies * n), scaled(p_load, load_f), scaled(q_load, load_f),
-                v_min * copies, v_max * copies, gens * copies)
-    branches = map(Branch, ends[..., 0].ravel().tolist(), ends[..., 1].ravel().tolist(),
-                   scaled(r, imp_f), scaled(x, imp_f), i_max * copies)
-    return replace(net, buses=(new_slack, *buses), branches=tuple(branches), slack=1)
+    gen = {k: tiled(getattr(c, k)) for k in _GEN}
+    for k in ("p_min", "p_max", "q_min", "q_max"):  # the slack's capacity, copies times
+        gen[k][0] *= copies
+    return replace(net, slack=1, records=Columns(
+        bus_id=np.arange(1, 2 + copies * n),
+        p_load=np.concatenate([c.p_load[s:s + 1] * copies, (c.p_load[keep] * load_f).ravel()]),
+        q_load=np.concatenate([c.q_load[s:s + 1] * copies, (c.q_load[keep] * load_f).ravel()]),
+        v_min=tiled(c.v_min), v_max=tiled(c.v_max), gen=tiled(c.gen), **gen,
+        from_bus=ends[:, 0].ravel(), to_bus=ends[:, 1].ravel(),
+        r=(c.r * imp_f).ravel(), x=(c.x * imp_f).ravel(),
+        i_max=np.tile(c.i_max, copies), rated=np.tile(c.rated, copies),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Overlay helpers (used by scenarios and tests)
 # ---------------------------------------------------------------------------
 
+def _with(net: Network, **changed: np.ndarray) -> Network:
+    """A new network: ``net`` with the named record-order columns replaced."""
+    return replace(net, records=replace(net.records, **changed))
+
+
+def _position(net: Network, bus_id: int) -> int:
+    """The record position of bus ``bus_id``."""
+    hit = np.flatnonzero(net.records.bus_id == bus_id)
+    if not hit.size:
+        raise NetworkError(f"no bus {bus_id} in network")
+    return int(hit[-1])
+
+
+def _set(col: np.ndarray, at: int, value) -> np.ndarray:
+    """A copy of ``col`` with ``value`` at position ``at``."""
+    out = col.copy()
+    out[at] = value
+    return out
+
+
 def with_slack_voltage(net: Network, v0: float) -> Network:
     return replace(net, v0=v0)
 
 
 def with_generator(net: Network, bus_id: int, gen: Generator | None) -> Network:
-    pos = bus_positions(net)
-    if bus_id not in pos:
-        raise NetworkError(f"no bus {bus_id} in network")
-    buses = list(net.buses)
-    buses[pos[bus_id]] = buses[pos[bus_id]]._replace(gen=gen)
-    return replace(net, buses=tuple(buses))
+    i, c = _position(net, bus_id), net.records
+    values = dict.fromkeys(_GEN, math.nan) if gen is None else vars(gen)
+    return _with(net, gen=_set(c.gen, i, gen is not None),
+                 **{k: _set(getattr(c, k), i, values[k]) for k in _GEN})
 
 
 def with_slack_costs(net: Network, cost_p: float | None = None,
@@ -788,47 +800,46 @@ def with_slack_costs(net: Network, cost_p: float | None = None,
     prices = {k: v for k, v in (("cost_p", cost_p), ("cost_q", cost_q)) if v is not None}
     if not prices:
         return net
-    g = net.bus(net.slack).gen
-    if g is None:
-        total_p = sum(b.p_load for b in net.buses)
-        total_q = sum(abs(b.q_load) for b in net.buses)
+    i, c = _position(net, net.slack), net.records
+    if c.gen[i]:
+        g = Generator(*(getattr(c, k)[i].item() for k in _GEN))
+    else:  # sums in record order
+        total_p = sum(c.p_load.tolist())
+        total_q = sum(np.abs(c.q_load).tolist())
         g = Generator(0.0, 10.0 * total_p + 10.0, -10.0 * total_q - 10.0,
                       10.0 * total_q + 10.0)
     return with_generator(net, net.slack, replace(g, **prices))
 
 
 def with_load(net: Network, bus_id: int, p_load: float, q_load: float) -> Network:
-    pos = bus_positions(net)
-    buses = list(net.buses)
-    buses[pos[bus_id]] = buses[pos[bus_id]]._replace(p_load=p_load, q_load=q_load)
-    return replace(net, buses=tuple(buses))
+    i, c = _position(net, bus_id), net.records
+    return _with(net, p_load=_set(c.p_load, i, p_load), q_load=_set(c.q_load, i, q_load))
 
 
+# a scaled value that overflows is infinite, and 0 * inf is NaN, as with
+# Python floats; ``validate`` rejects both
+@np.errstate(over="ignore", invalid="ignore")
 def scale_loads(net: Network, factor: float) -> Network:
-    buses = tuple(
-        b._replace(p_load=b.p_load * factor, q_load=b.q_load * factor)
-        for b in net.buses
-    )
-    return replace(net, buses=buses)
+    c = net.records
+    return _with(net, p_load=c.p_load * factor, q_load=c.q_load * factor)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scale_impedance(net: Network, factor: float) -> Network:
-    branches = tuple(
-        br._replace(r=br.r * factor, x=br.x * factor) for br in net.branches
-    )
-    return replace(net, branches=branches)
+    c = net.records
+    return _with(net, r=c.r * factor, x=c.x * factor)
 
 
 def with_voltage_limits(net: Network, v_min: float | None = None,
                         v_max: float | None = None) -> Network:
     """Set every bus's voltage limits that are not None; the others stay."""
     limits = {k: v for k, v in (("v_min", v_min), ("v_max", v_max)) if v is not None}
-    return replace(net, buses=tuple(b._replace(**limits) for b in net.buses))
+    return _with(net, **{k: np.full(net.n_bus, v, dtype=float) for k, v in limits.items()})
 
 
 def strip_thermal_limits(net: Network) -> Network:
-    branches = tuple(br._replace(i_max=None) for br in net.branches)
-    return replace(net, branches=branches)
+    m = net.records.from_bus.size
+    return _with(net, i_max=np.full(m, np.nan), rated=np.zeros(m, dtype=bool))
 
 
 def net_injections(

@@ -1,8 +1,10 @@
-"""Shared test utilities: random radial networks and small oracles."""
+"""Shared test utilities: networks written row by row, random radial
+networks and small oracles."""
 import csv
 import io
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -12,8 +14,94 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from radialopf import mdistflow, mdopf, netmodel, pricing, qcqpsolver
-from radialopf.netmodel import Branch, Bus, Generator, Network
+from radialopf.netmodel import Columns, Generator, Network
 from radialopf.qcqpsolver import OpfSolution, QcqpProblem
+
+_GEN = tuple(f.name for f in fields(Generator))
+
+
+class Bus(NamedTuple):
+    """A bus written as one row (see ``network``)."""
+
+    id: int
+    p_load: float = 0.0
+    q_load: float = 0.0
+    v_min: float = 0.9
+    v_max: float = 1.1
+    gen: Generator | None = None
+
+
+class Branch(NamedTuple):
+    """A branch written as one row; ``i_max`` None is unrated."""
+
+    from_bus: int
+    to_bus: int
+    r: float
+    x: float
+    i_max: float | None = None
+
+
+def network(buses, branches, slack: int, **bases) -> Network:
+    """A network written row by row: ``Bus`` and ``Branch`` rows in record
+    order, the slack's id, and ``base_power``/``base_voltage``/``v0`` where
+    given (``Network``'s defaults otherwise)."""
+    buses, branches = list(buses), list(branches)
+    gens = [b.gen for b in buses]
+    return Network(Columns(
+        [b.id for b in buses], [b.p_load for b in buses], [b.q_load for b in buses],
+        [b.v_min for b in buses], [b.v_max for b in buses], [g is not None for g in gens],
+        *([math.nan if g is None else getattr(g, k) for g in gens] for k in _GEN),
+        [br.from_bus for br in branches], [br.to_bus for br in branches],
+        [br.r for br in branches], [br.x for br in branches],
+        [math.nan if br.i_max is None else br.i_max for br in branches],
+        [br.i_max is not None for br in branches],
+    ), slack, **bases)
+
+
+def bus_records(net: Network) -> list[Bus]:
+    """``net``'s buses as rows, in record order."""
+    c = net.records
+    gens = [Generator(*g) if has else None
+            for has, g in zip(c.gen.tolist(), zip(*(getattr(c, k).tolist() for k in _GEN)))]
+    return list(map(Bus, c.bus_id.tolist(), c.p_load.tolist(), c.q_load.tolist(),
+                    c.v_min.tolist(), c.v_max.tolist(), gens))
+
+
+def branch_records(net: Network) -> list[Branch]:
+    """``net``'s branches as rows, in record order."""
+    c = net.records
+    return [Branch(f, t, r, x, i if rated else None)
+            for f, t, r, x, i, rated in zip(c.from_bus.tolist(), c.to_bus.tolist(),
+                                            c.r.tolist(), c.x.tolist(), c.i_max.tolist(),
+                                            c.rated.tolist())]
+
+
+def bus_record(net: Network, bus_id: int) -> Bus:
+    """The row of bus ``bus_id`` (the last, should the id repeat)."""
+    c = net.records
+    i = int(np.flatnonzero(c.bus_id == bus_id)[-1])
+    gen = Generator(*(getattr(c, k)[i].item() for k in _GEN)) if c.gen[i] else None
+    return Bus(bus_id, c.p_load[i].item(), c.q_load[i].item(), c.v_min[i].item(),
+               c.v_max[i].item(), gen)
+
+
+def with_records(net: Network, buses=None, branches=None, **bases) -> Network:
+    """``net`` with its bus rows, branch rows or scalars replaced where given."""
+    top = dict(slack=net.slack, base_power=net.base_power, base_voltage=net.base_voltage,
+               v0=net.v0)
+    return network(bus_records(net) if buses is None else buses,
+                   branch_records(net) if branches is None else branches, **{**top, **bases})
+
+
+def assert_same_network(a: Network, b: Network) -> None:
+    """``a`` and ``b`` hold the same scalars and, column by column, the same
+    dtypes and numbers (NaN matching NaN)."""
+    assert (a.slack, a.base_power, a.base_voltage, a.v0) == (
+        b.slack, b.base_power, b.base_voltage, b.v0)
+    for name, col in vars(a.records).items():
+        other = getattr(b.records, name)
+        assert col.dtype == other.dtype, name
+        np.testing.assert_array_equal(col, other, err_msg=name)
 
 
 def random_tree_network(
@@ -47,10 +135,7 @@ def random_tree_network(
             )
         buses.append(Bus(id=i, p_load=p, q_load=q, v_min=0.5, v_max=1.5, gen=gen))
         branches.append(Branch(from_bus=parent, to_bus=i, r=r, x=x))
-    net = Network(
-        buses=tuple(buses), branches=tuple(branches), slack=1,
-        base_power=10.0, base_voltage=12.66, v0=1.0,
-    )
+    net = network(buses, branches, slack=1, base_power=10.0, base_voltage=12.66, v0=1.0)
     return netmodel.with_slack_costs(net, 30.0, 3.0)
 
 
@@ -171,8 +256,8 @@ def reference_preorder(net):
     """Two-pass reference for the feeder tree search: parents from a
     breadth-first search, then a preorder that visits each bus's children in
     ascending id order. Returns (order, parent_pos) as in ``PathIncidence``."""
-    adj = {b.id: [] for b in net.buses}
-    for br in net.branches:
+    adj = {b: [] for b in net.records.bus_id.tolist()}
+    for br in branch_records(net):
         adj[br.from_bus].append(br.to_bus)
         adj[br.to_bus].append(br.from_bus)
     parent = {net.slack: None}
@@ -205,7 +290,8 @@ def reference_validate(net):
     import networkx as nx
 
     out = []
-    ids = [b.id for b in net.buses]
+    buses, branches = bus_records(net), branch_records(net)
+    ids = [b.id for b in buses]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         out.append(f"duplicate bus ids {dupes}")
@@ -219,7 +305,7 @@ def reference_validate(net):
         out.append(f"base power {net.base_power} is not positive and finite")
     if not 0 < net.base_voltage < math.inf:
         out.append(f"base voltage {net.base_voltage} is not positive and finite")
-    for b in net.buses:
+    for b in buses:
         if not all(map(math.isfinite, (b.p_load, b.q_load, b.v_min, b.v_max))):
             out.append(f"bus {b.id}: non-finite load or voltage limit")
         if b.p_load < 0 or b.q_load < 0:
@@ -238,7 +324,7 @@ def reference_validate(net):
             if g.cost_p < 0 or g.cost_q < 0:
                 out.append(f"bus {b.id}: negative generator cost")
     known = set(ids)
-    for br in net.branches:
+    for br in branches:
         tag = f"branch {br.from_bus}-{br.to_bus}"
         if br.from_bus not in known or br.to_bus not in known:
             out.append(f"{tag}: unknown endpoint")
@@ -255,16 +341,16 @@ def reference_validate(net):
         return out
     graph = nx.MultiGraph()
     graph.add_nodes_from(ids)
-    graph.add_edges_from((br.from_bus, br.to_bus) for br in net.branches)
+    graph.add_edges_from((br.from_bus, br.to_bus) for br in branches)
     missing = sorted(known - nx.node_connected_component(graph, net.slack))
     if missing:
         return [f"network is disconnected: unreachable buses {missing}"]
-    if len(net.branches) != len(ids) - 1:
-        return [f"non-radial topology: {len(net.branches)} branches for {len(ids)} buses"]
+    if len(branches) != len(ids) - 1:
+        return [f"non-radial topology: {len(branches)} branches for {len(ids)} buses"]
     order, parent_pos = reference_preorder(net)
     parent = {b: net.slack if k < 0 else order[k] for b, k in zip(order, parent_pos)}
     return [f"branch {br.from_bus}-{br.to_bus}: not oriented parent to child"
-            for br in net.branches if parent.get(br.to_bus) != br.from_bus]
+            for br in branches if parent.get(br.to_bus) != br.from_bus]
 
 
 def reference_price_table_to_csv(pt, extra=None):
@@ -343,8 +429,8 @@ def chain_network(n: int, dg_every: int) -> Network:
     for i in range(2, n + 1):
         gen = Generator(0.0, 2e-3, 0.0, 1e-3, 25.0, 2.0) if i % dg_every == 0 else None
         buses.append(Bus(id=i, p_load=1e-4, q_load=5e-5, v_min=0.9, v_max=1.1, gen=gen))
-    branches = tuple(Branch(from_bus=i - 1, to_bus=i, r=1e-5, x=1e-5) for i in range(2, n + 1))
-    net = Network(buses=tuple(buses), branches=branches, slack=1)
+    branches = [Branch(from_bus=i - 1, to_bus=i, r=1e-5, x=1e-5) for i in range(2, n + 1)]
+    net = network(buses, branches, slack=1)
     return netmodel.with_slack_costs(net, 30.0, 3.0)
 
 
@@ -513,7 +599,7 @@ def reference_objective(net, ti):
     n_vars = len(var)
     base = net.base_power
     g = np.zeros(n_vars)
-    slack_gen = net.bus(net.slack).gen
+    slack_gen = bus_record(net, net.slack).gen
     if slack_gen is None:
         raise mdopf.MdopfError("supply point has no generator")
     g[var[f"Pg:{net.slack}"]] = net.v0 * slack_gen.cost_p * base
@@ -524,10 +610,10 @@ def reference_objective(net, ti):
     load_state = mdistflow.solve_fixed_load(net)
     pos = netmodel.tree_positions(net)
     order_pos = {b: i for i, b in enumerate(ti.order)}
-    cp = np.array([net.bus(b).gen.cost_p for b in dg])
-    cq = np.array([net.bus(b).gen.cost_q for b in dg])
+    cp = np.array([bus_record(net, b).gen.cost_p for b in dg])
+    cq = np.array([bus_record(net, b).gen.cost_q for b in dg])
     for b in dg:
-        gen = net.bus(b).gen
+        gen = bus_record(net, b).gen
         g[var[f"Pg:{b}"]] = load_state.v[pos[b]] * gen.cost_p * base
         g[var[f"Qg:{b}"]] = load_state.v[pos[b]] * gen.cost_q * base
     t_g = path_matrix(ti)[:, [order_pos[b] for b in dg]]
@@ -579,7 +665,7 @@ def reference_build(net, ti) -> ReferenceOpf:
                      0.0, f"w_drop:{parent}-{bus_id}"))
     for axis, injkey, gkey in (("p", "Pinj", "Pg"), ("q", "Qinj", "Qg")):
         for b in all_buses:
-            load = net.bus(b).p_load if axis == "p" else net.bus(b).q_load
+            load = bus_record(net, b).p_load if axis == "p" else bus_record(net, b).q_load
             coeffs = {var[f"{injkey}:{b}"]: 1.0, var[f"W:{b}"]: load}
             if b in glist:
                 coeffs[var[f"{gkey}:{b}"]] = -1.0
@@ -588,14 +674,14 @@ def reference_build(net, ti) -> ReferenceOpf:
 
     irows = []
     for b in glist:
-        gen = net.bus(b).gen
+        gen = bus_record(net, b).gen
         w = var[f"W:{b}"]
         irows.append(({var[f"Pg:{b}"]: 1.0, w: -gen.p_max}, 0.0, f"pg_cap:{b}"))
         irows.append(({var[f"Pg:{b}"]: -1.0, w: gen.p_min}, 0.0, f"pg_floor:{b}"))
         irows.append(({var[f"Qg:{b}"]: 1.0, w: -gen.q_max}, 0.0, f"qg_cap:{b}"))
         irows.append(({var[f"Qg:{b}"]: -1.0, w: gen.q_min}, 0.0, f"qg_floor:{b}"))
     for b in ti.order:
-        bus = net.bus(b)
+        bus = bus_record(net, b)
         irows.append(({var[f"W:{b}"]: 1.0}, 2.0 - bus.v_min, f"v_floor:{b}"))
         irows.append(({var[f"W:{b}"]: -1.0}, -(2.0 - bus.v_max), f"v_cap:{b}"))
     a_in, b_in, _ = _reference_stack_rows(irows, n_vars)
@@ -647,7 +733,7 @@ def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
     random draws in the same order, each copied bus and branch made with
     ``_replace`` and scaled by numpy scalars."""
     rng = np.random.default_rng(seed)
-    slack_bus = net.bus(net.slack)
+    slack_bus = bus_record(net, net.slack)
     slack_gen = slack_bus.gen
     if slack_gen is not None:
         slack_gen = replace(
@@ -657,8 +743,8 @@ def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
         )
     buses = [Bus(id=1, p_load=slack_bus.p_load * copies, q_load=slack_bus.q_load * copies,
                  v_min=slack_bus.v_min, v_max=slack_bus.v_max, gen=slack_gen)]
-    nonslack = [b for b in net.buses if b.id != net.slack]
-    n = len(nonslack)
+    nonslack = [b for b in bus_records(net) if b.id != net.slack]
+    n, rows = len(nonslack), branch_records(net)
     branches = []
     for c in range(copies):
         idmap = {net.slack: 1}
@@ -668,18 +754,18 @@ def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
         for i, b in enumerate(nonslack):
             buses.append(b._replace(id=idmap[b.id], p_load=b.p_load * load_f[i],
                                     q_load=b.q_load * load_f[i]))
-        imp_f = rng.uniform(scale_lo, scale_hi, size=len(net.branches))
-        for j, br in enumerate(net.branches):
+        imp_f = rng.uniform(scale_lo, scale_hi, size=len(rows))
+        for j, br in enumerate(rows):
             branches.append(br._replace(from_bus=idmap[br.from_bus], to_bus=idmap[br.to_bus],
                                        r=br.r * imp_f[j], x=br.x * imp_f[j]))
-    return replace(net, buses=tuple(buses), branches=tuple(branches), slack=1)
+    return with_records(net, buses, branches, slack=1)
 
 
 def tree_buses(net):
     """Bus records in array order (the slack, then ``tree_positions``
     order), looked up one by one."""
-    pos = netmodel.bus_positions(net)
-    return [net.buses[pos[b]] for b in netmodel.tree_positions(net)]
+    rows = {b.id: b for b in bus_records(net)}
+    return [rows[b] for b in netmodel.tree_positions(net)]
 
 
 def dense_objective_h(net, ti):
@@ -710,7 +796,7 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
     assembly of ``mdopf.build_objective``.
     """
     base = net.base_power
-    slack_gen = net.bus(net.slack).gen
+    slack_gen = bus_record(net, net.slack).gen
     c1 = net.v0 * base * (
         slack_gen.cost_p * p_hat_g.get(net.slack, 0.0)
         + slack_gen.cost_q * q_hat_g.get(net.slack, 0.0)
@@ -725,8 +811,8 @@ def reference_evaluate_cost(net, ti, p_hat_g, q_hat_g):
     t_g = t[:, cols]
     pvec = np.array([p_hat_g.get(b, 0.0) for b in dg])
     qvec = np.array([q_hat_g.get(b, 0.0) for b in dg])
-    cp = np.array([net.bus(b).gen.cost_p for b in dg])
-    cq = np.array([net.bus(b).gen.cost_q for b in dg])
+    cp = np.array([bus_record(net, b).gen.cost_p for b in dg])
+    cq = np.array([bus_record(net, b).gen.cost_q for b in dg])
     vd = load_state.v[1:][cols]
     c2 = base * float(vd @ (cp * pvec) + vd @ (cq * qvec))
     dv = t.T @ (ti.r * (t_g @ pvec)) + t.T @ (ti.x * (t_g @ qvec))

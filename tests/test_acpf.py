@@ -5,13 +5,15 @@ from radialopf import acpf, netmodel
 from radialopf.acpf import OracleError, PowerFlowError
 from radialopf.netmodel import build_path_incidence
 
-from helpers import bus_row, mk_case, random_tree_network
+from helpers import (
+    branch_records, bus_records, bus_row, mk_case, random_tree_network, with_records,
+)
 
 
 def two_bus_exact_v(net, p_load, q_load):
     """Closed-form receiving-end voltage of a single branch: the high root of
     the quadratic in |V|^2."""
-    br = net.branches[0]
+    br = branch_records(net)[0]
     v0 = net.v0
     bq = 2.0 * (br.r * p_load + br.x * q_load) - v0 * v0
     cq = (br.r**2 + br.x**2) * (p_load**2 + q_load**2)
@@ -36,10 +38,26 @@ def test_two_bus_matches_closed_form(net2):
     assert abs(st.v[1] - 0.989899) < 5e-4
 
 
+def test_branch_ends_follow_record_order():
+    """One array pass gives each branch's end positions and impedance in
+    record order, as a loop over the branch rows does, on branches stored
+    in random order; it is memoized on the network."""
+    rng = np.random.default_rng(12)
+    net = random_tree_network(rng, 40)
+    rows = branch_records(net)
+    net = with_records(net, branches=[rows[i] for i in rng.permutation(len(rows))])
+    pos, rows = netmodel.tree_positions(net), branch_records(net)
+    f, t, z = acpf._branch_ends(net)
+    assert f.tolist() == [pos[br.from_bus] for br in rows]
+    assert t.tolist() == [pos[br.to_bus] for br in rows]
+    assert z.tolist() == [complex(br.r, br.x) for br in rows]
+    assert acpf._branch_ends(net)[0] is f
+
+
 def test_energy_balance(case33_psp):
     st = acpf.newton_pf(case33_psp)
-    p_inj = sum(-b.p_load for b in case33_psp.buses if b.id != case33_psp.slack)
-    q_inj = sum(-b.q_load for b in case33_psp.buses if b.id != case33_psp.slack)
+    p_inj = sum(-b.p_load for b in bus_records(case33_psp) if b.id != case33_psp.slack)
+    q_inj = sum(-b.q_load for b in bus_records(case33_psp) if b.id != case33_psp.slack)
     assert abs(st.slack_p + p_inj - st.pl_exact) < 1e-9
     assert abs(st.slack_q + q_inj - st.ql_exact) < 1e-9
 
@@ -233,5 +251,5 @@ def test_random_tree_balance():
     rng = np.random.default_rng(9)
     net = random_tree_network(rng, 40)
     st = acpf.newton_pf(net)
-    p_inj = sum(-b.p_load for b in net.buses if b.id != net.slack)
+    p_inj = sum(-b.p_load for b in bus_records(net) if b.id != net.slack)
     assert abs(st.slack_p + p_inj - st.pl_exact) < 1e-9

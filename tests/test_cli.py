@@ -11,7 +11,7 @@ import pytest
 
 from radialopf import cli, netmodel
 
-from helpers import bus_row, mk_case
+from helpers import assert_same_network, bus_record, bus_records, bus_row, mk_case
 
 
 def run(argv):
@@ -78,8 +78,8 @@ def test_copies_flag_keeps_scenario_seed_and_range(tmp_path):
     # ``apply_scenario`` leaves them to the defaults, seed 0 and range 0.7-1.3
     scen = _scenario(["opf", "--case", "case33.m", "--copies", "2", "--scale-hi", "1.2"])
     assert (scen.copies, scen.seed, scen.scale_lo, scen.scale_hi) == (2, None, None, 1.2)
-    assert cli.apply_scenario(scen) == netmodel.duplicate_system(
-        _case33(), 2, seed=0, scale_lo=0.7, scale_hi=1.2)
+    assert_same_network(cli.apply_scenario(scen), netmodel.duplicate_system(
+        _case33(), 2, seed=0, scale_lo=0.7, scale_hi=1.2))
 
 
 def test_scenario_duplication_defaults_seed_and_range(tmp_path):
@@ -87,8 +87,8 @@ def test_scenario_duplication_defaults_seed_and_range(tmp_path):
     path.write_text(json.dumps({"case": "case33.m", "duplication": {"copies": 2}}))
     scen = _scenario(["opf", "--scenario", str(path)])
     assert (scen.copies, scen.seed, scen.scale_lo, scen.scale_hi) == (2, None, None, None)
-    assert cli.apply_scenario(scen) == netmodel.duplicate_system(
-        _case33(), 2, seed=0, scale_lo=0.7, scale_hi=1.3)
+    assert_same_network(cli.apply_scenario(scen), netmodel.duplicate_system(
+        _case33(), 2, seed=0, scale_lo=0.7, scale_hi=1.3))
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):
@@ -110,7 +110,7 @@ def test_duplicate_command_builds_through_apply_scenario(tmp_path, monkeypatch):
     assert run(["duplicate", "--case", "case33.m", "--copies", "2", "--out", str(tmp_path)]) == 0
     assert calls == [cli.Scenario(case="case33.m", copies=2)]
     written = netmodel.from_json(read(tmp_path / "network.json"))
-    assert written == netmodel.duplicate_system(_case33(), 2)
+    assert_same_network(written, netmodel.duplicate_system(_case33(), 2))
 
 
 def _own_case(tmp_path):
@@ -130,9 +130,11 @@ def _own_case(tmp_path):
 def test_psp_cost_flag_keeps_the_other_case_cost(tmp_path):
     """Each supply-point price flag sets only its own price."""
     case = _own_case(tmp_path)
-    slack = cli.apply_scenario(_scenario(["opf", "--case", case, "--psp-cost-q", "5"])).bus(1)
+    net = cli.apply_scenario(_scenario(["opf", "--case", case, "--psp-cost-q", "5"]))
+    slack = bus_record(net, 1)
     assert (slack.gen.cost_p, slack.gen.cost_q) == (40, 5)
-    slack = cli.apply_scenario(_scenario(["opf", "--case", case, "--psp-cost-p", "25"])).bus(1)
+    net = cli.apply_scenario(_scenario(["opf", "--case", case, "--psp-cost-p", "25"]))
+    slack = bus_record(net, 1)
     assert (slack.gen.cost_p, slack.gen.cost_q) == (25, 0)
 
 
@@ -149,10 +151,10 @@ def test_psp_cost_p_alone_equals_explicit_case_cost_q(tmp_path):
 @pytest.mark.parametrize("flag,kept", [("--vmin", "v_max"), ("--vmax", "v_min")])
 def test_voltage_flag_keeps_each_bus_other_limit(tmp_path, flag, kept):
     case = _own_case(tmp_path)
-    own = {b.id: getattr(b, kept) for b in netmodel.load_case(case).buses}
+    own = {b.id: getattr(b, kept) for b in bus_records(netmodel.load_case(case))}
     net = cli.apply_scenario(_scenario(["opf", "--case", case, flag, "0.95"]))
-    assert {b.id: getattr(b, kept) for b in net.buses} == own
-    assert {b.v_min if flag == "--vmin" else b.v_max for b in net.buses} == {0.95}
+    assert {b.id: getattr(b, kept) for b in bus_records(net)} == own
+    assert {b.v_min if flag == "--vmin" else b.v_max for b in bus_records(net)} == {0.95}
 
 
 def _unreadable_input(tmp_path, case):
@@ -648,6 +650,7 @@ def test_scenario_key_error_names_the_key(tmp_path, capsys, key, says):
 _CASE33_EDITS = {
     "nan_bus_id": (r"^\t33\t1\t", "\tnan\t1\t", "mpc.bus row 33: BUS_I must be an integer"),
     "fractional_bus_id": (r"^\t33\t1\t", "\t33.7\t1\t", "BUS_I must be an integer, got 33.7"),
+    "huge_bus_id": (r"^\t33\t1\t", "\t1e30\t1\t", "mpc.bus row 33: BUS_I must fit in 64 bits"),
     "infinite_bus_type": (r"^\t1\t3\t", "\t1\tinf\t", "mpc.bus row 1: BUS_TYPE must be an"),
     "overflowing_branch_end": (r"^\t32\t33\t", "\t32\t1e309\t",
                                "mpc.branch row 32: T_BUS must be an integer"),
@@ -667,7 +670,7 @@ _CASE33_EDITS = {
 
 @pytest.mark.parametrize("edit", list(_CASE33_EDITS))
 def test_bad_case_value_is_one_line_data_error(tmp_path, capsys, edit):
-    """Non-integral integer columns, a non-finite base, a non-finite rating
+    """Non-integral or oversized integer columns, a non-finite base, a non-finite rating
     and a non-finite slack voltage or base voltage in a MATPOWER case end in
     exit 1 with one stderr line."""
     pattern, replacement, says = _CASE33_EDITS[edit]
@@ -681,19 +684,34 @@ def test_bad_case_value_is_one_line_data_error(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("command,path,value,says", [
-    ("validate", ("base_power",), 0, "base power 0.0 is not positive and finite"),
-    ("opf", ("base_power",), 0, "base power 0.0 is not positive and finite"),
-    ("validate", ("base_power",), math.inf, "base power inf is not positive and finite"),
+    ("validate", ("base_power",), 0, "invalid network: base power 0.0 is not positive and finite"),
+    ("opf", ("base_power",), 0, "invalid network: base power 0.0 is not positive and finite"),
+    ("validate", ("base_power",), math.inf,
+     "invalid network: base power inf is not positive and finite"),
     ("validate", ("branches", 0, "i_max"), math.nan,
-     "branch 1-2: current limit nan is not positive and finite"),
+     "invalid network: branch 1-2: current limit nan is not positive and finite"),
     ("validate", ("branches", 0, "i_max"), math.inf,
-     "branch 1-2: current limit inf is not positive and finite"),
-    ("validate", ("base_voltage",), math.nan, "base voltage nan is not positive and finite"),
-    ("validate", ("base_voltage",), 0, "base voltage 0.0 is not positive and finite"),
+     "invalid network: branch 1-2: current limit inf is not positive and finite"),
+    ("validate", ("base_voltage",), math.nan,
+     "invalid network: base voltage nan is not positive and finite"),
+    ("validate", ("base_voltage",), 0,
+     "invalid network: base voltage 0.0 is not positive and finite"),
     # an integer beyond the floats reads as infinite, as the float literal 1e400 does
-    ("validate", ("buses", 1, "p_load"), 10 ** 400, "bus 2: non-finite load or voltage limit"),
+    ("validate", ("buses", 1, "p_load"), 10 ** 400,
+     "invalid network: bus 2: non-finite load or voltage limit"),
+    # a key the schema does not know, or a generator price left out, is not
+    # passed over: the DG would be lost, or be free
+    ("validate", ("extra",), 1, "network JSON: unknown key 'extra'"),
+    ("validate", ("buses", 1, "generator"), {**_GEN, "cost_p": 25.0},
+     "network JSON: unknown key 'generator'"),
+    ("validate", ("branches", 0, "rating"), 1.0, "network JSON: unknown key 'rating'"),
+    ("validate", ("buses", 1, "gen"), _GEN, "network JSON: missing key 'cost_p'"),
+    # bus ids are stored as 64-bit integers
+    ("validate", ("buses", 1, "id"), 10 ** 30,
+     f"network JSON: id must fit in 64 bits, got {10 ** 30}"),
 ], ids=["zero_base", "zero_base_opf_with_dg", "infinite_base", "nan_i_max", "infinite_i_max",
-        "nan_base_voltage", "zero_base_voltage", "huge_integer_load"])
+        "nan_base_voltage", "zero_base_voltage", "huge_integer_load", "unknown_top_level_key",
+        "generator_key", "unknown_branch_key", "gen_without_cost_p", "huge_bus_id"])
 def test_bad_network_value_is_one_line_data_error(tmp_path, capsys, command, path, value,
                                                   says):
     argv = [command, "--case", json_network(tmp_path, _network_edit(path, value))]
@@ -701,7 +719,7 @@ def test_bad_network_value_is_one_line_data_error(tmp_path, capsys, command, pat
         argv += ["--dg", "3:0.02:0.01:25:2", "--out", str(tmp_path)]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"data error: invalid network: {says}\n"
+    assert err == f"data error: {says}\n"
 
 
 @pytest.mark.parametrize("flag,says", [("--scenario", "scenario JSON: maximum recursion"),
@@ -900,15 +918,15 @@ def test_opf_builds_objective_once(tmp_path, monkeypatch):
 def test_price_bus_lookups_bounded_by_generators(tmp_path, monkeypatch):
     """Per-bus gathers read ``netmodel.columns``: on case33 x10 (321 buses,
     a DG per copy plus the supply point) ``price`` looks up fewer bus records
-    by id than there are generators."""
+    by id (``netmodel._position``) than there are generators."""
     calls = []
-    bus = netmodel.Network.bus
+    position = netmodel._position
 
-    def counting(self, bus_id):
+    def counting(net, bus_id):
         calls.append(bus_id)
-        return bus(self, bus_id)
+        return position(net, bus_id)
 
-    monkeypatch.setattr(netmodel.Network, "bus", counting)
+    monkeypatch.setattr(netmodel, "_position", counting)
     assert run(["price", "--case", "case33.m", "--psp-v", "1.05",
                 "--psp-cost-p", "30", "--psp-cost-q", "3", "--dg", "18:0.2:0.1:31:2",
                 "--copies", "10", "--out", str(tmp_path)]) == 0

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from radialopf import acpf, mdistflow as mdf, mdopf, netmodel
 from radialopf.mdistflow import MdfError
-from radialopf.netmodel import Branch, Bus, Generator, Network, build_path_incidence
+from radialopf.netmodel import Generator, Network, build_path_incidence
 
 from helpers import (
-    chain_network, path_matrix, pivoting_fixed_load_w, random_tree_network, reference_angles,
-    reference_feeder_factors, reference_fixed_load_w, tree_buses,
+    Branch, Bus, bus_record, chain_network, network, path_matrix, pivoting_fixed_load_w,
+    random_tree_network, reference_angles, reference_feeder_factors, reference_fixed_load_w,
+    tree_buses,
 )
 from test_pricing import reverse_flow_net
 
@@ -79,8 +80,8 @@ def test_matrix_solution_matches_sweep(n, seed):
     rng = np.random.default_rng(seed)
     net = random_tree_network(rng, n)
     ti = build_path_incidence(net)
-    p = np.array([-net.bus(b).p_load for b in ti.order])
-    q = np.array([-net.bus(b).q_load for b in ti.order])
+    p = np.array([-bus_record(net, b).p_load for b in ti.order])
+    q = np.array([-bus_record(net, b).q_load for b in ti.order])
     st_ = mdf.solve_fixed_load(net, p, q)
     w_sweep = sweep_oracle(net, ti, p, q)
     assert np.max(np.abs(st_.w[1:] - w_sweep)) < 1e-12
@@ -158,8 +159,8 @@ def test_voltage_affine_in_modified_generation(case33):
     t = path_matrix(ti).toarray()
     a = t.T @ np.diag(ti.r) @ t
     b = t.T @ np.diag(ti.x) @ t
-    p_d = np.array([net.bus(k).p_load for k in ti.order])
-    q_d = np.array([net.bus(k).q_load for k in ti.order])
+    p_d = np.array([bus_record(net, k).p_load for k in ti.order])
+    q_d = np.array([bus_record(net, k).q_load for k in ti.order])
     lhs = np.eye(ti.n) - a @ np.diag(p_d) - b @ np.diag(q_d)
     w0 = 2.0 - net.v0
 
@@ -305,8 +306,7 @@ def mixed_feeders_network() -> Network:
             v_max=1.5, gen=gens.get(b)) for b in parents]
     branches = [Branch(from_bus=a, to_bus=b, r=0.002 * (b % 5 + 1), x=0.003 * (b % 3 + 1))
                 for b, a in parents.items()]
-    net = Network(buses=tuple(buses), branches=tuple(branches), slack=1,
-                  base_power=10.0, base_voltage=12.66, v0=1.02)
+    net = network(buses, branches, slack=1, base_power=10.0, base_voltage=12.66, v0=1.02)
     return netmodel.with_slack_costs(net, 30.0, 3.0)
 
 
@@ -348,8 +348,8 @@ def test_feeder_factors_match_per_feeder_reference(case69):
         tree = random_tree_network(rng, int(rng.integers(2, 30)), gen_frac=0.3)
         net = netmodel.duplicate_system(tree, int(rng.integers(2, 4)), seed=int(rng.integers(99)))
         assert assert_factors_match_reference(net, rng).size.size >= 2
-    slack = Network(buses=(Bus(id=1, gen=Generator(0.0, 1.0, 0.0, 1.0, 30.0, 3.0)),),
-                    branches=(), slack=1, base_power=1.0, base_voltage=12.66, v0=1.05)
+    slack = network([Bus(id=1, gen=Generator(0.0, 1.0, 0.0, 1.0, 30.0, 3.0))], [], slack=1,
+                    base_power=1.0, base_voltage=12.66, v0=1.05)
     assert assert_factors_match_reference(slack, rng).state.tolist() == [2.0 - 1.05]
 
 

@@ -11,10 +11,10 @@ from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
-    assert_kkt_matches_reference, bus_row, chain_network, dense_objective_h, kkt_residuals,
-    mk_case, path_matrix, pivoting_factor, random_tree_network, reference_build,
-    reference_evaluate_cost, reference_extract_duals, reference_psd_projection,
-    reference_recover_dispatch, tree_buses,
+    assert_kkt_matches_reference, branch_records, bus_record, bus_row, chain_network,
+    dense_objective_h, kkt_residuals, mk_case, path_matrix, pivoting_factor,
+    random_tree_network, reference_build, reference_evaluate_cost, reference_extract_duals,
+    reference_psd_projection, reference_recover_dispatch, tree_buses, with_records,
 )
 
 
@@ -584,7 +584,7 @@ def test_problem_carries_exact_certificate(net2, case33_psp):
 def _interior_slack(net):
     # keep the supply point strictly inside its band so the balance-row
     # multipliers are unique
-    g = net.bus(net.slack).gen
+    g = bus_record(net, net.slack).gen
     return netmodel.with_generator(
         net, net.slack, Generator(-1.0, g.p_max, g.q_min, g.q_max,
                                   g.cost_p, g.cost_q)
@@ -653,9 +653,9 @@ def test_kkt_fill_every_branch_rated(case69, monkeypatch):
     net = _case69_copies(case69, 10)
     state = mdf.solve_fixed_load(net)
     cap = 3.0 * float(np.max(np.hypot(state.p_br_hat, state.q_br_hat)))
-    net = replace(net, branches=tuple(br._replace(i_max=cap) for br in net.branches))
+    net = with_records(net, branches=[br._replace(i_max=cap) for br in branch_records(net)])
     prob = mdopf.build(net)
-    assert prob.n_quad == len(net.branches)
+    assert prob.n_quad == net.records.from_bus.size
     # at most about one dense block per feeder's 136 tie rows (223k L+U
     # nonzeros), not one across all 1,360 (1.9M with the slack's rows first)
     feeder_ties = 2 * (69 - 1)

@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from radialopf import mdopf, netmodel
 from radialopf.netmodel import (
-    Branch, Bus, Generator, Network, NetworkError,
-    build_path_incidence, duplicate_system, parse_matpower_case, validate,
+    Generator, NetworkError, build_path_incidence, duplicate_system, parse_matpower_case,
+    validate,
 )
 
 from helpers import (
-    bus_row, chain_network, dense_objective_h, mk_case, path_matrix, random_tree_network,
-    reference_duplicate_system, reference_preorder, reference_validate,
+    Branch, Bus, assert_same_network, branch_records, bus_record, bus_records, bus_row,
+    chain_network, dense_objective_h, mk_case, network, path_matrix, random_tree_network,
+    reference_duplicate_system, reference_preorder, reference_validate, with_records,
 )
 
 
@@ -30,23 +31,23 @@ def test_parse_two_bus_minimal():
                    [[1, 2, 0.01, 0.02, 0, 0]])
     net = parse_matpower_case(text)
     assert net.n_bus == 2
-    assert len(net.branches) == 1
+    assert net.records.from_bus.size == 1
     assert net.slack == 1
-    assert net.bus(2).p_load == 0.5
+    assert bus_record(net, 2).p_load == 0.5
 
 
 def test_parse_case33_totals(case33):
     assert case33.n_bus == 33
-    assert len(case33.branches) == 32
-    total_p = sum(b.p_load for b in case33.buses) * case33.base_power
-    total_q = sum(b.q_load for b in case33.buses) * case33.base_power
+    assert case33.records.from_bus.size == 32
+    total_p = sum(b.p_load for b in bus_records(case33)) * case33.base_power
+    total_q = sum(b.q_load for b in bus_records(case33)) * case33.base_power
     assert total_p == pytest.approx(3.715, abs=1e-9)
     assert total_q == pytest.approx(2.30, abs=1e-9)
 
 
 def test_parse_case69_totals(case69):
     assert case69.n_bus == 69
-    total_p = sum(b.p_load for b in case69.buses) * case69.base_power
+    total_p = sum(b.p_load for b in bus_records(case69)) * case69.base_power
     assert total_p == pytest.approx(3.80189, abs=1e-9)
 
 
@@ -121,14 +122,14 @@ def test_parse_normalizes_branch_orientation():
         [[3, 2, 0.01, 0.02, 0, 0], [2, 1, 0.01, 0.02, 0, 0]],
     )
     net = parse_matpower_case(text)
-    assert {(br.from_bus, br.to_bus) for br in net.branches} == {(1, 2), (2, 3)}
+    assert {(br.from_bus, br.to_bus) for br in branch_records(net)} == {(1, 2), (2, 3)}
 
 
 def test_parse_rate_a_maps_to_i_max():
     text = mk_case([bus_row(1, 3), bus_row(2, pd=0.1)],
                    [[1, 2, 0.01, 0.02, 0, 5.0]], base=10.0)
     net = parse_matpower_case(text)
-    assert net.branches[0].i_max == pytest.approx(0.5)
+    assert branch_records(net)[0].i_max == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def test_incidence_three_bus_star():
 
 
 def _depth(net, bus_id):
-    parents = {br.to_bus: br.from_bus for br in net.branches}
+    parents = {br.to_bus: br.from_bus for br in branch_records(net)}
     d = 0
     while bus_id != net.slack:
         bus_id = parents[bus_id]
@@ -193,12 +194,12 @@ def test_incidence_order_independent(case33):
     """T built from any topological order equals the canonical T after
     permutation to the canonical order."""
     ti = build_path_incidence(case33)
-    parents = {br.to_bus: br.from_bus for br in case33.branches}
+    parents = {br.to_bus: br.from_bus for br in branch_records(case33)}
     # BFS order is a different valid topological order
     order_bfs = []
     frontier = [case33.slack]
     children = {}
-    for br in case33.branches:
+    for br in branch_records(case33):
         children.setdefault(br.from_bus, []).append(br.to_bus)
     while frontier:
         nxt = []
@@ -255,7 +256,7 @@ def test_path_sums_match_path_matrix(case33, case69):
         np.testing.assert_allclose(ty, t.T @ y, rtol=1e-12, atol=0)
         # bus k's branch row is k, so its sums run over the feeder's tree
         pos = {b: k for k, b in enumerate(ti.order)}
-        tree = nx.DiGraph((br.from_bus, br.to_bus) for br in net.branches)
+        tree = nx.DiGraph((br.from_bus, br.to_bus) for br in branch_records(net))
         down = [x[k] + sum(x[pos[d]] for d in nx.descendants(tree, b))
                 for k, b in enumerate(ti.order)]
         up = [y[k] + sum(y[pos[a]] for a in nx.ancestors(tree, b) if a != net.slack)
@@ -290,19 +291,18 @@ def test_path_incidence_is_linear_on_a_deep_feeder():
 def relabelled(net, rng):
     """The same feeder under random bus ids, with buses and branches stored in
     random order and about half of the branches reversed."""
-    ids = dict(zip((b.id for b in net.buses),
+    ids = dict(zip(net.records.bus_id.tolist(),
                    rng.permutation(10 * net.n_bus)[:net.n_bus].tolist()))
-    buses = [Bus(ids[b.id], b.p_load, b.q_load, b.v_min, b.v_max, b.gen)
-             for b in net.buses]
+    buses = [b._replace(id=ids[b.id]) for b in bus_records(net)]
     branches = []
-    for br in net.branches:
+    for br in branch_records(net):
         ends = (ids[br.from_bus], ids[br.to_bus])
         if rng.random() < 0.5:
             ends = ends[::-1]
         branches.append(Branch(*ends, br.r, br.x, br.i_max))
-    return Network(
-        tuple(buses[i] for i in rng.permutation(len(buses))),
-        tuple(branches[i] for i in rng.permutation(len(branches))),
+    return network(
+        [buses[i] for i in rng.permutation(len(buses))],
+        [branches[i] for i in rng.permutation(len(branches))],
         slack=ids[net.slack], base_power=net.base_power,
     )
 
@@ -318,7 +318,7 @@ def test_tree_order_matches_two_pass_reference(case69):
         order, parent_pos = reference_preorder(net)
         assert list(ti.order) == order
         assert list(ti.parent_pos) == parent_pos
-        by_child = {frozenset((br.from_bus, br.to_bus)): br for br in net.branches}
+        by_child = {frozenset((br.from_bus, br.to_bus)): br for br in branch_records(net)}
         for i, b in enumerate(ti.order):
             parent = net.slack if parent_pos[i] < 0 else order[parent_pos[i]]
             assert ti.r[i] == by_child[frozenset((parent, b))].r
@@ -350,21 +350,21 @@ def test_column_view_is_in_array_order(case69):
     net = relabelled(duplicate_system(case69, 3, seed=1), np.random.default_rng(5))
     cols, ti = netmodel.columns(net), netmodel.path_incidence(net)
     assert cols.bus_id.tolist() == list(netmodel.tree_positions(net))
-    assert cols.bus_id.tolist() != [b.id for b in net.buses]
+    assert cols.bus_id.tolist() != net.records.bus_id.tolist()
     for name in ("r", "x", "i_max"):
         assert np.shares_memory(getattr(cols, name), getattr(ti, name)), name
     parent = [net.slack if k < 0 else ti.order[k] for k in ti.parent_pos.tolist()]
     assert list(map(set, zip(cols.from_bus.tolist(), cols.to_bus.tolist()))) == list(
         map(set, zip(ti.order, parent)))
-    assert cols.p_load.tolist() == [net.bus(b).p_load for b in cols.bus_id.tolist()]
+    assert cols.p_load.tolist() == [bus_record(net, b).p_load for b in cols.bus_id.tolist()]
     assert {"radialopf.netmodel.columns", "radialopf.netmodel._root_tree"} <= vars(net).keys()
 
 
 def _chain(n_bus, ends, slack=1, ids=None):
     """Buses ``ids`` (default 1..n_bus) joined by the branches ``ends``."""
     ids = ids or range(1, n_bus + 1)
-    return Network(tuple(Bus(i, p_load=0.01) for i in ids),
-                   tuple(Branch(f, t, 0.01, 0.02) for f, t in ends), slack=slack)
+    return network([Bus(i, p_load=0.01) for i in ids],
+                   [Branch(f, t, 0.01, 0.02) for f, t in ends], slack=slack)
 
 
 @pytest.mark.parametrize("net, says", [
@@ -400,7 +400,7 @@ def _overlaid_trees(draw):
     self-loop and a slack that moved."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     net = random_tree_network(rng, draw(st.integers(1, 10)), gen_frac=0.3)
-    buses, branches = list(net.buses), list(net.branches)
+    buses, branches = bus_records(net), branch_records(net)
     top = dict(slack=net.slack, base_power=net.base_power, base_voltage=net.base_voltage,
                v0=net.v0)
 
@@ -447,7 +447,7 @@ def _overlaid_trees(draw):
                 branches[j] = br._replace(from_bus=buses[i].id)
             else:
                 branches.append(br)
-    return Network(tuple(buses), tuple(branches), **top)
+    return network(buses, branches, **top)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -466,9 +466,10 @@ def test_path_incidence_memo_lives_with_its_network(case33):
     own path incidence, whose resistance row reflects the change."""
     ti = netmodel.path_incidence(case33)
     assert netmodel.path_incidence(case33) is ti
-    child = case33.branches[5].to_bus
-    changed = replace(case33, branches=tuple(
-        br._replace(r=2.0 * br.r) if br.to_bus == child else br for br in case33.branches))
+    child = branch_records(case33)[5].to_bus
+    changed = with_records(case33, branches=[
+        br._replace(r=2.0 * br.r) if br.to_bus == child else br
+        for br in branch_records(case33)])
     ti2 = netmodel.path_incidence(changed)
     assert ti2 is not ti and netmodel.path_incidence(changed) is ti2
     k = ti2.order.index(child)
@@ -481,11 +482,54 @@ def test_validate_names_reversed_branch():
         [bus_row(1, 3), bus_row(2, pd=0.1), bus_row(3, pd=0.1)],
         [[1, 2, 0.01, 0.01, 0, 0], [2, 3, 0.01, 0.01, 0, 0]],
     ))
-    br = net.branches[1]
-    flipped = Network(net.buses, (net.branches[0], Branch(br.to_bus, br.from_bus, br.r, br.x)),
+    first, br = branch_records(net)
+    flipped = network(bus_records(net), [first, Branch(br.to_bus, br.from_bus, br.r, br.x)],
                       slack=net.slack)
     assert validate(flipped) == ["branch 3-2: not oriented parent to child"]
-    assert netmodel.normalize_orientation(flipped).branches == net.branches
+    assert branch_records(netmodel.normalize_orientation(flipped)) == branch_records(net)
+
+
+_DG = Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0)
+_OVERLAYS = {
+    "with_slack_voltage": lambda net: netmodel.with_slack_voltage(net, 1.05),
+    "with_generator": lambda net: netmodel.with_generator(net, 18, _DG),
+    "without_generator": lambda net: netmodel.with_generator(net, net.slack, None),
+    "with_load": lambda net: netmodel.with_load(net, 5, 0.1, 0.05),
+    "with_slack_costs": lambda net: netmodel.with_slack_costs(net, 31.0, 4.0),
+    "scale_loads": lambda net: netmodel.scale_loads(net, 1.5),
+    "scale_impedance": lambda net: netmodel.scale_impedance(net, 0.5),
+    "with_voltage_limits": lambda net: netmodel.with_voltage_limits(net, 0.95, 1.05),
+    "strip_thermal_limits": netmodel.strip_thermal_limits,
+    "normalize_orientation": netmodel.normalize_orientation,
+}
+
+
+@pytest.mark.parametrize("overlay", list(_OVERLAYS))
+def test_overlay_returns_new_network_and_leaves_its_input(case33, overlay):
+    """Each overlay returns a new network, with read-only columns (shared
+    where unchanged), no memos and other numbers, and its input keeps its
+    arrays (read-only, same numbers) and its memos. The input has a slack
+    generator, a rated branch and, for ``normalize_orientation``, every
+    third branch stored child to parent."""
+    rows = branch_records(case33)
+    rows[3] = rows[3]._replace(i_max=0.5)
+    if overlay == "normalize_orientation":
+        rows[::3] = [br._replace(from_bus=br.to_bus, to_bus=br.from_bus) for br in rows[::3]]
+    net = with_records(netmodel.with_slack_costs(case33, 30.0, 3.0), branches=rows)
+    ti = netmodel.path_incidence(net)
+    records, memos = net.records, dict(vars(net))
+    before = {name: col.copy() for name, col in vars(records).items()}
+    out = _OVERLAYS[overlay](net)
+    assert out is not net
+    assert net.records is records and vars(net).keys() == memos.keys()
+    assert all(vars(net)[key] is value for key, value in memos.items())
+    assert netmodel.path_incidence(net) is ti
+    for name, col in vars(records).items():
+        assert not col.flags.writeable, name
+        np.testing.assert_array_equal(col, before[name], err_msg=name)
+    assert not any(key.startswith("radialopf.") for key in vars(out))
+    assert not any(col.flags.writeable for col in vars(out.records).values())
+    assert netmodel.to_json(out) != netmodel.to_json(net)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +539,7 @@ def test_validate_names_reversed_branch():
 def test_duplicate_case33_100(case33):
     dup = duplicate_system(case33, 100, seed=1)
     assert dup.n_bus == 3201
-    assert len(dup.branches) == 3200
+    assert dup.records.from_bus.size == 3200
     assert not validate(dup)
 
 
@@ -507,10 +551,9 @@ def test_duplicate_case69_100(case69):
 def test_duplicate_identity(case33):
     dup = duplicate_system(case33, 1, seed=0, scale_lo=1.0, scale_hi=1.0)
     assert dup.n_bus == case33.n_bus
-    assert [b.p_load for b in dup.buses] == [b.p_load for b in case33.buses]
-    assert [(br.r, br.x) for br in dup.branches] == [
-        (br.r, br.x) for br in case33.branches
-    ]
+    assert dup.records.p_load.tolist() == case33.records.p_load.tolist()
+    assert dup.records.r.tolist() == case33.records.r.tolist()
+    assert dup.records.x.tolist() == case33.records.x.tolist()
 
 
 def test_duplicate_deterministic(case33):
@@ -524,8 +567,8 @@ def test_duplicate_deterministic(case33):
 def test_duplicate_scales_within_range(case33):
     dup = duplicate_system(case33, 3, seed=5, scale_lo=0.7, scale_hi=1.3)
     for c in range(3):
-        for j, br in enumerate(case33.branches):
-            dbr = dup.branches[c * 32 + j]
+        for j, br in enumerate(branch_records(case33)):
+            dbr = branch_records(dup)[c * 32 + j]
             f = dbr.r / br.r
             assert 0.7 <= f <= 1.3
             assert dbr.x / br.x == pytest.approx(f)
@@ -533,8 +576,8 @@ def test_duplicate_scales_within_range(case33):
 
 @pytest.mark.parametrize("case, copies", [("case33", 5), ("case69", 7), ("case33", 1)])
 def test_duplicate_matches_reference(case, copies, request):
-    # the array-built copies carry the same values as the record-by-record
-    # reference, so the network JSON is byte-identical
+    # the tiled columns carry the same values as the record-by-record
+    # reference, column by column, so the network JSON is byte-identical
     net = request.getfixturevalue(case)
     with_dg = netmodel.with_generator(
         netmodel.with_slack_costs(net, 30.0, 3.0), 18,
@@ -544,12 +587,13 @@ def test_duplicate_matches_reference(case, copies, request):
         for seed in (0, 1, 42, 1042, 2042):
             dup = duplicate_system(base, copies, seed=seed)
             ref = reference_duplicate_system(base, copies, seed=seed)
-            assert dup == ref
+            assert_same_network(dup, ref)
             assert netmodel.to_json(dup) == netmodel.to_json(ref)
-    assert duplicate_system(no_slack_gen, copies).bus(1).gen is None
+    assert bus_record(duplicate_system(no_slack_gen, copies), 1).gen is None
     for lo, hi in ((0.5, 2.0), (1.3, 1.3)):
         dup = duplicate_system(net, copies, seed=3, scale_lo=lo, scale_hi=hi)
-        assert dup == reference_duplicate_system(net, copies, seed=3, scale_lo=lo, scale_hi=hi)
+        assert_same_network(
+            dup, reference_duplicate_system(net, copies, seed=3, scale_lo=lo, scale_hi=hi))
 
 
 def test_duplicate_requires_positive_copies(case33):
@@ -567,30 +611,24 @@ def test_validate_clean_cases(case33, case69):
 
 
 def test_validate_zero_impedance():
-    net = Network(
-        buses=(Bus(1), Bus(2, p_load=0.1)),
-        branches=(Branch(1, 2, 0.0, 0.0),),
-        slack=1,
-    )
+    net = network([Bus(1), Bus(2, p_load=0.1)], [Branch(1, 2, 0.0, 0.0)], slack=1)
     msgs = validate(net)
     assert len(msgs) == 1 and "both zero" in msgs[0]
     # an unknown endpoint is the branch's one message
-    stray = replace(net, branches=(*net.branches, Branch(2, 9, 0.0, 0.0, float("nan"))))
+    stray = with_records(net, branches=[*branch_records(net),
+                                        Branch(2, 9, 0.0, 0.0, float("nan"))])
     assert validate(stray) == reference_validate(stray) == [
         "branch 1-2: resistance and reactance both zero", "branch 2-9: unknown endpoint"]
 
 
 def test_validate_duplicate_ids():
-    net = Network(buses=(Bus(1), Bus(1)), branches=(), slack=1)
+    net = network([Bus(1), Bus(1)], [], slack=1)
     assert any("duplicate bus ids" in m for m in validate(net))
 
 
 def test_validate_negative_load_and_bad_limits():
-    net = Network(
-        buses=(Bus(1), Bus(2, p_load=-0.1, v_min=1.2, v_max=1.1)),
-        branches=(Branch(1, 2, 0.01, 0.01),),
-        slack=1,
-    )
+    net = network([Bus(1), Bus(2, p_load=-0.1, v_min=1.2, v_max=1.1)],
+                  [Branch(1, 2, 0.01, 0.01)], slack=1)
     msgs = validate(net)
     assert any("negative load" in m for m in msgs)
     assert any("v_min" in m for m in msgs)
@@ -598,11 +636,7 @@ def test_validate_negative_load_and_bad_limits():
 
 def test_validate_gen_bounds_and_costs():
     g = Generator(p_min=1.0, p_max=0.0, q_min=0.0, q_max=0.0, cost_p=-3.0)
-    net = Network(
-        buses=(Bus(1), Bus(2, gen=g)),
-        branches=(Branch(1, 2, 0.01, 0.01),),
-        slack=1,
-    )
+    net = network([Bus(1), Bus(2, gen=g)], [Branch(1, 2, 0.01, 0.01)], slack=1)
     msgs = validate(net)
     assert any("bounds out of order" in m for m in msgs)
     assert any("negative generator cost" in m for m in msgs)
@@ -610,15 +644,14 @@ def test_validate_gen_bounds_and_costs():
 
 def test_json_round_trip(case33, case69):
     for net in (case33, case69):
-        again = netmodel.from_json(netmodel.to_json(net))
-        assert again == net
+        assert_same_network(netmodel.from_json(netmodel.to_json(net)), net)
 
 
 def test_json_round_trip_with_gen(case33):
     net = netmodel.with_generator(
         case33, 18, Generator(0.0, 0.1, 0.0, 0.05, 31.0, 2.0)
     )
-    assert netmodel.from_json(netmodel.to_json(net)) == net
+    assert_same_network(netmodel.from_json(netmodel.to_json(net)), net)
 
 
 def test_json_rejects_other_documents():
@@ -630,5 +663,5 @@ def test_net_injections_with_dispatch(case33):
     ti = build_path_incidence(case33)
     p, q = netmodel.net_injections(case33, {18: 0.05}, {18: 0.02})
     i = ti.order.index(18)
-    assert p[i] == pytest.approx(0.05 - case33.bus(18).p_load)
-    assert q[i] == pytest.approx(0.02 - case33.bus(18).q_load)
+    assert p[i] == pytest.approx(0.05 - bus_record(case33, 18).p_load)
+    assert q[i] == pytest.approx(0.02 - bus_record(case33, 18).q_load)

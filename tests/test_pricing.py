@@ -1,17 +1,17 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from radialopf import acpf, mdistflow as mdf, mdopf, netmodel, pricing
-from radialopf.netmodel import Bus, Generator, Network, build_path_incidence
+from radialopf.netmodel import Generator, build_path_incidence
 from radialopf.pricing import PricingError
 
 from helpers import (
-    dense_loss_factors, path_matrix, random_tree_network, reference_price_table_to_csv,
-    reference_price_table_to_json,
+    Bus, branch_records, bus_record, bus_records, dense_loss_factors, network, path_matrix,
+    random_tree_network, reference_price_table_to_csv, reference_price_table_to_json,
+    with_records,
 )
 
 
@@ -76,8 +76,8 @@ def test_sensitivities_match_ac_finite_difference_case33(case33_psp):
     dp_dp, _, _, dq_dq = pricing.modified_injection_sensitivities(
         case33_psp, state, dv_dp, dv_dq
     )
-    p = np.array([-case33_psp.bus(b).p_load for b in ti.order])
-    q = np.array([-case33_psp.bus(b).q_load for b in ti.order])
+    p = np.array([-bus_record(case33_psp, b).p_load for b in ti.order])
+    q = np.array([-bus_record(case33_psp, b).q_load for b in ti.order])
     for j in (5, 16, 31):  # spread over the feeder
         fd_p, _ = _fd_modified_sensitivity(case33_psp, ti, p, q, "p", j)
         col = dp_dp[:, j]
@@ -316,9 +316,9 @@ def test_allocation_off_path_locality(case33_psp):
     path_rows = set(np.nonzero(path_matrix(ti).toarray()[:, k])[0])
     off_path = next(i for i in range(ti.n) if i not in path_rows)
     # branch row i is the branch into bus ti.order[i]
-    branches = tuple(br._replace(r=br.r * 7.0) if br.to_bus == ti.order[off_path] else br
-                     for br in case33_psp.branches)
-    scaled = replace(case33_psp, branches=branches)
+    branches = [br._replace(r=br.r * 7.0) if br.to_bus == ti.order[off_path] else br
+                for br in branch_records(case33_psp)]
+    scaled = with_records(case33_psp, branches=branches)
     pl_p2, _, _, _ = pricing.allocate_losses(scaled, state)
     assert pl_p2[k] == pl_p[k]
     assert not np.allclose(pl_p2, pl_p)
@@ -470,12 +470,13 @@ def test_high_penetration_reverse_flow(case33_psp):
 
 
 def shuffled_storage(net, seed):
-    """The same network with ``net.buses`` in a random order, slack not first."""
+    """The same network with its bus records in a random order, slack not first."""
     rng = np.random.default_rng(seed)
-    buses = [net.buses[i] for i in rng.permutation(net.n_bus)]
+    rows = bus_records(net)
+    buses = [rows[i] for i in rng.permutation(net.n_bus)]
     if buses[0].id == net.slack:
         buses.append(buses.pop(0))
-    return replace(net, buses=tuple(buses))
+    return with_records(net, buses=buses)
 
 
 def study_by_bus(net):
@@ -497,7 +498,7 @@ def test_results_invariant_under_bus_storage_order(case, case33_psp, case69):
             netmodel.with_slack_costs(case69, 30.0, 3.0), 2, seed=4
         )
     shuffled = shuffled_storage(net, seed=8)
-    assert shuffled.buses[0].id != net.slack and shuffled.buses != net.buses
+    assert bus_records(shuffled)[0].id != net.slack and bus_records(shuffled) != bus_records(net)
     sol_a, pt_a, ac_a = study_by_bus(net)
     sol_b, pt_b, ac_b = study_by_bus(shuffled)
     assert sol_a.pg == sol_b.pg and sol_a.qg == sol_b.qg
@@ -513,7 +514,7 @@ def test_slack_only_network_solves_and_prices():
     """A feeder of the supply point alone (no branch, n = 0) still runs the
     OPF, the load-only power flow and the price table."""
     net = netmodel.with_slack_costs(
-        Network(buses=(Bus(id=1, p_load=0.01, q_load=0.005),), branches=(), slack=1), 30.0, 3.0
+        network([Bus(id=1, p_load=0.01, q_load=0.005)], [], slack=1), 30.0, 3.0
     )
     _, sol, state = mdopf.solve_opf(net)
     assert netmodel.path_incidence(net).n == 0 and sol.status == "optimal"
