@@ -12,8 +12,9 @@ reports.
 Exit codes: 0 success, 1 data error (including a scenario or network JSON
 with a missing or unknown key or a wrongly typed or sized value, and a file
 that cannot be read, decoded or written), 2 solver or pricing
-failure (including congestion, which the marginal-loss prices exclude),
-3 oracle failure. Each failure prints one line to stderr.
+failure (including congestion, which the marginal-loss prices exclude, and
+an OPF row that the builder's presolve proves no dispatch can meet, named
+before the interior point starts), 3 oracle failure. Each failure prints one line to stderr.
 Case paths resolve against ``--case-dir``, the ``RADIALOPF_CASE_DIR``
 environment variable, or the packaged cases, in that order.
 """
@@ -318,6 +319,7 @@ def cmd_opf(args) -> int:
             "trace_condition": cert.trace_condition,
             "projected": not cert.psd,
         },
+        # the rated branches whose thermal row presolve keeps
         "thermal_rows": prob.n_quad,
     }
     _write(out_dir, "opf_summary.json", json.dumps(summary, indent=1))

@@ -7,13 +7,24 @@ state is affine in the modified generator outputs x: s = s0 + S x, with s0
 the load-only state and S one solve of the generators' balance-row entries
 (``mdistflow.load_factors``, one factor of the whole network; S is dense
 within a feeder and zero outside it). The problem's variables are the
-generator outputs alone, plus the flows of the branches with a current
-rating. The voltage and generator-box rows are the full-space rows with
-s0 + S x put in for the state; the slack's two balance rows are the only
-equality rows besides the ties of the rated flows. The objective is the
-generation cost with the voltage weights eliminated through the
-closed-form affine voltage map, which leaves a quadratic form over the
-generator variables.
+generator outputs alone, plus the flows of the rated branches whose
+thermal rows are kept. The voltage and generator-box rows are the
+full-space rows with s0 + S x put in for the state; the slack's two
+balance rows are the only equality rows besides the ties of the kept rated
+flows. The objective is the generation cost with the voltage weights
+eliminated through the closed-form affine voltage map, which leaves a
+quadratic form over the generator variables.
+
+Presolve screens the rows over the box of generator outputs that the
+generator-box rows and the voltage rows at generator buses allow (as LP
+and QP presolve does, Andersen & Andersen, Math. Programming 1995, and as
+OPF constraint screening does, Roald & Molzahn, Allerton 2019). A voltage
+row that no output in the box can violate is never built, and neither is
+the thermal row of a rated branch whose flows stay inside its rating, with
+its tie rows and flow variables; on case69 x100 that leaves 2,404 of the
+15,204 inequality rows. A row that no output in the box can meet ends the
+build with ``MdopfError`` naming the row, before the interior point
+starts.
 
 The raw cost quadratic is certified for positive semidefiniteness; when the
 certificate fails (which happens for generic P/Q cost ratios, see
@@ -63,10 +74,11 @@ class VarBlocks:
     layout.
 
     Pg and Qg are the modified generator outputs, following ``gens`` (the
-    slack first); Pbr and Qbr are the modified flows of the rated branches,
-    following ``rated`` (branch rows of the path incidence). ``gen_w`` is
-    the bus position of each generator (slack 0, then the path incidence's
-    ``order``), which is also its W column in ``mdistflow.flow_equations``.
+    slack first); Pbr and Qbr are the modified flows of the rated branches
+    that presolve keeps, following ``rated`` (branch rows of the path
+    incidence, ascending). ``gen_w`` is the bus position of each generator
+    (slack 0, then the path incidence's ``order``), which is also its W
+    column in ``mdistflow.flow_equations``.
     """
 
     gens: tuple[int, ...]
@@ -79,17 +91,216 @@ class VarBlocks:
     n_vars: int
 
 
-@netmodel.per_network
+@dataclass(frozen=True)
+class _Rows:
+    """The rows of the OPF of a network that presolve keeps (see ``_rows``).
+
+    ``kept_in`` indexes the kept inequality rows among all of them (pg_cap,
+    pg_floor, qg_cap, qg_floor per generator, then v_floor and v_cap per
+    non-slack bus). ``eq_state`` and ``in_state`` are the kept rows'
+    coefficients on the state (``flow_equations``' columns); the rest are
+    ``QcqpProblem`` fields in generator space.
+    """
+
+    lay: VarBlocks
+    kept_in: np.ndarray
+    eq_state: sp.csr_matrix
+    in_state: sp.csr_matrix
+    a_eq: sp.csr_matrix
+    b_eq: np.ndarray
+    a_in: sp.csr_matrix
+    b_in: np.ndarray
+    quad_diag: sp.csr_matrix
+    quad_b: np.ndarray
+
+
+#: presolve's round-off margin, in pu of W and relative to a squared rating:
+#: a row is dropped only when it holds with this much to spare at every
+#: point of the generator box, and proven infeasible only when it fails by
+#: this much at every point
+_MARGIN = 1e-6
+
+
 def var_blocks(net: Network) -> VarBlocks:
-    """Variable index blocks of the OPF of ``net``, memoized on the instance."""
-    cols = netmodel.columns(net)
-    gen_w = np.flatnonzero(cols.gen)
-    gens = tuple(cols.bus_id[gen_w].tolist())
+    """Variable index blocks of the OPF of ``net``, memoized on the instance
+    with its rows (``_rows``)."""
+    return _rows(net).lay
+
+
+def _generation(gen_w: np.ndarray, rows: mdistflow.FlowRows) -> sp.csr_matrix:
+    """Each generator's Pg, then each one's Qg, as a unit column in its bus's
+    balance row."""
+    bal = np.concatenate([rows.p_bal + gen_w, rows.q_bal + gen_w])
+    return sp.csr_matrix((np.ones(bal.size), (bal, np.arange(bal.size))),
+                         shape=(rows.count, bal.size))
+
+
+def _box(cols: netmodel.Columns, gen_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and largest modified output (Pg per generator, then Qg)
+    that the box rows and the voltage rows of its bus allow: its limits times
+    its bus W, with W in [2 - v_max, 2 - v_min]. The slack's entries are
+    never read: its balance rows are not factored, so its columns of S are
+    empty."""
+    w_ends = (2.0 - cols.v_max[gen_w], 2.0 - cols.v_min[gen_w])
+    lo, hi = [], []
+    for floor, cap in ((cols.p_min, cols.p_max), (cols.q_min, cols.q_max)):
+        lo.append(np.minimum(*(floor[gen_w] * w for w in w_ends)))
+        hi.append(np.maximum(*(cap[gen_w] * w for w in w_ends)))
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def _screen(net: Network, s_lo: np.ndarray, s_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that presolve keeps, from each state entry's smallest and
+    largest value over the generator box: whether each non-slack bus's
+    v_floor and v_cap rows are kept (in row order), and the rated branch
+    rows whose thermal rows are kept. Raises ``MdopfError`` when a row fails
+    by ``_MARGIN`` at every point of the box."""
+    cols, ti = netmodel.columns(net), netmodel.path_incidence(net)
+    n = ti.n
+    # v_floor W <= 2 - v_min and v_cap W >= 2 - v_max per bus
+    w_lo, w_hi = s_lo[1:n + 1], s_hi[1:n + 1]
+    floor, cap = 2.0 - cols.v_min[1:], 2.0 - cols.v_max[1:]
+    v_over = np.column_stack([w_lo - floor, cap - w_hi])  # the least excess
+    v_keep = cols.gen[1:, None] | (np.column_stack([w_hi - floor, cap - w_lo]) > -_MARGIN)
+    # Pbr^2 + Qbr^2 <= i_max^2 per rated branch
     rated = np.flatnonzero(~np.isnan(cols.i_max))
+    i2 = ti.i_max[rated] ** 2
+    p_lo, p_hi = s_lo[n + 1 + rated], s_hi[n + 1 + rated]
+    q_lo, q_hi = s_lo[2 * n + 1 + rated], s_hi[2 * n + 1 + rated]
+    most = np.maximum(p_lo ** 2, p_hi ** 2) + np.maximum(q_lo ** 2, q_hi ** 2)
+    least = (np.maximum(np.maximum(p_lo, -p_hi), 0.0) ** 2
+             + np.maximum(np.maximum(q_lo, -q_hi), 0.0) ** 2)
+    v_fail, t_fail = v_over > _MARGIN, least > (1.0 + _MARGIN) * i2
+    if v_fail.any() or t_fail.any():
+        raise _infeasible(net, np.where(v_fail, v_over, np.nan),
+                          np.where(t_fail, np.sqrt(least) - ti.i_max[rated], np.nan), rated)
+    return v_keep.ravel(), rated[most >= (1.0 - _MARGIN) * i2]
+
+
+def _infeasible(net: Network, v_over: np.ndarray, t_over: np.ndarray,
+                rated: np.ndarray) -> MdopfError:
+    """The error for rows that no generator output within the box meets, named
+    on this failure path only: the voltage row that misses its bound by the
+    most, else the thermal row whose least flow exceeds its rating the most.
+    ``v_over`` is each v_floor's and v_cap's least excess over its bound in W
+    (n x 2), ``t_over`` each ``rated`` branch's least flow over its rating;
+    both are NaN where the row is met somewhere in the box."""
+    cols, ti = netmodel.columns(net), netmodel.path_incidence(net)
+    count = int(np.count_nonzero(~np.isnan(v_over)) + np.count_nonzero(~np.isnan(t_over)))
+    if not np.all(np.isnan(v_over)):
+        k, side = np.unravel_index(np.nanargmax(v_over), v_over.shape)
+        v = (cols.v_min, cols.v_max)[side][k + 1]
+        v_best = v - v_over[k, side] if side == 0 else v + v_over[k, side]
+        row = (f"{('v_floor', 'v_cap')[side]} at bus {cols.bus_id[k + 1]} "
+               f"(V at {('most', 'least')[side]} {v_best:.4f} pu, "
+               f"{('v_min', 'v_max')[side]} {v:.4f} pu")
+    else:
+        j = int(np.nanargmax(t_over))
+        k = rated[j]
+        parent = cols.bus_id[ti.parent_pos[k] + 1]
+        row = (f"thermal at branch {parent}-{cols.bus_id[k + 1]} (flow at least "
+               f"{ti.i_max[k] + t_over[j]:.4g} pu, rating {ti.i_max[k]:.4g} pu")
+    return MdopfError(f"OPF solve ended with status infeasible before iterating: no generator "
+                      f"output within its limits meets {row}; {count} rows proven infeasible)")
+
+
+@netmodel.per_network
+def _rows(net: Network) -> _Rows:
+    """Presolve and assemble the OPF's rows, memoized on the instance.
+
+    The state is s0 + S x. Every full-space row is screened over the box of
+    the generator outputs x (``_box``), which the kept generator-box rows
+    and the voltage rows at generator buses enforce, so every point that
+    meets the kept rows lies in it. Each state entry's range over the box
+    is s0 + S mid +- |S| rad, for the box's midpoint and radius. A voltage
+    row away from a generator bus that holds with ``_MARGIN`` to spare over
+    the whole box is dropped; so is the thermal row of a rated branch whose
+    largest |Pbr| and |Qbr| stay inside its rating, with its tie rows and its
+    two flow variables (``_screen``). A row that fails by ``_MARGIN`` over
+    the whole box raises ``MdopfError`` (so does a supply point without a
+    generator). The dropped rows' multipliers are 0 at the optimum, so the
+    kept rows give the same optimum and balance-row prices. Kept rows keep
+    their order.
+    """
+    cols = netmodel.columns(net)
+    if not cols.gen[0]:
+        raise MdopfError("supply point has no generator")
+    ti = netmodel.path_incidence(net)
+    n = ti.n
+    fac = mdistflow.load_factors(net)
+    gen_w = np.flatnonzero(cols.gen)
+    n_gen = gen_w.size
+    # S: the state per unit of each output
+    s_gen = -fac.solve(_generation(gen_w, mdistflow.FlowRows(n)))
+    lo, hi = _box(cols, gen_w)
+    mid = fac.state + s_gen @ (0.5 * (lo + hi))
+    rad = abs(s_gen) @ (0.5 * (hi - lo))
+    v_keep, rated = _screen(net, mid - rad, mid + rad)
     for arr in (gen_w, rated):
         arr.setflags(write=False)
-    g, r = len(gens), rated.size
-    return VarBlocks(gens, gen_w, rated, 0, g, 2 * g, 2 * g + r, 2 * g + 2 * r)
+    n_rated = rated.size
+    lay = VarBlocks(tuple(cols.bus_id[gen_w].tolist()), gen_w, rated, 0, n_gen,
+                    2 * n_gen, 2 * n_gen + n_rated, 2 * n_gen + 2 * n_rated)
+    n_vars = lay.n_vars
+
+    # equality rows: each kept rated flow tied to the state's Pbr, then to
+    # its Qbr, then the slack's active and reactive balance, which meet every
+    # generator and so come last in the KKT factor's order. The balance rows
+    # are those of ``flow_equations``: the slack's load on W0 where it is
+    # nonzero, and -1 on the Pbr (Qbr) of each branch out of the slack.
+    top = n + 1 + np.flatnonzero(ti.parent_pos < 0)
+    balance = sp.csr_matrix(
+        (np.concatenate([-cols.p_load[:1], -np.ones(top.size),
+                         -cols.q_load[:1], -np.ones(top.size)]),
+         (np.repeat([0, 1], 1 + top.size), np.concatenate([[0], top, [0], top + n]))),
+        shape=(2, 3 * n + 1))
+    balance.eliminate_zeros()
+    tie = np.arange(2 * n_rated)
+    flow_cols = np.concatenate([n + 1 + rated, 2 * n + 1 + rated])
+    eq_state = sp.vstack([
+        sp.csr_matrix((-np.ones(tie.size), (tie, flow_cols)), shape=(tie.size, 3 * n + 1)), balance,
+    ], format="csr")
+    slack_out = sp.csr_matrix((np.ones(2), ([0, 1], [lay.pg, lay.qg])), shape=(2, n_vars))
+    eq_vars = sp.vstack([
+        sp.csr_matrix((np.ones(tie.size), (tie, lay.pbr + tie)), shape=(tie.size, n_vars)),
+        slack_out,
+    ], format="csr")
+
+    # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
+    # then per non-slack bus v_floor, v_cap; the kept ones in that order
+    kg = np.arange(n_gen)
+    box = np.column_stack([cols.p_max[gen_w], cols.p_min[gen_w],
+                           cols.q_max[gen_w], cols.q_min[gen_w]])
+    gen_rows = (4 * kg[:, None] + np.arange(4)).ravel()
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
+    v_rows = 4 * n_gen + 2 * np.arange(n)
+    w_child = np.arange(1, n + 1)
+    n_in = 4 * n_gen + 2 * n
+    kept_in = np.concatenate([np.arange(4 * n_gen), 4 * n_gen + np.flatnonzero(v_keep)])
+    kept_in.setflags(write=False)
+    in_state = sp.csr_matrix(
+        (np.concatenate([(-sign * box).ravel(), np.ones(n), -np.ones(n)]),
+         (np.concatenate([gen_rows, v_rows, v_rows + 1]),
+          np.concatenate([np.repeat(gen_w, 4), w_child, w_child]))),
+        shape=(n_in, 3 * n + 1))[kept_in]
+    in_vars = sp.csr_matrix((np.tile(sign, n_gen), (gen_rows, out_col.ravel())),
+                            shape=(n_in, n_vars))[kept_in]
+    v_lim = np.column_stack([2.0 - cols.v_min[1:], cols.v_max[1:] - 2.0])
+    b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])[kept_in]
+
+    # the kept rows in generator space: s0 + S x put in for the state
+    state_map = sp.csr_matrix((s_gen.data, s_gen.indices, s_gen.indptr),
+                              shape=(s_gen.shape[0], n_vars))
+    return _Rows(
+        lay=lay, kept_in=kept_in, eq_state=eq_state, in_state=in_state,
+        a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
+        a_in=(in_vars + in_state @ state_map).tocsr(), b_in=b_in - in_state @ fac.state,
+        quad_diag=sp.csr_matrix(
+            (np.ones(2 * n_rated), (np.tile(np.arange(n_rated), 2), lay.pbr + tie)),
+            shape=(n_rated, n_vars)),
+        quad_b=ti.i_max[rated] ** 2,
+    )
 
 
 def certify_convexity(
@@ -149,8 +360,6 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     n_vars = lay.n_vars
     base = net.base_power
     g = np.zeros(n_vars)
-    if not lay.gens or lay.gens[0] != net.slack:
-        raise MdopfError("supply point has no generator")
     cols = netmodel.columns(net)
     g[lay.pg] = net.v0 * cols.cost_p[0] * base
     g[lay.qg] = net.v0 * cols.cost_q[0] * base
@@ -194,85 +403,25 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     return h, g, 0.0
 
 
-def _generation(lay: VarBlocks, rows: mdistflow.FlowRows) -> sp.csr_matrix:
-    """Each generator's Pg and Qg as unit entries in its bus's balance rows."""
-    bal = np.concatenate([rows.p_bal + lay.gen_w, rows.q_bal + lay.gen_w])
-    return sp.csr_matrix((np.ones(bal.size), (bal, lay.pg + np.arange(bal.size))),
-                         shape=(rows.count, lay.n_vars))
-
-
-def _full_space(net: Network, lay: VarBlocks) -> tuple:
-    """``build``'s rows before the state is put in: the generators' entries
-    in the flow rows (``FlowRows`` layout), then the equality rows' and the
-    inequality rows' coefficients on the state (``flow_equations``'
-    columns) and on the variables, and the inequality rows' right-hand
-    sides; the equality rows' are 0."""
-    ti = netmodel.path_incidence(net)
-    n, n_vars, n_gen, n_rated = ti.n, lay.n_vars, len(lay.gens), lay.rated.size
-    cols = netmodel.columns(net)
-    rows = mdistflow.FlowRows(n)
-    kg = np.arange(n_gen)
-    gen_cols = _generation(lay, rows)
-
-    # equality rows: each rated flow tied to the state's Pbr, then to its
-    # Qbr, then the slack's active and reactive balance, which meet every
-    # generator and so come last in the KKT factor's order. The balance rows
-    # are those of ``flow_equations``: the slack's load on W0 where it is
-    # nonzero, and -1 on the Pbr (Qbr) of each branch out of the slack.
-    slack = [rows.p_bal, rows.q_bal]
-    top = n + 1 + np.flatnonzero(ti.parent_pos < 0)
-    balance = sp.csr_matrix(
-        (np.concatenate([-cols.p_load[:1], -np.ones(top.size),
-                         -cols.q_load[:1], -np.ones(top.size)]),
-         (np.repeat([0, 1], 1 + top.size), np.concatenate([[0], top, [0], top + n]))),
-        shape=(2, 3 * n + 1))
-    balance.eliminate_zeros()
-    tie = np.arange(2 * n_rated)
-    flow_cols = np.concatenate([n + 1 + lay.rated, 2 * n + 1 + lay.rated])
-    eq_state = sp.vstack([
-        sp.csr_matrix((-np.ones(tie.size), (tie, flow_cols)), shape=(tie.size, 3 * n + 1)), balance,
-    ], format="csr")
-    eq_vars = sp.vstack([
-        sp.csr_matrix((np.ones(tie.size), (tie, lay.pbr + tie)), shape=(tie.size, n_vars)),
-        gen_cols[slack],
-    ], format="csr")
-
-    # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
-    # then per non-slack bus v_floor, v_cap
-    box = np.column_stack([cols.p_max[lay.gen_w], cols.p_min[lay.gen_w],
-                           cols.q_max[lay.gen_w], cols.q_min[lay.gen_w]])
-    gen_rows = (4 * kg[:, None] + np.arange(4)).ravel()
-    sign = np.array([1.0, -1.0, 1.0, -1.0])
-    out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
-    v_rows = 4 * n_gen + 2 * np.arange(n)
-    w_child = np.arange(1, n + 1)
-    n_in = 4 * n_gen + 2 * n
-    in_state = sp.csr_matrix(
-        (np.concatenate([(-sign * box).ravel(), np.ones(n), -np.ones(n)]),
-         (np.concatenate([gen_rows, v_rows, v_rows + 1]),
-          np.concatenate([np.repeat(lay.gen_w, 4), w_child, w_child]))),
-        shape=(n_in, 3 * n + 1))
-    in_vars = sp.csr_matrix((np.tile(sign, n_gen), (gen_rows, out_col.ravel())),
-                            shape=(n_in, n_vars))
-    v_lim = np.column_stack([2.0 - cols.v_min[1:], cols.v_max[1:] - 2.0])
-    b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])
-    return gen_cols, eq_state, eq_vars, in_state, in_vars, b_in
-
-
 def build(net: Network) -> QcqpProblem:
-    """Assemble the OPF as a convex QCQP in generator space.
+    """Assemble the OPF as a convex QCQP in generator space, with the rows
+    that presolve keeps (``_rows``).
 
-    Variables: Pg and Qg per generator, then Pbr and Qbr per rated branch
-    (``VarBlocks``). Every full-space row has the state s0 + S x put in for
-    W, Pbr and Qbr. Equality rows: one tie per rated flow to its value in
-    the state, then the slack's active and reactive balance. Inequality rows:
-    per generator pg_cap, pg_floor, qg_cap and qg_floor (the output against
-    its bus W times its limit), then per non-slack bus v_floor and v_cap;
-    each is dense within the feeder of its bus. Every rated branch gets a
-    diagonal quadratic flow limit on its two flow variables (see
-    ``netmodel.strip_thermal_limits`` to drop them). Raises on negative
-    generator costs (the convexity precondition) or a missing supply-point
-    generator. The problem carries the certificate of the exact cost
+    Variables: Pg and Qg per generator, then Pbr and Qbr per kept rated
+    branch (``VarBlocks``). Every full-space row has the state s0 + S x put
+    in for W, Pbr and Qbr. Equality rows: one tie per kept rated flow to its
+    value in the state, then the slack's active and reactive balance.
+    Inequality rows: per generator pg_cap, pg_floor, qg_cap and qg_floor
+    (the output against its bus W times its limit), then the kept v_floor
+    and v_cap rows, per non-slack bus in tree order: those at generator
+    buses and those that some output within the box violates. Each is dense
+    within the feeder of its bus. Every kept rated branch gets a diagonal
+    quadratic flow limit on its two flow variables (see
+    ``netmodel.strip_thermal_limits`` to drop them all). Raises on negative
+    generator costs (the convexity precondition), a missing supply-point
+    generator, or a row that no output within the box meets (``MdopfError``,
+    whose message starts "OPF solve ended with status infeasible" and names
+    the row). The problem carries the certificate of the exact cost
     quadratic; when it is not PSD, ``h`` is its PSD projection.
     """
     cols = netmodel.columns(net)
@@ -280,27 +429,15 @@ def build(net: Network) -> QcqpProblem:
     if negative.size:
         raise MdopfError("convexity condition unsatisfied: negative generator cost "
                          f"at bus {cols.bus_id[negative[0]]}")
-    lay = var_blocks(net)
+    rows = _rows(net)
     h_exact, g, c = build_objective(net)
     eig = support_eigh(h_exact, vectors=True)
     cert = certify_convexity(h_exact, eig)
     h = h_exact if cert.psd else psd_projection(h_exact, eig)
-
-    fac = mdistflow.load_factors(net)
-    gen, eq_state, eq_vars, in_state, in_vars, in_b = _full_space(net, lay)
-    state_map = -fac.solve(gen)  # S: the state per unit of each variable
-    rated = lay.rated
     return QcqpProblem(
-        n_vars=lay.n_vars,
-        h=h, g=g, c=c,
-        a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
-        a_in=(in_vars + in_state @ state_map).tocsr(), b_in=in_b - in_state @ fac.state,
-        quad_diag=sp.csr_matrix(
-            (np.ones(2 * rated.size),
-             (np.tile(np.arange(rated.size), 2), lay.pbr + np.arange(2 * rated.size))),
-            shape=(rated.size, lay.n_vars)),
-        quad_b=netmodel.path_incidence(net).i_max[rated] ** 2,
-        certificate=cert,
+        n_vars=rows.lay.n_vars, h=h, g=g, c=c,
+        a_eq=rows.a_eq, b_eq=rows.b_eq, a_in=rows.a_in, b_in=rows.b_in,
+        quad_diag=rows.quad_diag, quad_b=rows.quad_b, certificate=cert,
     )
 
 
@@ -321,7 +458,7 @@ def recover_dispatch(
     p_gen = x[lay.pg:lay.pg + n_gen]
     q_gen = x[lay.qg:lay.qg + n_gen]
     n = netmodel.path_incidence(net).n
-    gen = _generation(lay, mdistflow.FlowRows(n)) @ sp.csr_matrix(x[:, None])
+    gen = _generation(lay.gen_w, mdistflow.FlowRows(n)) @ sp.csr_matrix(x[lay.pg:lay.pbr, None])
     w = fac.state[:n + 1] - fac.solve(gen).toarray()[:n + 1, 0]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)
@@ -352,16 +489,18 @@ def balance_prices(
     of ``prob`` (``qcqpsolver.extract_duals``); the state is stationary,
     A' y_d + E' y + F' z = 0 (A the factored flow rows, E and F the state
     parts of ``prob``'s rows), so the others are one transposed solve with
-    ``mdistflow.load_factors``. Raises ``SolverError`` unless ``sol`` is
-    optimal.
+    ``mdistflow.load_factors``. E and F are the kept rows' (``_rows``): a
+    dropped row holds strictly at every allowed point, so its multiplier is
+    0 at the optimum. ``prob`` is ``build(net)``. Raises ``SolverError``
+    unless ``sol`` is optimal.
     """
     lam = qcqpsolver.extract_duals(prob, sol, np.arange(prob.n_eq))
-    _, eq_state, _, in_state, _, _ = _full_space(net, var_blocks(net))
+    rows = _rows(net)
     prices = mdistflow.load_factors(net).solve_transposed(
-        in_state.T @ sol.duals_in - eq_state.T @ lam)
-    rows = mdistflow.FlowRows(netmodel.path_incidence(net).n)
-    prices[[rows.p_bal, rows.q_bal]] = lam[-2:]
-    return prices[rows.p_bal:rows.q_bal], prices[rows.q_bal:rows.drop]
+        rows.in_state.T @ sol.duals_in - rows.eq_state.T @ lam)
+    flow = mdistflow.FlowRows(netmodel.path_incidence(net).n)
+    prices[[flow.p_bal, flow.q_bal]] = lam[-2:]
+    return prices[flow.p_bal:flow.q_bal], prices[flow.q_bal:flow.drop]
 
 
 def solve_opf(net: Network) -> tuple[QcqpProblem, OpfSolution, mdistflow.MdfState]:

@@ -728,6 +728,143 @@ def reference_recover_dispatch(net, ti, ref, sol):
     return pg, qg, mdistflow.state_from_solution(net, p_hat, q_hat, w_r)
 
 
+# ---------------------------------------------------------------------------
+# The unscreened generator-space OPF: every row that ``mdopf.build`` would
+# hold without presolve, the reference for the screen. Its layout is
+# ``mdopf.VarBlocks`` with every rated branch in ``rated``.
+# ---------------------------------------------------------------------------
+
+
+class UnscreenedOpf(NamedTuple):
+    """The unscreened problem, its layout, and its rows' coefficients on
+    the state (``flow_equations``' columns)."""
+
+    prob: QcqpProblem
+    lay: mdopf.VarBlocks
+    eq_state: sp.csr_matrix
+    in_state: sp.csr_matrix
+
+
+def unscreened_build(net) -> UnscreenedOpf:
+    """Every row of the generator-space OPF, with the same objective,
+    certificate and PSD projection as ``mdopf.build``. Equality rows: the
+    ties of every rated branch's Pbr, then of its Qbr, then the slack's
+    balance; inequality rows: pg_cap, pg_floor, qg_cap, qg_floor per
+    generator, then v_floor and v_cap per non-slack bus; one thermal row
+    per rated branch."""
+    ti = netmodel.path_incidence(net)
+    cols = netmodel.columns(net)
+    n = ti.n
+    gen_w = mdopf.var_blocks(net).gen_w
+    n_gen = gen_w.size
+    rated = np.flatnonzero(~np.isnan(cols.i_max))
+    r = rated.size
+    lay = mdopf.VarBlocks(mdopf.var_blocks(net).gens, gen_w, rated, 0, n_gen,
+                          2 * n_gen, 2 * n_gen + r, 2 * n_gen + 2 * r)
+    n_vars = lay.n_vars
+    rows = mdistflow.FlowRows(n)
+    gen = sp.lil_matrix((rows.count, n_vars))
+    for j, k in enumerate(gen_w):
+        gen[rows.p_bal + k, lay.pg + j] = 1.0
+        gen[rows.q_bal + k, lay.qg + j] = 1.0
+    flows = mdistflow.flow_equations(ti, np.concatenate([[0.0], -cols.p_load[1:]]),
+                                     np.concatenate([[0.0], -cols.q_load[1:]]))
+    fac = mdistflow.load_factors(net)
+    state_map = -fac.solve(gen.tocsr())
+
+    tie_state = sp.lil_matrix((2 * r, 3 * n + 1))
+    tie_vars = sp.lil_matrix((2 * r, n_vars))
+    for i, k in enumerate(rated):
+        tie_state[i, n + 1 + k] = tie_state[r + i, 2 * n + 1 + k] = -1.0
+        tie_vars[i, lay.pbr + i] = tie_vars[r + i, lay.qbr + i] = 1.0
+    # the slack's balance rows: its load on W0 and the flows out of it,
+    # which are ``flow_equations``' rows with W0's load column
+    balance = sp.lil_matrix((2, 3 * n + 1))
+    balance[:, :] = flows[[rows.p_bal, rows.q_bal]]
+    balance[0, 0], balance[1, 0] = -cols.p_load[0], -cols.q_load[0]
+    eq_state = sp.vstack([tie_state, balance], format="csr")
+    eq_state.eliminate_zeros()
+    eq_vars = sp.vstack([tie_vars, gen.tocsr()[[rows.p_bal, rows.q_bal]]], format="csr")
+
+    in_state = sp.lil_matrix((4 * n_gen + 2 * n, 3 * n + 1))
+    in_vars = sp.lil_matrix((4 * n_gen + 2 * n, n_vars))
+    b_in = np.zeros(4 * n_gen + 2 * n)
+    for j, k in enumerate(gen_w):
+        limits = (cols.p_max[k], cols.p_min[k], cols.q_max[k], cols.q_min[k])
+        for i, (sign, col, limit) in enumerate(zip((1.0, -1.0, 1.0, -1.0),
+                                                   (lay.pg + j, lay.pg + j, lay.qg + j, lay.qg + j),
+                                                   limits)):
+            in_vars[4 * j + i, col] = sign
+            in_state[4 * j + i, k] = -sign * limit
+    for k in range(n):
+        row = 4 * n_gen + 2 * k
+        in_state[row, k + 1], b_in[row] = 1.0, 2.0 - cols.v_min[k + 1]
+        in_state[row + 1, k + 1], b_in[row + 1] = -1.0, cols.v_max[k + 1] - 2.0
+    in_state, in_vars = in_state.tocsr(), in_vars.tocsr()
+
+    h, g, c = mdopf.build_objective(net)
+    cert = mdopf.certify_convexity(h)
+    if not cert.psd:
+        h = mdopf.psd_projection(h)
+    h = h.copy()
+    h.resize((n_vars, n_vars))  # the flow variables enter no cost
+    prob = QcqpProblem(
+        n_vars=n_vars, h=h, g=np.concatenate([g[:2 * n_gen], np.zeros(2 * r)]), c=c,
+        a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
+        a_in=(in_vars + in_state @ state_map).tocsr(), b_in=b_in - in_state @ fac.state,
+        quad_diag=sp.csr_matrix((np.ones(2 * r), (np.tile(np.arange(r), 2),
+                                                  lay.pbr + np.arange(2 * r))),
+                                shape=(r, n_vars)),
+        quad_b=cols.i_max[rated] ** 2, certificate=cert,
+    )
+    return UnscreenedOpf(prob, lay, eq_state, in_state)
+
+
+def unscreened_point(net, ref: UnscreenedOpf, x):
+    """The screened problem's point ``x`` in the unscreened layout: the same
+    generator outputs, a kept rated branch's flows from ``x`` and a dropped
+    one's from the state that the outputs imply."""
+    lay = mdopf.var_blocks(net)
+    n = netmodel.path_incidence(net).n
+    out = x[lay.pg:lay.pbr]
+    fac = mdistflow.load_factors(net)
+    flows = fac.state - fac.solve(
+        mdopf._generation(lay.gen_w, mdistflow.FlowRows(n)) @ sp.csr_matrix(out[:, None])
+    ).toarray()[:, 0]
+    rated = ref.lay.rated
+    p, q = flows[n + 1 + rated], flows[2 * n + 1 + rated]
+    kept = np.searchsorted(rated, lay.rated)
+    p[kept], q[kept] = x[lay.pbr:lay.qbr], x[lay.qbr:lay.n_vars]
+    return np.concatenate([out, p, q])
+
+
+def unscreened_balance_prices(net, ref: UnscreenedOpf, sol):
+    """``mdopf.balance_prices`` from every row of the unscreened problem."""
+    lam = qcqpsolver.extract_duals(ref.prob, sol, np.arange(ref.prob.n_eq))
+    prices = mdistflow.load_factors(net).solve_transposed(
+        ref.in_state.T @ sol.duals_in - ref.eq_state.T @ lam)
+    rows = mdistflow.FlowRows(netmodel.path_incidence(net).n)
+    prices[[rows.p_bal, rows.q_bal]] = lam[-2:]
+    return prices[rows.p_bal:rows.q_bal], prices[rows.q_bal:rows.drop]
+
+
+def rated_network(net, factor: float, own: bool = True) -> Network:
+    """``net`` with every branch rated at ``factor`` times its own load-only
+    flow magnitude (``own``) or the largest one."""
+    state = mdistflow.solve_fixed_load(net)
+    flow = np.hypot(state.p_br_hat, state.q_br_hat)
+    # branch k of the load flow is the branch into path-incidence order[k]
+    ti = netmodel.path_incidence(net)
+    into = {b: k for k, b in enumerate(ti.order)}
+    parent = {b: net.slack if p < 0 else ti.order[p] for b, p in zip(ti.order, ti.parent_pos)}
+    branches = []
+    for br in branch_records(net):
+        child = br.to_bus if parent.get(br.to_bus) == br.from_bus else br.from_bus
+        cap = flow[into[child]] if own else flow.max()
+        branches.append(br._replace(i_max=factor * float(cap)))
+    return with_records(net, branches=branches)
+
+
 def reference_duplicate_system(net, copies, seed=0, scale_lo=0.7, scale_hi=1.3):
     """Record-by-record reference for ``netmodel.duplicate_system``: the same
     random draws in the same order, each copied bus and branch made with

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from radialopf import cli, netmodel
 
-from helpers import assert_same_network, bus_record, bus_records, bus_row, mk_case
+from helpers import assert_same_network, bus_record, bus_records, bus_row, mk_case, rated_network
 
 
 def run(argv):
@@ -440,6 +441,39 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("solver error: OPF solve ended with status ")
+    assert err.count("\n") == 1
+
+
+def test_infeasible_voltage_floor_named_before_iterating(tmp_path, capsys):
+    # 16 buses sit below the 0.99 floor whatever the supply point does
+    code = run(["opf", "--case", "case33.m", "--psp-v", "1.05", "--vmin", "0.99",
+                "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: OPF solve ended with status infeasible before iterating: ")
+    assert re.search(r"meets v_floor at bus \d+ \(V at most 0\.9\d+ pu, v_min 0\.9900 pu; "
+                     r"16 rows proven infeasible\)\n$", err)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "opf_summary.json").exists()
+
+
+def test_infeasible_rating_named_before_iterating(tmp_path, capsys, case69):
+    # case69 x100 with the benchmark's DGs and each branch rated at 0.9x its
+    # own load-only flow: the IPM ran 76 iterations (127 s) into a singular
+    # KKT factor; presolve proves 1,002 thermal rows violated
+    net = netmodel.with_slack_costs(netmodel.with_slack_voltage(case69, 1.05), 30.0, 3.0)
+    for bus in (27, 35, 46, 65):
+        net = netmodel.with_generator(net, bus, netmodel.Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
+    path = tmp_path / "rated.json"
+    path.write_text(netmodel.to_json(rated_network(netmodel.duplicate_system(net, 100, seed=42), 0.9)))
+    t0 = time.perf_counter()
+    code = run(["opf", "--case", str(path), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and elapsed < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: OPF solve ended with status infeasible before iterating: ")
+    assert re.search(r"meets thermal at branch \d+-\d+ \(flow at least [\d.]+ pu, rating [\d.]+ pu; "
+                     r"1002 rows proven infeasible\)\n$", err)
     assert err.count("\n") == 1
 
 

@@ -320,7 +320,7 @@ def assert_factors_match_reference(net, rng):
     n = netmodel.path_incidence(net).n
     rows = mdf.FlowRows(n)
     dense = rng.normal(size=(rows.count, 7)) * (rng.random((rows.count, 7)) < 0.05)
-    for b in (mdopf._generation(mdopf.var_blocks(net), rows), sp.csr_matrix(dense)):
+    for b in (mdopf._generation(mdopf.var_blocks(net).gen_w, rows), sp.csr_matrix(dense)):
         got, want = fac.solve(b), ref.solve(b)
         got.sort_indices()
         want.sort_indices()

@@ -13,8 +13,9 @@ from radialopf.netmodel import Generator, build_path_incidence
 from helpers import (
     assert_kkt_matches_reference, branch_records, bus_record, bus_row, chain_network,
     dense_objective_h, kkt_residuals, mk_case, path_matrix, pivoting_factor,
-    random_tree_network, reference_build, reference_evaluate_cost, reference_extract_duals,
-    reference_psd_projection, reference_recover_dispatch, tree_buses, with_records,
+    random_tree_network, rated_network, reference_build, reference_evaluate_cost,
+    reference_extract_duals, reference_psd_projection, reference_recover_dispatch, tree_buses,
+    unscreened_balance_prices, unscreened_build, unscreened_point, with_records,
 )
 
 
@@ -51,8 +52,18 @@ def test_dimensions_case33_one_dg(case33_psp):
     assert prob.n_vars == 2 * 2
     # the slack's active and reactive balance
     assert prob.n_eq == 2
-    # four box rows per generator, two voltage rows per non-slack bus
-    assert prob.n_in == 4 * 2 + 2 * n
+    # four box rows per generator, two voltage rows per non-slack bus, of
+    # which presolve keeps the box rows and bus 18's voltage rows at least
+    ref = unscreened_build(net).prob
+    assert ref.n_in == 4 * 2 + 2 * n
+    kept = mdopf._rows(net).kept_in
+    at18 = 4 * 2 + 2 * (netmodel.tree_positions(net)[18] - 1)
+    assert {*range(8), at18, at18 + 1} <= set(kept.tolist())
+    assert np.all(np.diff(kept) > 0) and prob.n_in == kept.size < ref.n_in
+    # the kept rows are the unscreened rows, exactly; the others are implied
+    assert (prob.a_in != ref.a_in[kept]).nnz == 0
+    assert np.array_equal(prob.b_in, ref.b_in[kept])
+    assert_dropped_rows_hold(net, np.random.default_rng(3))
     assert prob.n_quad == 0  # no current ratings in the case
     lay = mdopf.var_blocks(net)
     assert lay.gens == (1, 18) and lay.n_vars == prob.n_vars
@@ -70,11 +81,15 @@ def test_equality_row_count_random_trees(n, seed):
 
 
 def full_space_rows(net, x):
-    """The full-space OPF rows at generator-space point ``x``: the state that
-    its generation implies, from the flow rows without the slack's balance
-    rows solved by SuperLU with pivoting, put into the rated flows' ties,
-    the slack's balance rows, the generator boxes and the voltage limits.
-    Returns (equality rows, inequality rows) as left minus right side."""
+    """The full-space OPF rows at generator-space point ``x`` (``build``'s
+    layout): the state that its generation implies, from the flow rows
+    without the slack's balance rows solved by SuperLU with pivoting, put
+    into the kept rated flows' ties, the slack's balance rows, every
+    generator box, every voltage limit and every rating. Returns (equality
+    rows, inequality rows, thermal rows) as left minus right side; the
+    inequality rows are all of them (box rows per generator, then v_floor
+    and v_cap per non-slack bus), and the thermal rows are one per rated
+    branch, each at the state's flows."""
     ti = build_path_incidence(net)
     lay = mdopf.var_blocks(net)
     buses = tree_buses(net)
@@ -101,19 +116,72 @@ def full_space_rows(net, x):
                 qg - gen_j.q_max * w[k], gen_j.q_min * w[k] - qg]
     volt = np.column_stack([w[1:] - np.array([2.0 - b.v_min for b in buses[1:]]),
                             np.array([2.0 - b.v_max for b in buses[1:]]) - w[1:]]).ravel()
-    return np.concatenate([ties, slack]), np.concatenate([box, volt])
+    rated = np.flatnonzero(~np.isnan(ti.i_max))
+    thermal = (state[ti.n + 1 + rated] ** 2 + state[2 * ti.n + 1 + rated] ** 2
+               - ti.i_max[rated] ** 2)
+    return np.concatenate([ties, slack]), np.concatenate([box, volt]), thermal
+
+
+def box_points(net, rng, count):
+    """``count`` generator-space points (``build``'s layout, flows 0) whose
+    outputs lie in the box that the generator-box rows and the voltage rows
+    at generator buses allow: each output between its limits times its bus
+    W, for W anywhere in the bus's voltage band. The first two are the box's
+    lower and upper corners, the rest uniform draws."""
+    lay = mdopf.var_blocks(net)
+    buses = tree_buses(net)
+    lo, hi = [], []
+    for axis in ("p", "q"):
+        for k in lay.gen_w:
+            b = buses[k]
+            ends = [getattr(b.gen, f"{axis}_{e}") * (2.0 - v)
+                    for e in ("min", "max") for v in (b.v_min, b.v_max)]
+            lo.append(min(ends[:2]))
+            hi.append(max(ends[2:]))
+    lo, hi = np.array(lo), np.array(hi)
+    points = [lo, hi, *(rng.uniform(lo, hi) for _ in range(count - 2))]
+    return [np.concatenate([p, np.zeros(lay.n_vars - p.size)]) for p in points]
+
+
+def assert_dropped_rows_hold(net, rng, count=6):
+    """Every row that presolve drops holds at each of ``box_points``: the
+    voltage rows with no room to spare (<= 0) and each dropped rated
+    branch's Pbr^2 + Qbr^2 within its rating."""
+    ti = build_path_incidence(net)
+    lay = mdopf.var_blocks(net)
+    n_in = 4 * len(lay.gens) + 2 * ti.n
+    dropped = np.setdiff1d(np.arange(n_in), mdopf._rows(net).kept_in)
+    rated = np.flatnonzero(~np.isnan(ti.i_max))
+    dropped_rated = ~np.isin(rated, lay.rated)
+    for x in box_points(net, rng, count):
+        _, ineq, thermal = full_space_rows(net, x)
+        assert np.all(ineq[dropped] <= 0.0)
+        assert np.all(thermal[dropped_rated] <= 0.0)
 
 
 def assert_equalities_are_flow_equations(net):
-    """Each generator-space row, at random generator outputs, equals the
-    full-space row at the state those outputs imply (``full_space_rows``)."""
+    """Each kept generator-space row, at random generator outputs, equals the
+    full-space row at the state those outputs imply (``full_space_rows``),
+    and each dropped row holds over the box (``assert_dropped_rows_hold``)."""
     prob = mdopf.build(net)
+    kept = mdopf._rows(net).kept_in
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = rng.uniform(-0.05, 0.05, prob.n_vars)
-        eq, ineq = full_space_rows(net, x)
+        eq, ineq, _ = full_space_rows(net, x)
         assert np.allclose(prob.a_eq @ x - prob.b_eq, eq, rtol=0.0, atol=1e-12)
-        assert np.allclose(prob.a_in @ x - prob.b_in, ineq, rtol=0.0, atol=1e-12)
+        assert np.allclose(prob.a_in @ x - prob.b_in, ineq[kept], rtol=0.0, atol=1e-12)
+    assert_dropped_rows_hold(net, rng)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.integers(0, 2**31 - 1), st.floats(1.0, 3.0), st.booleans())
+def test_dropped_rows_hold_in_box_random_trees(n, seed, factor, own):
+    # every branch rated at factor times its own (or the largest) load-only
+    # flow, so some rated rows are dropped and some kept
+    rng = np.random.default_rng(seed)
+    net = rated_network(random_tree_network(rng, n, gen_frac=0.4), factor, own)
+    assert_dropped_rows_hold(net, rng)
 
 
 def test_equalities_are_flow_equations_case33_four_dgs(case33_psp):
@@ -141,12 +209,18 @@ def test_thermal_rows():
         gencost_rows=[[2, 0, 0, 2, 30, 0]],
     )
     net = netmodel.parse_matpower_case(text)
+    # the slack alone: branch 1-2 carries the fixed load flow, 0.1 of its
+    # 0.5 pu rating, so presolve drops its row
+    assert mdopf.build(net).n_quad == 0 and mdopf.var_blocks(net).rated.size == 0
+    # a DG at bus 3 that can export 1 pu lets the flow exceed the rating
+    net = netmodel.with_generator(net, 3, Generator(0.0, 1.0, 0.0, 0.5, 20.0, 1.0))
     ti = build_path_incidence(net)
     prob = mdopf.build(net)
     assert prob.n_quad == 1
     # the one thermal row sits on the flow variables of branch 1-2, which
     # the two tie rows before the slack's balance rows hold to the state
     lay = mdopf.var_blocks(net)
+    assert lay.gens == (1, 3) and (lay.pbr, lay.qbr, lay.n_vars) == (4, 5, 6)
     assert lay.rated.tolist() == [ti.order.index(2)]
     assert sorted(prob.quad_diag.tocoo().col) == [lay.pbr, lay.qbr]
     assert prob.n_eq == 4
@@ -256,10 +330,12 @@ def test_objective_memory_grows_with_feeders_not_generators(case69):
 
 
 def test_built_problem_holds_no_names(case69):
-    # 6,801 buses: the problem's arrays take about 2.1 MB; one name per
-    # variable and row (about 57,000 strings) took 4.7 MB more
+    # 6,801 buses: the problem's arrays take about 0.4 MB (2.1 MB with
+    # every row built); one name per variable and row (about 57,000
+    # strings) took 4.7 MB more. The rows are memoized with the network, so
+    # the trace covers the first build
     net = _case69_copies(case69, 100)
-    mdopf.build(net)  # memoizes the per-network bus lookups outside the trace
+    mdf.load_factors(net)  # memoizes the per-network bus lookups outside the trace
     tracemalloc.start()
     try:
         prob = mdopf.build(net)
@@ -504,7 +580,10 @@ def assert_matches_reference(net):
         assert abs(sol_l.pg[b] - pg[b]) < 1e-6, b
         assert abs(sol_l.qg[b] - qg[b]) < 1e-6, b
     assert sol_l.objective_value == pytest.approx(sol_r.objective_value, rel=1e-8)
-    assert np.allclose(sol_l.duals_quad, sol_r.duals_quad, rtol=1e-6, atol=1e-9)
+    # the reference has every rated row; a dropped row's multiplier is 0
+    kept = np.isin(np.flatnonzero(~np.isnan(ti.i_max)), mdopf.var_blocks(net).rated)
+    assert np.allclose(sol_l.duals_quad, sol_r.duals_quad[kept], rtol=1e-6, atol=1e-9)
+    assert np.allclose(sol_r.duals_quad[~kept], 0.0, rtol=1e-6, atol=1e-9)
     buses = [net.slack, *ti.order]
     for lam_l, lam_r in zip(mdopf.balance_prices(net, lean, sol_l), reference_extract_duals(ref, sol_r)):
         assert lam_r.keys() == set(buses)
@@ -534,20 +613,44 @@ def test_lean_builder_matches_reference_binding_thermal():
 
 
 def assert_deep_feeder_matches_reference(net):
-    """``solve_opf`` against the full-space reference at the default
-    tolerances: objective within 1e-6 relative, each point meets its own
-    problem's rows to 1e-8 (equality rows scaled as the solver scales
-    them), and the iteration counts differ by at most 2."""
-    prob, sol, _ = mdopf.solve_opf(net)
+    """The generator-space problem with every row (``unscreened_build``)
+    against the full-space reference at the default tolerances: objective
+    within 1e-6 relative, each point meets its own problem's rows to 1e-8
+    (equality rows scaled as the solver scales them), and the iteration
+    counts differ by at most 2. ``solve_opf``, whose problem holds the rows
+    that presolve keeps, is held to the unscreened problem by
+    ``assert_screen_matches_unscreened``."""
+    unscreened = unscreened_build(net).prob
+    sol = qs.solve(unscreened)
     ref = reference_build(net, build_path_incidence(net))
     sol_r = qs.solve(ref.prob)
-    assert sol_r.status == "optimal"
+    assert sol.status == sol_r.status == "optimal"
     assert sol.objective_value == pytest.approx(sol_r.objective_value, rel=1e-6)
-    for p, s in ((prob, sol), (ref.prob, sol_r)):
+    for p, s in ((unscreened, sol), (ref.prob, sol_r)):
         res = kkt_residuals(p, s)
         assert res["primal_eq"] <= 1e-8 * (1.0 + np.abs(p.b_eq).max(initial=0.0))
         assert res["primal_in"] <= 1e-8
     assert abs(sol.stats.iterations - sol_r.stats.iterations) <= 2
+    assert_screen_matches_unscreened(net)
+
+
+def assert_screen_matches_unscreened(net):
+    """``solve_opf`` against the problem with every row, both at the
+    default tolerances: objective within 1e-6 relative; every unscreened
+    row, dropped ones included, holds at the screened point within 1e-8,
+    equality rows scaled as the solver scales them; and at most 2
+    iterations more."""
+    prob, sol, _ = mdopf.solve_opf(net)
+    ref = unscreened_build(net)
+    sol_u = qs.solve(ref.prob)
+    assert sol_u.status == "optimal"
+    assert sol.objective_value == pytest.approx(sol_u.objective_value, rel=1e-6)
+    p, x = ref.prob, unscreened_point(net, ref, sol.x)
+    assert np.abs(p.a_eq @ x - p.b_eq).max(initial=0.0) <= 1e-8 * (
+        1.0 + np.abs(p.b_eq).max(initial=0.0))
+    assert np.max(p.a_in @ x - p.b_in, initial=0.0) <= 1e-8
+    assert np.max(p.quad_diag @ (x * x) - p.quad_b, initial=0.0) <= 1e-8
+    assert sol.stats.iterations <= sol_u.stats.iterations + 2
 
 
 def test_deep_feeder_matches_reference_chain():
@@ -560,6 +663,72 @@ def test_deep_feeder_matches_reference_random_trees():
     for _ in range(20):
         assert_deep_feeder_matches_reference(
             random_tree_network(rng, int(rng.integers(2, 80)), gen_frac=0.3))
+
+
+def test_screen_matches_unscreened_chain():
+    assert_screen_matches_unscreened(chain_network(1000, 10))
+
+
+def test_screen_matches_unscreened_case69_x3(case69):
+    assert_screen_matches_unscreened(_case69_copies(case69, 3))
+
+
+def test_screen_matches_unscreened_rated_case69_x3(case69):
+    # each branch rated at 1.5x its own load-only flow: some rows kept
+    net = rated_network(_case69_copies(case69, 3), 1.5)
+    assert 0 < mdopf.build(net).n_quad < net.records.from_bus.size
+    assert_screen_matches_unscreened(net)
+
+
+def test_screened_rows_case69_x100(case69):
+    # of the 15,204 inequality rows, presolve keeps the 1,604 box rows and
+    # the 800 voltage rows at the 400 DG buses
+    prob = mdopf.build(_case69_copies(case69, 100))
+    assert (prob.n_vars, prob.n_eq, prob.n_in, prob.n_quad) == (802, 2, 2404, 0)
+
+
+def test_balance_prices_match_unscreened_case33_four_dgs(case33_psp):
+    assert_balance_prices_match_unscreened(_four_dg_case33(case33_psp))
+
+
+def test_balance_prices_match_unscreened_case69_x3(case69):
+    assert_balance_prices_match_unscreened(_case69_copies(case69, 3))
+
+
+def assert_balance_prices_match_unscreened(net):
+    """``balance_prices`` from the kept rows against the same prices from
+    every row of the unscreened problem, both solved at ``TIGHT``: within
+    1e-6 of the largest."""
+    prob, ref = mdopf.build(net), unscreened_build(net)
+    assert prob.n_in < ref.prob.n_in
+    sol, sol_u = qs.solve(prob, TIGHT), qs.solve(ref.prob, TIGHT)
+    for lam, lam_u in zip(mdopf.balance_prices(net, prob, sol),
+                          unscreened_balance_prices(net, ref, sol_u)):
+        assert np.max(np.abs(lam - lam_u)) <= 1e-6 * np.max(np.abs(lam_u))
+
+
+def test_infeasible_voltage_row_named(case33_psp):
+    # at V0 = 1.05 without DGs, 16 buses sit below a 0.99 floor whatever
+    # the slack does: presolve names the worst before the IPM starts
+    net = netmodel.with_voltage_limits(case33_psp, v_min=0.99)
+    with pytest.raises(MdopfError) as err:
+        mdopf.build(net)
+    msg = str(err.value)
+    assert msg.startswith("OPF solve ended with status infeasible before iterating: ")
+    assert "meets v_floor at bus " in msg and "16 rows proven infeasible" in msg
+    w = mdf.solve_fixed_load(net).v
+    worst = netmodel.path_incidence(net).order[int(np.argmin(w[1:]))]
+    assert f"v_floor at bus {worst} (V at most {w.min():.4f} pu" in msg
+
+
+def test_infeasible_thermal_row_named(net2):
+    # the two-bus feeder's 1 pu load behind a 0.5 pu rating, with no DG to
+    # relieve it
+    net = with_records(net2, branches=[br._replace(i_max=0.5) for br in branch_records(net2)])
+    with pytest.raises(MdopfError, match=r"infeasible before iterating: .* meets thermal at "
+                                         r"branch 1-2 \(flow at least 1\.0\d* pu, rating 0\.5 pu; "
+                                         r"1 rows proven infeasible\)"):
+        mdopf.solve_opf(net)
 
 
 def test_problem_carries_exact_certificate(net2, case33_psp):
@@ -647,14 +816,16 @@ def test_tree_order_fill_at_most_default(case69, monkeypatch):
 
 
 def test_kkt_fill_every_branch_rated(case69, monkeypatch):
-    # every branch rated at 3x the largest load-only flow: the slack's rows
-    # come after the rows that tie the rated flows to the state, so the
-    # factor fills in only within each feeder
+    # every branch rated at 3x the largest load-only flow: presolve drops
+    # every thermal row. With all of them built, the slack's rows come after
+    # the rows that tie the rated flows to the state, so the factor fills in
+    # only within each feeder
     net = _case69_copies(case69, 10)
     state = mdf.solve_fixed_load(net)
     cap = 3.0 * float(np.max(np.hypot(state.p_br_hat, state.q_br_hat)))
     net = with_records(net, branches=[br._replace(i_max=cap) for br in branch_records(net)])
-    prob = mdopf.build(net)
+    assert mdopf.build(net).n_quad == 0
+    prob = unscreened_build(net).prob
     assert prob.n_quad == net.records.from_bus.size
     # at most about one dense block per feeder's 136 tie rows (223k L+U
     # nonzeros), not one across all 1,360 (1.9M with the slack's rows first)
