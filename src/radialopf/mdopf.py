@@ -95,23 +95,16 @@ class VarBlocks:
 class _Rows:
     """The rows of the OPF of a network that presolve keeps (see ``_rows``).
 
-    ``kept_in`` indexes the kept inequality rows among all of them (pg_cap,
-    pg_floor, qg_cap, qg_floor per generator, then v_floor and v_cap per
-    non-slack bus). ``eq_state`` and ``in_state`` are the kept rows'
-    coefficients on the state (``flow_equations``' columns); the rest are
-    ``QcqpProblem`` fields in generator space.
+    ``prob`` holds them in generator space, with a zero objective that
+    ``build`` replaces. ``eq_state`` and ``in_state`` are the same equality
+    and inequality rows' coefficients on the state (``flow_equations``'
+    columns), which ``balance_prices`` reads.
     """
 
     lay: VarBlocks
-    kept_in: np.ndarray
     eq_state: sp.csr_matrix
     in_state: sp.csr_matrix
-    a_eq: sp.csr_matrix
-    b_eq: np.ndarray
-    a_in: sp.csr_matrix
-    b_in: np.ndarray
-    quad_diag: sp.csr_matrix
-    quad_b: np.ndarray
+    prob: QcqpProblem
 
 
 #: presolve's round-off margin, in pu of W and relative to a squared rating:
@@ -278,7 +271,6 @@ def _rows(net: Network) -> _Rows:
     w_child = np.arange(1, n + 1)
     n_in = 4 * n_gen + 2 * n
     kept_in = np.concatenate([np.arange(4 * n_gen), 4 * n_gen + np.flatnonzero(v_keep)])
-    kept_in.setflags(write=False)
     in_state = sp.csr_matrix(
         (np.concatenate([(-sign * box).ravel(), np.ones(n), -np.ones(n)]),
          (np.concatenate([gen_rows, v_rows, v_rows + 1]),
@@ -292,15 +284,15 @@ def _rows(net: Network) -> _Rows:
     # the kept rows in generator space: s0 + S x put in for the state
     state_map = sp.csr_matrix((s_gen.data, s_gen.indices, s_gen.indptr),
                               shape=(s_gen.shape[0], n_vars))
-    return _Rows(
-        lay=lay, kept_in=kept_in, eq_state=eq_state, in_state=in_state,
+    return _Rows(lay, eq_state, in_state, QcqpProblem(
+        n_vars=n_vars, h=sp.csr_matrix((n_vars, n_vars)), g=np.zeros(n_vars), c=0.0,
         a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
         a_in=(in_vars + in_state @ state_map).tocsr(), b_in=b_in - in_state @ fac.state,
         quad_diag=sp.csr_matrix(
             (np.ones(2 * n_rated), (np.tile(np.arange(n_rated), 2), lay.pbr + tie)),
             shape=(n_rated, n_vars)),
         quad_b=ti.i_max[rated] ** 2,
-    )
+    ))
 
 
 def certify_convexity(
@@ -429,16 +421,12 @@ def build(net: Network) -> QcqpProblem:
     if negative.size:
         raise MdopfError("convexity condition unsatisfied: negative generator cost "
                          f"at bus {cols.bus_id[negative[0]]}")
-    rows = _rows(net)
+    rows = _rows(net).prob
     h_exact, g, c = build_objective(net)
     eig = support_eigh(h_exact, vectors=True)
     cert = certify_convexity(h_exact, eig)
     h = h_exact if cert.psd else psd_projection(h_exact, eig)
-    return QcqpProblem(
-        n_vars=rows.lay.n_vars, h=h, g=g, c=c,
-        a_eq=rows.a_eq, b_eq=rows.b_eq, a_in=rows.a_in, b_in=rows.b_in,
-        quad_diag=rows.quad_diag, quad_b=rows.quad_b, certificate=cert,
-    )
+    return replace(rows, h=h, g=g, c=c, certificate=cert)
 
 
 def recover_dispatch(

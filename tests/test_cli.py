@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from radialopf import cli, netmodel
+from radialopf import cli, netmodel, qcqpsolver
 
 from helpers import assert_same_network, bus_record, bus_records, bus_row, mk_case, rated_network
 
@@ -457,10 +457,13 @@ def test_infeasible_voltage_floor_named_before_iterating(tmp_path, capsys):
     assert not (tmp_path / "opf_summary.json").exists()
 
 
-def test_infeasible_rating_named_before_iterating(tmp_path, capsys, case69):
+def test_infeasible_rating_named_before_iterating(tmp_path, capsys, case69, monkeypatch):
     # case69 x100 with the benchmark's DGs and each branch rated at 0.9x its
     # own load-only flow: the IPM ran 76 iterations (127 s) into a singular
-    # KKT factor; presolve proves 1,002 thermal rows violated
+    # KKT factor; presolve proves 1,002 thermal rows violated, and the
+    # interior point never starts
+    solves = []
+    monkeypatch.setattr(qcqpsolver, "solve", lambda *args: solves.append(args))
     net = netmodel.with_slack_costs(netmodel.with_slack_voltage(case69, 1.05), 30.0, 3.0)
     for bus in (27, 35, 46, 65):
         net = netmodel.with_generator(net, bus, netmodel.Generator(0.0, 0.02, 0.0, 0.01, 25.0, 2.0))
@@ -469,7 +472,7 @@ def test_infeasible_rating_named_before_iterating(tmp_path, capsys, case69):
     t0 = time.perf_counter()
     code = run(["opf", "--case", str(path), "--out", str(tmp_path / "out")])
     elapsed = time.perf_counter() - t0
-    assert code == 2 and elapsed < 5.0
+    assert code == 2 and elapsed < 5.0 and not solves
     err = capsys.readouterr().err
     assert err.startswith("solver error: OPF solve ended with status infeasible before iterating: ")
     assert re.search(r"meets thermal at branch \d+-\d+ \(flow at least [\d.]+ pu, rating [\d.]+ pu; "
