@@ -7,24 +7,24 @@ state is affine in the modified generator outputs x: s = s0 + S x, with s0
 the load-only state and S one solve of the generators' balance-row entries
 (``mdistflow.load_factors``, one factor of the whole network; S is dense
 within a feeder and zero outside it). The problem's variables are the
-generator outputs alone, plus the flows of the rated branches whose
-thermal rows are kept. The voltage and generator-box rows are the
-full-space rows with s0 + S x put in for the state; the slack's two
-balance rows are the only equality rows besides the ties of the kept rated
-flows. The objective is the generation cost with the voltage weights
-eliminated through the closed-form affine voltage map, which leaves a
-quadratic form over the generator variables.
+generator outputs alone. The voltage and generator-box rows are the
+full-space rows with s0 + S x put in for the state, and the slack's two
+balance rows are the only equality rows. A kept thermal row is a sum of
+squares in the outputs, ||c_l + M_l x||^2 <= i_max^2, with M_l the rows of
+S at the branch's Pbr and Qbr and c_l the load-only flows there. The
+objective is the generation cost with the voltage weights eliminated
+through the closed-form affine voltage map, which leaves a quadratic form
+over the generator variables.
 
 Presolve screens the rows over the box of generator outputs that the
 generator-box rows and the voltage rows at generator buses allow (as LP
 and QP presolve does, Andersen & Andersen, Math. Programming 1995, and as
 OPF constraint screening does, Roald & Molzahn, Allerton 2019). A voltage
 row that no output in the box can violate is never built, and neither is
-the thermal row of a rated branch whose flows stay inside its rating, with
-its tie rows and flow variables; on case69 x100 that leaves 2,404 of the
-15,204 inequality rows. A row that no output in the box can meet ends the
-build with ``MdopfError`` naming the row, before the interior point
-starts.
+the thermal row of a rated branch whose flows stay inside its rating; on
+case69 x100 that leaves 2,404 of the 15,204 inequality rows. A row that no
+output in the box can meet ends the build with ``MdopfError`` naming the
+row, before the interior point starts.
 
 The raw cost quadratic is certified for positive semidefiniteness; when the
 certificate fails (which happens for generic P/Q cost ratios, see
@@ -74,11 +74,12 @@ class VarBlocks:
     layout.
 
     Pg and Qg are the modified generator outputs, following ``gens`` (the
-    slack first); Pbr and Qbr are the modified flows of the rated branches
-    that presolve keeps, following ``rated`` (branch rows of the path
-    incidence, ascending). ``gen_w`` is the bus position of each generator
-    (slack 0, then the path incidence's ``order``), which is also its W
-    column in ``mdistflow.flow_equations``.
+    slack first), and they are all the variables. ``gen_w`` is the bus
+    position of each generator (slack 0, then the path incidence's
+    ``order``), which is also its W column in ``mdistflow.flow_equations``.
+    ``rated`` lists the branches whose thermal rows presolve keeps, in the
+    order of the quadratic rows (branch rows of the path incidence,
+    ascending).
     """
 
     gens: tuple[int, ...]
@@ -86,8 +87,6 @@ class VarBlocks:
     rated: np.ndarray
     pg: int
     qg: int
-    pbr: int
-    qbr: int
     n_vars: int
 
 
@@ -98,12 +97,14 @@ class _Rows:
     ``prob`` holds them in generator space, with a zero objective that
     ``build`` replaces. ``eq_state`` and ``in_state`` are the same equality
     and inequality rows' coefficients on the state (``flow_equations``'
-    columns), which ``balance_prices`` reads.
+    columns), and ``flows`` the state columns that the quadratic rows
+    square, which ``balance_prices`` reads.
     """
 
     lay: VarBlocks
     eq_state: sp.csr_matrix
     in_state: sp.csr_matrix
+    flows: np.ndarray
     prob: QcqpProblem
 
 
@@ -208,12 +209,13 @@ def _rows(net: Network) -> _Rows:
     is s0 + S mid +- |S| rad, for the box's midpoint and radius. A voltage
     row away from a generator bus that holds with ``_MARGIN`` to spare over
     the whole box is dropped; so is the thermal row of a rated branch whose
-    largest |Pbr| and |Qbr| stay inside its rating, with its tie rows and its
-    two flow variables (``_screen``). A row that fails by ``_MARGIN`` over
-    the whole box raises ``MdopfError`` (so does a supply point without a
-    generator). The dropped rows' multipliers are 0 at the optimum, so the
-    kept rows give the same optimum and balance-row prices. Kept rows keep
-    their order.
+    largest |Pbr| and |Qbr| stay inside its rating (``_screen``). A row that
+    fails by ``_MARGIN`` over the whole box raises ``MdopfError`` (so does a
+    supply point without a generator). The dropped rows' multipliers are 0
+    at the optimum, so the kept rows give the same optimum and balance-row
+    prices. Kept rows keep their order. The quadratic rows are S's and s0's
+    rows at the kept branches' Pbr columns, then at their Qbr columns
+    (``_Rows.flows``), so each squares into Pbr^2 + Qbr^2.
     """
     cols = netmodel.columns(net)
     if not cols.gen[0]:
@@ -231,16 +233,11 @@ def _rows(net: Network) -> _Rows:
     v_keep, rated = _screen(net, mid - rad, mid + rad)
     for arr in (gen_w, rated):
         arr.setflags(write=False)
-    n_rated = rated.size
-    lay = VarBlocks(tuple(cols.bus_id[gen_w].tolist()), gen_w, rated, 0, n_gen,
-                    2 * n_gen, 2 * n_gen + n_rated, 2 * n_gen + 2 * n_rated)
+    lay = VarBlocks(tuple(cols.bus_id[gen_w].tolist()), gen_w, rated, 0, n_gen, 2 * n_gen)
     n_vars = lay.n_vars
 
-    # equality rows: each kept rated flow tied to the state's Pbr, then to
-    # its Qbr, then the slack's active and reactive balance, which meet every
-    # generator and so come last in the KKT factor's order. The balance rows
-    # are those of ``flow_equations``: the slack's load on W0 where it is
-    # nonzero, and -1 on the Pbr (Qbr) of each branch out of the slack.
+    # equality rows: the slack's balance rows of ``flow_equations``, its load
+    # on W0 where nonzero and -1 on the Pbr (Qbr) of each branch out of it
     top = n + 1 + np.flatnonzero(ti.parent_pos < 0)
     balance = sp.csr_matrix(
         (np.concatenate([-cols.p_load[:1], -np.ones(top.size),
@@ -248,16 +245,7 @@ def _rows(net: Network) -> _Rows:
          (np.repeat([0, 1], 1 + top.size), np.concatenate([[0], top, [0], top + n]))),
         shape=(2, 3 * n + 1))
     balance.eliminate_zeros()
-    tie = np.arange(2 * n_rated)
-    flow_cols = np.concatenate([n + 1 + rated, 2 * n + 1 + rated])
-    eq_state = sp.vstack([
-        sp.csr_matrix((-np.ones(tie.size), (tie, flow_cols)), shape=(tie.size, 3 * n + 1)), balance,
-    ], format="csr")
     slack_out = sp.csr_matrix((np.ones(2), ([0, 1], [lay.pg, lay.qg])), shape=(2, n_vars))
-    eq_vars = sp.vstack([
-        sp.csr_matrix((np.ones(tie.size), (tie, lay.pbr + tie)), shape=(tie.size, n_vars)),
-        slack_out,
-    ], format="csr")
 
     # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
     # then per non-slack bus v_floor, v_cap; the kept ones in that order
@@ -282,16 +270,12 @@ def _rows(net: Network) -> _Rows:
     b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])[kept_in]
 
     # the kept rows in generator space: s0 + S x put in for the state
-    state_map = sp.csr_matrix((s_gen.data, s_gen.indices, s_gen.indptr),
-                              shape=(s_gen.shape[0], n_vars))
-    return _Rows(lay, eq_state, in_state, QcqpProblem(
+    flows = np.concatenate([n + 1 + rated, 2 * n + 1 + rated])
+    return _Rows(lay, balance, in_state, flows, QcqpProblem(
         n_vars=n_vars, h=sp.csr_matrix((n_vars, n_vars)), g=np.zeros(n_vars), c=0.0,
-        a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
-        a_in=(in_vars + in_state @ state_map).tocsr(), b_in=b_in - in_state @ fac.state,
-        quad_diag=sp.csr_matrix(
-            (np.ones(2 * n_rated), (np.tile(np.arange(n_rated), 2), lay.pbr + tie)),
-            shape=(n_rated, n_vars)),
-        quad_b=ti.i_max[rated] ** 2,
+        a_eq=(slack_out + balance @ s_gen).tocsr(), b_eq=-(balance @ fac.state),
+        a_in=(in_vars + in_state @ s_gen).tocsr(), b_in=b_in - in_state @ fac.state,
+        quad_m=s_gen[flows], quad_c=fac.state[flows], quad_b=ti.i_max[rated] ** 2,
     ))
 
 
@@ -399,22 +383,22 @@ def build(net: Network) -> QcqpProblem:
     """Assemble the OPF as a convex QCQP in generator space, with the rows
     that presolve keeps (``_rows``).
 
-    Variables: Pg and Qg per generator, then Pbr and Qbr per kept rated
-    branch (``VarBlocks``). Every full-space row has the state s0 + S x put
-    in for W, Pbr and Qbr. Equality rows: one tie per kept rated flow to its
-    value in the state, then the slack's active and reactive balance.
+    Variables: Pg and Qg per generator, and nothing else (``VarBlocks``).
+    Every full-space row has the state s0 + S x put in for W, Pbr and Qbr.
+    Equality rows: the slack's active and reactive balance, the only ones.
     Inequality rows: per generator pg_cap, pg_floor, qg_cap and qg_floor
     (the output against its bus W times its limit), then the kept v_floor
     and v_cap rows, per non-slack bus in tree order: those at generator
     buses and those that some output within the box violates. Each is dense
-    within the feeder of its bus. Every kept rated branch gets a diagonal
-    quadratic flow limit on its two flow variables (see
-    ``netmodel.strip_thermal_limits`` to drop them all). Raises on negative
-    generator costs (the convexity precondition), a missing supply-point
-    generator, or a row that no output within the box meets (``MdopfError``,
-    whose message starts "OPF solve ended with status infeasible" and names
-    the row). The problem carries the certificate of the exact cost
-    quadratic; when it is not PSD, ``h`` is its PSD projection.
+    within the feeder of its bus. Every kept rated branch gets a thermal row,
+    the sum of the squares of its Pbr and Qbr in s0 + S x, in
+    ``VarBlocks.rated`` order (see ``netmodel.strip_thermal_limits`` to drop
+    them all). Raises on negative generator costs (the convexity
+    precondition), a missing supply-point generator, or a row that no output
+    within the box meets (``MdopfError``, whose message starts "OPF solve
+    ended with status infeasible" and names the row). The problem carries
+    the certificate of the exact cost quadratic; when it is not PSD, ``h``
+    is its PSD projection.
     """
     cols = netmodel.columns(net)
     negative = np.flatnonzero(cols.gen & ((cols.cost_p < 0) | (cols.cost_q < 0)))
@@ -446,7 +430,7 @@ def recover_dispatch(
     p_gen = x[lay.pg:lay.pg + n_gen]
     q_gen = x[lay.qg:lay.qg + n_gen]
     n = netmodel.path_incidence(net).n
-    gen = _generation(lay.gen_w, mdistflow.FlowRows(n)) @ sp.csr_matrix(x[lay.pg:lay.pbr, None])
+    gen = _generation(lay.gen_w, mdistflow.FlowRows(n)) @ sp.csr_matrix(x[:, None])
     w = fac.state[:n + 1] - fac.solve(gen).toarray()[:n + 1, 0]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)
@@ -475,17 +459,19 @@ def balance_prices(
     full-space OPF (the objective increase per unit of extra modified
     withdrawal), slack first, then in tree order. The slack's rows are rows
     of ``prob`` (``qcqpsolver.extract_duals``); the state is stationary,
-    A' y_d + E' y + F' z = 0 (A the factored flow rows, E and F the state
-    parts of ``prob``'s rows), so the others are one transposed solve with
-    ``mdistflow.load_factors``. E and F are the kept rows' (``_rows``): a
-    dropped row holds strictly at every allowed point, so its multiplier is
-    0 at the optimum. ``prob`` is ``build(net)``. Raises ``SolverError``
-    unless ``sol`` is optimal.
+    A' y_d + E' y + F' z + G' mu = 0 (A the factored flow rows, E and F the
+    state parts of ``prob``'s linear rows, G the thermal rows' state
+    gradient, 2 (Pbr, Qbr) at the branch's flow columns), so the others are
+    one transposed solve with ``mdistflow.load_factors``. E, F and G are the
+    kept rows' (``_rows``): a dropped row holds strictly at every allowed
+    point, so its multiplier is 0 at the optimum. ``prob`` is
+    ``build(net)``. Raises ``SolverError`` unless ``sol`` is optimal.
     """
     lam = qcqpsolver.extract_duals(prob, sol, np.arange(prob.n_eq))
     rows = _rows(net)
-    prices = mdistflow.load_factors(net).solve_transposed(
-        rows.in_state.T @ sol.duals_in - rows.eq_state.T @ lam)
+    rhs = rows.in_state.T @ sol.duals_in - rows.eq_state.T @ lam
+    rhs[rows.flows] += 2.0 * np.tile(sol.duals_quad, 2) * (prob.quad_c + prob.quad_m @ sol.x)
+    prices = mdistflow.load_factors(net).solve_transposed(rhs)
     flow = mdistflow.FlowRows(netmodel.path_incidence(net).n)
     prices[[flow.p_bal, flow.q_bal]] = lam[-2:]
     return prices[flow.p_bal:flow.q_bal], prices[flow.q_bal:flow.drop]

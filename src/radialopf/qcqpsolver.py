@@ -5,7 +5,7 @@ Handles problems of the form
     minimize    x' H x + g' x + c
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
-                x' diag(d_k) x <= b_k      (d_k >= 0)
+                sum_i (c_i + M_i x)^2 <= b_k      (rows i = k mod n_quad)
 
 with a Mehrotra predictor-corrector iteration; everything is deterministic
 for fixed inputs. One path serves every problem shape: a block with no
@@ -16,10 +16,12 @@ regularized, which makes them quasi-definite, and a quasi-definite matrix
 has a stable LDL' factorization in every symmetric order (Vanderbei, SIAM J.
 Optim. 1995). So every KKT matrix is factored by sparse LU in its own row
 order (the variables, then the equality rows) with no pivoting, and each
-solve takes one step of iterative refinement. Its (1,1) block is block diagonal over the components of
-variables that H and the inequality rows couple; each iteration forms one
-dense block J'DJ per component, and the pattern, built once per solve,
-never moves, so each iteration writes only the values.
+solve takes one step of iterative refinement. A quadratic row is a sum of
+squares, so it is convex, and its curvature enters the (1,1) block as the
+rows of M stacked under J. That block is block diagonal over the components
+of variables that H and the inequality rows couple; each iteration forms one
+dense block per component, and the pattern, built once per solve, never
+moves, so each iteration writes only the values.
 """
 from __future__ import annotations
 
@@ -75,9 +77,10 @@ class QcqpProblem:
 
     Variables and rows carry no names: the builder's layout states what each
     index means (for the OPF, ``mdopf.VarBlocks`` and the row blocks that
-    ``mdopf.build`` states). Quadratic inequality rows carry their
-    (diagonal) curvature in ``quad_diag``. ``certificate`` is the builder's
-    convexity certificate of the exact cost quadratic, when it made one.
+    ``mdopf.build`` states). Quadratic row k is the sum of the squares of
+    ``quad_c[i] + quad_m[i] @ x`` over the rows i = k (mod ``n_quad``), at
+    most ``quad_b[k]``. ``certificate`` is the builder's convexity
+    certificate of the exact cost quadratic, when it made one.
     At an optimal solution, -y for the multiplier y of an
     equality row is the objective's sensitivity to that row's right-hand
     side.
@@ -91,7 +94,8 @@ class QcqpProblem:
     b_eq: np.ndarray
     a_in: sp.csr_matrix
     b_in: np.ndarray
-    quad_diag: sp.csr_matrix
+    quad_m: sp.csr_matrix
+    quad_c: np.ndarray
     quad_b: np.ndarray
     certificate: ConvexityCertificate | None = None
 
@@ -105,7 +109,7 @@ class QcqpProblem:
 
     @property
     def n_quad(self) -> int:
-        return self.quad_diag.shape[0]
+        return self.quad_b.shape[0]
 
     def objective_at(self, x: np.ndarray) -> float:
         return float(x @ (self.h @ x) + self.g @ x + self.c)
@@ -187,8 +191,6 @@ def _check_convex(p: QcqpProblem) -> None:
             f"objective matrix is not positive semidefinite "
             f"(min eigenvalue {min_eig:.3e}); refusing non-convex input"
         )
-    if (p.quad_diag.data < 0).any():
-        raise SolverError("quadratic constraint with negative curvature")
 
 
 def _rank_within(label: np.ndarray, n_label: int) -> np.ndarray:
@@ -208,41 +210,52 @@ def _split_by(label: np.ndarray, n_label: int) -> list[np.ndarray]:
 
 
 class _Kkt:
-    """The KKT matrices [[2H + J' D J + diag(c), A_eq'], [A_eq, -delta I]] of
-    one problem (J the Jacobian of its inequality rows) and their
-    factorizations; ``seconds`` sums the factorization wall time.
+    """The KKT matrices [[2H + J' D J + M' diag(2 z) M + delta I, A_eq'],
+    [A_eq, -delta I]] of one problem (J the Jacobian of its inequality rows,
+    z the multipliers of the quadratic rows that M's rows square into) and
+    their factorizations; ``seconds`` sums the factorization wall time.
 
-    Two variables are coupled when an entry of H or a row of J holds both,
-    so the (1,1) block is block diagonal over the connected components of
-    that coupling (for the OPF, its feeders), found once per solve. Each
-    iteration forms each component's block 2H_c + J_c' diag(d_c) J_c as one
-    dense product, components of one shape in one stacked product, and
-    writes it into the one CSC pattern that every matrix shares (each
-    block's entries, A_eq, A_eq' and -delta I, zeros included). Each matrix
-    is factored in that order with no pivoting: a quasi-definite matrix has
-    a stable LDL' factorization in every symmetric order, but its solves
-    can leave componentwise residuals far above round-off (5e-9 on the last
-    KKT matrix of case69 x10), so each solve takes one step of iterative
-    refinement (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl.
-    1996). Equality rows that meet every variable belong last: the rows
-    before them are eliminated without filling in across components.
+    Two variables are coupled when an entry of H or a row of J or M holds
+    both, so the (1,1) block is block diagonal over the connected components
+    of that coupling (for the OPF, its feeders), found once per solve. Each
+    iteration forms each component's block 2H_c + K_c' W_c K_c (K_c its rows
+    of J and M stacked) as one dense product, components of one shape in one
+    stacked product, and writes it into the one CSC pattern that every
+    matrix shares (each block's entries, A_eq, A_eq' and -delta I, zeros
+    included). Each matrix is factored in that order with no pivoting: a
+    quasi-definite matrix has a stable LDL' factorization in every symmetric
+    order, but its solves can leave componentwise residuals far above
+    round-off (5e-9 on the last KKT matrix of case69 x10), so each solve
+    takes one step of iterative refinement (Gill, Saunders & Shinnerl, SIAM
+    J. Matrix Anal. Appl. 1996). Equality rows that meet every variable
+    belong last: the rows before them are eliminated without filling in
+    across components.
     """
 
     def __init__(self, p: QcqpProblem, delta: float):
         n, self.seconds = p.n_vars, 0.0
         self.size = size = n + p.n_eq
-        self.quad = p.quad_diag.tocsr()
-        self.jac = jac = sp.vstack([p.a_in.tocsr(), self.quad], format="csr")
+        # quadratic row k's gradient row holds the union of its rows of M;
+        # ``slot`` is each entry of M's place in the gradient rows
+        m = self.m = p.quad_m.tocsr()
+        self.c = p.quad_c
+        self.m_row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        quad = np.arange(m.shape[0]) % max(p.n_quad, 1)  # each row of M's quadratic row
+        key, self.slot = np.unique(quad[self.m_row] * n + m.indices, return_inverse=True)
+        grad = sp.csr_matrix((np.ones(key.size), np.divmod(key, n)), shape=(p.n_quad, n))
+        self.jac = jac = sp.vstack([p.a_in.tocsr(), grad], format="csr")
+        self.n_lin, self.z_at = jac.nnz - grad.nnz, p.n_in + quad
+        stack = sp.vstack([jac, m], format="csr")
         h, a = p.h.tocoo(), p.a_eq.tocoo()
         a.sum_duplicates()
-        # the variables and the rows of J as one graph, an edge per entry of
-        # H or J (a quadratic row's values move with x, its positions do not)
-        m = jac.shape[0]
-        jac_row = np.repeat(np.arange(m), np.diff(jac.indptr))
+        # the variables and the rows of K as one graph, an edge per entry of
+        # H or K (a gradient row's values move with x, its positions do not)
+        rows_k = stack.shape[0]
+        k_row = np.repeat(np.arange(rows_k), np.diff(stack.indptr))
         edges = sp.coo_matrix(
-            (np.ones(h.nnz + jac.nnz),
-             (np.concatenate([h.row, n + jac_row]), np.concatenate([h.col, jac.indices]))),
-            shape=(n + m, n + m))
+            (np.ones(h.nnz + stack.nnz),
+             (np.concatenate([h.row, n + k_row]), np.concatenate([h.col, stack.indices]))),
+            shape=(n + rows_k, n + rows_k))
         n_comp, label = csgraph.connected_components(edges, directed=False)
         # each node's place within its component, variables and rows apart
         local = np.concatenate([_rank_within(label[:n], n_comp), _rank_within(label[n:], n_comp)])
@@ -254,7 +267,7 @@ class _Kkt:
         group = group.ravel()
         rank = _rank_within(group, len(shapes))
         var_c, row_c = label[:n], label[n:]
-        parts = [_split_by(group[c], len(shapes)) for c in (var_c, row_c, row_c[jac_row], var_c[h.row])]
+        parts = [_split_by(group[c], len(shapes)) for c in (var_c, row_c, row_c[k_row], var_c[h.row])]
         self.groups, blocks = [], []
         for (v, r), in_v, in_r, src, hs in zip(shapes.tolist(), *parts):
             if v == 0:
@@ -264,15 +277,15 @@ class _Kkt:
             var_idx[rank[var_c[in_v]], local[in_v]] = in_v
             row_idx = np.empty((k, r), dtype=np.intp)
             row_idx[rank[row_c[in_r]], local[n + in_r]] = in_r
-            dst = ((rank[row_c[jac_row[src]]] * r + local[n + jac_row[src]]) * v
-                   + local[jac.indices[src]])
-            jd = np.zeros((k, r, v))
-            jd.reshape(-1)[dst] = jac.data[src]
-            moving = src >= jac.nnz - self.quad.nnz  # the quadratic rows' entries
+            dst = ((rank[row_c[k_row[src]]] * r + local[n + k_row[src]]) * v
+                   + local[stack.indices[src]])
+            kd = np.zeros((k, r, v))
+            kd.reshape(-1)[dst] = stack.data[src]
+            moving = (src >= self.n_lin) & (src < jac.nnz)  # the gradient rows' entries
             h_dst = (rank[var_c[h.row[hs]]] * v + local[h.row[hs]]) * v + local[h.col[hs]]
             h_block = np.bincount(h_dst, 2.0 * h.data[hs], minlength=k * v * v)
             self.groups.append((var_idx, row_idx, src[moving], dst[moving],
-                                h_block.reshape(k, v, v), jd))
+                                h_block.reshape(k, v, v), kd))
             blocks.append(var_idx)
         # the whole pattern: its entries are distinct, so each keeps its
         # number through scipy's conversion and so names its slot
@@ -291,24 +304,25 @@ class _Kkt:
         self.data[slot[n_block:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        """J at ``x``: only the quadratic rows' values 2 x_i d_ki change."""
-        quad = self.quad
-        self.jac.data[self.jac.nnz - quad.nnz:] = quad.data * (2.0 * x)[quad.indices]
+        """J at ``x``: only the quadratic rows' gradients 2 M_k'(c_k + M_k x) change."""
+        twice = 2.0 * (self.c + self.m @ x)
+        self.jac.data[self.n_lin:] = np.bincount(self.slot, twice[self.m_row] * self.m.data)
         return self.jac
 
-    def matrix(self, diag: np.ndarray, d: np.ndarray | None = None) -> sp.csc_matrix:
-        """The KKT matrix with (1,1) block diag(``diag``), plus 2H + J' diag(``d``) J
-        at the last ``jacobian`` when ``d`` is given. It overwrites the values
-        of the matrix the previous call returned."""
+    def matrix(self, diag: float, d=None, z=None) -> sp.csc_matrix:
+        """The KKT matrix with (1,1) block ``diag`` I, plus 2H + J' diag(``d``) J
+        + M' diag(2 ``z``) M at the last ``jacobian`` when ``d`` and ``z`` are
+        given. It overwrites the values of the matrix the previous call returned."""
+        w = None if d is None else np.concatenate([d, 2.0 * z[self.z_at]])
         values = []
-        for var_idx, row_idx, src, dst, h_block, jd in self.groups:
+        for var_idx, row_idx, src, dst, h_block, kd in self.groups:
             v = var_idx.shape[1]
-            if d is None:
+            if w is None:
                 block = np.zeros(h_block.shape)
             else:
-                jd.reshape(-1)[dst] = self.jac.data[src]  # the quadratic rows at x
-                block = h_block + np.matmul(jd.transpose(0, 2, 1), jd * d[row_idx][:, :, None])
-            block[:, np.arange(v), np.arange(v)] += diag[var_idx]
+                kd.reshape(-1)[dst] = self.jac.data[src]  # the gradient rows at x
+                block = h_block + np.matmul(kd.transpose(0, 2, 1), kd * w[row_idx][:, :, None])
+            block[:, np.arange(v), np.arange(v)] += diag
             values.append(block.ravel())
         self.data[self.vary] = np.concatenate(values)
         return sp.csc_matrix((self.data, self.indices, self.indptr), (self.size, self.size))
@@ -347,7 +361,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     kkt = _Kkt(p, delta)
 
     # -- starting point: least-norm solution of the equalities ---------------
-    x = kkt.factor(kkt.matrix(np.ones(n)), "equality system factorization failed")(
+    x = kkt.factor(kkt.matrix(1.0), "equality system factorization failed")(
         np.concatenate([np.zeros(n), p.b_eq]))[:n]
     y = np.zeros(p.n_eq)
     s = np.maximum(-_ineq_values(p, x), 1.0)
@@ -383,9 +397,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         # new ones are built, so that the allocator reuses their memory
         kkt_solve = None
         d = z / s
-        # regularization plus the quadratic rows' curvature sum_k z_k 2 diag(d_k)
-        curvature = delta + 2.0 * (p.quad_diag.T @ z[p.n_in:])
-        kkt_solve = kkt.factor(kkt.matrix(curvature, d),
+        kkt_solve = kkt.factor(kkt.matrix(delta, d, z),
                                f"KKT factorization failed at iteration {it}")
 
         def newton_step(rc):
@@ -438,7 +450,9 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
 
 def _ineq_values(p: QcqpProblem, x: np.ndarray) -> np.ndarray:
     """Left minus right side of every inequality row, linear rows first."""
-    return np.concatenate([p.a_in @ x - p.b_in, p.quad_diag @ (x * x) - p.quad_b])
+    r = p.quad_c + p.quad_m @ x
+    squares = np.bincount(np.arange(r.size) % max(p.n_quad, 1), r * r, minlength=p.n_quad)
+    return np.concatenate([p.a_in @ x - p.b_in, squares - p.quad_b])
 
 
 def extract_duals(p: QcqpProblem, sol: OpfSolution, rows: np.ndarray) -> np.ndarray:

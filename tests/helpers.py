@@ -169,21 +169,39 @@ def pivoting_factor(kkt, matrix, failure):
     return spla.splu(matrix).solve
 
 
-def reference_kkt(p: QcqpProblem, x, d, diag, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The KKT matrix [[2H + J' diag(d) J + diag(diag), A_eq'], [A_eq, -delta I]]
-    of ``p`` as one dense array, J the Jacobian of the inequality rows at
-    ``x``; without ``d`` the (1,1) block is diag(``diag``) alone. The
-    reference for ``qcqpsolver._Kkt.matrix``. Also returns the same sums
-    over the absolute values of their terms, the scale of each entry's
-    round-off."""
+def quad_rows(p: QcqpProblem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each quadratic row k of ``p`` as dense (M_k, c_k): the rows k,
+    k + n_quad, k + 2 n_quad, ... of ``quad_m`` and ``quad_c``, whose
+    c_k + M_k x square and sum to the row's value."""
+    m = p.quad_m.toarray()
+    return [(m[k::p.n_quad], p.quad_c[k::p.n_quad]) for k in range(p.n_quad)]
+
+
+def quad_values(p: QcqpProblem, x) -> np.ndarray:
+    """Each quadratic row's ||c_k + M_k x||^2, restated from ``quad_rows``."""
+    return np.array([np.sum((c + m @ x) ** 2) for m, c in quad_rows(p)])
+
+
+def reference_kkt(p: QcqpProblem, x, d, z, diag, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The KKT matrix [[2H + J' diag(d) J + sum_k 2 z_k M_k'M_k + diag I, A_eq'],
+    [A_eq, -delta I]] of ``p`` as one dense array, J the Jacobian of the
+    inequality rows at ``x`` (a quadratic row's gradient is
+    2 M_k'(c_k + M_k x)) and z the inequality rows' multipliers; without
+    ``d`` the (1,1) block is ``diag`` I alone. The reference for
+    ``qcqpsolver._Kkt.matrix``. Also returns the same sums over the absolute
+    values of their terms, the scale of each entry's round-off."""
     a = p.a_eq.toarray()
     eq = -delta * np.eye(p.n_eq)
+    quad = quad_rows(p)
     blocks = []
     for f in (lambda m: m, np.abs):
-        hbar = np.diag(f(diag))
+        hbar = f(diag) * np.eye(p.n_vars)
         if d is not None:
-            jac = f(np.vstack([p.a_in.toarray(), p.quad_diag.toarray() * (2.0 * x)]))
+            grads = [2.0 * f(m).T @ (f(c) + f(m) @ f(x)) for m, c in quad]
+            jac = np.vstack([f(p.a_in.toarray()), *grads])
             hbar = hbar + f(2.0 * p.h.toarray()) + jac.T @ (d[:, None] * jac)
+            for (m, _), z_k in zip(quad, z[p.n_in:]):
+                hbar = hbar + 2.0 * z_k * (f(m).T @ f(m))
         blocks.append(np.block([[hbar, f(a).T], [f(a), f(eq)]]))
     return blocks[0], blocks[1]
 
@@ -198,10 +216,10 @@ def assert_same_kkt(kkt: sp.csc_matrix, ref: tuple[np.ndarray, np.ndarray]) -> N
 def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> None:
     """Every KKT matrix ``qcqpsolver._Kkt`` builds for ``p`` equals
     ``reference_kkt`` (see ``assert_same_kkt``): the least-norm start's and
-    each iteration's of one solve, and one at a random point where every
-    third variable and the first quadratic row's first variable are zero,
-    so that quadratic rows hold explicit zeros. Every matrix keeps the one
-    stored pattern."""
+    each iteration's of one solve, and one at a random point where the
+    first quadratic row's c + M x is exactly 0 (its ``quad_c`` set to
+    -M x there), so that its gradient holds explicit zeros. Every matrix
+    keeps the one stored pattern."""
     delta = qcqpsolver.REGULARIZATION
     jacobian, matrix = qcqpsolver._Kkt.jacobian, qcqpsolver._Kkt.matrix
     at, built = [], []
@@ -210,9 +228,9 @@ def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> No
         at.append(x.copy())
         return jacobian(self, x)
 
-    def compare(self, diag, d=None):
-        kkt = matrix(self, diag, d)
-        assert_same_kkt(kkt, reference_kkt(p, at[-1] if at else None, d, diag, delta))
+    def compare(self, diag, d=None, z=None):
+        kkt = matrix(self, diag, d, z)
+        assert_same_kkt(kkt, reference_kkt(p, at[-1] if at else None, d, z, diag, delta))
         built.append(kkt)
         return kkt
 
@@ -221,14 +239,16 @@ def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> No
         m.setattr(qcqpsolver._Kkt, "matrix", compare)
         assert qcqpsolver.solve(p).status == "optimal"
     x = rng.standard_normal(p.n_vars)
-    x[::3] = 0.0
-    x[p.quad_diag.indices[:1]] = 0.0
-    d = rng.uniform(0.1, 10.0, p.n_in + p.n_quad)
-    diag = rng.uniform(0.1, 10.0, p.n_vars)
+    first = slice(0, None, max(p.n_quad, 1))  # the rows of quadratic row 0
+    c = p.quad_c.copy()
+    c[first] = -(p.quad_m[first] @ x)
+    p = replace(p, quad_c=c)
+    d, z = rng.uniform(0.1, 10.0, (2, p.n_in + p.n_quad))
+    diag = rng.uniform(0.1, 10.0)
     kkt = qcqpsolver._Kkt(p, delta)
     kkt.jacobian(x)
-    built.append(kkt.matrix(diag, d))
-    assert_same_kkt(built[-1], reference_kkt(p, x, d, diag, delta))
+    built.append(kkt.matrix(diag, d, z))
+    assert_same_kkt(built[-1], reference_kkt(p, x, d, z, diag, delta))
     for m in built:
         assert np.array_equal(m.indices, built[0].indices)
         assert np.array_equal(m.indptr, built[0].indptr)
@@ -237,11 +257,12 @@ def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> No
 def kkt_residuals(p: QcqpProblem, sol: OpfSolution) -> dict[str, float]:
     """Stationarity, primal/dual feasibility and complementarity of a QCQP
     solution, with the inequality rows restated here: the linear rows, then
-    x' diag(d_k) x <= b_k."""
+    ||c_k + M_k x||^2 <= b_k (``quad_rows``)."""
     x = sol.x
     z = np.concatenate([sol.duals_in, sol.duals_quad])
-    vals = np.concatenate([p.a_in @ x - p.b_in, p.quad_diag @ (x * x) - p.quad_b])
-    jac = sp.vstack([p.a_in, p.quad_diag.multiply(2.0 * x)])
+    vals = np.concatenate([p.a_in @ x - p.b_in, quad_values(p, x) - p.quad_b])
+    grads = [2.0 * m.T @ (c + m @ x) for m, c in quad_rows(p)]
+    jac = sp.vstack([p.a_in, sp.csr_matrix(np.reshape(grads, (-1, p.n_vars)))])
     rd = 2.0 * (p.h @ x) + p.g + jac.T @ z + p.a_eq.T @ sol.duals_eq
     return {
         "stationarity": float(np.abs(rd).max(initial=0.0)),
@@ -686,18 +707,15 @@ def reference_build(net, ti) -> ReferenceOpf:
         irows.append(({var[f"W:{b}"]: -1.0}, -(2.0 - bus.v_max), f"v_cap:{b}"))
     a_in, b_in, _ = _reference_stack_rows(irows, n_vars)
 
-    qrows, q_b = [], []
-    for i in range(ti.n):
-        if np.isnan(ti.i_max[i]):
-            continue
-        qrows.append(({var[_reference_brname(net, ti, "Pbr", i)]: 1.0,
-                       var[_reference_brname(net, ti, "Qbr", i)]: 1.0}, 0.0, ""))
-        q_b.append(float(ti.i_max[i] ** 2))
-    quad_diag, _, _ = _reference_stack_rows(qrows, n_vars)
+    # per rated branch Pbr^2 + Qbr^2: the Pbr rows, then the Qbr rows
+    rated = [i for i in range(ti.n) if not np.isnan(ti.i_max[i])]
+    qrows = [({var[_reference_brname(net, ti, key, i)]: 1.0}, 0.0, "")
+             for key in ("Pbr", "Qbr") for i in rated]
+    quad_m, quad_c, _ = _reference_stack_rows(qrows, n_vars)
     prob = QcqpProblem(
         n_vars=n_vars, h=h, g=g, c=c,
         a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
-        quad_diag=quad_diag, quad_b=np.array(q_b),
+        quad_m=quad_m, quad_c=quad_c, quad_b=np.array([ti.i_max[i] ** 2 for i in rated]),
     )
     return ReferenceOpf(prob, var, eq_labels)
 
@@ -748,19 +766,17 @@ class UnscreenedOpf(NamedTuple):
 def unscreened_build(net) -> UnscreenedOpf:
     """Every row of the generator-space OPF, with the same objective,
     certificate and PSD projection as ``mdopf.build``. Equality rows: the
-    ties of every rated branch's Pbr, then of its Qbr, then the slack's
-    balance; inequality rows: pg_cap, pg_floor, qg_cap, qg_floor per
+    slack's balance; inequality rows: pg_cap, pg_floor, qg_cap, qg_floor per
     generator, then v_floor and v_cap per non-slack bus; one thermal row
-    per rated branch."""
+    per rated branch, the squares of its Pbr and Qbr in the state that the
+    outputs imply."""
     ti = netmodel.path_incidence(net)
     cols = netmodel.columns(net)
     n = ti.n
     gen_w = mdopf.var_blocks(net).gen_w
     n_gen = gen_w.size
     rated = np.flatnonzero(~np.isnan(cols.i_max))
-    r = rated.size
-    lay = mdopf.VarBlocks(mdopf.var_blocks(net).gens, gen_w, rated, 0, n_gen,
-                          2 * n_gen, 2 * n_gen + r, 2 * n_gen + 2 * r)
+    lay = mdopf.VarBlocks(mdopf.var_blocks(net).gens, gen_w, rated, 0, n_gen, 2 * n_gen)
     n_vars = lay.n_vars
     rows = mdistflow.FlowRows(n)
     gen = sp.lil_matrix((rows.count, n_vars))
@@ -772,19 +788,14 @@ def unscreened_build(net) -> UnscreenedOpf:
     fac = mdistflow.load_factors(net)
     state_map = -fac.solve(gen.tocsr())
 
-    tie_state = sp.lil_matrix((2 * r, 3 * n + 1))
-    tie_vars = sp.lil_matrix((2 * r, n_vars))
-    for i, k in enumerate(rated):
-        tie_state[i, n + 1 + k] = tie_state[r + i, 2 * n + 1 + k] = -1.0
-        tie_vars[i, lay.pbr + i] = tie_vars[r + i, lay.qbr + i] = 1.0
     # the slack's balance rows: its load on W0 and the flows out of it,
     # which are ``flow_equations``' rows with W0's load column
     balance = sp.lil_matrix((2, 3 * n + 1))
     balance[:, :] = flows[[rows.p_bal, rows.q_bal]]
     balance[0, 0], balance[1, 0] = -cols.p_load[0], -cols.q_load[0]
-    eq_state = sp.vstack([tie_state, balance], format="csr")
+    eq_state = balance.tocsr()
     eq_state.eliminate_zeros()
-    eq_vars = sp.vstack([tie_vars, gen.tocsr()[[rows.p_bal, rows.q_bal]]], format="csr")
+    eq_vars = gen.tocsr()[[rows.p_bal, rows.q_bal]]
 
     in_state = sp.lil_matrix((4 * n_gen + 2 * n, 3 * n + 1))
     in_vars = sp.lil_matrix((4 * n_gen + 2 * n, n_vars))
@@ -806,44 +817,27 @@ def unscreened_build(net) -> UnscreenedOpf:
     cert = mdopf.certify_convexity(h)
     if not cert.psd:
         h = mdopf.psd_projection(h)
-    h = h.copy()
-    h.resize((n_vars, n_vars))  # the flow variables enter no cost
+    flow_cols = np.concatenate([n + 1 + rated, 2 * n + 1 + rated])
     prob = QcqpProblem(
-        n_vars=n_vars, h=h, g=np.concatenate([g[:2 * n_gen], np.zeros(2 * r)]), c=c,
+        n_vars=n_vars, h=h, g=g, c=c,
         a_eq=(eq_vars + eq_state @ state_map).tocsr(), b_eq=-(eq_state @ fac.state),
         a_in=(in_vars + in_state @ state_map).tocsr(), b_in=b_in - in_state @ fac.state,
-        quad_diag=sp.csr_matrix((np.ones(2 * r), (np.tile(np.arange(r), 2),
-                                                  lay.pbr + np.arange(2 * r))),
-                                shape=(r, n_vars)),
+        quad_m=state_map.tocsr()[flow_cols], quad_c=fac.state[flow_cols],
         quad_b=cols.i_max[rated] ** 2, certificate=cert,
     )
     return UnscreenedOpf(prob, lay, eq_state, in_state)
 
 
-def unscreened_point(net, ref: UnscreenedOpf, x):
-    """The screened problem's point ``x`` in the unscreened layout: the same
-    generator outputs, a kept rated branch's flows from ``x`` and a dropped
-    one's from the state that the outputs imply."""
-    lay = mdopf.var_blocks(net)
-    n = netmodel.path_incidence(net).n
-    out = x[lay.pg:lay.pbr]
-    fac = mdistflow.load_factors(net)
-    flows = fac.state - fac.solve(
-        mdopf._generation(lay.gen_w, mdistflow.FlowRows(n)) @ sp.csr_matrix(out[:, None])
-    ).toarray()[:, 0]
-    rated = ref.lay.rated
-    p, q = flows[n + 1 + rated], flows[2 * n + 1 + rated]
-    kept = np.searchsorted(rated, lay.rated)
-    p[kept], q[kept] = x[lay.pbr:lay.qbr], x[lay.qbr:lay.n_vars]
-    return np.concatenate([out, p, q])
-
-
 def unscreened_balance_prices(net, ref: UnscreenedOpf, sol):
-    """``mdopf.balance_prices`` from every row of the unscreened problem."""
+    """``mdopf.balance_prices`` from every row of the unscreened problem: the
+    thermal row of branch k adds 2 mu (Pbr, Qbr) at its flow columns."""
     lam = qcqpsolver.extract_duals(ref.prob, sol, np.arange(ref.prob.n_eq))
-    prices = mdistflow.load_factors(net).solve_transposed(
-        ref.in_state.T @ sol.duals_in - ref.eq_state.T @ lam)
-    rows = mdistflow.FlowRows(netmodel.path_incidence(net).n)
+    n = netmodel.path_incidence(net).n
+    rhs = ref.in_state.T @ sol.duals_in - ref.eq_state.T @ lam
+    for k, mu, (m, c) in zip(ref.lay.rated, sol.duals_quad, quad_rows(ref.prob)):
+        rhs[[n + 1 + k, 2 * n + 1 + k]] += 2.0 * mu * (c + m @ sol.x)
+    prices = mdistflow.load_factors(net).solve_transposed(rhs)
+    rows = mdistflow.FlowRows(n)
     prices[[rows.p_bal, rows.q_bal]] = lam[-2:]
     return prices[rows.p_bal:rows.q_bal], prices[rows.q_bal:rows.drop]
 

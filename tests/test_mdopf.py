@@ -12,10 +12,10 @@ from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
     assert_kkt_matches_reference, branch_records, bus_record, bus_row, chain_network,
-    dense_objective_h, kkt_residuals, mk_case, path_matrix, pivoting_factor,
+    dense_objective_h, kkt_residuals, mk_case, path_matrix, pivoting_factor, quad_values,
     random_tree_network, rated_network, reference_build, reference_evaluate_cost,
     reference_extract_duals, reference_psd_projection, reference_recover_dispatch, tree_buses,
-    unscreened_balance_prices, unscreened_build, unscreened_point, with_records,
+    unscreened_balance_prices, unscreened_build, with_records,
 )
 
 
@@ -37,6 +37,12 @@ def _case69_copies(case69, copies, cost_q=2.0):
     for bus in (27, 35, 46, 65):
         net = netmodel.with_generator(net, bus, Generator(0.0, 0.02, 0.0, 0.01, 25.0, cost_q))
     return netmodel.duplicate_system(net, copies, seed=42)
+
+
+def rated_case69_x3(case69):
+    """case69 x3 with each branch rated at 1.1x its own load-only flow: 12 of
+    its 64 kept thermal rows bind."""
+    return rated_network(_case69_copies(case69, 3), 1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +71,7 @@ def test_dimensions_case33_one_dg(case33_psp):
     assert prob.n_quad == 0  # no current ratings in the case
     lay = mdopf.var_blocks(net)
     assert lay.gens == (1, 18) and lay.n_vars == prob.n_vars
-    assert (lay.pg, lay.qg, lay.pbr, lay.qbr) == (0, 2, 4, 4) and lay.rated.size == 0
+    assert (lay.pg, lay.qg, lay.n_vars) == (0, 2, 4) and lay.rated.size == 0
     assert lay.gen_w.tolist() == [0, netmodel.tree_positions(net)[18]]
 
 
@@ -82,17 +88,14 @@ def kept_rows(net):
     """The unscreened inequality rows (``unscreened_build``) that
     ``mdopf.build`` keeps, ascending: each built row is matched, in order,
     to the next unscreened row that equals it exactly, coefficients and
-    bound. Both layouts start with the generator outputs, the only columns
-    these rows touch."""
+    bound. Both have the generator outputs as their variables."""
     prob, ref = mdopf.build(net), unscreened_build(net).prob
-    n_out = mdopf.var_blocks(net).pbr
+    assert prob.n_vars == ref.n_vars
     a, a_ref = prob.a_in.toarray(), ref.a_in.toarray()
-    assert not a[:, n_out:].any() and not a_ref[:, n_out:].any()
     kept = []
     for i in range(ref.n_in):
         j = len(kept)
-        if j < prob.n_in and prob.b_in[j] == ref.b_in[i] and np.array_equal(
-                a[j, :n_out], a_ref[i, :n_out]):
+        if j < prob.n_in and prob.b_in[j] == ref.b_in[i] and np.array_equal(a[j], a_ref[i]):
             kept.append(i)
     assert len(kept) == prob.n_in
     return np.array(kept, dtype=int)
@@ -102,12 +105,11 @@ def full_space_rows(net, x):
     """The full-space OPF rows at generator-space point ``x`` (``build``'s
     layout): the state that its generation implies, from the flow rows
     without the slack's balance rows solved by SuperLU with pivoting, put
-    into the kept rated flows' ties, the slack's balance rows, every
-    generator box, every voltage limit and every rating. Returns (equality
-    rows, inequality rows, thermal rows) as left minus right side; the
-    inequality rows are all of them (box rows per generator, then v_floor
-    and v_cap per non-slack bus), and the thermal rows are one per rated
-    branch, each at the state's flows."""
+    into the slack's balance rows, every generator box, every voltage limit
+    and every rating. Returns (equality rows, inequality rows, thermal rows)
+    as left minus right side; the inequality rows are all of them (box rows
+    per generator, then v_floor and v_cap per non-slack bus), and the
+    thermal rows are one per rated branch, each at the state's flows."""
     ti = build_path_incidence(net)
     lay = mdopf.var_blocks(net)
     buses = tree_buses(net)
@@ -124,8 +126,6 @@ def full_space_rows(net, x):
     state = spla.splu(flows[keep].tocsc()).solve(rhs[keep])
     w = state[:ti.n + 1]
     slack = (flows @ state + gen)[[rows.p_bal, rows.q_bal]]
-    ties = np.concatenate([x[lay.pbr:lay.qbr] - state[ti.n + 1 + lay.rated],
-                           x[lay.qbr:lay.n_vars] - state[2 * ti.n + 1 + lay.rated]])
     box = []
     for j, k in enumerate(lay.gen_w):
         gen_j = buses[k].gen
@@ -137,11 +137,11 @@ def full_space_rows(net, x):
     rated = np.flatnonzero(~np.isnan(ti.i_max))
     thermal = (state[ti.n + 1 + rated] ** 2 + state[2 * ti.n + 1 + rated] ** 2
                - ti.i_max[rated] ** 2)
-    return np.concatenate([ties, slack]), np.concatenate([box, volt]), thermal
+    return slack, np.concatenate([box, volt]), thermal
 
 
 def box_points(net, rng, count):
-    """``count`` generator-space points (``build``'s layout, flows 0) whose
+    """``count`` generator-space points (``build``'s layout) whose
     outputs lie in the box that the generator-box rows and the voltage rows
     at generator buses allow: each output between its limits times its bus
     W, for W anywhere in the bus's voltage band. The first two are the box's
@@ -157,8 +157,7 @@ def box_points(net, rng, count):
             lo.append(min(ends[:2]))
             hi.append(max(ends[2:]))
     lo, hi = np.array(lo), np.array(hi)
-    points = [lo, hi, *(rng.uniform(lo, hi) for _ in range(count - 2))]
-    return [np.concatenate([p, np.zeros(lay.n_vars - p.size)]) for p in points]
+    return [lo, hi, *(rng.uniform(lo, hi) for _ in range(count - 2))]
 
 
 def assert_dropped_rows_hold(net, rng, count=6):
@@ -180,15 +179,20 @@ def assert_dropped_rows_hold(net, rng, count=6):
 def assert_equalities_are_flow_equations(net):
     """Each kept generator-space row, at random generator outputs, equals the
     full-space row at the state those outputs imply (``full_space_rows``),
-    and each dropped row holds over the box (``assert_dropped_rows_hold``)."""
+    the thermal rows of ``VarBlocks.rated`` included, and each dropped row
+    holds over the box (``assert_dropped_rows_hold``)."""
     prob = mdopf.build(net)
     kept = kept_rows(net)
+    rated = np.flatnonzero(~np.isnan(netmodel.path_incidence(net).i_max))
+    kept_q = np.isin(rated, mdopf.var_blocks(net).rated)
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = rng.uniform(-0.05, 0.05, prob.n_vars)
-        eq, ineq, _ = full_space_rows(net, x)
+        eq, ineq, thermal = full_space_rows(net, x)
         assert np.allclose(prob.a_eq @ x - prob.b_eq, eq, rtol=0.0, atol=1e-12)
         assert np.allclose(prob.a_in @ x - prob.b_in, ineq[kept], rtol=0.0, atol=1e-12)
+        assert np.allclose(quad_values(prob, x) - prob.quad_b, thermal[kept_q],
+                           rtol=0.0, atol=1e-12)
     assert_dropped_rows_hold(net, rng)
 
 
@@ -211,7 +215,7 @@ def test_equalities_are_flow_equations_case69_copies(case69):
 
 
 def test_equalities_are_flow_equations_rated():
-    # the rated flow's tie rows too, on a network with exporting DGs
+    # the rated branch's thermal row too, on a network with exporting DGs
     assert_equalities_are_flow_equations(binding_thermal_net())
     net = netmodel.with_generator(
         binding_thermal_net(), 2, Generator(0.0, 2.0, -1.0, 1.0, 10.0, 1.0))
@@ -235,14 +239,19 @@ def test_thermal_rows():
     ti = build_path_incidence(net)
     prob = mdopf.build(net)
     assert prob.n_quad == 1
-    # the one thermal row sits on the flow variables of branch 1-2, which
-    # the two tie rows before the slack's balance rows hold to the state
+    # the one thermal row squares branch 1-2's Pbr and Qbr in s0 + S x: the
+    # rows of S and s0 at its flow columns, Pbr then Qbr. The generator
+    # outputs are the only variables and the slack's balance rows the only
+    # equality rows
     lay = mdopf.var_blocks(net)
-    assert lay.gens == (1, 3) and (lay.pbr, lay.qbr, lay.n_vars) == (4, 5, 6)
-    assert lay.rated.tolist() == [ti.order.index(2)]
-    assert sorted(prob.quad_diag.tocoo().col) == [lay.pbr, lay.qbr]
-    assert prob.n_eq == 4
-    assert prob.a_eq[0, lay.pbr] == 1.0 and prob.a_eq[1, lay.qbr] == 1.0
+    k = ti.order.index(2)
+    assert lay.gens == (1, 3) and lay.n_vars == prob.n_vars == 4 and prob.n_eq == 2
+    assert lay.rated.tolist() == [k]
+    fac = mdf.load_factors(net)
+    s_gen = -fac.solve(mdopf._generation(lay.gen_w, mdf.FlowRows(ti.n))).toarray()
+    flows = [ti.n + 1 + k, 2 * ti.n + 1 + k]
+    assert np.array_equal(prob.quad_m.toarray(), s_gen[flows])
+    assert np.array_equal(prob.quad_c, fac.state[flows])
     assert prob.quad_b[0] == pytest.approx(0.25)
     off = netmodel.strip_thermal_limits(net)
     prob_off = mdopf.build(off)
@@ -564,10 +573,10 @@ def binding_thermal_net():
 def test_binding_thermal_limit():
     # rating below the natural flow: the quadratic row must bind
     net = binding_thermal_net()
-    prob, sol, _ = mdopf.solve_opf(net)
+    prob, sol, state = mdopf.solve_opf(net)
     assert prob.n_quad == 1
-    lay = mdopf.var_blocks(net)
-    flow_sq = sol.x[lay.pbr] ** 2 + sol.x[lay.qbr] ** 2
+    # the one branch's flows in the state recovered from the dispatch
+    flow_sq = state.p_br_hat[0] ** 2 + state.q_br_hat[0] ** 2
     assert flow_sq == pytest.approx(0.64, abs=1e-6)
     assert sol.duals_quad[0] > 1e-3
     # the local unit covers what the limited import cannot
@@ -617,6 +626,8 @@ def test_lean_builder_matches_reference_case33_four_dgs(case33_psp):
 
 def test_lean_builder_matches_reference_case69_x3(case69):
     assert_matches_reference(_case69_copies(case69, 3))
+    # each branch rated at 1.1x its own load-only flow: thermal rows kept
+    assert_matches_reference(rated_case69_x3(case69))
 
 
 def test_lean_builder_matches_reference_random_trees():
@@ -637,8 +648,10 @@ def presolved_reference(net, ti):
     full = reference_build(net, ti).prob
     kept, rated = kept_rows(net), np.flatnonzero(~np.isnan(ti.i_max))
     kept_q = np.isin(rated, mdopf.var_blocks(net).rated)
+    squares = np.tile(kept_q, 2)  # each thermal row's Pbr and Qbr rows
     return full, replace(full, a_in=full.a_in[kept], b_in=full.b_in[kept],
-                         quad_diag=full.quad_diag[kept_q], quad_b=full.quad_b[kept_q])
+                         quad_m=full.quad_m[squares], quad_c=full.quad_c[squares],
+                         quad_b=full.quad_b[kept_q])
 
 
 def assert_deep_feeder_matches_reference(net):
@@ -677,11 +690,11 @@ def assert_screen_matches_unscreened(net):
     sol_u = qs.solve(ref.prob)
     assert sol_u.status == "optimal"
     assert sol.objective_value == pytest.approx(sol_u.objective_value, rel=1e-6)
-    p, x = ref.prob, unscreened_point(net, ref, sol.x)
+    p, x = ref.prob, sol.x
     assert np.abs(p.a_eq @ x - p.b_eq).max(initial=0.0) <= 1e-8 * (
         1.0 + np.abs(p.b_eq).max(initial=0.0))
     assert np.max(p.a_in @ x - p.b_in, initial=0.0) <= 1e-8
-    assert np.max(p.quad_diag @ (x * x) - p.quad_b, initial=0.0) <= 1e-8
+    assert np.max(quad_values(p, x) - p.quad_b, initial=0.0) <= 1e-8
     assert sol.stats.iterations <= sol_u.stats.iterations + 2
 
 
@@ -818,14 +831,16 @@ def test_duals_two_bus_near_oracle(net2):
 # own column order with partial pivoting
 # ---------------------------------------------------------------------------
 
-def _factor_nnz(prob, monkeypatch, factor=None):
-    """Largest L+U nonzero count over the factorizations of one solve, with
-    ``factor`` in place of ``qcqpsolver._Kkt.factor`` when given."""
-    nnz = []
+def _kkt_rows_and_fill(prob, monkeypatch, factor=None):
+    """The KKT matrices' row counts and the largest L+U nonzero count over
+    the factorizations of one solve, with ``factor`` in place of
+    ``qcqpsolver._Kkt.factor`` when given."""
+    rows, nnz = set(), []
     splu = qs.spla.splu
 
     def counting(a, *args, **kwargs):
         lu = splu(a, *args, **kwargs)
+        rows.add(a.shape[0])
         nnz.append(lu.L.nnz + lu.U.nnz)
         return lu
 
@@ -834,7 +849,7 @@ def _factor_nnz(prob, monkeypatch, factor=None):
         if factor is not None:
             m.setattr(qs._Kkt, "factor", factor)
         assert qs.solve(prob).status == "optimal"
-    return max(nnz)
+    return rows, max(nnz)
 
 
 def test_tree_order_fill_at_most_default(case69, monkeypatch):
@@ -842,8 +857,8 @@ def test_tree_order_fill_at_most_default(case69, monkeypatch):
     # no more than SuperLU's own column order with pivoting
     net = _case69_copies(case69, 10)
     prob = mdopf.build(net)
-    tree = _factor_nnz(prob, monkeypatch)
-    default = _factor_nnz(prob, monkeypatch, pivoting_factor)
+    tree = _kkt_rows_and_fill(prob, monkeypatch)[1]
+    default = _kkt_rows_and_fill(prob, monkeypatch, pivoting_factor)[1]
     assert tree <= default
 
 
@@ -856,22 +871,16 @@ def test_kkt_fill_every_branch_rated(case69, monkeypatch):
     net = with_records(net, branches=[br._replace(i_max=cap) for br in branch_records(net)])
     assert mdopf.build(net).n_quad == 0
     # each branch rated at 1.1x its own load-only flow: presolve keeps 213
-    # of the 680 thermal rows. The slack's rows come after the rows that tie
-    # the kept rated flows to the state, so the factor fills in only within
-    # each feeder: at most about one dense block per feeder's 42-44 tie rows
-    # (31k L+U nonzeros), not one across all 426 (194k with the slack's
-    # rows first)
-    net = rated_network(_case69_copies(case69, 10), 1.1)
+    # of the 680 thermal rows. A thermal row adds no variable and no
+    # equality row, and its curvature stays within its feeder's block, so
+    # the KKT matrices have the unrated problem's size and fill (84 rows,
+    # 1,054 L+U nonzeros)
+    unrated = _case69_copies(case69, 10)
+    net = rated_network(unrated, 1.1)
     prob = mdopf.build(net)
-    lay, ti = mdopf.var_blocks(net), netmodel.path_incidence(net)
-    assert prob.n_quad == lay.rated.size == 213
-    top = lay.rated.copy()  # the branch out of the slack above each one
-    while np.any(ti.parent_pos[top] >= 0):
-        up = ti.parent_pos[top]
-        top = np.where(up >= 0, up, top)
-    feeder_ties = 2 * np.unique(top, return_counts=True)[1]
-    assert feeder_ties.size == 10
-    assert _factor_nnz(prob, monkeypatch) < 2 * np.sum(feeder_ties ** 2)
+    assert prob.n_quad == mdopf.var_blocks(net).rated.size == 213
+    assert (_kkt_rows_and_fill(prob, monkeypatch)
+            == _kkt_rows_and_fill(mdopf.build(unrated), monkeypatch))
 
 
 def assert_tree_order_matches_default(net):
@@ -910,6 +919,7 @@ def test_tree_order_matches_default_case33_four_dgs(case33_psp):
 
 def test_tree_order_matches_default_case69_x3(case69):
     assert_tree_order_matches_default(_case69_copies(case69, 3))
+    assert_tree_order_matches_default(rated_case69_x3(case69))
 
 
 def test_tree_order_matches_default_random_trees():
@@ -932,6 +942,8 @@ def test_kkt_matches_reference_case33_four_dgs(case33_psp):
 def test_kkt_matches_reference_case69_x3(case69):
     net = _case69_copies(case69, 3)
     assert_kkt_matches_reference(mdopf.build(net),
+                                 np.random.default_rng(1))
+    assert_kkt_matches_reference(mdopf.build(rated_case69_x3(case69)),
                                  np.random.default_rng(1))
 
 

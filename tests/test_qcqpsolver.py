@@ -14,9 +14,26 @@ def _empty(m, n):
     return sp.csr_matrix((m, n))
 
 
+def diagonal_squares(quad_diag):
+    """The rows x' diag(d_k) x of ``quad_diag`` (non-negative, one row per
+    k) as sums of squares: one square sqrt(d_kj) x_j per nonzero d_kj, the
+    j-th square of every row in the j-th block of n_quad rows, and rows
+    with fewer squares padded with empty ones. Returns (quad_m, quad_c)."""
+    d = np.atleast_2d(np.asarray(quad_diag, dtype=float))
+    nq = d.shape[0]
+    k, j = np.nonzero(d)
+    nth = np.arange(k.size) - np.searchsorted(k, k)  # each square's place in its row
+    rows = nth.max(initial=-1) + 1
+    quad_m = sp.csr_matrix((np.sqrt(d[k, j]), (nth * nq + k, j)), shape=(rows * nq, d.shape[1]))
+    return quad_m, np.zeros(rows * nq)
+
+
 def make_problem(h=None, g=None, c=0.0, a_eq=None, b_eq=None,
                  a_in=None, b_in=None, quad_diag=None, quad_b=None,
-                 n=None):
+                 quad_m=None, quad_c=None, n=None):
+    """A ``QcqpProblem`` from dense rows; its quadratic rows are either the
+    diagonal rows ``quad_diag`` (see ``diagonal_squares``) or ``quad_m`` and
+    ``quad_c`` as they are."""
     g = np.asarray(g, dtype=float)
     n = n or len(g)
     h = sp.csr_matrix((n, n)) if h is None else sp.csr_matrix(np.atleast_2d(h))
@@ -24,15 +41,14 @@ def make_problem(h=None, g=None, c=0.0, a_eq=None, b_eq=None,
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     a_in = _empty(0, n) if a_in is None else sp.csr_matrix(np.atleast_2d(a_in))
     b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float)
-    if quad_diag is None:
-        quad_diag = _empty(0, n)
-        quad_b = np.zeros(0)
-    else:
-        quad_diag = sp.csr_matrix(np.atleast_2d(quad_diag))
-        quad_b = np.asarray(quad_b, dtype=float)
+    if quad_diag is not None:
+        quad_m, quad_c = diagonal_squares(quad_diag)
+    if quad_m is None:
+        quad_m, quad_c, quad_b = _empty(0, n), np.zeros(0), np.zeros(0)
     return QcqpProblem(
         n_vars=n, h=h, g=g, c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
-        quad_diag=quad_diag, quad_b=quad_b,
+        quad_m=sp.csr_matrix(quad_m), quad_c=np.asarray(quad_c, dtype=float),
+        quad_b=np.asarray(quad_b, dtype=float),
     )
 
 
@@ -81,6 +97,30 @@ def test_quadratic_ball_constraint():
     assert s.status == "optimal"
     assert s.x[0] == pytest.approx(-1.0, abs=1e-6)
     assert s.duals_quad[0] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_sum_of_squares_row_closed_form():
+    # min g'x s.t. ||c + M x||^2 <= b, M invertible and not diagonal, c != 0:
+    # c + M x* = -sqrt(b) u with u = M^-T g / ||M^-T g||, and the row's dual
+    # is ||M^-T g|| / (2 sqrt(b)). A second row, a ball that holds x*
+    # inside, interleaves its rows with the first's and stays slack.
+    rng = np.random.default_rng(12)
+    n, b = 3, 2.0
+    m = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+    c, g = rng.normal(size=n), rng.normal(size=n)
+    v = np.linalg.solve(m.T, g)
+    x_star = np.linalg.solve(m, -c - np.sqrt(b) * v / np.linalg.norm(v))
+    ball = x_star @ x_star + 5.0
+    rows = np.empty((2 * n, n))
+    rows[0::2], rows[1::2] = m, np.eye(n)
+    offsets = np.zeros(2 * n)
+    offsets[0::2] = c
+    p = make_problem(g=g, quad_m=rows, quad_c=offsets, quad_b=[b, ball])
+    s = qs.solve(p)
+    assert s.status == "optimal"
+    assert np.allclose(s.x, x_star, rtol=0.0, atol=1e-6)
+    assert s.duals_quad[0] == pytest.approx(np.linalg.norm(v) / (2.0 * np.sqrt(b)), abs=1e-6)
+    assert s.duals_quad[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_equality_only():
@@ -169,12 +209,6 @@ def test_active_box():
 def test_rejects_indefinite_objective():
     p = make_problem(h=[[-1.0]], g=[0.0])
     with pytest.raises(SolverError, match="not positive semidefinite"):
-        qs.solve(p)
-
-
-def test_rejects_negative_quad_curvature():
-    p = make_problem(g=[1.0], quad_diag=[[-1.0]], quad_b=[1.0])
-    with pytest.raises(SolverError, match="negative curvature"):
         qs.solve(p)
 
 
