@@ -8,20 +8,26 @@ Handles problems of the form
                 sum_i (c_i + M_i x)^2 <= b_k      (rows i = k mod n_quad)
 
 with a Mehrotra predictor-corrector iteration; everything is deterministic
-for fixed inputs. One path serves every problem shape: a block with no
-rows passes through the same arithmetic, and the centring parameter is 0
-when there are no inequality rows. So an equality-only QP iterates too, each
-step leaving 0.5 % of its residuals. The KKT systems are statically
-regularized, which makes them quasi-definite, and a quasi-definite matrix
-has a stable LDL' factorization in every symmetric order (Vanderbei, SIAM J.
-Optim. 1995). So every KKT matrix is factored by sparse LU in its own row
-order (the variables, then the equality rows) with no pivoting, and each
-solve takes one step of iterative refinement. A quadratic row is a sum of
-squares, so it is convex, and its curvature enters the (1,1) block as the
-rows of M stacked under J. That block is block diagonal over the components
-of variables that H and the inequality rows couple; each iteration forms one
-dense block per component, and the pattern, built once per solve, never
-moves, so each iteration writes only the values.
+for fixed inputs. It starts from Mehrotra's least-squares point (SIAM J.
+Optim. 1992; as in CVXOPT's coneqp): one unit-weight KKT solve from the
+least-norm solution of the equalities, its slacks and multipliers shifted
+into the cone per block of linear and of quadratic rows. It stops when the
+scaled residuals are below ``tol_feas`` and the total complementarity s'z
+over 1 + |objective| is below ``tol_gap``. One path serves every problem
+shape: a block with no rows passes through the same arithmetic, and the
+centring parameter is 0 when there are no inequality rows. So an
+equality-only QP iterates too, though its start already solves its KKT
+system and each step leaves 0.5 % of its residuals. The KKT systems are
+statically regularized, which makes them quasi-definite, and a
+quasi-definite matrix has a stable LDL' factorization in every symmetric
+order (Vanderbei, SIAM J. Optim. 1995). So every KKT matrix is factored by
+sparse LU in its own row order (the variables, then the equality rows) with
+no pivoting, and each solve takes one step of iterative refinement. A
+quadratic row is a sum of squares, so it is convex, and its curvature enters
+the (1,1) block as the rows of M stacked under J. That block is block
+diagonal over the components of variables that H and the inequality rows
+couple; each iteration forms one dense block per component, and the pattern,
+built once per solve, never moves, so each iteration writes only the values.
 """
 from __future__ import annotations
 
@@ -62,7 +68,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveStats:
     """``final_gap`` and ``final_feas`` are the measures that the stop test
-    compares with ``tol_gap`` and ``tol_feas``, at the last iterate."""
+    compares with ``tol_gap`` and ``tol_feas``, at the last iterate: s'z
+    over 1 + |objective|, and the largest primal residual."""
 
     iterations: int
     final_gap: float
@@ -360,12 +367,19 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     two_h = (2.0 * p.h).tocsr()
     kkt = _Kkt(p, delta)
 
-    # -- starting point: least-norm solution of the equalities ---------------
+    # -- starting point: least-norm solution of the equalities, then the
+    # least-squares point from it, shifted into the cone ---------------------
     x = kkt.factor(kkt.matrix(1.0), "equality system factorization failed")(
         np.concatenate([np.zeros(n), p.b_eq]))[:n]
-    y = np.zeros(p.n_eq)
-    s = np.maximum(-_ineq_values(p, x), 1.0)
-    z = np.ones(mi)
+    jac, r = kkt.jacobian(x), _ineq_values(p, x)
+    sol = kkt.factor(kkt.matrix(delta, np.ones(mi), np.ones(mi)), "start factorization failed")(
+        np.concatenate([-(two_h @ x + p.g) - jac.T @ r, p.b_eq - p.a_eq @ x]))
+    dx, y = sol[:n], sol[n:]
+    z = r + jac @ dx
+    x = x + dx
+    s = -_ineq_values(p, x)
+    for block in (slice(0, p.n_in), slice(p.n_in, mi)):
+        _shift(s[block], z[block])
 
     g_scale = 1.0 + float(np.abs(p.g).max(initial=0.0))
     b_scale = 1.0 + float(np.abs(p.b_eq).max(initial=0.0))
@@ -381,9 +395,9 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         feas = max(float(np.abs(rp).max(initial=0.0)) / b_scale,
                    float(np.abs(rs).max(initial=0.0)))
         dfeas = float(np.abs(rd).max(initial=0.0)) / g_scale
-        # every stopping measure is a max-norm: the mean mu can hide one
-        # pair that holds most of the complementarity
-        gap = float(np.max(s * z, initial=0.0)) / (1.0 + abs(p.objective_at(x)))
+        # s'z bounds the objective error at a feasible point; neither the
+        # mean mu nor the largest pair s_i z_i does
+        gap = float(s @ z) / (1.0 + abs(p.objective_at(x)))
         if feas < cfg.tol_feas and dfeas < cfg.tol_feas and gap < cfg.tol_gap:
             status = "optimal"
             break
@@ -440,6 +454,21 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         duals_eq=y, duals_in=z[:p.n_in], duals_quad=z[p.n_in:],
         stats=stats,
     )
+
+
+def _shift(s: np.ndarray, z: np.ndarray) -> None:
+    """Mehrotra's shifts of one block of slacks and multipliers, in place:
+    each vector rises by 1.5 times its most negative entry's size, then s by
+    half of s'z over the sum of z, and z by half of it over the sum of s."""
+    if s.size:
+        s += max(-1.5 * s.min(), 0.0)
+        z += max(-1.5 * z.min(), 0.0)
+        half, s_sum, z_sum = 0.5 * (s @ z), s.sum(), z.sum()
+        if half > 0.0:
+            s += half / z_sum
+            z += half / s_sum
+        else:  # every pair is 0, as when the point meets a row with a zero multiplier
+            s[:] = z[:] = 1.0
 
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:

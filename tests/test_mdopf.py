@@ -662,9 +662,10 @@ def assert_deep_feeder_matches_reference(net):
     with presolve's rows (``presolved_reference``). The reference with
     every row takes at least the screened iterations less 2: rows that
     never bind slow the interior point down, so the lower side does not
-    hold there (23 against 20 and 21 against 15 iterations on two of the
-    random trees). Every row that presolve drops holds at the screened
-    point (``assert_screen_matches_unscreened``)."""
+    hold there (12 against 11 iterations on three of the random trees; from
+    a unit start, 23 against 20 and 21 against 15). Every row that
+    presolve drops holds at the screened point
+    (``assert_screen_matches_unscreened``)."""
     prob, sol, _ = mdopf.solve_opf(net)
     full, kept = presolved_reference(net, build_path_incidence(net))
     sol_f, sol_k = qs.solve(full), qs.solve(kept)
@@ -730,6 +731,29 @@ def test_screened_rows_case69_x100(case69):
     # the 800 voltage rows at the 400 DG buses
     prob = mdopf.build(_case69_copies(case69, 100))
     assert (prob.n_vars, prob.n_eq, prob.n_in, prob.n_quad) == (802, 2, 2404, 0)
+
+
+def test_iterations_case69_x10(case69):
+    # from the least-squares start with Mehrotra's shifts: 9 iterations
+    # unrated and 37 with each branch rated at 1.1x its own load-only flow;
+    # the bounds lie below a unit start's 14 and 53
+    net = _case69_copies(case69, 10)
+    for net, most in ((net, 11), (rated_network(net, 1.1), 40)):
+        sol = qs.solve(mdopf.build(net))
+        assert sol.status == "optimal" and sol.stats.iterations <= most
+
+
+def test_default_objective_within_tol_gap_of_tight_solve(case69):
+    # the stop test bounds the total complementarity s'z, and with it the
+    # objective error; a bound on the largest pair s_i z_i alone left the
+    # 1,000-bus chain 5.4e-8 relative away
+    tight = qs.SolverConfig(tol_gap=1e-12, tol_feas=1e-12)
+    for net in (chain_network(1000, 10), _case69_copies(case69, 10)):
+        prob = mdopf.build(net)
+        ref = qs.solve(prob, tight)
+        assert ref.status == "optimal"
+        assert qs.solve(prob).objective_value == pytest.approx(
+            ref.objective_value, rel=qs.SolverConfig().tol_gap)
 
 
 def test_balance_prices_match_unscreened_case33_four_dgs(case33_psp):

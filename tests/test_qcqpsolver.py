@@ -160,7 +160,8 @@ def test_every_problem_shape_takes_one_path(me, mi, nq):
 @pytest.mark.parametrize("seed", range(5))
 def test_equality_only_matches_direct_kkt_solve(seed):
     # an equality-only QP runs the interior-point loop; at stopping
-    # tolerances of 1e-12 it reaches the solution of its KKT system
+    # tolerances of 1e-12 it reaches the solution of its KKT system, which
+    # the least-squares start already solves up to the regularization
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     me = int(rng.integers(0, n))
@@ -171,9 +172,17 @@ def test_equality_only_matches_direct_kkt_solve(seed):
     ref = np.linalg.solve(kkt, np.concatenate([-g, b_eq]))
     p = make_problem(h=h, g=g, a_eq=a_eq, b_eq=b_eq)
     s = qs.solve(p, SolverConfig(tol_gap=1e-12, tol_feas=1e-12))
-    assert s.status == "optimal" and s.stats.iterations <= 10
+    assert s.status == "optimal" and s.stats.iterations <= 3
     assert np.abs(s.x - ref[:n]).max() < 1e-9
     assert np.abs(s.duals_eq - ref[n:]).max(initial=0.0) < 1e-9
+
+
+def test_start_on_a_row_with_zero_multiplier():
+    # minimize x^2 subject to x <= 0: the least-squares start is x = 0, on
+    # the row with a zero multiplier, so its slack and multiplier are both 0
+    p = make_problem(h=np.eye(1), g=[0.0], a_in=[[1.0]], b_in=[0.0])
+    s = qs.solve(p)
+    assert s.status == "optimal" and s.objective_value < SolverConfig().tol_gap
 
 
 def test_inconsistent_equalities_not_optimal():
