@@ -2,12 +2,12 @@
 
 State variables are the modified injections p_hat = P * w and flows, with
 the auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the
-model once, as the sparse branch-flow rows the OPF builder shares. For fixed
-injections the whole state follows from one direct sparse solve of those
-rows, block diagonal by feeder and factored whole (``FeederFactors``); no
-sweep or iteration is involved. The same factor, memoized per network by
-``load_factors``, gives the OPF builder the state that each generator
-drives and the balance-row duals their transposed solve. The module also
+model once, as sparse branch-flow rows. For fixed injections the whole
+state follows from one direct sparse solve of those rows, block diagonal by
+feeder and factored whole (``FeederFactors``); no sweep or iteration is
+involved. The OPF builder reads only that factor, memoized per network by
+``load_factors``: it gives the state that each generator drives and the
+balance-row duals their transposed solve. The module also
 recovers the bus angles, each the sum of the angle turns across the
 branches on its path, and computes the total network loss with its
 four-way split into active/reactive flow contributions. The path matrix T

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 
 from . import mdistflow, netmodel, qcqpsolver
 from .netmodel import Network
-from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, psd_test, support_eigh
+from .qcqpsolver import EigBlock, OpfSolution, QcqpProblem, is_symmetric, psd_test, support_eigh
 
 
 class MdopfError(RuntimeError):
@@ -284,15 +284,14 @@ def certify_convexity(
 ) -> ConvexityCertificate:
     """Numerical PSD certificate for a symmetric quadratic-form matrix.
 
-    The verdict is ``qcqpsolver.psd_test``, the solver's own convexity test;
-    the certificate reports the minimum eigenvalue and the trace-positivity
-    signal alongside it. ``eig`` is the ``qcqpsolver.support_eigh``
+    The verdict is ``qcqpsolver.psd_test``, whose rule the solver applies to
+    its KKT blocks; the certificate reports the minimum eigenvalue and the
+    trace-positivity signal alongside it. ``eig`` is the ``support_eigh``
     decomposition of ``h`` when the caller already has it.
     """
     hc = sp.csr_matrix(h)
     trace = float(hc.diagonal().sum())
-    scale = max(1.0, float(abs(hc).max())) if hc.nnz else 1.0
-    if hc.nnz and abs(hc - hc.T).max() > 1e-12 * scale:
+    if not is_symmetric(hc):
         raise MdopfError("convexity certificate requires a symmetric matrix")
     psd, min_eig = psd_test(hc, support_eigh(hc) if eig is None else eig)
     return ConvexityCertificate(psd, min_eig, trace, trace > 0.0)
@@ -303,10 +302,10 @@ def psd_projection(
 ) -> sp.csr_matrix:
     """Frobenius-nearest PSD matrix: eigenvalues clipped at zero on the
     nonzero support, one stacked product per block size of
-    ``qcqpsolver.support_eigh(h, vectors=True)``. ``eig`` is that
+    ``qcqpsolver.support_eigh(h)``. ``eig`` is that
     decomposition when the caller already has it."""
     hc = sp.csr_matrix(h)
-    blocks = support_eigh(hc, vectors=True) if eig is None else eig
+    blocks = support_eigh(hc) if eig is None else eig
     if not blocks:
         return hc
     parts = [(idx, np.matmul(vecs * np.maximum(vals, 0.0)[:, None, :], vecs.transpose(0, 2, 1)))
@@ -407,7 +406,7 @@ def build(net: Network) -> QcqpProblem:
                          f"at bus {cols.bus_id[negative[0]]}")
     rows = _rows(net).prob
     h_exact, g, c = build_objective(net)
-    eig = support_eigh(h_exact, vectors=True)
+    eig = support_eigh(h_exact)
     cert = certify_convexity(h_exact, eig)
     h = h_exact if cert.psd else psd_projection(h_exact, eig)
     return replace(rows, h=h, g=g, c=c, certificate=cert)

@@ -28,6 +28,9 @@ the (1,1) block as the rows of M stacked under J. That block is block
 diagonal over the components of variables that H and the inequality rows
 couple; each iteration forms one dense block per component, and the pattern,
 built once per solve, never moves, so each iteration writes only the values.
+The solver refuses an asymmetric H, which the KKT matrix would factor as
+given, and decides convexity by ``psd_test``'s rule on the blocks 2H_c that
+it stacks, one ``eigvalsh`` per stack.
 """
 from __future__ import annotations
 
@@ -135,10 +138,10 @@ class OpfSolution:
     qg: dict[int, float] | None = None
 
 
-EigBlock = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+EigBlock = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def support_eigh(h: sp.spmatrix | np.ndarray, vectors: bool = False) -> list[EigBlock]:
+def support_eigh(h: sp.spmatrix | np.ndarray) -> list[EigBlock]:
     """Eigendecomposition of the symmetric part of ``h`` restricted to its
     nonzero support, one block per connected component of the support's
     sparsity graph.
@@ -147,9 +150,8 @@ def support_eigh(h: sp.spmatrix | np.ndarray, vectors: bool = False) -> list[Eig
     quadratic that couples generators only within each feeder decomposes
     as its feeders' blocks, and blocks of one size as one stacked
     decomposition. Returns one (indices into ``h`` (k, s), eigenvalues in
-    ascending order (k, s), eigenvectors as columns (k, s, s) or None unless
-    ``vectors``) per block size s held by k blocks, and nothing for an
-    all-zero ``h``.
+    ascending order (k, s), eigenvectors as columns (k, s, s)) per block
+    size s held by k blocks, and nothing for an all-zero ``h``.
     """
     hc = sp.csr_matrix(h)
     support = np.unique(np.concatenate(hc.nonzero()))
@@ -169,11 +171,7 @@ def support_eigh(h: sp.spmatrix | np.ndarray, vectors: bool = False) -> list[Eig
         r, c = sym.row[at], sym.col[at]
         dense = np.zeros((k, s, s))
         dense[rank[label[r]], local[r], local[c]] = sym.data[at]
-        if vectors:
-            vals, vecs = np.linalg.eigh(dense)
-        else:
-            vals, vecs = np.linalg.eigvalsh(dense), None
-        blocks.append((idx, vals, vecs))
+        blocks.append((idx, *np.linalg.eigh(dense)))
     return blocks
 
 
@@ -182,22 +180,20 @@ def min_eigenvalue(blocks: list[EigBlock]) -> float:
     return min((float(vals[:, 0].min()) for _, vals, _ in blocks), default=0.0)
 
 
+def is_symmetric(h: sp.spmatrix) -> bool:
+    """Whether ``h`` is symmetric within 1e-12 * max(1, max |H|)."""
+    return not h.nnz or abs(h - h.T).max() <= 1e-12 * max(1.0, float(abs(h).max()))
+
+
 def psd_test(h: sp.spmatrix, blocks: list[EigBlock]) -> tuple[bool, float]:
     """Whether the symmetric ``h`` is positive semidefinite, and its smallest
     eigenvalue, from its ``support_eigh`` blocks: the smallest eigenvalue
     must be at least -1e-10 * max(1, max |H|)."""
-    min_eig = min_eigenvalue(blocks)
-    scale = max(1.0, float(abs(h).max())) if h.nnz else 1.0
-    return min_eig >= -1e-10 * scale, min_eig
+    return _psd_rule(h, min_eigenvalue(blocks))
 
 
-def _check_convex(p: QcqpProblem) -> None:
-    psd, min_eig = psd_test(p.h, support_eigh(p.h))
-    if not psd:
-        raise SolverError(
-            f"objective matrix is not positive semidefinite "
-            f"(min eigenvalue {min_eig:.3e}); refusing non-convex input"
-        )
+def _psd_rule(h: sp.spmatrix, min_eig: float) -> tuple[bool, float]:
+    return min_eig >= -1e-10 * (max(1.0, float(abs(h).max())) if h.nnz else 1.0), min_eig
 
 
 def _rank_within(label: np.ndarray, n_label: int) -> np.ndarray:
@@ -245,9 +241,9 @@ class _Kkt:
         # quadratic row k's gradient row holds the union of its rows of M;
         # ``slot`` is each entry of M's place in the gradient rows
         m = self.m = p.quad_m.tocsr()
-        self.c = p.quad_c
+        self.p = p
         self.m_row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        quad = np.arange(m.shape[0]) % max(p.n_quad, 1)  # each row of M's quadratic row
+        quad = self.quad = np.arange(m.shape[0]) % max(p.n_quad, 1)  # each row of M's quadratic row
         key, self.slot = np.unique(quad[self.m_row] * n + m.indices, return_inverse=True)
         grad = sp.csr_matrix((np.ones(key.size), np.divmod(key, n)), shape=(p.n_quad, n))
         self.jac = jac = sp.vstack([p.a_in.tocsr(), grad], format="csr")
@@ -310,11 +306,13 @@ class _Kkt:
         self.data = np.zeros(rows.size)
         self.data[slot[n_block:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
 
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        """J at ``x``: only the quadratic rows' gradients 2 M_k'(c_k + M_k x) change."""
-        twice = 2.0 * (self.c + self.m @ x)
-        self.jac.data[self.n_lin:] = np.bincount(self.slot, twice[self.m_row] * self.m.data)
-        return self.jac
+    def jacobian(self, x: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+        """J at ``x`` (only its quadratic rows' gradients 2 M_k'(c_k + M_k x) move)
+        and every inequality row's left minus right side there, linear rows first."""
+        p, r = self.p, self.p.quad_c + self.m @ x
+        self.jac.data[self.n_lin:] = np.bincount(self.slot, (2.0 * r)[self.m_row] * self.m.data)
+        squares = np.bincount(self.quad, r * r, minlength=p.n_quad)
+        return self.jac, np.concatenate([p.a_in @ x - p.b_in, squares - p.quad_b])
 
     def matrix(self, diag: float, d=None, z=None) -> sp.csc_matrix:
         """The KKT matrix with (1,1) block ``diag`` I, plus 2H + J' diag(``d``) J
@@ -359,25 +357,32 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     """Solve the QCQP; returns the optimal point with equality multipliers in
     problem row order, or a diagnostic non-optimal status."""
     cfg = cfg or SolverConfig()
-    _check_convex(p)
+    if not is_symmetric(p.h):
+        raise SolverError("objective matrix is not symmetric within 1e-12 * max(1, max |H|)")
     t_start = time.perf_counter()
     n = p.n_vars
     delta = REGULARIZATION
     mi = p.n_in + p.n_quad
-    two_h = (2.0 * p.h).tocsr()
     kkt = _Kkt(p, delta)
+    # a block 2H_c also holds, as zero rows, the variables only rows couple: a PSD H may report 0
+    psd, min_eig = _psd_rule(p.h, min((0.5 * float(np.linalg.eigvalsh(h2)[:, 0].min())
+                                        for *_, h2, _ in kkt.groups), default=0.0))
+    if not psd:
+        raise SolverError(f"objective matrix is not positive semidefinite "
+                          f"(min eigenvalue {min_eig:.3e}); refusing non-convex input")
 
     # -- starting point: least-norm solution of the equalities, then the
     # least-squares point from it, shifted into the cone ---------------------
     x = kkt.factor(kkt.matrix(1.0), "equality system factorization failed")(
         np.concatenate([np.zeros(n), p.b_eq]))[:n]
-    jac, r = kkt.jacobian(x), _ineq_values(p, x)
+    jac, r = kkt.jacobian(x)
     sol = kkt.factor(kkt.matrix(delta, np.ones(mi), np.ones(mi)), "start factorization failed")(
-        np.concatenate([-(two_h @ x + p.g) - jac.T @ r, p.b_eq - p.a_eq @ x]))
+        np.concatenate([-(2.0 * (p.h @ x) + p.g) - jac.T @ r, p.b_eq - p.a_eq @ x]))
     dx, y = sol[:n], sol[n:]
     z = r + jac @ dx
     x = x + dx
-    s = -_ineq_values(p, x)
+    jac, values = kkt.jacobian(x)
+    s = -values
     for block in (slice(0, p.n_in), slice(p.n_in, mi)):
         _shift(s[block], z[block])
 
@@ -386,10 +391,10 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
     status = "max_iter"
 
     for it in range(1, cfg.max_iter + 1):
-        jac = kkt.jacobian(x)
-        rd = two_h @ x + p.g + jac.T @ z + p.a_eq.T @ y
+        hx = p.h @ x
+        rd = 2.0 * hx + p.g + jac.T @ z + p.a_eq.T @ y
         rp = p.a_eq @ x - p.b_eq
-        rs = _ineq_values(p, x) + s
+        rs = values + s
         mu = s @ z / max(mi, 1)
 
         feas = max(float(np.abs(rp).max(initial=0.0)) / b_scale,
@@ -397,7 +402,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         dfeas = float(np.abs(rd).max(initial=0.0)) / g_scale
         # s'z bounds the objective error at a feasible point; neither the
         # mean mu nor the largest pair s_i z_i does
-        gap = float(s @ z) / (1.0 + abs(p.objective_at(x)))
+        gap = float(s @ z) / (1.0 + abs(float(x @ hx + p.g @ x + p.c)))
         if feas < cfg.tol_feas and dfeas < cfg.tol_feas and gap < cfg.tol_gap:
             status = "optimal"
             break
@@ -441,6 +446,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
 
         if not (np.all(np.isfinite(x)) and np.all(s > 0) and np.all(z > 0)):
             raise SolverError(f"iterate left the cone at iteration {it}")
+        jac, values = kkt.jacobian(x)
 
     stats = SolveStats(
         iterations=it,
@@ -475,13 +481,6 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest step in [0, 1] that keeps ``v + step * dv`` non-negative."""
     neg = dv < 0
     return float(np.min(-v[neg] / dv[neg], initial=1.0))
-
-
-def _ineq_values(p: QcqpProblem, x: np.ndarray) -> np.ndarray:
-    """Left minus right side of every inequality row, linear rows first."""
-    r = p.quad_c + p.quad_m @ x
-    squares = np.bincount(np.arange(r.size) % max(p.n_quad, 1), r * r, minlength=p.n_quad)
-    return np.concatenate([p.a_in @ x - p.b_in, squares - p.quad_b])
 
 
 def extract_duals(p: QcqpProblem, sol: OpfSolution, rows: np.ndarray) -> np.ndarray:

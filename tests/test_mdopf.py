@@ -421,7 +421,7 @@ def test_support_blocks_match_dense_decomposition():
     for lo, hi in ((0, 5), (5, 6), (6, 14)):
         m = rng.normal(size=(hi - lo, hi - lo))
         dense[np.ix_(idx[lo:hi], idx[lo:hi])] = m + m.T
-    blocks = qs.support_eigh(sp.csr_matrix(dense), vectors=True)
+    blocks = qs.support_eigh(sp.csr_matrix(dense))
     # one stack per block size: indices (k, s), values (k, s), vectors (k, s, s)
     assert sorted(b[0].shape for b in blocks) == [(1, 1), (1, 5), (1, 8)]
     assert all(b[1].shape == b[0].shape and b[2].shape == b[0].shape + b[0].shape[-1:]
@@ -451,18 +451,15 @@ def test_support_blocks_stack_by_size():
     for on in comps:
         m = rng.normal(size=(on.size, on.size))
         dense[np.ix_(on, on)] = m + m.T
-    blocks = qs.support_eigh(sp.csr_matrix(dense), vectors=True)
+    blocks = qs.support_eigh(sp.csr_matrix(dense))
     assert sorted(b[0].shape for b in blocks) == [(1, 2), (2, 3)]
     found = {tuple(i): (v, w) for idx, vals, vecs in blocks
              for i, v, w in zip(idx, vals, vecs)}
-    only = {tuple(i): v for idx, vals, _ in qs.support_eigh(sp.csr_matrix(dense))
-            for i, v in zip(idx, vals)}
-    assert sorted(found) == sorted(only) == sorted(tuple(on) for on in comps)
+    assert sorted(found) == sorted(tuple(on) for on in comps)
     for on in comps:
         vals, vecs = np.linalg.eigh(dense[np.ix_(on, on)])
         assert np.array_equal(found[tuple(on)][0], vals)
         assert np.array_equal(found[tuple(on)][1], vecs)
-        assert np.array_equal(only[tuple(on)], np.linalg.eigvalsh(dense[np.ix_(on, on)]))
     proj = mdopf.psd_projection(sp.csr_matrix(dense), blocks).toarray()
     ref = reference_psd_projection(sp.csr_matrix(dense)).toarray()
     assert np.allclose(proj, ref, rtol=0.0, atol=1e-12)
@@ -969,6 +966,19 @@ def test_kkt_matches_reference_case69_x3(case69):
                                  np.random.default_rng(1))
     assert_kkt_matches_reference(mdopf.build(rated_case69_x3(case69)),
                                  np.random.default_rng(1))
+
+
+def test_solve_makes_no_second_eigendecomposition(case69, monkeypatch):
+    # the build's one support_eigh certifies and projects the indefinite
+    # H; the solver tests convexity on its KKT blocks and calls none
+    prob = mdopf.build(_case69_copies(case69, 3))
+    assert not prob.certificate.psd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("support_eigh called during the solve")
+
+    monkeypatch.setattr(qs, "support_eigh", refuse)
+    assert qs.solve(prob).status == "optimal"
 
 
 def test_kkt_matches_reference_binding_thermal():

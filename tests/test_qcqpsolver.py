@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,59 @@ def test_rejects_indefinite_objective():
     p = make_problem(h=[[-1.0]], g=[0.0])
     with pytest.raises(SolverError, match="not positive semidefinite"):
         qs.solve(p)
+
+
+def test_rejects_asymmetric_objective():
+    # the KKT matrix factors H as given: with H = [[1, 1], [0, 1]] it would
+    # end optimal at (0, 0.5), but x'Hx - 1'x has its optimum -1/3 at (1/3, 1/3)
+    p = make_problem(h=[[1.0, 1.0], [0.0, 1.0]], g=[-1.0, -1.0])
+    with pytest.raises(SolverError, match="not symmetric"):
+        qs.solve(p)
+
+
+def _block_diagonal_problem(rng, negative):
+    """H block diagonal over permuted variables: PSD blocks of size 1-5, a
+    zero block, and one block with a negative eigenvalue when ``negative``.
+    Box rows bound every variable, and rows couple variables of different
+    blocks, so that the solver's components merge blocks of H."""
+    sizes = rng.integers(1, 6, size=4)
+    n = int(sizes.sum()) + 2  # the variables perm[-2:] are the zero block
+    perm = rng.permutation(n)
+    h = np.zeros((n, n))
+    lo = 0
+    for j, size in enumerate(sizes.tolist()):
+        b = rng.normal(size=(size, size))
+        block = b @ b.T
+        if negative and j == 0:
+            block -= (np.linalg.eigvalsh(block)[0] + rng.uniform(0.1, 2.0)) * np.eye(size)
+        on = perm[lo:lo + size]
+        h[np.ix_(on, on)] = block
+        lo += size
+    pairs = rng.choice(n, size=(3, 2), replace=False)
+    couple = np.zeros((3, n))
+    couple[np.arange(3), pairs[:, 0]] += 1.0
+    couple[np.arange(3), pairs[:, 1]] += 1.0
+    a_in = np.vstack([np.eye(n), -np.eye(n), couple])
+    b_in = np.concatenate([np.ones(2 * n), np.full(3, 1.5)])
+    return make_problem(h=h, g=rng.normal(size=n), a_in=a_in, b_in=b_in)
+
+
+def test_convexity_from_kkt_blocks_matches_psd_test():
+    # the solver decides convexity on the stacked blocks 2H of its KKT
+    # matrix; it refuses exactly the problems that psd_test on H's own
+    # eigendecomposition refuses, and reports the same minimum eigenvalue
+    refused = 0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        p = _block_diagonal_problem(rng, negative=seed % 2 == 1)
+        psd, min_eig = qs.psd_test(p.h, qs.support_eigh(p.h))
+        if psd:
+            assert qs.solve(p).status == "optimal"
+        else:
+            refused += 1
+            with pytest.raises(SolverError, match=re.escape(f"(min eigenvalue {min_eig:.3e})")):
+                qs.solve(p)
+    assert refused == 12
 
 
 def test_determinism():
