@@ -6,8 +6,9 @@ model once, as sparse branch-flow rows. For fixed injections the whole
 state follows from one direct sparse solve of those rows, block diagonal by
 feeder and factored whole (``FeederFactors``); no sweep or iteration is
 involved. The OPF builder reads only that factor, memoized per network by
-``load_factors``: it gives the state that each generator drives and the
-balance-row duals their transposed solve. The module also
+``load_factors``: it gives the state that each generator drives, packed by
+feeder into the slots of one solve, and the balance-row duals their
+transposed solve. The module also
 recovers the bus angles, each the sum of the angle turns across the
 branches on its path, and computes the total network loss with its
 four-way split into active/reactive flow contributions. The path matrix T
@@ -92,24 +93,21 @@ def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_ma
     - x Qbr = 0. Explicit zeros are dropped, so a bus without injection
     leaves no W entry in its balance rows.
     """
-    n = ti.n
-    k = np.arange(n)
-    # branch k enters its child (W index k + 1) and leaves its parent
-    ends = np.concatenate([k + 1, np.asarray(ti.parent_pos, dtype=int) + 1])
-    inc = sp.csr_matrix((np.repeat([1.0, -1.0], n), (ends, np.tile(k, 2))), shape=(n + 1, n))
-    w_slack = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n + 1))
-    # each row block stacks at its FlowRows offset
-    rows = FlowRows(n)
-    blocks = {
-        rows.w_slack: [w_slack, None, None],
-        rows.p_bal: [sp.diags(p), inc, None],
-        rows.q_bal: [sp.diags(q), None, inc],
-        rows.drop: [inc.T, sp.diags(-ti.r), sp.diags(-ti.x)],
-    }
-    starts = sorted(blocks)
-    stops = np.cumsum([blocks[s][0].shape[0] for s in starts]).tolist()
-    assert starts[1:] + [rows.count] == stops, "FlowRows offsets disagree with the blocks"
-    a = sp.bmat([blocks[s] for s in starts], format="csr")
+    n, rows = ti.n, FlowRows(ti.n)
+    k, bus = np.arange(n, dtype=np.int32), np.arange(n + 1, dtype=np.int32)
+    # each branch's ends (W columns) and flows (Pbr, Qbr columns)
+    child, parent = k + 1, np.asarray(ti.parent_pos, dtype=np.int32) + 1
+    pbr, qbr = n + 1 + k, 2 * n + 1 + k
+    # (rows, columns, values) of each block of entries, at its FlowRows offset
+    blocks = [(bus[:1] + rows.w_slack, bus[:1], 1.0),
+              (rows.p_bal + bus, bus, p), (rows.q_bal + bus, bus, q),
+              (rows.p_bal + child, pbr, 1.0), (rows.p_bal + parent, pbr, -1.0),
+              (rows.q_bal + child, qbr, 1.0), (rows.q_bal + parent, qbr, -1.0),
+              (rows.drop + k, child, 1.0), (rows.drop + k, parent, -1.0),
+              (rows.drop + k, pbr, -ti.r), (rows.drop + k, qbr, -ti.x)]
+    r, c = (np.concatenate([b[i] for b in blocks]) for i in (0, 1))
+    v = np.concatenate([np.broadcast_to(b[2], len(b[0])) for b in blocks])
+    a = sp.csr_matrix((v, (r, c)), shape=(rows.count, 3 * n + 1))
     a.eliminate_zeros()
     return a
 
@@ -136,32 +134,39 @@ class FeederFactors:
     leaves first, one group per bus (W, Pbr, Qbr of the branch into it; its
     drop and balance rows), with no pivoting: each child is eliminated
     before its parent, so fill stays within the parent's group and the
-    factor is that of each feeder's block. ``state`` is the solution at the
-    slack voltage ``net.v0``.
+    factor is that of each feeder's block. The leaves-first position of each
+    row is ``at`` (-1 for the slack's) and of each state column ``place``
+    (W0 last, past the block); ``feeder`` numbers each position's feeder.
+    ``state`` is the solution at the slack voltage ``net.v0``.
     """
 
     def __init__(self, net: Network, p: np.ndarray, q: np.ndarray):
         ti = path_incidence(net)
         n, rows = ti.n, FlowRows(ti.n)
-        self.rows = rows
         a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
         k = np.arange(n)[::-1]
         self.cols = np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel()
-        self.eqs = np.column_stack(
-            [rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
+        self.eqs = np.column_stack([rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
+        self.at = np.full(rows.count, -1, dtype=np.int32)
+        self.place = np.full(3 * n + 1, 3 * n, dtype=np.int32)
+        self.at[self.eqs] = self.place[self.cols] = np.arange(3 * n)
+        # a's entries at their positions, compressed by column: W0's column,
+        # placed last, is cut off and the slack's rows are zeroed out
+        m = sp.csr_matrix((a.data, self.place[a.indices], a.indptr), shape=a.shape).tocsc()
+        m = sp.csc_matrix((m.data, self.at[m.indices], m.indptr[:-1]), shape=(3 * n, 3 * n))
+        m.data[m.indices < 0] = 0.0
+        m.eliminate_zeros()
+        try:
+            self.lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0, relax=2, panel_size=2)
+        except RuntimeError as exc:
+            raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
+        del m  # SuperLU keeps its own copy; free this one before the solves
         # a preorder keeps each feeder contiguous, so in leaves-first order a
         # feeder's rows end at its top bus: number the feeders in that order
         top = (np.asarray(ti.parent_pos, dtype=int) < 0)[::-1]
         self.feeder = np.repeat(np.cumsum(top) - top, 3)
-        self.size = np.bincount(self.feeder)
-        self.start = np.cumsum(self.size) - self.size
-        try:
-            self.lu = spla.splu(a[self.eqs][:, self.cols].tocsc(), permc_spec="NATURAL",
-                                diag_pivot_thresh=0, relax=2, panel_size=2)
-        except RuntimeError as exc:
-            raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
         w0 = 2.0 - net.v0
-        self.state = -w0 * self.solve(a[:, [0]]).toarray()[:, 0]  # W0 in the top drops
+        self.state = -w0 * self.solve_state(a[:, [0]].toarray()[:, 0])  # W0 in the top drops
         self.state[0] = w0
         if not np.all(np.isfinite(self.state)):
             raise MdfError("singular modified power-flow matrix (non-finite solution)")
@@ -171,33 +176,35 @@ class FeederFactors:
                 f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
             )
 
-    def solve(self, b: sp.spmatrix) -> sp.csr_matrix:
-        """The state that each column of ``b`` (rows in ``FlowRows`` layout)
-        drives with W0 held at 0. The slack's rows of ``b`` are not read.
-        Each column is solved on the feeders whose rows it reaches, so the
-        result is dense within a feeder and zero outside it. Feeders share
-        no rows, so the k-th column that reaches each feeder shares one
-        right-hand side with the others (Curtis, Powell & Reid 1974)."""
-        b = sp.csr_matrix(b)[self.eqs].tocoo()
-        pair, at = np.unique(self.feeder[b.row] * b.shape[1] + b.col, return_inverse=True)
-        feeder, col = np.divmod(pair, b.shape[1])
-        # each pair's rank among its feeder's columns names its slot
-        slot = np.arange(pair.size) - np.searchsorted(feeder, feeder)
-        rhs = np.zeros((self.cols.size, slot.max(initial=-1) + 1))
-        rhs[b.row, slot[at]] = b.data
-        x = self.lu.solve(rhs)
-        # each (feeder, column) pair takes its slot's values on the feeder's rows
-        size = self.size[feeder]
-        row = np.repeat(self.start[feeder] - np.cumsum(size) + size, size) + np.arange(size.sum())
-        return sp.csr_matrix(
-            (x[row, np.repeat(slot, size)], (self.cols[row], np.repeat(col, size))),
-            shape=(self.cols.size + 1, b.shape[1]))  # W0 held at 0
+    def solve_state(self, b: np.ndarray) -> np.ndarray:
+        """The state that ``b`` (rows in ``FlowRows`` layout, the slack's not
+        read) drives with W0 held at 0, one dense solve."""
+        s = np.zeros(self.cols.size + 1)
+        s[self.cols] = self.lu.solve(b[self.eqs])
+        return s
+
+    def solve_units(self, bal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``solve_state`` for a unit in each row of ``bal``, packed: a column
+        reaches only the feeder of its row, so the k-th column that reaches
+        each feeder shares slot k of one right-hand side with the others
+        (Curtis, Powell & Reid 1974). Returns X, per position and slot, and
+        each feeder's column per slot (-1 where it has fewer)."""
+        pos = self.at[bal]
+        col = np.flatnonzero(pos >= 0)
+        col = col[np.argsort(self.feeder[pos[col]], kind="stable")]
+        feeder = self.feeder[pos[col]]
+        slot = np.arange(col.size) - np.searchsorted(feeder, feeder)
+        slot_col = np.full((self.feeder.max(initial=-1) + 1, slot.max(initial=-1) + 1), -1)
+        slot_col[feeder, slot] = col
+        rhs = np.zeros((self.cols.size, slot_col.shape[1]))
+        rhs[pos[col], slot] = 1.0
+        return self.lu.solve(rhs), slot_col
 
     def solve_transposed(self, r: np.ndarray) -> np.ndarray:
         """Multipliers y of the factored rows with A' y = ``r`` on the
         non-slack state columns, in ``FlowRows`` layout; the slack's rows
         are left 0."""
-        y = np.zeros(self.rows.count)
+        y = np.zeros(self.at.size)
         y[self.eqs] = self.lu.solve(r[self.cols], trans="T")
         return y
 

@@ -2,19 +2,19 @@
 
 The modified power-flow model is linear in its state (per-bus W = 2 - V and
 the modified branch flows) once the loads are folded in, and its rows
-without the slack's two balance rows are square in that state. So the
-state is affine in the modified generator outputs x: s = s0 + S x, with s0
-the load-only state and S one solve of the generators' balance-row entries
-(``mdistflow.load_factors``, one factor of the whole network; S is dense
-within a feeder and zero outside it). The problem's variables are the
-generator outputs alone. The voltage and generator-box rows are the
-full-space rows with s0 + S x put in for the state, and the slack's two
-balance rows are the only equality rows. A kept thermal row is a sum of
-squares in the outputs, ||c_l + M_l x||^2 <= i_max^2, with M_l the rows of
-S at the branch's Pbr and Qbr and c_l the load-only flows there. The
-objective is the generation cost with the voltage weights eliminated
-through the closed-form affine voltage map, which leaves a quadratic form
-over the generator variables.
+without the slack's two balance rows are square in that state. So the state
+is affine in the modified generator outputs x: s = s0 + S x, with s0 the
+load-only state and S one solve of the generators' balance-row entries
+(``mdistflow.load_factors``, one factor of the whole network), held as that
+solve's packed block (``FeederFactors.solve_units``) and never as a matrix.
+The problem's variables are the generator outputs alone. The voltage and
+generator-box rows are the full-space rows with s0 + S x put in for the
+state, and the slack's two balance rows are the only equality rows. A
+kept thermal row is a sum of squares in the outputs,
+||c_l + M_l x||^2 <= i_max^2, with M_l the rows of S at the branch's Pbr
+and Qbr and c_l the load-only flows there. The objective is the generation
+cost with the voltage weights eliminated through the closed-form affine
+voltage map, which leaves a quadratic form over the generator variables.
 
 Presolve screens the rows over the box of generator outputs that the
 generator-box rows and the voltage rows at generator buses allow (as LP
@@ -97,8 +97,8 @@ class _Rows:
     ``prob`` holds them in generator space, with a zero objective that
     ``build`` replaces. ``eq_state`` and ``in_state`` are the same equality
     and inequality rows' coefficients on the state (``flow_equations``'
-    columns), and ``flows`` the state columns that the quadratic rows
-    square, which ``balance_prices`` reads.
+    columns) and ``flows`` the state columns that the quadratic rows square:
+    all the rows of S that ``prob`` reads, and all that ``balance_prices`` does.
     """
 
     lay: VarBlocks
@@ -121,12 +121,10 @@ def var_blocks(net: Network) -> VarBlocks:
     return _rows(net).lay
 
 
-def _generation(gen_w: np.ndarray, rows: mdistflow.FlowRows) -> sp.csr_matrix:
-    """Each generator's Pg, then each one's Qg, as a unit column in its bus's
-    balance row."""
-    bal = np.concatenate([rows.p_bal + gen_w, rows.q_bal + gen_w])
-    return sp.csr_matrix((np.ones(bal.size), (bal, np.arange(bal.size))),
-                         shape=(rows.count, bal.size))
+def _generation(gen_w: np.ndarray, rows: mdistflow.FlowRows) -> np.ndarray:
+    """The balance row of each generator's Pg, then of each one's Qg: the
+    ``flow_equations`` row in which each variable is a unit injection."""
+    return np.concatenate([rows.p_bal + gen_w, rows.q_bal + gen_w])
 
 
 def _box(cols: netmodel.Columns, gen_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,16 +204,17 @@ def _rows(net: Network) -> _Rows:
     the generator outputs x (``_box``), which the kept generator-box rows
     and the voltage rows at generator buses enforce, so every point that
     meets the kept rows lies in it. Each state entry's range over the box
-    is s0 + S mid +- |S| rad, for the box's midpoint and radius. A voltage
-    row away from a generator bus that holds with ``_MARGIN`` to spare over
-    the whole box is dropped; so is the thermal row of a rated branch whose
-    largest |Pbr| and |Qbr| stay inside its rating (``_screen``). A row that
-    fails by ``_MARGIN`` over the whole box raises ``MdopfError`` (so does a
-    supply point without a generator). The dropped rows' multipliers are 0
-    at the optimum, so the kept rows give the same optimum and balance-row
-    prices. Kept rows keep their order. The quadratic rows are S's and s0's
-    rows at the kept branches' Pbr columns, then at their Qbr columns
-    (``_Rows.flows``), so each squares into Pbr^2 + Qbr^2.
+    is s0 + S mid +- |S| rad, for the box's midpoint and radius, summed
+    slot by slot over the packed S. A voltage row away from a generator bus
+    that holds with ``_MARGIN`` to spare over the whole box is dropped; so
+    is the thermal row of a rated branch whose largest |Pbr| and |Qbr| stay
+    inside its rating (``_screen``). A row that fails by ``_MARGIN`` over
+    the whole box raises ``MdopfError`` (so does a supply point without a
+    generator). The dropped rows' multipliers are 0 at the optimum, so the
+    kept rows give the same optimum and balance-row prices. Kept rows keep
+    their order. The quadratic rows are S's and s0's rows at the kept
+    branches' Pbr columns, then at their Qbr columns (``_Rows.flows``), so
+    each squares into Pbr^2 + Qbr^2.
     """
     cols = netmodel.columns(net)
     if not cols.gen[0]:
@@ -225,11 +224,18 @@ def _rows(net: Network) -> _Rows:
     fac = mdistflow.load_factors(net)
     gen_w = np.flatnonzero(cols.gen)
     n_gen = gen_w.size
-    # S: the state per unit of each output
-    s_gen = -fac.solve(_generation(gen_w, mdistflow.FlowRows(n)))
+    # S packed: the state per unit of each output is -X in the output's slot
+    x_slot, slot_col = fac.solve_units(_generation(gen_w, mdistflow.FlowRows(n)))
     lo, hi = _box(cols, gen_w)
-    mid = fac.state + s_gen @ (0.5 * (lo + hi))
-    rad = abs(s_gen) @ (0.5 * (hi - lo))
+    # s0 + S mid +- |S| rad: S's products summed at each position slot by
+    # slot, in column order (an unused slot adds 0), W0's sums last and 0
+    mid_x, rad_x = np.append(0.5 * (lo + hi), 0.0), np.append(0.5 * (hi - lo), 0.0)
+    sums = np.zeros((2, fac.cols.size + 1))
+    for k in range(slot_col.shape[1]):
+        col = slot_col[fac.feeder, k]
+        sums[0, :-1] -= x_slot[:, k] * mid_x[col]
+        sums[1, :-1] += np.abs(x_slot[:, k]) * rad_x[col]
+    mid, rad = fac.state + sums[0, fac.place], sums[1, fac.place]
     v_keep, rated = _screen(net, mid - rad, mid + rad)
     for arr in (gen_w, rated):
         arr.setflags(write=False)
@@ -269,13 +275,20 @@ def _rows(net: Network) -> _Rows:
     v_lim = np.column_stack([2.0 - cols.v_min[1:], cols.v_max[1:] - 2.0])
     b_in = np.concatenate([np.zeros(4 * n_gen), v_lim.reshape(2 * n)])[kept_in]
 
-    # the kept rows in generator space: s0 + S x put in for the state
+    # the kept rows in generator space: s0 + S x put in for the state, S's
+    # rows built at only the state columns they read (W0's row is empty)
     flows = np.concatenate([n + 1 + rated, 2 * n + 1 + rated])
+    need = np.setdiff1d(np.concatenate([balance.indices, in_state.indices, flows]), 0)
+    col = slot_col[fac.feeder[fac.place[need]]]
+    r, k = np.nonzero(col >= 0)  # each row's columns in slot order, which is column order
+    s_need = sp.csr_matrix((-x_slot[fac.place[need[r]], k], col[r, k],
+                            np.searchsorted(r, np.arange(need.size + 1))), shape=(need.size, n_vars))
     return _Rows(lay, balance, in_state, flows, QcqpProblem(
         n_vars=n_vars, h=sp.csr_matrix((n_vars, n_vars)), g=np.zeros(n_vars), c=0.0,
-        a_eq=(slack_out + balance @ s_gen).tocsr(), b_eq=-(balance @ fac.state),
-        a_in=(in_vars + in_state @ s_gen).tocsr(), b_in=b_in - in_state @ fac.state,
-        quad_m=s_gen[flows], quad_c=fac.state[flows], quad_b=ti.i_max[rated] ** 2,
+        a_eq=(slack_out + balance[:, need] @ s_need).tocsr(), b_eq=-(balance @ fac.state),
+        a_in=(in_vars + in_state[:, need] @ s_need).tocsr(), b_in=b_in - in_state @ fac.state,
+        quad_m=s_need[np.searchsorted(need, flows)], quad_c=fac.state[flows],
+        quad_b=ti.i_max[rated] ** 2,
     ))
 
 
@@ -429,8 +442,8 @@ def recover_dispatch(
     p_gen = x[lay.pg:lay.pg + n_gen]
     q_gen = x[lay.qg:lay.qg + n_gen]
     n = netmodel.path_incidence(net).n
-    gen = _generation(lay.gen_w, mdistflow.FlowRows(n)) @ sp.csr_matrix(x[:, None])
-    w = fac.state[:n + 1] - fac.solve(gen).toarray()[:n + 1, 0]
+    gen = np.bincount(_generation(lay.gen_w, mdistflow.FlowRows(n)), x, fac.at.size)
+    w = fac.state[:n + 1] - fac.solve_state(gen)[:n + 1]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)
     if bad.size:

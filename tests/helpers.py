@@ -544,6 +544,26 @@ def reference_feeder_factors(net, p, q) -> ReferenceFactors:
     return ReferenceFactors(state, solve, solve_transposed)
 
 
+def unit_columns(bal, count) -> sp.csr_matrix:
+    """A unit in row ``bal[j]`` of column j, ``count`` rows: the right-hand
+    sides that ``FeederFactors.solve_units(bal)`` solves, for the
+    reference's sparse solve."""
+    return sp.csr_matrix((np.ones(len(bal)), (bal, np.arange(len(bal)))),
+                         shape=(count, len(bal)))
+
+
+def unpack_units(fac, x, slot_col, n_cols) -> sp.csr_matrix:
+    """The packed block of ``FeederFactors.solve_units`` as a sparse
+    state-by-column matrix: each column takes its slot's values on its
+    feeder's rows (``flow_equations``' columns), and is zero elsewhere."""
+    col = slot_col[fac.feeder]
+    i, k = np.nonzero(col >= 0)
+    out = sp.csr_matrix((x[i, k], (fac.cols[i], col[i, k])),
+                        shape=(fac.cols.size + 1, n_cols))
+    out.sort_indices()
+    return out
+
+
 def dense_loss_factors(net, ti, state, sens):
     """Dense reference for ``pricing.loss_factors``: the loss gradient chained
     through the n x n modified-injection sensitivity matrices ``sens`` (from
@@ -785,7 +805,7 @@ def unscreened_build(net) -> UnscreenedOpf:
         gen[rows.q_bal + k, lay.qg + j] = 1.0
     flows = mdistflow.flow_equations(ti, np.concatenate([[0.0], -cols.p_load[1:]]),
                                      np.concatenate([[0.0], -cols.q_load[1:]]))
-    fac = mdistflow.load_factors(net)
+    fac = reference_feeder_factors(net, -cols.p_load[1:], -cols.q_load[1:])
     state_map = -fac.solve(gen.tocsr())
 
     # the slack's balance rows: its load on W0 and the flows out of it,

@@ -9,8 +9,8 @@ from radialopf.netmodel import Generator, Network, build_path_incidence
 
 from helpers import (
     Branch, Bus, bus_record, chain_network, network, path_matrix, pivoting_fixed_load_w,
-    random_tree_network, reference_angles, reference_feeder_factors, reference_fixed_load_w,
-    tree_buses,
+    random_tree_network, rated_network, reference_angles, reference_feeder_factors,
+    reference_fixed_load_w, tree_buses, unit_columns, unpack_units,
 )
 from test_pricing import reverse_flow_net
 
@@ -310,23 +310,40 @@ def mixed_feeders_network() -> Network:
     return netmodel.with_slack_costs(net, 30.0, 3.0)
 
 
+def assert_units_match_reference(fac, ref, bal):
+    """``fac.solve_units(bal)``, expanded to the state per column, against
+    the per-feeder reference's solve of the same unit columns, bit for bit.
+    Returns the slot map."""
+    x, slot_col = fac.solve_units(bal)
+    got = unpack_units(fac, x, slot_col, bal.size)
+    want = ref.solve(unit_columns(bal, fac.at.size))
+    want.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    # each column that reaches a feeder holds one slot of it; the rest none
+    used = slot_col[slot_col >= 0]
+    assert np.array_equal(np.sort(used), np.flatnonzero(fac.at[bal] >= 0))
+    return slot_col
+
+
 def assert_factors_match_reference(net, rng):
-    """``FeederFactors`` against the per-feeder reference, entry by entry:
-    the load-only state, S for the generator columns and for random columns
-    that reach several feeders, and the transposed solve."""
+    """``FeederFactors`` against the per-feeder reference, bit for bit: the
+    load-only state; S for the generator columns and for random balance
+    rows (the slack's among them, a row repeated) whose columns reach each
+    feeder a different number of times; a dense solve that reaches several
+    feeders; and the transposed solve."""
     p, q = netmodel.net_injections(net)
     fac, ref = mdf.FeederFactors(net, p, q), reference_feeder_factors(net, p, q)
-    assert np.array_equal(fac.state, ref.state)
+    assert fac.state.tobytes() == ref.state.tobytes()
     n = netmodel.path_incidence(net).n
     rows = mdf.FlowRows(n)
-    dense = rng.normal(size=(rows.count, 7)) * (rng.random((rows.count, 7)) < 0.05)
-    for b in (mdopf._generation(mdopf.var_blocks(net).gen_w, rows), sp.csr_matrix(dense)):
-        got, want = fac.solve(b), ref.solve(b)
-        got.sort_indices()
-        want.sort_indices()
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+    bus = rng.integers(0, n + 1, size=9)
+    for bal in (mdopf._generation(mdopf.var_blocks(net).gen_w, rows),
+                np.concatenate([rows.p_bal + bus[:5], rows.q_bal + bus[5:],
+                                [rows.q_bal, rows.p_bal + bus[0]]])):
+        assert_units_match_reference(fac, ref, bal)
+    b = rng.normal(size=rows.count) * (rng.random(rows.count) < 0.05)
+    assert np.array_equal(fac.solve_state(b), ref.solve(sp.csr_matrix(b[:, None])).toarray()[:, 0])
     r = rng.normal(size=3 * n + 1)  # one per state column
     assert np.array_equal(fac.solve_transposed(r), ref.solve_transposed(r))
     return fac
@@ -338,7 +355,8 @@ def test_feeder_factors_match_per_feeder_reference(case69):
     case69 x3 with DGs, 20 random multi-feeder trees and the slack alone."""
     rng = np.random.default_rng(31)
     fac = assert_factors_match_reference(mixed_feeders_network(), rng)
-    assert fac.size.tolist() == [3 * 12, 3 * 6, 3 * 3]  # leaves first: last feeder first
+    # leaves first: the last feeder first
+    assert np.bincount(fac.feeder).tolist() == [3 * 12, 3 * 6, 3 * 3]
     dg = Generator(0.0, 0.2, 0.0, 0.1, 25.0, 2.0)
     net = netmodel.duplicate_system(case69, 3, seed=5)
     for bus in (27, 65, 95, 180):
@@ -347,10 +365,75 @@ def test_feeder_factors_match_per_feeder_reference(case69):
     for _ in range(20):
         tree = random_tree_network(rng, int(rng.integers(2, 30)), gen_frac=0.3)
         net = netmodel.duplicate_system(tree, int(rng.integers(2, 4)), seed=int(rng.integers(99)))
-        assert assert_factors_match_reference(net, rng).size.size >= 2
+        assert assert_factors_match_reference(net, rng).feeder.max() >= 1
     slack = network([Bus(id=1, gen=Generator(0.0, 1.0, 0.0, 1.0, 30.0, 3.0))], [], slack=1,
                     base_power=1.0, base_voltage=12.66, v0=1.05)
     assert assert_factors_match_reference(slack, rng).state.tolist() == [2.0 - 1.05]
+
+
+def test_packed_rows_match_sparse_s_random_trees(monkeypatch):
+    """On 24 random multi-feeder trees, some rated and some with a tight
+    v_max, the packed solve of the generators' columns equals the per-feeder
+    reference bit for bit, and ``mdopf._rows`` builds, bit for bit, the rows
+    that a sparse S assembled from that reference gives: presolve's range
+    s0 + S mid +- |S| rad, the slack's balance rows, the inequality rows and
+    the thermal rows. Among the trees are networks whose only generator is
+    the supply point (no slot), feeders without a generator, and feeders
+    with different numbers of generators, whose unused slots map to no
+    column."""
+    rng = np.random.default_rng(2025)
+    seen = {"no slot": 0, "feeder without DG": 0, "ragged": 0}
+    screened = []
+    real_screen = mdopf._screen
+
+    def record(net, s_lo, s_hi):
+        screened.append((s_lo, s_hi))
+        return real_screen(net, s_lo, s_hi)
+
+    monkeypatch.setattr(mdopf, "_screen", record)
+    for i in range(24):
+        tree = random_tree_network(rng, int(rng.integers(2, 25)), gen_frac=[0.0, 0.2, 0.5][i % 3])
+        net = netmodel.duplicate_system(tree, int(rng.integers(1, 4)), seed=int(rng.integers(99)))
+        if i % 2:
+            net = rated_network(net, 1.2)
+        if i % 4 >= 2:  # a v_cap row kept away from the generators
+            net = netmodel.with_voltage_limits(net, 0.9, 1.0005)
+        cols, n = netmodel.columns(net), netmodel.path_incidence(net).n
+        ref = reference_feeder_factors(net, -cols.p_load[1:], -cols.q_load[1:])
+        fac = mdf.load_factors(net)
+        assert fac.state.tobytes() == ref.state.tobytes()
+        lay = mdopf.var_blocks(net)  # the rows, built once with _screen recorded
+        bal = mdopf._generation(lay.gen_w, mdf.FlowRows(n))
+        slot_col = assert_units_match_reference(fac, ref, bal)
+        per_feeder = np.bincount(fac.feeder[fac.at[bal][fac.at[bal] >= 0]],
+                                 minlength=fac.feeder.max(initial=-1) + 1)
+        seen["no slot"] += slot_col.shape[1] == 0
+        seen["feeder without DG"] += bool(np.any(per_feeder == 0))
+        seen["ragged"] += bool(np.any((slot_col < 0).any(axis=1) & (per_feeder > 0)))
+
+        s_gen = -ref.solve(unit_columns(bal, fac.at.size))
+        s_gen.sort_indices()
+        lo, hi = mdopf._box(cols, lay.gen_w)
+        mid = ref.state + s_gen @ (0.5 * (lo + hi))
+        rad = abs(s_gen) @ (0.5 * (hi - lo))
+        s_lo, s_hi = screened[-1]
+        assert s_lo.tobytes() == (mid - rad).tobytes() and s_hi.tobytes() == (mid + rad).tobytes()
+        rows = mdopf._rows(net)
+        prob = rows.prob
+        n_gen, kg = lay.gen_w.size, np.arange(lay.gen_w.size)
+        slack_out = sp.csr_matrix((np.ones(2), ([0, 1], [lay.pg, lay.qg])), shape=(2, lay.n_vars))
+        out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1).ravel()
+        in_vars = sp.csr_matrix((np.tile([1.0, -1.0, 1.0, -1.0], n_gen),
+                                 (np.arange(4 * n_gen), out_col)), shape=(prob.n_in, lay.n_vars))
+        for got, want in ((prob.a_eq, slack_out + rows.eq_state @ s_gen),
+                          (prob.a_in, in_vars + rows.in_state @ s_gen),
+                          (prob.quad_m, s_gen[rows.flows])):
+            want = want.tocsr()
+            for name in ("indptr", "indices", "data"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert prob.b_eq.tobytes() == (-(rows.eq_state @ ref.state)).tobytes()
+        assert prob.quad_c.tobytes() == ref.state[rows.flows].tobytes()
+    assert len(screened) == 24 and all(seen.values()), seen
 
 
 def test_feeder_factors_one_splu_call(case69, monkeypatch):

@@ -14,8 +14,9 @@ from helpers import (
     assert_kkt_matches_reference, branch_records, bus_record, bus_row, chain_network,
     dense_objective_h, kkt_residuals, mk_case, path_matrix, pivoting_factor, quad_values,
     random_tree_network, rated_network, reference_build, reference_evaluate_cost,
-    reference_extract_duals, reference_psd_projection, reference_recover_dispatch, tree_buses,
-    unscreened_balance_prices, unscreened_build, with_records,
+    reference_extract_duals, reference_feeder_factors, reference_psd_projection,
+    reference_recover_dispatch, tree_buses, unit_columns, unscreened_balance_prices,
+    unscreened_build, with_records,
 )
 
 
@@ -247,11 +248,13 @@ def test_thermal_rows():
     k = ti.order.index(2)
     assert lay.gens == (1, 3) and lay.n_vars == prob.n_vars == 4 and prob.n_eq == 2
     assert lay.rated.tolist() == [k]
-    fac = mdf.load_factors(net)
-    s_gen = -fac.solve(mdopf._generation(lay.gen_w, mdf.FlowRows(ti.n))).toarray()
+    cols = netmodel.columns(net)
+    ref = reference_feeder_factors(net, -cols.p_load[1:], -cols.q_load[1:])
+    bal = mdopf._generation(lay.gen_w, mdf.FlowRows(ti.n))
+    s_gen = -ref.solve(unit_columns(bal, mdf.FlowRows(ti.n).count)).toarray()
     flows = [ti.n + 1 + k, 2 * ti.n + 1 + k]
     assert np.array_equal(prob.quad_m.toarray(), s_gen[flows])
-    assert np.array_equal(prob.quad_c, fac.state[flows])
+    assert np.array_equal(prob.quad_c, ref.state[flows])
     assert prob.quad_b[0] == pytest.approx(0.25)
     off = netmodel.strip_thermal_limits(net)
     prob_off = mdopf.build(off)
@@ -372,6 +375,31 @@ def test_built_problem_holds_no_names(case69):
     # 401 generators: Pg and Qg each, and the slack's two balance rows
     assert prob.n_vars + prob.n_eq == 804
     assert retained < 3.5e6
+
+
+def test_rows_hold_s_packed_memory(case69):
+    """On case69 x100 with 4 DGs per feeder (401 generators, 6,801 buses) the
+    rows read S from the factor's packed block X (20,400 positions x 8
+    slots, 1.2 MiB) and build no sparse S over every state entry: their
+    traced peak stays within 6.5 MiB, where scattering X into a 20,401 x
+    802 matrix first peaked at 10.7 MiB. The factor itself, renumbered in
+    place rather than cut out of the flow rows, peaks within 3.3 MiB."""
+    net = _case69_copies(case69, 100)
+    netmodel.path_incidence(net)  # the builders' input, memoized outside the trace
+    netmodel.columns(net)
+    peaks = []
+    for build in (mdf.load_factors, mdopf._rows):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build(net)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert mdopf.var_blocks(net).n_vars == 802
+    assert peaks[0] <= 3.3 * 2**20, peaks
+    assert peaks[1] <= 6.5 * 2**20, peaks
 
 
 # ---------------------------------------------------------------------------
