@@ -2,10 +2,12 @@
 
 Serves as the ground-truth oracle for the approximate feeder models: it
 benchmarks voltages and losses, supplies the adjoint voltage sensitivities
-used by the marginal-loss prices (one sparse LU of the reduced Jacobian and
-a transposed solve), keeps the dense Jacobian blocks and sensitivity
-matrices as their O(n^2) reference, and implements the finite-difference
-price oracle (slack-cost derivative under load perturbation).
+used by the marginal-loss prices, keeps the dense Jacobian blocks and
+sensitivity matrices as their O(n^2) reference, and implements the
+finite-difference price oracle (slack-cost derivative under load
+perturbation). Newton's steps and the adjoint solve factor one reduced
+Jacobian (``_tree_jacobian``) on a pattern fixed per network, leaves
+first, with no pivoting and no fill.
 
 Array conventions: the package's one bus order (``netmodel.tree_positions``).
 Full-bus vectors hold the slack at position 0, then the non-slack buses in
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
-from .netmodel import Network, columns, net_injections, per_network, tree_positions
+from .netmodel import (
+    Network, columns, net_injections, path_incidence, per_network, tree_positions,
+)
 
 #: Newton-Raphson convergence: the largest mismatch (pu), the iteration limit
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 30
@@ -75,14 +78,90 @@ def _branch_ends(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f, t, z
 
 
+@per_network
 def admittance(net: Network) -> sp.csr_matrix:
-    """Bus admittance matrix (series branch elements only)."""
+    """Bus admittance matrix (series branch elements only), memoized on the
+    instance with read-only arrays."""
     f, t, z = _branch_ends(net)
     y = 1.0 / z
     rows = np.column_stack([f, t, f, t]).ravel()
     cols = np.column_stack([f, t, t, f]).ravel()
     vals = np.column_stack([y, y, -y, -y]).ravel()
-    return sp.csr_matrix((vals, (rows, cols)), shape=(net.n_bus, net.n_bus))
+    ybus = sp.csr_matrix((vals, (rows, cols)), shape=(net.n_bus, net.n_bus))
+    for arr in (ybus.data, ybus.indices, ybus.indptr):
+        arr.setflags(write=False)
+    return ybus
+
+
+@per_network
+def _jacobian_pattern(net: Network) -> tuple[np.ndarray, ...]:
+    """``kid`` (the buses whose parent is not the slack), and the CSC
+    ``indices``/``indptr`` of ``_tree_jacobian`` with the ``slot`` of each
+    stored entry, built once per network: 2 x 2 block k (rows P - Q, P + Q;
+    columns θ, |V|; each bus's own, then each kid's to its parent and back)
+    fills slots 4k..4k+3."""
+    par = path_incidence(net).parent_pos
+    kid, n = np.flatnonzero(par >= 0), par.size
+    row = 2 * (n - 1 - np.concatenate([np.arange(n), kid, par[kid]], dtype=np.int32))
+    col = 2 * (n - 1 - np.concatenate([np.arange(n), par[kid], kid], dtype=np.int32))
+    rows = (row[:, None] + np.array([0, 0, 1, 1], dtype=np.int32)).ravel()
+    cols = (col[:, None] + np.array([0, 1, 0, 1], dtype=np.int32)).ravel()
+    slot = np.lexsort((rows, cols))  # leaves-first entries by column, then by row
+    indptr = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=2 * n), out=indptr[1:])
+    pattern = kid, rows[slot], indptr, slot
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
+
+
+def _tree_jacobian(net: Network, vc: np.ndarray) -> sp.csc_matrix:
+    """The reduced polar Jacobian at full-bus voltages ``vc``: MATPOWER's
+    ``dSbus_dV`` from the path incidence's branch arrays, in
+    ``_jacobian_pattern``, leaves first, so that a natural-order factor
+    eliminates each child before its parent with no fill. Each bus's rows are
+    P - Q and P + Q, the parts of (1 + j) S: near a flat profile its block is
+    the real form of -j(1 + j) conj(Y_ii), within 45° of the real axis, so its
+    first pivot is at least 1/√2 of it whatever r/x (on rows P, Q it is 0 at x = 0)."""
+    ti = path_incidence(net)
+    kid, indices, indptr, slot = _jacobian_pattern(net)
+    par, y, v = ti.parent_pos[kid], 1.0 / (ti.r + 1j * ti.x), vc[1:]
+    # a zero voltage makes v/|v| undefined; the factor's checks report it
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = v / np.abs(v)
+    a = y * (v - vc[ti.parent_pos + 1])  # each branch's current, child to parent
+    ibus, ydiag = a.copy(), y.copy()
+    np.subtract.at(ibus, par, a[kid])
+    np.add.at(ydiag, par, y[kid])
+    # each bus's own block from its current and self admittance, then each
+    # branch's two blocks, whose Ybus entry is -y
+    dva, dvm = [1j * v * np.conj(ibus - ydiag * v)], [v * np.conj(ydiag * e) + np.conj(ibus) * e]
+    for i, k in ((kid, par), (par, kid)):
+        dva.append(1j * v[i] * np.conj(y[kid] * v[k]))
+        dvm.append(v[i] * np.conj(-y[kid] * e[k]))
+    ds_dva, ds_dvm = (1 + 1j) * np.concatenate(dva), (1 + 1j) * np.concatenate(dvm)
+    vals = np.stack([ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag], axis=1)
+    return sp.csc_matrix((vals.ravel()[slot], indices, indptr), shape=(2 * v.size,) * 2)
+
+
+def _leaves_first(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """Per-bus pairs in tree order, interleaved leaves first (the reduced
+    Jacobian's rows and columns); ``_tree_order`` is the inverse."""
+    pairs = np.stack([top, bottom], axis=1)[::-1]
+    return pairs.reshape((-1,) + pairs.shape[2:])
+
+
+def _tree_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    pairs = x.reshape((-1, 2) + x.shape[1:])[::-1]
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _factor(jac: sp.csc_matrix, what: str) -> spla.SuperLU:
+    """Leaves-first factor with no pivoting, as ``mdistflow.FeederFactors``."""
+    try:
+        return spla.splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0, relax=2, panel_size=2)
+    except RuntimeError as exc:
+        raise PowerFlowError(f"singular {what}: {exc}") from exc
 
 
 def _branch_losses(net: Network, vc: np.ndarray) -> tuple[float, float]:
@@ -106,45 +185,36 @@ def newton_pf(
     default is a flat start at the slack voltage.
     """
     n = net.n_bus
-    if p is None or q is None:
-        dp, dq = net_injections(net)
-        p = dp if p is None else p
-        q = dq if q is None else q
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    dp, dq = net_injections(net) if p is None or q is None else (p, q)
+    p, q = (np.asarray(d if x is None else x, dtype=float) for x, d in ((p, dp), (q, dq)))
     if p.shape != (n - 1,) or q.shape != (n - 1,):
         raise ValueError("injection vectors must cover every non-slack bus")
 
     ybus = admittance(net)
     vm = np.full(n, net.v0) if v_start is None else np.array(v_start, dtype=float)
     va = np.zeros(n) if delta_start is None else np.array(delta_start, dtype=float)
-    vm[0] = net.v0
-    va[0] = 0.0
+    vm[0], va[0] = net.v0, 0.0
     s_spec = p + 1j * q
 
     def mismatch(vc):
-        mis = (vc * np.conj(ybus.dot(vc)))[1:] - s_spec
-        return np.concatenate([mis.real, mis.imag])
+        return (vc * np.conj(ybus.dot(vc)))[1:] - s_spec
 
     vc = vm * np.exp(1j * va)
     f = mismatch(vc)
     it = 0
-    while np.max(np.abs(f)) >= NEWTON_TOL:
+    while (worst := np.max(np.abs(f.view(float)), initial=0.0)) >= NEWTON_TOL:  # P and Q
         if it >= NEWTON_MAX_ITER:
             raise PowerFlowError(
-                f"power flow diverged: mismatch {np.max(np.abs(f)):.3e} "
-                f"after {NEWTON_MAX_ITER} iterations"
+                f"power flow diverged: mismatch {worst:.3e} after {NEWTON_MAX_ITER} iterations"
             )
-        j11, j12, j21, j22 = _jacobian_sparse(ybus, vc)
-        jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
-        try:
-            dx = spla.spsolve(jac, -f)
-        except RuntimeError as exc:
-            raise PowerFlowError(f"singular power-flow Jacobian: {exc}") from exc
+        turned = -(1 + 1j) * f  # on the Jacobian's rows P - Q, P + Q
+        dx = _factor(_tree_jacobian(net, vc), "power-flow Jacobian").solve(
+            _leaves_first(turned.real, turned.imag))
         if not np.all(np.isfinite(dx)):
             raise PowerFlowError("singular power-flow Jacobian (non-finite step)")
-        va[1:] += dx[:n - 1]
-        vm[1:] += dx[n - 1:]
+        d_va, d_vm = _tree_order(dx)
+        va[1:] += d_va
+        vm[1:] += d_vm
         vc = vm * np.exp(1j * va)
         f = mismatch(vc)
         it += 1
@@ -155,34 +225,23 @@ def newton_pf(
         v=vm, delta=va,
         slack_p=float(s_slack.real), slack_q=float(s_slack.imag),
         pl_exact=pl, ql_exact=ql,
-        iterations=it, max_mismatch=float(np.max(np.abs(f))),
+        iterations=it, max_mismatch=float(worst),
     )
-
-
-def _jacobian_sparse(ybus, vc):
-    """Blocks of dS/d(angle), dS/d|V| restricted to the non-slack buses."""
-    ibus = ybus.dot(vc)
-    dv = sp.diags(vc)
-    di = sp.diags(ibus)
-    dvnorm = sp.diags(vc / np.abs(vc))
-    ds_dva = 1j * dv @ (np.conj(di - ybus @ dv))
-    ds_dvm = dv @ np.conj(ybus @ dvnorm) + np.conj(di) @ dvnorm
-    ds_dva = sp.csr_matrix(ds_dva)[1:, 1:]
-    ds_dvm = sp.csr_matrix(ds_dvm)[1:, 1:]
-    return ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag
 
 
 def jacobian_at(net: Network, v: np.ndarray, delta: np.ndarray) -> JacobianBlocks:
     """Assemble the Jacobian blocks at an arbitrary operating point
     (not necessarily a converged one).
 
-    Dense O(n^2) reference for ``voltage_adjoint``; pricing does not use it.
+    Dense O(n^2) reference for ``voltage_adjoint``, from the same assembly
+    (``_tree_jacobian``) in tree order; pricing does not use it.
     """
     vc = np.asarray(v, dtype=float) * np.exp(1j * np.asarray(delta, dtype=float))
-    j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc)
+    m = net.n_bus - 1
+    jac = _tree_jacobian(net, vc).toarray().reshape(m, 2, m, 2)[::-1, :, ::-1]
+    dp, dq = (jac[:, 0] + jac[:, 1]) / 2, (jac[:, 1] - jac[:, 0]) / 2  # rows P, Q
     return JacobianBlocks(
-        dp_ddelta=j11.toarray(), dp_dv=j12.toarray(),
-        dq_ddelta=j21.toarray(), dq_dv=j22.toarray(),
+        dp_ddelta=dp[..., 0], dp_dv=dp[..., 1], dq_ddelta=dq[..., 0], dq_dv=dq[..., 1],
         bus_ids=tuple(tree_positions(net))[1:],
     )
 
@@ -192,36 +251,17 @@ def voltage_sensitivities(jb: JacobianBlocks) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (dV/dP, dV/dQ), the lower blocks of the inverse reduced Jacobian;
     entry [i, j] is the response of V_i to a unit active (reactive) injection
-    at bus j. Feeders hanging off the slack independently give a
-    block-diagonal Jacobian, so the inverse is taken per connected component.
+    at bus j.
 
     Dense O(n^2)-memory, O(n^3)-time reference for ``voltage_adjoint``;
     pricing does not use it.
     """
     m = len(jb.bus_ids)
-    coupling = (
-        np.abs(jb.dp_ddelta) + np.abs(jb.dp_dv)
-        + np.abs(jb.dq_ddelta) + np.abs(jb.dq_dv)
-    )
-    n_comp, labels = csgraph.connected_components(
-        sp.csr_matrix(coupling + coupling.T), directed=False
-    )
-    dv_dp = np.zeros((m, m))
-    dv_dq = np.zeros((m, m))
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
-        k = len(idx)
-        jac = np.block([
-            [jb.dp_ddelta[np.ix_(idx, idx)], jb.dp_dv[np.ix_(idx, idx)]],
-            [jb.dq_ddelta[np.ix_(idx, idx)], jb.dq_dv[np.ix_(idx, idx)]],
-        ])
-        try:
-            jinv = np.linalg.inv(jac)
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowError(f"singular reduced Jacobian: {exc}") from exc
-        dv_dp[np.ix_(idx, idx)] = jinv[k:, :k]
-        dv_dq[np.ix_(idx, idx)] = jinv[k:, k:]
-    return dv_dp, dv_dq
+    try:
+        jinv = np.linalg.inv(np.block([[jb.dp_ddelta, jb.dp_dv], [jb.dq_ddelta, jb.dq_dv]]))
+    except np.linalg.LinAlgError as exc:
+        raise PowerFlowError(f"singular reduced Jacobian: {exc}") from exc
+    return jinv[m:, :m], jinv[m:, m:]
 
 
 def voltage_adjoint(
@@ -234,31 +274,27 @@ def voltage_adjoint(
 
     ``v``/``delta`` are full-bus vectors at any operating point; the rows of
     ``u`` (shape ``(m,)`` or ``(m, k)``) and of the results are the m
-    non-slack buses. The reduced Jacobian J is factored once by sparse LU
-    and J^T y = [0; u] is solved, so that y = [dV/dP^T u; dV/dQ^T u] (the
-    adjoint form of the lower blocks of J^-1). Feeders hanging off the slack
-    give a block-diagonal J, which the factorization handles as is.
+    non-slack buses. The reduced Jacobian J (``_tree_jacobian``) is factored
+    once, leaves first with no pivoting and no fill, and J^T y = [0; u] is
+    solved, so that y = [dV/dP^T u; dV/dQ^T u] (the adjoint form of the lower
+    blocks of J^-1); as nothing pivots, the solve's residual is checked.
+    Feeders meet only at the slack, so J's factor is the feeders' factors.
     """
     m = net.n_bus - 1
     u = np.asarray(u, dtype=float)
     if u.shape[0] != m:
         raise ValueError("u must have one row per non-slack bus")
     vc = np.asarray(v, dtype=float) * np.exp(1j * np.asarray(delta, dtype=float))
-    # a zero voltage makes vc/|vc| undefined; the factorization or the
-    # finiteness check below reports the singular Jacobian
-    with np.errstate(invalid="ignore", divide="ignore"):
-        j11, j12, j21, j22 = _jacobian_sparse(admittance(net), vc)
-    jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
-    try:
-        lu = spla.splu(jac)
-    except RuntimeError as exc:
-        raise PowerFlowError(f"singular reduced Jacobian: {exc}") from exc
-    rhs = np.zeros((2 * m,) + u.shape[1:])
-    rhs[m:] = u
-    y = lu.solve(rhs, trans="T")
+    jac = _tree_jacobian(net, vc)
+    rhs = _leaves_first(np.zeros_like(u), u)
+    y = _factor(jac, "reduced Jacobian").solve(rhs, trans="T")
     if not np.all(np.isfinite(y)):
         raise PowerFlowError("singular reduced Jacobian: non-finite solution")
-    return y[:m], y[m:]
+    resid = np.max(np.abs(jac.T @ y - rhs), initial=0.0)
+    if resid > 1e-8 * max(1.0, np.max(np.abs(y), initial=0.0)):
+        raise PowerFlowError(f"ill-conditioned reduced Jacobian: solve residual {resid:.3e}")
+    y_diff, y_sum = _tree_order(y)  # multipliers of the rows P - Q and P + Q
+    return y_diff + y_sum, y_sum - y_diff
 
 
 def slack_costs(net: Network) -> tuple[float, float]:
@@ -290,19 +326,12 @@ def fd_price_oracle(
         raise ValueError("price oracle is defined for non-slack buses")
     c0p, c0q = slack_costs(net)
     k = tree_positions(net)[bus] - 1
-    if p is None or q is None:
-        dp, dq = net_injections(net)
-        p = dp if p is None else np.asarray(p, dtype=float)
-        q = dq if q is None else np.asarray(q, dtype=float)
+    dp, dq = net_injections(net) if p is None or q is None else (p, q)
     costs = []
     for sign in (+1.0, -1.0):
-        pp = np.array(p, dtype=float)
-        qq = np.array(q, dtype=float)
+        pp, qq = (np.array(d if x is None else x, dtype=float) for x, d in ((p, dp), (q, dq)))
         # a load increment is an injection decrement
-        if axis == "p":
-            pp[k] -= sign * ORACLE_EPS
-        else:
-            qq[k] -= sign * ORACLE_EPS
+        (pp if axis == "p" else qq)[k] -= sign * ORACLE_EPS
         try:
             st = newton_pf(net, pp, qq, v_start=v_start, delta_start=delta_start)
         except PowerFlowError as exc:

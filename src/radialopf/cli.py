@@ -26,6 +26,7 @@ import json
 import multiprocessing
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -227,11 +228,12 @@ def _network(args) -> Network:
                           Path(args.case_dir) if args.case_dir else None)
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path, name: str, chunks: Iterable[str]) -> Path:
     path = out_dir / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise NetworkError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
@@ -263,7 +265,7 @@ def cmd_pf(args) -> int:
             _fmt(state.delta[i]), _fmt(ac.delta[i]),
         ]))
     out_dir = Path(args.out)
-    _write(out_dir, "pf_comparison.csv", "\n".join(rows) + "\n")
+    _write(out_dir, "pf_comparison.csv", ("\n".join(rows) + "\n",))
     summary = {
         "buses": net.n_bus,
         "max_voltage_error[pu]": float(np.max(np.abs(state.v - ac.v))),
@@ -277,7 +279,7 @@ def cmd_pf(args) -> int:
         },
         "ac_iterations": ac.iterations,
     }
-    _write(out_dir, "pf_summary.json", json.dumps(summary, indent=1))
+    _write(out_dir, "pf_summary.json", (json.dumps(summary, indent=1),))
     print(f"max |V_model - V_ac| = {summary['max_voltage_error[pu]']:.3e} pu")
     return EXIT_OK
 
@@ -304,7 +306,7 @@ def cmd_opf(args) -> int:
             str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base), _fmt(cost_p), _fmt(cost_q),
         ]))
     out_dir = Path(args.out)
-    _write(out_dir, "opf_dispatch.csv", "\n".join(rows) + "\n")
+    _write(out_dir, "opf_dispatch.csv", ("\n".join(rows) + "\n",))
     cert = prob.certificate
     # runtime stays off the report files so reruns are byte-identical
     summary = {
@@ -322,7 +324,7 @@ def cmd_opf(args) -> int:
         # the rated branches whose thermal row presolve keeps
         "thermal_rows": prob.n_quad,
     }
-    _write(out_dir, "opf_summary.json", json.dumps(summary, indent=1))
+    _write(out_dir, "opf_summary.json", (json.dumps(summary, indent=1),))
     print(f"objective {sol.objective_value:.2f} $ in {sol.stats.iterations} "
           f"iterations ({sol.stats.runtime_seconds:.2f}s)")
     return EXIT_OK
@@ -413,11 +415,11 @@ def cmd_price(args) -> int:
 
     out_dir = Path(args.out)
     if args.format == "json":
-        _write(out_dir, "prices.json", pricing.price_table_to_json(pt, extra=extra))
-        _write(out_dir, "settlement.json", pricing.settlement_to_json(reports))
+        _write(out_dir, "prices.json", (pricing.price_table_to_json(pt, extra=extra),))
+        _write(out_dir, "settlement.json", (pricing.settlement_to_json(reports),))
     else:
         _write(out_dir, "prices.csv", pricing.price_table_to_csv(pt, extra=extra))
-        _write(out_dir, "settlement.csv", pricing.settlement_to_csv(reports))
+        _write(out_dir, "settlement.csv", (pricing.settlement_to_csv(reports),))
     for r in reports:
         print(f"{r.mechanism}: revenue {r.revenue:.2f} $, payment {r.payment:.2f} $, "
               f"over-collection {r.ocl:.4f} $")
@@ -426,7 +428,7 @@ def cmd_price(args) -> int:
 
 def cmd_duplicate(args) -> int:
     net = _network(args)
-    _write(Path(args.out), args.name, netmodel.to_json(net))
+    _write(Path(args.out), args.name, (netmodel.to_json(net),))
     print(f"{net.n_bus} buses, {net.records.from_bus.size} branches")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -238,12 +239,7 @@ def settle(
         np.sum(price_p * gen_p * scale) + np.sum(price_q * gen_q * scale)
         + c0p * slack_gen_p + c0q * slack_gen_q
     )
-    return SettlementReport(
-        mechanism=mechanism,
-        revenue=revenue,
-        payment=payment,
-        ocl=revenue - payment,
-    )
+    return SettlementReport(mechanism, revenue, payment, ocl=revenue - payment)
 
 
 def compute_price_table(
@@ -279,25 +275,33 @@ PRICE_COLUMNS = [
     "dpl_dp", "dpl_dq", "dql_dp", "dql_dq",
     "alloc_pl_p[pu]", "alloc_ql_p[pu]", "alloc_pl_q[pu]", "alloc_ql_q[pu]",
 ]
+#: rows of the price table per text chunk of ``price_table_to_csv``
+CSV_CHUNK_ROWS = 256
 
 
-def _value_rows(pt: PriceTable, extra: dict[str, np.ndarray]) -> list[list[float]]:
+def _value_rows(pt: PriceTable, extra: dict[str, np.ndarray],
+                rows: slice = slice(None)) -> list[list[float]]:
     """Every column of ``PRICE_COLUMNS`` but ``bus`` (the ``PriceTable``
     fields in declaration order), then the ``extra`` columns, one list per
-    bus."""
+    bus of ``rows``."""
     cols = [getattr(pt, f.name) for f in fields(pt)[1:]]
-    return np.column_stack([*cols, *extra.values()]).tolist()
+    return np.column_stack([c[rows] for c in (*cols, *extra.values())]).tolist()
 
 
-def price_table_to_csv(pt: PriceTable, extra: dict[str, np.ndarray] | None = None) -> str:
-    """CSV with one row per bus; ``extra`` appends named columns (e.g. oracle
-    errors)."""
+def price_table_to_csv(pt: PriceTable, extra: dict[str, np.ndarray] | None = None
+                       ) -> Iterator[str]:
+    """CSV with one row per bus, as text chunks of the header and then of at
+    most ``CSV_CHUNK_ROWS`` rows each, so the table is never held as text
+    whole; ``extra`` appends named columns (e.g. oracle errors)."""
     extra = extra or {}
     buf = io.StringIO()
     _csv.writer(buf, lineterminator="\n").writerow(PRICE_COLUMNS + list(extra))
+    yield buf.getvalue()
     fmt = "%d" + ",%.10g" * (len(PRICE_COLUMNS) - 1 + len(extra)) + "\n"
-    buf.writelines(fmt % (b, *row) for b, row in zip(pt.bus_ids, _value_rows(pt, extra)))
-    return buf.getvalue()
+    for lo in range(0, len(pt.bus_ids), CSV_CHUNK_ROWS):
+        rows = slice(lo, lo + CSV_CHUNK_ROWS)
+        yield "".join(fmt % (b, *row)
+                      for b, row in zip(pt.bus_ids[rows], _value_rows(pt, extra, rows)))
 
 
 def price_table_to_json(pt: PriceTable, extra: dict[str, np.ndarray] | None = None) -> str:
@@ -311,19 +315,9 @@ def price_table_to_json(pt: PriceTable, extra: dict[str, np.ndarray] | None = No
 
 
 def settlement_to_json(reports: list[SettlementReport]) -> str:
-    doc = {
-        "format": "radialopf-settlement-v1",
-        "reports": [
-            {
-                "mechanism": r.mechanism,
-                "revenue[$]": r.revenue,
-                "payment[$]": r.payment,
-                "ocl[$]": r.ocl,
-            }
-            for r in reports
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    rows = [{"mechanism": r.mechanism, "revenue[$]": r.revenue, "payment[$]": r.payment,
+             "ocl[$]": r.ocl} for r in reports]
+    return json.dumps({"format": "radialopf-settlement-v1", "reports": rows}, indent=1)
 
 
 def settlement_to_csv(reports: list[SettlementReport]) -> str:

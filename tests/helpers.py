@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from radialopf import mdistflow, mdopf, netmodel, pricing, qcqpsolver
+from radialopf import acpf, mdistflow, mdopf, netmodel, pricing, qcqpsolver
 from radialopf.netmodel import Columns, Generator, Network
 from radialopf.qcqpsolver import OpfSolution, QcqpProblem
 
@@ -167,6 +167,61 @@ def pivoting_factor(kkt, matrix, failure):
     unpivoted factor: SuperLU factors the KKT ``matrix`` in its own column
     order with partial pivoting, and solves are not refined."""
     return spla.splu(matrix).solve
+
+
+def _jacobian_sparse(ybus, vc):
+    """Blocks of dS/d(angle), dS/d|V| restricted to the non-slack buses, by
+    MATPOWER's product chain (``dSbus_dV``): the reference for
+    ``acpf._tree_jacobian``."""
+    ibus = ybus.dot(vc)
+    dv = sp.diags(vc)
+    di = sp.diags(ibus)
+    dvnorm = sp.diags(vc / np.abs(vc))
+    ds_dva = 1j * dv @ (np.conj(di - ybus @ dv))
+    ds_dvm = dv @ np.conj(ybus @ dvnorm) + np.conj(di) @ dvnorm
+    ds_dva = sp.csr_matrix(ds_dva)[1:, 1:]
+    ds_dvm = sp.csr_matrix(ds_dvm)[1:, 1:]
+    return ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag
+
+
+def reference_jacobian(net, vc) -> sp.csc_matrix:
+    """The reduced Jacobian at full-bus voltages ``vc`` by the product chain,
+    in block layout: rows P then Q, columns angle then |V|, each block in
+    tree order."""
+    j11, j12, j21, j22 = _jacobian_sparse(acpf.admittance(net), vc)
+    return sp.bmat([[j11, j12], [j21, j22]], format="csc")
+
+
+def leaves_first_permutation(m: int) -> np.ndarray:
+    """Block-layout index of each leaves-first row or column of the tree
+    Jacobian: position 2(m-1-i) holds bus i's angle column (its P - Q row)
+    and the next its |V| column (its P + Q row)."""
+    bus = np.arange(m)[::-1]
+    return np.column_stack([bus, m + bus]).ravel()
+
+
+def reference_newton_pf(net, v_start, delta_start):
+    """Newton-Raphson on the product-chain Jacobian with a COLAMD, pivoting
+    sparse solve per step, at the loads: the reference for ``acpf.newton_pf``.
+    Returns (v, delta, iterations)."""
+    p, q = netmodel.net_injections(net)
+    ybus = acpf.admittance(net)
+    n = net.n_bus
+    vm, va = np.array(v_start, dtype=float), np.array(delta_start, dtype=float)
+    vm[0], va[0] = net.v0, 0.0
+    vc = vm * np.exp(1j * va)
+    it = 0
+    while True:
+        mis = (vc * np.conj(ybus.dot(vc)))[1:] - (p + 1j * q)
+        f = np.concatenate([mis.real, mis.imag])
+        if np.max(np.abs(f)) < acpf.NEWTON_TOL:
+            return vm, va, it
+        assert it < acpf.NEWTON_MAX_ITER
+        dx = spla.spsolve(reference_jacobian(net, vc), -f)
+        va[1:] += dx[:n - 1]
+        vm[1:] += dx[n - 1:]
+        vc = vm * np.exp(1j * va)
+        it += 1
 
 
 def quad_rows(p: QcqpProblem) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from radialopf import acpf, netmodel
+from radialopf import acpf, mdistflow, netmodel
 from radialopf.acpf import OracleError, PowerFlowError
 from radialopf.netmodel import build_path_incidence
 
 from helpers import (
-    branch_records, bus_records, bus_row, mk_case, random_tree_network, with_records,
+    Branch, Bus, branch_records, bus_records, bus_row, chain_network, leaves_first_permutation,
+    mk_case, network, random_tree_network, reference_jacobian, reference_newton_pf,
+    with_records,
 )
 
 
@@ -253,3 +257,134 @@ def test_random_tree_balance():
     st = acpf.newton_pf(net)
     p_inj = sum(-b.p_load for b in bus_records(net) if b.id != net.slack)
     assert abs(st.slack_p + p_inj - st.pl_exact) < 1e-9
+
+
+def _spur_network():
+    """Bus 2 hangs straight off the slack; bus 3 heads a feeder of three."""
+    buses = [Bus(id=i) for i in range(1, 6)]
+    branches = [Branch(1, 2, 0.01, 0.02), Branch(1, 3, 0.02, 0.01),
+                Branch(3, 4, 0.01, 0.03), Branch(3, 5, 0.03, 0.01)]
+    return network(buses, branches, slack=1)
+
+
+def _star_network(n):
+    """Every non-slack bus hangs straight off the slack: n - 1 feeders of one bus."""
+    return network([Bus(id=i) for i in range(1, n + 1)],
+                   [Branch(1, i, 0.01 * i, 0.02) for i in range(2, n + 1)], slack=1)
+
+
+# derandomized trees: random feeders of many shapes, several feeders on one
+# slack, a bus straight off the slack, the 2-bus network and a deep chain
+TREES = {
+    **{f"random-{k}": (lambda k=k: random_tree_network(np.random.default_rng(k), 3 + 7 * k))
+       for k in range(14)},
+    **{f"feeders-{k}": (lambda k=k: netmodel.duplicate_system(
+        random_tree_network(np.random.default_rng(100 + k), 12), 2 + k, seed=k))
+       for k in range(3)},
+    "spur": _spur_network,
+    "star": lambda: _star_network(6),
+    "two-bus": lambda: _star_network(2),
+    "chain-300": lambda: chain_network(300, 10),
+    "chain-feeders": lambda: netmodel.duplicate_system(chain_network(40, 10), 3, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_tree_jacobian_matches_product_chain(name):
+    """At a non-converged point, the tree Jacobian is the product chain's
+    with each bus's rows turned to P - Q and P + Q, in leaves-first order,
+    and ``jacobian_at`` is the product chain's; the factor has no fill, and
+    the adjoint solve matches a pivoting solve of the product chain."""
+    net = TREES[name]()
+    rng = np.random.default_rng(list(TREES).index(name))
+    m = net.n_bus - 1
+    v = 1.0 + 0.05 * rng.standard_normal(net.n_bus)
+    delta = 0.05 * rng.standard_normal(net.n_bus)
+    vc = v * np.exp(1j * delta)
+    jac, ref = acpf._tree_jacobian(net, vc), reference_jacobian(net, vc)
+    turned = sp.vstack([ref[:m] - ref[m:], ref[:m] + ref[m:]]).tocsr()  # rows P - Q, P + Q
+    perm = leaves_first_permutation(m)
+    scale = abs(ref).max()
+    assert abs(jac - turned[perm][:, perm]).max() <= 1e-12 * scale
+    jb = acpf.jacobian_at(net, v, delta)
+    dense = np.block([[jb.dp_ddelta, jb.dp_dv], [jb.dq_ddelta, jb.dq_dv]])
+    assert np.max(np.abs(dense - ref.toarray())) <= 1e-12 * scale
+    lu = acpf._factor(jac, "reduced Jacobian")
+    assert lu.L.nnz + lu.U.nnz <= jac.nnz + 2 * m
+    u = rng.standard_normal((m, 2))
+    adj_p, adj_q = acpf.voltage_adjoint(net, v, delta, u)
+    y = spla.splu(ref).solve(np.vstack([np.zeros((m, 2)), u]), trans="T")
+    err = max(np.max(np.abs(adj_p - y[:m])), np.max(np.abs(adj_q - y[m:])))
+    assert err <= 1e-10 * np.max(np.abs(y))
+
+
+def test_jacobian_pattern_is_built_once():
+    """The pattern is memoized on the network: 2 x 2 blocks for each bus and
+    two for each branch between non-slack buses."""
+    net = _spur_network()
+    pattern = acpf._jacobian_pattern(net)
+    assert acpf._jacobian_pattern(net) is pattern
+    assert not any(a.flags.writeable for a in pattern)
+    assert acpf._tree_jacobian(net, np.ones(net.n_bus, dtype=complex)).nnz == 4 * 4 + 8 * 2
+
+
+@pytest.mark.parametrize("stress", ["heavy load x1.5", "impedance x2.9"])
+def test_newton_matches_reference_iterations(case33_psp, stress):
+    """Criterion 2's stressed cases take the iterations of Newton-Raphson on
+    the product chain with a pivoting solve, and reach its solution."""
+    net = (netmodel.scale_loads(case33_psp, 1.5) if stress.startswith("heavy")
+           else netmodel.scale_impedance(case33_psp, 2.9))
+    sm = mdistflow.solve_fixed_load(net)
+    st = acpf.newton_pf(net, v_start=sm.v, delta_start=sm.delta)
+    v, delta, iterations = reference_newton_pf(net, sm.v, sm.delta)
+    assert st.iterations == iterations
+    assert np.max(np.abs(st.v - v)) < 1e-9 and np.max(np.abs(st.delta - delta)) < 1e-9
+
+
+def test_voltage_adjoint_ill_conditioned_factor_is_reported():
+    """Across a branch with r = x, a leaf turned 90° from its parent at 1 pu
+    has a nonsingular block whose first turned pivot, dP/dθ - dQ/dθ, is 0;
+    just off that angle the unpivoted factor's solve misses its residual
+    bound, and that is reported, not returned."""
+    net = netmodel.parse_matpower_case(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=0.1), bus_row(3, pd=0.1)],
+        [[1, 2, 0.01, 0.03, 0, 0], [2, 3, 0.01, 0.01, 0, 0]]))
+    delta = np.array([0.0, 0.0, np.pi / 2 + 1e-13])
+    with pytest.raises(PowerFlowError, match="ill-conditioned reduced Jacobian: solve residual"):
+        acpf.voltage_adjoint(net, np.ones(3), delta, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("x,r", [(0.0, 0.01), (0.01, 0.0)], ids=["resistive", "reactive"])
+def test_pure_resistance_or_reactance_feeder_solves_and_prices(x, r):
+    """A branch with x = 0 (r = 0) feeding buses with no reactive (active)
+    load leaves dP/dθ (dP/d|V|) of those buses about 0 at the solution; the
+    turned rows keep the unpivoted factor's pivots away from 0, so Newton
+    takes the pivoting reference's iterations and the adjoint solve matches
+    a pivoting solve of the product chain."""
+    qd, pd = (0.0, 0.1) if x == 0.0 else (0.05, 0.0)
+    net = netmodel.parse_matpower_case(mk_case(
+        [bus_row(1, 3), bus_row(2, pd=0.1, qd=0.05), bus_row(3, pd=pd, qd=qd),
+         bus_row(4, pd=pd / 2, qd=qd / 2)],
+        [[1, 2, 0.01, 0.03, 0, 0], [2, 3, r, x, 0, 0], [3, 4, 2 * r, 2 * x, 0, 0]],
+    ))
+    st = acpf.newton_pf(net)
+    v, delta, iterations = reference_newton_pf(net, np.ones(4), np.zeros(4))
+    assert st.iterations == iterations and np.max(np.abs(st.v - v)) < 1e-9
+    u = np.random.default_rng(1).standard_normal((3, 2))
+    adj_p, adj_q = acpf.voltage_adjoint(net, st.v, st.delta, u)
+    y = spla.splu(reference_jacobian(net, st.v * np.exp(1j * st.delta))).solve(
+        np.vstack([np.zeros((3, 2)), u]), trans="T")
+    assert max(np.max(np.abs(adj_p - y[:3])), np.max(np.abs(adj_q - y[3:]))) <= \
+        1e-10 * np.max(np.abs(y))
+
+
+def test_admittance_is_memoized_read_only(case33):
+    ybus = acpf.admittance(case33)
+    assert acpf.admittance(case33) is ybus
+    assert not any(a.flags.writeable for a in (ybus.data, ybus.indices, ybus.indptr))
+
+
+def test_newton_on_slack_only_network():
+    """The slack alone leaves no mismatch to reduce: no iteration and no error."""
+    st = acpf.newton_pf(netmodel.parse_matpower_case(mk_case([bus_row(1, 3)], [])))
+    assert st.iterations == 0 and st.max_mismatch == 0.0 and st.v.tolist() == [1.0]

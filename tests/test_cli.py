@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,10 @@ def _unreadable_input(tmp_path, case):
         bad = tmp_path / "bad.m"
         bad.write_bytes(b"mpc.baseMVA = 1;\n\xff\xfe\n")
         return ["validate", "--case", str(bad)]
+    if case == "prices_csv_dir":  # the streamed report's file cannot be opened
+        (tmp_path / "out" / "prices.csv").mkdir(parents=True)
+        return ["price", "--case", "case33.m", "--psp-cost-p", "30", "--psp-cost-q", "3",
+                "--out", str(tmp_path / "out")]
     blocker = tmp_path / "file"
     blocker.write_text("")
     return ["pf", "--case", "case33.m", "--out", str(blocker / "out")]
@@ -174,13 +179,39 @@ def _unreadable_input(tmp_path, case):
     ("scenario_dir", "cannot read {tmp}"),
     ("case_not_utf8", "cannot read {tmp}/bad.m: 'utf-8' codec"),
     ("out_under_file", "cannot write {tmp}/file/out/"),
-], ids=["scenario_dir", "case_not_utf8", "out_under_file"])
+    ("prices_csv_dir", "cannot write {tmp}/out/prices.csv: [Errno 21]"),
+], ids=["scenario_dir", "case_not_utf8", "out_under_file", "prices_csv_dir"])
 def test_os_and_decode_errors_are_one_line_data_error(tmp_path, capsys, case, says):
     code = run(_unreadable_input(tmp_path, case))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("data error: " + says.format(tmp=tmp_path))
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_prices_csv_is_written_in_bounded_memory(tmp_path, monkeypatch):
+    """case69 x70 with four DGs per copy (4,761 buses): writing prices.csv
+    allocates at most 0.6 MiB at its peak, as its rows are formatted and
+    written in chunks; formatting the whole table's text at once peaks at
+    3.4 MiB."""
+    peaks = {}
+    write = cli._write
+
+    def traced(out_dir, name, chunks):
+        tracemalloc.start()
+        try:
+            return write(out_dir, name, chunks)
+        finally:
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write", traced)
+    dgs = [a for bus in (27, 35, 46, 65) for a in ("--dg", f"{bus}:0.2:0.1:25:2")]
+    assert run(["price", "--case", "case69.m", "--psp-v", "1.05", "--psp-cost-p", "30",
+                "--psp-cost-q", "3", *dgs, "--copies", "70", "--seed", "42",
+                "--mechanism", "both", "--out", str(tmp_path)]) == 0
+    assert read(tmp_path / "prices.csv").count("\n") == 4761
+    assert peaks["prices.csv"] <= 0.6 * 2**20
 
 
 def test_cli_runs_as_module_without_warning():

@@ -386,7 +386,7 @@ def test_price_table_serialization(case33_psp):
     ti = build_path_incidence(case33_psp)
     state = mdf.solve_fixed_load(case33_psp)
     pt = pricing.compute_price_table(case33_psp, state)
-    csv_text = pricing.price_table_to_csv(pt)
+    csv_text = "".join(pricing.price_table_to_csv(pt))
     lines = csv_text.strip().split("\n")
     assert len(lines) == 1 + ti.n
     assert lines[0].startswith("bus,dlmp_p[$ per MWh]")
@@ -412,8 +412,24 @@ def test_price_table_writers_match_per_cell_reference():
         "dlmp_p_rel_err": np.r_[np.nan, np.inf, -0.0, rng.random(n - 3)],
     }
     for ex in (None, extra):
-        assert pricing.price_table_to_csv(pt, extra=ex) == reference_price_table_to_csv(pt, ex)
+        assert "".join(pricing.price_table_to_csv(pt, extra=ex)) == \
+            reference_price_table_to_csv(pt, ex)
         assert pricing.price_table_to_json(pt, extra=ex) == reference_price_table_to_json(pt, ex)
+
+
+@pytest.mark.parametrize("n", [0, 1, pricing.CSV_CHUNK_ROWS - 1, pricing.CSV_CHUNK_ROWS,
+                               pricing.CSV_CHUNK_ROWS + 1])
+def test_price_table_csv_streams_chunks(n):
+    """The header, then chunks of at most ``CSV_CHUNK_ROWS`` rows, whose join
+    is the per-cell reference, at table sizes around the chunk length."""
+    rng = np.random.default_rng(n)
+    pt = pricing.PriceTable(tuple(range(1, n + 1)), *rng.normal(size=(12, n)))
+    extra = {"oracle_p[$ per MWh]": rng.normal(size=n)}
+    chunks = list(pricing.price_table_to_csv(pt, extra=extra))
+    assert len(chunks) == 1 + -(-n // pricing.CSV_CHUNK_ROWS)
+    assert chunks[0] == reference_price_table_to_csv(pt, extra).partition("\n")[0] + "\n"
+    assert all(0 < c.count("\n") <= pricing.CSV_CHUNK_ROWS for c in chunks[1:])
+    assert "".join(chunks) == reference_price_table_to_csv(pt, extra)
 
 
 def test_full_scale_settlement_magnitude(case33_psp):
