@@ -6,8 +6,8 @@ native JSON format) with each value that the scenario sets in place of the
 case's, then duplicated if the scenario asks for copies. A scenario comes
 from a declarative JSON file and from flags, one ``Scenario`` field per
 value; a flag overrides only its own value, and a value that neither sets
-keeps the case's. The command then runs its study and writes CSV/JSON
-reports.
+keeps the case's. The command then runs its study and writes its reports,
+each table in chunks through ``pricing.table_to_csv`` (``prices.json`` too).
 
 Exit codes: 0 success, 1 data error (including a scenario or network JSON
 with a missing or unknown key or a wrongly typed or sized value, and a file
@@ -240,10 +240,6 @@ def _write(out_dir: Path, name: str, chunks: Iterable[str]) -> Path:
     return path
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def cmd_validate(args) -> int:
     net = _network(args)
     print(f"ok: {net.n_bus} buses, {net.records.from_bus.size} branches, radial")
@@ -255,17 +251,13 @@ def cmd_pf(args) -> int:
     state = mdistflow.solve_fixed_load(net)
     ac = acpf.newton_pf(net, v_start=state.v, delta_start=state.delta)
     rep = mdistflow.losses(net, state)
-    rows = ["bus,v_model[pu],v_ac[pu],abs_err[pu],delta_model[rad],delta_ac[rad]"]
-    pos = netmodel.tree_positions(net)
-    for b in net.records.bus_id.tolist():  # the report's rows follow the case file
-        i = pos[b]
-        rows.append(",".join([
-            str(b), _fmt(state.v[i]), _fmt(ac.v[i]),
-            _fmt(abs(state.v[i] - ac.v[i])),
-            _fmt(state.delta[i]), _fmt(ac.delta[i]),
-        ]))
+    ids = net.records.bus_id.tolist()  # the report's rows follow the case file
+    at = list(map(netmodel.tree_positions(net).__getitem__, ids))
+    v, v_ac = state.v[at], ac.v[at]
     out_dir = Path(args.out)
-    _write(out_dir, "pf_comparison.csv", ("\n".join(rows) + "\n",))
+    _write(out_dir, "pf_comparison.csv", pricing.table_to_csv(
+        ["bus", "v_model[pu]", "v_ac[pu]", "abs_err[pu]", "delta_model[rad]", "delta_ac[rad]"],
+        ids, [v, v_ac, np.abs(v - v_ac), state.delta[at], ac.delta[at]]))
     summary = {
         "buses": net.n_bus,
         "max_voltage_error[pu]": float(np.max(np.abs(state.v - ac.v))),
@@ -297,16 +289,12 @@ def cmd_opf(args) -> int:
     net = _network(args)
     prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
-    base = net.base_power
-    rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
     vb, cols = mdopf.var_blocks(net), netmodel.columns(net)
-    for b, cost_p, cost_q in zip(vb.gens, cols.cost_p[vb.gen_w].tolist(),
-                                 cols.cost_q[vb.gen_w].tolist()):
-        rows.append(",".join([
-            str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base), _fmt(cost_p), _fmt(cost_q),
-        ]))
+    dispatch = [np.array([out[b] for b in vb.gens]) * net.base_power for out in (sol.pg, sol.qg)]
     out_dir = Path(args.out)
-    _write(out_dir, "opf_dispatch.csv", ("\n".join(rows) + "\n",))
+    _write(out_dir, "opf_dispatch.csv", pricing.table_to_csv(
+        ["bus", "pg[MW]", "qg[MVar]", "cost_p[$ per MWh]", "cost_q[$ per MVarh]"],
+        vb.gens, [*dispatch, cols.cost_p[vb.gen_w], cols.cost_q[vb.gen_w]]))
     cert = prob.certificate
     # runtime stays off the report files so reruns are byte-identical
     summary = {
@@ -415,7 +403,7 @@ def cmd_price(args) -> int:
 
     out_dir = Path(args.out)
     if args.format == "json":
-        _write(out_dir, "prices.json", (pricing.price_table_to_json(pt, extra=extra),))
+        _write(out_dir, "prices.json", pricing.price_table_to_json(pt, extra=extra))
         _write(out_dir, "settlement.json", (pricing.settlement_to_json(reports),))
     else:
         _write(out_dir, "prices.csv", pricing.price_table_to_csv(pt, extra=extra))

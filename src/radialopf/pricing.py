@@ -15,11 +15,13 @@ above the supply-point cost there. All per-bus arrays follow
 ``netmodel.path_incidence(net).order``, the package's one bus order without
 the slack; the state's full-bus arrays hold the slack first, so
 ``state.v[1:]`` lines up with them.
+
+Every report table (prices, settlement, and the ``pf`` and ``opf`` tables of
+``cli``) is written in chunks of ``CSV_CHUNK_ROWS`` rows by one writer,
+``table_to_csv``; ``prices.json`` takes the same chunks and is never built whole.
 """
 from __future__ import annotations
 
-import csv as _csv
-import io
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -275,43 +277,56 @@ PRICE_COLUMNS = [
     "dpl_dp", "dpl_dq", "dql_dp", "dql_dq",
     "alloc_pl_p[pu]", "alloc_ql_p[pu]", "alloc_pl_q[pu]", "alloc_ql_q[pu]",
 ]
-#: rows of the price table per text chunk of ``price_table_to_csv``
+#: rows per text chunk of a report table (``table_to_csv``, ``price_table_to_json``)
 CSV_CHUNK_ROWS = 256
 
 
-def _value_rows(pt: PriceTable, extra: dict[str, np.ndarray],
-                rows: slice = slice(None)) -> list[list[float]]:
-    """Every column of ``PRICE_COLUMNS`` but ``bus`` (the ``PriceTable``
-    fields in declaration order), then the ``extra`` columns, one list per
-    bus of ``rows``."""
+def _row_chunks(ids, cols: list[np.ndarray], row_fmt: str) -> Iterator[str]:
+    """Each row's id and values in ``row_fmt``, one text chunk per ``CSV_CHUNK_ROWS`` rows."""
+    for lo in range(0, len(ids), CSV_CHUNK_ROWS):
+        rows = slice(lo, lo + CSV_CHUNK_ROWS)
+        yield "".join(row_fmt % (i, *row) for i, row in
+                      zip(ids[rows], np.column_stack([c[rows] for c in cols]).tolist()))
+
+
+def table_to_csv(header: list[str], ids, cols: list[np.ndarray]) -> Iterator[str]:
+    """The one writer of every report table: the header line (no name needs
+    quoting), then chunks of at most ``CSV_CHUNK_ROWS`` rows, each row its id
+    and then its value in each of ``cols`` as ``%.10g``."""
+    yield ",".join(header) + "\n"
+    yield from _row_chunks(ids, cols, "%s" + ",%.10g" * len(cols) + "\n")
+
+
+def _price_table(pt: PriceTable, extra: dict[str, np.ndarray] | None):
+    """The price table's header, bus ids and value columns: the ``PriceTable``
+    fields in declaration order, then the ``extra`` columns."""
+    extra = extra or {}
     cols = [getattr(pt, f.name) for f in fields(pt)[1:]]
-    return np.column_stack([c[rows] for c in (*cols, *extra.values())]).tolist()
+    return PRICE_COLUMNS + list(extra), pt.bus_ids, cols + list(extra.values())
 
 
 def price_table_to_csv(pt: PriceTable, extra: dict[str, np.ndarray] | None = None
                        ) -> Iterator[str]:
-    """CSV with one row per bus, as text chunks of the header and then of at
-    most ``CSV_CHUNK_ROWS`` rows each, so the table is never held as text
-    whole; ``extra`` appends named columns (e.g. oracle errors)."""
-    extra = extra or {}
-    buf = io.StringIO()
-    _csv.writer(buf, lineterminator="\n").writerow(PRICE_COLUMNS + list(extra))
-    yield buf.getvalue()
-    fmt = "%d" + ",%.10g" * (len(PRICE_COLUMNS) - 1 + len(extra)) + "\n"
-    for lo in range(0, len(pt.bus_ids), CSV_CHUNK_ROWS):
-        rows = slice(lo, lo + CSV_CHUNK_ROWS)
-        yield "".join(fmt % (b, *row)
-                      for b, row in zip(pt.bus_ids[rows], _value_rows(pt, extra, rows)))
+    """One row per bus through ``table_to_csv``; ``extra`` appends named columns."""
+    return table_to_csv(*_price_table(pt, extra))
 
 
-def price_table_to_json(pt: PriceTable, extra: dict[str, np.ndarray] | None = None) -> str:
-    extra = extra or {}
-    doc = {
-        "format": "radialopf-prices-v1",
-        "columns": PRICE_COLUMNS + list(extra.keys()),
-        "rows": [[b, *row] for b, row in zip(pt.bus_ids, _value_rows(pt, extra))],
-    }
-    return json.dumps(doc, indent=1)
+def price_table_to_json(pt: PriceTable, extra: dict[str, np.ndarray] | None = None
+                        ) -> Iterator[str]:
+    """``json.dumps(doc, indent=1)`` of the ``radialopf-prices-v1`` document
+    with rows ``[bus, *values]``, in the chunks of ``table_to_csv``. A value
+    is its ``repr``: json's float format once ``nan``/``inf`` read ``NaN``/``Infinity``."""
+    header, ids, cols = _price_table(pt, extra)
+    head = json.dumps({"format": "radialopf-prices-v1", "columns": header, "rows": []},
+                      indent=1)
+    if not ids:
+        yield head
+        return
+    rows = (c.replace("nan", "NaN").replace("inf", "Infinity") for c in
+            _row_chunks(ids, cols, ",\n  [\n   %d" + ",\n   %r" * len(cols) + "\n  ]"))
+    yield head[:-len("]\n}")] + next(rows)[1:]  # no comma before the first row
+    yield from rows
+    yield "\n ]\n}"
 
 
 def settlement_to_json(reports: list[SettlementReport]) -> str:
@@ -321,10 +336,6 @@ def settlement_to_json(reports: list[SettlementReport]) -> str:
 
 
 def settlement_to_csv(reports: list[SettlementReport]) -> str:
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mechanism", "revenue[$]", "payment[$]", "ocl[$]"])
-    for r in reports:
-        writer.writerow([r.mechanism, f"{r.revenue:.10g}", f"{r.payment:.10g}",
-                         f"{r.ocl:.10g}"])
-    return buf.getvalue()
+    cols = [np.array([getattr(r, k) for r in reports]) for k in ("revenue", "payment", "ocl")]
+    return "".join(table_to_csv(["mechanism", "revenue[$]", "payment[$]", "ocl[$]"],
+                                [r.mechanism for r in reports], cols))

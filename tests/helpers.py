@@ -429,6 +429,49 @@ def reference_validate(net):
             for br in branches if parent.get(br.to_bus) != br.from_bus]
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.10g}"
+
+
+def reference_pf_comparison_csv(net, state, ac) -> str:
+    """Row-at-a-time reference for the ``pf`` command's ``pf_comparison.csv``:
+    one row per bus, in the case file's record order."""
+    rows = ["bus,v_model[pu],v_ac[pu],abs_err[pu],delta_model[rad],delta_ac[rad]"]
+    pos = netmodel.tree_positions(net)
+    for b in net.records.bus_id.tolist():
+        i = pos[b]
+        rows.append(",".join([
+            str(b), _fmt(state.v[i]), _fmt(ac.v[i]), _fmt(abs(state.v[i] - ac.v[i])),
+            _fmt(state.delta[i]), _fmt(ac.delta[i]),
+        ]))
+    return "\n".join(rows) + "\n"
+
+
+def reference_opf_dispatch_csv(net, sol) -> str:
+    """Row-at-a-time reference for the ``opf`` command's ``opf_dispatch.csv``:
+    one row per generator, the supply point first."""
+    base = net.base_power
+    rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
+    vb, cols = mdopf.var_blocks(net), netmodel.columns(net)
+    for b, cost_p, cost_q in zip(vb.gens, cols.cost_p[vb.gen_w].tolist(),
+                                 cols.cost_q[vb.gen_w].tolist()):
+        rows.append(",".join([
+            str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base), _fmt(cost_p), _fmt(cost_q),
+        ]))
+    return "\n".join(rows) + "\n"
+
+
+def reference_settlement_to_csv(reports) -> str:
+    """``csv.writer`` reference for ``pricing.settlement_to_csv``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["mechanism", "revenue[$]", "payment[$]", "ocl[$]"])
+    for r in reports:
+        writer.writerow([r.mechanism, f"{r.revenue:.10g}", f"{r.payment:.10g}",
+                         f"{r.ocl:.10g}"])
+    return buf.getvalue()
+
+
 def reference_price_table_to_csv(pt, extra=None):
     """Per-cell reference for ``pricing.price_table_to_csv``."""
     buf = io.StringIO()

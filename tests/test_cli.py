@@ -9,11 +9,15 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from radialopf import cli, netmodel, qcqpsolver
+from radialopf import acpf, cli, mdistflow, mdopf, netmodel, qcqpsolver
 
-from helpers import assert_same_network, bus_record, bus_records, bus_row, mk_case, rated_network
+from helpers import (
+    assert_same_network, bus_record, bus_records, bus_row, mk_case, rated_network,
+    reference_opf_dispatch_csv, reference_pf_comparison_csv,
+)
 
 
 def run(argv):
@@ -189,11 +193,9 @@ def test_os_and_decode_errors_are_one_line_data_error(tmp_path, capsys, case, sa
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_prices_csv_is_written_in_bounded_memory(tmp_path, monkeypatch):
-    """case69 x70 with four DGs per copy (4,761 buses): writing prices.csv
-    allocates at most 0.6 MiB at its peak, as its rows are formatted and
-    written in chunks; formatting the whole table's text at once peaks at
-    3.4 MiB."""
+def _price_69x70_write_peaks(tmp_path, monkeypatch, *flags) -> dict[str, int]:
+    """``price`` on case69 x70 with four DGs per copy (4,761 buses, seed 42):
+    the tracemalloc peak of writing each report file, by name."""
     peaks = {}
     write = cli._write
 
@@ -209,9 +211,27 @@ def test_prices_csv_is_written_in_bounded_memory(tmp_path, monkeypatch):
     dgs = [a for bus in (27, 35, 46, 65) for a in ("--dg", f"{bus}:0.2:0.1:25:2")]
     assert run(["price", "--case", "case69.m", "--psp-v", "1.05", "--psp-cost-p", "30",
                 "--psp-cost-q", "3", *dgs, "--copies", "70", "--seed", "42",
-                "--mechanism", "both", "--out", str(tmp_path)]) == 0
+                "--mechanism", "both", *flags, "--out", str(tmp_path)]) == 0
+    return peaks
+
+
+def test_prices_csv_is_written_in_bounded_memory(tmp_path, monkeypatch):
+    """Writing prices.csv for 4,761 buses allocates at most 0.6 MiB at its
+    peak, as its rows are formatted and written in chunks; formatting the
+    whole table's text at once peaks at 3.4 MiB."""
+    peaks = _price_69x70_write_peaks(tmp_path, monkeypatch)
     assert read(tmp_path / "prices.csv").count("\n") == 4761
     assert peaks["prices.csv"] <= 0.6 * 2**20
+
+
+def test_prices_json_is_written_in_bounded_memory(tmp_path, monkeypatch):
+    """Writing prices.json for 4,761 buses allocates at most 0.6 MiB at its
+    peak, as the document is formatted and written in the chunks of the CSV
+    table; building the whole document first peaks at 9.7 MiB, and writing
+    its text at 1.6 MiB more."""
+    peaks = _price_69x70_write_peaks(tmp_path, monkeypatch, "--format", "json")
+    assert len(json.loads(read(tmp_path / "prices.json"))["rows"]) == 4760
+    assert peaks["prices.json"] <= 0.6 * 2**20
 
 
 def test_cli_runs_as_module_without_warning():
@@ -237,6 +257,52 @@ def test_pf_outputs(tmp_path):
     assert lines[0].split(",")[:3] == ["bus", "v_model[pu]", "v_ac[pu]"]
     summary = json.loads(read(tmp_path / "pf_summary.json"))
     assert summary["max_voltage_error[pu]"] < 0.005
+
+
+def _shuffled_network_json(tmp_path) -> str:
+    """case69 x3 (seed 1) as a network JSON whose buses and branches are
+    listed in a random order."""
+    net = cli.apply_scenario(cli.Scenario(case="case69.m", copies=3, seed=1))
+    doc = json.loads(netmodel.to_json(net))
+    rng = np.random.default_rng(5)
+    for key in ("buses", "branches"):
+        doc[key] = [doc[key][i] for i in rng.permutation(len(doc[key]))]
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_DG69 = ["--psp-v", "1.05", "--psp-cost-p", "30", "--psp-cost-q", "3",
+         "--dg", "27:0.2:0.1:25:2", "--dg", "65:0.2:0.1:25:2"]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("pf", ["--case", "case69.m", *_DG69, "--copies", "3", "--seed", "1"]),
+    ("pf", ["--case", "shuffled"]),
+    ("opf", ["--case", "case69.m", *_DG69, "--copies", "3", "--seed", "1"]),
+    ("opf", ["--case", "case33.m", "--psp-v", "1.05", "--psp-cost-p", "30",
+             "--psp-cost-q", "3"]),
+    ("opf", ["--case", "shuffled", *_DG69]),
+], ids=["pf-69x3-dgs", "pf-shuffled", "opf-69x3-dgs", "opf-slack-only", "opf-shuffled"])
+def test_pf_and_opf_tables_match_row_reference(tmp_path, command, flags):
+    """``pf_comparison.csv`` and ``opf_dispatch.csv`` hold the bytes of their
+    row-at-a-time references; on the shuffled network JSON the ``pf`` rows
+    follow its bus records."""
+    flags = [_shuffled_network_json(tmp_path) if f == "shuffled" else f for f in flags]
+    argv = [command, *flags]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+    net = cli._network(cli.build_parser().parse_args(argv))
+    if command == "pf":
+        state = mdistflow.solve_fixed_load(net)
+        ac = acpf.newton_pf(net, v_start=state.v, delta_start=state.delta)
+        got = read(tmp_path / "out" / "pf_comparison.csv")
+        assert got == reference_pf_comparison_csv(net, state, ac)
+        bus_ids = [int(line.partition(",")[0]) for line in got.splitlines()[1:]]
+        assert bus_ids == [b.id for b in bus_records(net)]
+    else:
+        _, sol, _ = mdopf.solve_opf(net)
+        got = read(tmp_path / "out" / "opf_dispatch.csv")
+        assert got == reference_opf_dispatch_csv(net, sol)
 
 
 def test_pf_heavy_load_scenario(tmp_path):

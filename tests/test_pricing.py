@@ -11,7 +11,7 @@ from radialopf.pricing import PricingError
 from helpers import (
     Bus, branch_records, bus_record, bus_records, dense_loss_factors, network, path_matrix,
     random_tree_network, reference_price_table_to_csv, reference_price_table_to_json,
-    with_records,
+    reference_settlement_to_csv, with_records,
 )
 
 
@@ -391,7 +391,7 @@ def test_price_table_serialization(case33_psp):
     assert len(lines) == 1 + ti.n
     assert lines[0].startswith("bus,dlmp_p[$ per MWh]")
     import json
-    doc = json.loads(pricing.price_table_to_json(pt))
+    doc = json.loads("".join(pricing.price_table_to_json(pt)))
     assert len(doc["rows"]) == ti.n
     reports = [pricing.settle(case33_psp, state, (pt.dlp_p, pt.dlp_q), "lam")]
     assert "mechanism" in pricing.settlement_to_csv(reports)
@@ -399,8 +399,9 @@ def test_price_table_serialization(case33_psp):
 
 
 def test_price_table_writers_match_per_cell_reference():
-    """Row-at-a-time writers give the bytes of the per-cell reference,
-    including NaN, infinities, negative zero and extra columns."""
+    """The chunked writers give the bytes of the per-cell reference,
+    including NaN, infinities, negative zero and extra columns, and the
+    settlement table those of ``csv.writer``, down to round-off cells."""
     rng = np.random.default_rng(9)
     n = 50
     vals = rng.normal(size=(12, n)) * 10.0 ** rng.integers(-15, 15, size=(12, n))
@@ -414,22 +415,38 @@ def test_price_table_writers_match_per_cell_reference():
     for ex in (None, extra):
         assert "".join(pricing.price_table_to_csv(pt, extra=ex)) == \
             reference_price_table_to_csv(pt, ex)
-        assert pricing.price_table_to_json(pt, extra=ex) == reference_price_table_to_json(pt, ex)
+        assert "".join(pricing.price_table_to_json(pt, extra=ex)) == \
+            reference_price_table_to_json(pt, ex)
+    reports = [pricing.SettlementReport("mlm", 9431.336, 9028.2124, 403.1236),
+               pricing.SettlementReport("lam", 8978.57, 8978.57, 1.421085472e-14),
+               pricing.SettlementReport("lam", -1.8189894035458565e-12, -0.0, np.nan),
+               pricing.SettlementReport("mlm", np.inf, -np.inf, 1e300)]
+    for rep in ([], reports[:1], reports):
+        assert pricing.settlement_to_csv(rep) == reference_settlement_to_csv(rep)
 
 
 @pytest.mark.parametrize("n", [0, 1, pricing.CSV_CHUNK_ROWS - 1, pricing.CSV_CHUNK_ROWS,
                                pricing.CSV_CHUNK_ROWS + 1])
 def test_price_table_csv_streams_chunks(n):
     """The header, then chunks of at most ``CSV_CHUNK_ROWS`` rows, whose join
-    is the per-cell reference, at table sizes around the chunk length."""
+    is the per-cell reference, at table sizes around the chunk length; the
+    JSON document comes in as many chunks of as many rows, NaN, infinite and
+    negative-zero cells included."""
     rng = np.random.default_rng(n)
-    pt = pricing.PriceTable(tuple(range(1, n + 1)), *rng.normal(size=(12, n)))
+    vals = rng.normal(size=(12, n))
+    if n:
+        vals.flat[:4] = [np.nan, np.inf, -np.inf, -0.0]
+    pt = pricing.PriceTable(tuple(range(1, n + 1)), *vals)
     extra = {"oracle_p[$ per MWh]": rng.normal(size=n)}
     chunks = list(pricing.price_table_to_csv(pt, extra=extra))
     assert len(chunks) == 1 + -(-n // pricing.CSV_CHUNK_ROWS)
     assert chunks[0] == reference_price_table_to_csv(pt, extra).partition("\n")[0] + "\n"
     assert all(0 < c.count("\n") <= pricing.CSV_CHUNK_ROWS for c in chunks[1:])
     assert "".join(chunks) == reference_price_table_to_csv(pt, extra)
+    chunks = list(pricing.price_table_to_json(pt, extra=extra))
+    assert len(chunks) == 1 + -(-n // pricing.CSV_CHUNK_ROWS)
+    assert all(c.count("\n  [") <= pricing.CSV_CHUNK_ROWS for c in chunks)
+    assert "".join(chunks) == reference_price_table_to_json(pt, extra)
 
 
 def test_full_scale_settlement_magnitude(case33_psp):
