@@ -23,11 +23,9 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import multiprocessing
 import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -342,6 +340,10 @@ def _oracle_sweep(net, state, sol, jobs: int):
     point = (p, q, state.v, state.delta)
     tasks = [(b, axis) for b in netmodel.path_incidence(net).order for axis in ("p", "q")]
     if jobs > 1:
+        # the pool is imported here: no other run pays for its modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # one worker per CPU at most, and never more workers than tasks
         workers = min(jobs, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(

@@ -287,8 +287,11 @@ def build_path_incidence(net: Network) -> PathIncidence:
          (np.concatenate([np.arange(n), parent[child]]), np.concatenate([np.arange(n), child]))),
         shape=(n, n),
     )
-    # one-column supernodes: the factor stores I - A and L's unit diagonal only
-    t = spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1)
+    # one-column supernodes: the factor stores I - A and L's unit diagonal only;
+    # one-column panels give the same factor without the default 10-column
+    # panel workspace
+    t = spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1,
+                  panel_size=1)
     return PathIncidence(tree.order, t, parent, cols.r, cols.x, cols.i_max)
 
 

@@ -223,21 +223,21 @@ class _Kkt:
     of that coupling (for the OPF, its feeders), found once per solve. Each
     iteration forms each component's block 2H_c + K_c' W_c K_c (K_c its rows
     of J and M stacked) as one dense product, components of one shape in one
-    stacked product, and writes it into the one CSC pattern that every
-    matrix shares (each block's entries, A_eq, A_eq' and -delta I, zeros
-    included). Each matrix is factored in that order with no pivoting: a
-    quasi-definite matrix has a stable LDL' factorization in every symmetric
-    order, but its solves can leave componentwise residuals far above
-    round-off (5e-9 on the last KKT matrix of case69 x10), so each solve
-    takes one step of iterative refinement (Gill, Saunders & Shinnerl, SIAM
-    J. Matrix Anal. Appl. 1996). Equality rows that meet every variable
-    belong last: the rows before them are eliminated without filling in
-    across components.
+    stacked product, and writes it into the values of the one CSC matrix,
+    built once per solve, that every call returns (each block's entries,
+    A_eq, A_eq' and -delta I, zeros included). Each matrix is factored in
+    that order with no pivoting: a quasi-definite matrix has a stable LDL'
+    factorization in every symmetric order, but its solves can leave
+    componentwise residuals far above round-off (5e-9 on the last KKT matrix
+    of case69 x10), so each solve takes one step of iterative refinement
+    (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 1996). Equality
+    rows that meet every variable belong last: the rows before them are
+    eliminated without filling in across components.
     """
 
     def __init__(self, p: QcqpProblem, delta: float):
         n, self.seconds = p.n_vars, 0.0
-        self.size = size = n + p.n_eq
+        size = n + p.n_eq
         # quadratic row k's gradient row holds the union of its rows of M;
         # ``slot`` is each entry of M's place in the gradient rows
         m = self.m = p.quad_m.tocsr()
@@ -247,6 +247,9 @@ class _Kkt:
         key, self.slot = np.unique(quad[self.m_row] * n + m.indices, return_inverse=True)
         grad = sp.csr_matrix((np.ones(key.size), np.divmod(key, n)), shape=(p.n_quad, n))
         self.jac = jac = sp.vstack([p.a_in.tocsr(), grad], format="csr")
+        # J' and A_eq' once per solve: J' shares J's values, which ``jacobian``
+        # rewrites in place
+        self.jac_t, self.a_eq_t = jac.T, p.a_eq.T
         self.n_lin, self.z_at = jac.nnz - grad.nnz, p.n_in + quad
         stack = sp.vstack([jac, m], format="csr")
         h, a = p.h.tocoo(), p.a_eq.tocoo()
@@ -297,14 +300,14 @@ class _Kkt:
                                n + a.row, a.col, eq])
         cols = np.concatenate([*(np.tile(b, (1, b.shape[1])).ravel() for b in blocks),
                                a.col, n + a.row, eq])
-        pattern = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), (size, size))
-        self.indices, self.indptr = pattern.indices, pattern.indptr
+        kkt = self.kkt = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                                       (size, size))
         slot = np.empty(rows.size, dtype=np.intp)
-        slot[pattern.data.astype(np.intp) - 1] = np.arange(rows.size)
+        slot[kkt.data.astype(np.intp) - 1] = np.arange(rows.size)
         n_block = rows.size - 2 * a.nnz - p.n_eq
         self.vary = slot[:n_block]
-        self.data = np.zeros(rows.size)
-        self.data[slot[n_block:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
+        kkt.data[:] = 0.0
+        kkt.data[slot[n_block:]] = np.concatenate([a.data, a.data, np.full(p.n_eq, -delta)])
 
     def jacobian(self, x: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
         """J at ``x`` (only its quadratic rows' gradients 2 M_k'(c_k + M_k x) move)
@@ -317,7 +320,7 @@ class _Kkt:
     def matrix(self, diag: float, d=None, z=None) -> sp.csc_matrix:
         """The KKT matrix with (1,1) block ``diag`` I, plus 2H + J' diag(``d``) J
         + M' diag(2 ``z``) M at the last ``jacobian`` when ``d`` and ``z`` are
-        given. It overwrites the values of the matrix the previous call returned."""
+        given. Every call returns the same matrix with its values overwritten."""
         w = None if d is None else np.concatenate([d, 2.0 * z[self.z_at]])
         values = []
         for var_idx, row_idx, src, dst, h_block, kd in self.groups:
@@ -329,8 +332,8 @@ class _Kkt:
                 block = h_block + np.matmul(kd.transpose(0, 2, 1), kd * w[row_idx][:, :, None])
             block[:, np.arange(v), np.arange(v)] += diag
             values.append(block.ravel())
-        self.data[self.vary] = np.concatenate(values)
-        return sp.csc_matrix((self.data, self.indices, self.indptr), (self.size, self.size))
+        self.kkt.data[self.vary] = np.concatenate(values)
+        return self.kkt
 
     def factor(self, kkt: sp.csc_matrix, failure: str):
         """Factor ``kkt``, a matrix of ``matrix``; returns its solve function.
@@ -377,7 +380,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
         np.concatenate([np.zeros(n), p.b_eq]))[:n]
     jac, r = kkt.jacobian(x)
     sol = kkt.factor(kkt.matrix(delta, np.ones(mi), np.ones(mi)), "start factorization failed")(
-        np.concatenate([-(2.0 * (p.h @ x) + p.g) - jac.T @ r, p.b_eq - p.a_eq @ x]))
+        np.concatenate([-(2.0 * (p.h @ x) + p.g) - kkt.jac_t @ r, p.b_eq - p.a_eq @ x]))
     dx, y = sol[:n], sol[n:]
     z = r + jac @ dx
     x = x + dx
@@ -392,7 +395,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
 
     for it in range(1, cfg.max_iter + 1):
         hx = p.h @ x
-        rd = 2.0 * hx + p.g + jac.T @ z + p.a_eq.T @ y
+        rd = 2.0 * hx + p.g + kkt.jac_t @ z + kkt.a_eq_t @ y
         rp = p.a_eq @ x - p.b_eq
         rs = values + s
         mu = s @ z / max(mi, 1)
@@ -420,7 +423,7 @@ def solve(p: QcqpProblem, cfg: SolverConfig | None = None) -> OpfSolution:
                                f"KKT factorization failed at iteration {it}")
 
         def newton_step(rc):
-            r1 = -rd - jac.T @ (d * rs - rc / s)
+            r1 = -rd - kkt.jac_t @ (d * rs - rc / s)
             sol = kkt_solve(np.concatenate([r1, -rp]))
             dx = sol[:n]
             ds = -rs - jac @ dx

@@ -274,14 +274,17 @@ def assert_kkt_matches_reference(p: QcqpProblem, rng: np.random.Generator) -> No
     each iteration's of one solve, and one at a random point where the
     first quadratic row's c + M x is exactly 0 (its ``quad_c`` set to
     -M x there), so that its gradient holds explicit zeros. Every matrix
-    keeps the one stored pattern."""
+    keeps the one stored pattern, and the stored J' follows J at every
+    point."""
     delta = qcqpsolver.REGULARIZATION
     jacobian, matrix = qcqpsolver._Kkt.jacobian, qcqpsolver._Kkt.matrix
     at, built = [], []
 
     def record_x(self, x):
         at.append(x.copy())
-        return jacobian(self, x)
+        jac, values = jacobian(self, x)
+        assert (self.jac_t != jac.T).nnz == 0
+        return jac, values
 
     def compare(self, diag, d=None, z=None):
         kkt = matrix(self, diag, d, z)

@@ -248,6 +248,36 @@ def test_cli_runs_as_module_without_warning():
     assert done.stdout.startswith("ok: 33 buses")
 
 
+def test_only_a_pooled_sweep_imports_the_process_pool(tmp_path):
+    """Importing the CLI and running an ``opf`` or an unpooled ``price``
+    study loads neither ``multiprocessing`` nor the process pool of
+    ``concurrent.futures``; only ``price --oracle --jobs N`` with N > 1
+    uses them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = """if True:
+        import sys
+        pool = ("multiprocessing", "concurrent.futures.process")
+
+        def loaded():
+            return [m for m in pool if m in sys.modules]
+
+        from radialopf import cli
+        assert not loaded(), loaded()
+        psp = ["--psp-v", "1.05", "--psp-cost-p", "30", "--psp-cost-q", "3"]
+        assert cli.main(["opf", "--case", "case33.m", *psp, "--out", sys.argv[1]]) == 0
+        assert not loaded(), loaded()
+        assert cli.main(["price", "--case", "case33.m", *psp, "--oracle", "--jobs", "1",
+                         "--mechanism", "both", "--out", sys.argv[1]]) == 0
+        assert not loaded(), loaded()
+    """
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "opf_dispatch.csv").exists() and (tmp_path / "prices.csv").exists()
+
+
 def test_pf_outputs(tmp_path):
     code = run(["pf", "--case", "case33.m", "--psp-v", "1.05",
                 "--out", str(tmp_path)])
@@ -970,7 +1000,7 @@ class _RecordingPool:
 def test_oracle_pool_bounded_by_cpus_and_tasks(tmp_path, monkeypatch, cpus, workers):
     # case33 has 32 non-slack buses, so the sweep has 64 tasks
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "_oracle_point", None)
     code = run(["price", "--case", "case33.m", "--psp-v", "1.05", "--oracle",

@@ -7,6 +7,8 @@ from dataclasses import replace
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from radialopf import mdopf, netmodel
@@ -286,6 +288,38 @@ def test_path_incidence_is_linear_on_a_deep_feeder():
     assert retained < 2 * 1024 * 1024
     assert ti.t.L.nnz == n and ti.t.U.nnz <= 2 * n
     assert ti.t.nnz <= 3 * n
+
+
+def _default_panel_factor(ti):
+    """SuperLU's factor of I - A (A[parent_pos[k], k] = 1) with the options
+    of ``build_path_incidence`` but SuperLU's default 10-column panels."""
+    n, child = ti.n, np.flatnonzero(ti.parent_pos >= 0)
+    i_minus_a = sp.identity(n, format="csc") - sp.csc_matrix(
+        (np.ones(child.size), (ti.parent_pos[child], child)), shape=(n, n))
+    return spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1)
+
+
+def test_path_incidence_factor_matches_default_panel(case69):
+    """The one-column panels of ``build_path_incidence`` change only
+    SuperLU's workspace: on random trees, on feeders duplicated many times
+    and on a 3,000-bus chain, the factor has the default panel's L, U and
+    nonzero counts, and its solves are bitwise equal in both transposes."""
+    rng = np.random.default_rng(44)
+    nets = [random_tree_network(rng, int(rng.integers(2, 400))) for _ in range(30)]
+    nets += [duplicate_system(case69, 70, seed=1), duplicate_system(case69, 100, seed=1),
+             duplicate_system(chain_network(500, 100), 20, seed=1), chain_network(3000, 100)]
+    for net in nets:
+        ti = build_path_incidence(net)
+        ref = _default_panel_factor(ti)
+        assert (ti.t.L.nnz, ti.t.U.nnz, ti.t.nnz) == (ref.L.nnz, ref.U.nnz, ref.nnz)
+        assert (ti.t.L != ref.L).nnz == 0 and (ti.t.U != ref.U).nnz == 0
+        rhs = rng.standard_normal((ti.n, 3))
+        for trans in ("N", "T"):
+            assert np.array_equal(ti.t.solve(rhs, trans=trans), ref.solve(rhs, trans=trans))
+            assert np.array_equal(ti.t.solve(rhs[:, 0], trans=trans),
+                                  ref.solve(rhs[:, 0], trans=trans))
+    # case69 x100: 6,800 branch rows, 6,700 of them below another branch
+    assert nets[31].n_bus == 6801 and build_path_incidence(nets[31]).t.nnz == 20300
 
 
 def relabelled(net, rng):
