@@ -339,13 +339,13 @@ def _oracle_sweep(net, state, sol, jobs: int):
     p, q = netmodel.net_injections(net, sol.pg, sol.qg)
     point = (p, q, state.v, state.delta)
     tasks = [(b, axis) for b in netmodel.path_incidence(net).order for axis in ("p", "q")]
-    if jobs > 1:
+    # one worker per CPU at most, and never more workers than tasks
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         # the pool is imported here: no other run pays for its modules
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # one worker per CPU at most, and never more workers than tasks
-        workers = min(jobs, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
             initializer=_oracle_init, initargs=(netmodel.to_json(net), *point),

@@ -14,7 +14,9 @@ kept thermal row is a sum of squares in the outputs,
 ||c_l + M_l x||^2 <= i_max^2, with M_l the rows of S at the branch's Pbr
 and Qbr and c_l the load-only flows there. The objective is the generation
 cost with the voltage weights eliminated through the closed-form affine
-voltage map, which leaves a quadratic form over the generator variables.
+voltage map, which leaves a quadratic form over the generator variables:
+their buses' common-path resistance and reactance, two triangular solves
+with the path incidence's factor per generator slot (``build_objective``).
 
 Presolve screens the rows over the box of generator outputs that the
 generator-box rows and the voltage rows at generator buses allow (as LP
@@ -342,7 +344,13 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
 
     The linear part carries the slack cost (at the fixed slack voltage) and
     the generator costs weighted by the load-only voltage profile; H is the
-    symmetrized quadratic left by the affine voltage response to generation.
+    symmetrized quadratic left by the affine voltage response to generation,
+    the common-path resistance and reactance between generator buses (the
+    paper's T_g' diag(r) T_g and T_g' diag(x) T_g), block diagonal by feeder
+    since feeders meet only at the slack. Slot s puts a unit e_s at the s-th
+    generator bus of every feeder; one solve T e_s and one transposed solve
+    of [r o T e_s, x o T e_s] with ``PathIncidence.t`` give its sums at the
+    feeder's generator buses. O(n) memory per slot; T is never formed.
     """
     lay = var_blocks(net)
     n_vars = lay.n_vars
@@ -352,38 +360,30 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     g[lay.pg] = net.v0 * cols.cost_p[0] * base
     g[lay.qg] = net.v0 * cols.cost_q[0] * base
 
-    dg = lay.gens[1:]
-    if not dg:
+    n_dg = len(lay.gens) - 1
+    if not n_dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
-    try:
-        load_w = mdistflow.load_factors(net).state
-    except mdistflow.MdfError as exc:
-        raise MdopfError(f"load-only voltage profile unavailable: {exc}") from exc
-    vd = 2.0 - load_w[lay.gen_w[1:]]
-    cp = cols.cost_p[lay.gen_w[1:]]
-    cq = cols.cost_q[lay.gen_w[1:]]
-    n_dg = len(dg)
+    w = lay.gen_w[1:]
+    vd, cp, cq = 2.0 - mdistflow.load_factors(net).state[w], cols.cost_p[w], cols.cost_q[w]
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
-    # the path matrix T at the generator columns: the branch rows on each
-    # generator bus's path to the slack
     ti = netmodel.path_incidence(net)
-    parent = np.asarray(ti.parent_pos, dtype=int)
-    rows, cols = [], []
-    k, j = lay.gen_w[1:] - 1, np.arange(n_dg)
-    while k.size:  # one level up per pass, every generator at once
-        rows.append(k)
-        cols.append(j)
-        up = parent[k]
-        k, j = up[up >= 0], j[up >= 0]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    t_g = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(ti.n, n_dg))
-    # the common-path resistance and reactance between generator buses;
-    # feeders meet only at the slack, so both are block diagonal by feeder
-    a_g = t_g.T @ t_g.multiply(ti.r[:, None])
-    b_g = t_g.T @ t_g.multiply(ti.x[:, None])
-    m = sp.bmat([[a_g.multiply(cp), a_g.multiply(cq)],
-                 [b_g.multiply(cp), b_g.multiply(cq)]], format="csr") * base
+    row = w - 1
+    feeder = np.cumsum(ti.parent_pos < 0)[row]  # preorder keeps feeders contiguous
+    first, end = np.searchsorted(feeder, feeder), np.searchsorted(feeder, feeder, "right")
+    pairs = []
+    for s in range((end - first).max()):
+        u = np.zeros(ti.n)
+        u[row[np.arange(n_dg) - first == s]] = 1.0
+        on_path = ti.t.solve(u)
+        common = ti.t.solve(np.column_stack([ti.r * on_path, ti.x * on_path]), trans="T")
+        i = np.flatnonzero(end - first > s)  # the generators of feeders with an s-th one
+        pairs.append((i, first[i] + s, common[row[i]]))
+    i, j, ab = (np.concatenate(p) for p in zip(*pairs))
+    m = sp.csr_matrix((np.concatenate([ab[:, 0] * cp[j], ab[:, 0] * cq[j],
+                                       ab[:, 1] * cp[j], ab[:, 1] * cq[j]]) * base,
+                       (np.concatenate([i, i, i + n_dg, i + n_dg]),
+                        np.concatenate([j, j + n_dg, j, j + n_dg]))), shape=(2 * n_dg, 2 * n_dg))
     block = sp.coo_matrix(0.5 * (m + m.T))
     block.eliminate_zeros()
     idx = np.concatenate([lay.pg + 1 + np.arange(n_dg), lay.qg + 1 + np.arange(n_dg)])

@@ -20,7 +20,7 @@ from a network is memoized on the instance (``per_network``).
 The paper writes every branch flow and voltage drop through the path matrix
 T, whose entry (i, k) is 1 when branch i lies on the path from bus k to the
 slack. T is the inverse of the unit upper-triangular branch-parent
-incidence I - A, so T is never formed: each product with T or T' is one
+incidence I - A, so no module forms T: each product with T or T' is one
 triangular solve with I - A, which has at most 2n nonzeros for n branches,
 while T has one nonzero per (bus, ancestor) pair, quadratic in n on a deep
 feeder.

@@ -998,7 +998,8 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1), (1000, 64)])
 def test_oracle_pool_bounded_by_cpus_and_tasks(tmp_path, monkeypatch, cpus, workers):
-    # case33 has 32 non-slack buses, so the sweep has 64 tasks
+    # case33 has 32 non-slack buses, so the sweep has 64 tasks; one worker
+    # (cpu_count None counts as one CPU) runs the sweep in process, with no pool
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -1006,7 +1007,20 @@ def test_oracle_pool_bounded_by_cpus_and_tasks(tmp_path, monkeypatch, cpus, work
     code = run(["price", "--case", "case33.m", "--psp-v", "1.05", "--oracle",
                 "--jobs", "100000", "--mechanism", "mlm", "--out", str(tmp_path)])
     assert code == 0
-    assert _RecordingPool.max_workers == [workers]
+    assert _RecordingPool.max_workers == ([workers] if workers > 1 else [])
+
+
+def test_oracle_sweep_of_the_supply_point_alone(tmp_path):
+    """A network of the supply point alone has no oracle point, so even a
+    pooled sweep starts no worker and the run exits 0."""
+    case = tmp_path / "slack.m"
+    case.write_text(mk_case([bus_row(1, 3, pd=0.01, qd=0.005)], [],
+                            gen_rows=[[1, 0, 0, 10, -10, 1, 10, 1, 10, 0]],
+                            gencost_rows=[[2, 0, 0, 2, 30, 0]]))
+    code = run(["price", "--case", str(case), "--oracle", "--jobs", "2",
+                "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert read(tmp_path / "out" / "prices.csv").count("\n") == 1  # the header
 
 
 def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
@@ -1019,6 +1033,7 @@ def test_oracle_sweep_serializes_network_once(tmp_path, monkeypatch):
         return to_json(net)
 
     monkeypatch.setattr(netmodel, "to_json", counting)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on a one-CPU machine too
     code = run(["price", "--case", "case33.m", "--psp-v", "1.05",
                 "--psp-cost-p", "30", "--psp-cost-q", "3", "--copies", "2",
                 "--oracle", "--jobs", "2", "--mechanism", "mlm", "--out", str(tmp_path)])

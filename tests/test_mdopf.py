@@ -11,8 +11,8 @@ from radialopf.mdopf import MdopfError
 from radialopf.netmodel import Generator, build_path_incidence
 
 from helpers import (
-    assert_kkt_matches_reference, branch_records, bus_record, bus_row, chain_network,
-    dense_objective_h, kkt_residuals, mk_case, path_matrix, pivoting_factor, quad_values,
+    Branch, Bus, assert_kkt_matches_reference, branch_records, bus_record, bus_row, chain_network,
+    dense_objective_h, kkt_residuals, mk_case, network, path_matrix, pivoting_factor, quad_values,
     random_tree_network, rated_network, reference_build, reference_evaluate_cost,
     reference_extract_duals, reference_feeder_factors, reference_psd_projection,
     reference_recover_dispatch, tree_buses, unit_columns, unscreened_balance_prices,
@@ -343,6 +343,57 @@ def test_objective_matches_dense_random_trees():
         net = random_tree_network(rng, int(rng.integers(2, 60)), gen_frac=0.5)
         assert_objective_matches_dense(net)
         assert_objective_matches_dense(netmodel.duplicate_system(net, 3, seed=1))
+
+
+def test_objective_matches_dense_deep_chain():
+    # one feeder with 30 DGs (30 slots), then three such feeders
+    net = chain_network(300, 10)
+    assert_objective_matches_dense(net)
+    assert_objective_matches_dense(netmodel.duplicate_system(net, 3, seed=1))
+
+
+def _dg(cost_p, cost_q):
+    return Generator(0.0, 0.02, 0.0, 0.01, cost_p, cost_q)
+
+
+def test_objective_matches_dense_uneven_feeders():
+    # four feeders holding 4, 0, 1 and 2 DGs, so slots 1 to 3 skip feeders
+    # and the DG-less one takes no slot
+    dgs = {2: _dg(21.0, 1.0), 5: _dg(22.0, 2.0), 6: _dg(23.0, 0.5), 7: _dg(24.0, 3.0),
+           12: _dg(25.0, 1.5), 14: _dg(26.0, 2.5), 15: _dg(27.0, 0.0)}
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7), (1, 8), (8, 9), (9, 10),
+             (1, 11), (11, 12), (1, 13), (13, 14), (13, 15)]
+    buses = [Bus(1)] + [Bus(k, 0.01, 0.005, gen=dgs.get(k)) for k in range(2, 16)]
+    branches = [Branch(a, b, 0.01 + 0.003 * k, 0.02 - 0.001 * k) for k, (a, b) in enumerate(edges)]
+    net = netmodel.with_slack_costs(network(buses, branches, slack=1), 30.0, 3.0)
+    assert_objective_matches_dense(net)
+    assert_objective_matches_dense(netmodel.duplicate_system(net, 3, seed=1))
+
+
+def test_objective_matches_dense_lossless_branch_parts():
+    # branches with r = 0 or x = 0: common paths of zero resistance or
+    # reactance leave zero entries, dropped on both sides
+    edges = [(1, 2, 0.0, 0.02), (2, 3, 0.01, 0.0), (3, 4, 0.0, 0.03), (2, 5, 0.02, 0.0),
+             (5, 6, 0.01, 0.01)]
+    buses = [Bus(1)] + [Bus(k, 0.01, 0.005, gen=_dg(20.0 + k, k - 2.0)) for k in range(2, 7)]
+    net = netmodel.with_slack_costs(
+        network(buses, [Branch(*e) for e in edges], slack=1), 30.0, 3.0)
+    assert_objective_matches_dense(net)
+
+
+def test_objective_memory_on_a_deep_feeder():
+    # one 3,000-bus feeder with 299 DGs, whose blocks are dense (357,604
+    # entries): the path matrix's generator columns (451,200 entries, one
+    # per generator-ancestor pair) and their Gram products peaked at 36 MiB
+    net = chain_network(3000, 10)
+    mdopf.var_blocks(net)  # the rows and the load factor, memoized outside the trace
+    tracemalloc.start()
+    try:
+        mdopf.build_objective(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
 
 
 def test_objective_memory_grows_with_feeders_not_generators(case69):
