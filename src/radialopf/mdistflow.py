@@ -138,6 +138,11 @@ class FeederFactors:
     row is ``at`` (-1 for the slack's) and of each state column ``place``
     (W0 last, past the block); ``feeder`` numbers each position's feeder.
     ``state`` is the solution at the slack voltage ``net.v0``.
+
+    It holds the rows only as SuperLU's factor ``lu``. The flow rows are
+    freed before SuperLU factors them, once W0's column is copied out, and
+    the leaves-first matrix it factors is freed after the residual check of
+    ``state``. ``solve_units`` solves its packed slots one at a time.
     """
 
     def __init__(self, net: Network, p: np.ndarray, q: np.ndarray):
@@ -150,9 +155,11 @@ class FeederFactors:
         self.at = np.full(rows.count, -1, dtype=np.int32)
         self.place = np.full(3 * n + 1, 3 * n, dtype=np.int32)
         self.at[self.eqs] = self.place[self.cols] = np.arange(3 * n)
+        w0_col = a[:, [0]].toarray()[:, 0]  # W0 in the top drops
         # a's entries at their positions, compressed by column: W0's column,
         # placed last, is cut off and the slack's rows are zeroed out
         m = sp.csr_matrix((a.data, self.place[a.indices], a.indptr), shape=a.shape).tocsc()
+        del a  # W0's column is all the solves read of it: free it before splu
         m = sp.csc_matrix((m.data, self.at[m.indices], m.indptr[:-1]), shape=(3 * n, 3 * n))
         m.data[m.indices < 0] = 0.0
         m.eliminate_zeros()
@@ -160,17 +167,17 @@ class FeederFactors:
             self.lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0, relax=2, panel_size=2)
         except RuntimeError as exc:
             raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
-        del m  # SuperLU keeps its own copy; free this one before the solves
         # a preorder keeps each feeder contiguous, so in leaves-first order a
         # feeder's rows end at its top bus: number the feeders in that order
         top = (np.asarray(ti.parent_pos, dtype=int) < 0)[::-1]
         self.feeder = np.repeat(np.cumsum(top) - top, 3)
         w0 = 2.0 - net.v0
-        self.state = -w0 * self.solve_state(a[:, [0]].toarray()[:, 0])  # W0 in the top drops
+        self.state = -w0 * self.solve_state(w0_col)
         self.state[0] = w0
         if not np.all(np.isfinite(self.state)):
             raise MdfError("singular modified power-flow matrix (non-finite solution)")
-        resid = np.max(np.abs((a @ self.state)[self.eqs]), initial=0.0)
+        # the factored rows at the state: m on the block, W0's column at W0
+        resid = np.max(np.abs(m @ self.state[self.cols] + w0 * w0_col[self.eqs]), initial=0.0)
         if resid > 1e-8 * max(1.0, np.max(np.abs(self.state))):
             raise MdfError(
                 f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
@@ -186,9 +193,11 @@ class FeederFactors:
     def solve_units(self, bal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``solve_state`` for a unit in each row of ``bal``, packed: a column
         reaches only the feeder of its row, so the k-th column that reaches
-        each feeder shares slot k of one right-hand side with the others
-        (Curtis, Powell & Reid 1974). Returns X, per position and slot, and
-        each feeder's column per slot (-1 where it has fewer)."""
+        each feeder shares slot k with the others, one right-hand side (Curtis,
+        Powell & Reid 1974). The slots are solved one at a time into X, so
+        SuperLU neither copies an all-slot right-hand side nor allocates a
+        work array of its size. Returns X, per position and slot, and each
+        feeder's column per slot (-1 where it has fewer)."""
         pos = self.at[bal]
         col = np.flatnonzero(pos >= 0)
         col = col[np.argsort(self.feeder[pos[col]], kind="stable")]
@@ -196,9 +205,14 @@ class FeederFactors:
         slot = np.arange(col.size) - np.searchsorted(feeder, feeder)
         slot_col = np.full((self.feeder.max(initial=-1) + 1, slot.max(initial=-1) + 1), -1)
         slot_col[feeder, slot] = col
-        rhs = np.zeros((self.cols.size, slot_col.shape[1]))
-        rhs[pos[col], slot] = 1.0
-        return self.lu.solve(rhs), slot_col
+        x = np.empty((self.cols.size, slot_col.shape[1]))
+        rhs = np.zeros(self.cols.size)
+        for k in range(x.shape[1]):
+            units = pos[col[slot == k]]
+            rhs[units] = 1.0
+            x[:, k] = self.lu.solve(rhs)
+            rhs[units] = 0.0
+        return x, slot_col
 
     def solve_transposed(self, r: np.ndarray) -> np.ndarray:
         """Multipliers y of the factored rows with A' y = ``r`` on the

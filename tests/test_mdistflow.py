@@ -290,6 +290,28 @@ def test_singular_matrix_reported():
         mdf.solve_fixed_load(net)
 
 
+def test_ill_conditioned_load_factor_reported():
+    """A load just under 1 pu behind 1 pu resistance and 1 pu reactance,
+    with 0.5 pu reactive load: the rows are well conditioned (a pivoting
+    solve gives W = -2), but the leaves-first factor's first flow pivot,
+    1 + p r, is 1e-13, so its unpivoted solve misses the residual bound, and
+    that is reported, not returned."""
+    text = """
+    mpc.baseMVA = 1;
+    mpc.bus = [
+     1 3 0 0 0 0 1 1.0 0 12.66 1 1.5 0.1;
+     2 1 0.9999999999999 0.5 0 0 1 1 0 12.66 1 1.5 0.1;
+    ];
+    mpc.branch = [ 1 2 1.0 1.0 0 0; ];
+    """
+    net = netmodel.parse_matpower_case(text)
+    ti, (p, q) = netmodel.path_incidence(net), netmodel.net_injections(net)
+    assert np.allclose(pivoting_fixed_load_w(net, ti, p, q), [-2.0], rtol=0, atol=1e-12)
+    msg = "ill-conditioned modified power-flow matrix: solve residual"
+    with pytest.raises(MdfError, match=msg):
+        mdf.load_factors(net)
+
+
 def mixed_feeders_network() -> Network:
     """Three feeders of different sizes off one slack: a 3-bus chain without
     DG, a 6-bus chain with one DG and a branched 12-bus feeder with four."""
@@ -352,7 +374,9 @@ def assert_factors_match_reference(net, rng):
 def test_feeder_factors_match_per_feeder_reference(case69):
     """One factor of the whole network and one packed solve give what one
     factor and one solve per feeder give: on feeders with 0, 1 and 4 DGs,
-    case69 x3 with DGs, 20 random multi-feeder trees and the slack alone."""
+    case69 x3 with DGs, 20 random multi-feeder trees, the slack alone and
+    the benchmark's case69 x100 with 4 DGs per feeder (100 feeders, 8
+    slots)."""
     rng = np.random.default_rng(31)
     fac = assert_factors_match_reference(mixed_feeders_network(), rng)
     # leaves first: the last feeder first
@@ -369,6 +393,15 @@ def test_feeder_factors_match_per_feeder_reference(case69):
     slack = network([Bus(id=1, gen=Generator(0.0, 1.0, 0.0, 1.0, 30.0, 3.0))], [], slack=1,
                     base_power=1.0, base_voltage=12.66, v0=1.05)
     assert assert_factors_match_reference(slack, rng).state.tolist() == [2.0 - 1.05]
+    # the benchmark's shape: case69 x100, DGs at 27/35/46/65 of each feeder
+    net = netmodel.with_slack_voltage(case69, 1.05)
+    for bus in (27, 35, 46, 65):
+        net = netmodel.with_generator(net, bus, dg)
+    net = netmodel.duplicate_system(netmodel.with_slack_costs(net, 30.0, 3.0), 100, seed=42)
+    fac = assert_factors_match_reference(net, rng)
+    rows = mdf.FlowRows(netmodel.path_incidence(net).n)
+    bal = mdopf._generation(mdopf.var_blocks(net).gen_w, rows)
+    assert fac.solve_units(bal)[1].shape == (100, 8)
 
 
 def test_packed_rows_match_sparse_s_random_trees(monkeypatch):
