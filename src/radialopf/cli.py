@@ -147,22 +147,6 @@ def resolve_case(path_str: str, case_dir: Path | None) -> Path:
     raise NetworkError(f"case file not found: {path_str}")
 
 
-def _read(path: Path) -> str:
-    try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise NetworkError(f"cannot read {path}: {exc}") from exc
-
-
-def load_network(path: Path) -> Network:
-    text = _read(path)
-    if path.suffix == ".json":
-        net = netmodel.from_json(text)
-        netmodel.require_valid(net, "invalid network")
-        return net
-    return netmodel.parse_matpower_case(text)
-
-
 def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
     """The scenario's network: its case with each value that the scenario
     sets in place of the case's, duplicated when it sets ``copies``, and
@@ -171,7 +155,7 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
     if dup and scen.copies is None:
         raise NetworkError(", ".join("--" + k.replace("_", "-") for k in dup)
                            + " without a duplication: give --copies or a scenario duplication")
-    net = load_network(resolve_case(scen.case, case_dir))
+    net = netmodel.load_case(resolve_case(scen.case, case_dir))
     base = net.base_power
     if scen.psp_v is not None:
         net = netmodel.with_slack_voltage(net, scen.psp_v)
@@ -212,7 +196,7 @@ def _scenario_from_args(args) -> Scenario:
     """The scenario file's fields with each flag that is set in place of its
     own field, and the ``--dg`` generators after the file's."""
     path = getattr(args, "scenario", None)
-    scen = scenario_from_json(_read(Path(path))) if path else Scenario()
+    scen = scenario_from_json(netmodel.read_text(Path(path))) if path else Scenario()
     flags = {f.name: getattr(args, f.name, None) for f in fields(Scenario)}
     scen = replace(scen, **{k: v for k, v in flags.items() if v is not None})
     if scen.case is None:

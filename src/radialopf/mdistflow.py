@@ -2,13 +2,14 @@
 
 State variables are the modified injections p_hat = P * w and flows, with
 the auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the
-model once, as sparse branch-flow rows. For fixed injections the whole
-state follows from one direct sparse solve of those rows, block diagonal by
-feeder and factored whole (``FeederFactors``); no sweep or iteration is
-involved. The OPF builder reads only that factor, memoized per network by
-``load_factors``: it gives the state that each generator drives, packed by
-feeder into the slots of one solve, and the balance-row duals their
-transposed solve. The module also
+model once, as sparse branch-flow rows in the layout ``FlowRows`` states.
+For fixed injections the whole state follows from one direct sparse solve
+of those rows, block diagonal by feeder and factored whole
+(``FeederFactors``); no sweep or iteration is involved. The OPF builder
+reads only that factor, memoized per network by ``load_factors``: its
+layout, the slack's two balance rows, the state that each generator
+drives, packed by feeder into the slots of one solve, and the balance-row
+duals their transposed solve. The module also
 recovers the bus angles, each the sum of the angle turns across the
 branches on its path, and computes the total network loss with its
 four-way split into active/reactive flow contributions. The path matrix T
@@ -70,44 +71,53 @@ class LossReport:
 
 
 class FlowRows:
-    """Row blocks of ``flow_equations`` for ``n`` branches, the one statement
-    of that layout: ``w_slack`` is a single row; the active and reactive
-    balance rows of full bus k (slack first, then ``ti.order``) are
-    ``p_bal + k`` and ``q_bal + k``; the voltage drop of branch row k is
-    ``drop + k``. ``count`` rows in all.
+    """The layout of ``flow_equations`` for ``n`` branches, the one statement
+    of its rows and of the state's columns. Rows: ``w_slack`` is a single
+    row; the active and reactive balance rows of full bus k (slack first,
+    then ``ti.order``) are ``p_bal + k`` and ``q_bal + k``; the voltage drop
+    of branch row k is ``drop + k``; ``count`` rows in all. Columns: the W
+    of full bus k is ``w + k``, the Pbr and Qbr of branch row k ``pbr + k``
+    and ``qbr + k``; ``n_cols`` columns in all.
     """
 
     def __init__(self, n: int):
         self.w_slack, self.p_bal, self.q_bal, self.drop, self.count = (
             0, 1, n + 2, 2 * n + 3, 3 * n + 3)
+        self.w, self.pbr, self.qbr, self.n_cols = 0, n + 1, 2 * n + 1, 3 * n + 1
+
+    def balance(self, bus: np.ndarray) -> np.ndarray:
+        """The active balance row of each full bus position in ``bus``, then
+        the reactive: the rows in which a generator's Pg and Qg are units."""
+        return np.concatenate([self.p_bal + bus, self.q_bal + bus])
 
 
 def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
     """The modified branch-flow equations as sparse (3n + 3) x (3n + 1) rows,
     laid out as ``FlowRows(ti.n)`` states.
 
-    Columns: W per bus (slack first, then ``ti.order``), then Pbr and Qbr per
-    branch row. Rows: ``w_slack``; the active, then the reactive balance of
-    each bus, Pbr in - Pbr out + p W = 0 for the full-bus net injections
-    ``p``/``q``; the voltage drop of each branch, W child - W parent - r Pbr
-    - x Qbr = 0. Explicit zeros are dropped, so a bus without injection
-    leaves no W entry in its balance rows.
+    Columns: W per bus, then Pbr and Qbr per branch row. Rows: ``w_slack``;
+    the active, then the reactive balance of each bus, Pbr in - Pbr out +
+    p W = 0 for the full-bus net injections ``p``/``q``; the voltage drop of
+    each branch, W child - W parent - r Pbr - x Qbr = 0. Explicit zeros are
+    dropped, so a bus without injection leaves no W entry in its balance
+    rows.
     """
     n, rows = ti.n, FlowRows(ti.n)
     k, bus = np.arange(n, dtype=np.int32), np.arange(n + 1, dtype=np.int32)
-    # each branch's ends (W columns) and flows (Pbr, Qbr columns)
-    child, parent = k + 1, np.asarray(ti.parent_pos, dtype=np.int32) + 1
-    pbr, qbr = n + 1 + k, 2 * n + 1 + k
+    # each bus's W column, each branch's ends (W columns) and flows (Pbr, Qbr columns)
+    w = rows.w + bus
+    child, parent = w[1:], w[np.asarray(ti.parent_pos) + 1]
+    pbr, qbr = rows.pbr + k, rows.qbr + k
     # (rows, columns, values) of each block of entries, at its FlowRows offset
-    blocks = [(bus[:1] + rows.w_slack, bus[:1], 1.0),
-              (rows.p_bal + bus, bus, p), (rows.q_bal + bus, bus, q),
+    blocks = [(bus[:1] + rows.w_slack, w[:1], 1.0),
+              (rows.p_bal + bus, w, p), (rows.q_bal + bus, w, q),
               (rows.p_bal + child, pbr, 1.0), (rows.p_bal + parent, pbr, -1.0),
               (rows.q_bal + child, qbr, 1.0), (rows.q_bal + parent, qbr, -1.0),
               (rows.drop + k, child, 1.0), (rows.drop + k, parent, -1.0),
               (rows.drop + k, pbr, -ti.r), (rows.drop + k, qbr, -ti.x)]
     r, c = (np.concatenate([b[i] for b in blocks]) for i in (0, 1))
     v = np.concatenate([np.broadcast_to(b[2], len(b[0])) for b in blocks])
-    a = sp.csr_matrix((v, (r, c)), shape=(rows.count, 3 * n + 1))
+    a = sp.csr_matrix((v, (r, c)), shape=(rows.count, rows.n_cols))
     a.eliminate_zeros()
     return a
 
@@ -127,7 +137,7 @@ def _assemble(net, ti, w_r, p_hat, q_hat):
 class FeederFactors:
     """``flow_equations`` at fixed non-slack net injections ``p``/``q`` (tree
     order) without the slack's two balance rows, square in the state (W,
-    Pbr, Qbr in ``flow_equations``' columns), in one factor.
+    Pbr, Qbr in the columns of ``layout``, its ``FlowRows``), in one factor.
 
     Feeders meet only at the slack, whose W is fixed, so with W0 on the
     right-hand side the rows are block diagonal by feeder. They are factored
@@ -139,28 +149,35 @@ class FeederFactors:
     (W0 last, past the block); ``feeder`` numbers each position's feeder.
     ``state`` is the solution at the slack voltage ``net.v0``.
 
-    It holds the rows only as SuperLU's factor ``lu``. The flow rows are
-    freed before SuperLU factors them, once W0's column is copied out, and
-    the leaves-first matrix it factors is freed after the residual check of
-    ``state``. ``solve_units`` solves its packed slots one at a time.
+    It holds the rows only as SuperLU's factor ``lu`` and ``slack_rows``,
+    the slack's two balance rows at its own load: the OPF's equality rows.
+    The flow rows are freed before SuperLU factors them, once W0's column
+    and those two rows are copied out, and the leaves-first matrix it
+    factors after the residual check of ``state``. ``solve_units`` solves
+    its packed slots one at a time.
     """
 
     def __init__(self, net: Network, p: np.ndarray, q: np.ndarray):
         ti = path_incidence(net)
+        cols = columns(net)
         n, rows = ti.n, FlowRows(ti.n)
-        a = flow_equations(ti, np.concatenate([[0.0], p]), np.concatenate([[0.0], q]))
+        self.layout = rows
+        a = flow_equations(ti, np.concatenate([-cols.p_load[:1], p]),
+                           np.concatenate([-cols.q_load[:1], q]))
         k = np.arange(n)[::-1]
-        self.cols = np.column_stack([k + 1, n + 1 + k, 2 * n + 1 + k]).ravel()
+        self.cols = np.column_stack([rows.w + 1 + k, rows.pbr + k, rows.qbr + k]).ravel()
         self.eqs = np.column_stack([rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
+        size = self.cols.size  # every state column but W0
         self.at = np.full(rows.count, -1, dtype=np.int32)
-        self.place = np.full(3 * n + 1, 3 * n, dtype=np.int32)
-        self.at[self.eqs] = self.place[self.cols] = np.arange(3 * n)
-        w0_col = a[:, [0]].toarray()[:, 0]  # W0 in the top drops
+        self.place = np.full(rows.n_cols, size, dtype=np.int32)
+        self.at[self.eqs] = self.place[self.cols] = np.arange(size)
+        w0_col = a[:, [rows.w]].toarray()[:, 0]  # W0 in the top drops
+        self.slack_rows = a[[rows.p_bal, rows.q_bal]]
         # a's entries at their positions, compressed by column: W0's column,
         # placed last, is cut off and the slack's rows are zeroed out
         m = sp.csr_matrix((a.data, self.place[a.indices], a.indptr), shape=a.shape).tocsc()
-        del a  # W0's column is all the solves read of it: free it before splu
-        m = sp.csc_matrix((m.data, self.at[m.indices], m.indptr[:-1]), shape=(3 * n, 3 * n))
+        del a  # the solves read only W0's column and the slack's rows: free it before splu
+        m = sp.csc_matrix((m.data, self.at[m.indices], m.indptr[:-1]), shape=(size, size))
         m.data[m.indices < 0] = 0.0
         m.eliminate_zeros()
         try:
@@ -173,7 +190,7 @@ class FeederFactors:
         self.feeder = np.repeat(np.cumsum(top) - top, 3)
         w0 = 2.0 - net.v0
         self.state = -w0 * self.solve_state(w0_col)
-        self.state[0] = w0
+        self.state[rows.w] = w0
         if not np.all(np.isfinite(self.state)):
             raise MdfError("singular modified power-flow matrix (non-finite solution)")
         # the factored rows at the state: m on the block, W0's column at W0
@@ -186,7 +203,7 @@ class FeederFactors:
     def solve_state(self, b: np.ndarray) -> np.ndarray:
         """The state that ``b`` (rows in ``FlowRows`` layout, the slack's not
         read) drives with W0 held at 0, one dense solve."""
-        s = np.zeros(self.cols.size + 1)
+        s = np.zeros(self.layout.n_cols)
         s[self.cols] = self.lu.solve(b[self.eqs])
         return s
 
@@ -237,12 +254,12 @@ def solve_fixed_load(
     (default: minus the loads), one ``FeederFactors`` solve. Generators at
     fixed setpoints are folded into them (see ``netmodel.net_injections``).
     """
-    ti = path_incidence(net)
     cols = columns(net)
     p = -cols.p_load[1:] if p is None else np.array(p, dtype=float)
     q = -cols.q_load[1:] if q is None else np.array(q, dtype=float)
-    w_r = FeederFactors(net, p, q).state[1:ti.n + 1]
-    return _assemble(net, ti, w_r, p * w_r, q * w_r)
+    fac = FeederFactors(net, p, q)
+    w_r = fac.state[fac.layout.w + 1:fac.layout.pbr]
+    return _assemble(net, path_incidence(net), w_r, p * w_r, q * w_r)
 
 
 def state_from_solution(

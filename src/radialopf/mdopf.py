@@ -78,7 +78,7 @@ class VarBlocks:
     Pg and Qg are the modified generator outputs, following ``gens`` (the
     slack first), and they are all the variables. ``gen_w`` is the bus
     position of each generator (slack 0, then the path incidence's
-    ``order``), which is also its W column in ``mdistflow.flow_equations``.
+    ``order``), which ``mdistflow.FlowRows`` offsets into rows and columns.
     ``rated`` lists the branches whose thermal rows presolve keeps, in the
     order of the quadratic rows (branch rows of the path incidence,
     ascending).
@@ -97,14 +97,13 @@ class _Rows:
     """The rows of the OPF of a network that presolve keeps (see ``_rows``).
 
     ``prob`` holds them in generator space, with a zero objective that
-    ``build`` replaces. ``eq_state`` and ``in_state`` are the same equality
-    and inequality rows' coefficients on the state (``flow_equations``'
-    columns) and ``flows`` the state columns that the quadratic rows square:
+    ``build`` replaces. ``in_state`` is the inequality rows' coefficients on
+    the state (``flow_equations``' columns) and ``flows`` the state columns
+    that the quadratic rows square: with the load factor's ``slack_rows``,
     all the rows of S that ``prob`` reads, and all that ``balance_prices`` does.
     """
 
     lay: VarBlocks
-    eq_state: sp.csr_matrix
     in_state: sp.csr_matrix
     flows: np.ndarray
     prob: QcqpProblem
@@ -121,12 +120,6 @@ def var_blocks(net: Network) -> VarBlocks:
     """Variable index blocks of the OPF of ``net``, memoized on the instance
     with its rows (``_rows``)."""
     return _rows(net).lay
-
-
-def _generation(gen_w: np.ndarray, rows: mdistflow.FlowRows) -> np.ndarray:
-    """The balance row of each generator's Pg, then of each one's Qg: the
-    ``flow_equations`` row in which each variable is a unit injection."""
-    return np.concatenate([rows.p_bal + gen_w, rows.q_bal + gen_w])
 
 
 def _box(cols: netmodel.Columns, gen_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,17 +143,17 @@ def _screen(net: Network, s_lo: np.ndarray, s_hi: np.ndarray) -> tuple[np.ndarra
     rows whose thermal rows are kept. Raises ``MdopfError`` when a row fails
     by ``_MARGIN`` at every point of the box."""
     cols, ti = netmodel.columns(net), netmodel.path_incidence(net)
-    n = ti.n
+    flow = mdistflow.load_factors(net).layout
     # v_floor W <= 2 - v_min and v_cap W >= 2 - v_max per bus
-    w_lo, w_hi = s_lo[1:n + 1], s_hi[1:n + 1]
+    w_lo, w_hi = s_lo[flow.w + 1:flow.pbr], s_hi[flow.w + 1:flow.pbr]
     floor, cap = 2.0 - cols.v_min[1:], 2.0 - cols.v_max[1:]
     v_over = np.column_stack([w_lo - floor, cap - w_hi])  # the least excess
     v_keep = cols.gen[1:, None] | (np.column_stack([w_hi - floor, cap - w_lo]) > -_MARGIN)
     # Pbr^2 + Qbr^2 <= i_max^2 per rated branch
     rated = np.flatnonzero(~np.isnan(cols.i_max))
     i2 = ti.i_max[rated] ** 2
-    p_lo, p_hi = s_lo[n + 1 + rated], s_hi[n + 1 + rated]
-    q_lo, q_hi = s_lo[2 * n + 1 + rated], s_hi[2 * n + 1 + rated]
+    p_lo, p_hi = s_lo[flow.pbr + rated], s_hi[flow.pbr + rated]
+    q_lo, q_hi = s_lo[flow.qbr + rated], s_hi[flow.qbr + rated]
     most = np.maximum(p_lo ** 2, p_hi ** 2) + np.maximum(q_lo ** 2, q_hi ** 2)
     least = (np.maximum(np.maximum(p_lo, -p_hi), 0.0) ** 2
              + np.maximum(np.maximum(q_lo, -q_hi), 0.0) ** 2)
@@ -224,15 +217,16 @@ def _rows(net: Network) -> _Rows:
     ti = netmodel.path_incidence(net)
     n = ti.n
     fac = mdistflow.load_factors(net)
+    flow = fac.layout
     gen_w = np.flatnonzero(cols.gen)
     n_gen = gen_w.size
     # S packed: the state per unit of each output is -X in the output's slot
-    x_slot, slot_col = fac.solve_units(_generation(gen_w, mdistflow.FlowRows(n)))
+    x_slot, slot_col = fac.solve_units(flow.balance(gen_w))
     lo, hi = _box(cols, gen_w)
     # s0 + S mid +- |S| rad: S's products summed at each position slot by
     # slot, in column order (an unused slot adds 0), W0's sums last and 0
     mid_x, rad_x = np.append(0.5 * (lo + hi), 0.0), np.append(0.5 * (hi - lo), 0.0)
-    sums = np.zeros((2, fac.cols.size + 1))
+    sums = np.zeros((2, flow.n_cols))  # per position
     for k in range(slot_col.shape[1]):
         col = slot_col[fac.feeder, k]
         sums[0, :-1] -= x_slot[:, k] * mid_x[col]
@@ -244,15 +238,8 @@ def _rows(net: Network) -> _Rows:
     lay = VarBlocks(tuple(cols.bus_id[gen_w].tolist()), gen_w, rated, 0, n_gen, 2 * n_gen)
     n_vars = lay.n_vars
 
-    # equality rows: the slack's balance rows of ``flow_equations``, its load
-    # on W0 where nonzero and -1 on the Pbr (Qbr) of each branch out of it
-    top = n + 1 + np.flatnonzero(ti.parent_pos < 0)
-    balance = sp.csr_matrix(
-        (np.concatenate([-cols.p_load[:1], -np.ones(top.size),
-                         -cols.q_load[:1], -np.ones(top.size)]),
-         (np.repeat([0, 1], 1 + top.size), np.concatenate([[0], top, [0], top + n]))),
-        shape=(2, 3 * n + 1))
-    balance.eliminate_zeros()
+    # equality rows: the slack's balance rows of ``flow_equations`` and its outputs
+    slack = fac.slack_rows
     slack_out = sp.csr_matrix((np.ones(2), ([0, 1], [lay.pg, lay.qg])), shape=(2, n_vars))
 
     # inequality rows: per generator pg_cap, pg_floor, qg_cap, qg_floor;
@@ -264,14 +251,14 @@ def _rows(net: Network) -> _Rows:
     sign = np.array([1.0, -1.0, 1.0, -1.0])
     out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1)
     v_rows = 4 * n_gen + 2 * np.arange(n)
-    w_child = np.arange(1, n + 1)
+    w_child = flow.w + 1 + np.arange(n)
     n_in = 4 * n_gen + 2 * n
     kept_in = np.concatenate([np.arange(4 * n_gen), 4 * n_gen + np.flatnonzero(v_keep)])
     in_state = sp.csr_matrix(
         (np.concatenate([(-sign * box).ravel(), np.ones(n), -np.ones(n)]),
          (np.concatenate([gen_rows, v_rows, v_rows + 1]),
-          np.concatenate([np.repeat(gen_w, 4), w_child, w_child]))),
-        shape=(n_in, 3 * n + 1))[kept_in]
+          np.concatenate([flow.w + np.repeat(gen_w, 4), w_child, w_child]))),
+        shape=(n_in, flow.n_cols))[kept_in]
     in_vars = sp.csr_matrix((np.tile(sign, n_gen), (gen_rows, out_col.ravel())),
                             shape=(n_in, n_vars))[kept_in]
     v_lim = np.column_stack([2.0 - cols.v_min[1:], cols.v_max[1:] - 2.0])
@@ -279,15 +266,15 @@ def _rows(net: Network) -> _Rows:
 
     # the kept rows in generator space: s0 + S x put in for the state, S's
     # rows built at only the state columns they read (W0's row is empty)
-    flows = np.concatenate([n + 1 + rated, 2 * n + 1 + rated])
-    need = np.setdiff1d(np.concatenate([balance.indices, in_state.indices, flows]), 0)
+    flows = np.concatenate([flow.pbr + rated, flow.qbr + rated])
+    need = np.setdiff1d(np.concatenate([slack.indices, in_state.indices, flows]), flow.w)
     col = slot_col[fac.feeder[fac.place[need]]]
     r, k = np.nonzero(col >= 0)  # each row's columns in slot order, which is column order
     s_need = sp.csr_matrix((-x_slot[fac.place[need[r]], k], col[r, k],
                             np.searchsorted(r, np.arange(need.size + 1))), shape=(need.size, n_vars))
-    return _Rows(lay, balance, in_state, flows, QcqpProblem(
+    return _Rows(lay, in_state, flows, QcqpProblem(
         n_vars=n_vars, h=sp.csr_matrix((n_vars, n_vars)), g=np.zeros(n_vars), c=0.0,
-        a_eq=(slack_out + balance[:, need] @ s_need).tocsr(), b_eq=-(balance @ fac.state),
+        a_eq=(slack_out + slack[:, need] @ s_need).tocsr(), b_eq=-(slack @ fac.state),
         a_in=(in_vars + in_state[:, need] @ s_need).tocsr(), b_in=b_in - in_state @ fac.state,
         quad_m=s_need[np.searchsorted(need, flows)], quad_c=fac.state[flows],
         quad_b=ti.i_max[rated] ** 2,
@@ -363,8 +350,8 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     n_dg = len(lay.gens) - 1
     if not n_dg:
         return sp.csr_matrix((n_vars, n_vars)), g, 0.0
-    w = lay.gen_w[1:]
-    vd, cp, cq = 2.0 - mdistflow.load_factors(net).state[w], cols.cost_p[w], cols.cost_q[w]
+    w, fac = lay.gen_w[1:], mdistflow.load_factors(net)
+    vd, cp, cq = 2.0 - fac.state[fac.layout.w + w], cols.cost_p[w], cols.cost_q[w]
     g[lay.pg + 1:lay.pg + 1 + n_dg] = vd * cp * base
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
     ti = netmodel.path_incidence(net)
@@ -441,9 +428,9 @@ def recover_dispatch(
     n_gen = len(lay.gens)
     p_gen = x[lay.pg:lay.pg + n_gen]
     q_gen = x[lay.qg:lay.qg + n_gen]
-    n = netmodel.path_incidence(net).n
-    gen = np.bincount(_generation(lay.gen_w, mdistflow.FlowRows(n)), x, fac.at.size)
-    w = fac.state[:n + 1] - fac.solve_state(gen)[:n + 1]
+    flow = fac.layout
+    gen = np.bincount(flow.balance(lay.gen_w), x, flow.count)
+    w = fac.state[flow.w:flow.pbr] - fac.solve_state(gen)[flow.w:flow.pbr]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)
     if bad.size:
@@ -480,11 +467,11 @@ def balance_prices(
     ``build(net)``. Raises ``SolverError`` unless ``sol`` is optimal.
     """
     lam = qcqpsolver.extract_duals(prob, sol, np.arange(prob.n_eq))
-    rows = _rows(net)
-    rhs = rows.in_state.T @ sol.duals_in - rows.eq_state.T @ lam
+    rows, fac = _rows(net), mdistflow.load_factors(net)
+    rhs = rows.in_state.T @ sol.duals_in - fac.slack_rows.T @ lam
     rhs[rows.flows] += 2.0 * np.tile(sol.duals_quad, 2) * (prob.quad_c + prob.quad_m @ sol.x)
-    prices = mdistflow.load_factors(net).solve_transposed(rhs)
-    flow = mdistflow.FlowRows(netmodel.path_incidence(net).n)
+    prices = fac.solve_transposed(rhs)
+    flow = fac.layout
     prices[[flow.p_bal, flow.q_bal]] = lam[-2:]
     return prices[flow.p_bal:flow.q_bal], prices[flow.q_bal:flow.drop]
 

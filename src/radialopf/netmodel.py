@@ -44,6 +44,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -468,16 +469,12 @@ def parse_matpower_case(text: str) -> Network:
     bus = _table(mats["bus"], 13)
     ids = bus[:, 0].astype(int)
     known = {b: i for i, b in enumerate(ids.tolist())}  # bus id -> record position
-    if len(known) != ids.size:
-        raise NetworkError("duplicate bus ids in mpc.bus")
-
+    # the tree search reports duplicate ids and unknown branch ends
     for k, row in enumerate(mats["branch"], 1):
         if len(row) < 6:
             raise NetworkError(f"branch row needs 6 columns, got {len(row)}: {row}")
-        f = _integer(row[0], f"mpc.branch row {k}: F_BUS")
-        t = _integer(row[1], f"mpc.branch row {k}: T_BUS")
-        if f not in known or t not in known:
-            raise NetworkError(f"branch {f}-{t} references an unknown bus")
+        _integer(row[0], f"mpc.branch row {k}: F_BUS")
+        _integer(row[1], f"mpc.branch row {k}: T_BUS")
     branch = _table(mats["branch"], 6)
 
     gens = mats.get("gen", [])
@@ -537,9 +534,23 @@ def parse_matpower_case(text: str) -> Network:
     return net
 
 
+def read_text(path: Path) -> str:
+    """An input file's text; ``NetworkError`` when it cannot be read as UTF-8."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NetworkError(f"cannot read {path}: {exc}") from exc
+
+
 def load_case(path) -> Network:
-    with open(path) as fh:
-        return parse_matpower_case(fh.read())
+    """A case file's validated network: JSON for a ``.json`` path, else MATPOWER."""
+    path = Path(path)
+    text = read_text(path)
+    if path.suffix == ".json":
+        net = from_json(text)
+        require_valid(net, "invalid network")
+        return net
+    return parse_matpower_case(text)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,14 @@ def test_validate_bad_case(tmp_path):
     assert run(["validate", "--case", str(bad)]) == 1
 
 
+def test_duplicate_bus_id_is_one_line_data_error(tmp_path, capsys):
+    bad = tmp_path / "dup.m"
+    bad.write_text(mk_case([bus_row(1, 3), bus_row(2), bus_row(2)],
+                           [[1, 2, 0.01, 0.02, 0, 0], [1, 2, 0.01, 0.02, 0, 0]]))
+    assert run(["validate", "--case", str(bad)]) == 1
+    assert capsys.readouterr().err == "data error: duplicate bus ids [2]\n"
+
+
 def test_missing_case_is_data_error():
     assert run(["validate", "--case", "no-such-case.m"]) == 1
 

@@ -360,7 +360,7 @@ def assert_factors_match_reference(net, rng):
     n = netmodel.path_incidence(net).n
     rows = mdf.FlowRows(n)
     bus = rng.integers(0, n + 1, size=9)
-    for bal in (mdopf._generation(mdopf.var_blocks(net).gen_w, rows),
+    for bal in (rows.balance(mdopf.var_blocks(net).gen_w),
                 np.concatenate([rows.p_bal + bus[:5], rows.q_bal + bus[5:],
                                 [rows.q_bal, rows.p_bal + bus[0]]])):
         assert_units_match_reference(fac, ref, bal)
@@ -400,7 +400,7 @@ def test_feeder_factors_match_per_feeder_reference(case69):
     net = netmodel.duplicate_system(netmodel.with_slack_costs(net, 30.0, 3.0), 100, seed=42)
     fac = assert_factors_match_reference(net, rng)
     rows = mdf.FlowRows(netmodel.path_incidence(net).n)
-    bal = mdopf._generation(mdopf.var_blocks(net).gen_w, rows)
+    bal = rows.balance(mdopf.var_blocks(net).gen_w)
     assert fac.solve_units(bal)[1].shape == (100, 8)
 
 
@@ -409,13 +409,15 @@ def test_packed_rows_match_sparse_s_random_trees(monkeypatch):
     v_max, the packed solve of the generators' columns equals the per-feeder
     reference bit for bit, and ``mdopf._rows`` builds, bit for bit, the rows
     that a sparse S assembled from that reference gives: presolve's range
-    s0 + S mid +- |S| rad, the slack's balance rows, the inequality rows and
-    the thermal rows. Among the trees are networks whose only generator is
-    the supply point (no slot), feeders without a generator, and feeders
-    with different numbers of generators, whose unused slots map to no
-    column."""
+    s0 + S mid +- |S| rad, the inequality rows, the thermal rows and the
+    equality rows, whose state part is the slack's two balance rows of
+    ``flow_equations`` at every bus's load, the supply point's included.
+    Among the trees are networks whose only generator is the supply point
+    (no slot), feeders without a generator, feeders with different numbers
+    of generators, whose unused slots map to no column, and supply points
+    with a load of their own."""
     rng = np.random.default_rng(2025)
-    seen = {"no slot": 0, "feeder without DG": 0, "ragged": 0}
+    seen = {"no slot": 0, "feeder without DG": 0, "ragged": 0, "supply-point load": 0}
     screened = []
     real_screen = mdopf._screen
 
@@ -431,12 +433,17 @@ def test_packed_rows_match_sparse_s_random_trees(monkeypatch):
             net = rated_network(net, 1.2)
         if i % 4 >= 2:  # a v_cap row kept away from the generators
             net = netmodel.with_voltage_limits(net, 0.9, 1.0005)
-        cols, n = netmodel.columns(net), netmodel.path_incidence(net).n
+        if i % 3 == 1:
+            net = netmodel.with_load(net, net.slack, 0.02, 0.01)
+        cols, ti = netmodel.columns(net), netmodel.path_incidence(net)
+        n = ti.n
+        seen["supply-point load"] += bool(cols.p_load[0] > 0)
         ref = reference_feeder_factors(net, -cols.p_load[1:], -cols.q_load[1:])
         fac = mdf.load_factors(net)
         assert fac.state.tobytes() == ref.state.tobytes()
         lay = mdopf.var_blocks(net)  # the rows, built once with _screen recorded
-        bal = mdopf._generation(lay.gen_w, mdf.FlowRows(n))
+        flow = mdf.FlowRows(n)
+        bal = flow.balance(lay.gen_w)
         slot_col = assert_units_match_reference(fac, ref, bal)
         per_feeder = np.bincount(fac.feeder[fac.at[bal][fac.at[bal] >= 0]],
                                  minlength=fac.feeder.max(initial=-1) + 1)
@@ -458,13 +465,14 @@ def test_packed_rows_match_sparse_s_random_trees(monkeypatch):
         out_col = np.stack([lay.pg + kg, lay.pg + kg, lay.qg + kg, lay.qg + kg], axis=1).ravel()
         in_vars = sp.csr_matrix((np.tile([1.0, -1.0, 1.0, -1.0], n_gen),
                                  (np.arange(4 * n_gen), out_col)), shape=(prob.n_in, lay.n_vars))
-        for got, want in ((prob.a_eq, slack_out + rows.eq_state @ s_gen),
+        slack = mdf.flow_equations(ti, -cols.p_load, -cols.q_load)[[flow.p_bal, flow.q_bal]]
+        for got, want in ((prob.a_eq, slack_out + slack @ s_gen),
                           (prob.a_in, in_vars + rows.in_state @ s_gen),
                           (prob.quad_m, s_gen[rows.flows])):
             want = want.tocsr()
             for name in ("indptr", "indices", "data"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert prob.b_eq.tobytes() == (-(rows.eq_state @ ref.state)).tobytes()
+        assert prob.b_eq.tobytes() == (-(slack @ ref.state)).tobytes()
         assert prob.quad_c.tobytes() == ref.state[rows.flows].tobytes()
     assert len(screened) == 24 and all(seen.values()), seen
 

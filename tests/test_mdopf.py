@@ -250,7 +250,7 @@ def test_thermal_rows():
     assert lay.rated.tolist() == [k]
     cols = netmodel.columns(net)
     ref = reference_feeder_factors(net, -cols.p_load[1:], -cols.q_load[1:])
-    bal = mdopf._generation(lay.gen_w, mdf.FlowRows(ti.n))
+    bal = mdf.FlowRows(ti.n).balance(lay.gen_w)
     s_gen = -ref.solve(unit_columns(bal, mdf.FlowRows(ti.n).count)).toarray()
     flows = [ti.n + 1 + k, 2 * ti.n + 1 + k]
     assert np.array_equal(prob.quad_m.toarray(), s_gen[flows])
@@ -479,7 +479,7 @@ def test_load_factor_holds_one_copy_memory(case69, monkeypatch):
     finally:
         tracemalloc.stop()
     rows = mdf.FlowRows(netmodel.path_incidence(net).n)
-    bal = mdopf._generation(mdopf.var_blocks(net).gen_w, rows)
+    bal = rows.balance(mdopf.var_blocks(net).gen_w)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -83,6 +83,28 @@ def test_parse_unknown_bus_in_branch():
         parse_matpower_case(text)
 
 
+def test_parse_both_structural_faults_reports_the_unknown_end_first():
+    # the tree search checks the branch ends before the bus ids
+    text = mk_case([bus_row(1, 3), bus_row(2), bus_row(2)],
+                   [[1, 2, 0.01, 0.02, 0, 0], [2, 9, 0.01, 0.02, 0, 0]])
+    with pytest.raises(NetworkError, match="^branch 2-9 references an unknown bus$"):
+        parse_matpower_case(text)
+
+
+def test_load_case_reads_network_json_by_suffix(case33, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(netmodel.to_json(case33))
+    assert_same_network(netmodel.load_case(path), case33)
+    assert_same_network(netmodel.load_case(str(path)), case33)
+
+
+def test_load_case_missing_path_is_network_error(tmp_path):
+    path = tmp_path / "absent.m"
+    with pytest.raises(NetworkError) as info:
+        netmodel.load_case(path)
+    assert str(info.value).startswith(f"cannot read {path}: ")
+
+
 def test_parse_unknown_bus_in_gen():
     text = mk_case([bus_row(1, 3), bus_row(2)], [[1, 2, 0.01, 0.02, 0, 0]],
                    gen_rows=[[7, 0, 0, 1, -1, 1, 1, 1, 1, 0]])
