@@ -8,9 +8,13 @@ and state recovery in one call), price it:
     net = netmodel.load_case(cli.resolve_case("case33.m", None))
     prob, sol, state = mdopf.solve_opf(net)
     table = pricing.compute_price_table(net, state)
+    dispatch = dict(zip(mdopf.var_blocks(net).gens, sol.pg))
 
 ``cli.resolve_case`` falls back to the packaged cases (case33.m, case69.m).
 ``prob.certificate`` holds the convexity verdict of the cost quadratic.
+``sol.pg``/``sol.qg`` are the dispatch (pu) as arrays in generator order:
+the buses of ``mdopf.var_blocks(net).gens``, the slack first, so
+``dispatch`` maps each generator's bus id to its active output.
 
 A network is its columns: ``net.records`` holds one read-only array per
 bus or branch field in the case file's order. Every per-bus array of the

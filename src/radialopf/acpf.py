@@ -242,7 +242,7 @@ def jacobian_at(net: Network, v: np.ndarray, delta: np.ndarray) -> JacobianBlock
     dp, dq = (jac[:, 0] + jac[:, 1]) / 2, (jac[:, 1] - jac[:, 0]) / 2  # rows P, Q
     return JacobianBlocks(
         dp_ddelta=dp[..., 0], dp_dv=dp[..., 1], dq_ddelta=dq[..., 0], dq_dv=dq[..., 1],
-        bus_ids=tuple(tree_positions(net))[1:],
+        bus_ids=path_incidence(net).order,
     )
 
 

@@ -49,28 +49,18 @@ EXIT_ORACLE = 3
 
 
 @dataclass(frozen=True)
-class DgSpec:
-    bus: int
-    p_max: float  # MW
-    q_max: float  # MVar
-    cost_p: float
-    cost_q: float
-    p_min: float = 0.0
-    q_min: float = 0.0
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Declarative study setup: one field per value that a flag (named alike)
     or a scenario-file key sets, and ``--dg`` adds to ``dgs``. None keeps the
-    case's value, or ``netmodel.duplicate_system``'s default. Power in MW/MVar."""
+    case's value, or ``netmodel.duplicate_system``'s default. Power in MW/MVar,
+    the generator limits of ``dgs`` (bus id, generator) included."""
 
     case: str | None = None
     psp_v: float | None = None
     psp_cost_p: float | None = None
     psp_cost_q: float | None = None
     psp_load: tuple[float, float] | None = None
-    dgs: tuple[DgSpec, ...] = ()
+    dgs: tuple[tuple[int, netmodel.Generator], ...] = ()
     load_scale: float | None = None
     impedance_scale: float | None = None
     vmin: float | None = None
@@ -102,9 +92,9 @@ _DUPLICATION_KEYS = {
 
 
 def _dgs(value, key: str) -> dict:
-    entries = json_of_type(list, "a list")(value, key)
-    return {"dgs": tuple(DgSpec(**json_fields(d, _DG_KEYS, tuple(_DG_KEYS), "dgs entry"))
-                         for d in entries)}
+    dgs = [json_fields(d, _DG_KEYS, tuple(_DG_KEYS), "dgs entry")
+           for d in json_of_type(list, "a list")(value, key)]
+    return {"dgs": tuple((dg.pop("bus"), netmodel.Generator(**dg)) for dg in dgs)}
 
 
 _SCENARIO_KEYS = {
@@ -162,10 +152,9 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
     net = netmodel.with_slack_costs(net, scen.psp_cost_p, scen.psp_cost_q)
     if scen.psp_load is not None:
         net = netmodel.with_load(net, net.slack, *(v / base for v in scen.psp_load))
-    for dg in scen.dgs:
-        gen = netmodel.Generator(dg.p_min / base, dg.p_max / base, dg.q_min / base,
-                                 dg.q_max / base, dg.cost_p, dg.cost_q)
-        net = netmodel.with_generator(net, dg.bus, gen)
+    for bus, gen in scen.dgs:
+        limits = {k: getattr(gen, k) / base for k in ("p_min", "p_max", "q_min", "q_max")}
+        net = netmodel.with_generator(net, bus, replace(gen, **limits))
     if scen.load_scale is not None:
         cols = netmodel.columns(net)  # the supply point's own load stays
         slack_load = (cols.p_load[0], cols.q_load[0])
@@ -182,10 +171,12 @@ def apply_scenario(scen: Scenario, case_dir: Path | None = None) -> Network:
     return net
 
 
-def _dg_flag(spec: str) -> DgSpec:
+def _dg_flag(spec: str) -> tuple[int, netmodel.Generator]:
+    """A ``--dg`` generator: both its floors are 0."""
     try:
         bus, p_max, q_max, cost_p, cost_q = spec.split(":")
-        return DgSpec(int(bus), float(p_max), float(q_max), float(cost_p), float(cost_q))
+        return int(bus), netmodel.Generator(0.0, float(p_max), 0.0, float(q_max),
+                                            float(cost_p), float(cost_q))
     except ValueError as exc:
         raise NetworkError(
             f"bad --dg spec {spec!r}; expected bus:pmax:qmax:costp:costq"
@@ -272,11 +263,11 @@ def cmd_opf(args) -> int:
     prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
     vb, cols = mdopf.var_blocks(net), netmodel.columns(net)
-    dispatch = [np.array([out[b] for b in vb.gens]) * net.base_power for out in (sol.pg, sol.qg)]
     out_dir = Path(args.out)
     _write(out_dir, "opf_dispatch.csv", pricing.table_to_csv(
         ["bus", "pg[MW]", "qg[MVar]", "cost_p[$ per MWh]", "cost_q[$ per MVarh]"],
-        vb.gens, [*dispatch, cols.cost_p[vb.gen_w], cols.cost_q[vb.gen_w]]))
+        vb.gens, [sol.pg * net.base_power, sol.qg * net.base_power,
+                  cols.cost_p[vb.gen_w], cols.cost_q[vb.gen_w]]))
     cert = prob.certificate
     # runtime stays off the report files so reruns are byte-identical
     summary = {
@@ -354,7 +345,7 @@ def cmd_price(args) -> int:
     net = _network(args)
     prob, sol, state = mdopf.solve_opf(net)
     _print_notes(prob.certificate)
-    if not sol.pg[net.slack] > netmodel.columns(net).p_min[0] + 1e-9:
+    if not sol.pg[0] > netmodel.columns(net).p_min[0] + 1e-9:
         print("note: supply-point generation is not strictly interior; "
               "marginal-loss prices assume the supply point is marginal")
     pt = pricing.compute_price_table(net, state, thermal_duals=sol.duals_quad)

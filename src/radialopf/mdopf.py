@@ -418,7 +418,8 @@ def recover_dispatch(
     """Physical dispatch and full network state from the solver variables.
 
     W is s0 + S x, S x one solve of the generators' balance-row entries.
-    Generator outputs are the modified outputs divided by the bus W; the
+    Generator outputs are the modified outputs divided by the bus W, as the
+    arrays ``pg``/``qg`` in ``VarBlocks.gens`` order (the slack first); the
     state is assembled (and consistency-checked) from the modified
     injections (modified generation minus load times W) and W.
     """
@@ -438,8 +439,6 @@ def recover_dispatch(
             f"nonphysical solution: W = {w_gen[bad[0]]:.4f} <= 0 at bus "
             f"{lay.gens[bad[0]]} (voltage at or above 2 pu)"
         )
-    pg = dict(zip(lay.gens, (p_gen / w_gen).tolist()))
-    qg = dict(zip(lay.gens, (q_gen / w_gen).tolist()))
     w_r = w[1:]
     cols = netmodel.columns(net)
     p_hat = -cols.p_load[1:] * w_r
@@ -448,7 +447,7 @@ def recover_dispatch(
     p_hat[lay.gen_w[on_tree] - 1] += p_gen[on_tree]
     q_hat[lay.gen_w[on_tree] - 1] += q_gen[on_tree]
     state = mdistflow.state_from_solution(net, p_hat, q_hat, w_r)
-    return replace(sol, pg=pg, qg=qg), state
+    return replace(sol, pg=p_gen / w_gen, qg=q_gen / w_gen), state
 
 
 def balance_prices(

@@ -11,8 +11,8 @@ document, branch field j its j-th branch), the slack's bus id and the
 per-unit bases, as MATPOWER stores a case. The readers, the overlays,
 ``validate`` and ``duplicate_system`` read and write those arrays; none
 makes an object per bus or per branch. ``Generator`` is the value that
-``with_generator`` takes. The tree order comes from one compiled
-depth-first search from the slack over the buses ranked by id
+``with_generator`` takes, and a scenario's DG. The tree order comes from
+one compiled depth-first search from the slack over the buses ranked by id
 (``scipy.sparse.csgraph.depth_first_order``), and ``columns`` holds the
 same numbers in that array order for every later stage. Each view derived
 from a network is memoized on the instance (``per_network``).
@@ -857,19 +857,16 @@ def strip_thermal_limits(net: Network) -> Network:
 
 
 def net_injections(
-    net: Network,
-    pg: dict[int, float] | None = None,
-    qg: dict[int, float] | None = None,
+    net: Network, pg: np.ndarray | None = None, qg: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed net injections (generation minus load) per non-slack bus, in
-    tree order (``tree_positions`` without the slack). ``pg``/``qg`` map bus
-    id -> dispatched output (pu)."""
-    pos, cols = tree_positions(net), columns(net)
-    out = []
-    for gen, load in ((pg, cols.p_load[1:]), (qg, cols.q_load[1:])):
-        g = np.zeros(load.size)
-        for b, value in (gen or {}).items():
-            if pos.get(b, 0) > 0:  # the slack's output is not an injection here
-                g[pos[b] - 1] = value
-        out.append(g - load)
-    return out[0], out[1]
+    tree order (``columns(net)`` without the slack). ``pg``/``qg`` are the
+    dispatched outputs (pu) of the buses that ``columns(net).gen`` marks, in
+    that order, the slack first (``mdopf.var_blocks(net).gens``); the
+    slack's output is not an injection here. Without them, no bus generates."""
+    cols = columns(net)
+    gen = np.zeros((2, cols.gen.size))
+    if pg is not None:
+        gen[:, cols.gen] = pg, qg
+    inj = gen[:, 1:] - [cols.p_load[1:], cols.q_load[1:]]
+    return inj[0], inj[1]

@@ -127,6 +127,10 @@ class QcqpProblem:
 
 @dataclass(frozen=True)
 class OpfSolution:
+    """An interior-point solution. ``pg``/``qg`` are the physical generator
+    outputs (pu) that ``mdopf.recover_dispatch`` adds, in generator order
+    (``mdopf.var_blocks(net).gens``, the slack first); ``solve`` leaves them None."""
+
     x: np.ndarray
     objective_value: float
     status: str
@@ -134,8 +138,8 @@ class OpfSolution:
     duals_in: np.ndarray
     duals_quad: np.ndarray
     stats: SolveStats
-    pg: dict[int, float] | None = None
-    qg: dict[int, float] | None = None
+    pg: np.ndarray | None = None
+    qg: np.ndarray | None = None
 
 
 EigBlock = tuple[np.ndarray, np.ndarray, np.ndarray]

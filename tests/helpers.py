@@ -139,6 +139,26 @@ def random_tree_network(
     return netmodel.with_slack_costs(net, 30.0, 3.0)
 
 
+def reference_net_injections(net, pg=None, qg=None):
+    """Per-generator loop reference for ``netmodel.net_injections``: ``pg``/``qg``
+    map bus id -> dispatched output (pu); the slack's output is skipped."""
+    pos, cols = netmodel.tree_positions(net), netmodel.columns(net)
+    out = []
+    for gen, load in ((pg, cols.p_load[1:]), (qg, cols.q_load[1:])):
+        g = np.zeros(load.size)
+        for b, value in (gen or {}).items():
+            if pos.get(b, 0) > 0:  # the slack's output is not an injection here
+                g[pos[b] - 1] = value
+        out.append(g - load)
+    return out[0], out[1]
+
+
+def assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    """``a`` and ``b`` hold the same bits, the sign of each zero included."""
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def mk_case(bus_rows, branch_rows, base=1.0, gen_rows=None, gencost_rows=None):
     """Assemble MATPOWER-subset case text from row lists."""
     parts = [f"mpc.baseMVA = {base};", "mpc.bus = ["]
@@ -456,10 +476,11 @@ def reference_opf_dispatch_csv(net, sol) -> str:
     base = net.base_power
     rows = ["bus,pg[MW],qg[MVar],cost_p[$ per MWh],cost_q[$ per MVarh]"]
     vb, cols = mdopf.var_blocks(net), netmodel.columns(net)
-    for b, cost_p, cost_q in zip(vb.gens, cols.cost_p[vb.gen_w].tolist(),
-                                 cols.cost_q[vb.gen_w].tolist()):
+    for b, pg, qg, cost_p, cost_q in zip(vb.gens, sol.pg.tolist(), sol.qg.tolist(),
+                                         cols.cost_p[vb.gen_w].tolist(),
+                                         cols.cost_q[vb.gen_w].tolist()):
         rows.append(",".join([
-            str(b), _fmt(sol.pg[b] * base), _fmt(sol.qg[b] * base), _fmt(cost_p), _fmt(cost_q),
+            str(b), _fmt(pg * base), _fmt(qg * base), _fmt(cost_p), _fmt(cost_q),
         ]))
     return "\n".join(rows) + "\n"
 

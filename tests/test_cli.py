@@ -15,8 +15,8 @@ import pytest
 from radialopf import acpf, cli, mdistflow, mdopf, netmodel, qcqpsolver
 
 from helpers import (
-    assert_same_network, bus_record, bus_records, bus_row, mk_case, rated_network,
-    reference_opf_dispatch_csv, reference_pf_comparison_csv,
+    assert_bitwise, assert_same_network, bus_record, bus_records, bus_row, mk_case,
+    rated_network, reference_opf_dispatch_csv, reference_pf_comparison_csv,
 )
 
 
@@ -548,6 +548,25 @@ def test_scenario_file_with_flag_override(tmp_path):
     summary = json.loads(read(tmp_path / "opf_summary.json"))
     # the flag override (1.05) applies, reproducing the benchmark objective
     assert abs(summary["objective[$]"] - 122.16) / 122.16 < 0.005
+
+
+@pytest.mark.parametrize("source", ["scenario", "flag"])
+def test_dg_is_the_generator_with_its_limits_in_pu(tmp_path, source):
+    # a scenario file's DG (nonzero floors) and a --dg one (floors 0) are
+    # the same network as ``with_generator`` with the MW/MVar limits / base
+    scen_path = tmp_path / "scen.json"
+    scen_path.write_text(json.dumps({"case": "case33.m", "dgs": [
+        {"bus": 18, "p_range": [0.05, 0.2], "q_range": [-0.1, 0.1], "cost_p": 40, "cost_q": 4}]}))
+    argv, limits = {
+        "scenario": (["--scenario", str(scen_path)], (0.05, 0.2, -0.1, 0.1)),
+        "flag": (["--case", "case33.m", "--dg", "18:0.2:0.1:40:4"], (0.0, 0.2, 0.0, 0.1)),
+    }[source]
+    got = cli._network(cli.build_parser().parse_args(["validate", *argv]))
+    case = netmodel.load_case(cli.resolve_case("case33.m", None))
+    gen = netmodel.Generator(*(v / case.base_power for v in limits), 40.0, 4.0)
+    want = netmodel.with_generator(case, 18, gen)
+    for name, column in vars(netmodel.columns(want)).items():
+        assert_bitwise(getattr(netmodel.columns(got), name), column)
 
 
 def test_scenario_psp_load(tmp_path):

@@ -608,31 +608,34 @@ def test_two_bus_slack_serves_load(net2):
     rep = mdf.losses(net2, state)
     # exact model identity: slack modified output balances the withdrawals
     w0 = 2.0 - net2.v0
-    assert sol.pg[1] * w0 == pytest.approx(-np.sum(state.p_hat), abs=1e-7)
-    assert sol.qg[1] * w0 == pytest.approx(-np.sum(state.q_hat), abs=1e-7)
+    assert sol.pg[0] * w0 == pytest.approx(-np.sum(state.p_hat), abs=1e-7)
+    assert sol.qg[0] * w0 == pytest.approx(-np.sum(state.q_hat), abs=1e-7)
     # and physically it covers the load plus losses, to model accuracy
-    assert sol.pg[1] == pytest.approx(1.0 + rep.pl, abs=5e-4)
+    assert sol.pg[0] == pytest.approx(1.0 + rep.pl, abs=5e-4)
 
 
 def test_zero_modified_output_zero_dispatch(net2):
     net = netmodel.with_generator(net2, 2, Generator(0.0, 0.5, 0.0, 0.2, 60.0, 60.0))
     sol = mdopf.solve_opf(net)[1]
-    # the expensive unit stays off; division by W keeps it exactly off-scale
-    assert abs(sol.pg[2]) < 1e-6
+    # the expensive unit (bus 2, after the slack) stays off; division by W
+    # keeps it exactly off-scale
+    assert abs(sol.pg[1]) < 1e-6
 
 
 def test_table_dispatch_scenario_1(case33_psp):
     net = scenario_net(case33_psp, 18, 31.0)
     sol = mdopf.solve_opf(net)[1]
     assert sol.objective_value == pytest.approx(122.16, rel=0.005)
-    assert sol.pg[18] * net.base_power == pytest.approx(0.624, abs=0.02)
-    assert sol.qg[18] * net.base_power == pytest.approx(0.5, abs=1e-3)
+    k = mdopf.var_blocks(net).gens.index(18)
+    assert sol.pg[k] * net.base_power == pytest.approx(0.624, abs=0.02)
+    assert sol.qg[k] * net.base_power == pytest.approx(0.5, abs=1e-3)
 
 
 def test_table_dispatch_scenario_3_at_capacity(case33_psp):
     net = scenario_net(case33_psp, 33, 31.0)
     sol = mdopf.solve_opf(net)[1]
-    assert sol.pg[33] * net.base_power == pytest.approx(1.000, abs=0.02)
+    k = mdopf.var_blocks(net).gens.index(33)
+    assert sol.pg[k] * net.base_power == pytest.approx(1.000, abs=0.02)
 
 
 def test_reconstructed_state_residual(case33_psp):
@@ -696,7 +699,7 @@ def test_binding_thermal_limit():
     assert flow_sq == pytest.approx(0.64, abs=1e-6)
     assert sol.duals_quad[0] > 1e-3
     # the local unit covers what the limited import cannot
-    assert sol.pg[2] > 0.15
+    assert sol.pg[1] > 0.15  # bus 2, after the slack
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +721,10 @@ def assert_matches_reference(net):
     assert sol_l.status == sol_r.status == "optimal"
     sol_l, _ = mdopf.recover_dispatch(net, sol_l)
     pg, qg, _ = reference_recover_dispatch(net, ti, ref, sol_r)
-    assert sol_l.pg.keys() == pg.keys()
-    for b in pg:
-        assert abs(sol_l.pg[b] - pg[b]) < 1e-6, b
-        assert abs(sol_l.qg[b] - qg[b]) < 1e-6, b
+    assert mdopf.var_blocks(net).gens == tuple(pg)
+    for k, b in enumerate(pg):
+        assert abs(sol_l.pg[k] - pg[b]) < 1e-6, b
+        assert abs(sol_l.qg[k] - qg[b]) < 1e-6, b
     assert sol_l.objective_value == pytest.approx(sol_r.objective_value, rel=1e-8)
     # the reference has every rated row; a dropped row's multiplier is 0
     kept = np.isin(np.flatnonzero(~np.isnan(ti.i_max)), mdopf.var_blocks(net).rated)
@@ -1038,9 +1041,9 @@ def assert_tree_order_matches_default(net):
     assert sol_t.stats.iterations == sol_d.stats.iterations
     sol_t, _ = mdopf.recover_dispatch(net, sol_t)
     sol_d, _ = mdopf.recover_dispatch(net, sol_d)
-    for b in sol_d.pg:
-        assert abs(sol_t.pg[b] - sol_d.pg[b]) < 1e-6, b
-        assert abs(sol_t.qg[b] - sol_d.qg[b]) < 1e-6, b
+    for k, b in enumerate(mdopf.var_blocks(net).gens):
+        assert abs(sol_t.pg[k] - sol_d.pg[k]) < 1e-6, b
+        assert abs(sol_t.qg[k] - sol_d.qg[k]) < 1e-6, b
     assert sol_t.objective_value == pytest.approx(sol_d.objective_value, rel=1e-8)
     if prob.n_quad:
         scale = np.max(np.abs(sol_d.duals_quad))

@@ -19,8 +19,9 @@ from radialopf.netmodel import (
 
 from helpers import (
     Branch, Bus, assert_same_network, branch_records, bus_record, bus_records, bus_row,
-    chain_network, dense_objective_h, mk_case, network, path_matrix, random_tree_network,
-    reference_duplicate_system, reference_preorder, reference_validate, with_records,
+    assert_bitwise, chain_network, dense_objective_h, mk_case, network, path_matrix,
+    random_tree_network, reference_duplicate_system, reference_net_injections,
+    reference_preorder, reference_validate, with_records,
 )
 
 
@@ -716,8 +717,33 @@ def test_json_rejects_other_documents():
 
 
 def test_net_injections_with_dispatch(case33):
-    ti = build_path_incidence(case33)
-    p, q = netmodel.net_injections(case33, {18: 0.05}, {18: 0.02})
+    net = netmodel.with_generator(case33, 18, Generator(0.0, 0.1, 0.0, 0.1))
+    ti = build_path_incidence(net)
+    # generator order: the supply point, then bus 18
+    p, q = netmodel.net_injections(net, np.array([0.3, 0.05]), np.array([0.1, 0.02]))
     i = ti.order.index(18)
-    assert p[i] == pytest.approx(0.05 - bus_record(case33, 18).p_load)
-    assert q[i] == pytest.approx(0.02 - bus_record(case33, 18).q_load)
+    assert p[i] == pytest.approx(0.05 - bus_record(net, 18).p_load)
+    assert q[i] == pytest.approx(0.02 - bus_record(net, 18).q_load)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_net_injections_match_the_per_generator_loop_bitwise(seed):
+    # a generator at the supply point (``random_tree_network`` gives it one)
+    # and at some buses; zero loads at a third of the buses, with and
+    # without a generator, where a scatter that wrote -load would leave -0.0
+    rng = np.random.default_rng(seed)
+    net = random_tree_network(rng, 40, gen_frac=0.4)
+    for b in net.records.bus_id[rng.permutation(net.n_bus)[:13]].tolist():
+        net = netmodel.with_load(net, b, 0.0, 0.0)
+    cols = netmodel.columns(net)
+    zero = cols.p_load[1:] == 0.0
+    assert cols.gen[0] and (zero & cols.gen[1:]).any() and (zero & ~cols.gen[1:]).any()
+    gens = cols.bus_id[cols.gen].tolist()
+    pg, qg = rng.uniform(-0.1, 0.1, (2, len(gens)))
+    pg[1::3], qg[2::3] = 0.0, -0.0
+    assert mdopf.var_blocks(net).gens == tuple(gens)
+    for dispatch in ((), (pg, qg)):
+        by_bus = [dict(zip(gens, d.tolist())) for d in dispatch]
+        for got, want in zip(netmodel.net_injections(net, *dispatch),
+                             reference_net_injections(net, *by_bus)):
+            assert_bitwise(got, want)

@@ -22,6 +22,7 @@ def test_package_docstring_example_runs(tmp_path, monkeypatch):
     exec(textwrap.dedent("\n".join(lines[start:end])), scope)
     assert scope["sol"].status == "optimal"
     assert len(scope["table"].bus_ids) == 32
+    assert list(scope["dispatch"]) == [1]  # case33's one generator, the supply point
 
 
 def test_tracer_wrapped_names_resolve():
