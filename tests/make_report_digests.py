@@ -19,8 +19,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -114,20 +116,12 @@ def write_inputs(work: Path) -> None:
     (inputs / "scenario.json").write_text(json.dumps(SCENARIO))
 
 
-def corpus(work: Path) -> dict:
-    """Every study's record, run in ``work``, which holds no case file."""
-    write_inputs(work)
-    return {name: run_study(name, work)[0] for name in STUDIES}
-
-
 def main() -> int:
-    import os
-    import tempfile
-
     os.environ.pop("RADIALOPF_CASE_DIR", None)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # no case file resolves against the working directory
-        studies = corpus(Path(tmp))
+        write_inputs(Path(tmp))
+        studies = {name: run_study(name, Path(tmp))[0] for name in STUDIES}
     DIGESTS.write_text(json.dumps({"versions": versions(), "studies": studies}, indent=1) + "\n")
     print(f"wrote {DIGESTS}: {len(studies)} studies")
     return 0
