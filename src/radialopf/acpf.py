@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .netmodel import (
-    Network, columns, net_injections, path_incidence, per_network, tree_positions,
+    Network, columns, leaves_first_solve, net_injections, path_incidence, per_network,
+    tree_positions,
 )
 
 #: Newton-Raphson convergence: the largest mismatch (pu), the iteration limit
@@ -156,12 +156,10 @@ def _tree_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def _factor(jac: sp.csc_matrix, what: str) -> spla.SuperLU:
-    """Leaves-first factor with no pivoting, as ``mdistflow.FeederFactors``."""
-    try:
-        return spla.splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0, relax=2, panel_size=2)
-    except RuntimeError as exc:
-        raise PowerFlowError(f"singular {what}: {exc}") from exc
+def _injections(net: Network, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """``p``/``q`` as float arrays, ``net_injections(net)``'s where None."""
+    dp, dq = net_injections(net) if p is None or q is None else (p, q)
+    return tuple(np.asarray(d if x is None else x, dtype=float) for x, d in ((p, dp), (q, dq)))
 
 
 def _branch_losses(net: Network, vc: np.ndarray) -> tuple[float, float]:
@@ -185,8 +183,7 @@ def newton_pf(
     default is a flat start at the slack voltage.
     """
     n = net.n_bus
-    dp, dq = net_injections(net) if p is None or q is None else (p, q)
-    p, q = (np.asarray(d if x is None else x, dtype=float) for x, d in ((p, dp), (q, dq)))
+    p, q = _injections(net, p, q)
     if p.shape != (n - 1,) or q.shape != (n - 1,):
         raise ValueError("injection vectors must cover every non-slack bus")
 
@@ -208,10 +205,8 @@ def newton_pf(
                 f"power flow diverged: mismatch {worst:.3e} after {NEWTON_MAX_ITER} iterations"
             )
         turned = -(1 + 1j) * f  # on the Jacobian's rows P - Q, P + Q
-        dx = _factor(_tree_jacobian(net, vc), "power-flow Jacobian").solve(
-            _leaves_first(turned.real, turned.imag))
-        if not np.all(np.isfinite(dx)):
-            raise PowerFlowError("singular power-flow Jacobian (non-finite step)")
+        dx = leaves_first_solve(_tree_jacobian(net, vc), _leaves_first(turned.real, turned.imag),
+                                PowerFlowError, "power-flow Jacobian")[1]
         d_va, d_vm = _tree_order(dx)
         va[1:] += d_va
         vm[1:] += d_vm
@@ -275,24 +270,17 @@ def voltage_adjoint(
     ``v``/``delta`` are full-bus vectors at any operating point; the rows of
     ``u`` (shape ``(m,)`` or ``(m, k)``) and of the results are the m
     non-slack buses. The reduced Jacobian J (``_tree_jacobian``) is factored
-    once, leaves first with no pivoting and no fill, and J^T y = [0; u] is
-    solved, so that y = [dV/dP^T u; dV/dQ^T u] (the adjoint form of the lower
-    blocks of J^-1); as nothing pivots, the solve's residual is checked.
-    Feeders meet only at the slack, so J's factor is the feeders' factors.
+    once and J^T y = [0; u] solved (``netmodel.leaves_first_solve``, with no
+    fill), so that y = [dV/dP^T u; dV/dQ^T u], the adjoint form of the lower
+    blocks of J^-1.
     """
     m = net.n_bus - 1
     u = np.asarray(u, dtype=float)
     if u.shape[0] != m:
         raise ValueError("u must have one row per non-slack bus")
     vc = np.asarray(v, dtype=float) * np.exp(1j * np.asarray(delta, dtype=float))
-    jac = _tree_jacobian(net, vc)
-    rhs = _leaves_first(np.zeros_like(u), u)
-    y = _factor(jac, "reduced Jacobian").solve(rhs, trans="T")
-    if not np.all(np.isfinite(y)):
-        raise PowerFlowError("singular reduced Jacobian: non-finite solution")
-    resid = np.max(np.abs(jac.T @ y - rhs), initial=0.0)
-    if resid > 1e-8 * max(1.0, np.max(np.abs(y), initial=0.0)):
-        raise PowerFlowError(f"ill-conditioned reduced Jacobian: solve residual {resid:.3e}")
+    y = leaves_first_solve(_tree_jacobian(net, vc), _leaves_first(np.zeros_like(u), u),
+                           PowerFlowError, "reduced Jacobian", trans="T")[1]
     y_diff, y_sum = _tree_order(y)  # multipliers of the rows P - Q and P + Q
     return y_diff + y_sum, y_sum - y_diff
 
@@ -326,10 +314,10 @@ def fd_price_oracle(
         raise ValueError("price oracle is defined for non-slack buses")
     c0p, c0q = slack_costs(net)
     k = tree_positions(net)[bus] - 1
-    dp, dq = net_injections(net) if p is None or q is None else (p, q)
+    p, q = _injections(net, p, q)
     costs = []
     for sign in (+1.0, -1.0):
-        pp, qq = (np.array(d if x is None else x, dtype=float) for x, d in ((p, dp), (q, dq)))
+        pp, qq = p.copy(), q.copy()
         # a load increment is an injection decrement
         (pp if axis == "p" else qq)[k] -= sign * ORACLE_EPS
         try:

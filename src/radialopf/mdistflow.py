@@ -4,13 +4,9 @@ State variables are the modified injections p_hat = P * w and flows, with
 the auxiliary per-bus variable w = 2 - V. ``flow_equations`` states the
 model once, as sparse branch-flow rows in the layout ``FlowRows`` states.
 For fixed injections the whole state follows from one direct sparse solve
-of those rows, block diagonal by feeder and factored whole
-(``FeederFactors``); no sweep or iteration is involved. The OPF builder
-reads only that factor, memoized per network by ``load_factors``: its
-layout, the slack's two balance rows, the state that each generator
-drives, packed by feeder into the slots of one solve, and the balance-row
-duals their transposed solve. The module also
-recovers the bus angles, each the sum of the angle turns across the
+of those rows (``FeederFactors``, no sweep or iteration), the only part
+that the OPF builder reads, memoized per network by ``load_factors``. The
+module also recovers the bus angles, each the sum of the angle turns across the
 branches on its path, and computes the total network loss with its
 four-way split into active/reactive flow contributions. The path matrix T
 of the paper's closed form is never formed: T x (each branch's sum over
@@ -30,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .netmodel import Network, PathIncidence, columns, path_incidence, per_network
+from .netmodel import (
+    Network, PathIncidence, columns, leaves_first_solve, path_incidence, per_network,
+)
+from .qcqpsolver import rank_within
 
 
 class MdfError(RuntimeError):
@@ -90,6 +88,11 @@ class FlowRows:
         the reactive: the rows in which a generator's Pg and Qg are units."""
         return np.concatenate([self.p_bal + bus, self.q_bal + bus])
 
+    @staticmethod
+    def per_column(per_branch: np.ndarray, at_w0) -> np.ndarray:
+        """An entry per state column: branch row k's at k's W, Pbr and Qbr."""
+        return np.concatenate([[at_w0], per_branch, per_branch, per_branch])
+
 
 def flow_equations(ti: PathIncidence, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
     """The modified branch-flow equations as sparse (3n + 3) x (3n + 1) rows,
@@ -136,32 +139,25 @@ def _assemble(net, ti, w_r, p_hat, q_hat):
 
 class FeederFactors:
     """``flow_equations`` at fixed non-slack net injections ``p``/``q`` (tree
-    order) without the slack's two balance rows, square in the state (W,
-    Pbr, Qbr in the columns of ``layout``, its ``FlowRows``), in one factor.
-
-    Feeders meet only at the slack, whose W is fixed, so with W0 on the
-    right-hand side the rows are block diagonal by feeder. They are factored
-    leaves first, one group per bus (W, Pbr, Qbr of the branch into it; its
-    drop and balance rows), with no pivoting: each child is eliminated
-    before its parent, so fill stays within the parent's group and the
-    factor is that of each feeder's block. The leaves-first position of each
-    row is ``at`` (-1 for the slack's) and of each state column ``place``
-    (W0 last, past the block); ``feeder`` numbers each position's feeder.
-    ``state`` is the solution at the slack voltage ``net.v0``.
+    order) without the slack's two balance rows, square in the state, in one
+    ``netmodel.leaves_first_solve`` factor: with W0 on the right-hand side,
+    one group of three per bus (the W, Pbr and Qbr of the branch into it;
+    its drop and balance rows). ``at`` is each row's position (-1 for the
+    slack's), ``eqs`` and ``cols`` each position's row and state column;
+    every solve takes and returns the ``layout`` (``FlowRows``). ``state``
+    is the solution at the slack voltage ``net.v0``.
 
     It holds the rows only as SuperLU's factor ``lu`` and ``slack_rows``,
     the slack's two balance rows at its own load: the OPF's equality rows.
     The flow rows are freed before SuperLU factors them, once W0's column
-    and those two rows are copied out, and the leaves-first matrix it
-    factors after the residual check of ``state``. ``solve_units`` solves
-    its packed slots one at a time.
+    and those two rows are copied out.
     """
 
     def __init__(self, net: Network, p: np.ndarray, q: np.ndarray):
         ti = path_incidence(net)
         cols = columns(net)
         n, rows = ti.n, FlowRows(ti.n)
-        self.layout = rows
+        self.layout, self._feeder = rows, ti.feeder
         a = flow_equations(ti, np.concatenate([-cols.p_load[:1], p]),
                            np.concatenate([-cols.q_load[:1], q]))
         k = np.arange(n)[::-1]
@@ -169,36 +165,23 @@ class FeederFactors:
         self.eqs = np.column_stack([rows.drop + k, rows.p_bal + 1 + k, rows.q_bal + 1 + k]).ravel()
         size = self.cols.size  # every state column but W0
         self.at = np.full(rows.count, -1, dtype=np.int32)
-        self.place = np.full(rows.n_cols, size, dtype=np.int32)
-        self.at[self.eqs] = self.place[self.cols] = np.arange(size)
+        place = np.full(rows.n_cols, size, dtype=np.int32)
+        self.at[self.eqs] = place[self.cols] = np.arange(size)
         w0_col = a[:, [rows.w]].toarray()[:, 0]  # W0 in the top drops
         self.slack_rows = a[[rows.p_bal, rows.q_bal]]
         # a's entries at their positions, compressed by column: W0's column,
         # placed last, is cut off and the slack's rows are zeroed out
-        m = sp.csr_matrix((a.data, self.place[a.indices], a.indptr), shape=a.shape).tocsc()
+        m = sp.csr_matrix((a.data, place[a.indices], a.indptr), shape=a.shape).tocsc()
         del a  # the solves read only W0's column and the slack's rows: free it before splu
         m = sp.csc_matrix((m.data, self.at[m.indices], m.indptr[:-1]), shape=(size, size))
         m.data[m.indices < 0] = 0.0
         m.eliminate_zeros()
-        try:
-            self.lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0, relax=2, panel_size=2)
-        except RuntimeError as exc:
-            raise MdfError(f"singular modified power-flow matrix: {exc}") from exc
-        # a preorder keeps each feeder contiguous, so in leaves-first order a
-        # feeder's rows end at its top bus: number the feeders in that order
-        top = (np.asarray(ti.parent_pos, dtype=int) < 0)[::-1]
-        self.feeder = np.repeat(np.cumsum(top) - top, 3)
+        # W0's column on the right-hand side: the state is -W0 times its solve
+        self.lu, y = leaves_first_solve(m, w0_col[self.eqs], MdfError, "modified power-flow matrix")
         w0 = 2.0 - net.v0
-        self.state = -w0 * self.solve_state(w0_col)
+        self.state = np.zeros(rows.n_cols)
+        self.state[self.cols] = -w0 * y
         self.state[rows.w] = w0
-        if not np.all(np.isfinite(self.state)):
-            raise MdfError("singular modified power-flow matrix (non-finite solution)")
-        # the factored rows at the state: m on the block, W0's column at W0
-        resid = np.max(np.abs(m @ self.state[self.cols] + w0 * w0_col[self.eqs]), initial=0.0)
-        if resid > 1e-8 * max(1.0, np.max(np.abs(self.state))):
-            raise MdfError(
-                f"ill-conditioned modified power-flow matrix: solve residual {resid:.3e}"
-            )
 
     def solve_state(self, b: np.ndarray) -> np.ndarray:
         """The state that ``b`` (rows in ``FlowRows`` layout, the slack's not
@@ -209,25 +192,25 @@ class FeederFactors:
 
     def solve_units(self, bal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``solve_state`` for a unit in each row of ``bal``, packed: a column
-        reaches only the feeder of its row, so the k-th column that reaches
-        each feeder shares slot k with the others, one right-hand side (Curtis,
-        Powell & Reid 1974). The slots are solved one at a time into X, so
-        SuperLU neither copies an all-slot right-hand side nor allocates a
-        work array of its size. Returns X, per position and slot, and each
+        reaches only the feeder of its row (``PathIncidence.feeder``), so the
+        k-th column that reaches each feeder takes slot k (``rank_within``).
+        The slots are solved one at a time, so SuperLU neither copies an
+        all-slot right-hand side nor allocates a work array of its size.
+        Returns X, per state column (W0's row 0) and slot, and each
         feeder's column per slot (-1 where it has fewer)."""
         pos = self.at[bal]
         col = np.flatnonzero(pos >= 0)
-        col = col[np.argsort(self.feeder[pos[col]], kind="stable")]
-        feeder = self.feeder[pos[col]]
-        slot = np.arange(col.size) - np.searchsorted(feeder, feeder)
-        slot_col = np.full((self.feeder.max(initial=-1) + 1, slot.max(initial=-1) + 1), -1)
+        n_feeder = self._feeder.max(initial=-1) + 1
+        feeder = self._feeder[self._feeder.size - 1 - pos[col] // 3]  # by the position's bus
+        slot = rank_within(feeder, n_feeder)
+        slot_col = np.full((n_feeder, slot.max(initial=-1) + 1), -1)
         slot_col[feeder, slot] = col
-        x = np.empty((self.cols.size, slot_col.shape[1]))
+        x = np.zeros((self.layout.n_cols, slot_col.shape[1]))
         rhs = np.zeros(self.cols.size)
         for k in range(x.shape[1]):
             units = pos[col[slot == k]]
             rhs[units] = 1.0
-            x[:, k] = self.lu.solve(rhs)
+            x[self.cols, k] = self.lu.solve(rhs)
             rhs[units] = 0.0
         return x, slot_col
 

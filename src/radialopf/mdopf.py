@@ -6,17 +6,19 @@ without the slack's two balance rows are square in that state. So the state
 is affine in the modified generator outputs x: s = s0 + S x, with s0 the
 load-only state and S one solve of the generators' balance-row entries
 (``mdistflow.load_factors``, one factor of the whole network), held as that
-solve's packed block (``FeederFactors.solve_units``) and never as a matrix.
-The problem's variables are the generator outputs alone. The voltage and
-generator-box rows are the full-space rows with s0 + S x put in for the
-state, and the slack's two balance rows are the only equality rows. A
-kept thermal row is a sum of squares in the outputs,
-||c_l + M_l x||^2 <= i_max^2, with M_l the rows of S at the branch's Pbr
-and Qbr and c_l the load-only flows there. The objective is the generation
-cost with the voltage weights eliminated through the closed-form affine
-voltage map, which leaves a quadratic form over the generator variables:
-their buses' common-path resistance and reactance, two triangular solves
-with the path incidence's factor per generator slot (``build_objective``).
+solve's packed block X (``FeederFactors.solve_units``, a row per state
+column), never as a matrix: a state column finds the generator of each slot
+through its feeder (``netmodel.PathIncidence.feeder``). The problem's
+variables are the generator outputs alone. The voltage and generator-box
+rows are the full-space rows with s0 + S x put in for the state, and the
+slack's two balance rows are the only equality rows. A kept thermal row is
+a sum of squares in the outputs, ||c_l + M_l x||^2 <= i_max^2, with M_l
+the rows of S at the branch's Pbr and Qbr and c_l the load-only flows
+there. The objective is the generation cost with the voltage weights
+eliminated through the closed-form affine voltage map, which leaves a
+quadratic form over the generator variables: their buses' common-path
+resistance and reactance, two triangular solves with the path incidence's
+factor per slot, the s-th generator of every feeder (``build_objective``).
 
 Presolve screens the rows over the box of generator outputs that the
 generator-box rows and the voltage rows at generator buses allow (as LP
@@ -222,16 +224,17 @@ def _rows(net: Network) -> _Rows:
     n_gen = gen_w.size
     # S packed: the state per unit of each output is -X in the output's slot
     x_slot, slot_col = fac.solve_units(flow.balance(gen_w))
+    feeder = flow.per_column(ti.feeder, 0)  # each state column's (X's W0 row is 0)
     lo, hi = _box(cols, gen_w)
-    # s0 + S mid +- |S| rad: S's products summed at each position slot by
-    # slot, in column order (an unused slot adds 0), W0's sums last and 0
+    # s0 + S mid +- |S| rad: S's products summed at each state column slot
+    # by slot, in column order (an unused slot adds 0)
     mid_x, rad_x = np.append(0.5 * (lo + hi), 0.0), np.append(0.5 * (hi - lo), 0.0)
-    sums = np.zeros((2, flow.n_cols))  # per position
+    sums = np.zeros((2, flow.n_cols))
     for k in range(slot_col.shape[1]):
-        col = slot_col[fac.feeder, k]
-        sums[0, :-1] -= x_slot[:, k] * mid_x[col]
-        sums[1, :-1] += np.abs(x_slot[:, k]) * rad_x[col]
-    mid, rad = fac.state + sums[0, fac.place], sums[1, fac.place]
+        col = slot_col[feeder, k]
+        sums[0] -= x_slot[:, k] * mid_x[col]
+        sums[1] += np.abs(x_slot[:, k]) * rad_x[col]
+    mid, rad = fac.state + sums[0], sums[1]
     v_keep, rated = _screen(net, mid - rad, mid + rad)
     for arr in (gen_w, rated):
         arr.setflags(write=False)
@@ -268,9 +271,9 @@ def _rows(net: Network) -> _Rows:
     # rows built at only the state columns they read (W0's row is empty)
     flows = np.concatenate([flow.pbr + rated, flow.qbr + rated])
     need = np.setdiff1d(np.concatenate([slack.indices, in_state.indices, flows]), flow.w)
-    col = slot_col[fac.feeder[fac.place[need]]]
+    col = slot_col[feeder[need]]
     r, k = np.nonzero(col >= 0)  # each row's columns in slot order, which is column order
-    s_need = sp.csr_matrix((-x_slot[fac.place[need[r]], k], col[r, k],
+    s_need = sp.csr_matrix((-x_slot[need[r], k], col[r, k],
                             np.searchsorted(r, np.arange(need.size + 1))), shape=(need.size, n_vars))
     return _Rows(lay, in_state, flows, QcqpProblem(
         n_vars=n_vars, h=sp.csr_matrix((n_vars, n_vars)), g=np.zeros(n_vars), c=0.0,
@@ -356,25 +359,28 @@ def build_objective(net: Network) -> tuple[sp.csr_matrix, np.ndarray, float]:
     g[lay.qg + 1:lay.qg + 1 + n_dg] = vd * cq * base
     ti = netmodel.path_incidence(net)
     row = w - 1
-    feeder = np.cumsum(ti.parent_pos < 0)[row]  # preorder keeps feeders contiguous
-    first, end = np.searchsorted(feeder, feeder), np.searchsorted(feeder, feeder, "right")
+    feeder, n_feeder = ti.feeder[row], ti.feeder[-1] + 1
+    slot = qcqpsolver.rank_within(feeder, n_feeder)
+    slot_gen = np.full((n_feeder, slot.max() + 1), -1)  # each feeder's DG per slot
+    slot_gen[feeder, slot] = np.arange(n_dg)
     pairs = []
-    for s in range((end - first).max()):
+    for s in range(slot_gen.shape[1]):
         u = np.zeros(ti.n)
-        u[row[np.arange(n_dg) - first == s]] = 1.0
+        u[row[slot == s]] = 1.0
         on_path = ti.t.solve(u)
         common = ti.t.solve(np.column_stack([ti.r * on_path, ti.x * on_path]), trans="T")
-        i = np.flatnonzero(end - first > s)  # the generators of feeders with an s-th one
-        pairs.append((i, first[i] + s, common[row[i]]))
+        j = slot_gen[feeder, s]
+        i = np.flatnonzero(j >= 0)  # the DGs of feeders with an s-th one
+        pairs.append((i, j[i], common[row[i]]))
     i, j, ab = (np.concatenate(p) for p in zip(*pairs))
+    # H is written at the DGs' Pg and Qg columns, in the variables' index space
+    p_i, q_i, p_j, q_j = lay.pg + 1 + i, lay.qg + 1 + i, lay.pg + 1 + j, lay.qg + 1 + j
     m = sp.csr_matrix((np.concatenate([ab[:, 0] * cp[j], ab[:, 0] * cq[j],
                                        ab[:, 1] * cp[j], ab[:, 1] * cq[j]]) * base,
-                       (np.concatenate([i, i, i + n_dg, i + n_dg]),
-                        np.concatenate([j, j + n_dg, j, j + n_dg]))), shape=(2 * n_dg, 2 * n_dg))
-    block = sp.coo_matrix(0.5 * (m + m.T))
-    block.eliminate_zeros()
-    idx = np.concatenate([lay.pg + 1 + np.arange(n_dg), lay.qg + 1 + np.arange(n_dg)])
-    h = sp.csr_matrix((block.data, (idx[block.row], idx[block.col])), shape=(n_vars, n_vars))
+                       (np.concatenate([p_i, p_i, q_i, q_i]),
+                        np.concatenate([p_j, q_j, p_j, q_j]))), shape=(n_vars, n_vars))
+    h = (0.5 * (m + m.T)).tocsr()
+    h.eliminate_zeros()
     return h, g, 0.0
 
 
@@ -423,14 +429,10 @@ def recover_dispatch(
     state is assembled (and consistency-checked) from the modified
     injections (modified generation minus load times W) and W.
     """
-    lay = var_blocks(net)
-    fac = mdistflow.load_factors(net)
-    x = sol.x
-    n_gen = len(lay.gens)
-    p_gen = x[lay.pg:lay.pg + n_gen]
-    q_gen = x[lay.qg:lay.qg + n_gen]
+    lay, fac = var_blocks(net), mdistflow.load_factors(net)
+    p_gen, q_gen = sol.x[lay.pg:lay.qg], sol.x[lay.qg:lay.n_vars]
     flow = fac.layout
-    gen = np.bincount(flow.balance(lay.gen_w), x, flow.count)
+    gen = np.bincount(flow.balance(lay.gen_w), sol.x, flow.count)
     w = fac.state[flow.w:flow.pbr] - fac.solve_state(gen)[flow.w:flow.pbr]
     w_gen = w[lay.gen_w]
     bad = np.flatnonzero(w_gen <= 0.0)

@@ -137,7 +137,9 @@ class PathIncidence:
     ``parent_pos[i]`` is the position of the parent of ``order[i]`` within
     ``order`` (-1 when the parent is the slack), and ``r``/``x``/``i_max`` are
     the branch parameters aligned to rows (``i_max`` is NaN where the branch
-    is unlimited), the arrays of ``columns(net)``; all four are read-only.
+    is unlimited), the arrays of ``columns(net)``. ``feeder[i]`` numbers the
+    feeder of row i (the subtree under a child of the slack; feeders meet
+    only there) 0, 1, ... in preorder, a run of rows each. All are read-only.
 
     ``t`` is the SuperLU factor of I - A, where A[parent_pos[k], k] = 1. In
     preorder every parent precedes its children, so I - A is unit upper
@@ -158,6 +160,7 @@ class PathIncidence:
     r: np.ndarray
     x: np.ndarray
     i_max: np.ndarray
+    feeder: np.ndarray
 
     @property
     def n(self) -> int:
@@ -293,7 +296,30 @@ def build_path_incidence(net: Network) -> PathIncidence:
     # panel workspace
     t = spla.splu(i_minus_a, permc_spec="NATURAL", diag_pivot_thresh=0, relax=1,
                   panel_size=1)
-    return PathIncidence(tree.order, t, parent, cols.r, cols.x, cols.i_max)
+    feeder = np.cumsum(parent < 0) - 1  # a row whose parent is the slack starts a feeder
+    feeder.setflags(write=False)
+    return PathIncidence(tree.order, t, parent, cols.r, cols.x, cols.i_max, feeder)
+
+
+def leaves_first_solve(m: sp.csc_matrix, b: np.ndarray, error: type[Exception], what: str,
+                       trans: str = "N") -> tuple[spla.SuperLU, np.ndarray]:
+    """SuperLU's factor of ``m`` (a tree's rows and columns, leaves first) in
+    that order with no pivoting, and its solve y of m y = ``b`` (m' y = b
+    with ``trans`` "T"). Each child is eliminated before its parent, so the
+    factor is each feeder's. As nothing pivots, the solve is checked: raises
+    ``error`` "singular ``what``" at a zero pivot or a non-finite y, and
+    "ill-conditioned ``what``" when the residual exceeds 1e-8 max(1, |y|)."""
+    try:
+        lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0, relax=2, panel_size=2)
+    except RuntimeError as exc:
+        raise error(f"singular {what}: {exc}") from exc
+    y = lu.solve(b, trans=trans)
+    if not np.all(np.isfinite(y)):
+        raise error(f"singular {what}: non-finite solution")
+    resid = np.max(np.abs((m.T if trans == "T" else m) @ y - b), initial=0.0)
+    if resid > 1e-8 * max(1.0, np.max(np.abs(y), initial=0.0)):
+        raise error(f"ill-conditioned {what}: solve residual {resid:.3e}")
+    return lu, y
 
 
 # one template per check, in the order of their columns in ``validate``

@@ -163,9 +163,9 @@ def support_eigh(h: sp.spmatrix | np.ndarray) -> list[EigBlock]:
         return []
     sym = (0.5 * (hc + hc.T)).tocsr()[support][:, support].tocoo()
     n_comp, label = csgraph.connected_components(sym, directed=False)
-    local = _rank_within(label, n_comp)  # each index's place in its block
+    local = rank_within(label, n_comp)  # each index's place in its block
     sizes, group = np.unique(np.bincount(label), return_inverse=True)
-    rank = _rank_within(group, sizes.size)  # each block's place in its stack
+    rank = rank_within(group, sizes.size)  # each block's place in its stack
     blocks = []
     for s, k, on, at in zip(sizes.tolist(), np.bincount(group).tolist(),
                             _split_by(group[label], sizes.size),
@@ -200,9 +200,9 @@ def _psd_rule(h: sp.spmatrix, min_eig: float) -> tuple[bool, float]:
     return min_eig >= -1e-10 * (max(1.0, float(abs(h).max())) if h.nnz else 1.0), min_eig
 
 
-def _rank_within(label: np.ndarray, n_label: int) -> np.ndarray:
-    """Each element's position among the elements with its label, in index
-    order."""
+def rank_within(label: np.ndarray, n_label: int) -> np.ndarray:
+    """Each element's place among the elements with its label, in index order:
+    the slot k that packs the k-th of every group (Curtis, Powell & Reid 1974)."""
     order = np.argsort(label, kind="stable")
     counts = np.bincount(label, minlength=n_label)
     rank = np.empty(label.size, dtype=np.intp)
@@ -268,14 +268,14 @@ class _Kkt:
             shape=(n + rows_k, n + rows_k))
         n_comp, label = csgraph.connected_components(edges, directed=False)
         # each node's place within its component, variables and rows apart
-        local = np.concatenate([_rank_within(label[:n], n_comp), _rank_within(label[n:], n_comp)])
+        local = np.concatenate([rank_within(label[:n], n_comp), rank_within(label[n:], n_comp)])
         size_v = np.bincount(label[:n], minlength=n_comp)
         size_r = np.bincount(label[n:], minlength=n_comp)
         # components of one shape stack; a row with no entries is a component
         # without variables and adds nothing
         shapes, group = np.unique(np.stack([size_v, size_r], axis=1), axis=0, return_inverse=True)
         group = group.ravel()
-        rank = _rank_within(group, len(shapes))
+        rank = rank_within(group, len(shapes))
         var_c, row_c = label[:n], label[n:]
         parts = [_split_by(group[c], len(shapes)) for c in (var_c, row_c, row_c[k_row], var_c[h.row])]
         self.groups, blocks = [], []

@@ -674,14 +674,15 @@ def unit_columns(bal, count) -> sp.csr_matrix:
                          shape=(count, len(bal)))
 
 
-def unpack_units(fac, x, slot_col, n_cols) -> sp.csr_matrix:
+def unpack_units(x, slot_col, feeder, n_cols) -> sp.csr_matrix:
     """The packed block of ``FeederFactors.solve_units`` as a sparse
     state-by-column matrix: each column takes its slot's values on its
-    feeder's rows (``flow_equations``' columns), and is zero elsewhere."""
-    col = slot_col[fac.feeder]
+    feeder's rows (``flow_equations``' columns), and is zero elsewhere.
+    ``feeder`` is the path incidence's feeder per branch row; X's row 0,
+    W0's, is left out."""
+    col = slot_col[np.tile(feeder, 3)]  # the W, Pbr and Qbr columns of each branch row
     i, k = np.nonzero(col >= 0)
-    out = sp.csr_matrix((x[i, k], (fac.cols[i], col[i, k])),
-                        shape=(fac.cols.size + 1, n_cols))
+    out = sp.csr_matrix((x[i + 1, k], (i + 1, col[i, k])), shape=(x.shape[0], n_cols))
     out.sort_indices()
     return out
 

@@ -11,11 +11,15 @@ and lists what moved. Per study the file holds the exit code, the stderr
 line of a failing study, and per report file its SHA-256 over its name and
 bytes (as ``perfbench/workloads.report_digest`` hashes a directory) and a
 short hash of each line, so that a mismatch names the first line that moved.
-The digests hold for the Python, numpy and scipy versions recorded with them.
+The digests hold for the Python, numpy and scipy versions recorded with them,
+and for the CPU core that each one's bundled OpenBLAS picked: a core with
+other kernels (Haswell's in place of SkylakeX's) moves the last bits of some
+sums, and with them a few full-precision floats of the JSON reports.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -82,9 +86,25 @@ STUDIES = {
 }
 
 
+def openblas_core(module, symbol: str) -> str | None:
+    """The CPU core that the OpenBLAS bundled with ``module`` (its wheel's
+    ``<module>.libs/libscipy_openblas*``) picked, read through ``symbol``;
+    None when there is no such library."""
+    libs = sorted((Path(module.__file__).parent.parent / f"{module.__name__}.libs")
+                  .glob("libscipy_openblas*"))
+    try:
+        corename = getattr(ctypes.CDLL(str(libs[0])), symbol)
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__,
+            "numpy_openblas_core": openblas_core(np, "scipy_openblas_get_corename64_"),
+            "scipy_openblas_core": openblas_core(scipy, "scipy_openblas_get_corename")}
 
 
 def file_record(name: str, data: bytes) -> dict:

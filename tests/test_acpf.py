@@ -309,7 +309,7 @@ def test_tree_jacobian_matches_product_chain(name):
     jb = acpf.jacobian_at(net, v, delta)
     dense = np.block([[jb.dp_ddelta, jb.dp_dv], [jb.dq_ddelta, jb.dq_dv]])
     assert np.max(np.abs(dense - ref.toarray())) <= 1e-12 * scale
-    lu = acpf._factor(jac, "reduced Jacobian")
+    lu = netmodel.leaves_first_solve(jac, np.zeros(2 * m), PowerFlowError, "reduced Jacobian")[0]
     assert lu.L.nnz + lu.U.nnz <= jac.nnz + 2 * m
     u = rng.standard_normal((m, 2))
     adj_p, adj_q = acpf.voltage_adjoint(net, v, delta, u)

@@ -332,19 +332,23 @@ def mixed_feeders_network() -> Network:
     return netmodel.with_slack_costs(net, 30.0, 3.0)
 
 
-def assert_units_match_reference(fac, ref, bal):
+def assert_units_match_reference(fac, ref, bal, feeder):
     """``fac.solve_units(bal)``, expanded to the state per column, against
-    the per-feeder reference's solve of the same unit columns, bit for bit.
-    Returns the slot map."""
+    the per-feeder reference's solve of the same unit columns, bit for bit;
+    X's row of W0 is 0. ``feeder`` is the path incidence's. Returns the slot
+    map."""
     x, slot_col = fac.solve_units(bal)
-    got = unpack_units(fac, x, slot_col, bal.size)
-    want = ref.solve(unit_columns(bal, fac.at.size))
+    rows = fac.layout
+    assert x.shape[0] == rows.n_cols and not x[rows.w].any()
+    got = unpack_units(x, slot_col, feeder, bal.size)
+    want = ref.solve(unit_columns(bal, rows.count))
     want.sort_indices()
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    # each column that reaches a feeder holds one slot of it; the rest none
+    # each column that reaches a feeder (any but the slack's rows) holds one
+    # slot of it; the rest none
     used = slot_col[slot_col >= 0]
-    assert np.array_equal(np.sort(used), np.flatnonzero(fac.at[bal] >= 0))
+    assert np.array_equal(np.sort(used), np.flatnonzero(~np.isin(bal, [rows.p_bal, rows.q_bal])))
     return slot_col
 
 
@@ -357,13 +361,14 @@ def assert_factors_match_reference(net, rng):
     p, q = netmodel.net_injections(net)
     fac, ref = mdf.FeederFactors(net, p, q), reference_feeder_factors(net, p, q)
     assert fac.state.tobytes() == ref.state.tobytes()
-    n = netmodel.path_incidence(net).n
+    ti = netmodel.path_incidence(net)
+    n = ti.n
     rows = mdf.FlowRows(n)
     bus = rng.integers(0, n + 1, size=9)
     for bal in (rows.balance(mdopf.var_blocks(net).gen_w),
                 np.concatenate([rows.p_bal + bus[:5], rows.q_bal + bus[5:],
                                 [rows.q_bal, rows.p_bal + bus[0]]])):
-        assert_units_match_reference(fac, ref, bal)
+        assert_units_match_reference(fac, ref, bal, ti.feeder)
     b = rng.normal(size=rows.count) * (rng.random(rows.count) < 0.05)
     assert np.array_equal(fac.solve_state(b), ref.solve(sp.csr_matrix(b[:, None])).toarray()[:, 0])
     r = rng.normal(size=3 * n + 1)  # one per state column
@@ -378,9 +383,10 @@ def test_feeder_factors_match_per_feeder_reference(case69):
     the benchmark's case69 x100 with 4 DGs per feeder (100 feeders, 8
     slots)."""
     rng = np.random.default_rng(31)
-    fac = assert_factors_match_reference(mixed_feeders_network(), rng)
-    # leaves first: the last feeder first
-    assert np.bincount(fac.feeder).tolist() == [3 * 12, 3 * 6, 3 * 3]
+    net = mixed_feeders_network()
+    assert_factors_match_reference(net, rng)
+    # in preorder: the feeders by their top bus's id
+    assert np.bincount(netmodel.path_incidence(net).feeder).tolist() == [3, 6, 12]
     dg = Generator(0.0, 0.2, 0.0, 0.1, 25.0, 2.0)
     net = netmodel.duplicate_system(case69, 3, seed=5)
     for bus in (27, 65, 95, 180):
@@ -389,7 +395,8 @@ def test_feeder_factors_match_per_feeder_reference(case69):
     for _ in range(20):
         tree = random_tree_network(rng, int(rng.integers(2, 30)), gen_frac=0.3)
         net = netmodel.duplicate_system(tree, int(rng.integers(2, 4)), seed=int(rng.integers(99)))
-        assert assert_factors_match_reference(net, rng).feeder.max() >= 1
+        assert_factors_match_reference(net, rng)
+        assert netmodel.path_incidence(net).feeder.max() >= 1
     slack = network([Bus(id=1, gen=Generator(0.0, 1.0, 0.0, 1.0, 30.0, 3.0))], [], slack=1,
                     base_power=1.0, base_voltage=12.66, v0=1.05)
     assert assert_factors_match_reference(slack, rng).state.tolist() == [2.0 - 1.05]
@@ -444,14 +451,15 @@ def test_packed_rows_match_sparse_s_random_trees(monkeypatch):
         lay = mdopf.var_blocks(net)  # the rows, built once with _screen recorded
         flow = mdf.FlowRows(n)
         bal = flow.balance(lay.gen_w)
-        slot_col = assert_units_match_reference(fac, ref, bal)
-        per_feeder = np.bincount(fac.feeder[fac.at[bal][fac.at[bal] >= 0]],
-                                 minlength=fac.feeder.max(initial=-1) + 1)
+        slot_col = assert_units_match_reference(fac, ref, bal, ti.feeder)
+        on_tree = lay.gen_w[lay.gen_w > 0]  # the generators' buses but the slack
+        per_feeder = 2 * np.bincount(ti.feeder[on_tree - 1],  # a Pg and a Qg column each
+                                     minlength=ti.feeder.max(initial=-1) + 1)
         seen["no slot"] += slot_col.shape[1] == 0
         seen["feeder without DG"] += bool(np.any(per_feeder == 0))
         seen["ragged"] += bool(np.any((slot_col < 0).any(axis=1) & (per_feeder > 0)))
 
-        s_gen = -ref.solve(unit_columns(bal, fac.at.size))
+        s_gen = -ref.solve(unit_columns(bal, flow.count))
         s_gen.sort_indices()
         lo, hi = mdopf._box(cols, lay.gen_w)
         mid = ref.state + s_gen @ (0.5 * (lo + hi))
@@ -481,7 +489,7 @@ def test_feeder_factors_one_splu_call(case69, monkeypatch):
     """The network's rows are factored in one SuperLU call, not one per
     feeder."""
     calls = []
-    splu = mdf.spla.splu
+    splu = netmodel.spla.splu
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
@@ -489,6 +497,6 @@ def test_feeder_factors_one_splu_call(case69, monkeypatch):
 
     net = netmodel.duplicate_system(case69, 10, seed=5)
     netmodel.path_incidence(net)  # factored on its own
-    monkeypatch.setattr(mdf.spla, "splu", counting)
+    monkeypatch.setattr(netmodel.spla, "splu", counting)
     mdf.FeederFactors(net, *netmodel.net_injections(net))
     assert calls == [(3 * 680, 3 * 680)]

@@ -430,7 +430,7 @@ def test_built_problem_holds_no_names(case69):
 
 def test_rows_hold_s_packed_memory(case69):
     """On case69 x100 with 4 DGs per feeder (401 generators, 6,801 buses) the
-    rows read S from the factor's packed block X (20,400 positions x 8
+    rows read S from the factor's packed block X (20,401 state columns x 8
     slots, 1.2 MiB) and build no sparse S over every state entry: their
     traced peak stays within 6.5 MiB, where scattering X into a 20,401 x
     802 matrix first peaked at 10.7 MiB. The factor itself, renumbered in
@@ -458,20 +458,20 @@ def test_load_factor_holds_one_copy_memory(case69, monkeypatch):
     it does not need. When ``load_factors`` calls SuperLU the flow rows are
     freed and only the leaves-first matrix and W0's column are held: within
     1.8 MiB, where holding the flow rows too held 2.29 MiB. The generator
-    columns are solved one slot at a time into X (20,400 positions x 8
+    columns are solved one slot at a time into X (20,401 state columns x 8
     slots, 1.25 MiB): the traced peak stays within 1.8 MiB, where one dense
     all-slot right-hand side beside X peaked at 2.52 MiB."""
     net = _case69_copies(case69, 100)
     netmodel.path_incidence(net)  # the builders' input, memoized outside the trace
     netmodel.columns(net)
     held = []
-    splu = mdf.spla.splu
+    splu = netmodel.spla.splu
 
     def holding(*args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0] - base)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(mdf.spla, "splu", holding)
+    monkeypatch.setattr(netmodel.spla, "splu", holding)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -488,7 +488,7 @@ def test_load_factor_holds_one_copy_memory(case69, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert x.shape == (20400, 8) and slot_col.shape == (100, 8)
+    assert x.shape == (20401, 8) and slot_col.shape == (100, 8)
     assert len(held) == 1 and held[0] <= 1.8 * 2**20, held
     assert peak <= 1.8 * 2**20, peak
 

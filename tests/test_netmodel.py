@@ -381,6 +381,40 @@ def test_tree_order_matches_two_pass_reference(case69):
             assert ti.r[i] == by_child[frozenset((parent, b))].r
 
 
+def _reference_feeders(net) -> list[int]:
+    """Each non-slack bus's feeder, in ``reference_preorder``'s bus order,
+    from networkx: the components of the tree without the slack, numbered
+    by the preorder position of their top bus (the one next to the slack)."""
+    order, _ = reference_preorder(net)
+    pos = {b: k for k, b in enumerate(order)}
+    graph = nx.Graph((br.from_bus, br.to_bus) for br in branch_records(net))
+    graph.add_node(net.slack)
+    tops = sorted(graph.neighbors(net.slack), key=pos.get)
+    graph.remove_node(net.slack)
+    feeder = {}
+    for k, top in enumerate(tops):
+        feeder.update(dict.fromkeys(nx.node_connected_component(graph, top), k))
+    return [feeder[b] for b in order]
+
+
+def test_feeder_numbers_match_networkx(case69):
+    """``PathIncidence.feeder`` is each branch row's feeder as networkx finds
+    it, on 20 random multi-feeder trees with shuffled bus ids, the slack
+    alone and case69 x100; it is read-only."""
+    rng = np.random.default_rng(33)
+    nets = [relabelled(duplicate_system(random_tree_network(rng, int(rng.integers(2, 30))),
+                                        int(rng.integers(2, 6)), seed=k), rng)
+            for k in range(20)]
+    nets += [network([Bus(id=1)], [], slack=1), duplicate_system(case69, 100, seed=1)]
+    for net in nets:
+        feeder = build_path_incidence(net).feeder
+        assert feeder.tolist() == _reference_feeders(net)
+        assert not feeder.flags.writeable
+    assert all(build_path_incidence(net).feeder.max() >= 1 for net in nets[:20])
+    assert nets[20].n_bus == 1 and build_path_incidence(nets[20]).feeder.size == 0
+    assert np.bincount(build_path_incidence(nets[21]).feeder).tolist() == [68] * 100
+
+
 def test_tree_searched_once_per_network(case69, monkeypatch):
     """validate, build_path_incidence and tree_positions share one compiled
     search, over one column view."""

@@ -1,8 +1,8 @@
 """Byte identity of the report files: the studies of ``make_report_digests``
 rerun through ``cli.main`` and compared with ``report_digests.json``.
 
-The digests hold for the Python, numpy and scipy versions recorded with
-them; on other versions the test skips and names both. A change that moves
+The digests hold for the Python, numpy and scipy versions and the OpenBLAS
+cores recorded with them; on any other the test skips and names both. A change that moves
 report bytes on purpose reruns ``tests/make_report_digests.py``.
 """
 import json
