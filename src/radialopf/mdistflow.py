@@ -90,7 +90,7 @@ class FlowRows:
 
     @staticmethod
     def per_column(per_branch: np.ndarray, at_w0) -> np.ndarray:
-        """An entry per state column: branch row k's at k's W, Pbr and Qbr."""
+        """Per state column: ``at_w0`` at W0, ``per_branch[k]`` at k's W, Pbr and Qbr."""
         return np.concatenate([[at_w0], per_branch, per_branch, per_branch])
 
 
